@@ -13,11 +13,9 @@
 //!   small reply ride the kernel's copying path, independent of payload
 //!   size.
 //!
-//! The allocation and process-global copy counters are shared across test
-//! threads, so the tests serialize on one mutex.
+//! The allocation count is scoped to the measuring thread; the copy
+//! counters are process-global, so the tests serialize on one mutex.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use spring_bench::fixtures::{flat_ping_same_domain, flat_ping_shmem, sample_fixture};
@@ -25,28 +23,10 @@ use spring_bench::flatbench::Sample;
 use spring_buf::flat::decode_bytes_copied;
 use spring_kernel::Kernel;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: common::CountingAlloc = common::CountingAlloc;
 
 /// Serializes the tests: both read process-global counters.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -72,13 +52,13 @@ fn same_domain_flat_round_trip_copies_and_allocates_nothing() {
 
     let before = kernel.stats();
     let decode_before = decode_bytes_copied();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..CALLS {
-        let _ = flat.echo_sample(&sample).unwrap();
-    }
+    let allocs_delta = common::allocations_in(|| {
+        for _ in 0..CALLS {
+            let _ = flat.echo_sample(&sample).unwrap();
+        }
+    });
     let delta = kernel.stats().since(&before);
     let decode_delta = decode_bytes_copied() - decode_before;
-    let allocs_delta = ALLOCS.load(Ordering::Relaxed) - allocs_before;
 
     assert_eq!(
         delta.bytes_copied, 0,

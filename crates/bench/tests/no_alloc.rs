@@ -1,42 +1,22 @@
 //! With tracing disabled, the steady-state E1 fast path must not allocate.
 //!
-//! This binary installs a counting global allocator (which is why the test
-//! lives alone in its own integration-test file). The null-call path it
-//! drives is the one E1 measures: request bytes come from the buffer pool,
-//! the kernel's two cross-address-space copies draw from and return to the
-//! pool, and the caller gives the reply backing store back — so after
-//! warmup a call performs zero heap allocations, and the disabled tracing
-//! instrumentation must keep it that way (its fast path is one relaxed
-//! atomic load).
+//! This binary installs a counting global allocator, scoped to the
+//! measuring thread (which is why the test lives alone in its own
+//! integration-test file). The null-call path it drives is the one E1
+//! measures: request bytes come from the buffer pool, the kernel's two
+//! cross-address-space copies draw from and return to the pool, and the
+//! caller gives the reply backing store back — so after warmup a call
+//! performs zero heap allocations, and the disabled tracing instrumentation
+//! must keep it that way (its fast path is one relaxed atomic load).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spring_kernel::{pool, CallCtx, DoorError, DoorHandler, Kernel, Message};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: common::CountingAlloc = common::CountingAlloc;
 
 struct Echo;
 
@@ -69,21 +49,13 @@ fn disabled_tracing_steady_state_call_does_not_allocate() {
         null_call();
     }
 
-    // A one-time lazy initialization — e.g. a contended lock parking this
-    // thread for the first time allocates its thread record — can land
-    // inside any single window depending on scheduling. A real per-call
-    // allocation taints *every* window, so the assertion is that at least
-    // one window is allocation-free, not that the first one is.
-    let mut counts = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+    let allocs = common::allocations_in(|| {
         for _ in 0..1_000 {
             null_call();
         }
-        counts.push(ALLOCS.load(Ordering::Relaxed) - before);
-    }
-    assert!(
-        counts.contains(&0),
-        "steady-state null calls allocated in every window: {counts:?}"
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state null calls allocated {allocs} times"
     );
 }

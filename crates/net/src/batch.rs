@@ -68,47 +68,70 @@ pub struct PendingEntry {
 }
 
 /// A one-shot rendezvous between a queued caller and the frame shipper.
+///
+/// Parked-flag protocol (DESIGN.md §5.12): `parked` is written only under
+/// the slot's mutex — set by the waiter immediately before `Condvar::wait`
+/// releases that mutex, cleared when the waiter takes its outcome — and a
+/// settler stores the outcome and reads `parked` in one critical section.
+/// So either the waiter finds the outcome before it parks, or the settler
+/// finds `parked` set and notifies: no wake-up is lost, and nobody pays a
+/// `FUTEX_WAKE` for a waiter that is not asleep.
 pub(crate) struct CallSlot {
-    outcome: Mutex<Option<Result<Message, DoorError>>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    outcome: Option<Result<Message, DoorError>>,
+    /// Whether the slot's one waiter is asleep on `cv`.
+    parked: bool,
+}
+
+fn aborted() -> DoorError {
+    DoorError::Comm("batch frame aborted".into())
 }
 
 impl CallSlot {
     fn new() -> CallSlot {
         CallSlot {
-            outcome: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             cv: Condvar::new(),
         }
     }
 
-    /// Delivers the call's outcome. First write wins; the shipper's
+    /// Delivers the call's outcome. First write wins; the batcher's
     /// backstop fill is a no-op on slots already settled.
     pub fn fulfill(&self, outcome: Result<Message, DoorError>) {
-        let mut slot = lock(&self.outcome);
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.cv.notify_all();
-        }
+        self.settle(|| outcome);
     }
 
     /// Settles the slot with an abort error if nothing has been delivered
-    /// yet — the shipper's backstop, constructed lazily so settled slots
+    /// yet — the batcher's backstop, constructed lazily so settled slots
     /// (the universal case) cost nothing.
-    pub fn abort_if_unsettled(&self) {
-        let mut slot = lock(&self.outcome);
-        if slot.is_none() {
-            *slot = Some(Err(DoorError::Comm("batch frame aborted".into())));
-            self.cv.notify_all();
+    fn abort_if_unsettled(&self) {
+        self.settle(|| Err(aborted()));
+    }
+
+    fn settle(&self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
+        let mut state = lock(&self.state);
+        if state.outcome.is_none() {
+            state.outcome = Some(outcome());
+            if state.parked {
+                self.cv.notify_one();
+            }
         }
     }
 
     fn wait_take(&self) -> Result<Message, DoorError> {
-        let mut slot = lock(&self.outcome);
+        let mut state = lock(&self.state);
         loop {
-            if let Some(outcome) = slot.take() {
+            if let Some(outcome) = state.outcome.take() {
+                state.parked = false;
                 return outcome;
             }
-            slot = self.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
+            state.parked = true;
+            state = self.cv.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -121,63 +144,61 @@ thread_local! {
     /// Recycled call slots: a steady-state caller reuses the slot from its
     /// previous call instead of allocating a fresh `Arc` per call.
     static SLOT_POOL: RefCell<Vec<Arc<CallSlot>>> = const { RefCell::new(Vec::new()) };
+    /// Recycled frame storage: a leader swaps a vector it shipped earlier
+    /// in for the queue it takes, so neither side reallocates. More than
+    /// one, because a servant run by `ship` may forward calls of its own
+    /// on this thread while the outer frame is still out.
+    static SPARE_FRAMES: RefCell<Vec<Vec<PendingEntry>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Thread-local pools keep at most this many idle items each.
+const POOL_CAP: usize = 8;
+
+fn recycle<T>(pool: &'static std::thread::LocalKey<RefCell<Vec<T>>>, item: T) {
+    pool.with_borrow_mut(|pool| {
+        if pool.len() < POOL_CAP {
+            pool.push(item);
+        }
+    });
 }
 
 fn take_slot() -> Arc<CallSlot> {
     SLOT_POOL
-        .with(|pool| pool.borrow_mut().pop())
+        .with_borrow_mut(Vec::pop)
         .unwrap_or_else(|| Arc::new(CallSlot::new()))
 }
 
-fn give_slot(slot: Arc<CallSlot>) {
-    // Only a slot nobody else still references may be reused, and only
-    // once drained of any backstop outcome.
-    if Arc::strong_count(&slot) == 1 {
-        lock(&slot.outcome).take();
-        SLOT_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < 8 {
-                pool.push(slot);
-            }
-        });
-    }
+/// Recycles a slot no other thread can reach any more — its frame has been
+/// cleared, so every settler (backstop included) is done with it — and
+/// returns the outcome it still held. A slot still referenced elsewhere is
+/// dropped instead, and reads as empty.
+fn retire(mut slot: Arc<CallSlot>) -> Option<Result<Message, DoorError>> {
+    let state = Arc::get_mut(&mut slot)?
+        .state
+        .get_mut()
+        .unwrap_or_else(|p| p.into_inner());
+    let outcome = mem::take(state).outcome;
+    recycle(&SLOT_POOL, slot);
+    outcome
 }
 
+#[derive(Default)]
 struct BatchState {
     /// The frame currently forming.
     forming: Vec<PendingEntry>,
     forming_bytes: usize,
-    /// Whether a leader is already collecting the forming frame.
+    /// Whether a leader is already collecting the forming frame. The
+    /// leader takes the whole queue when it stands down, so a new leader
+    /// always finds `forming` empty and its own entry lands at index 0.
     leader_present: bool,
-    /// When the forming frame started, for the linger budget.
-    started: Instant,
-    /// Urgency epoch sampled when the forming frame started.
-    urgent_at_start: u64,
-    /// Recycled queue storage from the previous frame.
-    spare: Vec<PendingEntry>,
 }
 
 /// The batcher for one (source, destination) link.
+#[derive(Default)]
 pub(crate) struct LinkBatcher {
     state: Mutex<BatchState>,
     /// Wakes the leader: new arrivals and urgency bumps notify here.
     arrivals: Condvar,
-}
-
-impl Default for LinkBatcher {
-    fn default() -> Self {
-        LinkBatcher {
-            state: Mutex::new(BatchState {
-                forming: Vec::new(),
-                forming_bytes: 0,
-                leader_present: false,
-                started: Instant::now(),
-                urgent_at_start: 0,
-                spare: Vec::new(),
-            }),
-            arrivals: Condvar::new(),
-        }
-    }
 }
 
 impl LinkBatcher {
@@ -198,44 +219,52 @@ impl LinkBatcher {
         let wire_len = wire.bytes.len();
         let mut state = lock(&self.state);
         let leading = !state.leader_present;
-        if leading {
-            state.leader_present = true;
-            state.started = Instant::now();
-            state.urgent_at_start = batching::urgent_epoch();
-        }
+        // A follower waits on its slot from another thread, so it shares
+        // it with its entry; a leader ships its own entry and takes the
+        // slot back out of the frame, so it moves it in.
+        let waiting = (!leading).then(|| slot.clone());
         state.forming.push(PendingEntry {
             export,
             wire: Some(wire),
             fresh,
-            slot: slot.clone(),
+            slot,
             reply: None,
             reply_wire: None,
             reply_fresh: Vec::new(),
         });
         state.forming_bytes += wire_len;
 
-        if !leading {
+        if let Some(slot) = waiting {
             // The leader may now have enough calls to flush.
             self.arrivals.notify_all();
             drop(state);
             let outcome = slot.wait_take();
-            give_slot(slot);
+            // Reusable only if the leader has already cleared the frame;
+            // all it can still hold then is a stale backstop fill.
+            retire(slot);
             return outcome;
         }
 
-        // Leader: linger (bounded) for pipelined company, then ship.
-        loop {
-            if Self::should_flush(&state, budget) {
+        // Leader: linger (bounded) for pipelined company, then ship. The
+        // urgency epoch is sampled as the frame starts forming; the linger
+        // clock only once the frame actually has something to wait for, so
+        // a plain synchronous call never reads it.
+        state.leader_present = true;
+        let urgent_at_start = batching::urgent_epoch();
+        let mut started = None;
+        while !Self::should_flush(&state, budget, urgent_at_start) {
+            let started = *started.get_or_insert_with(Instant::now);
+            let remaining = budget.linger.saturating_sub(started.elapsed());
+            if remaining.is_zero() {
                 break;
             }
-            let remaining = budget.linger.saturating_sub(state.started.elapsed());
             let (relocked, _) = self
                 .arrivals
                 .wait_timeout(state, remaining)
                 .unwrap_or_else(|p| p.into_inner());
             state = relocked;
         }
-        let mut frame = mem::take(&mut state.spare);
+        let mut frame = SPARE_FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default();
         mem::swap(&mut frame, &mut state.forming);
         state.forming_bytes = 0;
         state.leader_present = false;
@@ -243,16 +272,20 @@ impl LinkBatcher {
 
         ship(&mut frame);
 
-        // Return the drained storage for the next frame, then collect our
-        // own outcome (already settled by `ship`).
+        // Our own entry is back in our hands and its slot was never
+        // shared, so the outcome comes out without a lock or a wait. Every
+        // other caller wakes, even off a path `ship` missed.
+        let slot = frame.swap_remove(0).slot;
+        for entry in &frame {
+            entry.slot.abort_if_unsettled();
+        }
         frame.clear();
-        lock(&self.state).spare = frame;
-        let outcome = slot.wait_take();
-        give_slot(slot);
-        outcome
+        recycle(&SPARE_FRAMES, frame);
+        retire(slot).unwrap_or_else(|| Err(aborted()))
     }
 
-    fn should_flush(state: &BatchState, budget: BatchBudget) -> bool {
+    /// The flush conditions that need no clock.
+    fn should_flush(state: &BatchState, budget: BatchBudget, urgent_at_start: u64) -> bool {
         let queued = state.forming.len();
         queued >= budget.max_calls
             || state.forming_bytes >= budget.max_bytes
@@ -260,8 +293,7 @@ impl LinkBatcher {
             // synchronous call, with nothing announced, flushes at once).
             || queued as u64 >= batching::announced()
             // A collector started waiting after this frame formed.
-            || batching::urgent_epoch() != state.urgent_at_start
-            || state.started.elapsed() >= budget.linger
+            || batching::urgent_epoch() != urgent_at_start
     }
 
     /// Wakes a lingering leader so it re-evaluates the flush policy; wired

@@ -14,19 +14,72 @@ use crate::server::{NetServer, WireCap};
 use crate::socket::{SocketListener, SocketPeer};
 use crate::transport::{OnewayEntry, SimTransport, Transport};
 
-pub(crate) struct NetworkInner {
-    nodes: RwLock<HashMap<u64, Arc<NetServer>>>,
-    /// Behaviour knobs, shared by `Arc` so a hop clones a pointer instead of
-    /// copying the config struct under the lock.
-    config: RwLock<Arc<NetConfig>>,
-    partitions: RwLock<HashSet<(u64, u64)>>,
-    /// One call batcher per (source, destination) link, created on first use.
-    batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
+/// The network's read-mostly state as one immutable value: behaviour knobs,
+/// cut links, the machines and the transport reaching each of them.
+///
+/// Publish rule (DESIGN.md §5.12): only [`NetworkInner::publish`] replaces
+/// the snapshot — `add_node`, `set_config`, `partition`, `heal`, `heal_all`
+/// and `register_transport` go through it, copying the value once per
+/// publication and never per call. A forwarded call holds a snapshot for at
+/// most its own duration, and a proxy door's cached [`Route`] holds one
+/// until the first call that finds a newer epoch published.
+#[derive(Clone)]
+pub(crate) struct Snapshot {
+    /// Publication count; a held snapshot is current while this equals
+    /// [`NetworkInner::epoch`].
+    epoch: u64,
+    config: NetConfig,
+    partitions: HashSet<(u64, u64)>,
+    nodes: HashMap<u64, Arc<NetServer>>,
     /// Destination node -> the transport whose frames reach it. Local
     /// nodes route through [`SimTransport`] (the default, in-process
     /// simulated backend); nodes in *other OS processes* route through the
     /// socket peer that reached them.
-    transports: RwLock<HashMap<u64, Arc<dyn Transport>>>,
+    transports: HashMap<u64, Arc<dyn Transport>>,
+}
+
+impl Snapshot {
+    fn server(&self, node: u64) -> Result<&Arc<NetServer>, DoorError> {
+        self.nodes.get(&node).ok_or_else(|| unknown_node(node))
+    }
+
+    fn check_link(&self, a: u64, b: u64) -> Result<(), DoorError> {
+        if !self.partitions.is_empty() && self.partitions.contains(&link_key(a, b)) {
+            return Err(DoorError::Comm(format!(
+                "partition between nodes {a} and {b}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+fn unknown_node(node: u64) -> DoorError {
+    DoorError::Comm(format!("unknown node {node}"))
+}
+
+fn link_key(a: u64, b: u64) -> (u64, u64) {
+    (a.min(b), a.max(b))
+}
+
+/// What a proxy door needs to forward a call, resolved once per published
+/// snapshot instead of once per call: the snapshot itself (partitions and
+/// batching budgets), the link's batcher, and the transport reaching the
+/// target's home node (`None` for a node nobody has introduced, whose calls
+/// fail with "unknown node" when they ship).
+pub(crate) struct Route {
+    snap: Arc<Snapshot>,
+    batcher: Arc<LinkBatcher>,
+    transport: Option<Arc<dyn Transport>>,
+}
+
+pub(crate) struct NetworkInner {
+    snapshot: RwLock<Arc<Snapshot>>,
+    /// Epoch of the published snapshot, readable without the lock: holders
+    /// of a snapshot or a [`Route`] compare against it to revalidate.
+    epoch: AtomicU64,
+    /// One call batcher per (source, destination) link, created on first
+    /// use and never removed.
+    batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
     rng: Mutex<FaultRng>,
     messages: AtomicU64,
     bytes: AtomicU64,
@@ -53,27 +106,49 @@ impl NetworkInner {
         self.proxies.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The currently published snapshot.
+    fn load(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read())
+    }
+
+    /// Whether `held` is still the published snapshot.
+    fn is_current(&self, held: &Snapshot) -> bool {
+        held.epoch == self.epoch.load(Ordering::Acquire)
+    }
+
+    /// A newer snapshot than `held`, if one has been published since.
+    fn newer_than(&self, held: &Snapshot) -> Option<Arc<Snapshot>> {
+        (!self.is_current(held)).then(|| self.load())
+    }
+
+    /// Publishes an edited copy of the snapshot under the next epoch.
+    fn publish(&self, edit: impl FnOnce(&mut Snapshot)) {
+        let mut current = self.snapshot.write();
+        let mut next = Snapshot::clone(&current);
+        edit(&mut next);
+        next.epoch += 1;
+        let epoch = next.epoch;
+        *current = Arc::new(next);
+        // Inside the write lock, so the epoch never runs ahead of the
+        // snapshot a revalidating reader would load.
+        self.epoch.store(epoch, Ordering::Release);
+    }
+
     pub(crate) fn server(&self, node: u64) -> Result<Arc<NetServer>, DoorError> {
-        self.nodes
-            .read()
-            .get(&node)
-            .cloned()
-            .ok_or_else(|| DoorError::Comm(format!("unknown node {node}")))
+        self.snapshot.read().server(node).cloned()
     }
 
     /// Registers (or replaces, on reconnect) the transport reaching `node`.
     pub(crate) fn register_transport(&self, node: u64, transport: Arc<dyn Transport>) {
-        self.transports.write().insert(node, transport);
-    }
-
-    pub(crate) fn transport_of(&self, node: u64) -> Option<Arc<dyn Transport>> {
-        self.transports.read().get(&node).cloned()
+        self.publish(|s| {
+            s.transports.insert(node, transport);
+        });
     }
 
     /// Whether socket sends may take the same-thread fast path (see
     /// `NetConfig::socket_fastpath`).
     pub(crate) fn socket_fastpath(&self) -> bool {
-        self.config.read().socket_fastpath
+        self.snapshot.read().config.socket_fastpath
     }
 
     pub(crate) fn count_socket_send(&self, bytes: usize) {
@@ -92,22 +167,35 @@ impl NetworkInner {
         self.socket_disconnects.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn check_link(&self, a: u64, b: u64) -> Result<(), DoorError> {
-        let key = (a.min(b), a.max(b));
-        if self.partitions.read().contains(&key) {
-            return Err(DoorError::Comm(format!(
-                "partition between nodes {a} and {b}"
-            )));
-        }
-        Ok(())
-    }
-
     /// The batcher for the `src -> dst` link, created on first use.
     fn link(&self, src: u64, dst: u64) -> Arc<LinkBatcher> {
         if let Some(batcher) = self.batchers.read().get(&(src, dst)) {
             return batcher.clone();
         }
         self.batchers.write().entry((src, dst)).or_default().clone()
+    }
+
+    /// The route for calls `src -> dst`: the one in `cached` while the
+    /// snapshot it was resolved against is still the published one,
+    /// otherwise resolved afresh (and cached) against the current one.
+    pub(crate) fn route(
+        &self,
+        cached: &Mutex<Option<Arc<Route>>>,
+        src: u64,
+        dst: u64,
+    ) -> Arc<Route> {
+        let mut cached = cached.lock();
+        if let Some(route) = cached.as_ref().filter(|r| self.is_current(&r.snap)) {
+            return route.clone();
+        }
+        let snap = self.load();
+        let route = Arc::new(Route {
+            transport: snap.transports.get(&dst).cloned(),
+            batcher: self.link(src, dst),
+            snap,
+        });
+        *cached = Some(route.clone());
+        route
     }
 
     /// Wakes every lingering link batcher (the urgency waker).
@@ -146,8 +234,9 @@ impl NetworkInner {
         Ok(())
     }
 
-    /// Forwards a proxy-door invocation to its home node and returns the
-    /// reply. `msg`'s identifiers are owned by `from`'s network server.
+    /// Forwards a proxy-door invocation along its resolved `route` to its
+    /// home node and returns the reply. `msg`'s identifiers are owned by
+    /// `from`'s network server.
     ///
     /// The call is queued on its link's batcher: concurrent calls over the
     /// same link that overlap in time may share one wire frame (one request
@@ -160,6 +249,7 @@ impl NetworkInner {
         &self,
         from: &Arc<NetServer>,
         target: WireCap,
+        route: &Route,
         msg: Message,
     ) -> Result<Message, DoorError> {
         self.calls_forwarded.fetch_add(1, Ordering::Relaxed);
@@ -184,7 +274,7 @@ impl NetworkInner {
         }
 
         let result = (|| {
-            self.check_link(from.node.raw(), target.origin)?;
+            route.snap.check_link(from.node.raw(), target.origin)?;
             let (wire, fresh) = from.to_wire_tracked(msg)?;
             if one_way {
                 // One-way calls bypass the link batcher: there is no reply
@@ -197,24 +287,31 @@ impl NetworkInner {
                     wire: Some(wire),
                     fresh,
                 };
-                return match self.transport_of(target.origin) {
+                return match &route.transport {
                     Some(transport) => transport.ship_oneway(from, &mut entry),
-                    None => self.ship_oneway_batch(from, target.origin, &mut entry),
+                    None => self.ship_oneway_batch(from, target.origin, None, &mut entry),
                 }
                 .map(|()| Message::default());
             }
-            let budget = {
-                let cfg = self.config.read();
-                BatchBudget {
-                    max_calls: cfg.batch_max_calls.max(1),
-                    max_bytes: cfg.batch_max_bytes,
-                    linger: cfg.batch_linger,
-                }
+            let cfg = &route.snap.config;
+            let budget = BatchBudget {
+                max_calls: cfg.batch_max_calls.max(1),
+                max_bytes: cfg.batch_max_bytes,
+                linger: cfg.batch_linger,
             };
-            let batcher = self.link(from.node.raw(), target.origin);
-            batcher.submit(target.export, wire, fresh, budget, &|frame| {
-                self.ship_frame(from, target.origin, frame)
-            })
+            // An unrouted destination still ships, through the simulated
+            // backend, so its "unknown node" failure is counted and traced
+            // like any other frame's.
+            route.batcher.submit(
+                target.export,
+                wire,
+                fresh,
+                budget,
+                &|frame| match &route.transport {
+                    Some(transport) => transport.ship(from, frame),
+                    None => self.ship_batch(from, target.origin, None, frame),
+                },
+            )
         })();
         if result.is_err() {
             span.fail();
@@ -222,10 +319,29 @@ impl NetworkInner {
         result
     }
 
-    /// Ships one frame of forwarded calls: a single request hop (latency
-    /// charged once, payload bytes summed), per-call delivery and execution
-    /// on the destination node, and a single reply hop for every reply the
-    /// frame produced. Settles every entry's [`CallSlot`].
+    /// What every simulated frame passes on its way out, in this order:
+    /// the link is not cut, the destination (`home`, already resolved by
+    /// whoever routed the frame there) exists, and the request hop of
+    /// `bytes` survives the loss roll.
+    fn depart<'a>(
+        &self,
+        snap: &Snapshot,
+        from: &NetServer,
+        origin: u64,
+        home: Option<&'a Arc<NetServer>>,
+        bytes: usize,
+    ) -> Result<&'a Arc<NetServer>, DoorError> {
+        snap.check_link(from.node.raw(), origin)?;
+        let home = home.ok_or_else(|| unknown_node(origin))?;
+        self.traced_hop(&snap.config, bytes, true, from.domain.trace_scope())?;
+        Ok(home)
+    }
+
+    /// Ships one frame of forwarded calls through the simulated backend: a
+    /// single request hop (latency charged once, payload bytes summed),
+    /// per-call delivery and execution on the destination node `home`, and
+    /// a single reply hop for every reply the frame produced. Settles every
+    /// entry's [`CallSlot`](crate::batch::CallSlot).
     ///
     /// Partial-failure discipline matches the unbatched path call for call:
     /// a lost or partitioned request frame releases *every* export freshly
@@ -233,28 +349,11 @@ impl NetworkInner {
     /// releases only that call's identifiers (the rest of the frame
     /// proceeds), and a lost reply frame releases the exports pinned by
     /// every staged reply.
-    /// Routes one flushed frame to whichever transport reaches `origin`.
-    ///
-    /// Local nodes (and unknown destinations, whose "unknown node" error
-    /// must match the pre-transport behaviour exactly) go through
-    /// [`NetworkInner::ship_batch`]; nodes in other OS processes go through
-    /// the socket peer that introduced them.
-    pub(crate) fn ship_frame(
-        &self,
-        from: &Arc<NetServer>,
-        origin: u64,
-        frame: &mut [PendingEntry],
-    ) {
-        match self.transport_of(origin) {
-            Some(transport) => transport.ship(from, frame),
-            None => self.ship_batch(from, origin, frame),
-        }
-    }
-
     pub(crate) fn ship_batch(
         &self,
         from: &Arc<NetServer>,
         origin: u64,
+        home: Option<&Arc<NetServer>>,
         frame: &mut [PendingEntry],
     ) {
         let calls = frame.len() as u64;
@@ -268,14 +367,20 @@ impl NetworkInner {
         // sizes show up in the latency histograms.
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
 
-        // Hoisted per-frame: one config read, one destination lookup.
-        let cfg = Arc::clone(&self.config.read());
-        let home = match (|| {
-            self.check_link(from.node.raw(), origin)?;
-            self.server(origin)
-        })() {
+        // One snapshot for the way out; its config also prices the reply
+        // hop, as the per-frame config read always did.
+        let snap = self.load();
+        let request_bytes: usize = frame
+            .iter()
+            .map(|e| e.wire.as_ref().map_or(0, |w| w.bytes.len()))
+            .sum();
+        let home = match self.depart(&snap, from, origin, home, request_bytes) {
             Ok(home) => home,
             Err(e) => {
+                // The frame never left this node: every call aboard is lost
+                // and every export pinned for any of them must be released,
+                // or each lost frame leaks one pinned door per capability
+                // sent.
                 span.fail();
                 for entry in frame.iter_mut() {
                     from.unexport(&entry.fresh);
@@ -284,22 +389,6 @@ impl NetworkInner {
                 return;
             }
         };
-
-        let request_bytes: usize = frame
-            .iter()
-            .map(|e| e.wire.as_ref().map_or(0, |w| w.bytes.len()))
-            .sum();
-        if let Err(e) = self.traced_hop(&cfg, request_bytes, true, from.domain.trace_scope()) {
-            // The frame never left this node: every call aboard is lost and
-            // every export pinned for any of them must be released, or each
-            // lost frame leaks one pinned door per capability sent.
-            span.fail();
-            for entry in frame.iter_mut() {
-                from.unexport(&entry.fresh);
-                entry.slot.fulfill(Err(e.clone()));
-            }
-            return;
-        }
 
         // Deliver and execute each call, in submission order.
         for entry in frame.iter_mut() {
@@ -341,8 +430,11 @@ impl NetworkInner {
             }
         }
 
-        // The replies travel back across the same link, again as one frame.
-        if let Err(e) = self.check_link(origin, from.node.raw()) {
+        // The replies travel back across the same link, again as one frame,
+        // past whatever partitions were published while the calls executed.
+        let newer = self.newer_than(&snap);
+        let back = newer.as_deref().unwrap_or(&snap);
+        if let Err(e) = back.check_link(origin, from.node.raw()) {
             // A partition formed while the calls executed: no reply can
             // leave, so release their identifiers instead of stranding them
             // in the network server's domain.
@@ -371,7 +463,7 @@ impl NetworkInner {
             }
         }
         if frame.iter().any(|e| e.reply_wire.is_some()) {
-            match self.traced_hop(&cfg, reply_bytes, true, home.domain.trace_scope()) {
+            match self.traced_hop(&snap.config, reply_bytes, true, home.domain.trace_scope()) {
                 Ok(()) => {
                     for entry in frame.iter_mut() {
                         if let Some(wire) = entry.reply_wire.take() {
@@ -393,11 +485,6 @@ impl NetworkInner {
                 }
             }
         }
-
-        // Backstop: every caller wakes, even off a path missed above.
-        for entry in frame.iter() {
-            entry.slot.abort_if_unsettled();
-        }
     }
 
     /// Delivers one reply-less call through the simulated backend: a
@@ -418,6 +505,7 @@ impl NetworkInner {
         &self,
         from: &Arc<NetServer>,
         origin: u64,
+        home: Option<&Arc<NetServer>>,
         entry: &mut OnewayEntry,
     ) -> Result<(), DoorError> {
         self.batch_flushes.fetch_add(1, Ordering::Relaxed);
@@ -427,30 +515,20 @@ impl NetworkInner {
             Some(w) => w,
             None => return Ok(()),
         };
-        let cfg = Arc::clone(&self.config.read());
-        let fail = |e: DoorError, span: &mut spring_trace::SpanGuard| {
-            from.unexport(&entry.fresh);
-            span.fail();
-            Err(e)
-        };
-        let home = match (|| {
-            self.check_link(from.node.raw(), origin)?;
-            self.server(origin)
-        })() {
-            Ok(home) => home,
-            Err(e) => return fail(e, &mut span),
-        };
-        if let Err(e) = self.traced_hop(&cfg, wire.bytes.len(), true, from.domain.trace_scope()) {
-            return fail(e, &mut span);
-        }
-        spring_kernel::hotpath::count_oneway_frame();
-        let door = match home.export_target(entry.export) {
-            Ok(d) => d,
-            Err(e) => return fail(e, &mut span),
-        };
-        let delivered = match home.from_wire(wire) {
-            Ok(d) => d,
-            Err(e) => return fail(e, &mut span),
+        let delivered = self
+            .depart(&self.load(), from, origin, home, wire.bytes.len())
+            .and_then(|home| {
+                spring_kernel::hotpath::count_oneway_frame();
+                let door = home.export_target(entry.export)?;
+                Ok((home, door, home.from_wire(wire)?))
+            });
+        let (home, door, delivered) = match delivered {
+            Ok(landed) => landed,
+            Err(e) => {
+                from.unexport(&entry.fresh);
+                span.fail();
+                return Err(e);
+            }
         };
         let delivered_doors = delivered.doors.clone();
         match home.domain.call(door, delivered) {
@@ -533,11 +611,15 @@ impl Network {
     pub fn new(config: NetConfig) -> Arc<Network> {
         let net = Arc::new(Network {
             inner: Arc::new(NetworkInner {
-                nodes: RwLock::new(HashMap::new()),
-                config: RwLock::new(Arc::new(config)),
-                partitions: RwLock::new(HashSet::new()),
+                snapshot: RwLock::new(Arc::new(Snapshot {
+                    epoch: 0,
+                    config,
+                    partitions: HashSet::new(),
+                    nodes: HashMap::new(),
+                    transports: HashMap::new(),
+                })),
+                epoch: AtomicU64::new(0),
                 batchers: RwLock::new(HashMap::new()),
-                transports: RwLock::new(HashMap::new()),
                 rng: Mutex::new(FaultRng::seed_from_u64(0x5u64)),
                 messages: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
@@ -589,10 +671,12 @@ impl Network {
         let domain = kernel.create_domain("network-server");
         let server = NetServer::new(kernel.node_id(), domain, self.inner.clone());
         let raw = kernel.node_id().raw();
-        self.inner.nodes.write().insert(raw, server);
         // Local nodes are reached by the in-process simulated backend.
-        self.inner
-            .register_transport(raw, Arc::new(SimTransport::new(&self.inner, raw)));
+        let transport = Arc::new(SimTransport::new(server.clone()));
+        self.inner.publish(|s| {
+            s.nodes.insert(raw, server);
+            s.transports.insert(raw, transport);
+        });
         Node { kernel }
     }
 
@@ -653,7 +737,7 @@ impl Network {
 
     /// Replaces the network behaviour (latency, jitter, loss).
     pub fn set_config(&self, config: NetConfig) {
-        *self.inner.config.write() = Arc::new(config);
+        self.inner.publish(|s| s.config = config);
     }
 
     /// Reseeds the loss/jitter RNG (determinism for tests).
@@ -663,19 +747,21 @@ impl Network {
 
     /// Cuts the link between two nodes in both directions.
     pub fn partition(&self, a: NodeId, b: NodeId) {
-        let key = (a.raw().min(b.raw()), a.raw().max(b.raw()));
-        self.inner.partitions.write().insert(key);
+        self.inner.publish(|s| {
+            s.partitions.insert(link_key(a.raw(), b.raw()));
+        });
     }
 
     /// Heals the link between two nodes.
     pub fn heal(&self, a: NodeId, b: NodeId) {
-        let key = (a.raw().min(b.raw()), a.raw().max(b.raw()));
-        self.inner.partitions.write().remove(&key);
+        self.inner.publish(|s| {
+            s.partitions.remove(&link_key(a.raw(), b.raw()));
+        });
     }
 
     /// Heals every partition.
     pub fn heal_all(&self) {
-        self.inner.partitions.write().clear();
+        self.inner.publish(|s| s.partitions.clear());
     }
 
     /// Counter snapshot.
@@ -734,9 +820,10 @@ impl Network {
             });
         }
 
-        self.inner.check_link(from_node.raw(), to_node.raw())?;
-        let src = self.inner.server(from_node.raw())?;
-        let dst = self.inner.server(to_node.raw())?;
+        let snap = self.inner.load();
+        snap.check_link(from_node.raw(), to_node.raw())?;
+        let src = snap.server(from_node.raw())?;
+        let dst = snap.server(to_node.raw())?;
 
         // Move identifiers into the sending network server, map to wire
         // form, hop, and reverse on the receiving side. Object transfers
@@ -765,9 +852,12 @@ impl Network {
             trace: msg.trace,
             call: msg.call,
         })?;
-        let cfg = Arc::clone(&self.inner.config.read());
-        self.inner
-            .traced_hop(&cfg, wire.bytes.len(), false, src.domain.trace_scope())?;
+        self.inner.traced_hop(
+            &snap.config,
+            wire.bytes.len(),
+            false,
+            src.domain.trace_scope(),
+        )?;
         let arrived = dst.from_wire(wire)?;
         let mut doors = Vec::with_capacity(arrived.doors.len());
         let mut pending = arrived.doors.into_iter();

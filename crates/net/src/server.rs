@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use spring_kernel::{CallCtx, CallId, Domain, DoorError, DoorHandler, DoorId, Message, NodeId};
 use spring_trace::TraceCtx;
 
-use crate::network::NetworkInner;
+use crate::network::{NetworkInner, Route};
 
 /// A door identifier in its extended network form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,7 +69,7 @@ pub struct NetServer {
     /// handshake so freshly connected processes have one well-known door
     /// to start exchanging identifiers through.
     bootstrap: Mutex<Option<u64>>,
-    net: Arc<NetworkInner>,
+    pub(crate) net: Arc<NetworkInner>,
 }
 
 impl NetServer {
@@ -169,6 +169,7 @@ impl NetServer {
         let handler = Arc::new(ProxyHandler {
             target: cap,
             server: Arc::downgrade(self),
+            route: Mutex::new(None),
         });
         let retained = self.domain.create_door(handler)?;
         let issued = self.domain.copy_door(retained)?;
@@ -280,6 +281,9 @@ impl NetServer {
 struct ProxyHandler {
     target: WireCap,
     server: std::sync::Weak<NetServer>,
+    /// The link's resolved route, kept across calls and re-resolved by
+    /// [`NetworkInner::route`] when the network publishes a new snapshot.
+    route: Mutex<Option<Arc<Route>>>,
 }
 
 impl DoorHandler for ProxyHandler {
@@ -290,6 +294,9 @@ impl DoorHandler for ProxyHandler {
             .ok_or_else(|| DoorError::Comm("network server shut down".into()))?;
         // The kernel has already translated `msg`'s identifiers into the
         // network server's domain; forward over the network.
-        server.net.forward_call(&server, self.target, msg)
+        let route = server
+            .net
+            .route(&self.route, server.node.raw(), self.target.origin);
+        server.net.forward_call(&server, self.target, &route, msg)
     }
 }

@@ -1355,10 +1355,6 @@ impl Transport for SocketPeer {
                 entry.slot.fulfill(Err(e.clone()));
             }
         }
-        // Backstop: every caller wakes, even off a path missed above.
-        for entry in frame.iter() {
-            entry.slot.abort_if_unsettled();
-        }
     }
 
     fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {

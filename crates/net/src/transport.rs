@@ -11,12 +11,11 @@
 //! Unix-domain sockets between real OS processes. Subcontracts cannot tell
 //! the difference except by the failure modes DESIGN.md §5.15 documents.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use spring_kernel::DoorError;
 
 use crate::batch::PendingEntry;
-use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 
 /// A frame shipper for one destination node.
@@ -25,8 +24,9 @@ use crate::server::{NetServer, WireCap, WireMessage};
 ///
 /// * `ship` is invoked by the batcher's leader thread once the flush policy
 ///   fires, with no batcher lock held, and **must settle every entry's
-///   [`crate::batch::CallSlot`] before returning** — a stranded slot hangs
-///   its caller forever.
+///   [`crate::batch::CallSlot`] before returning** — the batcher fails
+///   whatever is left unsettled with a `Comm` abort rather than let its
+///   caller hang.
 /// * Calls within one frame are delivered to the destination in submission
 ///   order; no ordering is promised *across* frames.
 /// * Failures must be reported through the existing taxonomy: anything a
@@ -78,17 +78,14 @@ pub struct OnewayEntry {
 /// pre-transport-trait code path — same hops, same RNG draws, in the same
 /// order — so every seeded fault sweep reproduces bit for bit.
 pub(crate) struct SimTransport {
-    pub net: Weak<NetworkInner>,
-    /// Destination node this transport reaches.
-    pub origin: u64,
+    /// The network server of the node this transport reaches, resolved
+    /// when the node was installed; it also owns the way to the network.
+    home: Arc<NetServer>,
 }
 
 impl SimTransport {
-    pub(crate) fn new(net: &Arc<NetworkInner>, origin: u64) -> SimTransport {
-        SimTransport {
-            net: Arc::downgrade(net),
-            origin,
-        }
+    pub(crate) fn new(home: Arc<NetServer>) -> SimTransport {
+        SimTransport { home }
     }
 }
 
@@ -98,26 +95,15 @@ impl Transport for SimTransport {
     }
 
     fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
-        match self.net.upgrade() {
-            Some(net) => net.ship_batch(from, self.origin, frame),
-            None => {
-                let err = DoorError::Comm("network shut down".into());
-                for entry in frame.iter_mut() {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(err.clone()));
-                }
-            }
-        }
+        let home = &self.home;
+        home.net
+            .ship_batch(from, home.node.raw(), Some(home), frame);
     }
 
     fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
-        match self.net.upgrade() {
-            Some(net) => net.ship_oneway_batch(from, self.origin, entry),
-            None => {
-                from.unexport(&entry.fresh);
-                Err(DoorError::Comm("network shut down".into()))
-            }
-        }
+        let home = &self.home;
+        home.net
+            .ship_oneway_batch(from, home.node.raw(), Some(home), entry)
     }
 }
 

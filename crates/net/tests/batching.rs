@@ -1,11 +1,12 @@
 //! Per-link batching under concurrency and faults.
 //!
 //! Concurrent callers on one (source, destination) link coalesce into
-//! shared wire frames. These tests prove the three properties the batcher
-//! must not trade away: every call still completes and is counted exactly
-//! once (stress), a request frame lost on the wire releases the export
-//! pins of *every* call aboard (not just the leader's), and a lost reply
-//! frame releases every reply-door export the serving node just pinned.
+//! shared wire frames. These tests prove the properties the batcher must
+//! not trade away: every call still completes and is counted exactly once
+//! (stress), no parked follower ever misses its wake-up, a request frame
+//! lost on the wire releases the export pins of *every* call aboard (not
+//! just the leader's), and a lost reply frame releases every reply-door
+//! export the serving node just pinned.
 //!
 //! The fault tests append their seeds to `target/pipeline-seeds.txt` so a
 //! CI failure reports exactly which RNG seeds were exercised.
@@ -157,6 +158,58 @@ fn concurrent_callers_all_complete_and_are_counted_once() {
         delta.batch_flushes < total,
         "coalescing must produce fewer flushes than calls",
     );
+}
+
+/// A settler notifies a slot's condvar only when its waiter is parked. With
+/// every caller announced, each frame waits for all of them: one leads, the
+/// rest push their entry and then park — or find the outcome already there,
+/// when the leader shipped in between. Both orders occur over a thousand
+/// frames, and a wake-up lost in either would hang its caller for good, so
+/// the callers run detached under a watchdog.
+#[test]
+fn parked_followers_are_always_woken() {
+    let _gate = gate();
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 1_000;
+
+    let net = Network::new(NetConfig {
+        // Far above the test's runtime: frames flush because everyone
+        // announced is aboard, never because time passed.
+        batch_linger: Duration::from_secs(30),
+        ..NetConfig::default()
+    });
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let (client, proxy) = echo_proxy(&net, &b, &a, Arc::new(Echo));
+    let client = Arc::new(client);
+
+    let before = net.stats();
+    let start = Arc::new(std::sync::Barrier::new(THREADS));
+    let (done, finished) = std::sync::mpsc::channel();
+    for t in 0..THREADS {
+        let (client, start, done) = (Arc::clone(&client), Arc::clone(&start), done.clone());
+        std::thread::spawn(move || {
+            let _announced = batching::announce_scope();
+            start.wait();
+            for i in 0..ROUNDS {
+                let payload = vec![t as u8, i as u8];
+                let reply = client.call(proxy, Message::from_bytes(payload.clone()));
+                assert_eq!(reply.unwrap().bytes, payload);
+            }
+            done.send(()).unwrap();
+        });
+    }
+    for _ in 0..THREADS {
+        finished
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a caller never returned: lost wake-up");
+    }
+
+    // Every frame carried one call from each thread, so followers existed
+    // in every round.
+    let delta = net.stats().since(&before);
+    assert_eq!(delta.batch_flushes, ROUNDS as u64);
+    assert_eq!(delta.calls_batched, (THREADS * ROUNDS) as u64);
 }
 
 /// A request frame lost on the wire fails every call aboard and releases

@@ -182,6 +182,105 @@ fn partitions_cut_calls_and_heal() {
     assert!(client.call(proxy, Message::new()).is_ok());
 }
 
+/// Ships a door for `handler`, served on `server_node`, to `client`.
+fn proxy_to(
+    net: &Network,
+    server_node: &spring_net::Node,
+    client: &spring_kernel::Domain,
+    handler: Arc<dyn DoorHandler>,
+) -> spring_kernel::DoorId {
+    let server = server_node.kernel().create_domain("server");
+    let door = server.create_door(handler).unwrap();
+    let msg = Message {
+        doors: vec![door],
+        ..Message::default()
+    };
+    net.ship_message(&server, client, msg).unwrap().doors[0]
+}
+
+/// A proxy door keeps its resolved route across calls; every publication —
+/// partition, heal, set_config — must still reach the very next call
+/// through a door that has already carried traffic.
+#[test]
+fn warm_proxy_sees_partitions_and_config_on_the_next_call() {
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let client = a.kernel().create_domain("client");
+    let proxy = proxy_to(&net, &b, &client, Arc::new(Echo));
+    for _ in 0..3 {
+        client.call(proxy, Message::new()).unwrap();
+    }
+
+    net.partition(a.id(), b.id());
+    let before = net.stats();
+    match client.call(proxy, Message::new()).unwrap_err() {
+        DoorError::Comm(why) => assert!(why.contains("partition"), "{why}"),
+        other => panic!("expected comm error, got {other:?}"),
+    }
+    // Refused at the first check-point, off the door's own route: nothing
+    // was marshalled, queued or shipped for a link known to be cut.
+    let refused = net.stats().since(&before);
+    assert_eq!(
+        (
+            refused.calls_forwarded,
+            refused.batch_flushes,
+            refused.messages
+        ),
+        (1, 0, 0)
+    );
+    net.heal(a.id(), b.id());
+    client.call(proxy, Message::new()).unwrap();
+    net.partition(a.id(), b.id());
+    assert!(client.call(proxy, Message::new()).is_err());
+    net.heal_all();
+    client.call(proxy, Message::new()).unwrap();
+
+    net.set_config(NetConfig {
+        drop_prob: 1.0,
+        ..Default::default()
+    });
+    let drops = net.stats().drops;
+    match client.call(proxy, Message::new()).unwrap_err() {
+        DoorError::Comm(why) => assert!(why.contains("lost"), "{why}"),
+        other => panic!("expected loss, got {other:?}"),
+    }
+    assert_eq!(net.stats().drops, drops + 1);
+
+    net.set_config(NetConfig::with_latency(Duration::from_millis(5)));
+    let start = std::time::Instant::now();
+    client.call(proxy, Message::new()).unwrap();
+    assert!(start.elapsed() >= Duration::from_millis(10));
+
+    net.set_config(NetConfig::default());
+    let start = std::time::Instant::now();
+    client.call(proxy, Message::new()).unwrap();
+    assert!(start.elapsed() < Duration::from_millis(10));
+}
+
+/// Adding a node publishes a new snapshot: doors on the new node are
+/// reachable from a client whose other proxies are already warm, those
+/// proxies keep working, and the new node can be partitioned off alone.
+#[test]
+fn node_added_after_first_call_is_reachable() {
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let client = a.kernel().create_domain("client");
+    let to_b = proxy_to(&net, &b, &client, Arc::new(Echo));
+    client.call(to_b, Message::new()).unwrap();
+
+    let c = net.add_node("c");
+    let to_c = proxy_to(&net, &c, &client, Arc::new(Adder));
+    let reply = client.call(to_c, Message::from_bytes(vec![2, 3])).unwrap();
+    assert_eq!(u32::from_le_bytes(reply.bytes.try_into().unwrap()), 5);
+    client.call(to_b, Message::new()).unwrap();
+
+    net.partition(a.id(), c.id());
+    assert!(client.call(to_c, Message::new()).is_err());
+    client.call(to_b, Message::new()).unwrap();
+}
+
 #[test]
 fn loss_injection_fails_calls_probabilistically() {
     let net = Network::new(NetConfig {

@@ -228,6 +228,57 @@ fn send_failure_releases_pinned_exports_and_redials() {
     assert_eq!(live_ids(client_node.kernel()), baseline + 2);
 }
 
+/// Keeps the first door it is handed, for the test to call later.
+struct Stash(std::sync::Mutex<Option<spring_kernel::DoorId>>);
+
+impl DoorHandler for Stash {
+    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        *self.0.lock().unwrap() = msg.doors.first().copied();
+        Ok(Message::default())
+    }
+}
+
+/// A proxy door caches its route, transport included. When the client's
+/// connection dies and it dials again, the accepting side registers a *new*
+/// transport for the client's node; a callback door the server used over
+/// the old connection must follow it, not fail on the dead one forever.
+#[test]
+fn warm_callback_proxy_follows_the_redialled_transport() {
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-server", 171);
+    let servants = server_node.kernel().create_domain("servants");
+    let stash = Arc::new(Stash(std::sync::Mutex::new(None)));
+    let door = servants.create_door(stash.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("reroute");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 172);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    let echo = client.create_door(Arc::new(Echo)).unwrap();
+    let hand_over = Message {
+        doors: vec![echo],
+        ..Message::default()
+    };
+    client.call(remote, hand_over).unwrap();
+    let callback = stash.0.lock().unwrap().expect("the server kept the door");
+    roundtrip(&servants, callback, b"over the first connection");
+
+    // Kill the connection from the client's side, then let the client's
+    // next call dial a fresh one.
+    peer.inject_write_faults(1);
+    assert!(client.call(remote, Message::default()).is_err());
+    client.call(remote, Message::default()).unwrap();
+    assert_eq!(peer.redials(), 1);
+
+    roundtrip(&servants, callback, b"over the second connection");
+}
+
 /// Satellite regression: a *reply* frame lost on the wire must release the
 /// exports the serving side pinned while staging it (the identifiers a
 /// servant minted into the reply), while the caller sees `Comm`.

@@ -111,6 +111,7 @@ mod tests {
 
     #[test]
     fn flag_round_trip() {
+        let _g = span::tests::GATE.lock();
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());

@@ -143,12 +143,13 @@ pub fn span_end(guard: SpanGuard) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // The enable flag is process-global and tests run concurrently within
-    // this crate, so the span tests serialize on one lock.
-    static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // this crate, so every test that reads or flips it serializes on one
+    // lock.
+    pub(crate) static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
         let _g = GATE.lock();
