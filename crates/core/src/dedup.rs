@@ -1,10 +1,11 @@
 //! Server-side reply cache: the other half of at-most-once invocation.
 //!
 //! A retrying client cannot tell a call lost on the way in from a reply
-//! lost on the way back — but the server can. Every serve path wraps its
-//! dispatch in [`ReplyCache::serve`]: the first attempt of a logical call
-//! (identified by the [`CallId`] nonce riding the envelope) executes and
-//! its reply is recorded; any later attempt with the same nonce gets the
+//! lost on the way back — but the server can. Every serve door
+//! ([`crate::ServeDoor`]) runs its calls through [`ReplyCache::serve`]: the
+//! first attempt of a logical call (identified by the
+//! [`spring_kernel::CallId`] nonce riding the envelope) executes and its
+//! reply is recorded; any later attempt with the same nonce gets the
 //! recorded reply back *without re-executing*. Calls with no identity —
 //! the overwhelmingly common case — skip the cache entirely on a single
 //! branch.

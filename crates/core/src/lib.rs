@@ -27,6 +27,7 @@
 //! reconnectable, shmem) live in the `spring-subcontracts` crate.
 
 mod ctx;
+mod dedup;
 mod error;
 mod flat;
 mod loader;
@@ -42,6 +43,7 @@ mod types;
 mod unmarshal;
 
 pub use ctx::DomainCtx;
+pub use dedup::{DedupStats, ReplyCache};
 pub use error::{Result, SpringError};
 pub use flat::{decode_flat, FlatMessage, WireError};
 pub use loader::{
@@ -52,7 +54,7 @@ pub use object::SpringObj;
 pub use registry::SubcontractRegistry;
 pub use repr::{Repr, ReprState};
 pub use scid::ScId;
-pub use server::{server_dispatch, Dispatch, ServerCtx};
+pub use server::{serve, server_dispatch, Call, Control, Dispatch, ServeDoor, ServerCtx};
 pub use stub::{
     decode_reply_status, encode_ok, encode_overloaded, encode_system_error, encode_unknown_op,
     encode_user_exception, op_hash, ReplyStatus, STATUS_OK, STATUS_OVERLOADED, STATUS_SYSTEM,

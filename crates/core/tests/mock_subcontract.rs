@@ -1,7 +1,7 @@
 //! A from-scratch mock subcontract, exercising the `Subcontract` trait
 //! contract itself: default-method behaviour, drop-consume routing, call
-//! sequencing (`invoke_preamble` before the op number), and the
-//! `server_dispatch` failure ladder.
+//! sequencing (`invoke_preamble` before the op number), the
+//! `server_dispatch` failure ladder, and a third-party `ServeDoor`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -298,4 +298,86 @@ fn server_dispatch_failure_ladder() {
         subcontract::decode_reply_status(&mut reply).unwrap_err(),
         SpringError::Remote(m) if m.contains("malformed")
     ));
+}
+
+#[test]
+fn a_third_party_serve_door_gets_every_layer() {
+    // All a subcontract writes for its server side is the control step; the
+    // replay of a repeated call identity, the early-reply case and the §7
+    // death notice below come with the door.
+    use spring_kernel::{CallId, DoorError, Message};
+    use subcontract::ServeDoor;
+
+    #[derive(Default)]
+    struct Counted {
+        calls: AtomicU64,
+        unrefs: AtomicU64,
+    }
+    impl Dispatch for Counted {
+        fn type_info(&self) -> &'static TypeInfo {
+            &VALUE_TYPE
+        }
+        fn dispatch(
+            &self,
+            _sctx: &ServerCtx,
+            _op: u32,
+            _args: &mut CommBuffer,
+            reply: &mut CommBuffer,
+        ) -> Result<()> {
+            encode_ok(reply);
+            reply.put_u64(self.calls.fetch_add(1, Ordering::SeqCst) + 1);
+            Ok(())
+        }
+        fn unreferenced(&self) {
+            self.unrefs.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let kernel = Kernel::new("third-party");
+    let ctx = DomainCtx::new(kernel.create_domain("d"));
+    let servant = Arc::new(Counted::default());
+    let disp = servant.clone();
+    let door = ServeDoor::new(
+        &ctx,
+        "inproc.serve",
+        InProc::ID,
+        Some(servant.clone()),
+        move |call| match call.args.get_u8() {
+            // Control region in: one marker byte; out: its echo.
+            Ok(0xCD) => {
+                call.reply.put_u8(0xCD);
+                call.dispatch(&*disp)
+            }
+            // "Reply now": a ping never reaches the skeleton.
+            Ok(0) => Ok(()),
+            _ => Err(DoorError::Handler("bad inproc control".into())),
+        },
+    );
+    let id = ctx.domain().create_door(door).unwrap();
+    let request = |call: CallId| {
+        let mut buf = CommBuffer::new();
+        buf.put_u8(0xCD);
+        buf.put_u32(1);
+        buf.set_call(call);
+        CommBuffer::from_message(ctx.domain().call(id, buf.into_message()).unwrap())
+    };
+    let retried = CallId {
+        nonce: 77,
+        attempt: 1,
+        deadline_micros: 0,
+    };
+    for nth in [1, 1, 2] {
+        // The first two share an identity; the third carries none.
+        let mut reply = request(if nth == 1 { retried } else { CallId::NONE });
+        assert_eq!(reply.get_u8().unwrap(), 0xCD);
+        subcontract::decode_reply_status(&mut reply).unwrap();
+        assert_eq!(reply.get_u64().unwrap(), nth);
+    }
+    let ping = ctx.domain().call(id, Message::from_bytes(vec![0])).unwrap();
+    assert!(ping.bytes.is_empty());
+    assert!(ctx.domain().call(id, Message::new()).is_err());
+    assert_eq!(servant.calls.load(Ordering::SeqCst), 2);
+
+    ctx.domain().delete_door(id).unwrap();
+    assert_eq!(servant.unrefs.load(Ordering::SeqCst), 1);
 }

@@ -105,46 +105,6 @@ pub fn register_waker(waker: &Arc<dyn Fn() + Send + Sync>) {
         .push(Arc::downgrade(waker));
 }
 
-thread_local! {
-    /// Set while a [`OneWayGuard`] is live on this thread: the next
-    /// proxy-door call made here wants a reply-less wire frame.
-    static ONE_WAY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// RAII marker making proxy calls issued on this thread one-way (fire and
-/// forget, no reply frame) while it is live. See [`one_way_scope`].
-pub struct OneWayGuard(());
-
-/// Marks the current thread's next transport sends as one-way for the
-/// guard's lifetime.
-///
-/// Like announcements this is a *hint* travelling from a subcontract
-/// (which knows the call needs no answer — e.g. a best-effort pub/sub
-/// delivery) down to the transport (which owns the wire format), through
-/// the one crate both already depend on. The transport consumes it with
-/// [`take_one_way`] at the forwarding boundary; a transport that never
-/// checks simply does a normal round trip, so the hint can only remove
-/// work, never change semantics for an unaware backend. Callers that
-/// still need errors surfaced synchronously (link down, marshalling
-/// failure) get them: only the *reply* crossing is elided.
-pub fn one_way_scope() -> OneWayGuard {
-    ONE_WAY.with(|f| f.set(true));
-    OneWayGuard(())
-}
-
-impl Drop for OneWayGuard {
-    fn drop(&mut self) {
-        ONE_WAY.with(|f| f.set(false));
-    }
-}
-
-/// Reads and clears the current thread's one-way hint. The transport calls
-/// this exactly once per forwarded call, so a hint never outlives the call
-/// it was set for even if the guard is (wrongly) held across several.
-pub fn take_one_way() -> bool {
-    ONE_WAY.with(|f| f.replace(false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,21 +138,6 @@ mod tests {
             assert_eq!(announced(), base + 1);
         }
         assert_eq!(announced(), base);
-    }
-
-    #[test]
-    fn one_way_hint_is_scoped_and_consumed_once() {
-        assert!(!take_one_way(), "hint must start clear");
-        {
-            let _g = one_way_scope();
-            assert!(take_one_way(), "hint set inside the scope");
-            assert!(!take_one_way(), "consumed by the first take");
-        }
-        assert!(!take_one_way(), "guard drop leaves it clear");
-        {
-            let _g = one_way_scope();
-        }
-        assert!(!take_one_way(), "unconsumed hint dies with its guard");
     }
 
     #[test]

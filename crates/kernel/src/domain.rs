@@ -21,6 +21,10 @@ pub struct CallCtx {
     /// are owned by this domain, and identifiers placed in the reply must be
     /// owned by it too.
     pub server: Domain,
+    /// The caller wants no answer ([`Domain::call_one_way`]): a handler that
+    /// forwards the call elsewhere may skip fetching the reply and return
+    /// an empty message. A handler that ignores this replies as usual.
+    pub one_way: bool,
 }
 
 /// The target of a door: server-side code invoked for each call.
@@ -99,7 +103,17 @@ impl Domain {
     /// Door identifiers carried by `msg` are transferred to the serving
     /// domain; identifiers in the reply are transferred back to this domain.
     pub fn call(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg)
+        self.kernel.call(self.id, door, msg, false)
+    }
+
+    /// Issues a call whose reply the caller will not read (a best-effort
+    /// pub/sub delivery, say), telling the handler so through
+    /// [`CallCtx::one_way`]. Failures on the way in (link down, marshalling)
+    /// still surface; only the *reply* may come back empty, so a caller
+    /// that finds a non-empty reply is looking at a handler that answered
+    /// anyway.
+    pub fn call_one_way(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
+        self.kernel.call(self.id, door, msg, true)
     }
 
     /// Copies a door identifier, yielding a second, independent identifier

@@ -525,6 +525,7 @@ impl Kernel {
         caller: DomainId,
         id: DoorId,
         msg: Message,
+        one_way: bool,
     ) -> Result<Message, DoorError> {
         // Phase 1: validate the identifier and pick up the handler. One
         // table lock, one shard lock, both released before the handler runs.
@@ -551,14 +552,19 @@ impl Kernel {
         // default path pays exactly one relaxed load for tracing — no span
         // guard on the stack, no extra branches in the hot body.
         if spring_trace::enabled() {
-            return self.call_traced(&caller_ds, caller, &server_ds, server, raw, handler, msg);
+            return self.call_traced(
+                &caller_ds, caller, &server_ds, server, raw, handler, msg, one_way,
+            );
         }
-        self.call_body(&caller_ds, caller, &server_ds, server, handler, msg)
+        self.call_body(
+            &caller_ds, caller, &server_ds, server, handler, msg, one_way,
+        )
     }
 
     /// Phases 2 and 3 of a door call: deliver the message, run the handler
     /// outside all locks on the caller's thread, translate the reply back.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn call_body(
         &self,
         caller_ds: &Arc<DomainState>,
@@ -567,11 +573,13 @@ impl Kernel {
         server: DomainId,
         handler: Arc<dyn DoorHandler>,
         msg: Message,
+        one_way: bool,
     ) -> Result<Message, DoorError> {
         let delivered = self.translate(caller_ds, caller, server_ds, server, msg)?;
         let ctx = CallCtx {
             caller,
             server: self.domain_handle(server),
+            one_way,
         };
         let reply = match catch_unwind(AssertUnwindSafe(|| handler.invoke(&ctx, delivered))) {
             Ok(result) => result?,
@@ -597,6 +605,7 @@ impl Kernel {
         raw: u64,
         handler: Arc<dyn DoorHandler>,
         mut msg: Message,
+        one_way: bool,
     ) -> Result<Message, DoorError> {
         let parent = if msg.trace.is_some() {
             msg.trace
@@ -607,7 +616,8 @@ impl Kernel {
         let mut span = spring_trace::span_child_of("door_call", parent, scope, raw);
         msg.trace = span.ctx();
 
-        let mut result = self.call_body(caller_ds, caller, server_ds, server, handler, msg);
+        let mut result =
+            self.call_body(caller_ds, caller, server_ds, server, handler, msg, one_way);
         match &mut result {
             Err(_) => span.fail(),
             // Stamp the reply so whoever forwards it (the network server's

@@ -251,12 +251,9 @@ impl NetworkInner {
         target: WireCap,
         route: &Route,
         msg: Message,
+        one_way: bool,
     ) -> Result<Message, DoorError> {
         self.calls_forwarded.fetch_add(1, Ordering::Relaxed);
-        // Consume the thread's one-way hint exactly once per forwarded
-        // call, before any failure path, so it can never leak onto the
-        // caller's next (possibly reply-bearing) call.
-        let one_way = spring_kernel::batching::take_one_way();
 
         // One "net.forward" span per forwarded call; the piggybacked
         // context on the message (stamped by the proxy door's kernel call)

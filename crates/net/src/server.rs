@@ -287,7 +287,7 @@ struct ProxyHandler {
 }
 
 impl DoorHandler for ProxyHandler {
-    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         let server = self
             .server
             .upgrade()
@@ -297,6 +297,8 @@ impl DoorHandler for ProxyHandler {
         let route = server
             .net
             .route(&self.route, server.node.raw(), self.target.origin);
-        server.net.forward_call(&server, self.target, &route, msg)
+        server
+            .net
+            .forward_call(&server, self.target, &route, msg, ctx.one_way)
     }
 }

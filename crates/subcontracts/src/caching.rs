@@ -41,7 +41,7 @@ use spring_kernel::callid::now_micros;
 use spring_kernel::{CallCtx, DoorError, DoorHandler, DoorId, Message};
 use subcontract::{
     decode_reply_status, encode_ok, get_obj_header, op_hash, put_obj_header, redispatch_if_foreign,
-    server_dispatch, Dispatch, DomainCtx, ObjParts, ReplyStatus, Repr, Result, ScId, ServerCtx,
+    Dispatch, DomainCtx, ObjParts, ReplyStatus, Repr, Result, ScId, ServeDoor, ServerCtx,
     ServerSubcontract, SpringError, SpringObj, Subcontract, TypeInfo, STATUS_OK,
 };
 
@@ -133,11 +133,7 @@ impl Caching {
     ) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(DirectHandler {
-            ctx: ctx.clone(),
-            disp,
-            dedup: crate::dedup::ReplyCache::default(),
-        });
+        let handler = Self::direct_door(ctx, disp);
         Self::assemble_export(ctx, type_info, handler, manager_name.into(), false)
     }
 
@@ -159,11 +155,8 @@ impl Caching {
         ctx.types().register(type_info);
         let stats = Arc::new(CoherentStats::default());
         let handler = Arc::new(CoherentHandler {
-            inner: DirectHandler {
-                ctx: ctx.clone(),
-                disp,
-                dedup: crate::dedup::ReplyCache::default(),
-            },
+            ctx: ctx.clone(),
+            inner: Self::direct_door(ctx, disp),
             cacheable: cacheable_ops.into_iter().collect(),
             lease_micros: lease.as_micros().max(1) as u64,
             callbacks: Mutex::new(HashMap::new()),
@@ -171,6 +164,15 @@ impl Caching {
         });
         let obj = Self::assemble_export(ctx, type_info, handler, manager_name.into(), true)?;
         Ok((obj, stats))
+    }
+
+    /// The server door: no control region, calls go straight to the
+    /// skeleton (the wire the cache servants also speak when forwarding).
+    fn direct_door(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Arc<ServeDoor> {
+        let servant = Some(disp.clone());
+        ServeDoor::new(ctx, "caching.serve", Self::ID, servant, move |call| {
+            call.dispatch(&*disp)
+        })
     }
 
     fn assemble_export(
@@ -203,43 +205,6 @@ impl Caching {
                 coherent,
             }),
         ))
-    }
-}
-
-/// A door handler that delivers calls straight to the skeleton (the wire the
-/// cache servants also speak when forwarding).
-pub(crate) struct DirectHandler {
-    pub(crate) ctx: Arc<DomainCtx>,
-    pub(crate) disp: Arc<dyn Dispatch>,
-    /// At-most-once reply cache; identity-free calls bypass it.
-    pub(crate) dedup: crate::dedup::ReplyCache,
-}
-
-impl DoorHandler for DirectHandler {
-    fn unreferenced(&self) {
-        self.disp.unreferenced();
-    }
-
-    fn invoke(&self, cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
-        self.dedup.serve(msg, |msg| {
-            let mut span = spring_trace::span_start(
-                "caching.serve",
-                self.ctx.domain().trace_scope(),
-                Caching::ID.raw(),
-            );
-            let mut args = CommBuffer::from_message(msg);
-            let mut reply = CommBuffer::new();
-            let sctx = ServerCtx {
-                ctx: self.ctx.clone(),
-                caller: cctx.caller,
-            };
-            let result = server_dispatch(&sctx, &*self.disp, &mut args, &mut reply);
-            if result.is_err() {
-                span.fail();
-            }
-            result?;
-            Ok(reply.into_message())
-        })
     }
 }
 
@@ -292,10 +257,11 @@ struct Callback {
     fails: u32,
 }
 
-/// The coherent server handler: wraps [`DirectHandler`], intercepts the
+/// The coherent server handler: wraps the direct serve door, intercepts the
 /// coherence-protocol ops, and broadcasts epoch bumps after mutating ops.
-pub(crate) struct CoherentHandler {
-    inner: DirectHandler,
+struct CoherentHandler {
+    ctx: Arc<DomainCtx>,
+    inner: Arc<ServeDoor>,
     cacheable: HashSet<u32>,
     lease_micros: u64,
     /// nonce → callback. Never held across a door call (broadcasts snapshot
@@ -306,7 +272,7 @@ pub(crate) struct CoherentHandler {
 
 impl CoherentHandler {
     fn domain(&self) -> &spring_kernel::Domain {
-        self.inner.ctx.domain()
+        self.ctx.domain()
     }
 
     fn handle_register(&self, msg: Message) -> std::result::Result<Message, DoorError> {

@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
+    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Client representation: the shared door plus this object's tag.
@@ -59,55 +59,6 @@ pub struct ClusterServer {
     table: Arc<RwLock<ClusterTable>>,
 }
 
-struct ClusterHandler {
-    ctx: Arc<DomainCtx>,
-    table: Arc<RwLock<ClusterTable>>,
-    /// At-most-once reply cache; identity-free calls bypass it.
-    dedup: crate::dedup::ReplyCache,
-}
-
-impl DoorHandler for ClusterHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        self.dedup.serve(msg, |msg| {
-            let mut span = spring_trace::span_start(
-                "cluster.serve",
-                self.ctx.domain().trace_scope(),
-                Cluster::ID.raw(),
-            );
-            let mut args = CommBuffer::from_message(msg);
-            let result = (|| {
-                let tag = args.get_u32().map_err(|e| {
-                    spring_kernel::DoorError::Handler(format!("bad cluster tag: {e}"))
-                })?;
-                // A revoked tag behaves like a revoked door: the call fails,
-                // the identifier survives (§5.2.3).
-                let disp = self
-                    .table
-                    .read()
-                    .by_tag
-                    .get(&tag)
-                    .cloned()
-                    .ok_or(spring_kernel::DoorError::Revoked)?;
-                let mut reply = CommBuffer::new();
-                let sctx = ServerCtx {
-                    ctx: self.ctx.clone(),
-                    caller: cctx.caller,
-                };
-                server_dispatch(&sctx, &*disp, &mut args, &mut reply)?;
-                Ok(reply.into_message())
-            })();
-            if result.is_err() {
-                span.fail();
-            }
-            result
-        })
-    }
-}
-
 impl ClusterServer {
     /// Creates the server-side cluster machinery: one door for the whole
     /// cluster.
@@ -116,10 +67,16 @@ impl ClusterServer {
             by_tag: HashMap::new(),
             next_tag: 1,
         }));
-        let handler = Arc::new(ClusterHandler {
-            ctx: ctx.clone(),
-            table: table.clone(),
-            dedup: crate::dedup::ReplyCache::default(),
+        let by_tag = table.clone();
+        let handler = ServeDoor::new(ctx, "cluster.serve", Cluster::ID, None, move |call| {
+            let tag = call
+                .args
+                .get_u32()
+                .map_err(|e| DoorError::Handler(format!("bad cluster tag: {e}")))?;
+            // A revoked tag behaves like a revoked door: the call fails,
+            // the identifier survives (§5.2.3).
+            let disp = by_tag.read().by_tag.get(&tag).cloned();
+            call.dispatch(&*disp.ok_or(DoorError::Revoked)?)
         });
         let master = ctx.domain().create_door(handler)?;
         Ok(Arc::new(ClusterServer {

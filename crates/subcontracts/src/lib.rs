@@ -33,7 +33,6 @@
 
 pub mod caching;
 pub mod cluster;
-pub mod dedup;
 pub mod pipeline;
 pub mod priority;
 pub mod pubsub;
@@ -50,7 +49,6 @@ mod setup;
 
 pub use caching::{CacheManager, CacheStats, Caching, CoherentStats};
 pub use cluster::{Cluster, ClusterServer};
-pub use dedup::{DedupStats, ReplyCache};
 pub use pipeline::{Pipeline, Promise};
 pub use priority::{AdmissionConfig, AdmissionStats, Priority};
 pub use pubsub::{
@@ -67,4 +65,5 @@ pub use shmem::Shmem;
 pub use simplex::Simplex;
 pub use singleton::Singleton;
 pub use stream::{FrameOutcome, FrameSink, Stream, StreamStats};
+pub use subcontract::{DedupStats, ReplyCache};
 pub use txn::{Txn, TxnJournal, TxnScope};

@@ -27,10 +27,9 @@ use spring_kernel::{batching, Domain, DoorError, DoorId, Message};
 use spring_trace::TraceCtx;
 use subcontract::{
     get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, SpringError, SpringObj, Subcontract, TypeInfo,
+    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::caching::DirectHandler;
 use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
@@ -65,15 +64,15 @@ impl Pipeline {
         Arc::new(Pipeline { policy })
     }
 
-    /// Exports an object served through the standard direct handler (with
-    /// the at-most-once reply cache in front of the skeleton).
+    /// Exports an object whose door delivers straight to the skeleton (no
+    /// control region; the serve path's reply cache is what makes the
+    /// client's retries at-most-once).
     pub fn export(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(DirectHandler {
-            ctx: ctx.clone(),
-            disp,
-            dedup: crate::dedup::ReplyCache::default(),
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "pipeline.serve", Self::ID, servant, move |call| {
+            call.dispatch(&*disp)
         });
         let door = ctx.domain().create_door(handler)?;
         let sc = ctx.lookup_subcontract(Self::ID)?;

@@ -26,11 +26,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    encode_overloaded, get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch,
-    Dispatch, DomainCtx, ObjParts, Repr, Result, ScId, ServerCtx, ServerSubcontract, SpringObj,
-    Subcontract, TypeInfo,
+    encode_overloaded, get_obj_header, put_obj_header, redispatch_if_foreign, Call, Dispatch,
+    DomainCtx, ObjParts, Repr, Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract,
+    TypeInfo,
 };
 
 /// Span key recorded (failed) for every call the admission controller
@@ -147,62 +147,38 @@ impl Priority {
 /// have already waited longer than the queue bound are rejected in
 /// microseconds with [`subcontract::SpringError::Overloaded`] instead of consuming a
 /// full service time the server cannot afford.
-struct PriorityHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-    /// Highest priority observed (a stand-in for a scheduler hook).
-    max_seen: AtomicU32,
-    admission: Option<(AdmissionConfig, Arc<AdmissionStats>)>,
-}
+fn control(
+    admission: &Option<(AdmissionConfig, Arc<AdmissionStats>)>,
+    call: &mut Call<'_>,
+    disp: &dyn Dispatch,
+) -> std::result::Result<(), DoorError> {
+    let priority = call
+        .args
+        .get_u32()
+        .map_err(|e| DoorError::Handler(format!("bad priority control: {e}")))?;
+    let enqueue_ns = call
+        .args
+        .get_u64()
+        .map_err(|e| DoorError::Handler(format!("bad enqueue stamp: {e}")))?;
 
-impl DoorHandler for PriorityHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let priority = args
-            .get_u32()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad priority control: {e}")))?;
-        let enqueue_ns = args
-            .get_u64()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad enqueue stamp: {e}")))?;
-        self.max_seen.fetch_max(priority, Ordering::Relaxed);
-
-        if let Some((cfg, stats)) = &self.admission {
-            let queue_ns = spring_trace::now_ns().saturating_sub(enqueue_ns);
-            stats.max_queue_ns.fetch_max(queue_ns, Ordering::Relaxed);
-            if queue_ns > cfg.queue_bound.as_nanos() as u64 && priority < cfg.shed_below {
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                let mut span = spring_trace::span_start(
-                    SHED_SPAN,
-                    self.ctx.domain().trace_scope(),
-                    Priority::ID.raw(),
-                );
-                span.fail();
-                drop(span);
-                let mut reply = CommBuffer::new();
-                encode_overloaded(&mut reply, queue_ns);
-                return Ok(reply.into_message());
-            }
-            stats.admitted.fetch_add(1, Ordering::Relaxed);
+    if let Some((cfg, stats)) = admission {
+        let queue_ns = spring_trace::now_ns().saturating_sub(enqueue_ns);
+        stats.max_queue_ns.fetch_max(queue_ns, Ordering::Relaxed);
+        if queue_ns > cfg.queue_bound.as_nanos() as u64 && priority < cfg.shed_below {
+            stats.shed.fetch_add(1, Ordering::Relaxed);
+            let scope = call.ctx().domain().trace_scope();
+            spring_trace::span_start(SHED_SPAN, scope, Priority::ID.raw()).fail();
+            encode_overloaded(&mut call.reply, queue_ns);
+            return Ok(());
         }
-
-        // Publish for the servant; restore afterwards (calls can nest).
-        let previous = CURRENT_CALL_PRIORITY.with(|c| c.replace(priority));
-        let result = (|| {
-            let mut reply = CommBuffer::new();
-            let sctx = ServerCtx {
-                ctx: self.ctx.clone(),
-                caller: cctx.caller,
-            };
-            server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-            Ok(reply.into_message())
-        })();
-        CURRENT_CALL_PRIORITY.with(|c| c.set(previous));
-        result
+        stats.admitted.fetch_add(1, Ordering::Relaxed);
     }
+
+    // Publish for the servant; restore afterwards (calls can nest).
+    let previous = CURRENT_CALL_PRIORITY.with(|c| c.replace(priority));
+    let result = call.dispatch(disp);
+    CURRENT_CALL_PRIORITY.with(|c| c.set(previous));
+    result
 }
 
 impl Subcontract for Priority {
@@ -290,11 +266,9 @@ impl Priority {
     ) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(PriorityHandler {
-            ctx: ctx.clone(),
-            disp,
-            max_seen: AtomicU32::new(0),
-            admission,
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "priority.serve", Self::ID, servant, move |call| {
+            control(&admission, call, &*disp)
         });
         let door = ctx.domain().create_door(handler)?;
         Ok(SpringObj::assemble(

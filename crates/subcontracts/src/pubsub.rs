@@ -44,8 +44,8 @@ use spring_kernel::callid::now_micros;
 use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Message};
 use spring_trace::keys;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Call, Dispatch, DomainCtx, ObjParts,
+    Repr, Result, ScId, ServeDoor, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
     OBJECT_TYPE,
 };
 
@@ -303,7 +303,6 @@ pub struct TopicHub {
     ctx: Arc<DomainCtx>,
     name: String,
     cfg: TopicConfig,
-    disp: Arc<dyn Dispatch>,
     /// Serializes sequence stamping with enqueueing (and with subscriber
     /// baseline capture), so every queue sees sequence numbers in order and
     /// a new subscriber's baseline is exact.
@@ -441,25 +440,25 @@ impl TopicHub {
         }
     }
 
-    fn handle_publish(&self, mut args: CommBuffer) -> std::result::Result<Message, DoorError> {
-        let data = args
+    fn handle_publish(&self, call: &mut Call<'_>) -> std::result::Result<(), DoorError> {
+        let data = call
+            .args
             .get_bytes()
             .map_err(|e| DoorError::Handler(format!("bad publish: {e}")))?;
         let seq = self
             .publish(&data)
             .map_err(|e| DoorError::Handler(e.to_string()))?;
-        let mut reply = CommBuffer::pooled();
-        reply.put_u64(seq);
-        Ok(reply.into_message())
+        call.reply.put_u64(seq);
+        Ok(())
     }
 
     fn handle_subscribe(
         self: &Arc<Self>,
-        mut args: CommBuffer,
-        carried: Vec<DoorId>,
-    ) -> std::result::Result<Message, DoorError> {
+        call: &mut Call<'_>,
+    ) -> std::result::Result<(), DoorError> {
+        let args = &mut call.args;
         let parsed = (|| -> Result<(u64, DeliveryMode, DoorId)> {
-            if carried.len() != 1 {
+            if args.door_count() != 1 {
                 return Err(SpringError::Remote(
                     "subscribe expects exactly one callback door".into(),
                 ));
@@ -475,7 +474,7 @@ impl TopicHub {
                 // The carried identifier already landed in this domain; a
                 // parse failure must delete it (the stream/caching
                 // unmarshal leak class).
-                for d in carried {
+                for d in args.drain_doors() {
                     let _ = self.domain().delete_door(d);
                 }
                 return Err(DoorError::Handler(format!("subscribe: {e}")));
@@ -545,18 +544,14 @@ impl TopicHub {
         }
         drop(groups);
         self.stats.subscribes.fetch_add(1, Ordering::Relaxed);
-        let mut reply = CommBuffer::pooled();
-        reply.put_u64(cur);
-        Ok(reply.into_message())
+        call.reply.put_u64(cur);
+        Ok(())
     }
 
-    fn handle_unsubscribe(
-        &self,
-        mut args: CommBuffer,
-        carried: Vec<DoorId>,
-    ) -> std::result::Result<Message, DoorError> {
+    fn handle_unsubscribe(&self, call: &mut Call<'_>) -> std::result::Result<(), DoorError> {
+        let args = &mut call.args;
         let parsed = (|| -> Result<(u64, DoorId)> {
-            if carried.len() != 1 {
+            if args.door_count() != 1 {
                 return Err(SpringError::Remote(
                     "unsubscribe expects exactly one callback door".into(),
                 ));
@@ -568,7 +563,7 @@ impl TopicHub {
         let (nonce, door) = match parsed {
             Ok(v) => v,
             Err(e) => {
-                for d in carried {
+                for d in args.drain_doors() {
                     let _ = self.domain().delete_door(d);
                 }
                 return Err(DoorError::Handler(format!("bad unsubscribe: {e}")));
@@ -591,7 +586,7 @@ impl TopicHub {
                 group.cv.notify_all();
             }
         }
-        Ok(Message::new())
+        Ok(())
     }
 
     fn spawn_worker(self: &Arc<Self>, group: Arc<LinkGroup>) {
@@ -697,14 +692,13 @@ fn link_worker(
                 // A purely best-effort frame rides the one-way wire path
                 // (no reply crossing) — except every LAZY_ACK_EVERY'th
                 // frame, which goes two-way so the reply's stale-nonce
-                // list still reaps forgotten subscribers. The hint is a
-                // hint: a transport that ignores it (or a co-located
-                // subscriber) replies anyway, and both outcomes are
-                // handled below by looking at the reply itself.
+                // list still reaps forgotten subscribers. A handler that
+                // ignores the request (a co-located subscriber's door)
+                // replies anyway, and both outcomes are handled below by
+                // looking at the reply itself.
                 let one_way = all_best_effort && since_ack + 1 < LAZY_ACK_EVERY;
                 let result = if one_way {
-                    let _ow = spring_kernel::batching::one_way_scope();
-                    domain.call(group.door, buf.into_message())
+                    domain.call_one_way(group.door, buf.into_message())
                 } else {
                     domain.call(group.door, buf.into_message())
                 };
@@ -796,46 +790,6 @@ fn decode_stale_nonces(reply: Message) -> Vec<u64> {
     out
 }
 
-/// Demultiplexes the topic door: ordinary dispatched calls, publishes, and
-/// subscription management.
-struct TopicHandler {
-    hub: Arc<TopicHub>,
-}
-
-impl DoorHandler for TopicHandler {
-    fn invoke(&self, cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
-        let carried = msg.doors.clone();
-        let mut args = CommBuffer::from_message(msg);
-        let kind = args
-            .get_u8()
-            .map_err(|e| DoorError::Handler(format!("bad pubsub control: {e}")))?;
-        match kind {
-            KIND_PUBLISH => self.hub.handle_publish(args),
-            KIND_SUBSCRIBE => self.hub.handle_subscribe(args, carried),
-            KIND_UNSUBSCRIBE => self.hub.handle_unsubscribe(args, carried),
-            KIND_CALL => {
-                let mut reply = CommBuffer::pooled();
-                let sctx = ServerCtx {
-                    ctx: self.hub.ctx.clone(),
-                    caller: cctx.caller,
-                };
-                server_dispatch(&sctx, &*self.hub.disp, &mut args, &mut reply)?;
-                Ok(reply.into_message())
-            }
-            other => Err(DoorError::Handler(format!(
-                "unknown pubsub packet kind {other}"
-            ))),
-        }
-    }
-
-    fn unreferenced(&self) {
-        // The last identifier for the topic died (e.g. the naming binding
-        // was dropped and no proxies remain): evict everyone and stop.
-        self.hub.shutdown("topic deleted");
-        self.hub.disp.unreferenced();
-    }
-}
-
 /// Built-in operations every topic object answers over `KIND_CALL`.
 pub const OP_TOPIC_INFO: u32 = subcontract::op_hash("topic.info");
 
@@ -893,6 +847,14 @@ impl Dispatch for TopicDispatch {
             other => Err(SpringError::UnknownOp(other)),
         }
     }
+
+    fn unreferenced(&self) {
+        // The last identifier for the topic died (e.g. the naming binding
+        // was dropped and no proxies remain): evict everyone and stop.
+        if let Some(hub) = self.hub.lock().upgrade() {
+            hub.shutdown("topic deleted");
+        }
+    }
 }
 
 /// Client representation: the topic door plus its name (diagnostics).
@@ -930,7 +892,6 @@ impl PubSub {
             ctx: ctx.clone(),
             name: name.to_owned(),
             cfg,
-            disp: disp.clone(),
             publish_lock: Mutex::new(()),
             next_seq: AtomicU64::new(1),
             groups: Mutex::new(HashMap::new()),
@@ -940,9 +901,26 @@ impl PubSub {
         });
         *hub.weak_self.lock() = Arc::downgrade(&hub);
         *disp.hub.lock() = Arc::downgrade(&hub);
-        let door = ctx
-            .domain()
-            .create_door(Arc::new(TopicHandler { hub: hub.clone() }))?;
+        // Demultiplexes the topic door: ordinary dispatched calls,
+        // publishes, and subscription management.
+        let served = hub.clone();
+        let servant: Option<Arc<dyn Dispatch>> = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "pubsub.serve", Self::ID, servant, move |call| {
+            let kind = call
+                .args
+                .get_u8()
+                .map_err(|e| DoorError::Handler(format!("bad pubsub control: {e}")))?;
+            match kind {
+                KIND_PUBLISH => served.handle_publish(call),
+                KIND_SUBSCRIBE => served.handle_subscribe(call),
+                KIND_UNSUBSCRIBE => served.handle_unsubscribe(call),
+                KIND_CALL => call.dispatch(&*disp),
+                other => Err(DoorError::Handler(format!(
+                    "unknown pubsub packet kind {other}"
+                ))),
+            }
+        });
+        let door = ctx.domain().create_door(handler)?;
         let obj = SpringObj::assemble(
             ctx.clone(),
             &PUBSUB_TOPIC_TYPE,

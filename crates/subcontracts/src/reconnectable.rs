@@ -16,10 +16,9 @@ use spring_buf::CommBuffer;
 use spring_kernel::{DoorId, Message};
 use subcontract::{
     get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, SpringError, SpringObj, Subcontract, TypeInfo,
+    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::caching::DirectHandler;
 use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
@@ -62,10 +61,11 @@ impl Reconnectable {
     ) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(DirectHandler {
-            ctx: ctx.clone(),
-            disp,
-            dedup: crate::dedup::ReplyCache::default(),
+        // No control region: a door adopted after a reconnect speaks the
+        // same wire (see `adopt_door`).
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "reconnectable.serve", Self::ID, servant, move |call| {
+            call.dispatch(&*disp)
         });
         let door = ctx.domain().create_door(handler)?;
         Ok(SpringObj::assemble(
@@ -79,37 +79,30 @@ impl Reconnectable {
         ))
     }
 
-    /// Extracts the primary door from a freshly resolved object, accepting
-    /// any of this crate's single-door subcontracts. The donor object is
-    /// disassembled, not consumed, so its door identifier survives.
+    /// Extracts the door from a freshly resolved object of a subcontract
+    /// whose serve door, like ours, has no control region (this client
+    /// writes none and strips none, so a simplex door cannot be adopted).
+    /// The donor object is disassembled, not consumed, so its door
+    /// identifier survives.
     fn adopt_door(resolved: SpringObj) -> Result<DoorId> {
         let sc_id = resolved.subcontract().id();
-        if sc_id != Self::ID
-            && sc_id != crate::singleton::Singleton::ID
-            && sc_id != crate::simplex::Simplex::ID
-        {
+        if sc_id != Self::ID && sc_id != crate::singleton::Singleton::ID {
             // Return before disassembly: dropping `resolved` whole runs its
             // subcontract's consume, so the unadoptable object's doors are
             // released instead of leaking with its discarded parts.
             return Err(SpringError::Unsupported(
-                "reconnectable can only adopt single-door objects",
+                "reconnectable can only adopt doors served without a control region",
             ));
         }
         let (_ctx, _sc, parts) = resolved.into_parts();
         if sc_id == Self::ID {
             let repr = parts.repr.into_downcast::<ReconRepr>("reconnectable")?;
             Ok(repr.door.into_inner())
-        } else if sc_id == crate::singleton::Singleton::ID {
+        } else {
             Ok(parts
                 .repr
                 .into_downcast::<crate::singleton::SingletonRepr>("singleton")?
                 .door)
-        } else {
-            parts
-                .repr
-                .into_downcast::<crate::simplex::SimplexRepr>("simplex")?
-                .remote_door()
-                .ok_or(SpringError::Unsupported("resolved object has no door"))
         }
     }
 }

@@ -22,13 +22,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorError, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId, Message};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, DedupStats, Dispatch, DomainCtx,
+    ObjParts, ReplyCache, Repr, Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract,
+    TypeInfo,
 };
 
-use crate::dedup::ReplyCache;
 use crate::retry::{Invocation, RetryPolicy};
 
 /// Reply control flag: the client's replica set is current.
@@ -306,69 +306,11 @@ pub struct RepliconServer {
     /// The server's own identifier for its own door.
     master: DoorId,
     membership: Arc<Mutex<Membership>>,
-    /// Replaceable reply-cache slot, shared with the door handler. Joining
-    /// a [`ReplicaGroup`] points it at the *group's* cache: a retried call
-    /// that fails over to a sibling replica must still be recognized as a
-    /// duplicate, which is part of the state synchronization the paper
-    /// leaves to the servers.
-    dedup: Arc<Mutex<Arc<ReplyCache>>>,
-}
-
-struct RepliconHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-    membership: Arc<Mutex<Membership>>,
-    dedup: Arc<Mutex<Arc<ReplyCache>>>,
-}
-
-impl DoorHandler for RepliconHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let cache = self.dedup.lock().clone();
-        cache.serve(msg, |msg| self.execute(cctx, msg))
-    }
-}
-
-impl RepliconHandler {
-    fn execute(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let client_epoch = args
-            .get_u64()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad replicon control: {e}")))?;
-
-        let mut reply = CommBuffer::new();
-        // Piggyback a replica-set update when the client is stale (§5.1.3).
-        {
-            let membership = self.membership.lock();
-            if client_epoch < membership.epoch {
-                reply.put_u8(CTRL_UPDATE);
-                reply.put_u64(membership.epoch);
-                reply.put_seq_len(membership.members.len());
-                for d in &membership.members {
-                    let copy = self.ctx.domain().copy_door(*d).map_err(|e| {
-                        spring_kernel::DoorError::Handler(format!("membership copy: {e}"))
-                    })?;
-                    reply.put_door(copy);
-                }
-            } else {
-                reply.put_u8(CTRL_CURRENT);
-            }
-        }
-
-        let sctx = ServerCtx {
-            ctx: self.ctx.clone(),
-            caller: cctx.caller,
-        };
-        server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-        Ok(reply.into_message())
-    }
+    /// The serve door. Joining a [`ReplicaGroup`] points it at the *group's*
+    /// reply cache: a retried call that fails over to a sibling replica
+    /// must still be recognized as a duplicate, which is part of the state
+    /// synchronization the paper leaves to the servers.
+    door: Arc<ServeDoor>,
 }
 
 impl RepliconServer {
@@ -380,20 +322,42 @@ impl RepliconServer {
             epoch: 0,
             members: Vec::new(),
         }));
-        let dedup = Arc::new(Mutex::new(Arc::new(ReplyCache::default())));
-        let handler = Arc::new(RepliconHandler {
-            ctx: ctx.clone(),
-            disp: disp.clone(),
-            membership: membership.clone(),
-            dedup: dedup.clone(),
+        let members = membership.clone();
+        let (servant, served) = (Some(disp.clone()), disp.clone());
+        let door = ServeDoor::new(ctx, "replicon.serve", Replicon::ID, servant, move |call| {
+            let client_epoch = call
+                .args
+                .get_u64()
+                .map_err(|e| DoorError::Handler(format!("bad replicon control: {e}")))?;
+            // Piggyback a replica-set update when the client is stale
+            // (§5.1.3).
+            {
+                let membership = members.lock();
+                if client_epoch < membership.epoch {
+                    call.reply.put_u8(CTRL_UPDATE);
+                    call.reply.put_u64(membership.epoch);
+                    call.reply.put_seq_len(membership.members.len());
+                    for d in &membership.members {
+                        let copy = call
+                            .ctx()
+                            .domain()
+                            .copy_door(*d)
+                            .map_err(|e| DoorError::Handler(format!("membership copy: {e}")))?;
+                        call.reply.put_door(copy);
+                    }
+                } else {
+                    call.reply.put_u8(CTRL_CURRENT);
+                }
+            }
+            call.dispatch(&*served)
         });
-        let master = ctx.domain().create_door(handler)?;
+        let master = ctx.domain().create_door(door.clone())?;
         Ok(Arc::new(RepliconServer {
             ctx: ctx.clone(),
             disp,
             master,
             membership,
-            dedup,
+            door,
         }))
     }
 
@@ -404,8 +368,8 @@ impl RepliconServer {
 
     /// Counter snapshot of the reply cache this replica currently serves
     /// from (the group-wide cache once the replica has joined a group).
-    pub fn dedup_stats(&self) -> crate::dedup::DedupStats {
-        self.dedup.lock().stats()
+    pub fn dedup_stats(&self) -> DedupStats {
+        self.door.cache_stats()
     }
 
     /// True while the serving domain is alive.
@@ -478,7 +442,7 @@ impl ReplicaGroup {
     /// switched onto the group's shared reply cache, so a client retry that
     /// lands on a different member still deduplicates.
     pub fn add(&self, server: Arc<RepliconServer>) -> Result<()> {
-        *server.dedup.lock() = self.dedup.clone();
+        server.door.share_cache(self.dedup.clone());
         let mut inner = self.inner.lock();
         inner.servers.push(server);
         self.redistribute(&mut inner)

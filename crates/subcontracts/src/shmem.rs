@@ -17,10 +17,10 @@
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message, ShmId, ShmRegion};
+use spring_kernel::{DoorError, DoorId, ShmId, ShmRegion};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
+    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Client representation: the server door, this client's private region, and
@@ -57,9 +57,19 @@ impl Shmem {
     ) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(ShmemHandler {
-            ctx: ctx.clone(),
-            disp,
+        // Server-side shmem code: maps the region named by the descriptor
+        // and reads the arguments in place — no kernel copy of the payload.
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "shmem.serve", Self::ID, servant, move |call| {
+            let desc = &mut call.args;
+            let (region_id, _len) =
+                (|| -> Result<(u64, u64)> { Ok((desc.get_u64()?, desc.get_u64()?)) })()
+                    .map_err(|e| DoorError::Handler(format!("bad shm descriptor: {e}")))?;
+            let kernel = call.ctx().domain().kernel();
+            let mapped = kernel.lookup_shm(ShmId::from_raw(region_id))?.map_mut()?;
+            let doors = call.args.drain_doors();
+            call.args = CommBuffer::from_shm(mapped, doors);
+            call.dispatch(&*disp)
         });
         let door = ctx.domain().create_door(handler)?;
         let region = ctx.domain().kernel().create_shm(region_size);
@@ -69,44 +79,6 @@ impl Shmem {
             ctx.lookup_subcontract(Self::ID)?,
             Repr::new(ShmemRepr { door, region }),
         ))
-    }
-}
-
-/// Server-side shmem code: maps the region named by the descriptor and reads
-/// the arguments in place — no kernel copy of the payload.
-struct ShmemHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-}
-
-impl DoorHandler for ShmemHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let doors = msg.doors;
-        let mut desc = CommBuffer::from_message(Message::from_bytes(msg.bytes));
-        let (region_id, len) =
-            (|| -> Result<(u64, u64)> { Ok((desc.get_u64()?, desc.get_u64()?)) })().map_err(
-                |e| spring_kernel::DoorError::Handler(format!("bad shm descriptor: {e}")),
-            )?;
-        let _ = len;
-        let region = self
-            .ctx
-            .domain()
-            .kernel()
-            .lookup_shm(ShmId::from_raw(region_id))?;
-        let mapped = region.map_mut()?;
-
-        let mut args = CommBuffer::from_shm(mapped, doors);
-        let mut reply = CommBuffer::new();
-        let sctx = ServerCtx {
-            ctx: self.ctx.clone(),
-            caller: cctx.caller,
-        };
-        server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-        Ok(reply.into_message())
     }
 }
 

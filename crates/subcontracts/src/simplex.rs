@@ -17,14 +17,28 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, serve, Call, Dispatch, DomainCtx,
+    ObjParts, Repr, Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Control-region flag: an ordinary call.
 const CTRL_NORMAL: u8 = 0;
+
+/// Span key of the server-side half.
+const SERVE_SPAN: &str = "simplex.serve";
+
+/// Server-side simplex code: strips the control region, adds the reply
+/// control region, and forwards the call to the skeleton.
+fn control(call: &mut Call<'_>, disp: &dyn Dispatch) -> std::result::Result<(), DoorError> {
+    let _flags = call
+        .args
+        .get_u8()
+        .map_err(|e| DoorError::Handler(format!("bad control region: {e}")))?;
+    call.reply.put_u8(CTRL_NORMAL);
+    call.dispatch(disp)
+}
 
 /// Client representation: a remote door, or the local fast path.
 enum SimplexState {
@@ -44,12 +58,12 @@ struct SimplexReprInner {
 }
 
 #[derive(Debug)]
-pub(crate) struct SimplexRepr {
+struct SimplexRepr {
     inner: Mutex<SimplexReprInner>,
 }
 
 impl SimplexRepr {
-    pub(crate) fn remote(door: DoorId) -> Self {
+    fn remote(door: DoorId) -> Self {
         SimplexRepr {
             inner: Mutex::new(SimplexReprInner {
                 state: SimplexState::Remote(door),
@@ -58,7 +72,7 @@ impl SimplexRepr {
     }
 
     /// The door identifier, when the object is in the remote state.
-    pub(crate) fn remote_door(&self) -> Option<DoorId> {
+    fn remote_door(&self) -> Option<DoorId> {
         match &self.inner.lock().state {
             SimplexState::Remote(d) => Some(*d),
             SimplexState::Local { door, .. } => *door,
@@ -107,61 +121,10 @@ impl Simplex {
     }
 
     fn create_server_door(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<DoorId> {
-        let handler = Arc::new(SimplexHandler {
-            ctx: ctx.clone(),
-            disp,
-            dedup: crate::dedup::ReplyCache::default(),
+        let handler = ServeDoor::new(ctx, SERVE_SPAN, Self::ID, Some(disp.clone()), move |call| {
+            control(call, &*disp)
         });
         Ok(ctx.domain().create_door(handler)?)
-    }
-}
-
-/// Server-side simplex code: strips the control region, forwards the call to
-/// the skeleton, and adds the reply control region.
-struct SimplexHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-    /// At-most-once reply cache; identity-free calls bypass it.
-    dedup: crate::dedup::ReplyCache,
-}
-
-impl DoorHandler for SimplexHandler {
-    fn unreferenced(&self) {
-        self.disp.unreferenced();
-    }
-
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        self.dedup.serve(msg, |msg| {
-            // Runs on the caller's (shuttled) thread inside the kernel's
-            // door_call span, so this parents under it automatically.
-            let mut span = spring_trace::span_start(
-                "simplex.serve",
-                self.ctx.domain().trace_scope(),
-                Simplex::ID.raw(),
-            );
-            let mut args = CommBuffer::from_message(msg);
-            let result = (|| {
-                let _flags = args.get_u8().map_err(|e| {
-                    spring_kernel::DoorError::Handler(format!("bad control region: {e}"))
-                })?;
-                let mut reply = CommBuffer::pooled();
-                reply.put_u8(CTRL_NORMAL);
-                let sctx = ServerCtx {
-                    ctx: self.ctx.clone(),
-                    caller: cctx.caller,
-                };
-                server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-                Ok(reply.into_message())
-            })();
-            if result.is_err() {
-                span.fail();
-            }
-            result
-        })
     }
 }
 
@@ -193,30 +156,24 @@ impl Subcontract for Simplex {
                 SimplexState::Local { disp, .. } => Path::Local(disp.clone()),
             }
         };
-        match path {
-            Path::Remote(door) => {
-                let reply = obj.ctx().domain().call(door, call.into_message())?;
-                let mut reply = CommBuffer::from_message(reply);
-                let _flags = reply.get_u8()?;
-                Ok(reply)
-            }
-            Path::Local(disp) => {
-                // The same-address-space optimized invocation: no kernel.
-                // The buffer was built by our own invoke_preamble, so the
-                // read cursor sits at the control byte.
-                let mut args = call;
-                let _flags = args.get_u8()?;
-                let mut reply = CommBuffer::pooled();
-                reply.put_u8(CTRL_NORMAL);
-                let sctx = ServerCtx {
-                    ctx: obj.ctx().clone(),
-                    caller: obj.ctx().domain().id(),
-                };
-                server_dispatch(&sctx, &*disp, &mut args, &mut reply)?;
-                let _flags = reply.get_u8()?;
-                Ok(reply)
-            }
-        }
+        let ctx = obj.ctx();
+        let reply = match path {
+            Path::Remote(door) => ctx.domain().call(door, call.into_message())?,
+            // The same-address-space optimized invocation: the serve path
+            // without the kernel. The buffer was built by our own
+            // invoke_preamble, so the read cursor sits at the control byte.
+            Path::Local(disp) => serve(
+                ctx,
+                SERVE_SPAN,
+                Self::ID,
+                ctx.domain().id(),
+                call.into_message(),
+                &|call| control(call, &*disp),
+            )?,
+        };
+        let mut reply = CommBuffer::from_message(reply);
+        let _flags = reply.get_u8()?;
+        Ok(reply)
     }
 
     fn marshal(&self, ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {

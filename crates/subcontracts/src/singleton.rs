@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::DoorId;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
+    Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Client representation: one kernel door identifier.
@@ -49,34 +49,6 @@ impl Singleton {
             self.clone() as Arc<dyn Subcontract>,
             Repr::new(SingletonRepr { door }),
         )
-    }
-}
-
-/// The door handler singleton installs: delivers calls straight to the
-/// skeleton.
-struct SingletonHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-}
-
-impl DoorHandler for SingletonHandler {
-    fn unreferenced(&self) {
-        self.disp.unreferenced();
-    }
-
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let mut reply = CommBuffer::pooled();
-        let sctx = ServerCtx {
-            ctx: self.ctx.clone(),
-            caller: cctx.caller,
-        };
-        server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-        Ok(reply.into_message())
     }
 }
 
@@ -150,9 +122,10 @@ impl ServerSubcontract for Singleton {
     fn export(&self, ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
-        let handler = Arc::new(SingletonHandler {
-            ctx: ctx.clone(),
-            disp,
+        // No control region: the door delivers straight to the skeleton.
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "singleton.serve", Self::ID, servant, move |call| {
+            call.dispatch(&*disp)
         });
         let door = ctx.domain().create_door(handler)?;
         Ok(SpringObj::assemble(

@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
+    Result, ScId, ServeDoor, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Control-region kind: an ordinary request/reply operation.
@@ -111,11 +111,33 @@ impl Stream {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
         let stats = Arc::new(StreamStats::default());
-        let handler = Arc::new(StreamHandler {
-            ctx: ctx.clone(),
-            disp,
-            sink,
-            stats: stats.clone(),
+        let seen = stats.clone();
+        // Server side: demultiplexes frames from ordinary calls.
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "stream.serve", Self::ID, servant, move |call| {
+            let args = &mut call.args;
+            let kind = args
+                .get_u8()
+                .map_err(|e| DoorError::Handler(format!("bad stream control: {e}")))?;
+            match kind {
+                KIND_FRAME => {
+                    let (seq, data) = (|| -> Result<(u64, Vec<u8>)> {
+                        Ok((args.get_u64()?, args.get_bytes()?))
+                    })()
+                    .map_err(|e| DoorError::Handler(format!("bad frame: {e}")))?;
+                    seen.received.fetch_add(1, Ordering::Relaxed);
+                    let prev = seen.highest_seq.fetch_max(seq, Ordering::Relaxed);
+                    if seq < prev {
+                        seen.out_of_order.fetch_add(1, Ordering::Relaxed);
+                    }
+                    sink.frame(seq, &data);
+                    Ok(())
+                }
+                KIND_CALL => call.dispatch(&*disp),
+                other => Err(DoorError::Handler(format!(
+                    "unknown stream packet kind {other}"
+                ))),
+            }
         });
         let door = ctx.domain().create_door(handler)?;
         let obj = SpringObj::assemble(
@@ -143,7 +165,7 @@ impl Stream {
         match obj.ctx().domain().call(repr.door, buf.into_message()) {
             Ok(_) => Ok(FrameOutcome::Delivered),
             // Loss is part of the protocol; a dead endpoint is not.
-            Err(spring_kernel::DoorError::Comm(_)) => Ok(FrameOutcome::Dropped),
+            Err(DoorError::Comm(_)) => Ok(FrameOutcome::Dropped),
             Err(e) => Err(e.into()),
         }
     }
@@ -152,53 +174,6 @@ impl Stream {
     pub fn next_seq(obj: &SpringObj) -> Result<u64> {
         let repr = obj.repr().downcast::<StreamRepr>("stream")?;
         Ok(repr.next_seq.load(Ordering::Relaxed))
-    }
-}
-
-/// Server side: demultiplexes frames from ordinary calls.
-struct StreamHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-    sink: Arc<dyn FrameSink>,
-    stats: Arc<StreamStats>,
-}
-
-impl DoorHandler for StreamHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let kind = args
-            .get_u8()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad stream control: {e}")))?;
-        match kind {
-            KIND_FRAME => {
-                let (seq, data) =
-                    (|| -> Result<(u64, Vec<u8>)> { Ok((args.get_u64()?, args.get_bytes()?)) })()
-                        .map_err(|e| spring_kernel::DoorError::Handler(format!("bad frame: {e}")))?;
-                self.stats.received.fetch_add(1, Ordering::Relaxed);
-                let prev = self.stats.highest_seq.fetch_max(seq, Ordering::Relaxed);
-                if seq < prev {
-                    self.stats.out_of_order.fetch_add(1, Ordering::Relaxed);
-                }
-                self.sink.frame(seq, &data);
-                Ok(Message::new())
-            }
-            KIND_CALL => {
-                let mut reply = CommBuffer::new();
-                let sctx = ServerCtx {
-                    ctx: self.ctx.clone(),
-                    caller: cctx.caller,
-                };
-                server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-                Ok(reply.into_message())
-            }
-            other => Err(spring_kernel::DoorError::Handler(format!(
-                "unknown stream packet kind {other}"
-            ))),
-        }
     }
 }
 

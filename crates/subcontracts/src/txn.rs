@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DoorHandler, DoorId, Message};
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, server_dispatch, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServerCtx, SpringObj, Subcontract, TypeInfo,
+    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
+    Result, ScId, ServeDoor, SpringObj, Subcontract, TypeInfo,
 };
 
 thread_local! {
@@ -105,10 +105,26 @@ impl Txn {
         let type_info = disp.type_info();
         ctx.types().register(type_info);
         let journal = Arc::new(TxnJournal::default());
-        let handler = Arc::new(TxnHandler {
-            ctx: ctx.clone(),
-            disp,
-            journal: journal.clone(),
+        let log = journal.clone();
+        // Server-side txn code: reads the control region, journals the call,
+        // and publishes the transaction for the servant.
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, "txn.serve", Self::ID, servant, move |call| {
+            let txn = call
+                .args
+                .get_u64()
+                .map_err(|e| DoorError::Handler(format!("bad txn control: {e}")))?;
+            let op = call
+                .args
+                .peek_u32()
+                .map_err(|e| DoorError::Handler(format!("bad txn request: {e}")))?;
+            if txn != 0 {
+                log.entries.lock().push((txn, op));
+            }
+            let previous = SERVER_TXN.with(|c| c.replace(txn));
+            let result = call.dispatch(&*disp);
+            SERVER_TXN.with(|c| c.set(previous));
+            result
         });
         let door = ctx.domain().create_door(handler)?;
         let obj = SpringObj::assemble(
@@ -118,46 +134,6 @@ impl Txn {
             Repr::new(TxnRepr { door }),
         );
         Ok((obj, journal))
-    }
-}
-
-/// Server-side txn code: reads the control region, journals the call, and
-/// publishes the transaction for the servant.
-struct TxnHandler {
-    ctx: Arc<DomainCtx>,
-    disp: Arc<dyn Dispatch>,
-    journal: Arc<TxnJournal>,
-}
-
-impl DoorHandler for TxnHandler {
-    fn invoke(
-        &self,
-        cctx: &CallCtx,
-        msg: Message,
-    ) -> std::result::Result<Message, spring_kernel::DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let txn = args
-            .get_u64()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad txn control: {e}")))?;
-        let op = args
-            .peek_u32()
-            .map_err(|e| spring_kernel::DoorError::Handler(format!("bad txn request: {e}")))?;
-        if txn != 0 {
-            self.journal.entries.lock().push((txn, op));
-        }
-
-        let previous = SERVER_TXN.with(|c| c.replace(txn));
-        let result = (|| {
-            let mut reply = CommBuffer::new();
-            let sctx = ServerCtx {
-                ctx: self.ctx.clone(),
-                caller: cctx.caller,
-            };
-            server_dispatch(&sctx, &*self.disp, &mut args, &mut reply)?;
-            Ok(reply.into_message())
-        })();
-        SERVER_TXN.with(|c| c.set(previous));
-        result
     }
 }
 

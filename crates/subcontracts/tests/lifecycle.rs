@@ -1,14 +1,21 @@
 //! The §7 life cycle on singleton and simplex: birth, transmission,
 //! invocation, copying, death, and revocation — plus the same-address-space
-//! fast path.
+//! fast path, and the death notice on every single-servant subcontract.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{ctx_on, ship, ship_copy, CounterClient, CounterServant, COUNTER_TYPE};
+use common::{
+    ctx_on, ship, ship_copy, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET,
+};
 use spring_kernel::{DoorError, Kernel};
-use spring_subcontracts::{Simplex, Singleton};
+use spring_subcontracts::priority::Priority;
+use spring_subcontracts::stream::Stream;
+use spring_subcontracts::txn::Txn;
+use spring_subcontracts::{
+    CacheManager, Caching, Reconnectable, ReplicaGroup, RepliconServer, Shmem, Simplex, Singleton,
+};
 use subcontract::{ServerSubcontract, SpringError};
 
 #[test]
@@ -231,24 +238,69 @@ fn servant_observes_unreferenced() {
         }
     }
 
-    for which in ["singleton", "simplex"] {
+    // Every single-servant subcontract of the conformance matrix (cluster
+    // shares one door among many servants, so nobody is told).
+    for which in [
+        "singleton",
+        "simplex",
+        "simplex-local",
+        "replicon",
+        "caching",
+        "reconnectable",
+        "shmem",
+        "priority",
+        "txn",
+        "stream",
+    ] {
         let kernel = Kernel::new("t");
         let server = ctx_on(&kernel, "server");
         let client = ctx_on(&kernel, "client");
+        for ctx in [&server, &client] {
+            ctx.register_subcontract(Priority::new());
+            ctx.register_subcontract(Txn::new());
+            ctx.register_subcontract(Stream::new());
+        }
+        let names = TestNames::new();
+        let manager = CacheManager::new(&ctx_on(&kernel, "manager"), [OP_GET]);
+        names.bind("cache_manager", manager.export().unwrap());
+        client.set_resolver(names.resolver_for(&client));
+
         let observer = Arc::new(Observer {
             inner: CounterServant::new(0),
             unrefs: AtomicU64::new(0),
         });
-        let obj = if which == "singleton" {
-            Singleton.export(&server, observer.clone()).unwrap()
-        } else {
-            Simplex.export(&server, observer.clone()).unwrap()
-        };
+        let disp = observer.clone();
+        let obj = match which {
+            "singleton" => Singleton.export(&server, disp),
+            "simplex" => Simplex.export(&server, disp),
+            "simplex-local" => Simplex::export_local(&server, disp),
+            "replicon" => {
+                let group = ReplicaGroup::new();
+                group
+                    .add(RepliconServer::new(&server, disp).unwrap())
+                    .unwrap();
+                group.object_for(&server)
+            }
+            "caching" => Caching::export(&server, disp, "cache_manager"),
+            "reconnectable" => Reconnectable::export(&server, disp, "svc/x"),
+            "shmem" => Shmem::export(&server, disp, 4096),
+            "priority" => Priority.export(&server, disp),
+            "txn" => Txn::export_with_journal(&server, disp).map(|(obj, _)| obj),
+            _ => Stream::export(&server, disp, Arc::new(|_: u64, _: &[u8]| {})).map(|(obj, _)| obj),
+        }
+        .unwrap();
         let moved = ship(obj, &client, &COUNTER_TYPE).unwrap();
+        assert_eq!(CounterClient(moved.copy().unwrap()).add(1).unwrap(), 1);
         let copy = moved.copy().unwrap();
         copy.consume().unwrap();
         assert_eq!(observer.unrefs.load(Ordering::SeqCst), 0, "{which}");
         moved.consume().unwrap();
+        if which == "replicon" {
+            // A replica keeps identifiers for its own door (and its
+            // group's), so the last one dies with its domain.
+            assert_eq!(observer.unrefs.load(Ordering::SeqCst), 0, "{which}");
+            server.domain().crash();
+        }
         // The last identifier died; the servant heard about it (§7).
         assert_eq!(observer.unrefs.load(Ordering::SeqCst), 1, "{which}");
     }

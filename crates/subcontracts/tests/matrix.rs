@@ -2,14 +2,24 @@
 //! same battery. "The basic subcontract interfaces are sufficiently general
 //! that they can accommodate a wide range of possible solutions, while still
 //! providing a uniform application model."
+//!
+//! The second half of the battery has one column per layer of the serve path
+//! (`subcontract::ServeDoor`): whatever a subcontract's control region looks
+//! like, its server door opens a serve span, honours call identity, refuses
+//! to replay a reply that moved a door, rejects a broken control region as
+//! an error, and builds its reply in a pooled buffer.
 
 mod common;
 
 use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use common::{ctx_on, ship, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET};
-use spring_kernel::Kernel;
+use parking_lot::Mutex;
+use spring_buf::CommBuffer;
+use spring_kernel::callid::next_nonce;
+use spring_kernel::{CallCtx, CallId, DoorError, DoorHandler, DoorId, Kernel, Message};
 use spring_subcontracts::priority::Priority;
 use spring_subcontracts::stream::Stream;
 use spring_subcontracts::txn::Txn;
@@ -17,7 +27,14 @@ use spring_subcontracts::{
     CacheManager, Caching, ClusterServer, Reconnectable, ReplicaGroup, RepliconServer, Shmem,
     Simplex, Singleton,
 };
-use subcontract::{DomainCtx, ServerSubcontract, SpringError, SpringObj};
+use subcontract::{
+    op_hash, unmarshal_object, Dispatch, DomainCtx, ServerCtx, ServerSubcontract, SpringError,
+    SpringObj, TypeInfo,
+};
+
+/// Two columns flip process-wide state (the tracer switch, the buffer-pool
+/// counters), so the tests of this binary run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One subcontract's entry: its name, an exported counter object starting at
 /// 10, and whatever must stay alive for it to keep working.
@@ -31,6 +48,14 @@ struct Subject {
 /// Builds one subject per subcontract, plus the client context objects are
 /// shipped into for the battery.
 fn subjects(kernel: &Kernel) -> (Vec<Subject>, Arc<DomainCtx>) {
+    subjects_serving(kernel, &|| CounterServant::new(10))
+}
+
+/// [`subjects`] over servants of the caller's choosing (one per subject).
+fn subjects_serving(
+    kernel: &Kernel,
+    servant: &dyn Fn() -> Arc<dyn Dispatch>,
+) -> (Vec<Subject>, Arc<DomainCtx>) {
     let server = ctx_on(kernel, "server");
     let client = ctx_on(kernel, "client");
     for ctx in [&server, &client] {
@@ -58,30 +83,30 @@ fn subjects(kernel: &Kernel) -> (Vec<Subject>, Arc<DomainCtx>) {
 
     add(
         "singleton",
-        Singleton.export(&server, CounterServant::new(10)).unwrap(),
+        Singleton.export(&server, servant()).unwrap(),
         vec![],
     );
     add(
         "simplex",
-        Simplex.export(&server, CounterServant::new(10)).unwrap(),
+        Simplex.export(&server, servant()).unwrap(),
         vec![],
     );
     add(
         "simplex-local",
-        Simplex::export_local(&server, CounterServant::new(10)).unwrap(),
+        Simplex::export_local(&server, servant()).unwrap(),
         vec![],
     );
     {
         let cluster = ClusterServer::new(&server).unwrap();
         add(
             "cluster",
-            cluster.export(CounterServant::new(10)).unwrap(),
+            cluster.export(servant()).unwrap(),
             vec![Box::new(cluster)],
         );
     }
     {
         let group = ReplicaGroup::new();
-        let servant = CounterServant::new(10);
+        let servant = servant();
         for i in 0..2 {
             let ctx = ctx_on(kernel, &format!("replica-{i}"));
             group
@@ -93,35 +118,31 @@ fn subjects(kernel: &Kernel) -> (Vec<Subject>, Arc<DomainCtx>) {
     }
     add(
         "caching",
-        Caching::export(&server, CounterServant::new(10), "cache_manager").unwrap(),
+        Caching::export(&server, servant(), "cache_manager").unwrap(),
         vec![Box::new(manager)],
     );
     add(
         "reconnectable",
-        Reconnectable::export(&server, CounterServant::new(10), "svc/x").unwrap(),
+        Reconnectable::export(&server, servant(), "svc/x").unwrap(),
         vec![],
     );
     add(
         "shmem",
-        Shmem::export(&server, CounterServant::new(10), 4096).unwrap(),
+        Shmem::export(&server, servant(), 4096).unwrap(),
         vec![],
     );
     add(
         "priority",
-        Priority.export(&server, CounterServant::new(10)).unwrap(),
+        Priority.export(&server, servant()).unwrap(),
         vec![],
     );
     {
-        let (obj, stats) = Txn::export_with_journal(&server, CounterServant::new(10)).unwrap();
+        let (obj, stats) = Txn::export_with_journal(&server, servant()).unwrap();
         add("txn", obj, vec![Box::new(stats)]);
     }
     {
-        let (obj, stats) = Stream::export(
-            &server,
-            CounterServant::new(10),
-            Arc::new(|_: u64, _: &[u8]| {}),
-        )
-        .unwrap();
+        let (obj, stats) =
+            Stream::export(&server, servant(), Arc::new(|_: u64, _: &[u8]| {})).unwrap();
         add("stream", obj, vec![Box::new(stats)]);
     }
 
@@ -130,6 +151,7 @@ fn subjects(kernel: &Kernel) -> (Vec<Subject>, Arc<DomainCtx>) {
 
 #[test]
 fn every_subcontract_invokes_uniformly() {
+    let _serial = SERIAL.lock();
     let kernel = Kernel::new("matrix");
     let (subjects, _client) = subjects(&kernel);
     for s in subjects {
@@ -142,6 +164,7 @@ fn every_subcontract_invokes_uniformly() {
 
 #[test]
 fn every_subcontract_copies_sharing_state() {
+    let _serial = SERIAL.lock();
     let kernel = Kernel::new("matrix");
     let (subjects, _client) = subjects(&kernel);
     for s in subjects {
@@ -158,6 +181,7 @@ fn every_subcontract_copies_sharing_state() {
 
 #[test]
 fn every_subcontract_marshals_roundtrip() {
+    let _serial = SERIAL.lock();
     let kernel = Kernel::new("matrix");
     let (subjects, client) = subjects(&kernel);
     for s in subjects {
@@ -184,6 +208,7 @@ fn every_subcontract_marshals_roundtrip() {
 
 #[test]
 fn every_subcontract_consumes_cleanly() {
+    let _serial = SERIAL.lock();
     let kernel = Kernel::new("matrix");
     let (subjects, _client) = subjects(&kernel);
     for s in subjects {
@@ -195,6 +220,7 @@ fn every_subcontract_consumes_cleanly() {
 
 #[test]
 fn every_subcontract_reports_unknown_ops() {
+    let _serial = SERIAL.lock();
     let kernel = Kernel::new("matrix");
     let (subjects, _client) = subjects(&kernel);
     for s in subjects {
@@ -204,5 +230,259 @@ fn every_subcontract_reports_unknown_ops() {
             Err(SpringError::UnknownOp(op)) => assert_eq!(op, 0xDEAD_FACE, "{}", s.name),
             other => panic!("{}: expected unknown op, got {other:?}", s.name),
         }
+    }
+}
+
+// ---- One column per layer of the serve path -------------------------------
+
+const OP_HALF: u32 = op_hash("half");
+const OP_MINT: u32 = op_hash("mint");
+
+/// A counter that also counts its executions and misbehaves on request:
+/// `half` fails after starting its reply (a transport-level dispatch error),
+/// `mint` answers with a freshly created door.
+struct Probe {
+    counter: Arc<CounterServant>,
+    executions: Arc<AtomicU64>,
+}
+
+impl Dispatch for Probe {
+    fn type_info(&self) -> &'static TypeInfo {
+        &COUNTER_TYPE
+    }
+
+    fn dispatch(
+        &self,
+        sctx: &ServerCtx,
+        op: u32,
+        args: &mut CommBuffer,
+        reply: &mut CommBuffer,
+    ) -> subcontract::Result<()> {
+        self.executions.fetch_add(1, Ordering::SeqCst);
+        match op {
+            OP_HALF => {
+                reply.put_u8(0);
+                Err(SpringError::Remote("gave up half way".into()))
+            }
+            OP_MINT => {
+                let nop = Arc::new(|_: &CallCtx, m: Message| Ok(m));
+                let door = sctx.ctx.domain().create_door(nop)?;
+                subcontract::encode_ok(reply);
+                reply.put_door(door);
+                Ok(())
+            }
+            _ => self.counter.dispatch(sctx, op, args, reply),
+        }
+    }
+}
+
+/// Subjects served by [`Probe`]s that all add to one execution count.
+fn probed(kernel: &Kernel) -> (Vec<Subject>, Arc<DomainCtx>, Arc<AtomicU64>) {
+    let executions = Arc::new(AtomicU64::new(0));
+    let (subjects, client) = subjects_serving(kernel, &|| {
+        Arc::new(Probe {
+            counter: CounterServant::new(10),
+            executions: executions.clone(),
+        })
+    });
+    (subjects, client, executions)
+}
+
+/// The span key a subject's server door records under.
+fn serve_span(name: &str) -> String {
+    format!("{}.serve", name.strip_suffix("-local").unwrap_or(name))
+}
+
+/// Marshals `obj` and hands back the wire form with its door identifiers
+/// (owned by the object's domain); the first is the subject's server door.
+fn disassemble(obj: SpringObj) -> (Arc<DomainCtx>, Message) {
+    let ctx = obj.ctx().clone();
+    let mut buf = CommBuffer::new();
+    obj.marshal(&mut buf).unwrap();
+    (ctx, buf.into_message())
+}
+
+/// A relay that delivers every call to `target` twice under one call
+/// identity (stamping one where the client side sent none), the way a
+/// retrying client whose first reply was lost would, and answers with the
+/// second outcome.
+struct Twice {
+    target: DoorId,
+}
+
+impl DoorHandler for Twice {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        let mut call = msg.call;
+        if call.is_none() {
+            call = CallId {
+                nonce: next_nonce(),
+                attempt: 1,
+                deadline_micros: 0,
+            };
+        }
+        let first = Message {
+            bytes: msg.bytes.clone(),
+            call,
+            ..Message::default()
+        };
+        for door in ctx.server.call(self.target, first)?.doors {
+            ctx.server.delete_door(door)?;
+        }
+        call.attempt += 1;
+        ctx.server.call(self.target, Message { call, ..msg })
+    }
+}
+
+/// Moves `obj` into `client` with a [`Twice`] relay spliced in front of its
+/// server door.
+fn behind_relay(kernel: &Kernel, obj: SpringObj, client: &Arc<DomainCtx>) -> SpringObj {
+    let relay = kernel.create_domain("relay");
+    let (from, mut msg) = disassemble(obj);
+    let target = from.domain().transfer_door(msg.doors[0], &relay).unwrap();
+    msg.doors[0] = relay.create_door(Arc::new(Twice { target })).unwrap();
+    for (i, door) in msg.doors.iter_mut().enumerate() {
+        let owner = if i == 0 { &relay } else { from.domain() };
+        *door = owner.transfer_door(*door, client.domain()).unwrap();
+    }
+    unmarshal_object(client, &COUNTER_TYPE, &mut CommBuffer::from_message(msg)).unwrap()
+}
+
+/// Every recorded span under `key`, as its `failed` flag.
+fn spans_under(key: &str) -> Vec<bool> {
+    fn walk(node: &spring_trace::SpanNode, key: &str, out: &mut Vec<bool>) {
+        if node.event.key == key {
+            out.push(node.event.failed);
+        }
+        for child in &node.children {
+            walk(child, key, out);
+        }
+    }
+    let mut out = Vec::new();
+    for (_, roots) in spring_trace::span_forest() {
+        for root in &roots {
+            walk(root, key, &mut out);
+        }
+    }
+    out
+}
+
+#[test]
+fn every_server_door_opens_a_serve_span_and_fails_it_on_a_dispatch_error() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    let (subjects, _client, _) = probed(&kernel);
+    for s in subjects {
+        let key = serve_span(s.name);
+        spring_trace::reset();
+        spring_trace::set_enabled(true);
+        let served = CounterClient(s.obj.copy().unwrap()).get();
+        let broken = s.obj.invoke(s.obj.start_call(OP_HALF).unwrap());
+        spring_trace::set_enabled(false);
+        assert_eq!(served.unwrap(), 10, "{}", s.name);
+        assert!(
+            matches!(broken, Err(SpringError::Door(DoorError::Handler(_)))),
+            "{}: {broken:?}",
+            s.name
+        );
+        assert_eq!(spans_under(&key), [false, true], "{}: {key}", s.name);
+    }
+    spring_trace::reset();
+}
+
+#[test]
+fn every_server_door_answers_a_repeated_call_id_without_reexecuting() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    let (subjects, client, executions) = probed(&kernel);
+    for s in subjects {
+        let c = CounterClient(behind_relay(&kernel, s.obj, &client));
+        let before = executions.load(Ordering::SeqCst);
+        assert_eq!(c.add(1).unwrap(), 11, "{}: replayed reply", s.name);
+        assert_eq!(c.add(1).unwrap(), 12, "{}: a new call executes", s.name);
+        assert_eq!(
+            executions.load(Ordering::SeqCst) - before,
+            2,
+            "{}: four deliveries, two executions",
+            s.name
+        );
+    }
+}
+
+#[test]
+fn every_server_door_refuses_to_replay_a_reply_that_carried_a_door() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    let (subjects, client, executions) = probed(&kernel);
+    for s in subjects {
+        let obj = behind_relay(&kernel, s.obj, &client);
+        let before = executions.load(Ordering::SeqCst);
+        match obj.invoke(obj.start_call(OP_MINT).unwrap()) {
+            Err(SpringError::Door(DoorError::Handler(why))) => {
+                assert!(why.contains("cannot be replayed"), "{}: {why}", s.name)
+            }
+            other => panic!("{}: expected a refusal, got {other:?}", s.name),
+        }
+        assert_eq!(
+            executions.load(Ordering::SeqCst) - before,
+            1,
+            "{}: minted once, not once per delivery",
+            s.name
+        );
+    }
+}
+
+#[test]
+fn every_server_door_rejects_a_broken_control_region_without_panicking() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    let (subjects, _client) = subjects(&kernel);
+    for s in subjects {
+        // Subjects whose requests start with the bare operation number:
+        // cutting those short is the skeleton's business (an in-band error).
+        let no_control = ["singleton", "caching", "reconnectable"].contains(&s.name);
+        let (ctx, wire) = disassemble(s.obj);
+        for len in [0usize, 1, 3, 7, 13, 40] {
+            let junk = Message::from_bytes(vec![0xFF; len]);
+            match ctx.domain().call(wire.doors[0], junk) {
+                // The kernel reports a handler's panic this way too.
+                Err(DoorError::Handler(why)) => {
+                    assert!(!why.contains("panicked"), "{} at {len}: {why}", s.name)
+                }
+                // A control region of 0xFF bytes can parse (as simplex's
+                // ignored flags, as an unknown cluster tag); none is not one.
+                other => assert!(
+                    len > 0 || no_control,
+                    "{}: a missing control region was let through: {other:?}",
+                    s.name
+                ),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_server_door_builds_its_reply_in_a_pooled_buffer() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    let (subjects, _client) = subjects(&kernel);
+    for s in subjects {
+        let c = CounterClient(s.obj);
+        for _ in 0..8 {
+            c.echo(b"warm the pool").unwrap();
+        }
+        const CALLS: u64 = 16;
+        let before = kernel.stats();
+        for _ in 0..CALLS {
+            c.echo(b"steady state").unwrap();
+        }
+        let delta = kernel.stats().since(&before);
+        assert_eq!(delta.pool_misses, 0, "{}", s.name);
+        // The call buffer and the reply buffer, at least.
+        assert!(
+            delta.pool_hits >= 2 * CALLS,
+            "{}: {} pool hits in {CALLS} calls",
+            s.name,
+            delta.pool_hits
+        );
     }
 }

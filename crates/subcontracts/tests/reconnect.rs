@@ -148,6 +148,63 @@ fn adopts_door_from_singleton_binding() {
 }
 
 #[test]
+fn adopts_door_from_simplex_binding() {
+    // A simplex-served door expects a control byte this client never writes
+    // (and prefixes one to replies it never strips), so it is not adopted:
+    // such a binding is a failed attempt like "name not bound yet" — typed,
+    // leak-free — and a usable rebind within a later call's budget recovers.
+    let kernel = Kernel::new("t");
+    let names = TestNames::new();
+
+    let server1 = ctx_on(&kernel, "server-gen1");
+    use_fast_reconnectable(&server1);
+    let obj = Reconnectable::export(&server1, CounterServant::new(9), "svc/s").unwrap();
+    names.bind("svc/s", obj.copy().unwrap());
+
+    let client = ctx_on(&kernel, "client");
+    // A short budget: the refused call below spends all of it.
+    client.register_subcontract(Reconnectable::with_policy(RetryPolicy {
+        max_attempts: 4,
+        ..fast_policy()
+    }));
+    client.set_resolver(names.resolver_for(&client));
+    let c = CounterClient(ship(obj, &client, &COUNTER_TYPE).unwrap());
+    assert_eq!(c.get().unwrap(), 9);
+
+    server1.domain().crash();
+    let server2 = ctx_on(&kernel, "server-gen2");
+    let servant = CounterServant::new(9);
+    let simplex_obj = subcontract::ServerSubcontract::export(
+        &*spring_subcontracts::Simplex::new(),
+        &server2,
+        servant.clone(),
+    )
+    .unwrap();
+    names.bind("svc/s", simplex_obj);
+
+    let before = kernel.stats();
+    match c.add(1).unwrap_err() {
+        SpringError::Exhausted(_) => {}
+        other => panic!("expected exhaustion, got {other:?}"),
+    }
+    assert_eq!(*servant.value.lock(), 9, "nothing reached the servant");
+    let delta = kernel.stats().since(&before);
+    assert_eq!(
+        delta.ids_issued, delta.ids_deleted,
+        "every refused binding's identifiers were released"
+    );
+
+    let singleton_obj = subcontract::ServerSubcontract::export(
+        &*spring_subcontracts::Singleton::new(),
+        &server2,
+        servant,
+    )
+    .unwrap();
+    names.bind("svc/s", singleton_obj);
+    assert_eq!(c.add(1).unwrap(), 10);
+}
+
+#[test]
 fn non_comm_failures_are_not_retried() {
     let kernel = Kernel::new("t");
     let names = TestNames::new();

@@ -158,8 +158,7 @@ pub fn spans_json() -> Json {
 /// Every latency histogram as JSON: an array of
 /// `{"key": ..., "op": ..., "count": ..., "mean_ns": ..., "p50_ns": ...,
 /// "p90_ns": ..., "p99_ns": ..., "p999_ns": ..., "max_ns": ...,
-/// "buckets": [...]}` objects (plus the legacy `p99_bound_ns`). Trailing
-/// empty buckets are trimmed.
+/// "buckets": [...]}` objects. Trailing empty buckets are trimmed.
 pub fn histograms_json() -> Json {
     Json::Arr(
         hist::snapshot_all()
@@ -170,8 +169,6 @@ pub fn histograms_json() -> Json {
                     .iter()
                     .rposition(|&n| n != 0)
                     .map_or(0, |i| i + 1);
-                #[allow(deprecated)]
-                let p99_bound = snap.quantile_bound_ns(0.99);
                 Json::obj([
                     ("key", Json::from(format!("{key:x}"))),
                     ("op", Json::from(*op)),
@@ -181,7 +178,6 @@ pub fn histograms_json() -> Json {
                     ("p90_ns", Json::from(snap.p90_ns())),
                     ("p99_ns", Json::from(snap.p99_ns())),
                     ("p999_ns", Json::from(snap.p999_ns())),
-                    ("p99_bound_ns", Json::from(p99_bound)),
                     ("max_ns", Json::from(snap.max_ns)),
                     (
                         "buckets",

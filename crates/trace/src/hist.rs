@@ -33,11 +33,11 @@ pub const MAX_POW2: u32 = 40;
 /// Total log-linear buckets.
 pub const BUCKETS: usize = ((MAX_POW2 - SUB_BITS + 1) as usize) << SUB_BITS;
 
-/// One latency histogram (fixed log-linear buckets plus count/sum/max).
+/// One latency histogram (fixed log-linear buckets plus sum/max; the sample
+/// count is the buckets' total).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
@@ -46,7 +46,6 @@ impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
@@ -96,16 +95,20 @@ impl Histogram {
     /// Records one sample (relaxed atomics only; no allocation).
     pub fn record(&self, ns: u64) {
         self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // A new maximum is rare; everything else gets by on a load.
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
     }
 
     /// A consistent-enough copy of the counters.
     pub fn snapshot(&self) -> HistSnapshot {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
@@ -143,10 +146,9 @@ impl HistSnapshot {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Samples accounted for by the buckets themselves. Under concurrent
-    /// recording a snapshot can tear (the `count` increment lands after the
-    /// bucket's), so quantile walks use this sum, which by construction
-    /// never runs past the last bucket.
+    /// Samples accounted for by the buckets themselves. `count` is a public
+    /// field and may have been set apart from them, so quantile walks use
+    /// this sum, which by construction never runs past the last bucket.
     fn bucket_total(&self) -> u64 {
         self.buckets.iter().sum()
     }
@@ -202,32 +204,6 @@ impl HistSnapshot {
     pub fn p999_ns(&self) -> u64 {
         self.percentile_ns(0.999)
     }
-
-    /// Upper bound (exclusive) of the bucket containing the `p`-quantile.
-    ///
-    /// Retained as a shim for pre-log-linear callers; the bound is now a
-    /// log-linear bucket edge (within 6.25% above the quantile) rather than
-    /// the next power of two. Edge cases are pinned by unit tests: an empty
-    /// histogram returns 0, `p = 1.0` returns a bound strictly above
-    /// [`HistSnapshot::max_ns`] (clamped samples excepted), and `p` outside
-    /// `[0, 1]` (or NaN) is clamped rather than walking off the buckets.
-    #[deprecated(note = "use percentile_ns / p50_ns / p99_ns for exact log-linear quantiles")]
-    pub fn quantile_bound_ns(&self, p: f64) -> u64 {
-        let total = self.bucket_total();
-        if total == 0 {
-            return 0;
-        }
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let target = (((total as f64) * p).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (b, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return bucket_high(b);
-            }
-        }
-        bucket_high(BUCKETS - 1)
-    }
 }
 
 /// (key, op) -> histogram registry.
@@ -282,6 +258,7 @@ pub fn snapshot_all() -> Vec<(u64, &'static str, HistSnapshot)> {
 /// Drops every histogram.
 pub fn clear() {
     registry().write().clear();
+    crate::sink::forget();
 }
 
 #[cfg(test)]
@@ -363,39 +340,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn quantile_bound_shim_edge_cases() {
-        let empty = Histogram::default().snapshot();
-        assert_eq!(empty.quantile_bound_ns(1.0), 0);
-        assert_eq!(empty.quantile_bound_ns(0.5), 0);
-
-        let h = Histogram::default();
-        for ns in [1u64, 2, 4, 4, 1000] {
-            h.record(ns);
-        }
-        let s = h.snapshot();
-        // Median falls in the exact bucket for 4: bound is 5.
-        assert_eq!(s.quantile_bound_ns(0.5), 5);
-        // The bound stays a strict upper bound of the max at p = 1.0...
-        assert!(s.quantile_bound_ns(1.0) > s.max_ns);
-        // ...within the log-linear width instead of the old factor of two.
-        assert!(s.quantile_bound_ns(1.0) <= 1024);
-        // Out-of-range quantiles clamp.
-        assert_eq!(s.quantile_bound_ns(-1.0), s.quantile_bound_ns(0.0));
-        assert_eq!(s.quantile_bound_ns(7.5), s.quantile_bound_ns(1.0));
-        assert_eq!(s.quantile_bound_ns(f64::NAN), s.quantile_bound_ns(0.0));
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn clamped_samples_stay_in_range() {
         let h = Histogram::default();
         h.record(u64::MAX);
         let s = h.snapshot();
         assert_eq!(s.buckets[BUCKETS - 1], 1);
-        // The quantile walk stays inside the table; the exact max is still
-        // reported by percentile_ns(1.0).
-        assert_eq!(s.quantile_bound_ns(1.0), 1u64 << MAX_POW2);
+        // The exact max is still reported by percentile_ns(1.0).
         assert_eq!(s.percentile_ns(1.0), u64::MAX);
         // Below p = 1.0 a clamped sample reports the table cap.
         assert_eq!(s.percentile_ns(0.5), (1u64 << MAX_POW2) - 1);
@@ -403,8 +353,7 @@ mod tests {
 
     #[test]
     fn torn_snapshot_does_not_walk_off_the_end() {
-        // Simulate a snapshot where `count` ran ahead of the buckets (the
-        // recording thread was between the two increments).
+        // A snapshot whose `count` field runs ahead of its buckets.
         let h = Histogram::default();
         h.record(100);
         let mut s = h.snapshot();

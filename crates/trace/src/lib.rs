@@ -35,6 +35,7 @@ pub mod export;
 pub mod hist;
 pub mod json;
 pub mod ring;
+mod sink;
 pub mod span;
 
 pub use ctx::{current, TraceCtx};

@@ -141,11 +141,6 @@ pub fn ring_for(scope: u64) -> Arc<Ring> {
     )
 }
 
-/// Records an event into its scope's ring.
-pub fn record(ev: Event) {
-    ring_for(ev.scope).record(ev);
-}
-
 /// Every scope that has a ring.
 pub fn scopes() -> Vec<u64> {
     let mut s: Vec<u64> = rings().read().keys().copied().collect();
@@ -176,6 +171,7 @@ pub fn events() -> Vec<Event> {
 /// Drops every ring (fresh window for the next test or bench section).
 pub fn clear() {
     rings().write().clear();
+    crate::sink::forget();
 }
 
 #[cfg(test)]

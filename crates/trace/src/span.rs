@@ -12,7 +12,7 @@
 
 use crate::ctx::{self, TraceCtx};
 use crate::ring::Event;
-use crate::{hist, now_ns, ring};
+use crate::{now_ns, sink};
 
 /// RAII guard for one open span. Ends the span on drop; [`span_end`] (or
 /// [`SpanGuard::end`]) makes the end point explicit.
@@ -70,7 +70,7 @@ impl Drop for SpanGuard {
         }
         ctx::swap_current(self.prev);
         let dur_ns = now_ns().saturating_sub(self.start_ns);
-        ring::record(Event {
+        sink::record(Event {
             trace: self.ctx.trace,
             span: self.ctx.span,
             parent: self.parent_span,
@@ -81,9 +81,6 @@ impl Drop for SpanGuard {
             dur_ns,
             failed: self.failed,
         });
-        if self.scid != 0 {
-            hist::record(self.scid, self.key, dur_ns);
-        }
     }
 }
 
@@ -145,6 +142,7 @@ pub fn span_end(guard: SpanGuard) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::{hist, ring};
 
     // The enable flag is process-global and tests run concurrently within
     // this crate, so every test that reads or flips it serializes on one
@@ -220,6 +218,17 @@ pub(crate) mod tests {
             drop(span_start("invoke", 3, 42));
             let snap = hist::histogram(42, "invoke").snapshot();
             assert_eq!(snap.count, 1);
+        });
+    }
+
+    #[test]
+    fn a_reset_is_seen_by_a_thread_that_already_recorded() {
+        with_tracing(|| {
+            drop(span_start("invoke", 5, 43));
+            crate::reset();
+            drop(span_start("invoke", 5, 43));
+            assert_eq!(ring::events_for(5).len(), 1);
+            assert_eq!(hist::histogram(43, "invoke").snapshot().count, 1);
         });
     }
 

@@ -204,6 +204,59 @@ fn reconnectable_appends_exactly_once_under_loss() {
     }
 }
 
+/// The proof again after a reconnect onto a *singleton* door: the server
+/// restarts and binds a plain singleton object under the name, the client
+/// adopts its door and keeps stamping every attempt with the call's nonce —
+/// which only deduplicates because the serve path honours call identity on
+/// every door, singleton's included.
+#[test]
+fn adopted_singleton_door_appends_exactly_once_under_loss() {
+    use spring::core::ServerSubcontract as _;
+    use spring::subcontracts::Singleton;
+
+    record_seeds("reconnectable_adopted_singleton_loss", &SEEDS);
+    for seed in SEEDS {
+        let net = Network::new(NetConfig::default());
+        let server_node = net.add_node("server");
+        let client_node = net.add_node("client");
+        let gen1 = ctx_on(server_node.kernel(), "append-server-gen1");
+        let gen2 = ctx_on(server_node.kernel(), "append-server-gen2");
+        let client_ctx = ctx_on(client_node.kernel(), "client");
+        client_ctx.register_subcontract(Reconnectable::with_policy(fast_policy()));
+
+        let state = AppendLogState::new();
+        let obj =
+            Reconnectable::export(&gen1, AppendLogServant::new(state.clone()), "log").unwrap();
+        let names = NetNames::new(net.clone());
+        client_ctx.set_resolver(names.resolver_for(&client_ctx));
+        let log =
+            AppendLogClient(ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap());
+
+        // Restart: generation one dies, generation two serves the same log
+        // through a singleton door, and the first append adopts it.
+        gen1.domain().crash();
+        names.bind(
+            "log",
+            Singleton
+                .export(&gen2, AppendLogServant::new(state.clone()))
+                .unwrap(),
+        );
+        let mut succeeded = vec![1_000];
+        log.append(1_000)
+            .expect("reconnects onto the singleton door");
+
+        net.reseed(seed);
+        net.set_config(lossy());
+        for value in 0..40u64 {
+            if log.append(value).is_ok() {
+                succeeded.push(value);
+            }
+        }
+        net.set_config(NetConfig::default());
+        assert_exactly_once(seed, &state, &succeeded);
+    }
+}
+
 /// The same proof for the replicon subcontract: three replicas on three
 /// machines serve one shared log (standing in for the server-side state
 /// synchronization the paper leaves to the service), and the group-shared

@@ -195,7 +195,7 @@ fn one_trace_spans_all_hops_and_retry_is_a_failed_sibling() {
         find_all(winner, "net.hop").len() >= 2,
         "request and reply hops both recorded"
     );
-    let serve = &find_all(winner, "caching.serve")[0];
+    let serve = &find_all(winner, "reconnectable.serve")[0];
     assert_eq!(
         serve.event.parent, server_door.event.span,
         "the server-side subcontract span nests in the server door call"
