@@ -25,6 +25,13 @@ pub struct CallCtx {
     /// forwards the call elsewhere may skip fetching the reply and return
     /// an empty message. A handler that ignores this replies as usual.
     pub one_way: bool,
+    /// The pipelining hint ([`Domain::call_in_company`]): how many calls,
+    /// this one included, the caller's subcontract has issued toward this
+    /// door and not yet handed to it. A handler that forwards the call may
+    /// hold it back, within its own budget, until that many have gathered
+    /// and send them together. Zero — every plain call — means nothing
+    /// else is coming.
+    pub company: u32,
 }
 
 /// The target of a door: server-side code invoked for each call.
@@ -103,7 +110,7 @@ impl Domain {
     /// Door identifiers carried by `msg` are transferred to the serving
     /// domain; identifiers in the reply are transferred back to this domain.
     pub fn call(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg, false)
+        self.kernel.call(self.id, door, msg, false, 0)
     }
 
     /// Issues a call whose reply the caller will not read (a best-effort
@@ -113,7 +120,20 @@ impl Domain {
     /// that finds a non-empty reply is looking at a handler that answered
     /// anyway.
     pub fn call_one_way(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg, true)
+        self.kernel.call(self.id, door, msg, true, 0)
+    }
+
+    /// Issues a call that is one of `company` the caller has issued toward
+    /// this door and not yet handed to it (itself included), telling the
+    /// handler so through [`CallCtx::company`]. Otherwise exactly
+    /// [`Domain::call`].
+    pub fn call_in_company(
+        &self,
+        door: DoorId,
+        msg: Message,
+        company: u32,
+    ) -> Result<Message, DoorError> {
+        self.kernel.call(self.id, door, msg, false, company)
     }
 
     /// Copies a door identifier, yielding a second, independent identifier

@@ -73,26 +73,33 @@ pub fn count_oneway_frame() {
     ONEWAY_FRAMES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Point-in-time values of every hot-path counter, in snapshot-field
-/// order: `(fastpath_sends, writev_wakeups, writev_frames,
-/// dispatch_pool_depth, dispatch_pool_spawned, dispatch_pool_reaped,
-/// oneway_frames)`.
-///
-/// `dispatch_pool_depth` is a gauge (enqueued minus done, saturating),
-/// not a monotonic counter: `since` on it yields the depth *change*, and
-/// a drained pool reports zero.
-pub fn counters() -> (u64, u64, u64, u64, u64, u64, u64) {
+/// Point-in-time values of every hot-path counter, under the names
+/// [`crate::StatsSnapshot`] reports them by (each is documented there).
+#[derive(Clone, Copy, Debug)]
+pub struct Counters {
+    pub fastpath_sends: u64,
+    pub writev_wakeups: u64,
+    pub writev_frames: u64,
+    /// A gauge: enqueued minus done, saturating.
+    pub dispatch_pool_depth: u64,
+    pub dispatch_pool_spawned: u64,
+    pub dispatch_pool_reaped: u64,
+    pub oneway_frames: u64,
+}
+
+/// Reads every hot-path counter.
+pub fn counters() -> Counters {
     let enq = DISPATCH_ENQUEUED.load(Ordering::Relaxed);
     let done = DISPATCH_DONE.load(Ordering::Relaxed);
-    (
-        FASTPATH_SENDS.load(Ordering::Relaxed),
-        WRITEV_WAKEUPS.load(Ordering::Relaxed),
-        WRITEV_FRAMES.load(Ordering::Relaxed),
-        enq.saturating_sub(done),
-        DISPATCH_SPAWNED.load(Ordering::Relaxed),
-        DISPATCH_REAPED.load(Ordering::Relaxed),
-        ONEWAY_FRAMES.load(Ordering::Relaxed),
-    )
+    Counters {
+        fastpath_sends: FASTPATH_SENDS.load(Ordering::Relaxed),
+        writev_wakeups: WRITEV_WAKEUPS.load(Ordering::Relaxed),
+        writev_frames: WRITEV_FRAMES.load(Ordering::Relaxed),
+        dispatch_pool_depth: enq.saturating_sub(done),
+        dispatch_pool_spawned: DISPATCH_SPAWNED.load(Ordering::Relaxed),
+        dispatch_pool_reaped: DISPATCH_REAPED.load(Ordering::Relaxed),
+        oneway_frames: ONEWAY_FRAMES.load(Ordering::Relaxed),
+    }
 }
 
 #[cfg(test)]
@@ -100,7 +107,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_move_in_snapshot_order() {
+    fn each_event_moves_its_own_counter() {
         let before = counters();
         count_fastpath_send();
         count_writev_wakeup(3);
@@ -108,15 +115,15 @@ mod tests {
         count_dispatch_spawned();
         count_oneway_frame();
         let mid = counters();
-        assert!(mid.0 > before.0, "fastpath_sends");
-        assert!(mid.1 > before.1, "writev_wakeups");
-        assert!(mid.2 >= before.2 + 3, "writev_frames");
-        assert!(mid.4 > before.4, "dispatch_pool_spawned");
-        assert!(mid.6 > before.6, "oneway_frames");
+        assert!(mid.fastpath_sends > before.fastpath_sends);
+        assert!(mid.writev_wakeups > before.writev_wakeups);
+        assert!(mid.writev_frames >= before.writev_frames + 3);
+        assert!(mid.dispatch_pool_spawned > before.dispatch_pool_spawned);
+        assert!(mid.oneway_frames > before.oneway_frames);
         dispatch_done();
         count_dispatch_reaped();
         let after = counters();
-        assert!(after.5 > mid.5, "dispatch_pool_reaped");
+        assert!(after.dispatch_pool_reaped > mid.dispatch_pool_reaped);
     }
 
     #[test]
@@ -126,7 +133,7 @@ mod tests {
         for _ in 0..4 {
             dispatch_done();
         }
-        let (_, _, _, depth, ..) = counters();
+        let depth = counters().dispatch_pool_depth;
         assert!(depth < u64::MAX / 2, "depth gauge wrapped: {depth}");
         for _ in 0..4 {
             dispatch_enqueued(); // restore balance for other tests

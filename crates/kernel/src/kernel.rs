@@ -526,6 +526,7 @@ impl Kernel {
         id: DoorId,
         msg: Message,
         one_way: bool,
+        company: u32,
     ) -> Result<Message, DoorError> {
         // Phase 1: validate the identifier and pick up the handler. One
         // table lock, one shard lock, both released before the handler runs.
@@ -553,11 +554,11 @@ impl Kernel {
         // guard on the stack, no extra branches in the hot body.
         if spring_trace::enabled() {
             return self.call_traced(
-                &caller_ds, caller, &server_ds, server, raw, handler, msg, one_way,
+                &caller_ds, caller, &server_ds, server, raw, handler, msg, one_way, company,
             );
         }
         self.call_body(
-            &caller_ds, caller, &server_ds, server, handler, msg, one_way,
+            &caller_ds, caller, &server_ds, server, handler, msg, one_way, company,
         )
     }
 
@@ -574,12 +575,14 @@ impl Kernel {
         handler: Arc<dyn DoorHandler>,
         msg: Message,
         one_way: bool,
+        company: u32,
     ) -> Result<Message, DoorError> {
         let delivered = self.translate(caller_ds, caller, server_ds, server, msg)?;
         let ctx = CallCtx {
             caller,
             server: self.domain_handle(server),
             one_way,
+            company,
         };
         let reply = match catch_unwind(AssertUnwindSafe(|| handler.invoke(&ctx, delivered))) {
             Ok(result) => result?,
@@ -606,6 +609,7 @@ impl Kernel {
         handler: Arc<dyn DoorHandler>,
         mut msg: Message,
         one_way: bool,
+        company: u32,
     ) -> Result<Message, DoorError> {
         let parent = if msg.trace.is_some() {
             msg.trace
@@ -616,8 +620,9 @@ impl Kernel {
         let mut span = spring_trace::span_child_of("door_call", parent, scope, raw);
         msg.trace = span.ctx();
 
-        let mut result =
-            self.call_body(caller_ds, caller, server_ds, server, handler, msg, one_way);
+        let mut result = self.call_body(
+            caller_ds, caller, server_ds, server, handler, msg, one_way, company,
+        );
         match &mut result {
             Err(_) => span.fail(),
             // Stamp the reply so whoever forwards it (the network server's

@@ -122,10 +122,22 @@ pub fn give(mut v: Vec<u8>) {
     });
 }
 
-/// Process-wide `(hits, misses)` counts since start (or since the last
+/// Process-wide pool counts since start (or since the last
 /// [`reset_counters`]).
-pub fn counters() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+#[derive(Clone, Copy, Debug)]
+pub struct Counters {
+    /// Requests served from a thread's free list.
+    pub hits: u64,
+    /// Requests that had to allocate.
+    pub misses: u64,
+}
+
+/// Reads the process-wide hit/miss counts.
+pub fn counters() -> Counters {
+    Counters {
+        hits: HITS.load(Ordering::Relaxed),
+        misses: MISSES.load(Ordering::Relaxed),
+    }
 }
 
 /// Zeroes the process-wide hit/miss counters.
@@ -147,25 +159,25 @@ mod tests {
     fn reuse_round_trip() {
         // Prime the pool, then verify the same backing comes back.
         give(Vec::with_capacity(128));
-        let (h0, _) = counters();
+        let h0 = counters().hits;
         let v = take(64);
         assert!(v.capacity() >= 64);
-        let (h1, _) = counters();
+        let h1 = counters().hits;
         assert_eq!(h1, h0 + 1);
     }
 
     #[test]
     fn small_requests_do_not_steal_nothing() {
-        let (_, m0) = counters();
+        let m0 = counters().misses;
         // An empty pool (or no large-enough backing) is a miss.
         let v = take(MAX_RETAINED_CAPACITY + 1);
         assert!(v.capacity() > MAX_RETAINED_CAPACITY);
-        let (_, m1) = counters();
+        let m1 = counters().misses;
         assert_eq!(m1, m0 + 1);
         // Oversized backings are not retained.
         give(v);
         let w = take(MAX_RETAINED_CAPACITY + 1);
-        let (_, m2) = counters();
+        let m2 = counters().misses;
         assert_eq!(m2, m1 + 1);
         drop(w);
     }

@@ -4,17 +4,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{hotpath, pool};
 
-/// Defines [`KernelStats`] / [`StatsSnapshot`] plus their `snapshot` and
-/// `since` plumbing from one field list, so adding a counter is a one-line
-/// change instead of four copies of the same name.
+/// Defines [`KernelStats`] / [`StatsSnapshot`] plus their `snapshot`,
+/// `since` and `fields` plumbing from one field list, so adding a counter is
+/// a one-line change instead of a copy of the same name per use.
 ///
-/// The pool and hot-path counters are appended to the snapshot inside the
-/// macro: they come from [`pool::counters`] and [`hotpath::counters`], not
-/// from per-kernel atomics, because the buffer pool is per-thread state and
-/// the socket hot path is per-connection state — both shared by every
-/// kernel in the process.
+/// The `kernel` fields are this kernel's own atomics. The `process` fields
+/// are read from the sources named in the parentheses — [`pool::counters`]
+/// and [`hotpath::counters`] — because the buffer pool is per-thread state
+/// and the socket hot path is per-connection state, both shared by every
+/// kernel in the process: every kernel reports the same numbers for them.
 macro_rules! kernel_counters {
-    ($( $(#[$doc:meta])* $field:ident, )+) => {
+    (
+        kernel { $( $(#[$doc:meta])* $field:ident, )+ }
+        process($( $source:ident = $read:expr ),+) {
+            $( $(#[$pdoc:meta])* $pfield:ident = $value:expr, )+
+        }
+    ) => {
         /// Monotonic counters maintained by one [`crate::Kernel`].
         ///
         /// The benchmark harness reports these alongside wall-clock timings
@@ -31,114 +36,104 @@ macro_rules! kernel_counters {
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct StatsSnapshot {
             $( $(#[$doc])* pub $field: u64, )+
-            /// Buffer-pool hits (process-wide; the pool is per-thread, not
-            /// per-kernel, so every kernel reports the same numbers — see
-            /// [`pool::counters`]).
-            pub pool_hits: u64,
-            /// Buffer-pool misses (process-wide, see `pool_hits`).
-            pub pool_misses: u64,
-            /// Socket sends written inline on the caller's thread
-            /// (process-wide, see [`hotpath::counters`]).
-            pub fastpath_sends: u64,
-            /// Socket writer-thread wakeups that drained the queue with one
-            /// vectored write (process-wide).
-            pub writev_wakeups: u64,
-            /// Frames drained across all [`Self::writev_wakeups`]
-            /// (process-wide); divide by wakeups for the coalescing factor.
-            pub writev_frames: u64,
-            /// Requests currently queued in socket dispatcher pools
-            /// (process-wide gauge, not monotonic).
-            pub dispatch_pool_depth: u64,
-            /// Dispatcher pool worker threads spawned on demand
-            /// (process-wide).
-            pub dispatch_pool_spawned: u64,
-            /// Dispatcher pool worker threads reaped after idling
-            /// (process-wide).
-            pub dispatch_pool_reaped: u64,
-            /// Reply-less one-way frames shipped on the wire
-            /// (process-wide).
-            pub oneway_frames: u64,
+            $( $(#[$pdoc])* pub $pfield: u64, )+
         }
 
         impl KernelStats {
             /// Takes a consistent-enough snapshot of all counters.
             pub fn snapshot(&self) -> StatsSnapshot {
-                let (pool_hits, pool_misses) = pool::counters();
-                let (
-                    fastpath_sends,
-                    writev_wakeups,
-                    writev_frames,
-                    dispatch_pool_depth,
-                    dispatch_pool_spawned,
-                    dispatch_pool_reaped,
-                    oneway_frames,
-                ) = hotpath::counters();
+                $( let $source = $read; )+
                 StatsSnapshot {
                     $( $field: self.$field.load(Ordering::Relaxed), )+
-                    pool_hits,
-                    pool_misses,
-                    fastpath_sends,
-                    writev_wakeups,
-                    writev_frames,
-                    dispatch_pool_depth,
-                    dispatch_pool_spawned,
-                    dispatch_pool_reaped,
-                    oneway_frames,
+                    $( $pfield: $value, )+
                 }
             }
         }
 
         impl StatsSnapshot {
+            /// How many counters a snapshot holds.
+            pub const FIELDS: usize =
+                [$( stringify!($field), )+ $( stringify!($pfield), )+].len();
+
             /// Component-wise difference `self - earlier`, saturating at
             /// zero.
             pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $( $field: self.$field.saturating_sub(earlier.$field), )+
-                    pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
-                    pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
-                    fastpath_sends: self.fastpath_sends.saturating_sub(earlier.fastpath_sends),
-                    writev_wakeups: self.writev_wakeups.saturating_sub(earlier.writev_wakeups),
-                    writev_frames: self.writev_frames.saturating_sub(earlier.writev_frames),
-                    dispatch_pool_depth: self
-                        .dispatch_pool_depth
-                        .saturating_sub(earlier.dispatch_pool_depth),
-                    dispatch_pool_spawned: self
-                        .dispatch_pool_spawned
-                        .saturating_sub(earlier.dispatch_pool_spawned),
-                    dispatch_pool_reaped: self
-                        .dispatch_pool_reaped
-                        .saturating_sub(earlier.dispatch_pool_reaped),
-                    oneway_frames: self.oneway_frames.saturating_sub(earlier.oneway_frames),
+                    $( $pfield: self.$pfield.saturating_sub(earlier.$pfield), )+
                 }
+            }
+
+            /// Every counter under its field name, in declaration order:
+            /// what the stats door serialises.
+            pub fn fields(&self) -> [(&'static str, u64); Self::FIELDS] {
+                [
+                    $( (stringify!($field), self.$field), )+
+                    $( (stringify!($pfield), self.$pfield), )+
+                ]
             }
         }
     };
 }
 
 kernel_counters! {
-    /// Doors created since kernel start.
-    doors_created,
-    /// Door calls executed (including failed deliveries).
-    door_calls,
-    /// Payload bytes physically copied across domain boundaries.
-    bytes_copied,
-    /// Door calls delivered within one domain (D2) with the payload passed
-    /// through uncopied.
-    local_deliveries,
-    /// Door identifiers issued (creation, copy, and transfer each issue one).
-    ids_issued,
-    /// Door identifiers deleted.
-    ids_deleted,
-    /// Door identifiers moved between domains by message transfer.
-    ids_transferred,
-    /// Unreferenced notifications delivered to door handlers.
-    unref_notifications,
-    /// Doors revoked (explicitly or by domain crash).
-    revocations,
-    /// Times a domain door-table lock was contended (blocked on acquire).
-    table_lock_waits,
-    /// Times a door-shard lock was contended (blocked on acquire).
-    shard_lock_waits,
+    kernel {
+        /// Doors created since kernel start.
+        doors_created,
+        /// Door calls executed (including failed deliveries).
+        door_calls,
+        /// Payload bytes physically copied across domain boundaries.
+        bytes_copied,
+        /// Door calls delivered within one domain (D2) with the payload
+        /// passed through uncopied.
+        local_deliveries,
+        /// Door identifiers issued (creation, copy, and transfer each issue
+        /// one).
+        ids_issued,
+        /// Door identifiers deleted.
+        ids_deleted,
+        /// Door identifiers moved between domains by message transfer.
+        ids_transferred,
+        /// Unreferenced notifications delivered to door handlers.
+        unref_notifications,
+        /// Doors revoked (explicitly or by domain crash).
+        revocations,
+        /// Times a domain door-table lock was contended (blocked on
+        /// acquire).
+        table_lock_waits,
+        /// Times a door-shard lock was contended (blocked on acquire).
+        shard_lock_waits,
+    }
+    process(pool = pool::counters(), hot = hotpath::counters()) {
+        /// Buffer-pool hits (process-wide; the pool is per-thread, not
+        /// per-kernel, so every kernel reports the same numbers — see
+        /// [`pool::counters`]).
+        pool_hits = pool.hits,
+        /// Buffer-pool misses (process-wide, see `pool_hits`).
+        pool_misses = pool.misses,
+        /// Socket sends written inline on the caller's thread
+        /// (process-wide, see [`hotpath::counters`]).
+        fastpath_sends = hot.fastpath_sends,
+        /// Socket writer-thread wakeups that drained the queue with one
+        /// vectored write (process-wide).
+        writev_wakeups = hot.writev_wakeups,
+        /// Frames drained across all [`Self::writev_wakeups`]
+        /// (process-wide); divide by wakeups for the coalescing factor.
+        writev_frames = hot.writev_frames,
+        /// Requests currently queued in socket dispatcher pools
+        /// (process-wide gauge, not monotonic: `since` on it yields the
+        /// depth *change*, and a drained pool reports zero).
+        dispatch_pool_depth = hot.dispatch_pool_depth,
+        /// Dispatcher pool worker threads spawned on demand
+        /// (process-wide).
+        dispatch_pool_spawned = hot.dispatch_pool_spawned,
+        /// Dispatcher pool worker threads reaped after idling
+        /// (process-wide).
+        dispatch_pool_reaped = hot.dispatch_pool_reaped,
+        /// Reply-less one-way frames shipped on the wire
+        /// (process-wide).
+        oneway_frames = hot.oneway_frames,
+    }
 }
 
 #[cfg(test)]

@@ -15,20 +15,19 @@
 //! frames as it has concurrent callers, exactly like the unbatched path —
 //! batching only ever *merges* calls that would have overlapped anyway.
 //!
-//! The flush policy is driven by the kernel's pipelining hints
-//! ([`spring_kernel::batching`]): a frame keeps coalescing only while more
-//! pipelined calls are announced than are already queued, no collector has
-//! signalled urgency since the frame started forming, and the size/count/
-//! linger budgets still have room. A plain synchronous call (nothing
-//! announced) flushes immediately, so the batcher is invisible to
-//! non-pipelined traffic.
+//! The flush policy is driven by the pipelining hint each call carries
+//! ([`spring_kernel::CallCtx::company`]): a frame keeps coalescing only
+//! while fewer calls are aboard than the largest company any of them
+//! reported, and the size/count/linger budgets still have room. A plain
+//! synchronous call (company 0) flushes immediately, so the batcher is
+//! invisible to non-pipelined traffic — on this link and on every other.
 
 use std::cell::RefCell;
 use std::mem;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use spring_kernel::{batching, DoorError, Message};
+use spring_kernel::{DoorError, Message};
 
 use crate::server::WireMessage;
 
@@ -187,6 +186,9 @@ struct BatchState {
     /// The frame currently forming.
     forming: Vec<PendingEntry>,
     forming_bytes: usize,
+    /// The largest company reported by a call aboard the forming frame:
+    /// how many calls the frame is worth holding for.
+    expected: u32,
     /// Whether a leader is already collecting the forming frame. The
     /// leader takes the whole queue when it stands down, so a new leader
     /// always finds `forming` empty and its own entry lands at index 0.
@@ -197,21 +199,23 @@ struct BatchState {
 #[derive(Default)]
 pub(crate) struct LinkBatcher {
     state: Mutex<BatchState>,
-    /// Wakes the leader: new arrivals and urgency bumps notify here.
+    /// Wakes the leader: new arrivals notify here.
     arrivals: Condvar,
 }
 
 impl LinkBatcher {
     /// Queues one wire-form call and blocks until its outcome arrives.
     ///
-    /// `ship` is invoked (on the leader's thread, with no batcher lock
-    /// held) with the full frame once the flush policy fires; it must
-    /// settle every entry's slot.
+    /// `company` is the call's pipelining hint (0 for a plain call). `ship`
+    /// is invoked (on the leader's thread, with no batcher lock held) with
+    /// the full frame once the flush policy fires; it must settle every
+    /// entry's slot.
     pub fn submit(
         &self,
         export: u64,
         wire: WireMessage,
         fresh: Vec<u64>,
+        company: u32,
         budget: BatchBudget,
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
@@ -233,6 +237,7 @@ impl LinkBatcher {
             reply_fresh: Vec::new(),
         });
         state.forming_bytes += wire_len;
+        state.expected = state.expected.max(company);
 
         if let Some(slot) = waiting {
             // The leader may now have enough calls to flush.
@@ -246,13 +251,11 @@ impl LinkBatcher {
         }
 
         // Leader: linger (bounded) for pipelined company, then ship. The
-        // urgency epoch is sampled as the frame starts forming; the linger
-        // clock only once the frame actually has something to wait for, so
-        // a plain synchronous call never reads it.
+        // linger clock is read only once the frame actually has something
+        // to wait for, so a plain synchronous call never reads it.
         state.leader_present = true;
-        let urgent_at_start = batching::urgent_epoch();
         let mut started = None;
-        while !Self::should_flush(&state, budget, urgent_at_start) {
+        while !Self::should_flush(&state, budget) {
             let started = *started.get_or_insert_with(Instant::now);
             let remaining = budget.linger.saturating_sub(started.elapsed());
             if remaining.is_zero() {
@@ -267,6 +270,7 @@ impl LinkBatcher {
         let mut frame = SPARE_FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default();
         mem::swap(&mut frame, &mut state.forming);
         state.forming_bytes = 0;
+        state.expected = 0;
         state.leader_present = false;
         drop(state);
 
@@ -285,20 +289,12 @@ impl LinkBatcher {
     }
 
     /// The flush conditions that need no clock.
-    fn should_flush(state: &BatchState, budget: BatchBudget, urgent_at_start: u64) -> bool {
+    fn should_flush(state: &BatchState, budget: BatchBudget) -> bool {
         let queued = state.forming.len();
         queued >= budget.max_calls
             || state.forming_bytes >= budget.max_bytes
-            // Everything announced is already aboard (and a plain
-            // synchronous call, with nothing announced, flushes at once).
-            || queued as u64 >= batching::announced()
-            // A collector started waiting after this frame formed.
-            || batching::urgent_epoch() != urgent_at_start
-    }
-
-    /// Wakes a lingering leader so it re-evaluates the flush policy; wired
-    /// to [`spring_kernel::batching::urge`] by the owning network.
-    pub fn wake(&self) {
-        self.arrivals.notify_all();
+            // Everyone the calls aboard said was coming is aboard (and a
+            // plain synchronous call, expecting nobody, flushes at once).
+            || queued >= state.expected as usize
     }
 }

@@ -16,8 +16,9 @@ pub struct NetConfig {
     /// Maximum total payload bytes coalesced into one wire frame per link.
     pub batch_max_bytes: usize,
     /// Longest a partially-filled frame may wait for more pipelined calls.
-    /// Only frames with announced traffic outstanding ever wait at all, so
-    /// plain synchronous calls are never delayed by this budget.
+    /// Only a frame carrying a call that reports company still to come ever
+    /// waits at all, so plain synchronous calls are never delayed by this
+    /// budget.
     pub batch_linger: Duration,
     /// Whether socket sends may take the same-thread fast path (encode and
     /// write on the caller's thread when the writer queue is empty and the
@@ -138,7 +139,7 @@ mod tests {
         assert!(c.jitter.is_zero());
         assert_eq!(c.drop_prob, 0.0);
         // The batching budgets exist by default but only ever delay a call
-        // when pipelined traffic is announced.
+        // that says more are coming.
         assert!(c.batch_max_calls >= 2);
         assert!(c.batch_max_bytes > 0);
         assert!(!c.batch_linger.is_zero());

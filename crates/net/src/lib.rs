@@ -26,9 +26,9 @@
 
 //! Pipelining: concurrent forwarded calls over the same link may share one
 //! wire frame — see [`batch`](crate) internals and DESIGN.md §5.12. The
-//! batcher is policy-invisible to plain synchronous traffic: with no
-//! pipelined calls announced, every call flushes immediately in its own
-//! frame.
+//! batcher is policy-invisible to plain synchronous traffic: a call that
+//! reports no company ([`spring_kernel::CallCtx::company`] is 0) flushes
+//! immediately in its own frame, whatever else is in flight.
 
 //! Real sockets: the same door/proxy machinery runs between OS processes —
 //! see [`Transport`] for the pluggable frame-shipping boundary and

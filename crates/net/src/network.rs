@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use spring_kernel::{Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
+use spring_kernel::{CallCtx, Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{BatchBudget, LinkBatcher, PendingEntry};
@@ -198,13 +198,6 @@ impl NetworkInner {
         route
     }
 
-    /// Wakes every lingering link batcher (the urgency waker).
-    fn wake_batchers(&self) {
-        for batcher in self.batchers.read().values() {
-            batcher.wake();
-        }
-    }
-
     /// One network hop: latency, jitter, accounting, and (for invocation
     /// traffic) probabilistic loss.
     ///
@@ -241,17 +234,17 @@ impl NetworkInner {
     /// The call is queued on its link's batcher: concurrent calls over the
     /// same link that overlap in time may share one wire frame (one request
     /// hop, one reply hop), with the flush policy in [`crate::batch`]
-    /// deciding how long to wait for company. A call with no pipelined
-    /// traffic announced flushes immediately in a frame of its own, which
-    /// reproduces the unbatched path exactly — same hops, same loss rolls,
-    /// in the same order.
+    /// deciding how long to wait for the company `ctx` says is coming. A
+    /// plain call (company 0) flushes immediately in a frame of its own,
+    /// which reproduces the unbatched path exactly — same hops, same loss
+    /// rolls, in the same order.
     pub(crate) fn forward_call(
         &self,
         from: &Arc<NetServer>,
         target: WireCap,
         route: &Route,
         msg: Message,
-        one_way: bool,
+        ctx: &CallCtx,
     ) -> Result<Message, DoorError> {
         self.calls_forwarded.fetch_add(1, Ordering::Relaxed);
 
@@ -273,7 +266,7 @@ impl NetworkInner {
         let result = (|| {
             route.snap.check_link(from.node.raw(), target.origin)?;
             let (wire, fresh) = from.to_wire_tracked(msg)?;
-            if one_way {
+            if ctx.one_way {
                 // One-way calls bypass the link batcher: there is no reply
                 // to wait for, so there is nothing to coalesce against and
                 // no CallSlot to settle. The transport either hands the
@@ -299,16 +292,13 @@ impl NetworkInner {
             // An unrouted destination still ships, through the simulated
             // backend, so its "unknown node" failure is counted and traced
             // like any other frame's.
-            route.batcher.submit(
-                target.export,
-                wire,
-                fresh,
-                budget,
-                &|frame| match &route.transport {
-                    Some(transport) => transport.ship(from, frame),
-                    None => self.ship_batch(from, target.origin, None, frame),
-                },
-            )
+            let ship = |frame: &mut [PendingEntry]| match &route.transport {
+                Some(transport) => transport.ship(from, frame),
+                None => self.ship_batch(from, target.origin, None, frame),
+            };
+            route
+                .batcher
+                .submit(target.export, wire, fresh, ctx.company, budget, &ship)
         })();
         if result.is_err() {
             span.fail();
@@ -598,15 +588,12 @@ impl Node {
 /// ```
 pub struct Network {
     inner: Arc<NetworkInner>,
-    /// Keeps the urgency waker registered with the kernel alive for the
-    /// network's lifetime (the registry only holds a `Weak`).
-    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl Network {
     /// Creates an empty network with the given behaviour.
     pub fn new(config: NetConfig) -> Arc<Network> {
-        let net = Arc::new(Network {
+        Arc::new(Network {
             inner: Arc::new(NetworkInner {
                 snapshot: RwLock::new(Arc::new(Snapshot {
                     epoch: 0,
@@ -633,20 +620,7 @@ impl Network {
                 socket_bytes_received: AtomicU64::new(0),
                 socket_disconnects: AtomicU64::new(0),
             }),
-            waker: Mutex::new(None),
-        });
-        // Lingering batchers re-check their flush policy whenever a
-        // collector signals urgency. Weakly held on both sides: the network
-        // owns the closure, the kernel registry holds a Weak to it.
-        let inner = Arc::downgrade(&net.inner);
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            if let Some(inner) = inner.upgrade() {
-                inner.wake_batchers();
-            }
-        });
-        spring_kernel::batching::register_waker(&waker);
-        *net.waker.lock() = Some(waker);
-        net
+        })
     }
 
     /// Adds a machine: a fresh kernel plus its network server domain.

@@ -299,6 +299,6 @@ impl DoorHandler for ProxyHandler {
             .route(&self.route, server.node.raw(), self.target.origin);
         server
             .net
-            .forward_call(&server, self.target, &route, msg, ctx.one_way)
+            .forward_call(&server, self.target, &route, msg, ctx)
     }
 }

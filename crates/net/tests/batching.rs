@@ -8,23 +8,19 @@
 //! just the leader's), and a lost reply frame releases every reply-door
 //! export the serving node just pinned.
 //!
+//! Callers say how much company to expect on the call itself
+//! (`Domain::call_in_company`), so the tests share no state and run on
+//! parallel threads.
+//!
 //! The fault tests append their seeds to `target/pipeline-seeds.txt` so a
 //! CI failure reports exactly which RNG seeds were exercised.
 
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use spring_kernel::{batching, CallCtx, DoorError, DoorHandler, FaultRng, Message};
+use spring_kernel::{CallCtx, DoorError, DoorHandler, FaultRng, Message};
 use spring_net::{NetConfig, Network};
-
-/// The announced-call count is process-global, so tests that raise it must
-/// not overlap (a parallel test's single calls would wait out the linger).
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 struct Echo;
 
@@ -95,13 +91,12 @@ fn echo_proxy(
     (client, arrived.doors[0])
 }
 
-/// Eight threads hammer one link concurrently, each announcing itself so
-/// the batcher actually coalesces. Every call must succeed, and the
-/// batched/unbatched counters must account for every forwarded call
+/// Eight threads hammer one link concurrently, each call expecting the
+/// other seven so the batcher actually coalesces. Every call must succeed,
+/// and the batched/unbatched counters must account for every forwarded call
 /// exactly once.
 #[test]
 fn concurrent_callers_all_complete_and_are_counted_once() {
-    let _gate = gate();
     const THREADS: usize = 8;
     const CALLS_PER_THREAD: usize = 50;
 
@@ -118,24 +113,18 @@ fn concurrent_callers_all_complete_and_are_counted_once() {
     let client = Arc::new(client);
 
     let before = net.stats();
-    let start = std::sync::Barrier::new(THREADS);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let client = Arc::clone(&client);
-            let start = &start;
             s.spawn(move || {
-                // Announce one in-flight call for the thread's whole run, so
-                // leaders hold frames open for the other threads; the barrier
-                // makes every announcement visible before the first call, so
-                // early frames cannot flush as singletons just because the
-                // scheduler ran one thread's whole loop first.
-                let _announced = batching::announce_scope();
-                start.wait();
+                // Every call expects one from each thread, so leaders hold
+                // frames open for the other threads and no frame flushes as
+                // a singleton just because the scheduler ran one thread's
+                // whole loop first.
                 for i in 0..CALLS_PER_THREAD {
                     let payload = vec![t as u8, i as u8];
-                    let reply = client
-                        .call(proxy, Message::from_bytes(payload.clone()))
-                        .unwrap();
+                    let msg = Message::from_bytes(payload.clone());
+                    let reply = client.call_in_company(proxy, msg, THREADS as u32).unwrap();
                     assert_eq!(reply.bytes, payload, "echo must round-trip per call");
                 }
             });
@@ -152,7 +141,7 @@ fn concurrent_callers_all_complete_and_are_counted_once() {
     );
     assert!(
         delta.calls_batched > 0,
-        "eight announced concurrent callers must share at least one frame",
+        "eight concurrent callers expecting each other must share at least one frame",
     );
     assert!(
         delta.batch_flushes < total,
@@ -161,20 +150,19 @@ fn concurrent_callers_all_complete_and_are_counted_once() {
 }
 
 /// A settler notifies a slot's condvar only when its waiter is parked. With
-/// every caller announced, each frame waits for all of them: one leads, the
-/// rest push their entry and then park — or find the outcome already there,
-/// when the leader shipped in between. Both orders occur over a thousand
-/// frames, and a wake-up lost in either would hang its caller for good, so
-/// the callers run detached under a watchdog.
+/// every call expecting all callers, each frame waits for all of them: one
+/// leads, the rest push their entry and then park — or find the outcome
+/// already there, when the leader shipped in between. Both orders occur over
+/// a thousand frames, and a wake-up lost in either would hang its caller for
+/// good, so the callers run detached under a watchdog.
 #[test]
 fn parked_followers_are_always_woken() {
-    let _gate = gate();
     const THREADS: usize = 4;
     const ROUNDS: usize = 1_000;
 
     let net = Network::new(NetConfig {
         // Far above the test's runtime: frames flush because everyone
-        // announced is aboard, never because time passed.
+        // expected is aboard, never because time passed.
         batch_linger: Duration::from_secs(30),
         ..NetConfig::default()
     });
@@ -184,16 +172,14 @@ fn parked_followers_are_always_woken() {
     let client = Arc::new(client);
 
     let before = net.stats();
-    let start = Arc::new(std::sync::Barrier::new(THREADS));
     let (done, finished) = std::sync::mpsc::channel();
     for t in 0..THREADS {
-        let (client, start, done) = (Arc::clone(&client), Arc::clone(&start), done.clone());
+        let (client, done) = (Arc::clone(&client), done.clone());
         std::thread::spawn(move || {
-            let _announced = batching::announce_scope();
-            start.wait();
             for i in 0..ROUNDS {
                 let payload = vec![t as u8, i as u8];
-                let reply = client.call(proxy, Message::from_bytes(payload.clone()));
+                let msg = Message::from_bytes(payload.clone());
+                let reply = client.call_in_company(proxy, msg, THREADS as u32);
                 assert_eq!(reply.unwrap().bytes, payload);
             }
             done.send(()).unwrap();
@@ -217,12 +203,11 @@ fn parked_followers_are_always_woken() {
 /// `lost_call_attempts_do_not_pin_argument_exports`.
 #[test]
 fn lost_request_frame_releases_every_callers_exports() {
-    let _gate = gate();
     const CALLERS: usize = 6;
 
     let net = Network::new(NetConfig {
         // A linger far above the test's runtime: the frame must flush
-        // because all announced calls arrived, not because time passed.
+        // because all expected calls arrived, not because time passed.
         batch_linger: Duration::from_secs(5),
         ..NetConfig::default()
     });
@@ -238,11 +223,8 @@ fn lost_request_frame_releases_every_callers_exports() {
         ..NetConfig::default()
     });
 
-    // Announce all callers up front so the leader holds the frame open
+    // Every call expects all callers, so the leader holds the frame open
     // until every one of them is aboard — one frame, one loss, six losers.
-    for _ in 0..CALLERS {
-        batching::announce();
-    }
     std::thread::scope(|s| {
         for _ in 0..CALLERS {
             let client = Arc::clone(&client);
@@ -255,16 +237,14 @@ fn lost_request_frame_releases_every_callers_exports() {
                     doors: vec![arg],
                     ..Message::default()
                 };
-                match client.call(proxy, msg).unwrap_err() {
+                let lost = client.call_in_company(proxy, msg, CALLERS as u32);
+                match lost.unwrap_err() {
                     DoorError::Comm(why) => assert!(why.contains("lost"), "{why}"),
                     other => panic!("expected loss, got {other:?}"),
                 }
             });
         }
     });
-    for _ in 0..CALLERS {
-        batching::retract();
-    }
 
     net.set_config(NetConfig::default());
     assert_eq!(
@@ -279,7 +259,6 @@ fn lost_request_frame_releases_every_callers_exports() {
 /// the RNG once per frame per direction, request first.
 #[test]
 fn lost_reply_frame_releases_every_reply_export() {
-    let _gate = gate();
     const CALLERS: usize = 4;
     const DROP: f64 = 0.5;
 
@@ -311,9 +290,6 @@ fn lost_reply_frame_releases_every_reply_export() {
         ..NetConfig::default()
     });
 
-    for _ in 0..CALLERS {
-        batching::announce();
-    }
     std::thread::scope(|s| {
         for _ in 0..CALLERS {
             let client = Arc::clone(&client);
@@ -321,13 +297,11 @@ fn lost_reply_frame_releases_every_reply_export() {
                 // The handler executes and mints a reply door; the reply
                 // frame is then dropped, so the call fails and the serving
                 // node must unpin (and thereby destroy) the minted door.
-                assert!(client.call(proxy, Message::new()).is_err());
+                let lost = client.call_in_company(proxy, Message::new(), CALLERS as u32);
+                assert!(lost.is_err());
             });
         }
     });
-    for _ in 0..CALLERS {
-        batching::retract();
-    }
 
     net.set_config(NetConfig::default());
     assert_eq!(
@@ -354,7 +328,6 @@ impl DoorHandler for Picky {
 /// call aboard fails only that call; its seatmates land normally.
 #[test]
 fn one_bad_call_does_not_fail_its_seatmates() {
-    let _gate = gate();
     const GOOD: usize = 3;
 
     let net = Network::new(NetConfig {
@@ -366,20 +339,20 @@ fn one_bad_call_does_not_fail_its_seatmates() {
     let (client, proxy) = echo_proxy(&net, &b, &a, Arc::new(Picky));
     let client = Arc::new(client);
 
-    // All four callers announced: they ride one frame together.
-    for _ in 0..GOOD + 1 {
-        batching::announce();
-    }
+    // All four calls expect four: they ride one frame together.
+    const COMPANY: u32 = GOOD as u32 + 1;
     let good_results: Vec<bool> = std::thread::scope(|s| {
         let bad = {
             let client = Arc::clone(&client);
-            s.spawn(move || client.call(proxy, Message::from_bytes(vec![0xFF])).is_err())
+            let poisoned = Message::from_bytes(vec![0xFF]);
+            s.spawn(move || client.call_in_company(proxy, poisoned, COMPANY).is_err())
         };
         let goods: Vec<_> = (0..GOOD)
             .map(|i| {
                 let client = Arc::clone(&client);
                 s.spawn(move || {
-                    let reply = client.call(proxy, Message::from_bytes(vec![i as u8]));
+                    let msg = Message::from_bytes(vec![i as u8]);
+                    let reply = client.call_in_company(proxy, msg, COMPANY);
                     reply.is_ok_and(|r| r.bytes == vec![i as u8])
                 })
             })
@@ -387,11 +360,76 @@ fn one_bad_call_does_not_fail_its_seatmates() {
         assert!(bad.join().unwrap(), "the poisoned call must fail");
         goods.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for _ in 0..GOOD + 1 {
-        batching::retract();
-    }
     assert!(
         good_results.iter().all(|&ok| ok),
         "calls sharing a frame with a failing one must still succeed: {good_results:?}",
     );
+}
+
+/// Polls until `net` has forwarded `calls` since `before`; panics after ten
+/// seconds.
+fn await_forwarded(net: &Network, before: &spring_net::NetStatsSnapshot, calls: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while net.stats().since(before).calls_forwarded < calls {
+        assert!(Instant::now() < deadline, "call {calls} never forwarded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A plain call (company 0) that joins a forming frame rides along: it does
+/// not flush the frame early and does not change how many calls the frame
+/// waits for. And what a frame waited for is forgotten once it is taken:
+/// the next plain call on the link leaves at once, alone.
+#[test]
+fn plain_call_rides_a_forming_frame_without_steering_it() {
+    // How long a call that has entered the network layer is given to reach
+    // its link's queue before the test looks for what it did there.
+    const SETTLE: Duration = Duration::from_millis(100);
+
+    let net = Network::new(NetConfig {
+        // Far above the test's runtime: nothing here flushes on time.
+        batch_linger: Duration::from_secs(30),
+        ..NetConfig::default()
+    });
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let (client, proxy) = echo_proxy(&net, &b, &a, Arc::new(Echo));
+
+    let before = net.stats();
+    std::thread::scope(|s| {
+        // The leader expects three calls aboard, itself included.
+        let leader = s.spawn(|| client.call_in_company(proxy, Message::from_bytes(vec![1]), 3));
+        await_forwarded(&net, &before, 1);
+        std::thread::sleep(SETTLE);
+
+        // The plain call joins: two aboard, three expected, nothing leaves.
+        let plain = s.spawn(|| client.call(proxy, Message::from_bytes(vec![2])));
+        await_forwarded(&net, &before, 2);
+        std::thread::sleep(SETTLE);
+        assert_eq!(
+            net.stats().since(&before).batch_flushes,
+            0,
+            "a plain call must neither flush a forming frame nor leave ahead of it",
+        );
+
+        // The third call completes the company the leader reported.
+        let third = client.call_in_company(proxy, Message::from_bytes(vec![3]), 1);
+        assert_eq!(third.unwrap().bytes, [3]);
+        assert_eq!(leader.join().unwrap().unwrap().bytes, [1]);
+        assert_eq!(plain.join().unwrap().unwrap().bytes, [2]);
+    });
+    let framed = net.stats();
+    let shared = framed.since(&before);
+    assert_eq!((shared.batch_flushes, shared.calls_batched), (1, 3));
+
+    // The frame is gone and so is its expectation of three.
+    let asked = Instant::now();
+    client.call(proxy, Message::from_bytes(vec![4])).unwrap();
+    assert!(
+        asked.elapsed() < Duration::from_secs(5),
+        "a plain call after a pipelined frame lingered {:?}",
+        asked.elapsed(),
+    );
+    let alone = net.stats().since(&framed);
+    assert_eq!((alone.batch_flushes, alone.calls_unbatched), (1, 1));
 }

@@ -87,34 +87,12 @@ impl Dispatch for StatsServant {
     ) -> Result<()> {
         match op {
             x if x == OP_KERNEL_STATS => {
-                let s = self.kernel.stats();
-                let pairs: &[(&str, u64)] = &[
-                    ("doors_created", s.doors_created),
-                    ("door_calls", s.door_calls),
-                    ("bytes_copied", s.bytes_copied),
-                    ("local_deliveries", s.local_deliveries),
-                    ("ids_issued", s.ids_issued),
-                    ("ids_deleted", s.ids_deleted),
-                    ("ids_transferred", s.ids_transferred),
-                    ("unref_notifications", s.unref_notifications),
-                    ("revocations", s.revocations),
-                    ("table_lock_waits", s.table_lock_waits),
-                    ("shard_lock_waits", s.shard_lock_waits),
-                    ("pool_hits", s.pool_hits),
-                    ("pool_misses", s.pool_misses),
-                    ("fastpath_sends", s.fastpath_sends),
-                    ("writev_wakeups", s.writev_wakeups),
-                    ("writev_frames", s.writev_frames),
-                    ("dispatch_pool_depth", s.dispatch_pool_depth),
-                    ("dispatch_pool_spawned", s.dispatch_pool_spawned),
-                    ("dispatch_pool_reaped", s.dispatch_pool_reaped),
-                    ("oneway_frames", s.oneway_frames),
-                ];
+                let pairs = self.kernel.stats().fields();
                 encode_ok(reply);
                 reply.put_u32(pairs.len() as u32);
                 for (name, value) in pairs {
                     reply.put_string(name);
-                    reply.put_u64(*value);
+                    reply.put_u64(value);
                 }
                 Ok(())
             }

@@ -47,8 +47,35 @@ fn stats_door_reports_live_counters_across_the_net() {
     }
 
     // Counter names travel with the values, so the reader needs no shared
-    // struct layout with the server.
+    // struct layout with the server. The names are the `StatsSnapshot`
+    // field names, and readers (the repo benchmark is one) match on them.
     let counters = stats.kernel_stats().unwrap();
+    let names: Vec<&str> = counters.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "doors_created",
+            "door_calls",
+            "bytes_copied",
+            "local_deliveries",
+            "ids_issued",
+            "ids_deleted",
+            "ids_transferred",
+            "unref_notifications",
+            "revocations",
+            "table_lock_waits",
+            "shard_lock_waits",
+            "pool_hits",
+            "pool_misses",
+            "fastpath_sends",
+            "writev_wakeups",
+            "writev_frames",
+            "dispatch_pool_depth",
+            "dispatch_pool_spawned",
+            "dispatch_pool_reaped",
+            "oneway_frames",
+        ]
+    );
     let get = |name: &str| {
         counters
             .iter()

@@ -7,10 +7,11 @@
 //! marshalled header — but besides the usual synchronous
 //! [`Subcontract::invoke`] it offers [`Pipeline::invoke_async`], which
 //! returns a [`Promise`] immediately. One thread can therefore issue N
-//! calls before collecting any reply, and the network layer (which learns
-//! about the outstanding calls through [`spring_kernel::batching`]
-//! announcements) coalesces the overlapping calls into shared wire frames:
-//! N latency-bound round trips collapse toward one.
+//! calls before collecting any reply, and the network layer (which each
+//! call tells how many more are behind it, through
+//! [`spring_kernel::CallCtx::company`]) coalesces the overlapping calls
+//! into shared wire frames: N latency-bound round trips collapse toward
+//! one.
 //!
 //! Retries ride the same at-most-once machinery as `Reconnectable`: every
 //! attempt of one logical call shares a [`spring_kernel::CallId`] nonce and
@@ -18,12 +19,12 @@
 //! flight, and exactly-once-for-success semantics survive pipelining.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{batching, Domain, DoorError, DoorId, Message};
+use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::TraceCtx;
 use subcontract::{
     get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
@@ -34,14 +35,60 @@ use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
 
-/// Client representation: one kernel door identifier plus the retry policy
-/// the unmarshalling domain's registered instance carried. The policy is
-/// machine-local — it never travels on the wire, so each client retries on
-/// its own terms.
+/// Client representation: one kernel door identifier, the retry policy the
+/// unmarshalling domain's registered instance carried, and the count of
+/// calls [`Pipeline::invoke_async`] has issued on this object that no
+/// attempt has yet carried into the door. Policy and count are
+/// machine-local — they never travel on the wire, so each client retries
+/// on its own terms and counts only its own calls.
 #[derive(Debug)]
 struct PipelineRepr {
     door: DoorId,
     policy: RetryPolicy,
+    unsent: Arc<AtomicU32>,
+}
+
+impl PipelineRepr {
+    /// The representation of a new object: nothing issued on it yet.
+    fn fresh(door: DoorId, policy: RetryPolicy) -> Repr {
+        Repr::new(PipelineRepr {
+            door,
+            policy,
+            unsent: Arc::default(),
+        })
+    }
+}
+
+/// One call's view of its object's unsent count, from which each attempt
+/// derives the company it reports to the door. An asynchronous call is
+/// itself counted from issue until its first attempt; giving the count back
+/// is drop-guarded, so a job that dies before attempting cannot leave the
+/// transport waiting for a call that will never come.
+struct Company {
+    unsent: Arc<AtomicU32>,
+    counted: bool,
+}
+
+impl Company {
+    /// The calls, this one included, issued toward the door and not yet
+    /// handed to it. The count is a hint that publishes no data, hence
+    /// `Relaxed`.
+    fn of_attempt(&mut self) -> u32 {
+        self.uncount()
+            .unwrap_or_else(|| self.unsent.load(Ordering::Relaxed) + 1)
+    }
+
+    /// Gives a counted call's unit back, returning the count that still
+    /// included it.
+    fn uncount(&mut self) -> Option<u32> {
+        std::mem::take(&mut self.counted).then(|| self.unsent.fetch_sub(1, Ordering::Relaxed))
+    }
+}
+
+impl Drop for Company {
+    fn drop(&mut self) {
+        self.uncount();
+    }
 }
 
 /// The pipeline subcontract (client and server side).
@@ -76,20 +123,20 @@ impl Pipeline {
         });
         let door = ctx.domain().create_door(handler)?;
         let sc = ctx.lookup_subcontract(Self::ID)?;
-        let policy = RetryPolicy::default();
         Ok(SpringObj::assemble(
             ctx.clone(),
             type_info,
             sc,
-            Repr::new(PipelineRepr { door, policy }),
+            PipelineRepr::fresh(door, RetryPolicy::default()),
         ))
     }
 
     /// Issues a marshalled call asynchronously and returns a [`Promise`]
     /// for the reply. The calling thread does not block: the invocation
     /// (including its whole retry loop) runs on a shared worker pool, and
-    /// the outstanding call is announced to the transport so overlapping
-    /// pipelined calls can share wire frames.
+    /// each call tells the transport how many issued on this object are
+    /// still behind it, so overlapping pipelined calls can share wire
+    /// frames.
     ///
     /// The object must stay alive until its promises resolve: consuming it
     /// deletes the door the in-flight attempts call through.
@@ -107,14 +154,14 @@ impl Pipeline {
         let msg = call.into_message();
         let promise = Promise::new();
         let inner = promise.inner.clone();
-        // Announced for the call's full lifetime — queue wait, attempts,
-        // and backoff sleeps included — so the transport knows pipelined
-        // traffic is outstanding. The guard retracts even if the job dies.
-        let announced = batching::announce_scope();
+        repr.unsent.fetch_add(1, Ordering::Relaxed);
+        let company = Company {
+            unsent: repr.unsent.clone(),
+            counted: true,
+        };
         spawn_job(Box::new(move || {
-            let _announced = announced;
             let settle = SettleOnDrop(inner);
-            let outcome = attempt_loop(&domain, door, policy, parent, msg);
+            let outcome = attempt_loop(&domain, door, policy, parent, msg, company);
             settle.0.fulfill(outcome);
         }));
         Ok(promise)
@@ -133,16 +180,16 @@ impl Subcontract for Pipeline {
     fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
         let repr = obj.repr().downcast::<PipelineRepr>(self.name())?;
         let domain = obj.ctx().domain();
-        // A synchronous pipeline call announces itself too: two threads
-        // invoking concurrently over one link coalesce just like the
-        // async form.
-        let _announced = batching::announce_scope();
         attempt_loop(
             domain,
             repr.door,
             repr.policy,
             spring_trace::current(),
             call.into_message(),
+            Company {
+                unsent: repr.unsent.clone(),
+                counted: false,
+            },
         )
         .map(CommBuffer::from_message)
     }
@@ -170,20 +217,14 @@ impl Subcontract for Pipeline {
             wire_name,
             actual,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(PipelineRepr {
-                door,
-                policy: self.policy,
-            }),
+            PipelineRepr::fresh(door, self.policy),
         ))
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
         let repr = obj.repr().downcast::<PipelineRepr>(self.name())?;
         let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(PipelineRepr {
-            door,
-            policy: repr.policy,
-        })))
+        Ok(obj.assemble_like(PipelineRepr::fresh(door, repr.policy)))
     }
 
     fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
@@ -196,13 +237,15 @@ impl Subcontract for Pipeline {
 /// One logical call: at-most-once retries sharing a nonce and deadline,
 /// with one "pipeline.attempt" span per attempt parented under the caller's
 /// span at issue time (the issuing thread's context does not exist on the
-/// worker thread, so it travels here explicitly).
+/// worker thread, so it travels here explicitly). Every attempt carries
+/// its company into the door.
 fn attempt_loop(
     domain: &Domain,
     door: DoorId,
     policy: RetryPolicy,
     parent: TraceCtx,
     msg: Message,
+    mut company: Company,
 ) -> Result<Message> {
     let (bytes, arg_doors, trace) = (msg.bytes, msg.doors, msg.trace);
     let mut inv = Invocation::begin(policy);
@@ -219,7 +262,7 @@ fn attempt_loop(
             domain.trace_scope(),
             inv.attempt() as u64,
         );
-        let outcome = domain.call(door, attempt);
+        let outcome = domain.call_in_company(door, attempt, company.of_attempt());
         if outcome.is_err() {
             attempt_span.fail();
         }
@@ -236,9 +279,7 @@ fn attempt_loop(
 ///
 /// Completion can be observed three ways: poll [`Promise::is_complete`],
 /// register an [`Promise::on_ready`] callback, or block in
-/// [`Promise::wait`]. A waiting collector periodically signals
-/// [`batching::urge`] so the transport flushes any frame the awaited call
-/// may be lingering in.
+/// [`Promise::wait`].
 pub struct Promise {
     inner: Arc<PromiseInner>,
 }
@@ -316,29 +357,13 @@ impl Promise {
     }
 
     /// Blocks until the outcome arrives and returns the reply buffer.
-    ///
-    /// While waiting, periodically signals [`batching::urge`]: once a
-    /// collector is blocked, coalescing further trades real latency for
-    /// hypothetical wins, so lingering frames should flush now.
     pub fn wait(self) -> Result<CommBuffer> {
+        let mut state = self.inner.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            {
-                let mut state = self.inner.state.lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(outcome) = state.outcome.take() {
-                    return outcome.map(CommBuffer::from_message);
-                }
-                let (relocked, _) = self
-                    .inner
-                    .cv
-                    .wait_timeout(state, Duration::from_micros(200))
-                    .unwrap_or_else(|p| p.into_inner());
-                state = relocked;
-                if let Some(outcome) = state.outcome.take() {
-                    return outcome.map(CommBuffer::from_message);
-                }
+            if let Some(outcome) = state.outcome.take() {
+                return outcome.map(CommBuffer::from_message);
             }
-            // Still pending after the grace period: flush on our behalf.
-            batching::urge();
+            state = self.inner.cv.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 }

@@ -24,8 +24,8 @@ use spring_subcontracts::priority::Priority;
 use spring_subcontracts::stream::Stream;
 use spring_subcontracts::txn::Txn;
 use spring_subcontracts::{
-    CacheManager, Caching, ClusterServer, Reconnectable, ReplicaGroup, RepliconServer, Shmem,
-    Simplex, Singleton,
+    CacheManager, Caching, ClusterServer, Pipeline, Reconnectable, ReplicaGroup, RepliconServer,
+    Shmem, Simplex, Singleton,
 };
 use subcontract::{
     op_hash, unmarshal_object, Dispatch, DomainCtx, ServerCtx, ServerSubcontract, SpringError,
@@ -124,6 +124,11 @@ fn subjects_serving(
     add(
         "reconnectable",
         Reconnectable::export(&server, servant(), "svc/x").unwrap(),
+        vec![],
+    );
+    add(
+        "pipeline",
+        Pipeline::export(&server, servant()).unwrap(),
         vec![],
     );
     add(
@@ -439,7 +444,7 @@ fn every_server_door_rejects_a_broken_control_region_without_panicking() {
     for s in subjects {
         // Subjects whose requests start with the bare operation number:
         // cutting those short is the skeleton's business (an in-band error).
-        let no_control = ["singleton", "caching", "reconnectable"].contains(&s.name);
+        let no_control = ["singleton", "caching", "reconnectable", "pipeline"].contains(&s.name);
         let (ctx, wire) = disassemble(s.obj);
         for len in [0usize, 1, 3, 7, 13, 40] {
             let junk = Message::from_bytes(vec![0xFF; len]);

@@ -1,15 +1,17 @@
 //! Cross-machine behaviour under fault injection: caching wins, replicon
-//! failover over partitions, and reconnection through the real name service.
+//! failover over partitions, reconnection through the real name service,
+//! and pipelined traffic that steers no link but its own.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use spring::core::{ship_object, DomainCtx};
-use spring::kernel::Kernel;
+use spring::buf::CommBuffer;
+use spring::core::{encode_ok, ship_object, Dispatch, DomainCtx, ServerCtx, TypeInfo, OBJECT_TYPE};
+use spring::kernel::{CallCtx, Kernel, Message};
 use spring::naming::{NameClient, NameServer, NAMING_CONTEXT_TYPE};
 use spring::net::{NetConfig, Network};
 use spring::services::{file_cache_manager, fs, FileServer, ReplicatedFileGroup};
-use spring::subcontracts::{register_standard, Reconnectable, RetryPolicy};
+use spring::subcontracts::{register_standard, Pipeline, Reconnectable, RetryPolicy};
 
 fn ctx_on(kernel: &Kernel, name: &str) -> Arc<DomainCtx> {
     let ctx = DomainCtx::new(kernel.create_domain(name));
@@ -265,4 +267,136 @@ fn reconnect_through_real_naming_across_machines() {
 
     // The client's next call reconnects across the network.
     assert_eq!(f.read(0, 10).unwrap(), b"persistent");
+}
+
+/// Holds every call until the test opens the gate, counting those inside.
+#[derive(Default)]
+struct Parking {
+    /// (calls inside, gate open)
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+}
+
+impl Parking {
+    /// Blocks until `calls` are parked inside; panics after twenty seconds.
+    fn await_parked(&self, calls: usize) {
+        let state = self.state.lock().unwrap();
+        let (state, timeout) = self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(20), |s| s.0 < calls)
+            .unwrap();
+        assert!(!timeout.timed_out(), "{} of {calls} calls parked", state.0);
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Dispatch for Parking {
+    fn type_info(&self) -> &'static TypeInfo {
+        &OBJECT_TYPE
+    }
+
+    fn dispatch(
+        &self,
+        _sctx: &ServerCtx,
+        _op: u32,
+        _args: &mut CommBuffer,
+        reply: &mut CommBuffer,
+    ) -> spring::core::Result<()> {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        self.changed.notify_all();
+        let _open = self.changed.wait_while(state, |s| !s.1).unwrap();
+        encode_ok(reply);
+        Ok(())
+    }
+}
+
+/// Pipelined calls outstanding on one link are that link's business alone.
+/// With two `invoke_async` calls held in a servant, a plain call on another
+/// link of the same network, and one on a different network altogether,
+/// leave at once in frames of their own — although both networks would let
+/// a frame that expects company linger five seconds.
+#[test]
+fn pipelined_calls_in_flight_delay_no_plain_call_elsewhere() {
+    fn slow() -> NetConfig {
+        NetConfig {
+            batch_linger: Duration::from_secs(5),
+            ..NetConfig::default()
+        }
+    }
+    /// Makes one plain call from a fresh domain on `client` to an echo door
+    /// served on `server` and checks it left at once, in a frame of its own.
+    fn assert_plain_call_is_prompt_and_alone(
+        net: &Network,
+        server: &spring::net::Node,
+        client: &spring::net::Node,
+        on: &str,
+    ) {
+        let serving = server.kernel().create_domain("echo");
+        let calling = client.kernel().create_domain("plain-caller");
+        let door = serving
+            .create_door(Arc::new(|_: &CallCtx, msg: Message| Ok(msg)))
+            .unwrap();
+        let shipped = Message {
+            doors: vec![door],
+            ..Message::default()
+        };
+        let proxy = net.ship_message(&serving, &calling, shipped).unwrap().doors[0];
+
+        let before = net.stats();
+        let asked = Instant::now();
+        calling.call(proxy, Message::new()).unwrap();
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a plain call on {on} waited {took:?} for pipelined traffic that is not its own",
+        );
+        let delta = net.stats().since(&before);
+        assert_eq!(
+            (delta.calls_unbatched, delta.calls_batched),
+            (1, 0),
+            "the plain call on {on} rides a frame of its own",
+        );
+    }
+
+    let busy = Network::new(slow());
+    let server_node = busy.add_node("server");
+    let client_node = busy.add_node("client");
+    let bystander_node = busy.add_node("bystander");
+    let server_ctx = ctx_on(server_node.kernel(), "parking");
+    let client_ctx = ctx_on(client_node.kernel(), "pipeliner");
+
+    let parking = Arc::new(Parking::default());
+    let obj = Pipeline::export(&server_ctx, parking.clone()).unwrap();
+    let client_obj = ship_object(&*busy, obj, &client_ctx, &OBJECT_TYPE).unwrap();
+    // One at a time, so each call rides its own frame: the simulated
+    // transport runs a frame's calls one after the other and the servant
+    // would never see the second of two that shared one.
+    let promises: Vec<_> = (1..=2)
+        .map(|parked| {
+            let call = client_obj.start_call(1).unwrap();
+            let promise = Pipeline::invoke_async(&client_obj, call).unwrap();
+            parking.await_parked(parked);
+            promise
+        })
+        .collect();
+
+    assert_plain_call_is_prompt_and_alone(
+        &busy,
+        &bystander_node,
+        &client_node,
+        "a second link of the pipelining network",
+    );
+    let quiet = Network::new(slow());
+    let (a, b) = (quiet.add_node("a"), quiet.add_node("b"));
+    assert_plain_call_is_prompt_and_alone(&quiet, &b, &a, "a second network");
+
+    parking.open();
+    for promise in promises {
+        promise.wait().unwrap();
+    }
 }

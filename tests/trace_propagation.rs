@@ -338,8 +338,9 @@ fn pipelined_burst_spans_parent_under_the_issuing_span() {
     const CALLS: usize = 4;
 
     let net = Network::new(NetConfig {
-        // Generous linger so the burst coalesces; flushing still happens on
-        // the announced-count trigger, not by waiting this out.
+        // Generous linger so the burst coalesces; flushing still happens
+        // when the company the calls report is aboard, not by waiting this
+        // out.
         batch_linger: Duration::from_millis(20),
         ..NetConfig::default()
     });
