@@ -32,8 +32,9 @@
 //!   no-shed (lower is better). Guards the tail-latency win itself.
 //! * `e16`: Unix-domain-socket null-call ns ÷ simulated-backend null-call
 //!   ns, both measured in the same run (lower is better). Guards the
-//!   socket transport's per-call overhead — framing, writer-thread
-//!   handoff, reply matching — against the in-process floor.
+//!   socket transport's per-call overhead — framing, two socket
+//!   crossings, the serving thread's wake-up — against the in-process
+//!   floor.
 //! * `e17`: worst frames-per-publish-per-link across the fan-out sweep
 //!   (lower is better; 1.0 is perfect). Guards pub/sub frame coalescing —
 //!   if a publish ever costs one frame per *subscriber* instead of one

@@ -143,10 +143,6 @@ struct Args {
     addr: Addr,
     calls: u64,
     kill: bool,
-    /// Disable the same-thread send fast path (DESIGN.md §5.15), forcing
-    /// every frame through the writer thread — for A/B runs proving the
-    /// fast path changes no observable semantics.
-    no_fastpath: bool,
 }
 
 fn parse_args() -> Args {
@@ -175,19 +171,11 @@ fn parse_args() -> Args {
         addr,
         calls: flag("--calls").and_then(|v| v.parse().ok()).unwrap_or(1000),
         kill: argv.iter().any(|a| a == "--kill"),
-        no_fastpath: argv.iter().any(|a| a == "--no-fastpath"),
-    }
-}
-
-fn net_config(args: &Args) -> NetConfig {
-    NetConfig {
-        socket_fastpath: !args.no_fastpath,
-        ..NetConfig::default()
     }
 }
 
 fn serve(args: Args) -> ! {
-    let net = Network::new(net_config(&args));
+    let net = Network::new(NetConfig::default());
     let node = net.add_node_with_id("peer-serve", args.node);
     let domain = node.kernel().create_domain("servants");
     let servant = Arc::new(PeerServant {
@@ -254,7 +242,7 @@ fn expect_u64(reply: &Message, what: &str) -> u64 {
 }
 
 fn drive(args: Args) {
-    let net = Network::new(net_config(&args));
+    let net = Network::new(NetConfig::default());
     let node = net.add_node_with_id("peer-drive", args.node);
     let domain = node.kernel().create_domain("app");
     let peer = connect(&net, node.id(), &args.addr);
@@ -404,18 +392,14 @@ fn drive(args: Args) {
     }
 
     let stats = net.socket_stats();
-    // Process-wide hot-path counters: with the fast path enabled the
-    // uncontended sequential calls must have taken it; disabled, not one
-    // send may bypass the writer thread.
+    // Process-wide hot-path counter against this process's one network:
+    // every frame sent was written by the thread that produced it.
     let k = node.kernel().stats();
-    if args.no_fastpath && k.fastpath_sends != 0 {
+    if k.fastpath_sends != stats.frames_sent {
         fail(&format!(
-            "fastpath disabled but {} sends took it",
-            k.fastpath_sends
+            "{} frames sent but {} written by their own thread",
+            stats.frames_sent, k.fastpath_sends
         ));
-    }
-    if !args.no_fastpath && k.fastpath_sends == 0 {
-        fail("fastpath enabled but no send ever took it");
     }
     println!(
         "drive: ok — {} calls ({sequential} sequential + {threads}x{per_thread} burst), \

@@ -245,11 +245,9 @@ fn kernel_counters_json(delta: &spring_kernel::StatsSnapshot) -> Json {
         ("shard_lock_waits", Json::from(delta.shard_lock_waits)),
         ("pool_hits", Json::from(delta.pool_hits)),
         ("pool_misses", Json::from(delta.pool_misses)),
-        // Socket hot-path counters (zero on sim-only runs).
+        // Socket hot-path counters (zero on sim-only runs): frames
+        // written, serving threads started/ended, one-way frames.
         ("fastpath_sends", Json::from(delta.fastpath_sends)),
-        ("writev_wakeups", Json::from(delta.writev_wakeups)),
-        ("writev_frames", Json::from(delta.writev_frames)),
-        ("dispatch_pool_depth", Json::from(delta.dispatch_pool_depth)),
         (
             "dispatch_pool_spawned",
             Json::from(delta.dispatch_pool_spawned),
@@ -1651,9 +1649,10 @@ fn e16_measure(
         let r = domain.call(door, Message::from_bytes(vec![0])).unwrap();
         assert_eq!(r.bytes, [0]);
     });
-    // Burst methodology: one untimed warmup burst primes the dispatcher
-    // pool, export tables, and the RTT estimate behind the spin-then-park
-    // reply wait, then the fastest of `rounds` timed bursts is reported —
+    // Burst methodology: one untimed warmup burst opens the link's call
+    // sockets (one per caller in flight, each with its serving thread) and
+    // primes the export tables, then the fastest of `rounds` timed bursts is
+    // reported —
     // the same min-over-batches discipline as the null arm, so a single
     // scheduler hiccup can't dominate the figure.
     let burst = || {

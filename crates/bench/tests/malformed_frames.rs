@@ -184,11 +184,18 @@ fn seeded_mutation_sweep_never_panics_and_errors_are_typed() {
 const SOCKET_SEEDS: [u64; 4] = [1, 2, 3, 5];
 const SOCKET_MUTATIONS: usize = 48;
 
-/// Wire layout constants mirrored from the transport codec (DESIGN.md
-/// §5.15): `[kind=2][u64 frame id][u32 ncalls]` then per call
-/// `[u64 export][20B call id][16B trace][u32 ncaps][caps][u32 nbytes][payload]`.
-fn encode_raw_request(frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
-    let mut p = vec![2u8];
+/// Frame kinds of the transport codec (DESIGN.md §5.15).
+const KIND_HELLO: u8 = 1;
+const KIND_REQUEST: u8 = 2;
+const KIND_REPLY: u8 = 3;
+const KIND_ONEWAY: u8 = 4;
+
+/// Wire layout mirrored from the transport codec: `[kind][u64 frame
+/// id][u32 ncalls]` then per call `[u64 export][20B call id][16B
+/// trace][u32 ncaps][caps][u32 nbytes][payload]` — the same under
+/// `KIND_REQUEST` and `KIND_ONEWAY`.
+fn encode_raw_call(kind: u8, frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
+    let mut p = vec![kind];
     p.extend_from_slice(&frame_id.to_le_bytes());
     p.extend_from_slice(&1u32.to_le_bytes());
     p.extend_from_slice(&export.to_le_bytes());
@@ -200,41 +207,144 @@ fn encode_raw_request(frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
     p
 }
 
+/// A dialer's HELLO: `[kind=1][u64 node][u8 has_boot][u64 boot][u8
+/// role][u64 generation][u16 name_len][name]`, advertising no bootstrap and
+/// an empty name. Role 0: the dialer calls on the socket.
+fn encode_raw_hello(node: u64, role: u8, generation: u64) -> Vec<u8> {
+    let mut p = vec![KIND_HELLO];
+    p.extend_from_slice(&node.to_le_bytes());
+    p.push(0);
+    p.extend_from_slice(&0u64.to_le_bytes());
+    p.push(role);
+    p.extend_from_slice(&generation.to_le_bytes());
+    p.extend_from_slice(&0u16.to_le_bytes());
+    p
+}
+
+/// Offset of the role byte in a HELLO.
+const HELLO_ROLE_AT: usize = 18;
+
 fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on clean EOF.
+fn write_raw_frame(s: &mut TcpStream, payload: &[u8]) -> bool {
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, payload);
+    s.write_all(&bytes).is_ok() && s.flush().is_ok()
+}
+
+/// Reads one length-prefixed frame; `Ok(None)` when the peer tore the
+/// connection down (clean EOF, or a reset because it closed with our bytes
+/// unread). A read timeout stays an error: a wedged server fails the test.
 fn read_raw_frame(s: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let gone = |e: &std::io::Error| {
+        matches!(
+            e.kind(),
+            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+        )
+    };
     let mut prefix = [0u8; 4];
     match s.read_exact(&mut prefix) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if gone(&e) => return Ok(None),
         Err(e) => return Err(e),
     }
     let mut payload = vec![0u8; u32::from_le_bytes(prefix) as usize];
-    s.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    match s.read_exact(&mut payload) {
+        Ok(()) => Ok(Some(payload)),
+        Err(e) if gone(&e) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+fn raw_connect(addr: &str) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_nodelay(true).unwrap();
+    s
 }
 
 /// Dials the listener and completes the HELLO exchange as a raw byzantine
-/// peer (node id 990 + seed so reconnects are distinguishable in logs).
+/// peer opening a calling socket. Every call is the next generation of the
+/// peer's link, as a real dialer's redial after a teardown would be (a
+/// socket of a generation that already died is a straggler, and dropped).
 fn raw_handshake(addr: &str, node: u64) -> TcpStream {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.set_nodelay(true).unwrap();
-    let mut hello = vec![1u8];
-    hello.extend_from_slice(&node.to_le_bytes());
-    hello.push(0); // no bootstrap advertised
-    hello.extend_from_slice(&0u64.to_le_bytes());
-    hello.extend_from_slice(&0u16.to_le_bytes());
-    let mut bytes = Vec::new();
-    put_frame(&mut bytes, &hello);
-    s.write_all(&bytes).unwrap();
+    static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    let generation = GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut s = raw_connect(addr);
+    let hello = encode_raw_hello(node, 0, generation);
+    assert!(write_raw_frame(&mut s, &hello));
     let server_hello = read_raw_frame(&mut s).unwrap().expect("server hello");
-    assert_eq!(server_hello[0], 1, "expected HELLO frame");
+    assert_eq!(server_hello[0], KIND_HELLO, "expected HELLO frame");
+    assert_eq!(
+        server_hello[HELLO_ROLE_AT..HELLO_ROLE_AT + 9],
+        hello[HELLO_ROLE_AT..HELLO_ROLE_AT + 9],
+        "the acceptor echoes role and generation"
+    );
     s
+}
+
+struct ValidatesFlat;
+
+impl DoorHandler for ValidatesFlat {
+    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        // Validate-in-place on the received bytes: a corrupt payload is
+        // a typed rejection, never a panic.
+        let ok = Sample::validate(&msg.bytes).is_ok();
+        Ok(Message::from_bytes(vec![ok as u8]))
+    }
+}
+
+/// One serving "process": a flat-validating bootstrap door behind a TCP
+/// listener.
+fn flat_validator(node: u64) -> (Arc<Network>, Arc<spring_net::SocketListener>, String) {
+    let net = Network::new(NetConfig::default());
+    let n = net.add_node_with_id("flat-validator", node);
+    let domain = n.kernel().create_domain("servants");
+    let door = domain.create_door(Arc::new(ValidatesFlat)).unwrap();
+    net.set_bootstrap(n.id(), &domain, door).unwrap();
+    let listener = net.listen_tcp(n.id(), "127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().to_string();
+    (net, listener, addr)
+}
+
+/// A real peer dials `addr` and gets a flat frame validated: the listener
+/// still serves fresh peers.
+fn assert_still_serving(addr: &str, node: u64) {
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", node);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_tcp(client_node.id(), addr).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    let reply = client
+        .call(remote, Message::from_bytes(valid_frame()))
+        .unwrap();
+    assert_eq!(reply.bytes, vec![1u8]);
+}
+
+/// One seeded mutation of `valid`: a strictly shorter prefix, 1..=16 junk
+/// bytes appended, or one byte corrupted in place.
+fn mutate(valid: &[u8], state: &mut u64) -> Vec<u8> {
+    match lcg(state) % 3 {
+        0 => {
+            let n = (lcg(state) as usize) % valid.len();
+            valid[..n].to_vec()
+        }
+        1 => {
+            let extra = 1 + (lcg(state) as usize) % 16;
+            let mut v = valid.to_vec();
+            v.extend((0..extra).map(|_| lcg(state) as u8));
+            v
+        }
+        _ => {
+            let pos = (lcg(state) as usize) % valid.len();
+            let mut v = valid.to_vec();
+            v[pos] ^= 1 + (lcg(state) as u8 & 0xFE);
+            v
+        }
+    }
 }
 
 /// The seeded mutation sweep delivered over real TCP: every mutated
@@ -243,123 +353,189 @@ fn raw_handshake(addr: &str, node: u64) -> TcpStream {
 /// serving fresh connections throughout. The servant validates the flat
 /// payload in place, so valid frames also prove the IDL bytes crossed the
 /// socket unmodified.
-///
-/// Run with the same-thread send fast path both on and off: frame
-/// rejection, teardown, and recovery semantics must not depend on which
-/// thread performed the reply writes.
 #[test]
 fn seeded_mutation_sweep_over_real_socket() {
-    run_socket_mutation_sweep(true, 301);
+    run_socket_mutation_sweep(KIND_REQUEST, 301, "flat-frame-mutations-socket");
 }
 
+/// The same mutations re-run under `KIND_ONEWAY`, whose frames share the
+/// request layout but are owed no reply: a mutated one-way frame is either
+/// executed in silence or tears the link down — told apart by the valid
+/// request sent right behind it on the same socket.
 #[test]
-fn seeded_mutation_sweep_over_real_socket_fastpath_off() {
-    run_socket_mutation_sweep(false, 311);
+fn seeded_mutation_sweep_over_real_socket_oneway() {
+    run_socket_mutation_sweep(KIND_ONEWAY, 311, "flat-frame-mutations-socket-oneway");
 }
 
-fn run_socket_mutation_sweep(fastpath: bool, node_base: u64) {
-    struct ValidatesFlat;
-    impl DoorHandler for ValidatesFlat {
-        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
-            // Validate-in-place on the received bytes: a corrupt payload is
-            // a typed rejection, never a panic.
-            let ok = Sample::validate(&msg.bytes).is_ok();
-            Ok(Message::from_bytes(vec![ok as u8]))
-        }
-    }
-
-    let cfg = NetConfig {
-        socket_fastpath: fastpath,
-        ..NetConfig::default()
-    };
-    let net = Network::new(cfg);
-    let node = net.add_node_with_id("flat-validator", node_base);
-    let domain = node.kernel().create_domain("servants");
-    let door = domain.create_door(Arc::new(ValidatesFlat)).unwrap();
-    net.set_bootstrap(node.id(), &domain, door).unwrap();
-    let listener = net.listen_tcp(node.id(), "127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().to_string();
-
+fn run_socket_mutation_sweep(kind: u8, node_base: u64, suite: &str) {
+    let (_net, _listener, addr) = flat_validator(node_base);
     let flat = valid_frame();
-    let valid = encode_raw_request(1, 1, &flat);
+    let valid = encode_raw_call(kind, 1, 1, &flat);
+    // Sent behind every frame under test: its reply (recognised by frame
+    // id) proves the socket survived the frame and the server is serving.
+    const PROBE_ID: u64 = 0xFACE_0000_0000_0001;
+    let probe = encode_raw_call(KIND_REQUEST, PROBE_ID, 1, &flat);
+    let reply_id = |reply: &[u8]| u64::from_le_bytes(reply[1..9].try_into().unwrap());
 
     // Sanity: the unmutated frame crosses the socket byte-identical and
-    // validates on the server's copy.
+    // validates on the server's copy — a request is answered, a one-way
+    // frame is not (the first reply back is already the probe's).
     let mut conn = raw_handshake(&addr, 990);
-    {
-        let mut bytes = Vec::new();
-        put_frame(&mut bytes, &valid);
-        conn.write_all(&bytes).unwrap();
-        let reply = read_raw_frame(&mut conn).unwrap().expect("reply");
-        assert_eq!(reply[0], 3, "expected REPLY frame");
+    assert!(write_raw_frame(&mut conn, &valid) && write_raw_frame(&mut conn, &probe));
+    let first = read_raw_frame(&mut conn).unwrap().expect("reply");
+    assert_eq!(first[0], KIND_REPLY, "expected REPLY frame");
+    assert_eq!(
+        first.last(),
+        Some(&1u8),
+        "flat payload must validate after crossing the socket"
+    );
+    if kind == KIND_REQUEST {
+        assert_eq!(reply_id(&first), 1);
+        let second = read_raw_frame(&mut conn).unwrap().expect("probe reply");
+        assert_eq!(reply_id(&second), PROBE_ID);
+    } else {
         assert_eq!(
-            reply.last(),
-            Some(&1u8),
-            "flat payload must validate after crossing the socket"
+            reply_id(&first),
+            PROBE_ID,
+            "a one-way frame is owed no reply"
         );
     }
 
     for &seed in &SOCKET_SEEDS {
         let mut state = seed;
         for _ in 0..SOCKET_MUTATIONS {
-            let mutated = match lcg(&mut state) % 3 {
-                0 => {
-                    let n = (lcg(&mut state) as usize) % valid.len();
-                    valid[..n].to_vec()
-                }
-                1 => {
-                    let extra = 1 + (lcg(&mut state) as usize) % 16;
-                    let mut v = valid.clone();
-                    v.extend((0..extra).map(|_| lcg(&mut state) as u8));
-                    v
-                }
-                _ => {
-                    let pos = (lcg(&mut state) as usize) % valid.len();
-                    let mut v = valid.clone();
-                    v[pos] ^= 1 + (lcg(&mut state) as u8 & 0xFE);
-                    v
-                }
-            };
-            let mut bytes = Vec::new();
-            put_frame(&mut bytes, &mutated);
-            // The write itself may race a teardown from the previous
+            let mutated = mutate(&valid, &mut state);
+            // The writes themselves may race a teardown from the previous
             // mutation; that just counts as a dead connection.
-            let wrote = conn.write_all(&bytes).is_ok() && conn.flush().is_ok();
-            // The contract under test: a reply arrives or the server tears
-            // the connection down. A read timeout means a wedged server and
-            // fails the test.
-            let outcome = if wrote {
-                read_raw_frame(&mut conn)
-            } else {
-                Ok(None)
-            };
-            match outcome {
-                Ok(Some(reply)) => assert_eq!(reply[0], 3, "expected REPLY frame"),
-                Ok(None) => conn = raw_handshake(&addr, 990 + seed),
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {
-                    conn = raw_handshake(&addr, 990 + seed);
-                }
-                Err(e) => panic!("server wedged on mutated frame: {e}"),
+            let wrote = write_raw_frame(&mut conn, &mutated) && write_raw_frame(&mut conn, &probe);
+            // The contract under test: the probe's reply arrives (behind
+            // the mutated frame's own, if it was still a well-formed
+            // request) or the server tears the connection down. A read
+            // timeout means a wedged server and fails the test.
+            let survived = wrote
+                && loop {
+                    match read_raw_frame(&mut conn) {
+                        Ok(Some(reply)) => {
+                            assert_eq!(reply[0], KIND_REPLY, "expected REPLY frame");
+                            if reply_id(&reply) == PROBE_ID {
+                                break true;
+                            }
+                        }
+                        Ok(None) => break false,
+                        Err(e) => panic!("server wedged on mutated frame: {e}"),
+                    }
+                };
+            if !survived {
+                conn = raw_handshake(&addr, 990 + seed);
             }
         }
     }
 
     // After the whole sweep the server still serves real peers.
-    let client_net = Network::new(cfg);
-    let client_node = client_net.add_node_with_id("client", node_base + 1);
-    let client = client_node.kernel().create_domain("app");
-    let peer = client_net.connect_tcp(client_node.id(), &addr).unwrap();
-    let remote = peer.bootstrap_door(&client).unwrap();
-    let reply = client
-        .call(remote, Message::from_bytes(flat.clone()))
-        .unwrap();
-    assert_eq!(reply.bytes, vec![1u8]);
-    record_seeds(
-        if fastpath {
-            "flat-frame-mutations-socket"
-        } else {
-            "flat-frame-mutations-socket-fastpath-off"
-        },
-        &SOCKET_SEEDS,
+    assert_still_serving(&addr, node_base + 1);
+    record_seeds(suite, &SOCKET_SEEDS);
+}
+
+/// The HELLO corpus, acceptor side: a HELLO truncated at every offset, a
+/// role outside {0, 1}, seeded corruptions, and a HELLO arriving where a
+/// request is expected are each rejected — the socket is dropped or the
+/// link torn down, nothing hangs — and the listener keeps serving fresh
+/// peers.
+#[test]
+fn malformed_hellos_are_rejected_and_the_listener_keeps_serving() {
+    let (net, _listener, addr) = flat_validator(321);
+    let hello = encode_raw_hello(995, 0, 1);
+
+    // Truncations at every offset (0 is an empty frame).
+    for cut in 0..hello.len() {
+        let mut s = raw_connect(&addr);
+        assert!(write_raw_frame(&mut s, &hello[..cut]));
+        assert_eq!(
+            read_raw_frame(&mut s).unwrap(),
+            None,
+            "HELLO cut at {cut} must be dropped, not answered"
+        );
+    }
+
+    // A role that names neither side.
+    for role in [2u8, 7, 0xFF] {
+        let mut s = raw_connect(&addr);
+        assert!(write_raw_frame(&mut s, &encode_raw_hello(995, role, 1)));
+        assert_eq!(read_raw_frame(&mut s).unwrap(), None, "role {role}");
+    }
+    assert_eq!(
+        net.socket_stats().disconnects,
+        0,
+        "a socket that never finished its HELLO was never part of a link"
     );
+
+    // A HELLO where a request is expected is a protocol violation: the
+    // link is torn down (and counted), not the frame skipped.
+    let mut s = raw_handshake(&addr, 996);
+    assert!(write_raw_frame(&mut s, &hello));
+    assert_eq!(read_raw_frame(&mut s).unwrap(), None);
+    for _ in 0..500 {
+        if net.socket_stats().disconnects > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(net.socket_stats().disconnects, 1);
+
+    // Seeded corruptions: the acceptor answers with its own HELLO or drops
+    // the socket; it never wedges, whatever the bytes claim.
+    for &seed in &SOCKET_SEEDS {
+        let mut state = seed;
+        for _ in 0..SOCKET_MUTATIONS {
+            let mut s = raw_connect(&addr);
+            assert!(write_raw_frame(&mut s, &mutate(&hello, &mut state)));
+            match read_raw_frame(&mut s) {
+                Ok(Some(answer)) => assert_eq!(answer[0], KIND_HELLO),
+                Ok(None) => {}
+                Err(e) => panic!("acceptor wedged on mutated HELLO: {e}"),
+            }
+        }
+    }
+
+    assert_still_serving(&addr, 322);
+    record_seeds("hello-mutations-socket", &SOCKET_SEEDS);
+}
+
+/// The HELLO corpus, dialer side: an acceptor whose echo names another
+/// role or another generation than the dialer asked for is refused with a
+/// typed `Comm` error — the dialer never adopts a socket whose two ends
+/// disagree about who calls on it or which link it belongs to.
+#[test]
+fn mismatched_hello_echo_is_refused_by_the_dialer() {
+    for (flip_role, bump_generation) in [(true, false), (false, true)] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let theirs = read_raw_frame(&mut s).unwrap().expect("dialer hello");
+            let role = theirs[HELLO_ROLE_AT];
+            let generation = u64::from_le_bytes(
+                theirs[HELLO_ROLE_AT + 1..HELLO_ROLE_AT + 9]
+                    .try_into()
+                    .unwrap(),
+            );
+            let echo = encode_raw_hello(
+                997,
+                role ^ flip_role as u8,
+                generation + bump_generation as u64,
+            );
+            assert!(write_raw_frame(&mut s, &echo));
+            // Hold the socket until the dialer hangs up on it.
+            let _ = read_raw_frame(&mut s);
+        });
+        let net = Network::new(NetConfig::default());
+        let node = net.add_node_with_id("client", 331);
+        let err = match net.connect_tcp(node.id(), &addr) {
+            Err(e) => e,
+            Ok(_) => panic!("a mismatched echo must not yield a link"),
+        };
+        assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+        assert!(err.to_string().contains("bad handshake"), "{err}");
+        fake.join().unwrap();
+    }
 }

@@ -111,24 +111,23 @@ kernel_counters! {
         pool_hits = pool.hits,
         /// Buffer-pool misses (process-wide, see `pool_hits`).
         pool_misses = pool.misses,
-        /// Socket sends written inline on the caller's thread
+        /// Frames written to call sockets, each by the thread that
+        /// produced it — every socket frame this process sent
         /// (process-wide, see [`hotpath::counters`]).
         fastpath_sends = hot.fastpath_sends,
-        /// Socket writer-thread wakeups that drained the queue with one
-        /// vectored write (process-wide).
-        writev_wakeups = hot.writev_wakeups,
-        /// Frames drained across all [`Self::writev_wakeups`]
-        /// (process-wide); divide by wakeups for the coalescing factor.
-        writev_frames = hot.writev_frames,
-        /// Requests currently queued in socket dispatcher pools
-        /// (process-wide gauge, not monotonic: `since` on it yields the
-        /// depth *change*, and a drained pool reports zero).
-        dispatch_pool_depth = hot.dispatch_pool_depth,
-        /// Dispatcher pool worker threads spawned on demand
-        /// (process-wide).
+        /// Always 0: no socket writer thread exists to wake. This field
+        /// and [`Self::writev_frames`] survive **only** because
+        /// `benchmark/src/bench.rs` names them (by field and over the stats
+        /// door) and a change may not touch `benchmark/` together with
+        /// other code; they go with the `benchmark`-only change ROADMAP
+        /// item 2 describes.
+        writev_wakeups = 0,
+        /// Always 0, see [`Self::writev_wakeups`].
+        writev_frames = 0,
+        /// Call-socket serving threads started (process-wide).
         dispatch_pool_spawned = hot.dispatch_pool_spawned,
-        /// Dispatcher pool worker threads reaped after idling
-        /// (process-wide).
+        /// Call-socket serving threads ended — their socket closed or
+        /// their link died (process-wide).
         dispatch_pool_reaped = hot.dispatch_pool_reaped,
         /// Reply-less one-way frames shipped on the wire
         /// (process-wide).

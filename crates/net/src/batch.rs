@@ -135,7 +135,9 @@ impl CallSlot {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks state whose every update is a counter bump or a list push/pop,
+/// valid at every step, so a poisoned guard is recovered as is.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 

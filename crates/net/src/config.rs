@@ -20,13 +20,6 @@ pub struct NetConfig {
     /// waits at all, so plain synchronous calls are never delayed by this
     /// budget.
     pub batch_linger: Duration,
-    /// Whether socket sends may take the same-thread fast path (encode and
-    /// write on the caller's thread when the writer queue is empty and the
-    /// write lock is uncontended — DESIGN.md §5.15). Off, every frame goes
-    /// through the writer thread, which is the pre-fast-path behaviour;
-    /// semantics are identical either way, only the handoff count changes.
-    /// Ignored by the simulated backend.
-    pub socket_fastpath: bool,
 }
 
 impl Default for NetConfig {
@@ -38,7 +31,6 @@ impl Default for NetConfig {
             batch_max_calls: 64,
             batch_max_bytes: 256 * 1024,
             batch_linger: Duration::from_micros(200),
-            socket_fastpath: true,
         }
     }
 }
@@ -143,9 +135,6 @@ mod tests {
         assert!(c.batch_max_calls >= 2);
         assert!(c.batch_max_bytes > 0);
         assert!(!c.batch_linger.is_zero());
-        // The socket fast path is on by default: it is a pure handoff
-        // elision, observable only through the fastpath_sends counter.
-        assert!(c.socket_fastpath);
         assert_eq!(
             NetConfig::with_latency(Duration::from_millis(2))
                 .latency

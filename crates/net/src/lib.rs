@@ -36,7 +36,13 @@
 //! [`Network::listen_uds`], [`Network::connect_tcp`] and
 //! [`Network::connect_uds`] attach socket backends; everything else
 //! (batching, partial-failure discipline, at-most-once retries) is shared
-//! with the simulated backend, which remains the default.
+//! with the simulated backend, which remains the default. A socket link is
+//! a set of *call sockets* — one per call in flight, one thread at each
+//! end, the caller blocking in `read` for its own reply — each opened by
+//! the connecting side with a HELLO
+//! (`[kind=1][u64 node][u8 has_boot][u64 boot_export][u8 role]
+//! [u64 generation][u16 name_len][name]`) that says which side calls on the
+//! socket and which link generation it belongs to.
 
 mod batch;
 mod config;

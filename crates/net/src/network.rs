@@ -11,7 +11,7 @@ use spring_trace::keys;
 use crate::batch::{BatchBudget, LinkBatcher, PendingEntry};
 use crate::config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 use crate::server::{NetServer, WireCap};
-use crate::socket::{SocketListener, SocketPeer};
+use crate::socket::{Addr, SocketListener, SocketPeer};
 use crate::transport::{OnewayEntry, SimTransport, Transport};
 
 /// The network's read-mostly state as one immutable value: behaviour knobs,
@@ -143,12 +143,6 @@ impl NetworkInner {
         self.publish(|s| {
             s.transports.insert(node, transport);
         });
-    }
-
-    /// Whether socket sends may take the same-thread fast path (see
-    /// `NetConfig::socket_fastpath`).
-    pub(crate) fn socket_fastpath(&self) -> bool {
-        self.snapshot.read().config.socket_fastpath
     }
 
     pub(crate) fn count_socket_send(&self, bytes: usize) {
@@ -687,12 +681,12 @@ impl Network {
     /// export learned in the handshake; proxy doors for the remote machine
     /// route through the connection (redialling on failure).
     pub fn connect_tcp(&self, node: NodeId, addr: &str) -> Result<Arc<SocketPeer>, DoorError> {
-        SocketPeer::connect_tcp(&self.inner, node, addr)
+        SocketPeer::connect(&self.inner, node, Addr::Tcp(addr.to_owned()))
     }
 
     /// Connects `node` to a peer process listening on a Unix-domain socket.
     pub fn connect_uds(&self, node: NodeId, path: &str) -> Result<Arc<SocketPeer>, DoorError> {
-        SocketPeer::connect_uds(&self.inner, node, path)
+        SocketPeer::connect(&self.inner, node, Addr::Uds(path.into()))
     }
 
     /// Socket-transport counter snapshot.

@@ -1,99 +1,98 @@
 //! The socket backend: doors over TCP and Unix-domain sockets between real
 //! OS processes.
 //!
-//! One connection carries symmetric, bidirectional traffic: either side may
-//! send request frames (so callbacks — a servant invoking a proxy door that
-//! points back at its caller's process — just work), and replies are
-//! correlated by per-sender frame id. The hot path is built around two
-//! locks and two thread groups (the state machine is DESIGN.md §5.15):
+//! Spring's doors are thread-shuttling: a call runs on the caller's thread.
+//! This backend extends exactly that across a process boundary. A *link*
+//! between two processes is a set of **call sockets**, each carrying one
+//! frame at a time with exactly one thread at each end:
 //!
-//! * **Sending** takes the *same-thread fast path* when it can: if the
-//!   write queue is empty and the write lock is uncontended, the caller
-//!   writes its frame on its own thread — no handoff, no wakeup. Otherwise
-//!   the frame is queued for the **writer thread**, which drains the whole
-//!   queue per wakeup into one vectored write (length prefixes and bodies
-//!   as one `writev` burst, so `LinkBatcher` coalescing extends down to
-//!   the syscall). A frame that fails to reach the wire runs its `on_fail`
-//!   cleanup — the partial-failure hook that keeps export tables leak-free
-//!   when a send dies mid-frame — and every frame queued behind the
-//!   failure is cleaned up the same way.
-//! * a **reader**, decoding inbound frames. Request frames are dispatched
-//!   through a bounded worker pool (never inline, so nested calls over the
-//!   same link cannot deadlock the reader; workers spawn on demand up to a
-//!   cap and are reaped after idling); reply frames settle the waiter
-//!   registered under their id, whose owner spins briefly (calibrated
-//!   against the link's measured RTT) before parking on the condvar. A
-//!   malformed frame — declared counts or lengths disagreeing with the
-//!   bytes received — tears the connection down with a typed error rather
-//!   than panicking or hanging. One-way frames dispatch the same way but
-//!   produce no reply and delete whatever doors their replies carry.
+//! * the **caller** checks an idle socket out of the link, writes its
+//!   request frame, blocks in `read` on that same socket and is woken by
+//!   the kernel with the reply — no writer thread, no reader thread, no
+//!   waiter table, no hand-off;
+//! * the **serving thread** blocks in `read`, runs the frame's calls
+//!   itself, writes the reply and reads again.
+//!
+//! A cross-process null call is therefore four syscalls and two context
+//! switches, and ordering and non-interference hold by construction: a
+//! socket is a private queue between one caller and one handler (the
+//! interference-free network-objects model of PAPERS.md). A servant that
+//! calls back over the link, or parks until a *second* request over the
+//! same link releases it, is safe for the same reason — that request
+//! travels on another socket, to another serving thread.
+//!
+//! Two small state machines (stated as checked invariants in DESIGN.md
+//! §5.15) carry the rest:
+//!
+//! * **socket**: idle → calling → idle | closed. A socket never carries
+//!   two frames at once, and a socket whose call was abandoned (its
+//!   deadline expired) is closed, never reused — a late reply can then
+//!   never be read by the next caller.
+//! * **link generation**: alive → dead, never back. Only the connecting
+//!   side can dial, so every socket opens with a HELLO naming its *role*
+//!   (dialer calls / dialer serves) and its *generation*; the dialer opens
+//!   one more calling socket whenever none is idle (up to
+//!   [`CALL_SOCKET_CAP`]) and keeps one spare serving socket — one no call
+//!   has claimed yet — parked with the acceptor at all times, so
+//!   acceptor-originated calls (callbacks, pub/sub deliveries) always have
+//!   somewhere to go. A link dies as a
+//!   unit: a failed request write, a missing or malformed reply, a
+//!   malformed request or a protocol violation shuts every socket of the
+//!   generation — in-flight callers read EOF and fail with `Comm`, serving
+//!   threads unblock and exit, one disconnect is counted. The dialer then
+//!   redials the next generation single-flight, and the acceptor drops
+//!   stragglers: sockets of a generation older than the one it holds, or
+//!   of that one once it is dead.
 //!
 //! Failure mapping: everything transient (dial failure, peer EOF, write
-//! error, stale export on a restarted peer) surfaces as
-//! [`DoorError::Comm`], so the replicon/reconnectable retry machinery and
-//! at-most-once deduplication work unchanged over sockets. A dialing peer
-//! redials automatically on the next ship after its connection dies;
-//! accepted peers cannot redial (the server can't call a client back into
+//! error, stale export on a restarted peer, an expired deadline) surfaces
+//! as [`DoorError::Comm`], so the replicon/reconnectable retry machinery
+//! and at-most-once deduplication work unchanged over sockets. Accepted
+//! peers cannot redial (the server can't call a client back into
 //! existence), so their ships fail with `Comm` until the client returns.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
+use spring_buf::WireError;
+use spring_kernel::callid::now_micros;
 use spring_kernel::framing::{self, FrameReadError};
-use spring_kernel::{hotpath, Domain, DoorError, DoorId, NodeId};
+use spring_kernel::{hotpath, CallId, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
-use crate::batch::PendingEntry;
+use crate::batch::{lock, PendingEntry};
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 use crate::transport::{
     decode_hello, decode_oneway, decode_reply, decode_request, encode_hello, encode_oneway,
-    encode_reply, encode_request, frame_kind, Hello, OnewayEntry, ReplyFrame, ReplyOutcome,
-    RequestFrame, Transport, KIND_ONEWAY, KIND_REPLY, KIND_REQUEST,
+    encode_reply, encode_request, frame_kind, Hello, OnewayEntry, ReplyOutcome, RequestCall,
+    Transport, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS, ROLE_DIALER_SERVES,
 };
 
-/// How long the two-frame HELLO exchange may take before the connection is
+/// How long the two-frame HELLO exchange may take before the socket is
 /// abandoned (a peer that connects and goes silent must not wedge the
-/// dialer or the accept loop forever).
+/// dialer or its handshake thread forever).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Poll interval of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Most dispatcher pool workers one connection will spawn. Each worker may
+/// Most call sockets a link opens per direction, i.e. most calls in flight
+/// each way and most serving threads per side. Each serving thread may
 /// block on an outbound nested call, so the cap bounds thread count per
-/// link while staying far above any realistic callback depth.
-const DISPATCH_POOL_CAP: usize = 32;
-
-/// How long an idle pool worker waits for another request before reaping
-/// itself.
-const DISPATCH_IDLE_REAP: Duration = Duration::from_millis(500);
-
-/// Ceiling on the reply spin budget: even on a link whose measured RTT is
-/// long, a caller burns at most this long before parking on the condvar.
-const SPIN_CAP_NS: u64 = 100_000;
-
-/// Spinning only pays when another core can make progress on the reply
-/// while this one polls. On a single-hardware-thread host the spin
-/// actively *delays* the reply — the reader thread and the peer process
-/// both need this CPU — so the spin phase is disabled outright there.
-fn spin_allowed() -> bool {
-    static ALLOWED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ALLOWED.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
-}
-
-/// Most `IoSlice`s handed to one `write_vectored` call (the OS caps iovec
-/// counts around `IOV_MAX`, typically 1024; staying far under it keeps the
-/// math simple and the stack cost bounded).
-const MAX_IOV: usize = 64;
+/// link while staying far above any realistic callback depth; callers
+/// beyond it queue for a socket.
+const CALL_SOCKET_CAP: usize = 32;
 
 fn comm(e: impl std::fmt::Display) -> DoorError {
     DoorError::Comm(e.to_string())
@@ -109,6 +108,13 @@ enum Stream {
 }
 
 impl Stream {
+    fn connect(addr: &Addr) -> io::Result<Stream> {
+        Ok(match addr {
+            Addr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
+            Addr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
+        })
+    }
+
     fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
@@ -129,6 +135,25 @@ impl Stream {
             Stream::Uds(s) => s.set_read_timeout(t),
         }
     }
+
+    /// The socket's real `writev` (not `Write`'s one-slice-at-a-time
+    /// default), so a frame costs one syscall, not one for its prefix and
+    /// one for its body.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
+    /// Readies a fresh stream for the HELLO exchange.
+    fn start_handshake(&self) -> Result<(), DoorError> {
+        if let Stream::Tcp(s) = self {
+            // Frames are latency-sensitive RPCs; never Nagle them.
+            let _ = s.set_nodelay(true);
+        }
+        self.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).map_err(comm)
+    }
 }
 
 impl Read for Stream {
@@ -140,795 +165,594 @@ impl Read for Stream {
     }
 }
 
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Uds(s) => s.write(buf),
-        }
+/// Writes one frame — 4-byte length prefix and body — as a single vectored
+/// write, advancing manually across short writes.
+fn write_frame_vectored(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
+    if body.len() > framing::MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("frame of {} bytes exceeds the cap", body.len()),
+        ));
     }
-
-    /// Delegates to the socket's real `writev` (both `TcpStream` and
-    /// `UnixStream` override the one-slice-at-a-time default), so a queue
-    /// drain costs one syscall, not one per frame.
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write_vectored(bufs),
-            Stream::Uds(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Uds(s) => s.flush(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Waiter: a one-shot rendezvous between a shipper and the reader thread.
-// ---------------------------------------------------------------------------
-
-struct Waiter {
-    /// Set (release) after the slot is filled, so a spinning waiter can
-    /// poll one atomic instead of bouncing the mutex.
-    ready: AtomicBool,
-    slot: StdMutex<Option<Result<ReplyFrame, DoorError>>>,
-    cv: Condvar,
-}
-
-impl Waiter {
-    fn new() -> Arc<Waiter> {
-        Arc::new(Waiter {
-            ready: AtomicBool::new(false),
-            slot: StdMutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// First write wins: a reply racing the connection's death settles the
-    /// waiter exactly once.
-    fn fulfill(&self, outcome: Result<ReplyFrame, DoorError>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.ready.store(true, Ordering::Release);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Adaptive spin-then-park (DESIGN.md §5.15): busy-poll the ready flag
-    /// for up to `spin` (calibrated by the caller against the link's
-    /// measured RTT), then fall back to the condvar. On a fast link the
-    /// reply usually lands inside the spin window and the caller never
-    /// pays the park/wake latency that dominates a null call; `spin` of
-    /// zero (RTT unknown, or a long link where spinning would just burn a
-    /// core) parks immediately — semantics are identical either way.
-    fn wait(&self, spin: Duration) -> Result<ReplyFrame, DoorError> {
-        if !spin.is_zero() && !self.ready.load(Ordering::Acquire) {
-            let deadline = Instant::now() + spin;
-            let mut polls = 0u32;
-            while !self.ready.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-                polls = polls.wrapping_add(1);
-                // Check the clock every 64 polls, not every poll: the spin
-                // window is tens of microseconds and `Instant::now` is a
-                // meaningful fraction of that on some hosts.
-                if polls.is_multiple_of(64) && Instant::now() >= deadline {
-                    break;
-                }
+    let prefix = (body.len() as u32).to_le_bytes();
+    let (mut head, mut tail): (&[u8], &[u8]) = (&prefix, body);
+    while !(head.is_empty() && tail.is_empty()) {
+        let n = match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(tail)]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    ErrorKind::WriteZero,
+                    "socket accepted zero bytes",
+                ))
             }
-        }
-        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let of_head = n.min(head.len());
+        head = &head[of_head..];
+        tail = &tail[n - of_head..];
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Link: one generation of call sockets between two processes.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+pub(crate) enum Addr {
+    Tcp(String),
+    Uds(PathBuf),
+}
+
+impl Addr {
+    fn kind(&self) -> &'static str {
+        match self {
+            Addr::Tcp(_) => "tcp",
+            Addr::Uds(_) => "uds",
         }
     }
 }
 
-/// An encoded frame queued for the writer thread.
-struct OutFrame {
-    bytes: Vec<u8>,
-    /// Run if the frame never reaches the wire (write failure, or queued
-    /// behind one): the partial-failure cleanup for whatever the frame
-    /// carried — failing a request's waiter, releasing a reply's freshly
-    /// pinned exports.
-    on_fail: Option<Box<dyn FnOnce() + Send>>,
+/// Which end of a call socket this process holds. Indexes
+/// [`LinkState::open`]; as `u8`, the HELLO role a dialer asks for.
+#[derive(Clone, Copy)]
+enum Side {
+    /// We write requests on it and read replies.
+    Calling = ROLE_DIALER_CALLS as isize,
+    /// One of our threads reads requests on it and writes replies.
+    Serving = ROLE_DIALER_SERVES as isize,
 }
 
-/// Consumes one injected write fault, if any are armed.
-fn take_injected_fault(inject: &AtomicU64) -> bool {
-    inject
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-        .is_ok()
+/// One call socket, owned by whichever thread is using it: a caller between
+/// checkout and checkin, or the socket's serving thread.
+struct CallSocket {
+    /// Key of this socket's shutdown handle in [`LinkState::sockets`].
+    id: u64,
+    stream: BufReader<Stream>,
+    /// Frame read buffer, recycled across the socket's calls.
+    buf: Vec<u8>,
+    /// Whether a read timeout set for an earlier deadline-carrying call is
+    /// still on the socket.
+    timed: bool,
 }
 
-// ---------------------------------------------------------------------------
-// Conn: one established, handshaken connection.
-// ---------------------------------------------------------------------------
-
-/// Frames awaiting the writer thread. `shutdown` flips exactly once, in
-/// [`Conn::die`], which drains the queue in the same critical section — so
-/// `shutdown` implies the queue is and stays empty, and a sender that sees
-/// it runs its frame's `on_fail` instead of stranding it.
-struct WriteQueue {
-    queue: Vec<OutFrame>,
-    shutdown: bool,
+#[derive(Default)]
+struct LinkState {
+    next_socket: u64,
+    /// A shutdown handle (a dup of the descriptor) for every open socket of
+    /// the generation, wherever its [`CallSocket`] currently is.
+    sockets: HashMap<u64, Stream>,
+    /// Calling sockets nobody is using.
+    idle: Vec<CallSocket>,
+    /// Sockets open or being dialled, per [`Side`]; each at most
+    /// [`CALL_SOCKET_CAP`].
+    open: [usize; 2],
+    /// Callers parked on [`Link::freed`], so a checkin with nobody waiting
+    /// pays no `FUTEX_WAKE`.
+    waiting: usize,
 }
 
-/// One inbound frame awaiting a dispatcher pool worker.
-enum Job {
-    Request(RequestFrame),
-    Oneway(RequestFrame),
-}
-
-/// State of one connection's dispatcher pool: a queue of decoded inbound
-/// frames and the worker-thread census. Workers spawn on demand (one per
-/// submit finding no idle worker, up to [`DISPATCH_POOL_CAP`]) and reap
-/// themselves after [`DISPATCH_IDLE_REAP`] without work.
-struct PoolState {
-    queue: VecDeque<Job>,
-    /// Workers currently parked in `wait_timeout` (a submit that finds one
-    /// notifies instead of spawning).
-    idle: usize,
-    /// Live workers, parked or busy.
-    workers: usize,
-    shutdown: bool,
-}
-
-struct Conn {
+struct Link {
     net: Weak<NetworkInner>,
     kind: &'static str,
     /// The local node whose network server serves requests arriving here.
     local: u64,
-    /// What the peer declared in its HELLO.
+    /// What the peer declared in the HELLO of the link's first socket; its
+    /// `generation` is the link's.
     remote: Hello,
-    /// Kept for `die`'s shutdown; the reader/writer halves are clones.
-    stream: Stream,
-    /// The write half of the stream. Every socket write — fast path or
-    /// writer thread — happens under this lock, which is what makes the
-    /// fast path safe: frame bytes never interleave, and whoever holds the
-    /// lock while the queue is empty knows nothing can be ordered ahead.
-    /// Lock order is always `wlock` → `wq`, never the reverse.
-    wlock: StdMutex<Stream>,
-    wq: StdMutex<WriteQueue>,
-    wq_cv: Condvar,
+    /// Where further sockets are dialled; `None` on the accepting side,
+    /// which can only wait for the dialer to open them.
+    dial: Option<Addr>,
     /// Armed write faults (shared with the owning peer/listener handle).
     inject: Arc<AtomicU64>,
-    /// Inbound request dispatch pool.
-    pool_state: StdMutex<PoolState>,
-    pool_cv: Condvar,
-    /// Frame id -> the shipper waiting for that frame's reply.
-    waiters: Mutex<HashMap<u64, Arc<Waiter>>>,
     next_frame: AtomicU64,
+    /// Set once, by [`Link::die`]; a dead generation never comes back.
     dead: AtomicBool,
-    /// The reader half of the stream, parked between the handshake and
-    /// [`Conn::start_reader`]. Inbound dispatch must not begin until the
-    /// caller has registered this connection in the transports map: a
-    /// dispatched servant may immediately call *back* to the remote node,
-    /// and routing that callback needs the reverse transport registered —
-    /// otherwise the nested call races registration and fails with
-    /// "unknown node".
-    pending_reader: Mutex<Option<Stream>>,
+    state: StdMutex<LinkState>,
+    /// Signalled when a calling socket is checked in, arrives or closes.
+    freed: Condvar,
 }
 
-impl Conn {
-    fn dial(
+impl Link {
+    fn new(
         net: &Arc<NetworkInner>,
-        local: NodeId,
-        addr: &Addr,
+        local: u64,
+        remote: Hello,
+        dial: Option<Addr>,
         kind: &'static str,
         inject: Arc<AtomicU64>,
-    ) -> Result<Arc<Conn>, DoorError> {
-        let stream = match addr {
-            Addr::Tcp(a) => {
-                Stream::Tcp(TcpStream::connect(a).map_err(|e| comm(format!("connect {a}: {e}")))?)
-            }
-            Addr::Uds(p) => Stream::Uds(
-                UnixStream::connect(p)
-                    .map_err(|e| comm(format!("connect {}: {e}", p.display())))?,
-            ),
-        };
-        Conn::establish(net, local, stream, true, kind, inject)
-    }
-
-    /// Runs the HELLO exchange on a fresh stream and spins up the
-    /// connection's writer and reader threads. The dialer speaks first.
-    fn establish(
-        net: &Arc<NetworkInner>,
-        local: NodeId,
-        mut stream: Stream,
-        dialer: bool,
-        kind: &'static str,
-        inject: Arc<AtomicU64>,
-    ) -> Result<Arc<Conn>, DoorError> {
-        let server = net.server(local.raw())?;
-        if let Stream::Tcp(s) = &stream {
-            // Frames are latency-sensitive RPCs; never Nagle them.
-            let _ = s.set_nodelay(true);
-        }
-        let hello = Hello {
-            node: local.raw(),
-            name: server.domain.kernel().name().to_owned(),
-            bootstrap: server.bootstrap_export(),
-        };
-        stream
-            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-            .map_err(comm)?;
-        let mut buf = Vec::new();
-        let remote = if dialer {
-            framing::write_frame(&mut stream, &encode_hello(&hello)).map_err(comm)?;
-            let n = framing::read_frame(&mut stream, &mut buf).map_err(comm)?;
-            decode_hello(&buf[..n]).map_err(|e| comm(format!("bad handshake: {e}")))?
-        } else {
-            let n = framing::read_frame(&mut stream, &mut buf).map_err(comm)?;
-            let h = decode_hello(&buf[..n]).map_err(|e| comm(format!("bad handshake: {e}")))?;
-            framing::write_frame(&mut stream, &encode_hello(&hello)).map_err(comm)?;
-            h
-        };
-        stream.set_read_timeout(None).map_err(comm)?;
-        if remote.node == local.raw() {
-            return Err(comm(format!(
-                "peer claims our own node id {}: processes sharing a network must be \
-                 assigned distinct node ids (Network::add_node_with_id)",
-                remote.node
-            )));
-        }
-
-        let writer_stream = stream.try_clone().map_err(comm)?;
-        let reader_stream = stream.try_clone().map_err(comm)?;
-        let conn = Arc::new(Conn {
+    ) -> Arc<Link> {
+        Arc::new(Link {
             net: Arc::downgrade(net),
             kind,
-            local: local.raw(),
+            local,
             remote,
-            stream,
-            wlock: StdMutex::new(writer_stream),
-            wq: StdMutex::new(WriteQueue {
-                queue: Vec::new(),
-                shutdown: false,
-            }),
-            wq_cv: Condvar::new(),
+            dial,
             inject,
-            pool_state: StdMutex::new(PoolState {
-                queue: VecDeque::new(),
-                idle: 0,
-                workers: 0,
-                shutdown: false,
-            }),
-            pool_cv: Condvar::new(),
-            waiters: Mutex::new(HashMap::new()),
             next_frame: AtomicU64::new(1),
             dead: AtomicBool::new(false),
-            pending_reader: Mutex::new(Some(reader_stream)),
-        });
-        {
-            let conn = conn.clone();
-            thread::Builder::new()
-                .name(format!("spring-sock-w-{}", conn.remote.node))
-                .spawn(move || writer_loop(&conn))
-                .map_err(comm)?;
-        }
-        Ok(conn)
+            state: StdMutex::default(),
+            freed: Condvar::new(),
+        })
     }
 
-    /// Starts the reader thread, which dispatches inbound requests. Kept
-    /// separate from [`Conn::establish`] so the caller can register the
-    /// connection in the transports map *first* — see `pending_reader`.
-    /// Idempotent; a spawn failure kills the connection.
-    fn start_reader(self: &Arc<Conn>) {
-        let Some(stream) = self.pending_reader.lock().take() else {
-            return;
-        };
-        let conn = self.clone();
-        if thread::Builder::new()
-            .name(format!("spring-sock-r-{}", self.remote.node))
-            .spawn(move || reader_loop(&conn, stream))
-            .is_err()
-        {
-            self.die(comm("reader thread spawn failed"));
+    /// Dials the first socket of generation `generation` — a calling one,
+    /// whose HELLO reply tells us who the peer is.
+    fn open(
+        net: &Arc<NetworkInner>,
+        local: u64,
+        addr: &Addr,
+        generation: u64,
+        inject: Arc<AtomicU64>,
+    ) -> Result<Arc<Link>, DoorError> {
+        let (stream, remote) = dial(net, local, addr, ROLE_DIALER_CALLS, generation)?;
+        let link = Link::new(net, local, remote, Some(addr.clone()), addr.kind(), inject);
+        let sock = link.admit(stream, Side::Calling)?;
+        link.checkin(sock);
+        Ok(link)
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
+    fn disconnected(&self) -> DoorError {
+        comm(format!("{} peer disconnected", self.kind))
+    }
+
+    /// Why a read that wanted a frame ends the link: the peer hung up, or —
+    /// `Truncated` (the stream ended short of the declared length),
+    /// `Oversized` (a garbage prefix) — sent what is typed rejection, never
+    /// a hang on bytes that will not arrive.
+    fn read_failed(&self, e: FrameReadError) -> DoorError {
+        match e {
+            FrameReadError::Closed => self.disconnected(),
+            e => comm(format!("{} link read failed: {e}", self.kind)),
         }
     }
 
-    /// Sends a frame, taking the same-thread fast path when it is safe
-    /// (DESIGN.md §5.15): the caller writes on its own thread iff it can
-    /// take the write lock without contention *and* the write queue is
-    /// empty under that lock — empty means no frame can possibly be
-    /// ordered ahead of this one, because the writer thread only drains
-    /// while holding the write lock. Any contention (lock held, or queued
-    /// frames) falls back to the writer thread, preserving order exactly.
-    ///
-    /// A dead connection runs the frame's `on_fail` cleanup immediately,
-    /// touching neither lock — cleanup must never queue behind a writer
-    /// that will not drain again.
-    fn send(&self, frame: OutFrame) {
-        if self.dead.load(Ordering::SeqCst) {
-            if let Some(f) = frame.on_fail {
-                f();
-            }
-            return;
+    /// Claims one of `side`'s socket slots; `false` at the cap.
+    fn reserve(&self, side: Side) -> bool {
+        let mut st = lock(&self.state);
+        let room = st.open[side as usize] < CALL_SOCKET_CAP;
+        st.open[side as usize] += room as usize;
+        room
+    }
+
+    /// Returns one of `side`'s socket slots; a freed calling slot is news
+    /// for a caller queueing at the cap.
+    fn release(&self, side: Side) {
+        let mut st = lock(&self.state);
+        st.open[side as usize] -= 1;
+        if st.waiting > 0 {
+            self.freed.notify_one();
         }
-        if let Some(net) = self.net.upgrade() {
-            if net.socket_fastpath() {
-                if let Ok(mut stream) = self.wlock.try_lock() {
-                    let clear = {
-                        let q = self.wq.lock().unwrap_or_else(|p| p.into_inner());
-                        !q.shutdown && q.queue.is_empty()
-                    };
-                    if clear {
-                        hotpath::count_fastpath_send();
-                        self.write_one(&mut stream, frame, &net);
-                        return;
-                    }
+    }
+
+    /// Makes a handshaken stream a socket of this generation (its slot
+    /// already reserved): from here on [`Link::die`] reaches it.
+    fn register(&self, stream: Stream) -> Result<CallSocket, DoorError> {
+        let handle = stream.try_clone().map_err(comm)?;
+        let mut st = lock(&self.state);
+        // Checked under the lock `die` shuts sockets under: either we see
+        // the link dead here, or `die` sees this socket.
+        if self.is_dead() {
+            return Err(self.disconnected());
+        }
+        let id = st.next_socket;
+        st.next_socket += 1;
+        st.sockets.insert(id, handle);
+        Ok(CallSocket {
+            id,
+            stream: BufReader::new(stream),
+            buf: Vec::new(),
+            timed: false,
+        })
+    }
+
+    /// How a stream somebody else decided to open (the acceptor's inbound
+    /// sockets, a new link's first) joins the generation.
+    fn admit(&self, stream: Stream, side: Side) -> Result<CallSocket, DoorError> {
+        if !self.reserve(side) {
+            return Err(comm(format!("{} link is at its socket cap", self.kind)));
+        }
+        self.register(stream).inspect_err(|_| self.release(side))
+    }
+
+    /// Dials one more socket of this generation for `side`, whose slot the
+    /// caller reserved (and which is released again if the dial fails).
+    fn dial_socket(&self, net: &NetworkInner, side: Side) -> Result<CallSocket, DoorError> {
+        let role = side as u8;
+        let dialled = self
+            .dial
+            .as_ref()
+            .ok_or_else(|| comm("accepted links cannot dial"))
+            .and_then(|addr| dial(net, self.local, addr, role, self.remote.generation))
+            .and_then(|(stream, remote)| {
+                if remote.node != self.remote.node {
+                    return Err(comm(format!(
+                        "{} peer changed from node {} to node {} mid-link",
+                        self.kind, self.remote.node, remote.node
+                    )));
                 }
-            }
-        }
-        self.enqueue(frame);
+                self.register(stream)
+            });
+        dialled.inspect_err(|_| self.release(side))
     }
 
-    /// Hands a frame to the writer thread; if the connection died first,
-    /// the frame's `on_fail` runs instead (outside the queue lock).
-    fn enqueue(&self, frame: OutFrame) {
-        let rejected = {
-            let mut q = self.wq.lock().unwrap_or_else(|p| p.into_inner());
-            if q.shutdown {
-                Some(frame)
-            } else {
-                q.queue.push(frame);
-                self.wq_cv.notify_one();
-                None
+    /// Closes one socket and nothing else: the link lives on.
+    fn close(&self, sock: CallSocket, side: Side) {
+        if let Some(handle) = lock(&self.state).sockets.remove(&sock.id) {
+            handle.shutdown();
+        }
+        drop(sock);
+        self.release(side);
+    }
+
+    /// Takes an idle calling socket, dialling one more when none is idle
+    /// and the cap allows (dialing side), otherwise queueing until one is
+    /// checked in, arrives from the dialer, or the link dies.
+    fn checkout(&self, net: &NetworkInner) -> Result<CallSocket, DoorError> {
+        let mut st = lock(&self.state);
+        loop {
+            if self.is_dead() {
+                return Err(self.disconnected());
             }
-        };
-        if let Some(mut f) = rejected {
-            if let Some(f) = f.on_fail.take() {
-                f();
+            if let Some(sock) = st.idle.pop() {
+                return Ok(sock);
             }
+            if self.dial.is_some() && st.open[Side::Calling as usize] < CALL_SOCKET_CAP {
+                st.open[Side::Calling as usize] += 1;
+                drop(st);
+                return self.dial_socket(net, Side::Calling);
+            }
+            st.waiting += 1;
+            st = self.freed.wait(st).unwrap_or_else(|p| p.into_inner());
+            st.waiting -= 1;
         }
     }
 
-    /// Writes one frame under the (already held) write lock, honouring
-    /// injected faults; a failure runs the frame's cleanup and kills the
-    /// connection, exactly like the writer thread's error path.
-    fn write_one(&self, stream: &mut Stream, mut frame: OutFrame, net: &Arc<NetworkInner>) {
-        let result = if take_injected_fault(&self.inject) {
-            Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
+    /// Returns a calling socket whose call completed (or, from the
+    /// handshake, one that just arrived) to the idle list.
+    fn checkin(&self, sock: CallSocket) {
+        let mut st = lock(&self.state);
+        if self.is_dead() {
+            return; // `die` already shut it; dropping closes it
+        }
+        st.idle.push(sock);
+        if st.waiting > 0 {
+            self.freed.notify_one();
+        }
+    }
+
+    /// Writes one frame on the calling thread — unless an injected write
+    /// fault is armed, which it consumes instead.
+    fn send(&self, net: &NetworkInner, sock: &mut CallSocket, bytes: &[u8]) -> io::Result<()> {
+        let fault = self
+            .inject
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        if fault.is_ok() {
+            return Err(io::Error::new(
+                ErrorKind::BrokenPipe,
                 "injected write fault",
-            ))
-        } else {
-            let frames = [frame.bytes.as_slice()];
-            write_frames_vectored(stream, &frames).1
-        };
-        match result {
-            Ok(()) => net.count_socket_send(frame.bytes.len()),
-            Err(e) => {
-                if let Some(f) = frame.on_fail.take() {
-                    f();
-                }
-                self.die(comm(format!("send on {} link failed: {e}", self.kind)));
-            }
+            ));
         }
+        write_frame_vectored(sock.stream.get_mut(), bytes)?;
+        hotpath::count_fastpath_send();
+        net.count_socket_send(bytes.len());
+        Ok(())
     }
 
-    /// Tears the connection down once: shuts the socket, fails every
-    /// in-flight waiter with `reason` (so a peer disconnect mid-call fails
-    /// the call with `Comm` instead of hanging it), fails every frame
-    /// still queued for the writer, stops the writer and dispatcher pool
-    /// threads, and counts the disconnect.
-    ///
-    /// Safe to call while holding `wlock` (the error paths do): it takes
-    /// only `wq` and `pool_state`, both below `wlock` in the lock order.
-    fn die(&self, reason: DoorError) {
+    /// Kills the generation, once: shuts every socket — in-flight callers
+    /// read EOF and fail with `Comm` instead of hanging, serving threads
+    /// unblock and exit — wakes queued callers, and counts the disconnect.
+    /// Returns `reason` for the caller to fail with.
+    fn die(&self, reason: DoorError) -> DoorError {
         if self.dead.swap(true, Ordering::SeqCst) {
-            return;
+            return reason;
         }
-        self.stream.shutdown();
-        let waiters: Vec<Arc<Waiter>> = self.waiters.lock().drain().map(|(_, w)| w).collect();
-        for w in waiters {
-            w.fulfill(Err(reason.clone()));
+        let mut st = lock(&self.state);
+        for (_, handle) in st.sockets.drain() {
+            handle.shutdown();
         }
-        // Fail the queued frames in the shutdown critical section, so
-        // "shutdown" implies "queue empty forever" for senders and the
-        // writer alike; the cleanups run outside the lock.
-        let queued = {
-            let mut q = self.wq.lock().unwrap_or_else(|p| p.into_inner());
-            q.shutdown = true;
-            self.wq_cv.notify_all();
-            std::mem::take(&mut q.queue)
-        };
-        for mut frame in queued {
-            if let Some(f) = frame.on_fail.take() {
-                f();
-            }
-        }
-        // Drop undispatched inbound work: the senders' waiters were failed
-        // by *their* side's disconnect handling, and a reply could not be
-        // sent anyway. Dropping a request that never executed is
-        // indistinguishable from the frame having been lost in flight.
-        let dropped = {
-            let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            st.shutdown = true;
-            self.pool_cv.notify_all();
-            std::mem::take(&mut st.queue)
-        };
-        for _ in &dropped {
-            hotpath::dispatch_done();
-        }
+        st.idle.clear();
+        self.freed.notify_all();
+        drop(st);
         if let Some(net) = self.net.upgrade() {
             net.count_socket_disconnect();
         }
+        reason
     }
 
-    /// Queues one decoded inbound frame for the dispatcher pool, spawning
-    /// a worker if none is idle and the cap allows. Returns `false` only
-    /// if the job can never be processed (spawn failed with no live
-    /// workers) — the caller must kill the connection then.
-    fn submit_job(self: &Arc<Conn>, job: Job) -> bool {
-        let spawn = {
-            let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            if st.shutdown {
-                return true; // dying connection: die() accounting covers it
-            }
-            hotpath::dispatch_enqueued();
-            st.queue.push_back(job);
-            if st.idle > 0 {
-                self.pool_cv.notify_one();
-                false
-            } else if st.workers < DISPATCH_POOL_CAP {
-                st.workers += 1;
-                true
-            } else {
-                false // every worker busy at cap: the queue waits its turn
-            }
-        };
-        if spawn {
-            hotpath::count_dispatch_spawned();
-            let conn = self.clone();
-            if thread::Builder::new()
-                .name("spring-sock-dispatch".into())
-                .spawn(move || pool_worker(&conn))
-                .is_err()
+    /// One request frame out, its reply frame back, on one socket and this
+    /// thread. `deadline` (microseconds on the [`now_micros`] clock) bounds
+    /// the reply wait: on expiry the call fails with `Comm` and *only this
+    /// socket* is closed, so the late reply can never be read by the next
+    /// caller and other calls in flight on the link complete. Every other
+    /// failure kills the link.
+    fn round_trip(
+        &self,
+        net: &NetworkInner,
+        id: u64,
+        request: &[u8],
+        calls: usize,
+        deadline: Option<u64>,
+    ) -> Result<Vec<ReplyOutcome>, DoorError> {
+        let mut sock = self.checkout(net)?;
+        // The socket is exclusively ours until checkin, so its receive
+        // timeout affects nobody else; a call without a deadline on a
+        // socket that never had one sets nothing.
+        let timeout =
+            deadline.map(|d| Duration::from_micros(d.saturating_sub(now_micros()).max(1)));
+        if timeout.is_some() || sock.timed {
+            sock.stream
+                .get_ref()
+                .set_read_timeout(timeout)
+                .map_err(|e| self.die(comm(e)))?;
+            sock.timed = timeout.is_some();
+        }
+        self.send(net, &mut sock, request)
+            .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
+        let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
+            Ok(n) => n,
+            // `SO_RCVTIMEO` expiring reads as `WouldBlock` (or `TimedOut`).
+            Err(FrameReadError::Io(e))
+                if sock.timed
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
             {
-                let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-                st.workers -= 1;
-                return st.workers > 0; // survivors will drain the queue
+                self.close(sock, Side::Calling);
+                return Err(comm(format!(
+                    "deadline expired awaiting the reply on {} link",
+                    self.kind
+                )));
             }
-        }
-        true
-    }
-}
-
-/// Writes `frames` (already length-capped by the codec) as vectored
-/// bursts: each burst interleaves 4-byte length prefixes with frame bodies
-/// into up to [`MAX_IOV`] `IoSlice`s and hands them to one
-/// `write_vectored` call, advancing manually across short writes.
-///
-/// Returns how many frames *fully* reached the stream plus the terminal
-/// result; on error, frames at and past the returned count never made it
-/// (a partially-written frame counts as not made it — the stream is
-/// protocol-broken and the caller kills the connection).
-fn write_frames_vectored(stream: &mut Stream, frames: &[&[u8]]) -> (usize, io::Result<()>) {
-    let prefixes: Vec<[u8; 4]> = frames
-        .iter()
-        .map(|f| (f.len() as u32).to_le_bytes())
-        .collect();
-    // Flat slice list in wire order: prefix 0, body 0, prefix 1, body 1 …
-    // so frame i occupies slices 2i and 2i+1 and `slice_idx / 2` is the
-    // count of fully-written frames.
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(frames.len() * 2);
-    for (p, f) in prefixes.iter().zip(frames) {
-        slices.push(p);
-        slices.push(f);
-    }
-    let mut idx = 0usize; // current slice
-    let mut off = 0usize; // progress within it
-    while idx < slices.len() {
-        let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV.min(slices.len() - idx));
-        iov.push(IoSlice::new(&slices[idx][off..]));
-        for s in slices[idx + 1..].iter().take(MAX_IOV - 1) {
-            iov.push(IoSlice::new(s));
-        }
-        let mut n = match stream.write_vectored(&iov) {
-            Ok(0) => {
-                return (
-                    idx / 2,
-                    Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    )),
-                )
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return (idx / 2, Err(e)),
-        };
-        while n > 0 {
-            let rem = slices[idx].len() - off;
-            if n >= rem {
-                n -= rem;
-                idx += 1;
-                off = 0;
-            } else {
-                off += n;
-                n = 0;
-            }
-        }
-    }
-    (frames.len(), stream.flush())
-}
-
-/// The writer thread: park until frames are queued, then drain the whole
-/// queue per wakeup into one vectored write under the write lock.
-///
-/// The take order is load-bearing for the fast path: the writer acquires
-/// `wlock` *first*, then empties the queue under `wq` — so a sender that
-/// finds `wlock` free and the queue empty knows no queued frame exists
-/// anywhere to be ordered ahead of its inline write, and a sender that
-/// finds the queue non-empty appends behind the frames taken here.
-fn writer_loop(conn: &Arc<Conn>) {
-    loop {
-        {
-            let mut q = conn.wq.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if q.shutdown {
-                    return; // die() already drained and failed the queue
-                }
-                if !q.queue.is_empty() {
-                    break;
-                }
-                q = conn.wq_cv.wait(q).unwrap_or_else(|p| p.into_inner());
-            }
-        }
-        let mut stream = conn.wlock.lock().unwrap_or_else(|p| p.into_inner());
-        let frames = {
-            let mut q = conn.wq.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut q.queue)
-        };
-        if frames.is_empty() {
-            continue; // die() drained it between our two looks
-        }
-        if !write_batch(conn, &mut stream, frames) {
-            return;
-        }
-    }
-}
-
-/// Writes one drained batch under the (held) write lock. Returns `false`
-/// when the connection died: the writer thread should exit.
-///
-/// Injected faults keep their one-fault-one-frame arming semantics: each
-/// frame consumes a fault *in queue order*, the frames ahead of the first
-/// faulted one are written (vectored), the faulted frame fails and kills
-/// the connection, and everything behind it is cleaned up like any frame
-/// queued behind a send failure. On a *real* write error the frames the
-/// stream fully accepted count as sent; the failing frame and everything
-/// after it run their cleanups.
-fn write_batch(conn: &Arc<Conn>, stream: &mut Stream, frames: Vec<OutFrame>) -> bool {
-    let Some(net) = conn.net.upgrade() else {
-        conn.die(comm("network shut down"));
-        for mut frame in frames {
-            if let Some(f) = frame.on_fail.take() {
-                f();
-            }
-        }
-        return false;
-    };
-    let mut clean: Vec<OutFrame> = Vec::with_capacity(frames.len());
-    let mut faulted: Option<OutFrame> = None;
-    let mut behind: Vec<OutFrame> = Vec::new();
-    for frame in frames {
-        if faulted.is_some() {
-            behind.push(frame);
-        } else if take_injected_fault(&conn.inject) {
-            faulted = Some(frame);
-        } else {
-            clean.push(frame);
-        }
-    }
-
-    let mut alive = true;
-    if !clean.is_empty() {
-        let bodies: Vec<&[u8]> = clean.iter().map(|f| f.bytes.as_slice()).collect();
-        let (done, result) = write_frames_vectored(stream, &bodies);
-        for frame in &clean[..done] {
-            net.count_socket_send(frame.bytes.len());
-        }
-        hotpath::count_writev_wakeup(done as u64);
-        if let Err(e) = result {
-            conn.die(comm(format!("send on {} link failed: {e}", conn.kind)));
-            for frame in &mut clean[done..] {
-                if let Some(f) = frame.on_fail.take() {
-                    f();
-                }
-            }
-            alive = false;
-        }
-    }
-    if let Some(mut frame) = faulted {
-        if let Some(f) = frame.on_fail.take() {
-            f();
-        }
-        conn.die(comm(format!(
-            "send on {} link failed: injected write fault",
-            conn.kind
-        )));
-        alive = false;
-    }
-    for mut frame in behind {
-        if let Some(f) = frame.on_fail.take() {
-            f();
-        }
-    }
-    alive
-}
-
-/// One dispatcher pool worker: serve queued inbound frames, park when the
-/// queue empties, and reap after [`DISPATCH_IDLE_REAP`] without work.
-fn pool_worker(conn: &Arc<Conn>) {
-    loop {
-        let job = {
-            let mut st = conn.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break Some(job);
-                }
-                if st.shutdown {
-                    st.workers -= 1;
-                    break None;
-                }
-                st.idle += 1;
-                let (guard, timeout) = conn
-                    .pool_cv
-                    .wait_timeout(st, DISPATCH_IDLE_REAP)
-                    .unwrap_or_else(|p| p.into_inner());
-                st = guard;
-                st.idle -= 1;
-                if timeout.timed_out() && st.queue.is_empty() && !st.shutdown {
-                    st.workers -= 1;
-                    hotpath::count_dispatch_reaped();
-                    break None;
-                }
-            }
-        };
-        let Some(job) = job else { return };
-        match job {
-            Job::Request(req) => dispatch_request(conn, req),
-            Job::Oneway(req) => dispatch_oneway(conn, req),
-        }
-        hotpath::dispatch_done();
-    }
-}
-
-fn reader_loop(conn: &Arc<Conn>, stream: Stream) {
-    let mut r = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        let n = match framing::read_frame(&mut r, &mut buf) {
-            Ok(n) => n,
-            Err(FrameReadError::Closed) => {
-                conn.die(comm(format!("{} peer disconnected", conn.kind)));
-                return;
-            }
-            Err(e) => {
-                // Includes `Truncated` (stream ended short of the declared
-                // length) and `Oversized` (a garbage prefix): typed
-                // rejection, never a hang on bytes that will not arrive.
-                conn.die(comm(format!("{} link read failed: {e}", conn.kind)));
-                return;
-            }
-        };
-        let Some(net) = conn.net.upgrade() else {
-            conn.die(comm("network shut down"));
-            return;
+            Err(e) => return Err(self.die(self.read_failed(e))),
         };
         net.count_socket_receive(n);
-        let frame = &buf[..n];
-        match frame_kind(frame) {
-            Ok(KIND_REQUEST) => match decode_request(frame) {
-                Ok(req) => {
-                    // Never dispatch inline: a servant that calls back
-                    // through a proxy door on this very connection needs
-                    // the reader free to deliver the nested reply. The
-                    // dispatcher pool reuses parked workers instead of
-                    // spawning a thread per frame.
-                    if !conn.submit_job(Job::Request(req)) {
-                        conn.die(comm("dispatch thread spawn failed"));
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // A frame whose declared counts or lengths disagree
-                    // with the bytes received: reject it with the typed
-                    // error and tear the link down — the peer's framing is
-                    // not trustworthy, and its in-flight calls must fail
-                    // with `Comm` rather than hang.
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
+        let reply = decode_reply(&sock.buf[..n])
+            .map_err(|e| self.die(comm(format!("malformed {} frame: {e}", self.kind))))?;
+        if reply.id != id || reply.outcomes.len() != calls {
+            return Err(self.die(comm(format!(
+                "protocol violation: reply {} with {} outcomes for request {id} with {calls} calls",
+                reply.id,
+                reply.outcomes.len()
+            ))));
+        }
+        self.checkin(sock);
+        Ok(reply.outcomes)
+    }
+
+    /// Dialing side: parks one more serving socket with the acceptor, on a
+    /// thread of its own that dials it and then serves it (so whoever asked
+    /// is not held up by a handshake). Called once when the link's
+    /// transport is registered — a request served here may call straight
+    /// back, and routing that call needs the registration — and then by
+    /// each serving thread when its socket is first used, so until the cap
+    /// the acceptor always holds a socket no call has claimed yet. Without
+    /// it the acceptor's nested callbacks could queue forever, so failing to
+    /// provide it kills the link.
+    fn spawn_spare(self: &Arc<Link>) {
+        if !self.reserve(Side::Serving) {
+            return;
+        }
+        let link = self.clone();
+        let spawned = thread::Builder::new()
+            .name(format!("spring-sock-serve-{}", self.remote.node))
+            .spawn(move || {
+                let Some(net) = link.net.upgrade() else {
                     return;
+                };
+                let dialled = link.dial_socket(&net, Side::Serving);
+                drop(net);
+                match dialled {
+                    Ok(sock) => serve(&link, sock),
+                    Err(e) => drop(link.die(e)),
                 }
-            },
-            Ok(KIND_ONEWAY) => match decode_oneway(frame) {
-                Ok(req) => {
-                    if !conn.submit_job(Job::Oneway(req)) {
-                        conn.die(comm("dispatch thread spawn failed"));
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // Same trust model as requests: a malformed one-way
-                    // frame proves the peer's framing is broken, even
-                    // though no caller is waiting on this one.
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
-                    return;
-                }
-            },
-            Ok(KIND_REPLY) => match decode_reply(frame) {
-                Ok(reply) => {
-                    // An unknown id is a late reply for a ship that
-                    // already failed; drop it.
-                    let waiter = conn.waiters.lock().remove(&reply.id);
-                    if let Some(w) = waiter {
-                        w.fulfill(Ok(reply));
-                    }
-                }
-                Err(e) => {
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
-                    return;
-                }
-            },
-            _ => {
-                conn.die(comm(format!("unexpected {} frame kind", conn.kind)));
-                return;
-            }
+            });
+        if let Err(e) = spawned {
+            self.die(comm(format!("serving thread spawn failed: {e}")));
         }
     }
 }
 
-/// Serves one inbound request frame: delivery and execution per call, in
+/// The generation of the first link a peer of this process dials: a count
+/// of 1 in the low half under a number drawn once per process in the high
+/// half. Redials count up from it, so the generations of one run of a
+/// process are ordered, and a restarted process — which counts from 1
+/// again — is told apart from a straggler of the run before it.
+fn first_generation() -> u64 {
+    static RUN: OnceLock<u64> = OnceLock::new();
+    let run = RUN.get_or_init(|| RandomState::new().build_hasher().finish());
+    (run << 32) | 1
+}
+
+/// Dials one socket and runs the dialer's half of the HELLO exchange: we
+/// speak first, naming the socket's role and generation, and the acceptor's
+/// HELLO must echo both.
+fn dial(
+    net: &NetworkInner,
+    local: u64,
+    addr: &Addr,
+    role: u8,
+    generation: u64,
+) -> Result<(Stream, Hello), DoorError> {
+    let server = net.server(local)?;
+    let mut stream = Stream::connect(addr).map_err(|e| comm(format!("connect {addr:?}: {e}")))?;
+    stream.start_handshake()?;
+    let ours = our_hello(&server, role, generation);
+    write_frame_vectored(&mut stream, &encode_hello(&ours)).map_err(comm)?;
+    let remote = read_hello(&mut stream, local)?;
+    if (remote.role, remote.generation) != (role, generation) {
+        return Err(comm(format!(
+            "bad handshake: asked for role {role} generation {generation}, acceptor echoed \
+             role {} generation {}",
+            remote.role, remote.generation
+        )));
+    }
+    stream.set_read_timeout(None).map_err(comm)?;
+    Ok((stream, remote))
+}
+
+fn our_hello(server: &NetServer, role: u8, generation: u64) -> Hello {
+    Hello {
+        node: server.node.raw(),
+        name: server.domain.kernel().name().to_owned(),
+        bootstrap: server.bootstrap_export(),
+        role,
+        generation,
+    }
+}
+
+fn read_hello(stream: &mut Stream, local: u64) -> Result<Hello, DoorError> {
+    let mut buf = Vec::new();
+    let n = framing::read_frame(stream, &mut buf).map_err(comm)?;
+    let hello = decode_hello(&buf[..n]).map_err(|e| comm(format!("bad handshake: {e}")))?;
+    if hello.node == local {
+        return Err(comm(format!(
+            "peer claims our own node id {}: processes sharing a network must be \
+             assigned distinct node ids (Network::add_node_with_id)",
+            hello.node
+        )));
+    }
+    Ok(hello)
+}
+
+/// A serving thread: read a frame, run its calls on this thread, write the
+/// reply, read again — until the socket or the link goes.
+///
+/// Reading garbage (or EOF: the peer only ever closes an idle socket by
+/// killing its link) kills the link. A reply that cannot be written closes
+/// this socket alone: the caller hung up on it — its deadline expired, or
+/// its whole link died and every other socket says so — or, if it is still
+/// waiting, reads EOF and kills the link from its side.
+fn serve(link: &Arc<Link>, mut sock: CallSocket) {
+    hotpath::count_dispatch_spawned();
+    // Dialing side: this socket is the spare until its first frame arrives.
+    let mut spare = link.dial.is_some();
+    loop {
+        let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
+            Ok(n) => n,
+            Err(e) => {
+                link.die(link.read_failed(e));
+                break;
+            }
+        };
+        let Some(net) = link.net.upgrade() else {
+            link.die(comm("network shut down"));
+            break;
+        };
+        net.count_socket_receive(n);
+        if std::mem::take(&mut spare) {
+            // Replaced before the frame executes: the servant may be about
+            // to trigger a call back to us.
+            link.spawn_spare();
+        }
+        let frame = &sock.buf[..n];
+        // A frame whose declared counts or lengths disagree with the bytes
+        // received, or of a kind that has no business here (a HELLO, a
+        // REPLY): the peer's framing is not trustworthy. Reject it with the
+        // typed error and tear the link down, so the peer's in-flight calls
+        // fail with `Comm` rather than hang.
+        let reply = match frame_kind(frame) {
+            Ok(KIND_REQUEST) => decode_request(frame).map(|req| {
+                let (outcomes, fresh) = execute(&net, link.local, req.calls, true);
+                Some((encode_reply(req.id, &outcomes), fresh))
+            }),
+            Ok(KIND_ONEWAY) => decode_oneway(frame).map(|req| {
+                execute(&net, link.local, req.calls, false);
+                None
+            }),
+            Ok(other) => Err(WireError::BadTag {
+                offset: 0,
+                value: other as u32,
+            }),
+            Err(e) => Err(e),
+        };
+        match reply {
+            Ok(None) => {}
+            Ok(Some((bytes, fresh))) => {
+                if link.send(&net, &mut sock, &bytes).is_err() {
+                    // The lost-reply discipline: the calls executed, these
+                    // replies will not be re-sent, so the exports freshly
+                    // pinned for them are released as one batch.
+                    if let Ok(server) = net.server(link.local) {
+                        server.unexport(&fresh);
+                    }
+                    link.close(sock, Side::Serving);
+                    break;
+                }
+            }
+            Err(e) => {
+                link.die(comm(format!("malformed {} frame: {e}", link.kind)));
+                break;
+            }
+        }
+    }
+    hotpath::count_dispatch_reaped();
+}
+
+/// Executes one inbound frame's calls: delivery and execution per call, in
 /// submission order, mirroring the simulated backend's per-call
-/// partial-failure discipline, then one reply frame back.
-fn dispatch_request(conn: &Arc<Conn>, req: RequestFrame) {
-    let Some(net) = conn.net.upgrade() else {
-        return;
-    };
-    let server = match net.server(conn.local) {
+/// partial-failure discipline. With `reply`, returns each call's outcome
+/// and the exports freshly pinned by the staged replies. Without (a one-way
+/// frame: the sender explicitly waived delivery confirmation), outcomes
+/// are recorded in the trace span and otherwise dropped, and the doors a
+/// servant's reply carries are deleted rather than pinned in the serving
+/// domain forever — exactly as the simulated backend does for its one-way
+/// deliveries.
+fn execute(
+    net: &NetworkInner,
+    local: u64,
+    calls: Vec<RequestCall>,
+    reply: bool,
+) -> (Vec<ReplyOutcome>, Vec<u64>) {
+    let server = match net.server(local) {
         Ok(s) => s,
         Err(e) => {
             // The serving node is gone: every call aboard is undeliverable,
             // and the sender must release what it pinned for them.
-            let outcomes: Vec<ReplyOutcome> = req
-                .calls
+            let outcomes = calls
                 .iter()
                 .map(|_| ReplyOutcome::NotDelivered(e.clone()))
                 .collect();
-            conn.send(OutFrame {
-                bytes: encode_reply(req.id, &outcomes),
-                on_fail: None,
-            });
-            return;
+            return (outcomes, Vec::new());
         }
     };
 
-    let calls = req.calls.len() as u64;
-    let mut span = spring_trace::span_start(keys::NET_BATCH, server.domain.trace_scope(), calls);
-    let mut outcomes = Vec::with_capacity(req.calls.len());
-    // Exports freshly pinned by the staged replies, released as one batch
-    // if the reply frame never reaches the wire (the lost-reply-frame
-    // discipline: the calls executed, these replies will not be re-sent).
+    let mut span = spring_trace::span_start(
+        keys::NET_BATCH,
+        server.domain.trace_scope(),
+        calls.len() as u64,
+    );
+    let mut outcomes = Vec::with_capacity(calls.len());
     let mut reply_fresh: Vec<u64> = Vec::new();
-    for call in req.calls {
-        let door = match server.export_target(call.export) {
-            Ok(d) => d,
-            Err(e) => {
-                outcomes.push(ReplyOutcome::NotDelivered(e));
-                continue;
-            }
-        };
-        let delivered = match server.from_wire(call.wire) {
-            Ok(m) => m,
+    for call in calls {
+        let delivered = server
+            .export_target(call.export)
+            .and_then(|door| Ok((door, server.from_wire(call.wire)?)));
+        let (door, delivered) = match delivered {
+            Ok(landed) => landed,
             Err(e) => {
                 outcomes.push(ReplyOutcome::NotDelivered(e));
                 continue;
@@ -938,299 +762,179 @@ fn dispatch_request(conn: &Arc<Conn>, req: RequestFrame) {
         // moving them into the serving domain they would be dropped
         // undeleted (same backstop as the simulated backend).
         let delivered_doors = delivered.doors.clone();
-        let reply = match server.domain.call(door, delivered) {
-            Ok(r) => r,
+        let staged = match server.domain.call(door, delivered) {
+            Ok(r) if reply => server.to_wire_tracked(r),
+            Ok(r) => {
+                for d in r.doors {
+                    let _ = server.domain.delete_door(d);
+                }
+                continue;
+            }
             Err(e) => {
                 for d in delivered_doors {
                     let _ = server.domain.delete_door(d);
                 }
-                outcomes.push(ReplyOutcome::Failed(e));
-                continue;
+                Err(e)
             }
         };
-        match server.to_wire_tracked(reply) {
+        outcomes.push(match staged {
             Ok((wire, fresh)) => {
                 reply_fresh.extend(fresh);
-                outcomes.push(ReplyOutcome::Ok(wire));
+                ReplyOutcome::Ok(wire)
             }
-            Err(e) => outcomes.push(ReplyOutcome::Failed(e)),
-        }
+            Err(e) => ReplyOutcome::Failed(e),
+        });
     }
     if outcomes.iter().any(|o| !matches!(o, ReplyOutcome::Ok(_))) {
         span.fail();
     }
-
-    let bytes = encode_reply(req.id, &outcomes);
-    let on_fail: Option<Box<dyn FnOnce() + Send>> = if reply_fresh.is_empty() {
-        None
-    } else {
-        let server = server.clone();
-        Some(Box::new(move || server.unexport(&reply_fresh)))
-    };
-    conn.send(OutFrame { bytes, on_fail });
-}
-
-/// Serves one inbound one-way frame: delivery and execution per call with
-/// the same discipline as [`dispatch_request`], but no reply frame — the
-/// sender explicitly waived delivery confirmation, so outcomes are
-/// recorded in the trace span and otherwise dropped. Replies the servants
-/// produce are deleted locally, exactly as the simulated backend does for
-/// its one-way deliveries.
-fn dispatch_oneway(conn: &Arc<Conn>, req: RequestFrame) {
-    let Some(net) = conn.net.upgrade() else {
-        return;
-    };
-    let Ok(server) = net.server(conn.local) else {
-        return; // No reply owed; nothing to clean up on this side.
-    };
-    let calls = req.calls.len() as u64;
-    let mut span = spring_trace::span_start(keys::NET_BATCH, server.domain.trace_scope(), calls);
-    let mut failed = false;
-    for call in req.calls {
-        let door = match server.export_target(call.export) {
-            Ok(d) => d,
-            Err(_) => {
-                failed = true;
-                continue;
-            }
-        };
-        let delivered = match server.from_wire(call.wire) {
-            Ok(m) => m,
-            Err(_) => {
-                failed = true;
-                continue;
-            }
-        };
-        let delivered_doors = delivered.doors.clone();
-        match server.domain.call(door, delivered) {
-            Ok(reply) => {
-                // Nobody collects this reply: release any doors it carries
-                // rather than pinning them in the serving domain forever.
-                for d in reply.doors {
-                    let _ = server.domain.delete_door(d);
-                }
-            }
-            Err(_) => {
-                failed = true;
-                for d in delivered_doors {
-                    let _ = server.domain.delete_door(d);
-                }
-            }
-        }
-    }
-    if failed {
-        span.fail();
-    }
+    (outcomes, reply_fresh)
 }
 
 // ---------------------------------------------------------------------------
 // SocketPeer: the Transport reaching one remote process.
 // ---------------------------------------------------------------------------
 
-enum Addr {
-    Tcp(String),
-    Uds(PathBuf),
-}
-
-/// A connection to one remote OS process, registered as the [`Transport`]
-/// for that process's node.
+/// A link to one remote OS process, registered as the [`Transport`] for
+/// that process's node.
 ///
 /// Obtained from [`crate::Network::connect_tcp`] /
 /// [`crate::Network::connect_uds`] (dialing side, redials on failure) or
-/// fabricated by a [`SocketListener`]'s accept loop (accepting side, fails
-/// with `Comm` once the client goes away).
+/// fabricated by a [`SocketListener`] when a new link generation arrives
+/// (accepting side, fails with `Comm` once the client goes away).
 pub struct SocketPeer {
     net: Weak<NetworkInner>,
-    local: NodeId,
-    kind: &'static str,
-    /// Where to redial when the connection dies; `None` on accepted peers.
-    redial: Option<Addr>,
-    conn: Mutex<Option<Arc<Conn>>>,
-    /// Serializes redialling: exactly one dial may be in flight per link,
-    /// or two concurrent shippers racing a dead connection would each
-    /// establish one — two writer threads for the same peer, with the
-    /// loser's connection (and its threads) leaked alive. The `conn` slot
-    /// lock is *never* held across the blocking dial, so concurrent ships
-    /// on the live connection — and `remote_node` / `bootstrap_door` —
-    /// are not stalled behind a handshake that can take [`HANDSHAKE_TIMEOUT`].
+    /// The current link generation, alive or dead. Generations of one peer
+    /// share their local node, kind, address and armed write faults.
+    link: Mutex<Arc<Link>>,
+    /// Serializes redialling: exactly one dial of a new generation may be
+    /// in flight per peer, or two concurrent shippers racing a dead link
+    /// would each open one. The `link` slot lock is *never* held across the
+    /// blocking dial, so `remote_node` / `bootstrap_door` and shippers that
+    /// still hold the old generation are not stalled behind a handshake
+    /// that can take [`HANDSHAKE_TIMEOUT`].
     redialing: Mutex<()>,
-    /// Dials performed after construction (diagnostics: the single-flight
-    /// guarantee is `redials == connection deaths observed`, not `×` the
-    /// number of racing shippers).
+    /// Link generations dialled after construction (diagnostics: the
+    /// single-flight guarantee is `redials == link deaths observed`, not
+    /// `×` the number of racing shippers, nor the number of sockets).
     redials: AtomicU64,
     /// Self-reference for re-registering under a restarted peer's new node
-    /// id; set immediately after construction.
-    me: Mutex<Weak<SocketPeer>>,
-    /// Armed write faults: each one makes the writer thread fail one frame
-    /// as if the kernel returned an I/O error, exercising the real
-    /// send-failure cleanup path deterministically.
-    inject: Arc<AtomicU64>,
-    /// EWMA of observed round-trip nanoseconds; `0` until the first reply.
-    /// Calibrates the reply wait's spin phase: spinning for about one RTT
-    /// (capped at [`SPIN_CAP_NS`]) catches the common fast reply without a
-    /// park/unpark pair, and parks immediately while the link's speed is
-    /// still unknown.
-    rtt_ns: AtomicU64,
+    /// id.
+    me: Weak<SocketPeer>,
 }
 
 impl SocketPeer {
-    pub(crate) fn connect_tcp(
-        net: &Arc<NetworkInner>,
-        node: NodeId,
-        addr: &str,
-    ) -> Result<Arc<SocketPeer>, DoorError> {
-        Self::connect(net, node, Addr::Tcp(addr.to_string()), "tcp")
-    }
-
-    pub(crate) fn connect_uds(
-        net: &Arc<NetworkInner>,
-        node: NodeId,
-        path: &str,
-    ) -> Result<Arc<SocketPeer>, DoorError> {
-        Self::connect(net, node, Addr::Uds(PathBuf::from(path)), "uds")
-    }
-
-    fn connect(
+    pub(crate) fn connect(
         net: &Arc<NetworkInner>,
         node: NodeId,
         addr: Addr,
-        kind: &'static str,
     ) -> Result<Arc<SocketPeer>, DoorError> {
-        let inject = Arc::new(AtomicU64::new(0));
-        let conn = Conn::dial(net, node, &addr, kind, inject.clone())?;
-        let peer = Arc::new(SocketPeer {
-            net: Arc::downgrade(net),
-            local: node,
-            kind,
-            redial: Some(addr),
-            conn: Mutex::new(Some(conn.clone())),
-            redialing: Mutex::new(()),
-            redials: AtomicU64::new(0),
-            me: Mutex::new(Weak::new()),
-            inject,
-            rtt_ns: AtomicU64::new(0),
-        });
-        *peer.me.lock() = Arc::downgrade(&peer);
-        net.register_transport(conn.remote.node, peer.clone());
-        conn.start_reader();
+        let link = Link::open(net, node.raw(), &addr, first_generation(), Arc::default())?;
+        let peer = Self::adopt(net, link.clone());
+        link.spawn_spare();
         Ok(peer)
     }
 
-    fn accepted(
-        net: &Arc<NetworkInner>,
-        node: NodeId,
-        conn: Arc<Conn>,
-        kind: &'static str,
-        inject: Arc<AtomicU64>,
-    ) -> Arc<SocketPeer> {
-        let peer = Arc::new(SocketPeer {
+    /// Wraps `link` in a peer and registers it as the transport reaching
+    /// the link's remote node (replacing, on the accepting side, the peer
+    /// of an older generation wholesale).
+    fn adopt(net: &Arc<NetworkInner>, link: Arc<Link>) -> Arc<SocketPeer> {
+        let remote = link.remote.node;
+        let peer = Arc::new_cyclic(|me| SocketPeer {
             net: Arc::downgrade(net),
-            local: node,
-            kind,
-            redial: None,
-            conn: Mutex::new(Some(conn.clone())),
+            link: Mutex::new(link),
             redialing: Mutex::new(()),
             redials: AtomicU64::new(0),
-            me: Mutex::new(Weak::new()),
-            inject,
-            rtt_ns: AtomicU64::new(0),
+            me: me.clone(),
         });
-        *peer.me.lock() = Arc::downgrade(&peer);
-        net.register_transport(conn.remote.node, peer.clone());
-        conn.start_reader();
+        net.register_transport(remote, peer.clone());
         peer
     }
 
-    /// The current connection if it is still alive.
-    fn current_live(&self) -> Option<Arc<Conn>> {
-        self.conn
-            .lock()
-            .as_ref()
-            .filter(|c| !c.dead.load(Ordering::SeqCst))
-            .cloned()
+    fn net(&self) -> Result<Arc<NetworkInner>, DoorError> {
+        self.net.upgrade().ok_or_else(|| comm("network shut down"))
     }
 
-    /// The live connection, redialling if the previous one died (dialing
-    /// side only). Redial is single-flight per link: the slot lock is only
-    /// ever held for pointer reads and the final install, and the blocking
-    /// dial runs under the dedicated `redialing` mutex, so shippers racing
-    /// a dead connection produce exactly one new connection (the losers
-    /// adopt the winner's) instead of one writer thread each.
-    fn live_conn(&self, net: &Arc<NetworkInner>) -> Result<Arc<Conn>, DoorError> {
-        if let Some(c) = self.current_live() {
-            return Ok(c);
+    /// The current link generation if it is still alive.
+    fn current_live(&self) -> Option<Arc<Link>> {
+        let link = self.link.lock();
+        (!link.is_dead()).then(|| link.clone())
+    }
+
+    /// The live link, dialling the next generation if the previous one died
+    /// (dialing side only). Redial is single-flight per peer: the slot lock
+    /// is only ever held for pointer reads and the final install, and the
+    /// blocking dial runs under the dedicated `redialing` mutex, so
+    /// shippers racing a dead link produce exactly one new generation (the
+    /// losers adopt the winner's).
+    fn live_link(&self, net: &Arc<NetworkInner>) -> Result<Arc<Link>, DoorError> {
+        if let Some(link) = self.current_live() {
+            return Ok(link);
         }
-        let addr = self
-            .redial
-            .as_ref()
-            .ok_or_else(|| comm(format!("{} peer disconnected", self.kind)))?;
         let _dialing = self.redialing.lock();
         // Double-check under the redial lock: a racing shipper may have
         // finished this very redial while we waited for the mutex.
-        if let Some(c) = self.current_live() {
-            return Ok(c);
+        if let Some(link) = self.current_live() {
+            return Ok(link);
         }
-        let prior = self.conn.lock().as_ref().map(|c| c.remote.node);
+        let dead = self.link.lock().clone();
+        // Accepted peers cannot dial: their client must come back itself.
+        let addr = dead.dial.as_ref().ok_or_else(|| dead.disconnected())?;
+        let generation = dead.remote.generation + 1;
         self.redials.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn::dial(net, self.local, addr, self.kind, self.inject.clone())?;
-        if prior.is_some() && prior != Some(conn.remote.node) {
+        let link = Link::open(net, dead.local, addr, generation, dead.inject.clone())?;
+        if dead.remote.node != link.remote.node {
             // The peer restarted under a different node id: its new
-            // identity routes through this link too. (The old id's entry
+            // identity routes through this peer too. (The old id's entry
             // stays and fails with "stale export", which is accurate.)
-            if let Some(me) = self.me.lock().upgrade() {
-                net.register_transport(conn.remote.node, me);
+            if let Some(me) = self.me.upgrade() {
+                net.register_transport(link.remote.node, me);
             }
         }
-        *self.conn.lock() = Some(conn.clone());
-        conn.start_reader();
-        Ok(conn)
+        *self.link.lock() = link.clone();
+        link.spawn_spare();
+        Ok(link)
     }
 
-    /// Dials performed since this peer was constructed — one per observed
-    /// connection death, however many shippers raced the redial.
+    /// Link generations dialled since this peer was constructed — one per
+    /// observed link death, however many shippers raced the redial.
     pub fn redials(&self) -> u64 {
         self.redials.load(Ordering::Relaxed)
     }
 
     /// The remote process's node id, as declared in its HELLO.
     pub fn remote_node(&self) -> Option<NodeId> {
-        self.conn
-            .lock()
-            .as_ref()
-            .map(|c| NodeId::from_raw(c.remote.node))
+        Some(NodeId::from_raw(self.link.lock().remote.node))
     }
 
     /// The remote process's machine name, as declared in its HELLO.
     pub fn remote_name(&self) -> Option<String> {
-        self.conn.lock().as_ref().map(|c| c.remote.name.clone())
+        Some(self.link.lock().remote.name.clone())
     }
 
     /// Imports the peer's advertised bootstrap door as a proxy door owned
     /// by `into` — the first identifier a freshly connected process holds,
     /// from which all further doors are exchanged by ordinary calls.
     pub fn bootstrap_door(&self, into: &Domain) -> Result<DoorId, DoorError> {
-        let net = self
-            .net
-            .upgrade()
-            .ok_or_else(|| comm("network shut down"))?;
-        let conn = self.live_conn(&net)?;
-        let boot = conn
+        let net = self.net()?;
+        let link = self.live_link(&net)?;
+        let boot = link
             .remote
             .bootstrap
             .ok_or_else(|| comm("peer published no bootstrap door"))?;
-        let server = net.server(self.local.raw())?;
+        let server = net.server(link.local)?;
         let door = server.import_cap(WireCap {
-            origin: conn.remote.node,
+            origin: link.remote.node,
             export: boot,
         })?;
         server.domain.transfer_door(door, into)
     }
 
-    /// Arms `n` injected write faults: the next `n` frames queued on this
-    /// peer's connection fail as if the socket write returned an error,
-    /// killing the connection exactly like a real mid-send failure.
+    /// Arms `n` injected write faults: the next `n` frames written on this
+    /// peer's link fail as if the socket write returned an error, killing
+    /// the link exactly like a real mid-send failure.
     pub fn inject_write_faults(&self, n: u64) {
-        self.inject.store(n, Ordering::Relaxed);
+        self.link.lock().inject.store(n, Ordering::Relaxed);
     }
 
     fn ship_inner(
@@ -1238,66 +942,31 @@ impl SocketPeer {
         from: &Arc<NetServer>,
         frame: &mut [PendingEntry],
     ) -> Result<(), DoorError> {
-        let net = self
-            .net
-            .upgrade()
-            .ok_or_else(|| comm("network shut down"))?;
-        let conn = self.live_conn(&net)?;
+        let net = self.net()?;
+        let link = self.live_link(&net)?;
 
         let mut sent = Vec::with_capacity(frame.len());
         let mut wires = Vec::with_capacity(frame.len());
+        // The reply wait is bounded when every call aboard carries a
+        // deadline — by the latest of them; identity-free calls carry none.
+        let (mut latest, mut bounded) = (0u64, true);
         for (i, entry) in frame.iter_mut().enumerate() {
             if let Some(wire) = entry.wire.take() {
+                let due = CallId::from_bytes(wire.call).deadline_micros;
+                bounded &= due != 0;
+                latest = latest.max(due);
                 sent.push(i);
                 wires.push((entry.export, wire));
             }
         }
         let borrowed: Vec<(u64, &WireMessage)> = wires.iter().map(|(e, w)| (*e, w)).collect();
-        let id = conn.next_frame.fetch_add(1, Ordering::Relaxed);
-        let bytes = encode_request(id, &borrowed);
+        let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
+        let request = encode_request(id, &borrowed);
         drop(borrowed);
 
-        let waiter = Waiter::new();
-        conn.waiters.lock().insert(id, waiter.clone());
-        if conn.dead.load(Ordering::SeqCst) {
-            // The connection died between `live_conn` and here; `die` may
-            // have drained the waiter map before our insert.
-            conn.waiters.lock().remove(&id);
-            return Err(comm(format!("{} peer disconnected", self.kind)));
-        }
-        let fail_waiter = waiter.clone();
-        let fkind = self.kind;
-        let started = Instant::now();
-        conn.send(OutFrame {
-            bytes,
-            on_fail: Some(Box::new(move || {
-                fail_waiter.fulfill(Err(comm(format!("send on {fkind} link failed"))));
-            })),
-        });
-
-        let spin = if spin_allowed() {
-            Duration::from_nanos(self.rtt_ns.load(Ordering::Relaxed).min(SPIN_CAP_NS))
-        } else {
-            Duration::ZERO
-        };
-        let reply = match waiter.wait(spin) {
-            Ok(r) => r,
-            Err(e) => {
-                conn.waiters.lock().remove(&id);
-                return Err(e);
-            }
-        };
-        self.observe_rtt(started.elapsed());
-        if reply.outcomes.len() != sent.len() {
-            let e = comm(format!(
-                "protocol violation: {} outcomes for {} calls",
-                reply.outcomes.len(),
-                sent.len()
-            ));
-            conn.die(e.clone());
-            return Err(e);
-        }
-        for (i, outcome) in sent.into_iter().zip(reply.outcomes) {
+        let deadline = (bounded && latest != 0).then_some(latest);
+        let outcomes = link.round_trip(&net, id, &request, sent.len(), deadline)?;
+        for (i, outcome) in sent.into_iter().zip(outcomes) {
             let entry = &mut frame[i];
             match outcome {
                 ReplyOutcome::Ok(wire) => {
@@ -1319,24 +988,11 @@ impl SocketPeer {
         }
         Ok(())
     }
-
-    /// Folds one observed round trip into the spin-calibration EWMA
-    /// (`new = (3·old + sample) / 4`; the first sample seeds it directly).
-    fn observe_rtt(&self, rtt: Duration) {
-        let sample = u64::try_from(rtt.as_nanos()).unwrap_or(u64::MAX);
-        let old = self.rtt_ns.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            sample
-        } else {
-            old / 4 * 3 + sample / 4
-        };
-        self.rtt_ns.store(next.max(1), Ordering::Relaxed);
-    }
 }
 
 impl Transport for SocketPeer {
     fn kind(&self) -> &'static str {
-        self.kind
+        self.link.lock().kind
     }
 
     fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
@@ -1344,10 +1000,10 @@ impl Transport for SocketPeer {
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
         if let Err(e) = self.ship_inner(from, frame) {
             // The frame failed wholesale (dial failure, send failure, peer
-            // disconnect awaiting the reply): whether the peer saw any of
-            // it is unknowable, but its connection state is gone either
-            // way, so every export freshly pinned for the frame is
-            // released and every in-flight call fails with `Comm` — the
+            // disconnect or expired deadline awaiting the reply): whether
+            // the peer saw any of it is unknowable, but nobody will ever
+            // hear its reply, so every export freshly pinned for the frame
+            // is released and every in-flight call fails with `Comm` — the
             // retrying subcontracts re-pin on the next attempt.
             span.fail();
             for entry in frame.iter_mut() {
@@ -1360,35 +1016,24 @@ impl Transport for SocketPeer {
     fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), 1);
         let result = (|| {
-            let net = self
-                .net
-                .upgrade()
-                .ok_or_else(|| comm("network shut down"))?;
-            let conn = self.live_conn(&net)?;
+            let net = self.net()?;
+            let link = self.live_link(&net)?;
             let Some(wire) = entry.wire.take() else {
                 return Ok(()); // Nothing to carry; vacuously delivered.
             };
-            let id = conn.next_frame.fetch_add(1, Ordering::Relaxed);
+            let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
             let bytes = encode_oneway(id, &[(entry.export, &wire)]);
-            if conn.dead.load(Ordering::SeqCst) {
-                return Err(comm(format!("{} peer disconnected", self.kind)));
-            }
-            // An async send failure must still release the frame's fresh
-            // pins — there is no reply whose absence would surface it.
-            let on_fail: Option<Box<dyn FnOnce() + Send>> = if entry.fresh.is_empty() {
-                None
-            } else {
-                let fresh = entry.fresh.clone();
-                let from = from.clone();
-                Some(Box::new(move || from.unexport(&fresh)))
-            };
-            conn.send(OutFrame { bytes, on_fail });
+            let mut sock = link.checkout(&net)?;
+            link.send(&net, &mut sock, &bytes)
+                .map_err(|e| link.die(comm(format!("send on {} link failed: {e}", link.kind))))?;
+            link.checkin(sock);
             hotpath::count_oneway_frame();
             Ok(())
         })();
         if let Err(e) = result {
-            // Provably never handed to the wire: release the pins here and
-            // surface the failure synchronously.
+            // The write happened (or not) on this thread, so the failure is
+            // synchronous and provable: the frame never left. Release the
+            // pins here — there is no reply whose absence would surface it.
             from.unexport(&entry.fresh);
             span.fail();
             return Err(e);
@@ -1425,8 +1070,103 @@ impl Acceptor {
     }
 }
 
+/// What the accept loop and the per-socket handshake threads share.
+struct Accepting {
+    node: NodeId,
+    kind: &'static str,
+    inject: Arc<AtomicU64>,
+    /// Remote node -> the newest link generation it has opened with us.
+    links: Mutex<HashMap<u64, Arc<Link>>>,
+}
+
+impl Accepting {
+    /// Runs the acceptor's half of the HELLO exchange on an inbound stream
+    /// and joins it to its link. Returns the socket if it is ours to serve
+    /// (the dialer calls on it); one the dialer serves goes to the link's
+    /// idle list for our callers.
+    fn handshake(
+        &self,
+        net: &Arc<NetworkInner>,
+        mut stream: Stream,
+    ) -> Result<Option<(Arc<Link>, CallSocket)>, DoorError> {
+        let server = net.server(self.node.raw())?;
+        stream.start_handshake()?;
+        let hello = read_hello(&mut stream, self.node.raw())?;
+        let side = if hello.role == ROLE_DIALER_CALLS {
+            Side::Serving
+        } else {
+            Side::Calling
+        };
+        let echo = encode_hello(&our_hello(&server, hello.role, hello.generation));
+        stream.set_read_timeout(None).map_err(comm)?;
+        let (link, mut sock) = self.join(net, hello, stream, side)?;
+        // Joined before the echo leaves: once the dialer may use the socket
+        // the link's transport is registered and `die` reaches the socket.
+        if let Err(e) = write_frame_vectored(sock.stream.get_mut(), &echo) {
+            link.close(sock, side);
+            return Err(comm(e));
+        }
+        Ok(match side {
+            Side::Serving => Some((link, sock)),
+            Side::Calling => {
+                link.checkin(sock);
+                None
+            }
+        })
+    }
+
+    /// Finds or founds the link an inbound socket belongs to. The dialer
+    /// counts generations and only dials `g + 1` after `g` died on its
+    /// side, so a newer generation than the one we hold supersedes it, and
+    /// a socket of an older one — or of the held one, once that is dead —
+    /// is a straggler (a socket whose handshake lost the race with its
+    /// link's death) that must be dropped: never allowed to displace the
+    /// generation that replaced it, nor to raise a dead one as a link
+    /// nobody is at the other end of. Only generations of one run of the
+    /// dialer process (same high half, [`first_generation`]) are ordered; a
+    /// restarted dialer counts afresh and supersedes whatever we hold.
+    fn join(
+        &self,
+        net: &Arc<NetworkInner>,
+        hello: Hello,
+        stream: Stream,
+        side: Side,
+    ) -> Result<(Arc<Link>, CallSocket), DoorError> {
+        // Held across the registration: a second socket of a new generation
+        // must not be served before the first has registered its transport,
+        // or a servant calling straight back finds no route.
+        let mut links = self.links.lock();
+        let held = links
+            .get(&hello.node)
+            .map(|l| (l, l.remote.generation))
+            .filter(|(_, g)| g >> 32 == hello.generation >> 32);
+        let link = match held {
+            Some((l, g)) if hello.generation < g || (hello.generation == g && l.is_dead()) => {
+                return Err(comm(format!(
+                    "straggler of generation {} (holding {g})",
+                    hello.generation
+                )));
+            }
+            Some((l, g)) if hello.generation == g => l.clone(),
+            _ => {
+                let (node, generation) = (hello.node, hello.generation);
+                let local = self.node.raw();
+                let link = Link::new(net, local, hello, None, self.kind, self.inject.clone());
+                if let Some(old) = links.insert(node, link.clone()) {
+                    old.die(comm(format!("superseded by generation {generation}")));
+                }
+                // Registration in the transports map keeps the peer alive.
+                SocketPeer::adopt(net, link.clone());
+                link
+            }
+        };
+        let sock = link.admit(stream, side)?;
+        Ok((link, sock))
+    }
+}
+
 /// Accepts socket connections for one node; dropping it stops the accept
-/// loop (established connections live on).
+/// loop (established links live on, but can open no further sockets).
 pub struct SocketListener {
     stop: Arc<AtomicBool>,
     addr: String,
@@ -1482,10 +1222,16 @@ impl SocketListener {
             uds_path,
             inject: inject.clone(),
         });
+        let accepting = Arc::new(Accepting {
+            node,
+            kind,
+            inject,
+            links: Mutex::new(HashMap::new()),
+        });
         let net = Arc::downgrade(net);
         thread::Builder::new()
             .name(format!("spring-sock-accept-{kind}"))
-            .spawn(move || accept_loop(&net, node, &acceptor, &stop, &inject, kind))
+            .spawn(move || accept_loop(&net, &acceptor, &stop, &accepting))
             .map_err(comm)?;
         Ok(this)
     }
@@ -1496,10 +1242,10 @@ impl SocketListener {
         &self.addr
     }
 
-    /// Arms `n` injected write faults on connections accepted by this
-    /// listener (shared across them): each fault fails one outbound frame
-    /// as if the socket write errored, exercising the reply-loss cleanup
-    /// path deterministically.
+    /// Arms `n` injected write faults on links accepted by this listener
+    /// (shared across them): each fault fails one outbound frame as if the
+    /// socket write errored, exercising the reply-loss cleanup path
+    /// deterministically.
     pub fn inject_write_faults(&self, n: u64) {
         self.inject.store(n, Ordering::Relaxed);
     }
@@ -1516,33 +1262,32 @@ impl Drop for SocketListener {
 
 fn accept_loop(
     net: &Weak<NetworkInner>,
-    node: NodeId,
     acceptor: &Acceptor,
     stop: &AtomicBool,
-    inject: &Arc<AtomicU64>,
-    kind: &'static str,
+    accepting: &Arc<Accepting>,
 ) {
     while !stop.load(Ordering::Relaxed) {
         match acceptor.accept() {
             Ok(stream) => {
                 let Some(net) = net.upgrade() else { return };
-                // Handshake on the accept thread: connections arrive
-                // rarely and the exchange is two tiny frames (bounded by
-                // the handshake timeout).
-                match Conn::establish(&net, node, stream, false, kind, inject.clone()) {
-                    Ok(conn) => {
-                        // Registration in the transports map keeps the
-                        // peer alive; replaced wholesale if the same
-                        // remote node reconnects.
-                        let _peer = SocketPeer::accepted(&net, node, conn, kind, inject.clone());
-                    }
-                    Err(_) => {
-                        // Bad handshake: drop the connection, keep
-                        // accepting.
-                    }
-                }
+                let accepting = accepting.clone();
+                // Each inbound socket handshakes on a thread of its own —
+                // the one that goes on to serve it, if it is ours to serve
+                // — so a peer that connects and goes silent holds up
+                // nobody else. A bad handshake, a straggler or a failed
+                // spawn just drops the socket; we keep accepting.
+                let _ = thread::Builder::new()
+                    .name(format!("spring-sock-serve-{}", accepting.kind))
+                    .spawn(move || {
+                        let served = accepting.handshake(&net, stream);
+                        drop(net);
+                        if let Ok(Some((link, sock))) = served {
+                            serve(&link, sock);
+                        }
+                    });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+            // Nothing pending (`WouldBlock`), or a connection that died in
+            // the backlog: look again shortly.
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }

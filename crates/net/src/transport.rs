@@ -8,8 +8,11 @@
 //! in-process simulated network ([`SimTransport`], which preserves the
 //! seeded fault behaviour bit for bit); the socket backend
 //! ([`crate::socket::SocketPeer`]) ships the same frames over TCP or
-//! Unix-domain sockets between real OS processes. Subcontracts cannot tell
-//! the difference except by the failure modes DESIGN.md §5.15 documents.
+//! Unix-domain sockets between real OS processes — one REQUEST out and its
+//! REPLY back per call socket at a time, every socket opened by a HELLO
+//! naming its role and link generation (layouts below). Subcontracts cannot
+//! tell the difference except by the failure modes DESIGN.md §5.15
+//! documents.
 
 use std::sync::Arc;
 
@@ -54,9 +57,10 @@ pub trait Transport: Send + Sync {
     /// freshly pinned exports; `Ok` means the call was handed to the wire
     /// — whether the handler then succeeded is unknowable by design, and
     /// any doors its reply would have carried are deleted at the serving
-    /// side. Socket backends may report `Ok` for a frame the peer never
-    /// reads (death races the write); only best-effort traffic belongs
-    /// here.
+    /// side. Socket backends write the frame on the calling thread, so a
+    /// failed write is an `Err` here and now; they may still report `Ok`
+    /// for a frame the peer never reads (death races the write). Only
+    /// best-effort traffic belongs here.
     fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError>;
 }
 
@@ -116,7 +120,10 @@ impl Transport for SimTransport {
 // flat and little-endian throughout:
 //
 //   HELLO:   [kind=1][u64 node][u8 has_boot][u64 boot_export]
-//            [u16 name_len][name bytes]
+//            [u8 role][u64 generation][u16 name_len][name bytes]
+//            (first frame on every socket, dialer first; role 0 = the
+//            dialing side calls on this socket, 1 = it serves it; the
+//            accepting side's HELLO echoes both)
 //   REQUEST: [kind=2][u64 frame_id][u32 ncalls] then per call
 //            [u64 export][20B call id][16B trace][u32 ncaps]
 //            [ncaps × (u64 origin, u64 export)][u32 nbytes][payload]
@@ -145,7 +152,7 @@ pub(crate) const KIND_HELLO: u8 = 1;
 pub(crate) const KIND_REQUEST: u8 = 2;
 pub(crate) const KIND_REPLY: u8 = 3;
 /// A reply-less request: per-call layout identical to `KIND_REQUEST`, but
-/// the receiver sends nothing back and the sender registers no waiter.
+/// the receiver sends nothing back and the sender reads nothing.
 /// Doors a reply would have carried are deleted at the serving side.
 pub(crate) const KIND_ONEWAY: u8 = 4;
 
@@ -157,13 +164,29 @@ const STATUS_NOT_DELIVERED: u8 = 1;
 /// Reply status: the call was delivered but failed in execution.
 const STATUS_FAILED: u8 = 2;
 
-/// The connection-opening exchange: each side sends one HELLO first thing.
+/// HELLO role: the dialing side calls on this socket, the accepting side
+/// serves it.
+pub(crate) const ROLE_DIALER_CALLS: u8 = 0;
+/// HELLO role: the dialing side serves this socket, the accepting side
+/// calls on it (callbacks, pub/sub deliveries).
+pub(crate) const ROLE_DIALER_SERVES: u8 = 1;
+
+/// The socket-opening exchange: each side sends one HELLO first thing, the
+/// dialer first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Hello {
     pub node: u64,
     pub name: String,
     /// Export id of the node's bootstrap door, if it published one.
     pub bootstrap: Option<u64>,
+    /// Which side calls on this socket ([`ROLE_DIALER_CALLS`] or
+    /// [`ROLE_DIALER_SERVES`]); chosen by the dialer, echoed by the
+    /// acceptor.
+    pub role: u8,
+    /// The link generation this socket belongs to: counted by the dialer,
+    /// one per (re)dialled link, under a per-process number in the high
+    /// half; echoed by the acceptor.
+    pub generation: u64,
 }
 
 /// One call riding a request frame.
@@ -248,6 +271,8 @@ pub(crate) fn encode_hello(hello: &Hello) -> Vec<u8> {
     put_u64(&mut out, hello.node);
     out.push(hello.bootstrap.is_some() as u8);
     put_u64(&mut out, hello.bootstrap.unwrap_or(0));
+    out.push(hello.role);
+    put_u64(&mut out, hello.generation);
     let name = &hello.name.as_bytes()[..hello.name.len().min(u16::MAX as usize)];
     put_u16(&mut out, name.len() as u16);
     out.extend_from_slice(name);
@@ -429,6 +454,14 @@ pub(crate) fn decode_hello(frame: &[u8]) -> Result<Hello, WireError> {
         });
     }
     let boot = c.u64()?;
+    let role = c.u8()?;
+    if role > ROLE_DIALER_SERVES {
+        return Err(WireError::BadTag {
+            offset: 18,
+            value: role as u32,
+        });
+    }
+    let generation = c.u64()?;
     let name_len = c.u16()? as usize;
     let name = String::from_utf8_lossy(c.take(name_len)?).into_owned();
     c.finish()?;
@@ -436,6 +469,8 @@ pub(crate) fn decode_hello(frame: &[u8]) -> Result<Hello, WireError> {
         node,
         name,
         bootstrap: (has_boot == 1).then_some(boot),
+        role,
+        generation,
     })
 }
 
@@ -516,15 +551,36 @@ mod tests {
 
     #[test]
     fn hello_round_trip() {
-        for boot in [None, Some(41)] {
+        for (boot, role) in [(None, ROLE_DIALER_CALLS), (Some(41), ROLE_DIALER_SERVES)] {
             let hello = Hello {
                 node: 12,
                 name: "peer-a".into(),
                 bootstrap: boot,
+                role,
+                generation: 3,
             };
             let enc = encode_hello(&hello);
             assert_eq!(frame_kind(&enc).unwrap(), KIND_HELLO);
             assert_eq!(decode_hello(&enc).unwrap(), hello);
+            for cut in 0..enc.len() {
+                assert!(
+                    matches!(
+                        decode_hello(&enc[..cut]).unwrap_err(),
+                        WireError::Truncated { .. }
+                    ),
+                    "cut at {cut}"
+                );
+            }
+            // Role is a two-valued tag at offset 18.
+            let mut bad = enc.clone();
+            bad[18] = 2;
+            assert_eq!(
+                decode_hello(&bad).unwrap_err(),
+                WireError::BadTag {
+                    offset: 18,
+                    value: 2
+                }
+            );
         }
     }
 

@@ -339,15 +339,31 @@ fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// A wire-format HELLO: `[kind=1][u64 node][u8 has_boot][u64 boot][u16
-/// name_len][name]`.
-fn hello_payload(node: u64, boot: Option<u64>) -> Vec<u8> {
+/// HELLO role: the dialer calls on the socket.
+const CALLS: u8 = 0;
+/// HELLO role: the dialer serves the socket.
+const SERVES: u8 = 1;
+
+/// A wire-format HELLO: `[kind=1][u64 node][u8 has_boot][u64 boot][u8
+/// role][u64 generation][u16 name_len][name]`.
+fn hello_payload(node: u64, boot: Option<u64>, role: u8, generation: u64) -> Vec<u8> {
     let mut p = vec![1u8];
     p.extend_from_slice(&node.to_le_bytes());
     p.push(boot.is_some() as u8);
     p.extend_from_slice(&boot.unwrap_or(0).to_le_bytes());
+    p.push(role);
+    p.extend_from_slice(&generation.to_le_bytes());
     p.extend_from_slice(&0u16.to_le_bytes());
     p
+}
+
+/// The role and generation a dialer's HELLO asked for (the byzantine
+/// acceptors echo them, as a real one does).
+fn asked(hello: &[u8]) -> (u8, u64) {
+    (
+        hello[18],
+        u64::from_le_bytes(hello[19..27].try_into().unwrap()),
+    )
 }
 
 /// Reads one length-prefixed frame off a raw socket.
@@ -357,6 +373,19 @@ fn read_raw_frame(s: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut payload = vec![0u8; u32::from_le_bytes(prefix) as usize];
     s.read_exact(&mut payload)?;
     Ok(payload)
+}
+
+/// A byzantine acceptor's half of the HELLO exchange on the next inbound
+/// socket: read the dialer's HELLO, answer as `node` echoing the role and
+/// generation it asked for. Returns the socket and that role.
+fn fake_accept(listener: &std::net::TcpListener, node: u64) -> (TcpStream, u8) {
+    let (mut s, _) = listener.accept().unwrap();
+    let theirs = read_raw_frame(&mut s).unwrap();
+    let (role, generation) = asked(&theirs);
+    let mut hello = Vec::new();
+    put_frame(&mut hello, &hello_payload(node, Some(7), role, generation));
+    s.write_all(&hello).unwrap();
+    (s, role)
 }
 
 /// Satellite regression: frames whose declared counts or lengths disagree
@@ -400,11 +429,15 @@ fn malformed_frames_are_rejected_not_trusted() {
         p
     };
     let bad_kind = vec![9u8, 0, 0, 0];
+    // Each fresh connection is the next generation of the byzantine
+    // dialer's link, as a real dialer's redial would be.
+    let mut generation = 0;
     for payload in [&lying_caps, &truncated, &trailing, &bad_kind] {
+        generation += 1;
         let mut s = TcpStream::connect(&addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut bytes = Vec::new();
-        put_frame(&mut bytes, &hello_payload(999, None));
+        put_frame(&mut bytes, &hello_payload(999, None, CALLS, generation));
         put_frame(&mut bytes, payload);
         s.write_all(&bytes).unwrap();
         let _their_hello = read_raw_frame(&mut s).unwrap();
@@ -420,7 +453,7 @@ fn malformed_frames_are_rejected_not_trusted() {
     {
         let mut s = TcpStream::connect(&addr).unwrap();
         let mut bytes = Vec::new();
-        put_frame(&mut bytes, &hello_payload(999, None));
+        put_frame(&mut bytes, &hello_payload(999, None, CALLS, generation + 1));
         bytes.extend_from_slice(&100u32.to_le_bytes());
         bytes.extend_from_slice(&[7u8; 10]); // 10 of the promised 100
         s.write_all(&bytes).unwrap();
@@ -447,14 +480,13 @@ fn peer_disconnect_mid_call_fails_with_comm_and_releases_pins() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let fake = std::thread::spawn(move || {
-        let (mut s, _) = listener.accept().unwrap();
-        let _client_hello = read_raw_frame(&mut s).unwrap();
-        let mut hello = Vec::new();
-        put_frame(&mut hello, &hello_payload(901, Some(7)));
-        s.write_all(&hello).unwrap();
-        let _request = read_raw_frame(&mut s).unwrap();
+        // The link opens with a calling socket and a spare serving one.
+        let (mut calls, role) = fake_accept(&listener, 901);
+        assert_eq!(role, CALLS);
+        let (_spare, role) = fake_accept(&listener, 901);
+        assert_eq!(role, SERVES);
+        let _request = read_raw_frame(&mut calls).unwrap();
         // Vanish with the call in flight.
-        drop(s);
     });
 
     let client_net = Network::new(NetConfig::default());
@@ -506,13 +538,9 @@ impl DoorHandler for EchoOrMint {
 /// send-frame fault with a carried door, redial, minted-door round trip,
 /// injected reply-frame fault, recovery. Returns the observed taxonomy —
 /// one label per step, including the error class and the live-identifier
-/// deltas on both sides — so runs under different configurations can be
-/// compared verbatim.
-fn socket_fault_sweep(fastpath: bool, tag: &str) -> Vec<String> {
-    let cfg = NetConfig {
-        socket_fastpath: fastpath,
-        ..NetConfig::default()
-    };
+/// deltas on both sides.
+fn socket_fault_sweep() -> Vec<String> {
+    let cfg = NetConfig::default();
     let server_net = Network::new(cfg);
     let server_node = server_net.add_node_with_id("sweep-server", 171);
     let server_domain = server_node.kernel().create_domain("servants");
@@ -520,7 +548,7 @@ fn socket_fault_sweep(fastpath: bool, tag: &str) -> Vec<String> {
     server_net
         .set_bootstrap(server_node.id(), &server_domain, boot)
         .unwrap();
-    let path = temp_sock(tag);
+    let path = temp_sock("sweep");
     let listener = server_net.listen_uds(server_node.id(), &path).unwrap();
 
     let client_net = Network::new(cfg);
@@ -641,28 +669,33 @@ fn socket_fault_sweep(fastpath: bool, tag: &str) -> Vec<String> {
     taxonomy
 }
 
-/// Tentpole invariant: the same-thread send fast path is a pure handoff
-/// elision. The full fault sweep — send faults, reply faults, redials,
-/// carried and minted doors — must produce the identical error taxonomy,
-/// pin-release accounting, and disconnect counts with the fast path forced
-/// on and forced off.
+/// The full fault sweep — send faults, reply faults, redials, carried and
+/// minted doors — produces exactly this error taxonomy, pin-release
+/// accounting and disconnect count: every frame is written by the thread
+/// that owns its cleanup, so there is one shipping path to sweep.
 #[test]
-fn fault_sweep_taxonomy_identical_with_fastpath_on_and_off() {
-    let on = socket_fault_sweep(true, "sweep-on");
-    let off = socket_fault_sweep(false, "sweep-off");
+fn fault_sweep_taxonomy() {
     assert_eq!(
-        on, off,
-        "fast path changed observable failure semantics:\n on={on:#?}\noff={off:#?}"
+        socket_fault_sweep(),
+        [
+            "warm:ok",
+            "sendfault:comm=true",
+            "sendfault:pins=+1",
+            "redial:doors=1",
+            "mint:doors=1",
+            "settled:server=+2",
+            "replyfault:comm=true",
+            "replyfault:server-pins=+0",
+            "recovered:ok",
+            "final:client=+2 server=+0",
+            "disconnects:client=2 server=2",
+        ]
     );
-    // And the sweep itself saw what it was designed to see.
-    assert!(on.contains(&"sendfault:comm=true".to_string()), "{on:?}");
-    assert!(on.contains(&"replyfault:comm=true".to_string()), "{on:?}");
-    assert!(on.contains(&"sendfault:pins=+1".to_string()), "{on:?}");
 }
 
-/// Satellite regression: sends racing a link that died mid-burst run their
-/// failure cleanups immediately from the dead check — they must not queue
-/// behind the writer lock of a corpse. Every concurrent caller settles
+/// Satellite regression: calls racing a link that died mid-burst fail from
+/// the dead check or their own socket's EOF — none waits on a corpse.
+/// Every concurrent caller settles
 /// with `Comm` (the byzantine peer is gone for good), nothing hangs, and
 /// every export pinned across the burst rolls back.
 #[test]
@@ -671,14 +704,12 @@ fn dead_link_burst_fails_fast_and_releases_pins() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let fake = std::thread::spawn(move || {
-        let (mut s, _) = listener.accept().unwrap();
-        let _client_hello = read_raw_frame(&mut s).unwrap();
-        let mut hello = Vec::new();
-        put_frame(&mut hello, &hello_payload(902, Some(7)));
-        s.write_all(&hello).unwrap();
-        let _request = read_raw_frame(&mut s).unwrap();
-        drop(s);
-        // The listener drops here too: every redial finds nobody home.
+        let (mut calls, _) = fake_accept(&listener, 902);
+        let (_spare, _) = fake_accept(&listener, 902);
+        let _request = read_raw_frame(&mut calls).unwrap();
+        // The listener drops here too: the further call sockets the burst
+        // is dialling are reset in its backlog, and every redial finds
+        // nobody home.
     });
 
     let client_net = Network::new(NetConfig::default());
@@ -727,8 +758,8 @@ fn dead_link_burst_fails_fast_and_releases_pins() {
 }
 
 /// Satellite regression: shippers racing a dead connection must produce
-/// exactly one redial per observed death — never one connection (and one
-/// writer thread) per racer — and the slot lock is never held across the
+/// exactly one redial per observed death — never one link generation per
+/// racer — and the slot lock is never held across the
 /// blocking dial, so the stampede itself makes progress. Hammered across
 /// several injected-fault rounds.
 #[test]
@@ -785,4 +816,508 @@ fn redial_is_single_flight_under_concurrent_hammer() {
     }
     roundtrip(&client, remote, b"after the storm");
     assert_eq!(peer.redials(), ROUNDS);
+}
+
+// ---------------------------------------------------------------------------
+// Call sockets: what one-call-per-socket guarantees, and what bounds it.
+// ---------------------------------------------------------------------------
+
+/// Dials `addr` as a raw peer and runs the dialer's half of the HELLO
+/// exchange. `None` if the acceptor dropped the socket instead of
+/// answering; the echo must name the role and generation asked for.
+fn raw_dial(addr: &str, node: u64, role: u8, generation: u64) -> Option<TcpStream> {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, &hello_payload(node, None, role, generation));
+    s.write_all(&bytes).unwrap();
+    let echo = read_raw_frame(&mut s).ok()?;
+    assert_eq!(asked(&echo), (role, generation));
+    Some(s)
+}
+
+/// A REQUEST frame carrying one identity-free call with no capabilities.
+fn request_payload(frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
+    let mut p = vec![2u8];
+    p.extend_from_slice(&frame_id.to_le_bytes());
+    p.extend_from_slice(&1u32.to_le_bytes());
+    p.extend_from_slice(&export.to_le_bytes());
+    p.extend_from_slice(&[0u8; 36]); // call id + trace
+    p.extend_from_slice(&0u32.to_le_bytes());
+    p.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    p.extend_from_slice(payload);
+    p
+}
+
+/// Byte 0 of the payload picks the behaviour: 0 echoes at once, 1 parks
+/// the serving thread until the test lets go of `release` (a live peer
+/// that never answers), announcing itself on `parked` first and counting
+/// itself in `answered` when it finally returns.
+struct EchoOrPark {
+    parked: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    answered: AtomicU64,
+}
+
+impl DoorHandler for EchoOrPark {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        for d in &msg.doors {
+            let _ = ctx.server.delete_door(*d);
+        }
+        if msg.bytes.first() == Some(&1) {
+            self.parked.lock().unwrap().send(()).unwrap();
+            let _ = self.release.lock().unwrap().recv();
+            self.answered.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(Message::from_bytes(msg.bytes))
+    }
+}
+
+/// ROADMAP 3(a): a live-but-silent peer must not hang a caller whose call
+/// carries a deadline. The caller returns `Comm` at the deadline, the pins
+/// for what it carried are released, and *only its socket* is closed: a
+/// call to a healthy door on the same link, in flight at the same time,
+/// succeeds, and the link never redials — not even when the late reply is
+/// finally written to the closed socket.
+#[test]
+fn silent_peer_fails_the_call_at_its_deadline_and_only_that_socket_closes() {
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel();
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-silent", 191);
+    let servants = server_node.kernel().create_domain("servants");
+    let silent = Arc::new(EchoOrPark {
+        parked: std::sync::Mutex::new(parked_tx),
+        release: std::sync::Mutex::new(release_rx),
+        answered: AtomicU64::new(0),
+    });
+    let door = servants.create_door(silent.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("deadline");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 192);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    roundtrip(&client, remote, b"\0warm");
+    let baseline = live_ids(client_node.kernel());
+
+    const DEADLINE: Duration = Duration::from_millis(400);
+    std::thread::scope(|s| {
+        let doomed = s.spawn(|| {
+            let carried = client.create_door(Arc::new(Echo)).unwrap();
+            let started = std::time::Instant::now();
+            let err = client
+                .call(
+                    remote,
+                    Message {
+                        bytes: vec![1],
+                        doors: vec![carried],
+                        call: spring_kernel::CallId {
+                            nonce: spring_kernel::callid::next_nonce(),
+                            attempt: 1,
+                            deadline_micros: spring_kernel::callid::deadline_after(DEADLINE),
+                        },
+                        ..Message::default()
+                    },
+                )
+                .unwrap_err();
+            (err, started.elapsed())
+        });
+        // The servant is parked with the doomed call in flight: a second
+        // call over the same link completes beside it.
+        parked_rx.recv().unwrap();
+        roundtrip(&client, remote, b"\0beside the silent call");
+        let (err, took) = doomed.join().unwrap();
+        assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+        assert!(
+            took >= DEADLINE && took < DEADLINE + Duration::from_secs(1),
+            "the call returned after {took:?}, deadline {DEADLINE:?}"
+        );
+    });
+    assert_eq!(live_ids(client_node.kernel()), baseline);
+    roundtrip(&client, remote, b"\0after the deadline");
+
+    // The servant finally answers — into a socket nobody holds any more.
+    // That closes the serving side's end of it and nothing else.
+    drop(release_tx);
+    wait_until("the silent servant to answer", || {
+        silent.answered.load(Ordering::SeqCst) == 1
+    });
+    for _ in 0..8 {
+        roundtrip(&client, remote, b"\0after the late reply");
+    }
+    assert_eq!(
+        peer.redials(),
+        0,
+        "a deadline closes a socket, not the link"
+    );
+    assert_eq!(client_net.socket_stats().disconnects, 0);
+    assert_eq!(server_net.socket_stats().disconnects, 0);
+}
+
+/// Appends each call's payload to a log, in execution order.
+struct Recorder(std::sync::Mutex<Vec<Vec<u8>>>);
+
+impl DoorHandler for Recorder {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        for d in &msg.doors {
+            let _ = ctx.server.delete_door(*d);
+        }
+        self.0.lock().unwrap().push(msg.bytes);
+        Ok(Message::default())
+    }
+}
+
+/// One-way frames over a real socket: N from one sender arrive in order,
+/// no reply frame is ever written for them, and a one-way ship that fails
+/// at the write says so synchronously with its fresh pins released.
+#[test]
+fn oneway_frames_arrive_in_order_unanswered_and_fail_synchronously() {
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-recorder", 201);
+    let servants = server_node.kernel().create_domain("servants");
+    let log = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));
+    let door = servants.create_door(log.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("oneway");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 202);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    const N: u8 = 64;
+    let served_before = server_net.socket_stats();
+    let client_before = client_net.socket_stats();
+    for i in 0..N {
+        let reply = client
+            .call_one_way(remote, Message::from_bytes(vec![i]))
+            .unwrap();
+        assert!(reply.bytes.is_empty() && reply.doors.is_empty());
+    }
+    // A round trip behind them on the same (sole idle) socket: when it
+    // returns, every one-way frame ahead of it has executed.
+    client.call(remote, Message::from_bytes(vec![N])).unwrap();
+    let expected: Vec<Vec<u8>> = (0..=N).map(|i| vec![i]).collect();
+    assert_eq!(*log.0.lock().unwrap(), expected);
+    // Only the round trip is answered. (The serving thread counts a frame
+    // after writing it, so its count may trail the reply by a moment.)
+    let sent = client_net.socket_stats().since(&client_before);
+    assert_eq!(sent.frames_sent, N as u64 + 1);
+    assert_eq!(sent.frames_received, 1);
+    wait_until("the one reply to be counted", || {
+        server_net.socket_stats().since(&served_before).frames_sent == 1
+    });
+    let served = server_net.socket_stats().since(&served_before);
+    assert_eq!(served.frames_received, N as u64 + 1);
+
+    // A one-way ship whose write fails is a synchronous, provable failure:
+    // `Err`, the link dead, the pin for the carried door rolled back.
+    let baseline = live_ids(client_node.kernel());
+    peer.inject_write_faults(1);
+    let carried = client.create_door(Arc::new(Echo)).unwrap();
+    let err = client
+        .call_one_way(
+            remote,
+            Message {
+                doors: vec![carried],
+                ..Message::default()
+            },
+        )
+        .unwrap_err();
+    assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+    assert_eq!(live_ids(client_node.kernel()), baseline);
+    wait_until("client disconnect count", || {
+        client_net.socket_stats().disconnects == 1
+    });
+    // The next one redials and goes through.
+    client
+        .call_one_way(remote, Message::from_bytes(vec![N + 1]))
+        .unwrap();
+    client
+        .call(remote, Message::from_bytes(vec![N + 2]))
+        .unwrap();
+    assert_eq!(log.0.lock().unwrap().last(), Some(&vec![N + 2]));
+    assert_eq!(peer.redials(), 1);
+}
+
+/// Echoes once `n` calls are inside it at the same time.
+struct Rendezvous(std::sync::Barrier);
+
+impl DoorHandler for Rendezvous {
+    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        self.0.wait();
+        Ok(msg)
+    }
+}
+
+/// Why a socket carries one call: a servant parked until a *second*
+/// request over the same link arrives is released by it, because that
+/// request travels on another socket to another serving thread. (Serving
+/// requests inline on one shared socket would deadlock here.)
+#[test]
+fn a_parked_servant_is_released_by_a_second_request_over_the_same_link() {
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-rendezvous", 211);
+    let servants = server_node.kernel().create_domain("servants");
+    let door = servants
+        .create_door(Arc::new(Rendezvous(std::sync::Barrier::new(2))))
+        .unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("rendezvous");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 212);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    std::thread::scope(|s| {
+        for t in 0..2u8 {
+            let client = &client;
+            s.spawn(move || roundtrip(client, remote, &[t]));
+        }
+    });
+}
+
+/// Calls the first door it is handed, passing the rest along; with no door
+/// left it echoes. A list of doors alternating between two processes makes
+/// a callback chain of that depth.
+struct Relay;
+
+impl DoorHandler for Relay {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        let mut doors = msg.doors.into_iter();
+        let Some(next) = doors.next() else {
+            return Ok(Message::from_bytes(msg.bytes));
+        };
+        let reply = ctx.server.call(
+            next,
+            Message {
+                bytes: msg.bytes,
+                doors: doors.collect(),
+                ..Message::default()
+            },
+        );
+        let _ = ctx.server.delete_door(next);
+        reply
+    }
+}
+
+/// The reverse direction: the accepting process calls a door of the dialing
+/// process, over sockets only the dialer can open. Eight of its threads at
+/// once all complete — and truly are in flight together, since the servant
+/// waits for all eight: the dialer replaces each spare serving socket as
+/// it is taken.
+#[test]
+fn acceptor_calls_the_dialer_from_eight_threads_at_once() {
+    const CALLERS: usize = 8;
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-b", 221);
+    let servants = server_node.kernel().create_domain("servants");
+    let stash = Arc::new(Stash(std::sync::Mutex::new(None)));
+    let stash_door = servants.create_door(stash.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, stash_door)
+        .unwrap();
+    let path = temp_sock("reverse");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("proc-a", 222);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    let rendezvous = client
+        .create_door(Arc::new(Rendezvous(std::sync::Barrier::new(CALLERS))))
+        .unwrap();
+    let hand_over = Message {
+        doors: vec![rendezvous],
+        ..Message::default()
+    };
+    client.call(remote, hand_over).unwrap();
+    let callback = stash.0.lock().unwrap().expect("B kept the door");
+    std::thread::scope(|s| {
+        for t in 0..CALLERS as u8 {
+            let servants = &servants;
+            s.spawn(move || roundtrip(servants, callback, &[t]));
+        }
+    });
+    assert_eq!(client_net.socket_stats().disconnects, 0);
+    assert_eq!(server_net.socket_stats().disconnects, 0);
+}
+
+/// A callback chain A→B→A→B→A: every hop nests inside the one before, so
+/// each needs a socket (and a serving thread) of its own in its direction.
+#[test]
+fn callback_chain_nests_four_deep_across_one_link() {
+    let net_b = Network::new(NetConfig::default());
+    let node_b = net_b.add_node_with_id("proc-b", 225);
+    let domain_b = node_b.kernel().create_domain("servants");
+    let relay_b = domain_b.create_door(Arc::new(Relay)).unwrap();
+    net_b
+        .set_bootstrap(node_b.id(), &domain_b, relay_b)
+        .unwrap();
+    let path = temp_sock("chain");
+    let _listener = net_b.listen_uds(node_b.id(), &path).unwrap();
+
+    let net_a = Network::new(NetConfig::default());
+    let node_a = net_a.add_node_with_id("proc-a", 226);
+    let domain_a = node_a.kernel().create_domain("app");
+    let peer = net_a.connect_uds(node_a.id(), &path).unwrap();
+    let relay_b = peer.bootstrap_door(&domain_a).unwrap();
+
+    // B's relay calls A's relay, which calls B's relay (its door coming
+    // home through the list), which calls A's echo.
+    let relay_a = domain_a.create_door(Arc::new(Relay)).unwrap();
+    let relay_b_again = domain_a.copy_door(relay_b).unwrap();
+    let echo_a = domain_a.create_door(Arc::new(Echo)).unwrap();
+    let reply = domain_a
+        .call(
+            relay_b,
+            Message {
+                bytes: b"four deep".to_vec(),
+                doors: vec![relay_a, relay_b_again, echo_a],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(reply.bytes, b"four deep");
+}
+
+/// The race the design must order: a socket of generation *g* whose
+/// handshake completes after *g* died — before or after generation *g + 1*
+/// registered — is a straggler (a spare dialled just before its link
+/// died). It must be dropped: not adopted into, and above all not allowed
+/// to displace, the generation that replaced it, nor to raise the dead one
+/// again as a link nobody is at the other end of. A restarted dialer,
+/// which counts from 1 again under another run number, is no straggler.
+#[test]
+fn a_straggler_of_an_older_generation_is_dropped_not_adopted() {
+    let (server_net, server_node) = echo_process(231);
+    let listener = server_net
+        .listen_tcp(server_node.id(), "127.0.0.1:0")
+        .unwrap();
+    let addr = listener.local_addr().to_string();
+
+    let mut newer = raw_dial(&addr, 977, CALLS, 2).expect("generation 2 is adopted");
+    assert!(
+        raw_dial(&addr, 977, SERVES, 1).is_none(),
+        "a generation-1 socket arriving after generation 2 must be dropped"
+    );
+    assert!(raw_dial(&addr, 977, CALLS, 1).is_none());
+    // Generation 2 was neither displaced nor torn down: it still serves,
+    // and still takes further sockets of its own generation.
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, &request_payload(5, 1, b"still generation two"));
+    newer.write_all(&bytes).unwrap();
+    let reply = read_raw_frame(&mut newer).unwrap();
+    assert_eq!(reply[0], 3, "expected a REPLY frame");
+    assert!(reply.ends_with(b"still generation two"));
+    let _spare = raw_dial(&addr, 977, SERVES, 2).expect("same generation joins");
+    assert_eq!(server_net.socket_stats().disconnects, 0);
+
+    // A newer generation supersedes the held one as a unit.
+    let newest = raw_dial(&addr, 977, CALLS, 3).expect("generation 3 is adopted");
+    assert_eq!(
+        newer.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "generation 2's sockets are shut when generation 3 registers"
+    );
+    wait_until("the superseded generation to be counted", || {
+        server_net.socket_stats().disconnects == 1
+    });
+
+    // Generation 3 dies (its dialer hangs up). Until generation 4 arrives
+    // the acceptor holds a dead link — and a spare of generation 3 turning
+    // up now must not raise it again (the sweep would count that zombie as
+    // a third disconnect when generation 4 superseded it).
+    drop(newest);
+    wait_until("generation 3 to be counted dead", || {
+        server_net.socket_stats().disconnects == 2
+    });
+    assert!(raw_dial(&addr, 977, SERVES, 3).is_none());
+    assert!(raw_dial(&addr, 977, CALLS, 3).is_none());
+    let _next = raw_dial(&addr, 977, CALLS, 4).expect("generation 4 is adopted");
+    // The same node after a restart: generation 1 of another run.
+    let _restarted = raw_dial(&addr, 977, CALLS, (7 << 32) | 1).expect("a new run is adopted");
+    wait_until("the old run's link to be superseded", || {
+        server_net.socket_stats().disconnects == 3
+    });
+}
+
+/// Holds every call until the gate opens, tracking how many are inside.
+struct Gate {
+    inside: AtomicU64,
+    most: AtomicU64,
+    open: (std::sync::Mutex<bool>, std::sync::Condvar),
+}
+
+impl DoorHandler for Gate {
+    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        let now = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+        self.most.fetch_max(now, Ordering::SeqCst);
+        let mut open = self.open.0.lock().unwrap();
+        while !*open {
+            open = self.open.1.wait(open).unwrap();
+        }
+        drop(open);
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+        Ok(msg)
+    }
+}
+
+/// More callers than a link opens call sockets for: the link fills up to
+/// its per-direction cap (32), the rest queue for a socket, and once the
+/// servant lets go every caller completes.
+#[test]
+fn callers_beyond_the_socket_cap_queue_and_all_complete() {
+    const CAP: u64 = 32;
+    const CALLERS: u64 = CAP + 8;
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-gate", 241);
+    let servants = server_node.kernel().create_domain("servants");
+    let gate = Arc::new(Gate {
+        inside: AtomicU64::new(0),
+        most: AtomicU64::new(0),
+        open: (std::sync::Mutex::new(false), std::sync::Condvar::new()),
+    });
+    let door = servants.create_door(gate.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("cap");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 242);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    std::thread::scope(|s| {
+        for t in 0..CALLERS {
+            let client = &client;
+            s.spawn(move || roundtrip(client, remote, &t.to_le_bytes()));
+        }
+        wait_until("the link to fill to its cap", || {
+            gate.inside.load(Ordering::SeqCst) == CAP
+        });
+        *gate.open.0.lock().unwrap() = true;
+        gate.open.1.notify_all();
+    });
+    assert_eq!(gate.most.load(Ordering::SeqCst), CAP);
+    assert_eq!(client_net.socket_stats().disconnects, 0);
 }

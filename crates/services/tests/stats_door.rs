@@ -70,7 +70,6 @@ fn stats_door_reports_live_counters_across_the_net() {
             "fastpath_sends",
             "writev_wakeups",
             "writev_frames",
-            "dispatch_pool_depth",
             "dispatch_pool_spawned",
             "dispatch_pool_reaped",
             "oneway_frames",
