@@ -1,9 +1,8 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every experiment from DESIGN.md §4 (E1–E12) is driven twice: by a
-//! Criterion bench under `benches/` (wall-clock distributions) and by the
-//! `report` binary (deterministic, hardware-independent counters plus quick
-//! timings), whose output is recorded in EXPERIMENTS.md.
+//! Every experiment from DESIGN.md §4 is driven by the `report` binary
+//! (deterministic, hardware-independent counters plus quick timings), whose
+//! output is recorded in EXPERIMENTS.md.
 
 /// Generated stubs for the flat-frame benchmark interface (see
 /// `idl/bench.idl`): fixed-shape messages whose unmarshal path is

@@ -1,5 +1,4 @@
-//! Lightweight timing for the deterministic `report` binary (Criterion
-//! handles the statistically careful runs under `benches/`).
+//! Lightweight timing for the deterministic `report` binary.
 
 use std::time::{Duration, Instant};
 

@@ -24,8 +24,11 @@
 //! library name context plus a trusted-search-path [`LibraryLoader`].
 //!
 //! Concrete subcontracts (singleton, simplex, cluster, replicon, caching,
-//! reconnectable, shmem) live in the `spring-subcontracts` crate.
+//! reconnectable, shmem) live in the `spring-subcontracts` crate. What they
+//! share is here: the serve path behind every exported door ([`ServeDoor`])
+//! and the client path of every door-backed object ([`client`]).
 
+pub mod client;
 mod ctx;
 mod dedup;
 mod error;
@@ -42,6 +45,7 @@ mod transport;
 mod types;
 mod unmarshal;
 
+pub use client::{DoorRepr, DoorSubcontract, Landed};
 pub use ctx::DomainCtx;
 pub use dedup::{DedupStats, ReplyCache};
 pub use error::{Result, SpringError};

@@ -44,19 +44,28 @@ pub fn get_obj_header(
     expected: &'static TypeInfo,
     buf: &mut CommBuffer,
 ) -> Result<(ScId, String, &'static TypeInfo)> {
+    let (id, name, info) = read_obj_header(ctx, expected, buf)?;
+    Ok((id, name, info?))
+}
+
+/// [`get_obj_header`] with the type check handed back instead of applied:
+/// the outer error is a header that did not parse, the inner one a type that
+/// does not conform. [`crate::client::unmarshal`] lands the object's doors
+/// between the two, so a mismatch releases them.
+pub(crate) fn read_obj_header(
+    ctx: &Arc<DomainCtx>,
+    expected: &'static TypeInfo,
+    buf: &mut CommBuffer,
+) -> Result<(ScId, String, Result<&'static TypeInfo>)> {
     let id = ScId::from_raw(buf.get_u64()?);
     let name = buf.get_string()?;
     let info = match ctx.types().lookup(&name) {
-        Some(t) => {
-            if !t.is_a(expected) {
-                return Err(SpringError::TypeMismatch {
-                    expected: expected.name,
-                    actual: name,
-                });
-            }
-            t
-        }
-        None => expected,
+        Some(t) if !t.is_a(expected) => Err(SpringError::TypeMismatch {
+            expected: expected.name,
+            actual: name.clone(),
+        }),
+        Some(t) => Ok(t),
+        None => Ok(expected),
     };
     Ok((id, name, info))
 }

@@ -40,9 +40,9 @@ use spring_buf::CommBuffer;
 use spring_kernel::callid::now_micros;
 use spring_kernel::{CallCtx, DoorError, DoorHandler, DoorId, Message};
 use subcontract::{
-    decode_reply_status, encode_ok, get_obj_header, op_hash, put_obj_header, redispatch_if_foreign,
-    Dispatch, DomainCtx, ObjParts, ReplyStatus, Repr, Result, ScId, ServeDoor, ServerCtx,
-    ServerSubcontract, SpringError, SpringObj, Subcontract, TypeInfo, STATUS_OK,
+    client, decode_reply_status, encode_ok, op_hash, put_obj_header, Dispatch, DomainCtx, Landed,
+    ObjParts, ReplyStatus, Repr, Result, ScId, ServeDoor, ServerCtx, ServerSubcontract,
+    SpringError, SpringObj, Subcontract, TypeInfo, STATUS_OK,
 };
 
 /// Run-time type of cache manager objects.
@@ -519,55 +519,33 @@ impl Subcontract for Caching {
         expected: &'static TypeInfo,
         buf: &mut CommBuffer,
     ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let d1 = buf.get_door()?;
-        // From here on D1 is landed in our door table: every failure path
-        // must release it (and any copy made for the manager) or the
-        // identifier leaks for the life of the domain.
-        let attached = (|| -> Result<(String, bool, DoorId)> {
-            let manager = buf.get_string()?;
-            let coherent = buf.get_bool()?;
-            let d2 = attach_local(ctx, d1, &manager, coherent)?;
-            Ok((manager, coherent, d2))
-        })();
-        let (manager, coherent, d2) = match attached {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = ctx.domain().delete_door(d1);
-                return Err(e);
-            }
-        };
-
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(CachingRepr {
-                d1,
-                d2,
-                manager,
-                coherent,
-            }),
-        ))
+        client::unmarshal(
+            Self::ID,
+            ctx,
+            expected,
+            buf,
+            |buf| Landed::take(ctx.domain(), buf),
+            |d1, buf| {
+                let manager = buf.get_string()?;
+                let coherent = buf.get_bool()?;
+                let d2 = attach_local(ctx, d1.id(), &manager, coherent)?;
+                Ok(Repr::new(CachingRepr {
+                    d1: d1.keep(),
+                    d2,
+                    manager,
+                    coherent,
+                }))
+            },
+        )
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
         let repr = obj.repr().downcast::<CachingRepr>(self.name())?;
         let domain = obj.ctx().domain();
-        let d1 = domain.copy_door(repr.d1)?;
-        let d2 = match domain.copy_door(repr.d2) {
-            Ok(d2) => d2,
-            Err(e) => {
-                let _ = domain.delete_door(d1);
-                return Err(e.into());
-            }
-        };
+        let d1 = Landed::copy_of(domain, repr.d1)?;
+        let d2 = domain.copy_door(repr.d2)?;
         Ok(obj.assemble_like(Repr::new(CachingRepr {
-            d1,
+            d1: d1.keep(),
             d2,
             manager: repr.manager.clone(),
             coherent: repr.coherent,
@@ -590,19 +568,14 @@ fn attach_local(ctx: &Arc<DomainCtx>, d1: DoorId, manager: &str, coherent: bool)
     let resolver = ctx.resolver()?;
     let mgr = resolver.resolve(manager, &CACHE_MANAGER_TYPE)?;
     let mut call = mgr.start_call(OP_ATTACH)?;
-    let d1_for_mgr = ctx.domain().copy_door(d1)?;
-    call.put_door(d1_for_mgr);
+    let d1_for_mgr = Landed::copy_of(ctx.domain(), d1)?;
+    call.put_door(d1_for_mgr.id());
     call.put_bool(coherent);
-    let mut reply = match mgr.invoke(call) {
-        Ok(reply) => reply,
-        Err(e) => {
-            // The copy may still be ours if the call never landed (the
-            // kernel validates identifiers before moving any); slots are
-            // never reused, so a stale delete is harmless.
-            let _ = ctx.domain().delete_door(d1_for_mgr);
-            return Err(e);
-        }
-    };
+    // On failure the copy may still be ours if the call never landed (the
+    // kernel validates identifiers before moving any), so the guard deletes
+    // it; slots are never reused, so a stale delete is harmless.
+    let mut reply = mgr.invoke(call)?;
+    d1_for_mgr.keep(); // Delivered: the identifier moved with the call.
     match decode_reply_status(&mut reply)? {
         ReplyStatus::Ok => Ok(reply.get_door()?),
         ReplyStatus::UserException(name) => Err(SpringError::UnknownUserException(name)),
@@ -734,18 +707,9 @@ impl CacheManager {
     /// releases it and anything else allocated along the way.
     fn attach(self: &Arc<Self>, server_door: DoorId, coherent: bool) -> Result<DoorId> {
         let domain = self.ctx.domain();
+        let server_door = Landed::adopt(domain, server_door);
         let coherence = if coherent {
-            let own = (|| -> Result<DoorId> {
-                let shared = self.callback_door()?;
-                Ok(domain.copy_door(shared)?)
-            })();
-            let own = match own {
-                Ok(d) => d,
-                Err(e) => {
-                    let _ = domain.delete_door(server_door);
-                    return Err(e);
-                }
-            };
+            let own = domain.copy_door(self.callback_door()?)?;
             Some(Coherence {
                 nonce: NEXT_ATTACH_NONCE.fetch_add(1, Ordering::Relaxed),
                 callback_door: own,
@@ -760,7 +724,7 @@ impl CacheManager {
         };
         let servant = Arc::new(CacheServant {
             ctx: self.ctx.clone(),
-            server_door,
+            server_door: server_door.keep(),
             cacheable: self.cacheable.clone(),
             stats: self.stats.clone(),
             memo: Mutex::new(Memo::new(self.memo_capacity)),
@@ -810,15 +774,9 @@ impl Dispatch for CacheManagerDispatch {
         if op != OP_ATTACH {
             return Err(SpringError::UnknownOp(op));
         }
-        let server_door = args.get_door()?;
-        let coherent = match args.get_bool() {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = self.mgr.ctx.domain().delete_door(server_door);
-                return Err(e.into());
-            }
-        };
-        let d2 = self.mgr.attach(server_door, coherent)?;
+        let server_door = Landed::take(self.mgr.ctx.domain(), args)?;
+        let coherent = args.get_bool()?;
+        let d2 = self.mgr.attach(server_door.keep(), coherent)?;
         encode_ok(reply);
         reply.put_door(d2);
         Ok(())

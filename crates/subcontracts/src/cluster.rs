@@ -16,16 +16,9 @@ use parking_lot::RwLock;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
+    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringError,
+    SpringObj,
 };
-
-/// Client representation: the shared door plus this object's tag.
-#[derive(Debug)]
-struct ClusterRepr {
-    door: DoorId,
-    tag: u32,
-}
 
 /// The cluster subcontract (client side).
 #[derive(Debug, Default)]
@@ -103,15 +96,15 @@ impl ClusterServer {
             self.ctx.clone(),
             type_info,
             self.ctx.lookup_subcontract(Cluster::ID)?,
-            Repr::new(ClusterRepr { door, tag }),
+            DoorRepr::of(door, tag),
         ))
     }
 
     /// Revokes one object of the cluster by removing its tag; other objects
     /// sharing the door are unaffected.
     pub fn revoke_tag(&self, obj: &SpringObj) -> Result<()> {
-        let repr = obj.repr().downcast::<ClusterRepr>("cluster")?;
-        if self.table.write().by_tag.remove(&repr.tag).is_none() {
+        let tag = client::repr::<Cluster>(obj)?.state;
+        if self.table.write().by_tag.remove(&tag).is_none() {
             return Err(SpringError::Unsupported("tag already revoked"));
         }
         Ok(())
@@ -123,79 +116,27 @@ impl ClusterServer {
     }
 }
 
-impl Subcontract for Cluster {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client representation: the shared door, then this object's tag.
+impl DoorSubcontract for Cluster {
+    const ID: ScId = Cluster::ID;
+    const NAME: &'static str = "cluster";
+    type State = u32;
 
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn invoke_preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         // Ship the tag as the control region (§8.1).
-        let repr = obj.repr().downcast::<ClusterRepr>(self.name())?;
-        call.put_u32(repr.tag);
+        call.put_u32(client::repr::<Self>(obj)?.state);
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<ClusterRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
+    fn put(&self, tag: &u32, buf: &mut CommBuffer) {
+        buf.put_u32(*tag);
     }
 
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<ClusterRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
-        buf.put_u32(repr.tag);
-        Ok(())
+    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<u32> {
+        Ok(buf.get_u32()?)
     }
 
-    fn marshal_copy(&self, obj: &SpringObj, buf: &mut CommBuffer) -> Result<()> {
-        // Optimized copy-then-marshal (§5.1.5).
-        let repr = obj.repr().downcast::<ClusterRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        put_obj_header(buf, Self::ID, obj.type_name());
-        buf.put_door(door);
-        buf.put_u32(repr.tag);
-        Ok(())
-    }
-
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        let tag = buf.get_u32()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(ClusterRepr { door, tag }),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<ClusterRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(ClusterRepr {
-            door,
-            tag: repr.tag,
-        })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<ClusterRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn fork(&self, _ctx: &Arc<DomainCtx>, tag: &u32) -> Result<u32> {
+        Ok(*tag)
     }
 }

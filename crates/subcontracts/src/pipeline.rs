@@ -27,35 +27,33 @@ use spring_buf::CommBuffer;
 use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::TraceCtx;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
+    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringError,
+    SpringObj,
 };
 
 use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
 
-/// Client representation: one kernel door identifier, the retry policy the
+/// What a pipeline object keeps beside its door: the retry policy the
 /// unmarshalling domain's registered instance carried, and the count of
 /// calls [`Pipeline::invoke_async`] has issued on this object that no
-/// attempt has yet carried into the door. Policy and count are
-/// machine-local — they never travel on the wire, so each client retries
-/// on its own terms and counts only its own calls.
+/// attempt has yet carried into the door. Both are machine-local — they
+/// never travel on the wire, so each client retries on its own terms and
+/// counts only its own calls.
 #[derive(Debug)]
-struct PipelineRepr {
-    door: DoorId,
+pub struct PipelineState {
     policy: RetryPolicy,
     unsent: Arc<AtomicU32>,
 }
 
-impl PipelineRepr {
-    /// The representation of a new object: nothing issued on it yet.
-    fn fresh(door: DoorId, policy: RetryPolicy) -> Repr {
-        Repr::new(PipelineRepr {
-            door,
+impl PipelineState {
+    /// The state of a new object: nothing issued on it yet.
+    fn fresh(policy: RetryPolicy) -> PipelineState {
+        PipelineState {
             policy,
             unsent: Arc::default(),
-        })
+        }
     }
 }
 
@@ -127,7 +125,7 @@ impl Pipeline {
             ctx.clone(),
             type_info,
             sc,
-            PipelineRepr::fresh(door, RetryPolicy::default()),
+            DoorRepr::of(door, PipelineState::fresh(RetryPolicy::default())),
         ))
     }
 
@@ -146,17 +144,17 @@ impl Pipeline {
                 "invoke_async requires a pipeline object",
             ));
         }
-        let repr = obj.repr().downcast::<PipelineRepr>("pipeline")?;
+        let repr = client::repr::<Pipeline>(obj)?;
         let door = repr.door;
-        let policy = repr.policy;
+        let policy = repr.state.policy;
         let domain = obj.ctx().domain().clone();
         let parent = spring_trace::current();
         let msg = call.into_message();
         let promise = Promise::new();
         let inner = promise.inner.clone();
-        repr.unsent.fetch_add(1, Ordering::Relaxed);
+        repr.state.unsent.fetch_add(1, Ordering::Relaxed);
         let company = Company {
-            unsent: repr.unsent.clone(),
+            unsent: repr.state.unsent.clone(),
             counted: true,
         };
         spawn_job(Box::new(move || {
@@ -168,69 +166,35 @@ impl Pipeline {
     }
 }
 
-impl Subcontract for Pipeline {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Wire-compatible with the other single-door subcontracts: nothing follows
+/// the door. What is its own is the call — an attempt loop.
+impl DoorSubcontract for Pipeline {
+    const ID: ScId = Pipeline::ID;
+    const NAME: &'static str = "pipeline";
+    type State = PipelineState;
 
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<PipelineRepr>(self.name())?;
-        let domain = obj.ctx().domain();
+    fn call(&self, obj: &SpringObj, args: CommBuffer) -> Result<CommBuffer> {
+        let repr = client::repr::<Self>(obj)?;
         attempt_loop(
-            domain,
+            obj.ctx().domain(),
             repr.door,
-            repr.policy,
+            repr.state.policy,
             spring_trace::current(),
-            call.into_message(),
+            args.into_message(),
             Company {
-                unsent: repr.unsent.clone(),
+                unsent: repr.state.unsent.clone(),
                 counted: false,
             },
         )
         .map(CommBuffer::from_message)
     }
 
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PipelineRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
-        Ok(())
+    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<PipelineState> {
+        Ok(PipelineState::fresh(self.policy))
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            PipelineRepr::fresh(door, self.policy),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<PipelineRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(PipelineRepr::fresh(door, repr.policy)))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PipelineRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn fork(&self, _ctx: &Arc<DomainCtx>, state: &PipelineState) -> Result<PipelineState> {
+        Ok(PipelineState::fresh(state.policy))
     }
 }
 

@@ -7,7 +7,11 @@
 //! only the public `subcontract` API: `invoke_preamble` piggybacks the
 //! caller's priority *and enqueue timestamp* in the control region, and the
 //! server-side subcontract publishes the priority to the servant for the
-//! duration of the call.
+//! duration of the call. What that costs its author is what is new about
+//! it: the client half is one `DoorSubcontract` impl (control bytes, and a
+//! `u32` that travels beside the door); marshal, unmarshal, copy and consume
+//! are `subcontract::client`'s. The smallest worked example is
+//! [`crate::txn`], whose client half is some twenty lines.
 //!
 //! The enqueue timestamp is what makes the priority subcontract earn its
 //! keep under overload: [`Priority::export_with_admission`] wraps the
@@ -26,11 +30,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, DoorId};
+use spring_kernel::DoorError;
 use subcontract::{
-    encode_overloaded, get_obj_header, put_obj_header, redispatch_if_foreign, Call, Dispatch,
-    DomainCtx, ObjParts, Repr, Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract,
-    TypeInfo,
+    client, encode_overloaded, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
+    ServeDoor, ServerSubcontract, SpringObj,
 };
 
 /// Span key recorded (failed) for every call the admission controller
@@ -38,16 +41,24 @@ use subcontract::{
 /// trees and in the `(priority, "priority.shed")` latency histogram.
 pub const SHED_SPAN: &str = "priority.shed";
 
+// Why thread-locals and not fields of the call (see also `txn`): a door call
+// shuttles the caller's thread into the server and back, so a value set on
+// the thread is seen by that call and the calls nested inside it, and by
+// nothing else; each serve step restores what it replaced. Both are pinned
+// in tests/extensions.rs (`a_nested_outgoing_call_…`, `a_stamp_whose_call_…`).
 thread_local! {
     /// The priority of the call currently executing on this thread, set by
-    /// the server-side priority subcontract. Door calls run on the caller's
-    /// thread, so thread-local scope is exactly call scope.
+    /// the server-side priority subcontract and restored when its dispatch
+    /// returns, so a servant reads its own call's priority even after it
+    /// has called onward.
     static CURRENT_CALL_PRIORITY: Cell<u32> = const { Cell::new(0) };
 
     /// Enqueue timestamp (trace-epoch ns) to stamp on the *next* priority
     /// call issued from this thread, set by an open-loop load generator so
     /// the server sees queue delay measured from the intended start time.
-    /// Consumed by `invoke_preamble`; `None` means "stamp at send".
+    /// `preamble` takes it as its first act — before anything that can
+    /// fail — so a stamp never outlives the call it was set for; `None`
+    /// means "stamp at send".
     static PENDING_ENQUEUE_NS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
@@ -107,13 +118,6 @@ impl AdmissionStats {
     }
 }
 
-/// Client representation: the door plus this object's current priority.
-#[derive(Debug)]
-struct PriorityRepr {
-    door: DoorId,
-    priority: AtomicU32,
-}
-
 /// The priority subcontract (client and server side).
 #[derive(Debug, Default)]
 pub struct Priority;
@@ -129,15 +133,14 @@ impl Priority {
 
     /// Sets the priority future calls on this object will carry.
     pub fn set_priority(obj: &SpringObj, priority: u32) -> Result<()> {
-        let repr = obj.repr().downcast::<PriorityRepr>("priority")?;
-        repr.priority.store(priority, Ordering::Relaxed);
+        let repr = client::repr::<Priority>(obj)?;
+        repr.state.store(priority, Ordering::Relaxed);
         Ok(())
     }
 
     /// The priority currently configured on this object.
     pub fn priority(obj: &SpringObj) -> Result<u32> {
-        let repr = obj.repr().downcast::<PriorityRepr>("priority")?;
-        Ok(repr.priority.load(Ordering::Relaxed))
+        Ok(client::repr::<Priority>(obj)?.state.load(Ordering::Relaxed))
     }
 }
 
@@ -181,80 +184,35 @@ fn control(
     result
 }
 
-impl Subcontract for Priority {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client representation: the door, then the priority this object's calls
+/// carry (it travels with the object and each copy keeps its own).
+impl DoorSubcontract for Priority {
+    const ID: ScId = Priority::ID;
+    const NAME: &'static str = "priority";
+    type State = AtomicU32;
 
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn invoke_preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         // Transfer the scheduling priority in the control region (§8.4),
         // plus the enqueue timestamp the admission controller subtracts
-        // from its own clock to measure queue delay.
-        let repr = obj.repr().downcast::<PriorityRepr>(self.name())?;
-        call.put_u32(repr.priority.load(Ordering::Relaxed));
-        let enqueue_ns = PENDING_ENQUEUE_NS
-            .with(Cell::take)
-            .unwrap_or_else(spring_trace::now_ns);
-        call.put_u64(enqueue_ns);
+        // from its own clock to measure queue delay. The stamp is taken
+        // before anything can fail: it belongs to this call, issued or not.
+        let enqueue_ns = PENDING_ENQUEUE_NS.with(Cell::take);
+        let priority = &client::repr::<Self>(obj)?.state;
+        call.put_u32(priority.load(Ordering::Relaxed));
+        call.put_u64(enqueue_ns.unwrap_or_else(spring_trace::now_ns));
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<PriorityRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
+    fn put(&self, priority: &AtomicU32, buf: &mut CommBuffer) {
+        buf.put_u32(priority.load(Ordering::Relaxed));
     }
 
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PriorityRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
-        // The configured priority travels with the object.
-        buf.put_u32(repr.priority.load(Ordering::Relaxed));
-        Ok(())
+    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<AtomicU32> {
+        Ok(AtomicU32::new(buf.get_u32()?))
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        let priority = buf.get_u32()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(PriorityRepr {
-                door,
-                priority: AtomicU32::new(priority),
-            }),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<PriorityRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(PriorityRepr {
-            door,
-            priority: AtomicU32::new(repr.priority.load(Ordering::Relaxed)),
-        })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PriorityRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn fork(&self, _ctx: &Arc<DomainCtx>, priority: &AtomicU32) -> Result<AtomicU32> {
+        Ok(AtomicU32::new(priority.load(Ordering::Relaxed)))
     }
 }
 
@@ -275,10 +233,7 @@ impl Priority {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(PriorityRepr {
-                door,
-                priority: AtomicU32::new(0),
-            }),
+            DoorRepr::of(door, AtomicU32::new(0)),
         ))
     }
 

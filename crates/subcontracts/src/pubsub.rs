@@ -44,9 +44,8 @@ use spring_kernel::callid::now_micros;
 use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Message};
 use spring_trace::keys;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Call, Dispatch, DomainCtx, ObjParts,
-    Repr, Result, ScId, ServeDoor, ServerCtx, SpringError, SpringObj, Subcontract, TypeInfo,
-    OBJECT_TYPE,
+    client, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor,
+    ServerCtx, SpringError, SpringObj, TypeInfo, OBJECT_TYPE,
 };
 
 /// Control-region kind: an ordinary request/reply operation.
@@ -857,13 +856,6 @@ impl Dispatch for TopicDispatch {
     }
 }
 
-/// Client representation: the topic door plus its name (diagnostics).
-#[derive(Debug)]
-struct PubSubRepr {
-    door: DoorId,
-    topic: String,
-}
-
 /// The pub/sub subcontract (client and server side).
 #[derive(Debug, Default)]
 pub struct PubSub;
@@ -925,10 +917,7 @@ impl PubSub {
             ctx.clone(),
             &PUBSUB_TOPIC_TYPE,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(PubSubRepr {
-                door,
-                topic: name.to_owned(),
-            }),
+            DoorRepr::of(door, name.to_owned()),
         );
         Ok((obj, hub))
     }
@@ -937,7 +926,7 @@ impl PubSub {
     /// Best-effort at the transport level: a lost publish returns
     /// [`PublishOutcome::Dropped`], never an error.
     pub fn publish(obj: &SpringObj, data: &[u8]) -> Result<PublishOutcome> {
-        let repr = obj.repr().downcast::<PubSubRepr>("pubsub")?;
+        let repr = client::repr::<PubSub>(obj)?;
         let mut buf = CommBuffer::pooled();
         buf.put_u8(KIND_PUBLISH);
         buf.put_bytes(data);
@@ -953,8 +942,7 @@ impl PubSub {
 
     /// The topic name the object was exported under.
     pub fn topic_name(obj: &SpringObj) -> Result<String> {
-        let repr = obj.repr().downcast::<PubSubRepr>("pubsub")?;
-        Ok(repr.topic.clone())
+        Ok(client::repr::<PubSub>(obj)?.state.clone())
     }
 
     /// Fetches the hub's current shape over the ordinary call path.
@@ -975,76 +963,27 @@ impl PubSub {
     }
 }
 
-impl Subcontract for PubSub {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client representation: the topic door, then its name (diagnostics).
+impl DoorSubcontract for PubSub {
+    const ID: ScId = PubSub::ID;
+    const NAME: &'static str = "pubsub";
+    type State = String;
 
-    fn name(&self) -> &'static str {
-        "pubsub"
-    }
-
-    fn invoke_preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         call.put_u8(KIND_CALL);
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<PubSubRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
+    fn put(&self, topic: &String, buf: &mut CommBuffer) {
+        buf.put_string(topic);
     }
 
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PubSubRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
-        buf.put_string(&repr.topic);
-        Ok(())
+    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<String> {
+        Ok(buf.get_string()?)
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        // The identifier has landed; any later parse failure must release
-        // it (the stream subcontract's leak class).
-        let topic = match buf.get_string() {
-            Ok(t) => t,
-            Err(e) => {
-                let _ = ctx.domain().delete_door(door);
-                return Err(e.into());
-            }
-        };
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(PubSubRepr { door, topic }),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<PubSubRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(PubSubRepr {
-            door,
-            topic: repr.topic.clone(),
-        })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<PubSubRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn fork(&self, _ctx: &Arc<DomainCtx>, topic: &String) -> Result<String> {
+        Ok(topic.clone())
     }
 }
 
@@ -1157,7 +1096,7 @@ impl SubscriberHub {
         sink: Arc<dyn Subscriber>,
         nonce: u64,
     ) -> Result<Subscription> {
-        let repr = topic.repr().downcast::<PubSubRepr>("pubsub")?;
+        let repr = client::repr::<PubSub>(topic)?;
         let (shared, _token) = self.callback_door()?;
         // The call consumes one identifier for the callback door; the
         // shared one stays put.

@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorId, Message};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
+    client, put_obj_header, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId, ServeDoor,
+    SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 use crate::retry::Invocation;
@@ -188,22 +188,20 @@ impl Subcontract for Reconnectable {
         expected: &'static TypeInfo,
         buf: &mut CommBuffer,
     ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        let name = buf.get_string()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(ReconRepr {
-                door: Mutex::new(door),
-                name,
-            }),
-        ))
+        client::unmarshal(
+            Self::ID,
+            ctx,
+            expected,
+            buf,
+            |buf| Landed::take(ctx.domain(), buf),
+            |door, buf| {
+                let name = buf.get_string()?;
+                Ok(Repr::new(ReconRepr {
+                    door: Mutex::new(door.keep()),
+                    name,
+                }))
+            },
+        )
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {

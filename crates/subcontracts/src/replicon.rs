@@ -22,11 +22,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, DoorId, Message};
+use spring_kernel::{Domain, DoorError, DoorId, Message};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, DedupStats, Dispatch, DomainCtx,
-    ObjParts, ReplyCache, Repr, Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract,
-    TypeInfo,
+    client, put_obj_header, DedupStats, Dispatch, DomainCtx, Landed, ObjParts, ReplyCache, Repr,
+    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 use crate::retry::{Invocation, RetryPolicy};
@@ -46,6 +45,23 @@ struct RepliconRepr {
 struct ReplicaState {
     epoch: u64,
     doors: Vec<DoorId>,
+}
+
+impl RepliconRepr {
+    /// The representation of an object assembled around `doors`, which pass
+    /// from their guards to it.
+    fn assemble(epoch: u64, doors: Vec<Landed<'_>>) -> Repr {
+        let doors = doors.into_iter().map(Landed::keep).collect();
+        Repr::new(RepliconRepr {
+            state: Mutex::new(ReplicaState { epoch, doors }),
+        })
+    }
+}
+
+/// Takes the next `n` door identifiers out of `buf`; a bad slot releases the
+/// ones before it.
+fn land<'a>(domain: &'a Domain, buf: &mut CommBuffer, n: usize) -> Result<Vec<Landed<'a>>> {
+    (0..n).map(|_| Landed::take(domain, buf)).collect()
 }
 
 /// The replicon subcontract (client side).
@@ -207,39 +223,28 @@ impl Subcontract for Replicon {
         expected: &'static TypeInfo,
         buf: &mut CommBuffer,
     ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let epoch = buf.get_u64()?;
-        let n = buf.get_seq_len(4)?;
-        let mut doors = Vec::with_capacity(n);
-        for _ in 0..n {
-            doors.push(buf.get_door()?);
-        }
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(RepliconRepr {
-                state: Mutex::new(ReplicaState { epoch, doors }),
-            }),
-        ))
+        client::unmarshal(
+            Self::ID,
+            ctx,
+            expected,
+            buf,
+            |buf| {
+                let epoch = buf.get_u64()?;
+                let n = buf.get_seq_len(4)?;
+                Ok((epoch, land(ctx.domain(), buf, n)?))
+            },
+            |(epoch, doors), _| Ok(RepliconRepr::assemble(epoch, doors)),
+        )
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
         let repr = obj.repr().downcast::<RepliconRepr>(self.name())?;
         let state = repr.state.lock();
-        let mut doors = Vec::with_capacity(state.doors.len());
-        for d in &state.doors {
-            doors.push(obj.ctx().domain().copy_door(*d)?);
-        }
-        let epoch = state.epoch;
-        drop(state);
-        Ok(obj.assemble_like(Repr::new(RepliconRepr {
-            state: Mutex::new(ReplicaState { epoch, doors }),
-        })))
+        // A copy that fails releases the copies made before it.
+        let doors = (state.doors.iter())
+            .map(|d| Landed::copy_of(obj.ctx().domain(), *d))
+            .collect::<Result<_>>()?;
+        Ok(obj.assemble_like(RepliconRepr::assemble(state.epoch, doors)))
     }
 
     fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
@@ -262,22 +267,17 @@ impl Replicon {
             CTRL_UPDATE => {
                 let epoch = reply.get_u64()?;
                 let n = reply.get_seq_len(4)?;
-                let mut fresh = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fresh.push(reply.get_door()?);
-                }
+                let fresh = land(obj.ctx().domain(), reply, n)?;
                 let repr = obj.repr().downcast::<RepliconRepr>(self.name())?;
                 let old = {
                     let mut state = repr.state.lock();
                     if epoch <= state.epoch {
-                        // Raced with a newer update; drop the stale one.
-                        drop(state);
-                        for d in fresh {
-                            let _ = obj.ctx().domain().delete_door(d);
-                        }
+                        // Raced with a newer update: the guards release
+                        // the stale set once the lock is gone.
                         return Ok(());
                     }
                     state.epoch = epoch;
+                    let fresh = fresh.into_iter().map(Landed::keep).collect();
                     std::mem::replace(&mut state.doors, fresh)
                 };
                 for d in old {
@@ -500,19 +500,16 @@ impl ReplicaGroup {
             .ok_or(SpringError::Exhausted("replica group is empty"))?;
         let type_info = first.disp.type_info();
         ctx.types().register(type_info);
-        let mut doors = Vec::with_capacity(inner.servers.len());
-        for member in &inner.servers {
-            doors.push(self.door_for(member, ctx.domain())?);
-        }
-        let epoch = inner.epoch;
-        drop(inner);
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Replicon::ID)?,
-            Repr::new(RepliconRepr {
-                state: Mutex::new(ReplicaState { epoch, doors }),
-            }),
-        ))
+        let sc = ctx.lookup_subcontract(Replicon::ID)?;
+        let doors = (inner.servers.iter())
+            .map(|member| {
+                Ok(Landed::adopt(
+                    ctx.domain(),
+                    self.door_for(member, ctx.domain())?,
+                ))
+            })
+            .collect::<Result<_>>()?;
+        let repr = RepliconRepr::assemble(inner.epoch, doors);
+        Ok(SpringObj::assemble(ctx.clone(), type_info, sc, repr))
     }
 }

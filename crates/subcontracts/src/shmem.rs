@@ -16,20 +16,13 @@
 
 use std::sync::Arc;
 
+use spring_buf::BufError;
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, DoorId, ShmId, ShmRegion};
+use spring_kernel::{DoorError, ShmId, ShmRegion};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
+    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringError,
+    SpringObj,
 };
-
-/// Client representation: the server door, this client's private region, and
-/// the region size to advertise when the object moves on.
-#[derive(Debug)]
-struct ShmemRepr {
-    door: DoorId,
-    region: ShmRegion,
-}
 
 /// The shmem subcontract (client and server side).
 #[derive(Debug, Default)]
@@ -42,9 +35,26 @@ impl Shmem {
     /// Default region size when none is configured.
     pub const DEFAULT_REGION: usize = 64 * 1024;
 
+    /// Largest region an object may ask for. A mapping grows past the
+    /// region's size on demand, so this bounds only the up-front allocation
+    /// a marshalled object can make its receiver perform.
+    pub const MAX_REGION: usize = 64 * 1024 * 1024;
+
     /// Creates the subcontract instance to register in a domain.
     pub fn new() -> Arc<Shmem> {
         Arc::new(Shmem)
+    }
+
+    /// Creates a private region of the size an export or a marshalled object
+    /// claims, bounding the claim before anything is allocated for it.
+    fn create_region(ctx: &Arc<DomainCtx>, claimed: u64) -> Result<ShmRegion> {
+        if claimed == 0 || claimed > Self::MAX_REGION as u64 {
+            return Err(SpringError::Buf(BufError::LengthOverrun {
+                claimed,
+                limit: Self::MAX_REGION as u64,
+            }));
+        }
+        Ok(ctx.domain().kernel().create_shm(claimed as usize))
     }
 
     /// Exports an object whose clients marshal arguments straight into a
@@ -55,6 +65,7 @@ impl Shmem {
         disp: Arc<dyn Dispatch>,
         region_size: usize,
     ) -> Result<SpringObj> {
+        let region = Self::create_region(ctx, region_size as u64)?;
         let type_info = disp.type_info();
         ctx.types().register(type_info);
         // Server-side shmem code: maps the region named by the descriptor
@@ -72,45 +83,41 @@ impl Shmem {
             call.dispatch(&*disp)
         });
         let door = ctx.domain().create_door(handler)?;
-        let region = ctx.domain().kernel().create_shm(region_size);
         Ok(SpringObj::assemble(
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(ShmemRepr { door, region }),
+            DoorRepr::of(door, region),
         ))
     }
 }
 
-impl Subcontract for Shmem {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client representation: the server door, then this client's private
+/// region, whose size is what travels when the object moves on.
+impl DoorSubcontract for Shmem {
+    const ID: ScId = Shmem::ID;
+    const NAME: &'static str = "shmem";
+    type State = ShmRegion;
 
-    fn name(&self) -> &'static str {
-        "shmem"
-    }
-
-    fn invoke_preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         // Redirect the buffer into the shared region before any argument
         // marshalling happens — the whole point of invoke_preamble.
-        let repr = obj.repr().downcast::<ShmemRepr>(self.name())?;
-        call.redirect_to_shm(repr.region.map_mut()?)?;
+        call.redirect_to_shm(client::repr::<Self>(obj)?.state.map_mut()?)?;
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<ShmemRepr>(self.name())?;
-        if !call.is_shm_backed() {
+    fn call(&self, obj: &SpringObj, args: CommBuffer) -> Result<CommBuffer> {
+        let repr = client::repr::<Self>(obj)?;
+        if !args.is_shm_backed() {
             return Err(SpringError::Unsupported(
                 "shmem invoke requires a call built via start_call",
             ));
         }
-        let (mapped, len, caps) = call.take_shm()?;
+        let (mapped, len, caps) = args.take_shm()?;
         drop(mapped); // Publish the marshalled arguments to the region.
 
         let mut desc = CommBuffer::new();
-        desc.put_u64(repr.region.id().raw());
+        desc.put_u64(repr.state.id().raw());
         desc.put_u64(len as u64);
         let mut msg = desc.into_message();
         msg.doors = caps;
@@ -119,50 +126,21 @@ impl Subcontract for Shmem {
         Ok(CommBuffer::from_message(reply))
     }
 
-    fn marshal(&self, ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<ShmemRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
-        buf.put_u64(repr.region.size() as u64);
-        // The region is private to this client; destroy it with the object.
-        ctx.domain().kernel().destroy_shm(repr.region.id());
-        Ok(())
+    fn put(&self, region: &ShmRegion, buf: &mut CommBuffer) {
+        buf.put_u64(region.size() as u64);
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        let size = buf.get_u64()? as usize;
-        let region = ctx.domain().kernel().create_shm(size);
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(ShmemRepr { door, region }),
-        ))
+    fn get(&self, ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<ShmRegion> {
+        Self::create_region(ctx, buf.get_u64()?)
     }
 
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<ShmemRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
+    fn fork(&self, ctx: &Arc<DomainCtx>, region: &ShmRegion) -> Result<ShmRegion> {
         // Each object gets its own region: regions are single-mapper.
-        let region = obj.ctx().domain().kernel().create_shm(repr.region.size());
-        Ok(obj.assemble_like(Repr::new(ShmemRepr { door, region })))
+        Ok(ctx.domain().kernel().create_shm(region.size()))
     }
 
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<ShmemRepr>(self.name())?;
-        ctx.domain().kernel().destroy_shm(repr.region.id());
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn retire(&self, ctx: &Arc<DomainCtx>, region: ShmRegion) {
+        // The region is private to this client; destroy it with the object.
+        ctx.domain().kernel().destroy_shm(region.id());
     }
 }

@@ -19,8 +19,8 @@ use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, serve, Call, Dispatch, DomainCtx,
-    ObjParts, Repr, Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    client, put_obj_header, serve, Call, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId,
+    ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Control-region flag: an ordinary call.
@@ -201,18 +201,14 @@ impl Subcontract for Simplex {
         expected: &'static TypeInfo,
         buf: &mut CommBuffer,
     ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SimplexRepr::remote(door)),
-        ))
+        client::unmarshal(
+            Self::ID,
+            ctx,
+            expected,
+            buf,
+            |buf| Landed::take(ctx.domain(), buf),
+            |door, _| Ok(Repr::new(SimplexRepr::remote(door.keep()))),
+        )
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {

@@ -12,15 +12,12 @@ use std::sync::Arc;
 use spring_buf::CommBuffer;
 use spring_kernel::DoorId;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor,
+    ServerSubcontract, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Client representation: one kernel door identifier.
-#[derive(Debug)]
-pub(crate) struct SingletonRepr {
-    pub(crate) door: DoorId,
-}
+pub(crate) type SingletonRepr = DoorRepr<()>;
 
 /// The singleton subcontract (client and server side).
 #[derive(Debug, Default)]
@@ -47,73 +44,23 @@ impl Singleton {
             ctx.clone(),
             type_info,
             self.clone() as Arc<dyn Subcontract>,
-            Repr::new(SingletonRepr { door }),
+            SingletonRepr::of(door, ()),
         )
     }
 }
 
-impl Subcontract for Singleton {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// No control region and nothing beside the door: the whole client half is
+/// the shared path.
+impl DoorSubcontract for Singleton {
+    const ID: ScId = Singleton::ID;
+    const NAME: &'static str = "singleton";
+    type State = ();
 
-    fn name(&self) -> &'static str {
-        "singleton"
-    }
-
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<SingletonRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
-    }
-
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<SingletonRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
+    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<()> {
         Ok(())
     }
 
-    fn marshal_copy(&self, obj: &SpringObj, buf: &mut CommBuffer) -> Result<()> {
-        // Optimized copy-then-marshal (§5.1.5): duplicate the identifier and
-        // emit the marshalled form directly, without fabricating (and
-        // immediately destroying) an intermediate object.
-        let repr = obj.repr().downcast::<SingletonRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        put_obj_header(buf, Self::ID, obj.type_name());
-        buf.put_door(door);
-        Ok(())
-    }
-
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SingletonRepr { door }),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<SingletonRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(SingletonRepr { door })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<SingletonRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
+    fn fork(&self, _ctx: &Arc<DomainCtx>, _state: &()) -> Result<()> {
         Ok(())
     }
 }
@@ -132,13 +79,14 @@ impl ServerSubcontract for Singleton {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SingletonRepr { door }),
+            SingletonRepr::of(door, ()),
         ))
     }
 
     fn revoke(&self, obj: &SpringObj) -> Result<()> {
-        let repr = obj.repr().downcast::<SingletonRepr>(self.name())?;
-        obj.ctx().domain().revoke_door(repr.door)?;
+        obj.ctx()
+            .domain()
+            .revoke_door(client::repr::<Self>(obj)?.door)?;
         Ok(())
     }
 }

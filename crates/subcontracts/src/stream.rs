@@ -17,10 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, DoorId};
+use spring_kernel::DoorError;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringObj, Subcontract, TypeInfo,
+    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringObj,
 };
 
 /// Control-region kind: an ordinary request/reply operation.
@@ -81,13 +80,6 @@ impl StreamStats {
     }
 }
 
-/// Client representation: the door and the next frame sequence number.
-#[derive(Debug)]
-struct StreamRepr {
-    door: DoorId,
-    next_seq: AtomicU64,
-}
-
 /// The stream subcontract (client and server side).
 #[derive(Debug, Default)]
 pub struct Stream;
@@ -144,10 +136,7 @@ impl Stream {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(StreamRepr {
-                door,
-                next_seq: AtomicU64::new(1),
-            }),
+            DoorRepr::of(door, AtomicU64::new(1)),
         );
         Ok((obj, stats))
     }
@@ -156,8 +145,8 @@ impl Stream {
     /// [`FrameOutcome::Dropped`], not an error. Frames are sequence-numbered
     /// per object.
     pub fn send_frame(obj: &SpringObj, data: &[u8]) -> Result<FrameOutcome> {
-        let repr = obj.repr().downcast::<StreamRepr>("stream")?;
-        let seq = repr.next_seq.fetch_add(1, Ordering::Relaxed);
+        let repr = client::repr::<Stream>(obj)?;
+        let seq = repr.state.fetch_add(1, Ordering::Relaxed);
         let mut buf = CommBuffer::new();
         buf.put_u8(KIND_FRAME);
         buf.put_u64(seq);
@@ -172,87 +161,32 @@ impl Stream {
 
     /// The next sequence number this object will stamp (diagnostics).
     pub fn next_seq(obj: &SpringObj) -> Result<u64> {
-        let repr = obj.repr().downcast::<StreamRepr>("stream")?;
-        Ok(repr.next_seq.load(Ordering::Relaxed))
+        Ok(client::repr::<Stream>(obj)?.state.load(Ordering::Relaxed))
     }
 }
 
-impl Subcontract for Stream {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client representation: the door, then the next frame sequence number.
+impl DoorSubcontract for Stream {
+    const ID: ScId = Stream::ID;
+    const NAME: &'static str = "stream";
+    type State = AtomicU64;
 
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn invoke_preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         call.put_u8(KIND_CALL);
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<StreamRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
-    }
-
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<StreamRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
+    fn put(&self, next_seq: &AtomicU64, buf: &mut CommBuffer) {
         // Sequence numbering continues where the sender left off, so the
         // receiver's gap accounting stays meaningful across a hand-off.
-        buf.put_u64(repr.next_seq.load(Ordering::Relaxed));
-        Ok(())
+        buf.put_u64(next_seq.load(Ordering::Relaxed));
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        // From here on the identifier has landed in this domain: any parse
-        // failure must delete it, or a truncated stream strands one door per
-        // failed unmarshal (the same leak class the caching subcontract's
-        // unmarshal had).
-        let next_seq = match buf.get_u64() {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = ctx.domain().delete_door(door);
-                return Err(e.into());
-            }
-        };
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(StreamRepr {
-                door,
-                next_seq: AtomicU64::new(next_seq),
-            }),
-        ))
+    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<AtomicU64> {
+        Ok(AtomicU64::new(buf.get_u64()?))
     }
 
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<StreamRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(StreamRepr {
-            door,
-            next_seq: AtomicU64::new(repr.next_seq.load(Ordering::Relaxed)),
-        })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<StreamRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
-        Ok(())
+    fn fork(&self, _ctx: &Arc<DomainCtx>, next_seq: &AtomicU64) -> Result<AtomicU64> {
+        Ok(AtomicU64::new(next_seq.load(Ordering::Relaxed)))
     }
 }

@@ -12,16 +12,25 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, DoorId};
+use spring_kernel::DoorError;
 use subcontract::{
-    get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
-    Result, ScId, ServeDoor, SpringObj, Subcontract, TypeInfo,
+    Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringObj,
 };
 
+// Why two thread-locals and not a field of the call: a door call shuttles the
+// caller's thread into the server and back, so between `replace` and the
+// restore below nothing else can run on the thread except calls nested
+// inside this one — and each of those restores what it replaced on its way
+// out. Thread scope is therefore exactly call scope, on both sides. Pinned
+// by `a_nested_outgoing_call_leaves_the_serving_scope_as_it_found_it` in
+// tests/extensions.rs. (A servant that hands work to another thread takes
+// `current_txn()` with it by value, as it would any argument.)
 thread_local! {
     /// The transaction the current thread is working under (0 = none).
+    /// Written by [`TxnScope`], read by `preamble` on the same thread.
     static CLIENT_TXN: Cell<u64> = const { Cell::new(0) };
     /// The transaction of the call currently being served on this thread.
+    /// Written and restored by the serve step around `dispatch`.
     static SERVER_TXN: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -76,13 +85,6 @@ impl TxnJournal {
     }
 }
 
-/// Client representation: just the door; the transaction comes from the
-/// calling thread's scope.
-#[derive(Debug)]
-struct TxnRepr {
-    door: DoorId,
-}
-
 /// The txn subcontract (client and server side).
 #[derive(Debug, Default)]
 pub struct Txn;
@@ -131,69 +133,31 @@ impl Txn {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(TxnRepr { door }),
+            DoorRepr::of(door, ()),
         );
         Ok((obj, journal))
     }
 }
 
-impl Subcontract for Txn {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// The whole client half: the representation is just the door (the
+/// transaction comes from the calling thread's scope), so all this
+/// subcontract declares is the control region it writes.
+impl DoorSubcontract for Txn {
+    const ID: ScId = Txn::ID;
+    const NAME: &'static str = "txn";
+    type State = ();
 
-    fn name(&self) -> &'static str {
-        "txn"
-    }
-
-    fn invoke_preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
+    fn preamble(&self, _obj: &SpringObj, call: &mut CommBuffer) -> Result<()> {
         // Transfer the thread's transaction in the control region (§8.4).
         call.put_u64(CLIENT_TXN.with(Cell::get));
         Ok(())
     }
 
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<TxnRepr>(self.name())?;
-        let reply = obj.ctx().domain().call(repr.door, call.into_message())?;
-        Ok(CommBuffer::from_message(reply))
-    }
-
-    fn marshal(&self, _ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<TxnRepr>(self.name())?;
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.door);
+    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<()> {
         Ok(())
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        if let Some(obj) = redispatch_if_foreign(Self::ID, ctx, expected, buf)? {
-            return Ok(obj);
-        }
-        let (_, wire_name, actual) = get_obj_header(ctx, expected, buf)?;
-        let door = buf.get_door()?;
-        Ok(SpringObj::assemble_from_wire(
-            ctx.clone(),
-            wire_name,
-            actual,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(TxnRepr { door }),
-        ))
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<TxnRepr>(self.name())?;
-        let door = obj.ctx().domain().copy_door(repr.door)?;
-        Ok(obj.assemble_like(Repr::new(TxnRepr { door })))
-    }
-
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<TxnRepr>(self.name())?;
-        ctx.domain().delete_door(repr.door)?;
+    fn fork(&self, _ctx: &Arc<DomainCtx>, _state: &()) -> Result<()> {
         Ok(())
     }
 }

@@ -92,6 +92,13 @@ pub fn ctx_on(kernel: &Kernel, name: &str) -> Arc<DomainCtx> {
     ctx
 }
 
+/// Live door identifiers and live doors, kernel-wide: what a leak check
+/// compares before and after.
+pub fn live(kernel: &Kernel) -> (u64, usize) {
+    let stats = kernel.stats();
+    (stats.ids_issued - stats.ids_deleted, kernel.live_doors())
+}
+
 /// Typed convenience wrapper playing the role of generated counter stubs.
 pub struct CounterClient(pub SpringObj);
 

@@ -8,14 +8,20 @@
 //! like, its server door opens a serve span, honours call identity, refuses
 //! to replay a reply that moved a door, rejects a broken control region as
 //! an error, and builds its reply in a pooled buffer.
+//!
+//! The last part is the client column (`subcontract::client`): the marshalled
+//! form of every subject is pinned byte for byte, a form cut short at any
+//! offset strands no door identifier, copies consume back to the baseline,
+//! and `marshal_copy` is `copy` then `marshal` without the copy (§5.1.5).
 
 mod common;
 
 use std::any::Any;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::{ctx_on, ship, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET};
+use common::{ctx_on, live, ship, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET};
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::callid::next_nonce;
@@ -24,12 +30,12 @@ use spring_subcontracts::priority::Priority;
 use spring_subcontracts::stream::Stream;
 use spring_subcontracts::txn::Txn;
 use spring_subcontracts::{
-    CacheManager, Caching, ClusterServer, Pipeline, Reconnectable, ReplicaGroup, RepliconServer,
-    Shmem, Simplex, Singleton,
+    CacheManager, Caching, ClusterServer, Pipeline, PubSub, Reconnectable, ReplicaGroup,
+    RepliconServer, Shmem, Simplex, Singleton, TopicConfig, PUBSUB_TOPIC_TYPE,
 };
 use subcontract::{
-    op_hash, unmarshal_object, Dispatch, DomainCtx, ServerCtx, ServerSubcontract, SpringError,
-    SpringObj, TypeInfo,
+    op_hash, put_obj_header, unmarshal_object, Dispatch, DomainCtx, ScId, ServerCtx,
+    ServerSubcontract, SpringError, SpringObj, TypeInfo,
 };
 
 /// Two columns flip process-wide state (the tracer switch, the buffer-pool
@@ -489,5 +495,266 @@ fn every_server_door_builds_its_reply_in_a_pooled_buffer() {
             s.name,
             delta.pool_hits
         );
+    }
+}
+
+// ---- The client column: marshal / unmarshal / copy / consume ---------------
+
+/// A type no subject conforms to.
+static STRANGER_TYPE: TypeInfo = TypeInfo {
+    name: "stranger",
+    parents: &[&subcontract::OBJECT_TYPE],
+    default_subcontract: Singleton::ID,
+};
+
+/// The twelve call subjects plus a pub/sub topic object, all living in the
+/// server context. The topic's servant is its hub, not a counter, so it
+/// rides only the columns below.
+fn client_subjects(kernel: &Kernel) -> Vec<Subject> {
+    let (mut subjects, _client) = subjects(kernel);
+    let server = subjects[0].obj.ctx().clone();
+    server.register_subcontract(PubSub::new());
+    let (topic, hub) = PubSub::export(&server, "matrix-topic", TopicConfig::default()).unwrap();
+    subjects.push(Subject {
+        name: "pubsub",
+        obj: topic,
+        keep_alive: vec![Box::new(hub)],
+    });
+    subjects
+}
+
+fn type_of(s: &Subject) -> &'static TypeInfo {
+    if s.name == "pubsub" {
+        &PUBSUB_TOPIC_TYPE
+    } else {
+        &COUNTER_TYPE
+    }
+}
+
+/// The subject still answers: a counter reads 10, a topic names itself.
+fn assert_usable(s: &Subject) {
+    if s.name == "pubsub" {
+        assert_eq!(PubSub::info(&s.obj).unwrap().name, "matrix-topic");
+        return;
+    }
+    let mut reply = s.obj.invoke(s.obj.start_call(OP_GET).unwrap()).unwrap();
+    subcontract::decode_reply_status(&mut reply).unwrap();
+    assert_eq!(reply.get_i64().unwrap(), 10, "{}", s.name);
+}
+
+/// The marshalled form of a copy of `obj`; its doors belong to `obj`'s domain.
+fn marshalled_copy(obj: &SpringObj) -> Message {
+    let mut buf = CommBuffer::new();
+    obj.marshal_copy(&mut buf).unwrap();
+    buf.into_message()
+}
+
+fn release(ctx: &DomainCtx, doors: Vec<DoorId>) {
+    for door in doors {
+        ctx.domain().delete_door(door).unwrap();
+    }
+}
+
+#[test]
+fn every_unmarshal_cut_short_releases_the_doors_that_landed() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    // The (subcontract, cut offset) pairs exercised, for CI to upload when
+    // the job fails.
+    let target = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    let _ = std::fs::create_dir_all(&target);
+    let mut cuts = std::fs::File::create(target.join("unmarshal-cuts.txt")).ok();
+    let mut leaks = Vec::new();
+    for s in client_subjects(&kernel) {
+        let ctx = s.obj.ctx().clone();
+        let mut baseline = live(&kernel);
+        let header = {
+            let mut h = CommBuffer::new();
+            put_obj_header(&mut h, s.obj.subcontract().id(), s.obj.type_name());
+            h.len()
+        };
+        let whole = marshalled_copy(&s.obj);
+        let len = whole.bytes.len();
+        release(&ctx, whole.doors);
+        assert!(len > header, "{}: a body follows the header", s.name);
+
+        // Each offset after the header is tried twice: the form cut there,
+        // and the form with every byte from there on set to 0xFF (a door slot
+        // that names no door, a length that overruns, a scalar that parses).
+        // `len` stands for the intact form unmarshalled as a type no subject
+        // conforms to: its doors must be read and released, not left behind
+        // in a buffer whose drop deletes nothing.
+        let probes = (header..len).flat_map(|cut| [(cut, false), (cut, true)]);
+        for (cut, fill) in probes.chain([(len, false)]) {
+            if let Some(f) = &mut cuts {
+                let _ = writeln!(f, "{} {cut}{}", s.name, if fill { " fill" } else { "" });
+            }
+            let mut msg = marshalled_copy(&s.obj);
+            if fill {
+                msg.bytes[cut..].fill(0xFF);
+            } else {
+                msg.bytes.truncate(cut);
+            }
+            let mut buf = CommBuffer::from_message(msg);
+            let mismatch = cut == len;
+            let expected = if mismatch {
+                &STRANGER_TYPE
+            } else {
+                type_of(&s)
+            };
+            let outcome = unmarshal_object(&ctx, expected, &mut buf);
+            assert!(
+                outcome.is_err() || fill,
+                "{} cut at {cut}: {outcome:?}",
+                s.name
+            );
+            // What never left the buffer is the caller's to release; what
+            // did is the subcontract's (or the object's, which dies here).
+            let left = buf.drain_doors();
+            if mismatch {
+                assert!(
+                    matches!(outcome, Err(SpringError::TypeMismatch { .. })),
+                    "{}: {outcome:?}",
+                    s.name
+                );
+                if !left.is_empty() {
+                    leaks.push(format!("{}: type mismatch left {left:?}", s.name));
+                }
+            }
+            drop(outcome);
+            release(&ctx, left);
+            let now = live(&kernel);
+            if now != baseline {
+                leaks.push(format!(
+                    "{} at {cut} (fill: {fill}): {baseline:?} -> {now:?}",
+                    s.name
+                ));
+                baseline = now;
+            }
+        }
+        assert_usable(&s);
+    }
+    assert!(leaks.is_empty(), "{leaks:#?}");
+}
+
+#[test]
+fn every_copy_consumes_back_to_the_baseline() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    for s in client_subjects(&kernel) {
+        let baseline = live(&kernel);
+        let first = s.obj.copy().unwrap();
+        let second = first.copy().unwrap();
+        first.consume().unwrap();
+        second.consume().unwrap();
+        assert_eq!(live(&kernel), baseline, "{}", s.name);
+        assert_usable(&s);
+    }
+}
+
+#[test]
+fn every_marshal_copy_is_copy_then_marshal_without_the_copy() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    for s in client_subjects(&kernel) {
+        let ctx = s.obj.ctx().clone();
+        let baseline = live(&kernel);
+        let short_cut = marshalled_copy(&s.obj);
+        let long_way = {
+            let mut buf = CommBuffer::new();
+            s.obj.copy().unwrap().marshal(&mut buf).unwrap();
+            buf.into_message()
+        };
+        assert_eq!(short_cut.bytes, long_way.bytes, "{}", s.name);
+        assert_eq!(short_cut.doors.len(), long_way.doors.len(), "{}", s.name);
+        release(&ctx, short_cut.doors);
+        release(&ctx, long_way.doors);
+        assert_eq!(live(&kernel), baseline, "{}", s.name);
+        assert_usable(&s);
+    }
+}
+
+/// One field of a marshalled form, as the wire lays it out: little-endian,
+/// aligned to its size, strings as a `u32` length and the bytes, a door as
+/// the `u32` index of its slot in the message's capability vector.
+enum Field {
+    U32(u32),
+    U64(u64),
+    Str(&'static str),
+    Bool(bool),
+    Door,
+}
+
+/// Lays `fields` out after the standard header, by hand (no `CommBuffer`).
+fn lay_out(id: ScId, type_name: &'static str, fields: &[Field]) -> (Vec<u8>, usize) {
+    fn word(out: &mut Vec<u8>, bytes: &[u8]) {
+        out.resize(out.len().next_multiple_of(bytes.len()), 0);
+        out.extend_from_slice(bytes);
+    }
+    let (mut out, mut doors) = (Vec::new(), 0u32);
+    let header = [Field::U64(id.raw()), Field::Str(type_name)];
+    for field in header.iter().chain(fields) {
+        match field {
+            Field::U32(v) => word(&mut out, &v.to_le_bytes()),
+            Field::U64(v) => word(&mut out, &v.to_le_bytes()),
+            Field::Str(v) => {
+                word(&mut out, &(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v.as_bytes());
+            }
+            Field::Bool(v) => out.push(*v as u8),
+            Field::Door => {
+                word(&mut out, &doors.to_le_bytes());
+                doors += 1;
+            }
+        }
+    }
+    (out, doors as usize)
+}
+
+#[test]
+fn every_marshalled_form_is_pinned_byte_for_byte() {
+    use Field::{Bool, Door, Str, U32, U64};
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    // What follows the header (subcontract identifier, type name), per
+    // subject. Simplex's local arm grows its door at first marshal.
+    let table: [(&str, &str, Vec<Field>); 13] = [
+        ("singleton", "singleton", vec![Door]),
+        ("simplex", "simplex", vec![Door]),
+        ("simplex-local", "simplex", vec![Door]),
+        ("cluster", "cluster", vec![Door, U32(1)]),
+        ("replicon", "replicon", vec![U64(2), U32(2), Door, Door]),
+        (
+            "caching",
+            "caching",
+            vec![Door, Str("cache_manager"), Bool(false)],
+        ),
+        ("reconnectable", "reconnectable", vec![Door, Str("svc/x")]),
+        ("pipeline", "pipeline", vec![Door]),
+        ("shmem", "shmem", vec![Door, U64(4096)]),
+        ("priority", "priority", vec![Door, U32(7)]),
+        ("txn", "txn", vec![Door]),
+        ("stream", "stream", vec![Door, U64(3)]),
+        ("pubsub", "pubsub", vec![Door, Str("matrix-topic")]),
+    ];
+    let subjects = client_subjects(&kernel);
+    assert_eq!(subjects.len(), table.len());
+    for (s, (name, sc, fields)) in subjects.into_iter().zip(table) {
+        assert_eq!(s.name, name);
+        match name {
+            "priority" => Priority::set_priority(&s.obj, 7).unwrap(),
+            "stream" => {
+                for frame in [b"one", b"two"] {
+                    Stream::send_frame(&s.obj, frame).unwrap();
+                }
+            }
+            _ => {}
+        }
+        let type_name = type_of(&s).name;
+        let (ctx, wire) = disassemble(s.obj);
+        let (bytes, doors) = lay_out(ScId::from_name(sc), type_name, &fields);
+        assert_eq!(wire.bytes, bytes, "{name}");
+        assert_eq!(wire.doors.len(), doors, "{name}");
+        release(&ctx, wire.doors);
     }
 }

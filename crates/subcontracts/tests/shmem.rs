@@ -103,6 +103,43 @@ fn marshal_roundtrip_recreates_region() {
 }
 
 #[test]
+fn a_marshalled_region_size_is_bounded_before_anything_is_allocated() {
+    // The size after the door is the sender's claim. A form claiming 2^40
+    // bytes (or none) must be refused with a typed error — not answered
+    // with a terabyte allocation — and the door that landed released.
+    use spring_buf::{BufError, CommBuffer};
+    use subcontract::SpringError;
+
+    let kernel = Kernel::new("t");
+    let server = ctx_on(&kernel, "server");
+    let keeper = Shmem::export(&server, CounterServant::new(0), 4096).unwrap();
+    let baseline = common::live(&kernel);
+
+    for claimed in [1u64 << 40, Shmem::MAX_REGION as u64 + 1, 0] {
+        let mut buf = CommBuffer::new();
+        keeper.marshal_copy(&mut buf).unwrap();
+        let mut msg = buf.into_message();
+        let size_at = msg.bytes.len() - 8;
+        assert_eq!(msg.bytes[size_at..], 4096u64.to_le_bytes());
+        msg.bytes[size_at..].copy_from_slice(&claimed.to_le_bytes());
+
+        let mut buf = CommBuffer::from_message(msg);
+        match subcontract::unmarshal_object(&server, &COUNTER_TYPE, &mut buf) {
+            Err(SpringError::Buf(BufError::LengthOverrun { claimed: c, limit })) => {
+                assert_eq!((c, limit), (claimed, Shmem::MAX_REGION as u64));
+            }
+            other => panic!("claimed {claimed}: {other:?}"),
+        }
+        assert_eq!(buf.drain_doors(), [], "the door was read, then released");
+        assert_eq!(common::live(&kernel), baseline);
+    }
+    // An export is held to the same bound, before it creates its door.
+    assert!(Shmem::export(&server, CounterServant::new(0), Shmem::MAX_REGION + 1).is_err());
+    assert_eq!(common::live(&kernel), baseline);
+    assert_eq!(CounterClient(keeper).get().unwrap(), 0);
+}
+
+#[test]
 fn large_payload_grows_region() {
     // Marshalling past the advertised region size must still work: the
     // mapping grows and publishes back.
