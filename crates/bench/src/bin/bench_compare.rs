@@ -18,7 +18,7 @@
 //!   over the same transport (lower is better). The two arms differ only
 //!   in decode strategy, so this guards the in-place win itself.
 //! * `e1t`: max-thread calls/s / 1-thread calls/s, clamped to the host's
-//!   hardware parallelism — throughput scaling under the sharded nucleus
+//!   hardware parallelism — throughput scaling over per-domain door tables
 //!   (higher is better).
 //! * `e4`: simplex ns / caching ns on the last sweep row (highest latency,
 //!   most reads) — the caching win (higher is better).

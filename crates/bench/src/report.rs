@@ -274,13 +274,13 @@ fn tracing_json() -> Json {
 }
 
 /// E1t — concurrent null-call throughput: one raw door per caller thread,
-/// all on a single kernel. With the sharded nucleus, callers on distinct
-/// doors and domains take disjoint locks, so aggregate throughput should
+/// all on a single kernel. Callers in distinct domains take disjoint locks
+/// (each its own door table), so aggregate throughput should
 /// scale with cores (the contention counters show residual lock traffic —
 /// on a single-core host the aggregate cannot exceed the 1-thread rate,
 /// but the wait counts still demonstrate lock independence).
 pub fn e1_threaded(iters: u64) -> Json {
-    header("E1t: concurrent null-call throughput (sharded nucleus)");
+    header("E1t: concurrent null-call throughput (per-domain door tables)");
     println!(
         "{:<8} {:>16} {:>12} {:>12} {:>12} {:>14}",
         "threads", "calls/s (agg)", "ns/call", "table waits", "shard waits", "pool hit rate"

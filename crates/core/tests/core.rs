@@ -37,6 +37,32 @@ fn kernel_transport_moves_identifiers() {
 }
 
 #[test]
+fn a_door_marshalled_twice_into_one_buffer_is_refused_by_the_kernel() {
+    let kernel = Kernel::new("t");
+    let server = kernel.create_domain("server");
+    let client = kernel.create_domain("client");
+    let echo = server
+        .create_door(Arc::new(|_: &spring_kernel::CallCtx, m| Ok(m)))
+        .unwrap();
+    let echo = server.transfer_door(echo, &client).unwrap();
+    let passed = client.copy_door(echo).unwrap();
+
+    // Two `put_door`s of one identifier name one reference twice; landed as
+    // two identifiers, deleting the first would destroy the door under the
+    // second.
+    let mut buf = CommBuffer::new();
+    buf.put_door(passed);
+    buf.put_door(passed);
+    assert_eq!(
+        client.call(echo, buf.into_message()).unwrap_err(),
+        DoorError::InvalidDoor
+    );
+    // Nothing moved: the sender still holds its one identifier.
+    assert!(client.door_is_valid(passed));
+    assert_eq!(kernel.stats().ids_transferred, 1);
+}
+
+#[test]
 fn kernel_transport_refuses_cross_machine() {
     let k1 = Kernel::new("one");
     let k2 = Kernel::new("two");

@@ -1,11 +1,12 @@
 //! Domain handles and the door-handler trait.
 
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::error::DoorError;
 use crate::id::{DomainId, DoorId};
-use crate::kernel::Kernel;
+use crate::kernel::{DomainState, Kernel};
 use crate::message::Message;
 
 /// Context passed to a [`DoorHandler`] for each incoming call.
@@ -65,17 +66,23 @@ where
 #[derive(Clone)]
 pub struct Domain {
     kernel: Kernel,
-    id: DomainId,
+    /// The domain's door table and liveness, held directly so no operation
+    /// looks the domain up by id.
+    state: Arc<DomainState>,
 }
 
 impl Domain {
-    pub(crate) fn new(kernel: Kernel, id: DomainId) -> Self {
-        Domain { kernel, id }
+    pub(crate) fn new(kernel: Kernel, state: Arc<DomainState>) -> Self {
+        Domain { kernel, state }
+    }
+
+    pub(crate) fn state(&self) -> &DomainState {
+        &self.state
     }
 
     /// This domain's identifier.
     pub fn id(&self) -> DomainId {
-        self.id
+        self.state.id
     }
 
     /// The kernel this domain belongs to.
@@ -85,24 +92,24 @@ impl Domain {
 
     /// The human-readable name given at creation.
     pub fn name(&self) -> String {
-        self.kernel.domain_name(self.id)
+        self.state.name.clone()
     }
 
     /// Returns true while the domain has not crashed.
     pub fn is_alive(&self) -> bool {
-        self.kernel.domain_alive(self.id)
+        self.state.alive.load(Ordering::Relaxed)
     }
 
     /// The trace scope tag for this domain: `node << 32 | domain`. Spans
     /// opened while executing in this domain record into the per-scope ring
     /// buffer tagged with this value (see the `spring-trace` crate).
     pub fn trace_scope(&self) -> u64 {
-        (self.kernel.node_id().raw() << 32) | self.id.raw()
+        (self.kernel.node_id().raw() << 32) | self.id().raw()
     }
 
     /// Creates a door served by this domain and returns the first identifier.
     pub fn create_door(&self, handler: Arc<dyn DoorHandler>) -> Result<DoorId, DoorError> {
-        self.kernel.create_door(self.id, handler)
+        self.kernel.create_door(&self.state, handler)
     }
 
     /// Issues a call on a door identifier owned by this domain.
@@ -110,7 +117,7 @@ impl Domain {
     /// Door identifiers carried by `msg` are transferred to the serving
     /// domain; identifiers in the reply are transferred back to this domain.
     pub fn call(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg, false, 0)
+        self.kernel.call(&self.state, door, msg, false, 0)
     }
 
     /// Issues a call whose reply the caller will not read (a best-effort
@@ -120,7 +127,7 @@ impl Domain {
     /// that finds a non-empty reply is looking at a handler that answered
     /// anyway.
     pub fn call_one_way(&self, door: DoorId, msg: Message) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg, true, 0)
+        self.kernel.call(&self.state, door, msg, true, 0)
     }
 
     /// Issues a call that is one of `company` the caller has issued toward
@@ -133,56 +140,56 @@ impl Domain {
         msg: Message,
         company: u32,
     ) -> Result<Message, DoorError> {
-        self.kernel.call(self.id, door, msg, false, company)
+        self.kernel.call(&self.state, door, msg, false, company)
     }
 
     /// Copies a door identifier, yielding a second, independent identifier
     /// for the same door (the kernel operation behind the simplex
     /// subcontract's `copy`, §7).
     pub fn copy_door(&self, door: DoorId) -> Result<DoorId, DoorError> {
-        self.kernel.copy_door(self.id, door)
+        self.kernel.copy_door(&self.state, door)
     }
 
     /// Moves a door identifier to another domain without a door call
     /// (used by infrastructure such as the network servers).
     pub fn transfer_door(&self, door: DoorId, to: &Domain) -> Result<DoorId, DoorError> {
-        self.kernel.transfer_door(self.id, door, to.id)
+        self.kernel.transfer_door(&self.state, door, to)
     }
 
     /// Deletes a door identifier owned by this domain. Deleting the last
     /// identifier for a door triggers the handler's
     /// [`DoorHandler::unreferenced`] notification.
     pub fn delete_door(&self, door: DoorId) -> Result<(), DoorError> {
-        self.kernel.delete_door(self.id, door)
+        self.kernel.delete_door(&self.state, door)
     }
 
     /// Revokes a door served by this domain: outstanding identifiers remain
     /// but every future call fails with [`DoorError::Revoked`] (§5.2.3).
     pub fn revoke_door(&self, door: DoorId) -> Result<(), DoorError> {
-        self.kernel.revoke_door(self.id, door)
+        self.kernel.revoke_door(&self.state, door)
     }
 
     /// Returns true when `door` is a live identifier owned by this domain.
     pub fn door_is_valid(&self, door: DoorId) -> bool {
-        self.kernel.door_is_valid(self.id, door)
+        self.kernel.door_is_valid(&self.state, door)
     }
 
     /// Resolves an identifier to its kernel-internal door token (trusted
     /// infrastructure only; see [`Kernel`] internals). Two identifiers
     /// denote the same door iff their tokens are equal.
     pub fn door_token(&self, door: DoorId) -> Result<u64, DoorError> {
-        self.kernel.door_token(self.id, door)
+        self.kernel.door_token(&self.state, door)
     }
 
     /// Simulates a crash of this domain: its doors are revoked and all door
     /// identifiers it owns are deleted.
     pub fn crash(&self) {
-        self.kernel.crash_domain(self.id);
+        self.kernel.crash_domain(&self.state);
     }
 }
 
 impl fmt::Debug for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Domain({:?} on {:?})", self.id, self.kernel.node_id())
+        write!(f, "Domain({:?} on {:?})", self.id(), self.kernel.node_id())
     }
 }

@@ -1,6 +1,36 @@
 //! Identifier newtypes used throughout the simulated nucleus.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by integers this process minted itself (door tokens, slots,
+/// domain and export counters) — never by a value a peer or caller chose,
+/// which keeps SipHash so nobody outside can pick colliding keys.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The [`IdMap`] hasher: one widening multiply by a 64-bit odd constant with
+/// the product's halves folded together, so counters of any stride spread
+/// over both the bucket-index (low) and the tag (high) bits.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Identifies one simulated machine (one [`crate::Kernel`] instance).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,6 +132,24 @@ mod tests {
     fn raw_roundtrips() {
         assert_eq!(NodeId::from_raw(7).raw(), 7);
         assert_eq!(ShmId::from_raw(9).raw(), 9);
+    }
+
+    #[test]
+    fn id_hasher_spreads_counters_and_strides() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 2, 16, 1024, 1 << 16] {
+            // 224 keys of one stride into 256 buckets: a random function
+            // fills ~150 of them and uses every one of the 128 tags.
+            let low: std::collections::HashSet<u64> = (1..225u64)
+                .map(|i| build.hash_one(DomainId(i * stride)) & 0xff)
+                .collect();
+            let top: std::collections::HashSet<u64> = (1..225u64)
+                .map(|i| build.hash_one(i * stride) >> 57)
+                .collect();
+            assert!(low.len() > 128, "stride {stride}: {} buckets", low.len());
+            assert!(top.len() > 64, "stride {stride}: {} tags", top.len());
+        }
     }
 
     #[test]

@@ -2,54 +2,52 @@
 //!
 //! # Locking
 //!
-//! Kernel state is split so concurrent door calls from different domains do
-//! not serialize on one lock (see DESIGN.md, "Concurrency model"):
+//! A door is an object, not a row: every identifier is a door-table entry
+//! holding an `Arc<Door>`, and a door's identifier count and revoked flag
+//! are atomics on the door. Kernel state is split so concurrent door calls
+//! from different domains do not serialize (see DESIGN.md, "Concurrency
+//! model"):
 //!
-//! * `domains` — an `RwLock` map from [`DomainId`] to a shared
-//!   [`DomainState`]. Calls only ever take the read side; the write side is
-//!   taken by `create_domain` alone. Entries are never removed (a crashed
-//!   domain stays in the map with `alive == false`), so a fetched
-//!   `Arc<DomainState>` stays meaningful forever.
-//! * Per-domain door tables — each `DomainState` carries its own `Mutex`
-//!   over the slot → raw-door table.
-//! * Door shards — door entries (handler, server, refcount, revoked flag)
-//!   live in `DOOR_SHARDS` independently locked maps keyed by raw door id.
+//! * Per-domain door tables — each [`DomainState`] carries a `Mutex` over
+//!   its slot → door table. A [`Domain`] handle holds its `DomainState`, and
+//!   a door holds its server's, so no operation on a door looks a domain up.
+//! * `registry` — token → `Weak<Door>` for every door in existence, written
+//!   by `create_door` and by whoever drops a door's last identifier, read by
+//!   `live_doors` and `crash_domain`'s revoke sweep. Calls never touch it.
+//! * `domains` — an `RwLock` map from [`DomainId`] to its `DomainState`,
+//!   written by `create_domain` and read by `domain_handle` alone. Entries
+//!   are never removed (a crashed domain stays with `alive == false`).
 //!
 //! Lock-ordering rules (deadlock freedom):
 //!
-//! 1. The `domains` map lock is fetch-and-release: it is never held while
-//!    acquiring any other lock.
-//! 2. A domain table lock is acquired before a door shard lock, never after.
-//! 3. When two domain tables are needed (transfer, translate), they are
+//! 1. The `domains` and `registry` locks are fetch-and-release: neither is
+//!    held while acquiring any other lock, nor acquired while holding one,
+//!    and no door is dropped under them (a handler's `Drop` may re-enter).
+//! 2. When two domain tables are needed (transfer, translate), they are
 //!    acquired in ascending [`DomainId`] order.
-//! 4. At most one door shard lock is held at a time.
-//! 5. No kernel lock is held across handler `invoke` or `unreferenced`
+//! 3. No kernel lock is held across handler `invoke` or `unreferenced`
 //!    callbacks.
 //!
-//! A null call (no identifiers in the message) therefore touches exactly one
-//! domain-table lock and one shard lock, both uncontended unless another
-//! thread is operating on the same domain or the same shard.
+//! A null call (no identifiers in the message) therefore takes exactly one
+//! lock — the caller's door table — for one lookup and one `Arc` clone.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::domain::{CallCtx, Domain, DoorHandler};
 use crate::error::DoorError;
-use crate::id::{DomainId, DoorId, NodeId, ShmId};
+use crate::id::{DomainId, DoorId, IdMap, NodeId, ShmId};
 use crate::message::Message;
 use crate::pool;
 use crate::shm::ShmRegion;
 use crate::stats::{KernelStats, StatsSnapshot};
 
 static NEXT_NODE: AtomicU64 = AtomicU64::new(1);
-
-/// Number of door shards; a power of two so shard selection is a mask.
-const DOOR_SHARDS: usize = 16;
 
 /// One machine's nucleus: manages domains, doors, and door identifiers.
 ///
@@ -63,8 +61,8 @@ pub struct Kernel {
 struct Inner {
     node: NodeId,
     name: String,
-    domains: RwLock<HashMap<DomainId, Arc<DomainState>>>,
-    door_shards: Box<[Mutex<HashMap<u64, DoorEntry>>; DOOR_SHARDS]>,
+    domains: RwLock<IdMap<DomainId, Arc<DomainState>>>,
+    registry: Mutex<IdMap<u64, Weak<Door>>>,
     shm: Mutex<HashMap<ShmId, ShmRegion>>,
     next_domain: AtomicU64,
     next_door: AtomicU64,
@@ -73,31 +71,34 @@ struct Inner {
     stats: KernelStats,
 }
 
-struct DomainState {
-    name: String,
+type Table = IdMap<u64, Arc<Door>>;
+
+pub(crate) struct DomainState {
+    pub(crate) id: DomainId,
+    pub(crate) name: String,
     /// Cleared by `crash_domain` under the table lock; readers that need the
     /// flag ordered with table contents check it while holding the lock.
-    alive: AtomicBool,
-    /// Door table: slot number -> raw door.
-    table: Mutex<HashMap<u64, u64>>,
+    pub(crate) alive: AtomicBool,
+    /// Door table: slot number -> door. Each entry is one identifier.
+    table: Mutex<Table>,
 }
 
-struct DoorEntry {
-    server: DomainId,
+struct Door {
+    token: u64,
+    server: Arc<DomainState>,
     handler: Arc<dyn DoorHandler>,
-    /// Number of outstanding identifiers across all domains.
-    refs: u64,
-    revoked: bool,
+    /// Outstanding identifiers = table entries pointing here, across all
+    /// domains. Raised only through an existing entry under its table lock
+    /// (so never from zero); whoever removes an entry owns the decrement.
+    refs: AtomicU64,
+    /// Publishes nothing but itself, so every access is `Relaxed`.
+    revoked: AtomicBool,
 }
 
 impl Inner {
-    fn domain(&self, id: DomainId) -> Option<Arc<DomainState>> {
-        self.domains.read().get(&id).cloned()
-    }
-
     /// Locks a domain's door table, counting the acquisition as contended
     /// when another thread holds it.
-    fn lock_table<'a>(&self, ds: &'a DomainState) -> MutexGuard<'a, HashMap<u64, u64>> {
+    fn lock_table<'a>(&self, ds: &'a DomainState) -> MutexGuard<'a, Table> {
         match ds.table.try_lock() {
             Some(g) => g,
             None => {
@@ -107,15 +108,25 @@ impl Inner {
         }
     }
 
-    /// Locks the shard holding raw door `raw`, counting contention.
-    fn lock_shard(&self, raw: u64) -> MutexGuard<'_, HashMap<u64, DoorEntry>> {
-        let shard = &self.door_shards[raw as usize & (DOOR_SHARDS - 1)];
-        match shard.try_lock() {
+    /// Locks the door registry, counting contention.
+    fn lock_registry(&self) -> MutexGuard<'_, IdMap<u64, Weak<Door>>> {
+        match self.registry.try_lock() {
             Some(g) => g,
             None => {
                 self.stats.shard_lock_waits.fetch_add(1, Ordering::Relaxed);
-                shard.lock()
+                self.registry.lock()
             }
+        }
+    }
+}
+
+impl Drop for Inner {
+    /// A door holds its server's `DomainState`, whose table holds the door:
+    /// emptying the tables breaks the cycle so handlers are freed.
+    fn drop(&mut self) {
+        for ds in self.domains.get_mut().values() {
+            let doors = std::mem::take(&mut *ds.table.lock());
+            drop(doors);
         }
     }
 }
@@ -123,40 +134,36 @@ impl Inner {
 /// Two domain door tables locked in ascending `DomainId` order, degenerating
 /// to a single guard when source and destination are the same domain.
 enum Tables<'a> {
-    Same(MutexGuard<'a, HashMap<u64, u64>>),
+    Same(MutexGuard<'a, Table>),
     Two {
-        from: MutexGuard<'a, HashMap<u64, u64>>,
-        to: MutexGuard<'a, HashMap<u64, u64>>,
+        from: MutexGuard<'a, Table>,
+        to: MutexGuard<'a, Table>,
     },
 }
 
 impl<'a> Tables<'a> {
-    fn lock(
-        inner: &Inner,
-        from: (&'a DomainState, DomainId),
-        to: (&'a DomainState, DomainId),
-    ) -> Tables<'a> {
-        if from.1 == to.1 {
-            Tables::Same(inner.lock_table(from.0))
-        } else if from.1 < to.1 {
-            let f = inner.lock_table(from.0);
-            let t = inner.lock_table(to.0);
+    fn lock(inner: &Inner, from: &'a DomainState, to: &'a DomainState) -> Tables<'a> {
+        if from.id == to.id {
+            Tables::Same(inner.lock_table(from))
+        } else if from.id < to.id {
+            let f = inner.lock_table(from);
+            let t = inner.lock_table(to);
             Tables::Two { from: f, to: t }
         } else {
-            let t = inner.lock_table(to.0);
-            let f = inner.lock_table(from.0);
+            let t = inner.lock_table(to);
+            let f = inner.lock_table(from);
             Tables::Two { from: f, to: t }
         }
     }
 
-    fn src_tab(&mut self) -> &mut HashMap<u64, u64> {
+    fn src_tab(&mut self) -> &mut Table {
         match self {
             Tables::Same(g) => g,
             Tables::Two { from, .. } => from,
         }
     }
 
-    fn dst_tab(&mut self) -> &mut HashMap<u64, u64> {
+    fn dst_tab(&mut self) -> &mut Table {
         match self {
             Tables::Same(g) => g,
             Tables::Two { to, .. } => to,
@@ -190,9 +197,9 @@ impl Kernel {
             inner: Arc::new(Inner {
                 node: NodeId(raw),
                 name: name.into(),
-                domains: RwLock::new(HashMap::new()),
-                door_shards: Box::new(std::array::from_fn(|_| Mutex::new(HashMap::new()))),
-                shm: Mutex::new(HashMap::new()),
+                domains: RwLock::default(),
+                registry: Mutex::default(),
+                shm: Mutex::default(),
                 next_domain: AtomicU64::new(1),
                 next_door: AtomicU64::new(1),
                 next_slot: AtomicU64::new(1),
@@ -219,24 +226,60 @@ impl Kernel {
 
     /// Number of doors currently in existence.
     pub fn live_doors(&self) -> usize {
-        self.inner.door_shards.iter().map(|s| s.lock().len()).sum()
+        self.inner.lock_registry().len()
+    }
+
+    /// Checks the books of a quiescent kernel (no operation in flight), for
+    /// tests: every registered door is alive, its identifier count equals
+    /// the door-table entries holding it, and the counts sum to the
+    /// identifiers outstanding.
+    pub fn audit(&self) -> Result<(), String> {
+        let doors: Vec<(u64, Option<Arc<Door>>)> = {
+            let registry = self.inner.lock_registry();
+            registry.iter().map(|(t, w)| (*t, w.upgrade())).collect()
+        };
+        let mut total = 0;
+        for (token, door) in doors {
+            let door = door.ok_or(format!("registry entry {token} outlived its door"))?;
+            // Each table entry owns one `Arc`; this loop holds one more.
+            let entries = Arc::strong_count(&door) as u64 - 1;
+            let refs = door.refs.load(Ordering::Relaxed);
+            if refs != entries {
+                return Err(format!("door {token}: refs {refs}, {entries} entries"));
+            }
+            total += refs;
+        }
+        let stats = self.stats();
+        let live = stats.ids_issued.wrapping_sub(stats.ids_deleted);
+        if live != total {
+            return Err(format!("{live} identifiers live, doors count {total}"));
+        }
+        Ok(())
+    }
+
+    fn new_domain_state(id: DomainId, name: String, alive: bool) -> Arc<DomainState> {
+        Arc::new(DomainState {
+            id,
+            name,
+            alive: AtomicBool::new(alive),
+            table: Mutex::default(),
+        })
     }
 
     /// Creates a new domain (a simulated address space).
     pub fn create_domain(&self, name: impl Into<String>) -> Domain {
         let id = DomainId(self.inner.next_domain.fetch_add(1, Ordering::Relaxed));
-        let state = Arc::new(DomainState {
-            name: name.into(),
-            alive: AtomicBool::new(true),
-            table: Mutex::new(HashMap::new()),
-        });
-        self.inner.domains.write().insert(id, state);
-        Domain::new(self.clone(), id)
+        let state = Self::new_domain_state(id, name.into(), true);
+        self.inner.domains.write().insert(id, Arc::clone(&state));
+        Domain::new(self.clone(), state)
     }
 
-    /// Rebuilds a [`Domain`] handle from an id (infrastructure use).
+    /// Rebuilds a [`Domain`] handle from an id (infrastructure use). An id
+    /// this kernel never issued yields a handle on a dead, nameless domain.
     pub fn domain_handle(&self, id: DomainId) -> Domain {
-        Domain::new(self.clone(), id)
+        let known = self.inner.domains.read().get(&id).cloned();
+        let state = known.unwrap_or_else(|| Self::new_domain_state(id, String::new(), false));
+        Domain::new(self.clone(), state)
     }
 
     /// Creates a shared-memory region of `size` bytes.
@@ -262,68 +305,53 @@ impl Kernel {
         self.inner.shm.lock().remove(&id);
     }
 
-    pub(crate) fn domain_name(&self, id: DomainId) -> String {
-        self.inner
-            .domain(id)
-            .map(|d| d.name.clone())
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn domain_alive(&self, id: DomainId) -> bool {
-        self.inner
-            .domain(id)
-            .map(|d| d.alive.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
     fn fresh_slot(&self) -> u64 {
         self.inner.next_slot.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up the raw door a live identifier refers to, validating
-    /// capability ownership. Returns the domain state alongside so callers
-    /// can reuse it without re-reading the domains map.
-    fn resolve(&self, domain: DomainId, id: DoorId) -> Result<(Arc<DomainState>, u64), DoorError> {
-        if id.owner != domain {
+    /// Looks up the door a live identifier of `domain` refers to, validating
+    /// capability ownership: one table lock, one lookup, one `Arc` clone.
+    fn resolve(&self, domain: &DomainState, id: DoorId) -> Result<Arc<Door>, DoorError> {
+        if id.owner != domain.id {
             return Err(DoorError::InvalidDoor);
         }
-        let ds = self.inner.domain(domain).ok_or(DoorError::DomainDead)?;
-        let raw = {
-            let table = self.inner.lock_table(&ds);
-            if !ds.alive.load(Ordering::Relaxed) {
-                return Err(DoorError::DomainDead);
-            }
-            table.get(&id.slot).copied().ok_or(DoorError::InvalidDoor)?
-        };
-        Ok((ds, raw))
+        let table = self.inner.lock_table(domain);
+        if !domain.alive.load(Ordering::Relaxed) {
+            return Err(DoorError::DomainDead);
+        }
+        table.get(&id.slot).cloned().ok_or(DoorError::InvalidDoor)
     }
 
     pub(crate) fn create_door(
         &self,
-        domain: DomainId,
+        domain: &Arc<DomainState>,
         handler: Arc<dyn DoorHandler>,
     ) -> Result<DoorId, DoorError> {
-        let raw = self.inner.next_door.fetch_add(1, Ordering::Relaxed);
+        let token = self.inner.next_door.fetch_add(1, Ordering::Relaxed);
         let slot = self.fresh_slot();
-        let ds = self.inner.domain(domain).ok_or(DoorError::DomainDead)?;
+        let door = Arc::new(Door {
+            token,
+            server: Arc::clone(domain),
+            handler,
+            refs: AtomicU64::new(1),
+            revoked: AtomicBool::new(false),
+        });
+        // Registered before it is reachable: a concurrent crash_domain either
+        // drains the slot (and its last drop_ref finds the entry to remove)
+        // or fails this create, which takes the entry back out — never a
+        // leaked door or a leaked entry.
+        self.inner
+            .lock_registry()
+            .insert(token, Arc::downgrade(&door));
         {
-            // Hold the table lock across the shard insert so a concurrent
-            // crash_domain either sees the slot (and reaps the door) or
-            // fails this create with DomainDead — never a leaked door.
-            let mut table = self.inner.lock_table(&ds);
-            if !ds.alive.load(Ordering::Relaxed) {
+            let mut table = self.inner.lock_table(domain);
+            if domain.alive.load(Ordering::Relaxed) {
+                table.insert(slot, door);
+            } else {
+                drop(table);
+                self.inner.lock_registry().remove(&token);
                 return Err(DoorError::DomainDead);
             }
-            table.insert(slot, raw);
-            self.inner.lock_shard(raw).insert(
-                raw,
-                DoorEntry {
-                    server: domain,
-                    handler,
-                    refs: 1,
-                    revoked: false,
-                },
-            );
         }
         self.inner
             .stats
@@ -331,128 +359,110 @@ impl Kernel {
             .fetch_add(1, Ordering::Relaxed);
         self.inner.stats.ids_issued.fetch_add(1, Ordering::Relaxed);
         Ok(DoorId {
-            owner: domain,
+            owner: domain.id,
             slot,
         })
     }
 
-    pub(crate) fn copy_door(&self, domain: DomainId, id: DoorId) -> Result<DoorId, DoorError> {
-        if id.owner != domain {
+    pub(crate) fn copy_door(&self, domain: &DomainState, id: DoorId) -> Result<DoorId, DoorError> {
+        if id.owner != domain.id {
             return Err(DoorError::InvalidDoor);
         }
         let slot = self.fresh_slot();
-        let ds = self.inner.domain(domain).ok_or(DoorError::DomainDead)?;
         {
-            // The table lock pins our reference: while an entry for `raw`
-            // exists in this table, refs >= 1 and the door cannot vanish.
-            let mut table = self.inner.lock_table(&ds);
-            if !ds.alive.load(Ordering::Relaxed) {
+            // The table lock pins our reference: while the source entry
+            // exists in this table, refs >= 1 and the count cannot hit zero.
+            let mut table = self.inner.lock_table(domain);
+            if !domain.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            let raw = *table.get(&id.slot).ok_or(DoorError::InvalidDoor)?;
-            self.inner
-                .lock_shard(raw)
-                .get_mut(&raw)
-                .ok_or(DoorError::InvalidDoor)?
-                .refs += 1;
-            table.insert(slot, raw);
+            let door = Arc::clone(table.get(&id.slot).ok_or(DoorError::InvalidDoor)?);
+            door.refs.fetch_add(1, Ordering::Relaxed);
+            table.insert(slot, door);
         }
         self.inner.stats.ids_issued.fetch_add(1, Ordering::Relaxed);
         Ok(DoorId {
-            owner: domain,
+            owner: domain.id,
             slot,
         })
     }
 
     pub(crate) fn transfer_door(
         &self,
-        from: DomainId,
+        from: &DomainState,
         id: DoorId,
-        to: DomainId,
+        to: &Domain,
     ) -> Result<DoorId, DoorError> {
-        if id.owner != from {
+        if id.owner != from.id {
             return Err(DoorError::InvalidDoor);
         }
+        // A handle on another kernel's domain names no domain of this one.
+        if !Arc::ptr_eq(&self.inner, &to.kernel().inner) {
+            return Err(DoorError::DomainDead);
+        }
+        let to = to.state();
         let slot = self.fresh_slot();
-        let from_ds = self.inner.domain(from).ok_or(DoorError::DomainDead)?;
-        let to_ds = self.inner.domain(to).ok_or(DoorError::DomainDead)?;
         {
-            let mut tables = Tables::lock(&self.inner, (&from_ds, from), (&to_ds, to));
-            if !from_ds.alive.load(Ordering::Relaxed) {
+            let mut tables = Tables::lock(&self.inner, from, to);
+            if !from.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            let raw = *tables
-                .src_tab()
-                .get(&id.slot)
-                .ok_or(DoorError::InvalidDoor)?;
-            if !to_ds.alive.load(Ordering::Relaxed) {
+            if !tables.src_tab().contains_key(&id.slot) {
+                return Err(DoorError::InvalidDoor);
+            }
+            if !to.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            tables.dst_tab().insert(slot, raw);
-            tables.src_tab().remove(&id.slot);
+            let door = tables.src_tab().remove(&id.slot).expect("checked above");
+            tables.dst_tab().insert(slot, door);
         }
         self.inner
             .stats
             .ids_transferred
             .fetch_add(1, Ordering::Relaxed);
-        Ok(DoorId { owner: to, slot })
+        Ok(DoorId { owner: to.id, slot })
     }
 
-    pub(crate) fn delete_door(&self, domain: DomainId, id: DoorId) -> Result<(), DoorError> {
-        let (ds, _) = self.resolve(domain, id)?;
-        let raw = {
-            let mut table = self.inner.lock_table(&ds);
-            // Re-check under the lock: the slot may have been consumed by a
-            // concurrent transfer or crash since resolve released it.
-            match table.remove(&id.slot) {
-                Some(raw) => raw,
-                None => return Err(DoorError::InvalidDoor),
+    pub(crate) fn delete_door(&self, domain: &DomainState, id: DoorId) -> Result<(), DoorError> {
+        if id.owner != domain.id {
+            return Err(DoorError::InvalidDoor);
+        }
+        let door = {
+            let mut table = self.inner.lock_table(domain);
+            if !domain.alive.load(Ordering::Relaxed) {
+                return Err(DoorError::DomainDead);
             }
+            table.remove(&id.slot).ok_or(DoorError::InvalidDoor)?
         };
         self.inner.stats.ids_deleted.fetch_add(1, Ordering::Relaxed);
-        // The removed table entry was our reference; dropping it cannot race
-        // with anyone else dropping the same reference.
-        let notify = self.drop_ref(raw);
-        self.notify_unreferenced(notify);
+        self.drop_ref(door);
         Ok(())
     }
 
-    /// Decrements a door's identifier count, removing the door when it hits
-    /// zero. Returns the handler to notify, if any. Caller must invoke the
-    /// notification outside all kernel locks.
-    fn drop_ref(&self, raw: u64) -> Option<Arc<dyn DoorHandler>> {
-        let mut shard = self.inner.lock_shard(raw);
-        let entry = shard.get_mut(&raw)?;
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            let entry = shard.remove(&raw).expect("entry exists");
-            Some(entry.handler)
-        } else {
-            None
+    /// Gives up the identifier a removed table entry stood for. Whoever
+    /// takes the count to zero unregisters the door and notifies its
+    /// handler; callers hold no kernel lock.
+    fn drop_ref(&self, door: Arc<Door>) {
+        // AcqRel: the zero-crossing thread sees everything earlier holders
+        // did before their own (Release) decrement.
+        if door.refs.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
         }
+        self.inner.lock_registry().remove(&door.token);
+        self.inner
+            .stats
+            .unref_notifications
+            .fetch_add(1, Ordering::Relaxed);
+        // A handler panic during cleanup must not take down the caller.
+        let _ = catch_unwind(AssertUnwindSafe(|| door.handler.unreferenced()));
     }
 
-    fn notify_unreferenced(&self, handler: Option<Arc<dyn DoorHandler>>) {
-        if let Some(h) = handler {
-            self.inner
-                .stats
-                .unref_notifications
-                .fetch_add(1, Ordering::Relaxed);
-            // A handler panic during cleanup must not take down the caller.
-            let _ = catch_unwind(AssertUnwindSafe(|| h.unreferenced()));
+    pub(crate) fn revoke_door(&self, domain: &DomainState, id: DoorId) -> Result<(), DoorError> {
+        let door = self.resolve(domain, id)?;
+        if door.server.id != domain.id {
+            return Err(DoorError::NotPermitted);
         }
-    }
-
-    pub(crate) fn revoke_door(&self, domain: DomainId, id: DoorId) -> Result<(), DoorError> {
-        let (_, raw) = self.resolve(domain, id)?;
-        {
-            let mut shard = self.inner.lock_shard(raw);
-            let entry = shard.get_mut(&raw).ok_or(DoorError::InvalidDoor)?;
-            if entry.server != domain {
-                return Err(DoorError::NotPermitted);
-            }
-            entry.revoked = true;
-        }
+        door.revoked.store(true, Ordering::Relaxed);
         self.inner.stats.revocations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -464,86 +474,65 @@ impl Kernel {
     /// infrastructure* only — Spring's network servers, which must recognize
     /// doors they have already exported or proxied when mapping door
     /// identifiers to and from their extended network form (§3.3).
-    pub(crate) fn door_token(&self, domain: DomainId, id: DoorId) -> Result<u64, DoorError> {
-        self.resolve(domain, id).map(|(_, raw)| raw)
+    pub(crate) fn door_token(&self, domain: &DomainState, id: DoorId) -> Result<u64, DoorError> {
+        self.resolve(domain, id).map(|door| door.token)
     }
 
-    pub(crate) fn door_is_valid(&self, domain: DomainId, id: DoorId) -> bool {
+    pub(crate) fn door_is_valid(&self, domain: &DomainState, id: DoorId) -> bool {
         self.resolve(domain, id).is_ok()
     }
 
     /// Marks a domain dead: doors it serves are revoked and every identifier
     /// it owns is deleted.
-    pub(crate) fn crash_domain(&self, id: DomainId) {
-        let Some(ds) = self.inner.domain(id) else {
-            return;
-        };
-        let owned: Vec<u64> = {
-            let mut table = self.inner.lock_table(&ds);
+    pub(crate) fn crash_domain(&self, domain: &DomainState) {
+        let owned: Vec<Arc<Door>> = {
+            let mut table = self.inner.lock_table(domain);
             // The alive flag flips under the table lock, so concurrent
             // create/copy/transfer into this domain either completed (their
             // slots are drained here) or will observe alive == false.
-            if !ds.alive.swap(false, Ordering::Relaxed) {
+            if !domain.alive.swap(false, Ordering::Relaxed) {
                 return;
             }
-            table.drain().map(|(_, raw)| raw).collect()
+            table.drain().map(|(_, door)| door).collect()
         };
 
-        // Revoke every door this domain serves, one shard at a time.
-        let mut revoked = 0u64;
-        for shard in self.inner.door_shards.iter() {
-            for door in shard.lock().values_mut() {
-                if door.server == id && !door.revoked {
-                    door.revoked = true;
-                    revoked += 1;
-                }
-            }
-        }
+        // Revoke every door this domain serves. The doors are collected
+        // under the registry lock and looked at (and dropped) after it.
+        let revoked = {
+            let live: Vec<Arc<Door>> = {
+                let registry = self.inner.lock_registry();
+                registry.values().filter_map(Weak::upgrade).collect()
+            };
+            live.iter()
+                .filter(|d| d.server.id == domain.id && !d.revoked.swap(true, Ordering::Relaxed))
+                .count()
+        };
         self.inner
             .stats
             .revocations
-            .fetch_add(revoked, Ordering::Relaxed);
+            .fetch_add(revoked as u64, Ordering::Relaxed);
         self.inner
             .stats
             .ids_deleted
             .fetch_add(owned.len() as u64, Ordering::Relaxed);
-
-        let mut notifications = Vec::new();
-        for raw in owned {
-            if let Some(h) = self.drop_ref(raw) {
-                notifications.push(h);
-            }
-        }
-        for h in notifications {
-            self.notify_unreferenced(Some(h));
+        for door in owned {
+            self.drop_ref(door);
         }
     }
 
     /// Executes a door call from `caller` on identifier `id`.
     pub(crate) fn call(
         &self,
-        caller: DomainId,
+        caller: &DomainState,
         id: DoorId,
         msg: Message,
         one_way: bool,
         company: u32,
     ) -> Result<Message, DoorError> {
-        // Phase 1: validate the identifier and pick up the handler. One
-        // table lock, one shard lock, both released before the handler runs.
-        let (caller_ds, raw) = self.resolve(caller, id)?;
-        let (handler, server) = {
-            let shard = self.inner.lock_shard(raw);
-            // The entry can be gone if the caller domain crashed between
-            // resolve and here (draining dropped the last reference); the
-            // door is no longer reachable, which callers see as revocation.
-            let entry = shard.get(&raw).ok_or(DoorError::Revoked)?;
-            if entry.revoked {
-                return Err(DoorError::Revoked);
-            }
-            (Arc::clone(&entry.handler), entry.server)
-        };
-        let server_ds = self.inner.domain(server).ok_or(DoorError::Revoked)?;
-        if !server_ds.alive.load(Ordering::Relaxed) {
+        // Phase 1: validate the identifier and pick up the door — one table
+        // lock, released before the handler runs.
+        let door = self.resolve(caller, id)?;
+        if door.revoked.load(Ordering::Relaxed) || !door.server.alive.load(Ordering::Relaxed) {
             return Err(DoorError::Revoked);
         }
 
@@ -553,60 +542,47 @@ impl Kernel {
         // default path pays exactly one relaxed load for tracing — no span
         // guard on the stack, no extra branches in the hot body.
         if spring_trace::enabled() {
-            return self.call_traced(
-                &caller_ds, caller, &server_ds, server, raw, handler, msg, one_way, company,
-            );
+            return self.call_traced(caller, &door, msg, one_way, company);
         }
-        self.call_body(
-            &caller_ds, caller, &server_ds, server, handler, msg, one_way, company,
-        )
+        self.call_body(caller, &door, msg, one_way, company)
     }
 
     /// Phases 2 and 3 of a door call: deliver the message, run the handler
     /// outside all locks on the caller's thread, translate the reply back.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn call_body(
         &self,
-        caller_ds: &Arc<DomainState>,
-        caller: DomainId,
-        server_ds: &Arc<DomainState>,
-        server: DomainId,
-        handler: Arc<dyn DoorHandler>,
+        caller: &DomainState,
+        door: &Door,
         msg: Message,
         one_way: bool,
         company: u32,
     ) -> Result<Message, DoorError> {
-        let delivered = self.translate(caller_ds, caller, server_ds, server, msg)?;
+        let delivered = self.translate(caller, &door.server, msg)?;
         let ctx = CallCtx {
-            caller,
-            server: self.domain_handle(server),
+            caller: caller.id,
+            server: Domain::new(self.clone(), Arc::clone(&door.server)),
             one_way,
             company,
         };
-        let reply = match catch_unwind(AssertUnwindSafe(|| handler.invoke(&ctx, delivered))) {
+        let reply = match catch_unwind(AssertUnwindSafe(|| door.handler.invoke(&ctx, delivered))) {
             Ok(result) => result?,
             Err(_) => return Err(DoorError::Handler("door handler panicked".into())),
         };
-        self.translate(server_ds, server, caller_ds, caller, reply)
+        self.translate(&door.server, caller, reply)
     }
 
     /// A door call with tracing enabled: one "door_call" span per call,
-    /// keyed by the raw door token so per-door latency histograms
-    /// accumulate. The piggybacked context on the message wins over the
-    /// thread-local current span — a context that crossed a serialization
-    /// boundary (the simulated network) reattaches here; within one machine
-    /// the two agree because door calls shuttle the caller's thread.
+    /// keyed by the door token so per-door latency histograms accumulate.
+    /// The piggybacked context on the message wins over the thread-local
+    /// current span — a context that crossed a serialization boundary (the
+    /// simulated network) reattaches here; within one machine the two agree
+    /// because door calls shuttle the caller's thread.
     #[cold]
-    #[allow(clippy::too_many_arguments)]
     fn call_traced(
         &self,
-        caller_ds: &Arc<DomainState>,
-        caller: DomainId,
-        server_ds: &Arc<DomainState>,
-        server: DomainId,
-        raw: u64,
-        handler: Arc<dyn DoorHandler>,
+        caller: &DomainState,
+        door: &Door,
         mut msg: Message,
         one_way: bool,
         company: u32,
@@ -616,13 +592,11 @@ impl Kernel {
         } else {
             spring_trace::current()
         };
-        let scope = (self.inner.node.0 << 32) | server.0;
-        let mut span = spring_trace::span_child_of("door_call", parent, scope, raw);
+        let scope = (self.inner.node.0 << 32) | door.server.id.0;
+        let mut span = spring_trace::span_child_of("door_call", parent, scope, door.token);
         msg.trace = span.ctx();
 
-        let mut result = self.call_body(
-            caller_ds, caller, server_ds, server, handler, msg, one_way, company,
-        );
+        let mut result = self.call_body(caller, door, msg, one_way, company);
         match &mut result {
             Err(_) => span.fail(),
             // Stamp the reply so whoever forwards it (the network server's
@@ -643,10 +617,8 @@ impl Kernel {
     /// the payload moves by reference.
     fn translate(
         &self,
-        from_ds: &Arc<DomainState>,
-        from: DomainId,
-        to_ds: &Arc<DomainState>,
-        to: DomainId,
+        from: &DomainState,
+        to: &DomainState,
         msg: Message,
     ) -> Result<Message, DoorError> {
         let Message {
@@ -655,7 +627,7 @@ impl Kernel {
             trace,
             call,
         } = msg;
-        let bytes = if from == to {
+        let bytes = if from.id == to.id {
             // D2: caller and server live in the same domain, so "crossing"
             // the boundary moves no bytes — the ownership transfer of the
             // backing is the delivery. Door identifiers still go through
@@ -687,7 +659,7 @@ impl Kernel {
 
         if sent.is_empty() {
             // Fast path: no identifiers to move, no table locks needed.
-            if !to_ds.alive.load(Ordering::Relaxed) {
+            if !to.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
             return Ok(Message {
@@ -700,32 +672,27 @@ impl Kernel {
 
         let mut doors = Vec::with_capacity(sent.len());
         {
-            let mut tables = Tables::lock(&self.inner, (from_ds, from), (to_ds, to));
+            let mut tables = Tables::lock(&self.inner, from, to);
             // Validate every identifier before moving any, so a bad message
-            // leaves the sender's table untouched.
-            if !from_ds.alive.load(Ordering::Relaxed) {
+            // leaves the sender's table untouched. An identifier named twice
+            // is bad: one reference cannot land as two.
+            if !from.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            let mut raws = Vec::with_capacity(sent.len());
-            for d in &sent {
-                if d.owner != from {
+            for (i, d) in sent.iter().enumerate() {
+                let fresh = d.owner == from.id && !sent[..i].contains(d);
+                if !fresh || !tables.src_tab().contains_key(&d.slot) {
                     return Err(DoorError::InvalidDoor);
                 }
-                raws.push(
-                    *tables
-                        .src_tab()
-                        .get(&d.slot)
-                        .ok_or(DoorError::InvalidDoor)?,
-                );
             }
-            if !to_ds.alive.load(Ordering::Relaxed) {
+            if !to.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            for (d, raw) in sent.iter().zip(raws) {
-                tables.src_tab().remove(&d.slot);
-                let slot = self.inner.next_slot.fetch_add(1, Ordering::Relaxed);
-                tables.dst_tab().insert(slot, raw);
-                doors.push(DoorId { owner: to, slot });
+            for d in &sent {
+                let door = tables.src_tab().remove(&d.slot).expect("validated above");
+                let slot = self.fresh_slot();
+                tables.dst_tab().insert(slot, door);
+                doors.push(DoorId { owner: to.id, slot });
             }
         }
         self.inner

@@ -66,7 +66,7 @@ mod stats;
 pub use callid::CallId;
 pub use domain::{CallCtx, Domain, DoorHandler};
 pub use error::DoorError;
-pub use id::{DomainId, DoorId, NodeId, ShmId};
+pub use id::{DomainId, DoorId, IdHasher, IdMap, NodeId, ShmId};
 pub use kernel::Kernel;
 pub use message::{framing, Message};
 pub use rng::FaultRng;

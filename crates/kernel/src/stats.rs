@@ -101,7 +101,9 @@ kernel_counters! {
         /// Times a domain door-table lock was contended (blocked on
         /// acquire).
         table_lock_waits,
-        /// Times a door-shard lock was contended (blocked on acquire).
+        /// Times the door registry lock was contended (blocked on acquire).
+        /// Named for the door shards it replaced: the benchmark and the
+        /// stats door read it by this name.
         shard_lock_waits,
     }
     process(pool = pool::counters(), hot = hotpath::counters()) {

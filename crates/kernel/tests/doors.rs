@@ -289,6 +289,35 @@ fn bad_identifier_in_message_leaves_sender_intact() {
 }
 
 #[test]
+fn an_identifier_named_twice_in_one_message_is_rejected_before_anything_moves() {
+    let kernel = Kernel::new("t");
+    let server = kernel.create_domain("server");
+    let client = kernel.create_domain("client");
+    let door = server.create_door(Arc::new(Echo)).unwrap();
+    let id = server.transfer_door(door, &client).unwrap();
+
+    let target = CountingTarget::new();
+    let passed = client.create_door(target.clone() as Arc<_>).unwrap();
+    let other = client.copy_door(id).unwrap();
+    let before = kernel.stats();
+    let msg = Message {
+        bytes: vec![],
+        doors: vec![other, passed, passed],
+        ..Message::default()
+    };
+    // One reference cannot land as two identifiers.
+    assert_eq!(client.call(id, msg).unwrap_err(), DoorError::InvalidDoor);
+    let moved = kernel.stats().since(&before);
+    assert_eq!(moved.ids_transferred, 0);
+    assert!(client.door_is_valid(other));
+    assert!(client.door_is_valid(passed));
+    // The single reference is still exactly one reference.
+    client.delete_door(passed).unwrap();
+    assert_eq!(target.unrefs.load(Ordering::SeqCst), 1);
+    assert!(!client.door_is_valid(passed));
+}
+
+#[test]
 fn nested_calls_reenter_the_kernel() {
     let kernel = Kernel::new("t");
     let front = kernel.create_domain("front");

@@ -23,6 +23,7 @@ enum Op {
     TransferDoor { pick: usize, to: usize },
     Call { pick: usize, payload: u8 },
     CallWithDoor { pick: usize, send: usize },
+    CallWithSameDoorTwice { pick: usize, send: usize },
     Revoke { pick: usize },
     Crash { domain: usize },
 }
@@ -35,6 +36,8 @@ fn op_strategy(domains: usize) -> impl Strategy<Value = Op> {
         (any::<usize>(), 0..domains).prop_map(|(pick, to)| Op::TransferDoor { pick, to }),
         (any::<usize>(), any::<u8>()).prop_map(|(pick, payload)| Op::Call { pick, payload }),
         (any::<usize>(), any::<usize>()).prop_map(|(pick, send)| Op::CallWithDoor { pick, send }),
+        (any::<usize>(), any::<usize>())
+            .prop_map(|(pick, send)| Op::CallWithSameDoorTwice { pick, send }),
         any::<usize>().prop_map(|pick| Op::Revoke { pick }),
         (0..domains).prop_map(|domain| Op::Crash { domain }),
     ]
@@ -116,6 +119,21 @@ proptest! {
                         }
                     }
                 }
+                Op::CallWithSameDoorTwice { pick, send } => {
+                    if held.is_empty() { continue; }
+                    let (owner, id) = held[pick % held.len()];
+                    let (send_owner, send_id) = held[send % held.len()];
+                    if owner != send_owner { continue; }
+                    // One reference named twice never lands as two
+                    // identifiers, and the refusal moves nothing.
+                    let msg = Message {
+                        bytes: vec![],
+                        doors: vec![send_id, send_id],
+                        ..Message::default()
+                    };
+                    prop_assert!(domains[owner].call(id, msg).is_err());
+                    prop_assert!(domains[owner].door_is_valid(send_id));
+                }
                 Op::Revoke { pick } => {
                     if held.is_empty() { continue; }
                     let (owner, id) = held[pick % held.len()];
@@ -126,18 +144,30 @@ proptest! {
                     held.retain(|(owner, _)| *owner != domain);
                 }
             }
+            // After every step: refs of every live door == table entries
+            // pointing at it, and no registry entry without a door.
+            prop_assert_eq!(kernel.audit(), Ok(()));
         }
 
         // Accounting: issued - deleted covers at least what we still hold
         // (crashes delete in bulk; never negative).
         let stats = kernel.stats();
         prop_assert!(stats.ids_issued + stats.ids_transferred >= stats.ids_deleted);
-        // Whatever we believe we hold is actually valid.
+        // Whatever we believe we hold is actually valid, and a door lives
+        // exactly as long as some identifier for it does.
         for (owner, id) in &held {
             prop_assert!(
                 domains[*owner].door_is_valid(*id),
                 "identifier {:?} lost without the model noticing", id
             );
         }
+        for d in &domains {
+            d.crash();
+        }
+        prop_assert_eq!(kernel.live_doors(), 0);
+        prop_assert_eq!(kernel.audit(), Ok(()));
+        let stats = kernel.stats();
+        prop_assert_eq!(stats.ids_issued, stats.ids_deleted);
+        prop_assert_eq!(stats.unref_notifications, stats.doors_created);
     }
 }

@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use spring_kernel::{CallCtx, CallId, Domain, DoorError, DoorHandler, DoorId, Message, NodeId};
+use spring_kernel::{
+    CallCtx, CallId, Domain, DoorError, DoorHandler, DoorId, IdMap, Message, NodeId,
+};
 use spring_trace::TraceCtx;
 
 use crate::network::{NetworkInner, Route};
@@ -46,13 +48,14 @@ pub(crate) struct WireMessage {
 #[derive(Default)]
 struct Tables {
     /// Export id -> the identifier the network server pins for remote users.
-    exports: HashMap<u64, DoorId>,
+    exports: IdMap<u64, DoorId>,
     /// Door token -> export id (dedup: one export per door).
-    exports_by_token: HashMap<u64, u64>,
+    exports_by_token: IdMap<u64, u64>,
     /// (origin, export) -> the retained identifier for the local proxy door.
+    /// Keyed by what a peer sent, so it keeps the collision-resistant hasher.
     proxies: HashMap<WireCap, DoorId>,
     /// Door token of a proxy door -> its network target.
-    proxies_by_token: HashMap<u64, WireCap>,
+    proxies_by_token: IdMap<u64, WireCap>,
 }
 
 /// One node's network server.
