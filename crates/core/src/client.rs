@@ -1,5 +1,6 @@
 //! The client path: what every door-backed object does on the client side,
-//! written once (the mirror of [`crate::server`]; DESIGN.md §5.18).
+//! written once (the mirror of the serve path, [`crate::ServeDoor`];
+//! DESIGN.md §5.18).
 //!
 //! An object whose representation is one door identifier plus a little
 //! state of its subcontract's own is a [`DoorRepr`], and its subcontract is

@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use spring_kernel::{DoorError, Message};
 
-use crate::server::WireMessage;
+use crate::server::{NetServer, Served, WireMessage};
+use crate::transport::ReplyOutcome;
 
 /// Flush budgets, snapshotted from [`crate::NetConfig`] by the caller.
 #[derive(Clone, Copy)]
@@ -41,29 +42,41 @@ pub(crate) struct BatchBudget {
 
 /// One call riding in a frame: its request in wire form, the export-table
 /// entries freshly pinned for it, the slot its caller is parked on, and —
-/// filled in by the shipper — the staged reply.
-///
-/// Public so [`crate::Transport`] implementations can appear in public
-/// signatures, but opaque: the fields are driven by the crate's own
-/// batching and shipping machinery.
-pub struct PendingEntry {
+/// filled in by a shipper that serves the call in this process — what the
+/// destination made of it.
+pub(crate) struct PendingEntry {
     /// Export-table index of the target door on the destination node.
-    pub(crate) export: u64,
-    /// The request, until the shipper takes it for delivery.
-    pub(crate) wire: Option<WireMessage>,
+    pub export: u64,
+    /// The request; a shipper that serves the call in this process takes it
+    /// for delivery.
+    pub wire: WireMessage,
     /// Export ids freshly pinned by `to_wire_tracked` for this request;
-    /// released if the frame never delivers.
-    pub(crate) fresh: Vec<u64>,
+    /// released if the call is never delivered.
+    pub fresh: Vec<u64>,
     /// Where the caller waits for the outcome.
-    pub(crate) slot: Arc<CallSlot>,
-    /// The executed call's reply, staged between execution and the reply
-    /// frame.
-    pub(crate) reply: Option<Message>,
-    /// The reply in wire form, staged for the reply hop.
-    pub(crate) reply_wire: Option<WireMessage>,
-    /// Export ids freshly pinned for the reply; released if the reply frame
-    /// is lost.
-    pub(crate) reply_fresh: Vec<u64>,
+    slot: Arc<CallSlot>,
+    /// The served call, staged between execution and the reply frame.
+    pub served: Option<Served>,
+}
+
+impl PendingEntry {
+    /// Settles the call with what came back for it, on behalf of `from`,
+    /// the network server that sent it (DESIGN.md §5.19).
+    pub fn settle(&self, from: &Arc<NetServer>, outcome: ReplyOutcome) {
+        let outcome = match outcome {
+            ReplyOutcome::Ok(wire) => from.from_wire(wire),
+            ReplyOutcome::NotDelivered(e) => {
+                // The call never reached its serving domain: nothing can
+                // ever reference the exports freshly pinned for it.
+                from.unexport(&self.fresh);
+                Err(e)
+            }
+            // Delivered, then failed: the pins stay, as the destination's
+            // proxy table may reference them.
+            ReplyOutcome::Failed(e) => Err(e),
+        };
+        self.slot.settle(|| outcome);
+    }
 }
 
 /// A one-shot rendezvous between a queued caller and the frame shipper.
@@ -99,12 +112,6 @@ impl CallSlot {
         }
     }
 
-    /// Delivers the call's outcome. First write wins; the batcher's
-    /// backstop fill is a no-op on slots already settled.
-    pub fn fulfill(&self, outcome: Result<Message, DoorError>) {
-        self.settle(|| outcome);
-    }
-
     /// Settles the slot with an abort error if nothing has been delivered
     /// yet — the batcher's backstop, constructed lazily so settled slots
     /// (the universal case) cost nothing.
@@ -112,6 +119,8 @@ impl CallSlot {
         self.settle(|| Err(aborted()));
     }
 
+    /// Delivers the call's outcome. First write wins; the batcher's
+    /// backstop fill is a no-op on slots already settled.
     fn settle(&self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
         let mut state = lock(&self.state);
         if state.outcome.is_none() {
@@ -183,6 +192,28 @@ fn retire(mut slot: Arc<CallSlot>) -> Option<Result<Message, DoorError>> {
     outcome
 }
 
+/// Ships one call as a frame of its own, built on the caller's stack: the
+/// way of a call with no reply to wait for (a one-way call), which has
+/// nothing to coalesce against and so bypasses the link batcher. `ship`
+/// must settle the entry.
+pub(crate) fn ship_alone(
+    export: u64,
+    wire: WireMessage,
+    fresh: Vec<u64>,
+    ship: impl FnOnce(&mut [PendingEntry]),
+) -> Result<Message, DoorError> {
+    let mut frame = [PendingEntry {
+        export,
+        wire,
+        fresh,
+        slot: take_slot(),
+        served: None,
+    }];
+    ship(&mut frame);
+    let [entry] = frame;
+    retire(entry.slot).unwrap_or_else(|| Err(aborted()))
+}
+
 #[derive(Default)]
 struct BatchState {
     /// The frame currently forming.
@@ -231,12 +262,10 @@ impl LinkBatcher {
         let waiting = (!leading).then(|| slot.clone());
         state.forming.push(PendingEntry {
             export,
-            wire: Some(wire),
+            wire,
             fresh,
             slot,
-            reply: None,
-            reply_wire: None,
-            reply_fresh: Vec::new(),
+            served: None,
         });
         state.forming_bytes += wire_len;
         state.expected = state.expected.max(company);

@@ -25,23 +25,22 @@
 //! and object-transfer traffic is reliable (loss applies to invocations).
 
 //! Pipelining: concurrent forwarded calls over the same link may share one
-//! wire frame — see [`batch`](crate) internals and DESIGN.md §5.12. The
-//! batcher is policy-invisible to plain synchronous traffic: a call that
-//! reports no company ([`spring_kernel::CallCtx::company`] is 0) flushes
-//! immediately in its own frame, whatever else is in flight.
+//! wire frame — see DESIGN.md §5.12. The batcher is policy-invisible to
+//! plain synchronous traffic: a call that reports no company
+//! ([`spring_kernel::CallCtx::company`] is 0) flushes immediately in its
+//! own frame, whatever else is in flight.
 
-//! Real sockets: the same door/proxy machinery runs between OS processes —
-//! see [`Transport`] for the pluggable frame-shipping boundary and
-//! DESIGN.md §5.15 for the contract. [`Network::listen_tcp`],
-//! [`Network::listen_uds`], [`Network::connect_tcp`] and
-//! [`Network::connect_uds`] attach socket backends; everything else
-//! (batching, partial-failure discipline, at-most-once retries) is shared
+//! Real sockets: the same door/proxy machinery runs between OS processes.
+//! [`Network::listen_tcp`], [`Network::listen_uds`],
+//! [`Network::connect_tcp`] and [`Network::connect_uds`] attach socket
+//! backends. A backend only carries frames (the crate-private `Transport`
+//! trait, DESIGN.md §5.15); everything else — batching, how the receiving
+//! network server serves a call and how its outcome settles at the sender
+//! (one delivery path, DESIGN.md §5.19), at-most-once retries — is shared
 //! with the simulated backend, which remains the default. A socket link is
 //! a set of *call sockets* — one per call in flight, one thread at each
 //! end, the caller blocking in `read` for its own reply — each opened by
-//! the connecting side with a HELLO
-//! (`[kind=1][u64 node][u8 has_boot][u64 boot_export][u8 role]
-//! [u64 generation][u16 name_len][name]`) that says which side calls on the
+//! the connecting side with a HELLO that says which side calls on the
 //! socket and which link generation it belongs to.
 
 mod batch;
@@ -51,9 +50,6 @@ mod server;
 mod socket;
 mod transport;
 
-pub use batch::PendingEntry;
 pub use config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 pub use network::{Network, Node};
-pub use server::NetServer;
 pub use socket::{SocketListener, SocketPeer};
-pub use transport::Transport;

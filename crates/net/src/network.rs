@@ -8,11 +8,11 @@ use parking_lot::{Mutex, RwLock};
 use spring_kernel::{CallCtx, Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
 use spring_trace::keys;
 
-use crate::batch::{BatchBudget, LinkBatcher, PendingEntry};
+use crate::batch::{ship_alone, BatchBudget, LinkBatcher, PendingEntry};
 use crate::config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
-use crate::server::{NetServer, WireCap};
+use crate::server::{NetServer, Served, WireCap};
 use crate::socket::{Addr, SocketListener, SocketPeer};
-use crate::transport::{OnewayEntry, SimTransport, Transport};
+use crate::transport::{ReplyOutcome, SimTransport, Transport};
 
 /// The network's read-mostly state as one immutable value: behaviour knobs,
 /// cut links, the machines and the transport reaching each of them.
@@ -64,23 +64,16 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 /// What a proxy door needs to forward a call, resolved once per published
 /// snapshot instead of once per call: the snapshot itself (partitions and
 /// batching budgets), the link's batcher, and the transport reaching the
-/// target's home node (`None` for a node nobody has introduced, whose calls
-/// fail with "unknown node" when they ship).
+/// target's home node (for a node nobody has introduced, a [`SimTransport`]
+/// with no home, whose calls fail with "unknown node" when they ship).
 pub(crate) struct Route {
     snap: Arc<Snapshot>,
     batcher: Arc<LinkBatcher>,
-    transport: Option<Arc<dyn Transport>>,
+    transport: Arc<dyn Transport>,
 }
 
-pub(crate) struct NetworkInner {
-    snapshot: RwLock<Arc<Snapshot>>,
-    /// Epoch of the published snapshot, readable without the lock: holders
-    /// of a snapshot or a [`Route`] compare against it to revalidate.
-    epoch: AtomicU64,
-    /// One call batcher per (source, destination) link, created on first
-    /// use and never removed.
-    batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
-    rng: Mutex<FaultRng>,
+#[derive(Default)]
+struct Counters {
     messages: AtomicU64,
     bytes: AtomicU64,
     drops: AtomicU64,
@@ -97,13 +90,34 @@ pub(crate) struct NetworkInner {
     socket_disconnects: AtomicU64,
 }
 
+/// Counters are statistics and publish nothing else, hence `Relaxed`.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
+fn read(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+pub(crate) struct NetworkInner {
+    snapshot: RwLock<Arc<Snapshot>>,
+    /// Epoch of the published snapshot, readable without the lock: holders
+    /// of a snapshot or a [`Route`] compare against it to revalidate.
+    epoch: AtomicU64,
+    /// One call batcher per (source, destination) link, created on first
+    /// use and never removed.
+    batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
+    rng: Mutex<FaultRng>,
+    stats: Counters,
+}
+
 impl NetworkInner {
     pub fn count_export(&self) {
-        self.exports.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.exports, 1);
     }
 
     pub fn count_proxy(&self) {
-        self.proxies.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.proxies, 1);
     }
 
     /// The currently published snapshot.
@@ -146,19 +160,17 @@ impl NetworkInner {
     }
 
     pub(crate) fn count_socket_send(&self, bytes: usize) {
-        self.socket_frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.socket_bytes_sent
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        bump(&self.stats.socket_frames_sent, 1);
+        bump(&self.stats.socket_bytes_sent, bytes as u64);
     }
 
     pub(crate) fn count_socket_receive(&self, bytes: usize) {
-        self.socket_frames_received.fetch_add(1, Ordering::Relaxed);
-        self.socket_bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        bump(&self.stats.socket_frames_received, 1);
+        bump(&self.stats.socket_bytes_received, bytes as u64);
     }
 
     pub(crate) fn count_socket_disconnect(&self) {
-        self.socket_disconnects.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.socket_disconnects, 1);
     }
 
     /// The batcher for the `src -> dst` link, created on first use.
@@ -183,8 +195,14 @@ impl NetworkInner {
             return route.clone();
         }
         let snap = self.load();
+        let transport = snap.transports.get(&dst).cloned().unwrap_or_else(|| {
+            Arc::new(SimTransport {
+                origin: dst,
+                home: None,
+            })
+        });
         let route = Arc::new(Route {
-            transport: snap.transports.get(&dst).cloned(),
+            transport,
             batcher: self.link(src, dst),
             snap,
         });
@@ -199,8 +217,8 @@ impl NetworkInner {
     /// jitter fraction are sampled together — and on a fault-free network
     /// (no loss, no jitter) it is not taken at all.
     fn hop(&self, cfg: &NetConfig, bytes: usize, lossy: bool) -> Result<(), DoorError> {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        bump(&self.stats.messages, 1);
+        bump(&self.stats.bytes, bytes as u64);
         let roll_loss = lossy && cfg.drop_prob > 0.0;
         let roll_jitter = !cfg.jitter.is_zero();
         let mut delay = cfg.latency;
@@ -208,7 +226,7 @@ impl NetworkInner {
             let mut rng = self.rng.lock();
             if roll_loss && rng.unit_f64() < cfg.drop_prob {
                 drop(rng);
-                self.drops.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.drops, 1);
                 return Err(DoorError::Comm("message lost".into()));
             }
             if roll_jitter {
@@ -237,10 +255,10 @@ impl NetworkInner {
         from: &Arc<NetServer>,
         target: WireCap,
         route: &Route,
-        msg: Message,
+        mut msg: Message,
         ctx: &CallCtx,
     ) -> Result<Message, DoorError> {
-        self.calls_forwarded.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.calls_forwarded, 1);
 
         // One "net.forward" span per forwarded call; the piggybacked
         // context on the message (stamped by the proxy door's kernel call)
@@ -252,7 +270,6 @@ impl NetworkInner {
         };
         let mut span =
             spring_trace::span_child_of(keys::NET_FORWARD, parent, from.domain.trace_scope(), 0);
-        let mut msg = msg;
         if span.ctx().is_some() {
             msg.trace = span.ctx();
         }
@@ -261,21 +278,11 @@ impl NetworkInner {
             route.snap.check_link(from.node.raw(), target.origin)?;
             let (wire, fresh) = from.to_wire_tracked(msg)?;
             if ctx.one_way {
-                // One-way calls bypass the link batcher: there is no reply
-                // to wait for, so there is nothing to coalesce against and
-                // no CallSlot to settle. The transport either hands the
-                // frame to the wire (`Ok`, reply elided) or proves it never
-                // left (`Err`, fresh pins already released).
-                let mut entry = OnewayEntry {
-                    export: target.export,
-                    wire: Some(wire),
-                    fresh,
-                };
-                return match &route.transport {
-                    Some(transport) => transport.ship_oneway(from, &mut entry),
-                    None => self.ship_oneway_batch(from, target.origin, None, &mut entry),
-                }
-                .map(|()| Message::default());
+                // No reply to wait for, so nothing to coalesce against:
+                // the call bypasses the batcher in a frame of its own.
+                return ship_alone(target.export, wire, fresh, |frame| {
+                    route.transport.ship(from, frame, false)
+                });
             }
             let cfg = &route.snap.config;
             let budget = BatchBudget {
@@ -283,13 +290,7 @@ impl NetworkInner {
                 max_bytes: cfg.batch_max_bytes,
                 linger: cfg.batch_linger,
             };
-            // An unrouted destination still ships, through the simulated
-            // backend, so its "unknown node" failure is counted and traced
-            // like any other frame's.
-            let ship = |frame: &mut [PendingEntry]| match &route.transport {
-                Some(transport) => transport.ship(from, frame),
-                None => self.ship_batch(from, target.origin, None, frame),
-            };
+            let ship = |frame: &mut [PendingEntry]| route.transport.ship(from, frame, true);
             route
                 .batcher
                 .submit(target.export, wire, fresh, ctx.company, budget, &ship)
@@ -300,49 +301,38 @@ impl NetworkInner {
         result
     }
 
-    /// What every simulated frame passes on its way out, in this order:
-    /// the link is not cut, the destination (`home`, already resolved by
-    /// whoever routed the frame there) exists, and the request hop of
-    /// `bytes` survives the loss roll.
-    fn depart<'a>(
-        &self,
-        snap: &Snapshot,
-        from: &NetServer,
-        origin: u64,
-        home: Option<&'a Arc<NetServer>>,
-        bytes: usize,
-    ) -> Result<&'a Arc<NetServer>, DoorError> {
-        snap.check_link(from.node.raw(), origin)?;
-        let home = home.ok_or_else(|| unknown_node(origin))?;
-        self.traced_hop(&snap.config, bytes, true, from.domain.trace_scope())?;
-        Ok(home)
-    }
-
     /// Ships one frame of forwarded calls through the simulated backend: a
     /// single request hop (latency charged once, payload bytes summed),
-    /// per-call delivery and execution on the destination node `home`, and
-    /// a single reply hop for every reply the frame produced. Settles every
-    /// entry's [`CallSlot`](crate::batch::CallSlot).
+    /// each call served on the destination node `home`, and — when the
+    /// callers `want_reply` — a single reply hop for every reply the frame
+    /// produced. Settles every entry.
     ///
-    /// Partial-failure discipline matches the unbatched path call for call:
-    /// a lost or partitioned request frame releases *every* export freshly
-    /// pinned for *every* call aboard, a failed delivery or execution
-    /// releases only that call's identifiers (the rest of the frame
-    /// proceeds), and a lost reply frame releases the exports pinned by
-    /// every staged reply.
-    pub(crate) fn ship_batch(
+    /// Partial-failure discipline (DESIGN.md §5.19): a lost or partitioned
+    /// request frame fails *every* call aboard undelivered, a call that
+    /// fails in delivery or execution fails alone, and replies that cannot
+    /// travel release the exports pinned for them. A one-way frame has no
+    /// reply leg; a call aboard it hears of a delivery failure and not of
+    /// how execution went.
+    ///
+    /// A reply is staged (`serve`) *before* the return link is checked, as
+    /// the socket's serving side stages it before its write: a partition
+    /// published while the calls executed releases the reply's doors by
+    /// un-exporting them, where this shipper once deleted them unexported —
+    /// the same identifiers die either way.
+    pub(crate) fn ship_frame(
         &self,
         from: &Arc<NetServer>,
         origin: u64,
         home: Option<&Arc<NetServer>>,
         frame: &mut [PendingEntry],
+        want_reply: bool,
     ) {
         let calls = frame.len() as u64;
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.batch_flushes, 1);
         if frame.len() > 1 {
-            self.calls_batched.fetch_add(calls, Ordering::Relaxed);
+            bump(&self.stats.calls_batched, calls);
         } else {
-            self.calls_unbatched.fetch_add(calls, Ordering::Relaxed);
+            bump(&self.stats.calls_unbatched, calls);
         }
         // The per-frame span carries the call count in its scid, so batch
         // sizes show up in the latency histograms.
@@ -351,184 +341,83 @@ impl NetworkInner {
         // One snapshot for the way out; its config also prices the reply
         // hop, as the per-frame config read always did.
         let snap = self.load();
-        let request_bytes: usize = frame
-            .iter()
-            .map(|e| e.wire.as_ref().map_or(0, |w| w.bytes.len()))
-            .sum();
-        let home = match self.depart(&snap, from, origin, home, request_bytes) {
+        let request_bytes: usize = frame.iter().map(|e| e.wire.bytes.len()).sum();
+        // On the way out, in this order: the link is not cut, the
+        // destination exists, the request hop survives the loss roll.
+        let departed = snap
+            .check_link(from.node.raw(), origin)
+            .and_then(|()| home.ok_or_else(|| unknown_node(origin)))
+            .and_then(|home| {
+                self.traced_hop(&snap.config, request_bytes, true, from.domain.trace_scope())?;
+                Ok(home)
+            });
+        let home = match departed {
             Ok(home) => home,
             Err(e) => {
-                // The frame never left this node: every call aboard is lost
-                // and every export pinned for any of them must be released,
-                // or each lost frame leaks one pinned door per capability
-                // sent.
+                // The frame never left this node: every call aboard is
+                // lost, undelivered.
                 span.fail();
-                for entry in frame.iter_mut() {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e.clone()));
+                for entry in frame.iter() {
+                    entry.settle(from, ReplyOutcome::NotDelivered(e.clone()));
                 }
                 return;
             }
         };
+        if !want_reply {
+            spring_kernel::hotpath::count_oneway_frame();
+        }
 
-        // Deliver and execute each call, in submission order.
+        // Serve each call, in submission order.
+        let mut replies = false;
+        let mut reply_bytes = 0usize;
         for entry in frame.iter_mut() {
-            let wire = match entry.wire.take() {
-                Some(w) => w,
-                None => continue,
-            };
-            let door = match home.export_target(entry.export) {
-                Ok(d) => d,
-                Err(e) => {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                    continue;
-                }
-            };
-            let delivered = match home.from_wire(wire) {
-                Ok(d) => d,
-                Err(e) => {
-                    // This call will never execute, so nothing can ever
-                    // reference the exports freshly pinned for it.
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                    continue;
-                }
-            };
-            // Snapshot the landed identifiers: if the kernel call fails
-            // before moving them into the serving domain they would be
-            // dropped undeleted. Slots are never reused, so the deletes are
-            // harmless no-ops when the handler did take ownership.
-            let delivered_doors = delivered.doors.clone();
-            match home.domain.call(door, delivered) {
-                Ok(reply) => entry.reply = Some(reply),
-                Err(e) => {
-                    for d in delivered_doors {
-                        let _ = home.domain.delete_door(d);
-                    }
-                    entry.slot.fulfill(Err(e));
-                }
+            let wire = std::mem::take(&mut entry.wire);
+            let served = home.serve(entry.export, wire, want_reply);
+            if let ReplyOutcome::Ok(reply) = &served.outcome {
+                replies = true;
+                reply_bytes += reply.bytes.len();
             }
+            entry.served = Some(served);
         }
 
         // The replies travel back across the same link, again as one frame,
         // past whatever partitions were published while the calls executed.
-        let newer = self.newer_than(&snap);
-        let back = newer.as_deref().unwrap_or(&snap);
-        if let Err(e) = back.check_link(origin, from.node.raw()) {
-            // A partition formed while the calls executed: no reply can
-            // leave, so release their identifiers instead of stranding them
-            // in the network server's domain.
+        let mut reply_leg = Ok(());
+        if want_reply {
+            let newer = self.newer_than(&snap);
+            let back = newer.as_deref().unwrap_or(&snap);
+            reply_leg = back.check_link(origin, from.node.raw());
+            if replies && reply_leg.is_ok() {
+                let scope = home.domain.trace_scope();
+                reply_leg = self.traced_hop(&snap.config, reply_bytes, true, scope);
+            }
+        }
+        if reply_leg.is_err() {
             span.fail();
-            for entry in frame.iter_mut() {
-                if let Some(reply) = entry.reply.take() {
-                    for d in reply.doors {
-                        let _ = home.domain.delete_door(d);
-                    }
-                    entry.slot.fulfill(Err(e.clone()));
-                }
-            }
-            return;
         }
-        let mut reply_bytes = 0usize;
         for entry in frame.iter_mut() {
-            if let Some(reply) = entry.reply.take() {
-                match home.to_wire_tracked(reply) {
-                    Ok((wire, fresh)) => {
-                        reply_bytes += wire.bytes.len();
-                        entry.reply_wire = Some(wire);
-                        entry.reply_fresh = fresh;
+            let Some(Served { outcome, fresh }) = entry.served.take() else {
+                continue;
+            };
+            entry.settle(
+                from,
+                match (outcome, &reply_leg) {
+                    // The call executed and its reply will not be re-sent,
+                    // so it must not strand the exports it pinned.
+                    (ReplyOutcome::Ok(_), Err(e)) => {
+                        home.unexport(&fresh);
+                        ReplyOutcome::Failed(e.clone())
                     }
-                    Err(e) => entry.slot.fulfill(Err(e)),
-                }
-            }
-        }
-        if frame.iter().any(|e| e.reply_wire.is_some()) {
-            match self.traced_hop(&snap.config, reply_bytes, true, home.domain.trace_scope()) {
-                Ok(()) => {
-                    for entry in frame.iter_mut() {
-                        if let Some(wire) = entry.reply_wire.take() {
-                            entry.slot.fulfill(from.from_wire(wire));
-                        }
+                    // Delivered, then failed: a one-way caller asked not to
+                    // hear about it.
+                    (ReplyOutcome::Failed(_), _) if !want_reply => {
+                        span.fail();
+                        ReplyOutcome::Ok(Default::default())
                     }
-                }
-                Err(e) => {
-                    // A reply frame lost on the wire must not strand the
-                    // exports it pinned — the calls already executed and
-                    // these replies will not be re-sent.
-                    span.fail();
-                    for entry in frame.iter_mut() {
-                        if entry.reply_wire.take().is_some() {
-                            home.unexport(&entry.reply_fresh);
-                            entry.slot.fulfill(Err(e.clone()));
-                        }
-                    }
-                }
-            }
+                    (outcome, _) => outcome,
+                },
+            );
         }
-    }
-
-    /// Delivers one reply-less call through the simulated backend: a
-    /// single lossy request hop, delivery, execution — and no reply hop at
-    /// all. Any doors the handler's reply carries are deleted in the
-    /// serving domain, exactly what a socket receiver does with a
-    /// `KIND_ONEWAY` frame's reply.
-    ///
-    /// Failure discipline: an `Err` return means the call did not reach
-    /// its handler and the entry's fresh pins have been released — the
-    /// simulator is omniscient, so it reports even receiver-side delivery
-    /// failures (stale export, bad wire) that a real one-way wire would
-    /// swallow; callers must treat `Ok` from other backends as
-    /// fire-and-forget. An execution failure after delivery returns `Ok`
-    /// (the wire crossing happened; one-way callers asked not to know) and
-    /// only cleans up the landed identifiers.
-    pub(crate) fn ship_oneway_batch(
-        &self,
-        from: &Arc<NetServer>,
-        origin: u64,
-        home: Option<&Arc<NetServer>>,
-        entry: &mut OnewayEntry,
-    ) -> Result<(), DoorError> {
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        self.calls_unbatched.fetch_add(1, Ordering::Relaxed);
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), 1);
-        let wire = match entry.wire.take() {
-            Some(w) => w,
-            None => return Ok(()),
-        };
-        let delivered = self
-            .depart(&self.load(), from, origin, home, wire.bytes.len())
-            .and_then(|home| {
-                spring_kernel::hotpath::count_oneway_frame();
-                let door = home.export_target(entry.export)?;
-                Ok((home, door, home.from_wire(wire)?))
-            });
-        let (home, door, delivered) = match delivered {
-            Ok(landed) => landed,
-            Err(e) => {
-                from.unexport(&entry.fresh);
-                span.fail();
-                return Err(e);
-            }
-        };
-        let delivered_doors = delivered.doors.clone();
-        match home.domain.call(door, delivered) {
-            Ok(reply) => {
-                for d in reply.doors {
-                    let _ = home.domain.delete_door(d);
-                }
-            }
-            Err(_) => {
-                // Delivered but failed in execution: a one-way caller asked
-                // not to hear about it. Clean up the landed identifiers and
-                // report the crossing as done.
-                span.fail();
-                for d in delivered_doors {
-                    let _ = home.domain.delete_door(d);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Wraps [`NetworkInner::hop`] in a "net.hop" span; a dropped message
@@ -581,7 +470,7 @@ impl Node {
 /// assert_ne!(a.id(), b.id());
 /// ```
 pub struct Network {
-    inner: Arc<NetworkInner>,
+    pub(crate) inner: Arc<NetworkInner>,
 }
 
 impl Network {
@@ -599,20 +488,7 @@ impl Network {
                 epoch: AtomicU64::new(0),
                 batchers: RwLock::new(HashMap::new()),
                 rng: Mutex::new(FaultRng::seed_from_u64(0x5u64)),
-                messages: AtomicU64::new(0),
-                bytes: AtomicU64::new(0),
-                drops: AtomicU64::new(0),
-                calls_forwarded: AtomicU64::new(0),
-                exports: AtomicU64::new(0),
-                proxies: AtomicU64::new(0),
-                batch_flushes: AtomicU64::new(0),
-                calls_batched: AtomicU64::new(0),
-                calls_unbatched: AtomicU64::new(0),
-                socket_frames_sent: AtomicU64::new(0),
-                socket_frames_received: AtomicU64::new(0),
-                socket_bytes_sent: AtomicU64::new(0),
-                socket_bytes_received: AtomicU64::new(0),
-                socket_disconnects: AtomicU64::new(0),
+                stats: Counters::default(),
             }),
         })
     }
@@ -637,7 +513,10 @@ impl Network {
         let server = NetServer::new(kernel.node_id(), domain, self.inner.clone());
         let raw = kernel.node_id().raw();
         // Local nodes are reached by the in-process simulated backend.
-        let transport = Arc::new(SimTransport::new(server.clone()));
+        let transport = Arc::new(SimTransport {
+            origin: raw,
+            home: Some(server.clone()),
+        });
         self.inner.publish(|s| {
             s.nodes.insert(raw, server);
             s.transports.insert(raw, transport);
@@ -691,12 +570,13 @@ impl Network {
 
     /// Socket-transport counter snapshot.
     pub fn socket_stats(&self) -> SocketStatsSnapshot {
+        let c = &self.inner.stats;
         SocketStatsSnapshot {
-            frames_sent: self.inner.socket_frames_sent.load(Ordering::Relaxed),
-            frames_received: self.inner.socket_frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.inner.socket_bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.inner.socket_bytes_received.load(Ordering::Relaxed),
-            disconnects: self.inner.socket_disconnects.load(Ordering::Relaxed),
+            frames_sent: read(&c.socket_frames_sent),
+            frames_received: read(&c.socket_frames_received),
+            bytes_sent: read(&c.socket_bytes_sent),
+            bytes_received: read(&c.socket_bytes_received),
+            disconnects: read(&c.socket_disconnects),
         }
     }
 
@@ -731,16 +611,17 @@ impl Network {
 
     /// Counter snapshot.
     pub fn stats(&self) -> NetStatsSnapshot {
+        let c = &self.inner.stats;
         NetStatsSnapshot {
-            messages: self.inner.messages.load(Ordering::Relaxed),
-            bytes: self.inner.bytes.load(Ordering::Relaxed),
-            drops: self.inner.drops.load(Ordering::Relaxed),
-            calls_forwarded: self.inner.calls_forwarded.load(Ordering::Relaxed),
-            exports: self.inner.exports.load(Ordering::Relaxed),
-            proxies_created: self.inner.proxies.load(Ordering::Relaxed),
-            batch_flushes: self.inner.batch_flushes.load(Ordering::Relaxed),
-            calls_batched: self.inner.calls_batched.load(Ordering::Relaxed),
-            calls_unbatched: self.inner.calls_unbatched.load(Ordering::Relaxed),
+            messages: read(&c.messages),
+            bytes: read(&c.bytes),
+            drops: read(&c.drops),
+            calls_forwarded: read(&c.calls_forwarded),
+            exports: read(&c.exports),
+            proxies_created: read(&c.proxies),
+            batch_flushes: read(&c.batch_flushes),
+            calls_batched: read(&c.calls_batched),
+            calls_unbatched: read(&c.calls_unbatched),
         }
     }
 
@@ -756,33 +637,8 @@ impl Network {
         let from_node = from.kernel().node_id();
         let to_node = to.kernel().node_id();
         if from_node == to_node {
-            let mut doors = Vec::with_capacity(msg.doors.len());
-            let mut pending = msg.doors.into_iter();
-            for d in pending.by_ref() {
-                match from.transfer_door(d, to) {
-                    Ok(t) => doors.push(t),
-                    Err(e) => {
-                        // A failed send loses the whole message: delete the
-                        // identifiers already landed in the receiver and the
-                        // ones not yet sent, rather than stranding a
-                        // partially-transferred capability set in two
-                        // domains forever.
-                        for t in doors {
-                            let _ = to.delete_door(t);
-                        }
-                        for rest in pending {
-                            let _ = from.delete_door(rest);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(Message {
-                bytes: msg.bytes,
-                doors,
-                trace: msg.trace,
-                call: msg.call,
-            });
+            let doors = transfer_all(from, to, msg.doors)?;
+            return Ok(Message { doors, ..msg });
         }
 
         let snap = self.inner.load();
@@ -793,60 +649,54 @@ impl Network {
         // Move identifiers into the sending network server, map to wire
         // form, hop, and reverse on the receiving side. Object transfers
         // ride a reliable stream, so no loss is applied.
-        let mut held = Vec::with_capacity(msg.doors.len());
-        let mut pending = msg.doors.into_iter();
-        for d in pending.by_ref() {
-            match from.transfer_door(d, &src.domain) {
-                Ok(t) => held.push(t),
-                Err(e) => {
-                    // Same discipline as the same-node path: a failed send
-                    // loses the message, so nothing stays pinned.
-                    for t in held {
-                        let _ = src.domain.delete_door(t);
-                    }
-                    for rest in pending {
-                        let _ = from.delete_door(rest);
-                    }
-                    return Err(e);
-                }
-            }
+        let doors = transfer_all(from, &src.domain, msg.doors)?;
+        let (wire, fresh) = src.to_wire_tracked(Message { doors, ..msg })?;
+        let arrived = self
+            .inner
+            .traced_hop(
+                &snap.config,
+                wire.bytes.len(),
+                false,
+                src.domain.trace_scope(),
+            )
+            .and_then(|()| dst.from_wire(wire))
+            .and_then(|arrived| {
+                let doors = transfer_all(&dst.domain, to, arrived.doors)?;
+                Ok(Message { doors, ..arrived })
+            });
+        if arrived.is_err() {
+            // Nothing reached `to`, so nothing can ever reference the
+            // exports freshly pinned for the message.
+            src.unexport(&fresh);
         }
-        let wire = src.to_wire(Message {
-            bytes: msg.bytes,
-            doors: held,
-            trace: msg.trace,
-            call: msg.call,
-        })?;
-        self.inner.traced_hop(
-            &snap.config,
-            wire.bytes.len(),
-            false,
-            src.domain.trace_scope(),
-        )?;
-        let arrived = dst.from_wire(wire)?;
-        let mut doors = Vec::with_capacity(arrived.doors.len());
-        let mut pending = arrived.doors.into_iter();
-        for d in pending.by_ref() {
-            match dst.domain.transfer_door(d, to) {
-                Ok(t) => doors.push(t),
-                Err(e) => {
-                    for t in doors {
-                        let _ = to.delete_door(t);
-                    }
-                    for rest in pending {
-                        let _ = dst.domain.delete_door(rest);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Message {
-            bytes: arrived.bytes,
-            doors,
-            trace: arrived.trace,
-            call: arrived.call,
-        })
+        arrived
     }
+}
+
+/// Moves a message's identifiers from one domain to another of the same
+/// kernel. A failed transfer loses the whole message: the identifiers
+/// already landed in the receiver, the one that failed (the kernel
+/// validates before it moves, so it is still the sender's) and the ones
+/// not yet sent are all deleted, rather than stranding a partially
+/// transferred capability set in two domains forever.
+fn transfer_all(from: &Domain, to: &Domain, doors: Vec<DoorId>) -> Result<Vec<DoorId>, DoorError> {
+    let mut landed = Vec::with_capacity(doors.len());
+    let mut pending = doors.into_iter();
+    while let Some(d) = pending.next() {
+        match from.transfer_door(d, to) {
+            Ok(t) => landed.push(t),
+            Err(e) => {
+                for t in landed {
+                    let _ = to.delete_door(t);
+                }
+                for unsent in std::iter::once(d).chain(pending) {
+                    let _ = from.delete_door(unsent);
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(landed)
 }
 
 impl subcontract::Transport for Network {

@@ -11,6 +11,7 @@ use spring_kernel::{
 use spring_trace::TraceCtx;
 
 use crate::network::{NetworkInner, Route};
+use crate::transport::ReplyOutcome;
 
 /// A door identifier in its extended network form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -24,12 +25,12 @@ pub(crate) struct WireCap {
 /// A message in wire form.
 ///
 /// The payload storage *moves* through the wire boundary rather than being
-/// copied: `to_wire` takes `Message.bytes` by value into this struct and
-/// `from_wire` moves it back out, so a forwarded call's payload is
+/// copied: `to_wire_tracked` takes `Message.bytes` by value into this struct
+/// and `from_wire` moves it back out, so a forwarded call's payload is
 /// allocated once (from the thread-local buffer pool) and handed along.
 /// The simulated cross-address-space copy happens in the kernel's
 /// `translate`, where a real system pays it too.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WireMessage {
     pub bytes: Vec<u8>,
     pub caps: Vec<WireCap>,
@@ -58,12 +59,16 @@ struct Tables {
     proxies_by_token: IdMap<u64, WireCap>,
 }
 
+/// What [`NetServer::serve`] made of one inbound call.
+pub(crate) struct Served {
+    pub outcome: ReplyOutcome,
+    /// Export ids freshly pinned for the staged reply; whoever finds the
+    /// reply cannot travel releases them with [`NetServer::unexport`].
+    pub fresh: Vec<u64>,
+}
+
 /// One node's network server.
-///
-/// Opaque outside this crate: [`crate::Transport`] implementations receive
-/// it by reference so frames can be mapped to and from wire form, but its
-/// tables are driven only by the crate's own shipping paths.
-pub struct NetServer {
+pub(crate) struct NetServer {
     pub(crate) node: NodeId,
     pub(crate) domain: Domain,
     tables: Mutex<Tables>,
@@ -195,7 +200,7 @@ impl NetServer {
     }
 
     /// Resolves an export id to the pinned door for call delivery.
-    pub(crate) fn export_target(&self, export: u64) -> Result<DoorId, DoorError> {
+    fn export_target(&self, export: u64) -> Result<DoorId, DoorError> {
         self.tables
             .lock()
             .exports
@@ -204,18 +209,69 @@ impl NetServer {
             .ok_or_else(|| DoorError::Comm(format!("stale export {export}")))
     }
 
-    /// Converts an outbound message (identifiers owned by this server's
-    /// domain) to wire form.
-    pub(crate) fn to_wire(&self, msg: Message) -> Result<WireMessage, DoorError> {
-        self.to_wire_tracked(msg).map(|(wire, _)| wire)
+    /// Serves one inbound call on the calling thread, whichever transport
+    /// it arrived by (DESIGN.md §5.19): resolve the export, land the
+    /// identifiers, run the call, stage the reply in wire form.
+    ///
+    /// * The call never reached its door (stale export, failed import):
+    ///   [`ReplyOutcome::NotDelivered`]; nothing landed, and the sender
+    ///   releases what it pinned for the call.
+    /// * It was delivered and failed, or its reply could not be staged:
+    ///   [`ReplyOutcome::Failed`]; identifiers that landed and were not
+    ///   taken by the handler are deleted here, the sender's pins stay.
+    /// * Otherwise [`ReplyOutcome::Ok`] with the reply and the exports
+    ///   freshly pinned for it. Without `want_reply` (a one-way call)
+    ///   nobody will read a reply, so the doors it carries are deleted
+    ///   rather than pinned and the staged reply is empty.
+    pub(crate) fn serve(
+        self: &Arc<Self>,
+        export: u64,
+        wire: WireMessage,
+        want_reply: bool,
+    ) -> Served {
+        let staged = (|| {
+            let door = self
+                .export_target(export)
+                .map_err(ReplyOutcome::NotDelivered)?;
+            let delivered = self.from_wire(wire).map_err(ReplyOutcome::NotDelivered)?;
+            // Snapshot the landed identifiers: if the kernel call fails
+            // before moving them into the serving domain they would be
+            // dropped undeleted. Slots are never reused, so the deletes are
+            // harmless no-ops when the handler did take ownership.
+            let landed = delivered.doors.clone();
+            match self.domain.call(door, delivered) {
+                Ok(reply) if want_reply => self.to_wire_tracked(reply),
+                Ok(reply) => {
+                    self.delete_doors(reply.doors);
+                    Ok(Default::default())
+                }
+                Err(e) => {
+                    self.delete_doors(landed);
+                    Err(e)
+                }
+            }
+            .map_err(ReplyOutcome::Failed)
+        })();
+        let (outcome, fresh) = match staged {
+            Ok((wire, fresh)) => (ReplyOutcome::Ok(wire), fresh),
+            Err(outcome) => (outcome, Vec::new()),
+        };
+        Served { outcome, fresh }
     }
 
-    /// Like [`NetServer::to_wire`], but additionally returns the export ids
-    /// freshly pinned for this message, so a caller whose subsequent hop
-    /// fails can release them with [`NetServer::unexport`] instead of
-    /// leaking one pinned door per lost send. If exporting fails partway,
-    /// the entries already created for this message are rolled back before
-    /// the error propagates.
+    fn delete_doors(&self, doors: impl IntoIterator<Item = DoorId>) {
+        for d in doors {
+            let _ = self.domain.delete_door(d);
+        }
+    }
+
+    /// Converts an outbound message (identifiers owned by this server's
+    /// domain) to wire form, and returns with it the export ids freshly
+    /// pinned for this message, so a caller whose subsequent hop fails can
+    /// release them with [`NetServer::unexport`] instead of leaking one
+    /// pinned door per lost send. If exporting fails partway, the entries
+    /// already created for this message are rolled back before the error
+    /// propagates.
     pub(crate) fn to_wire_tracked(
         &self,
         msg: Message,
@@ -235,10 +291,7 @@ impl NetServer {
                     self.unexport(&fresh);
                     // The failing identifier and the ones not yet exported
                     // would otherwise be dropped undeleted.
-                    let _ = self.domain.delete_door(d);
-                    for rest in doors {
-                        let _ = self.domain.delete_door(rest);
-                    }
+                    self.delete_doors(std::iter::once(d).chain(doors));
                     return Err(e);
                 }
             }
@@ -264,9 +317,7 @@ impl NetServer {
                 Err(e) => {
                     // Roll back the identifiers already issued for this
                     // message; the call is not going to be delivered.
-                    for d in doors {
-                        let _ = self.domain.delete_door(d);
-                    }
+                    self.delete_doors(doors);
                     return Err(e);
                 }
             }
@@ -303,5 +354,69 @@ impl DoorHandler for ProxyHandler {
         server
             .net
             .forward_call(&server, self.target, &route, msg, ctx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NetConfig, Network};
+
+    /// Replies with the payload and a fresh door, or fails when told to.
+    fn servant(ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        if msg.bytes == b"fail" {
+            return Err(DoorError::Handler("boom".into()));
+        }
+        let door = ctx.server.create_door(Arc::new(servant))?;
+        Ok(Message {
+            bytes: msg.bytes,
+            doors: vec![door],
+            ..Message::default()
+        })
+    }
+
+    #[test]
+    fn serve_produces_each_outcome_with_and_without_a_reply() {
+        let net = Network::new(NetConfig::default());
+        let node = net.add_node("n");
+        let server = net.inner.server(node.id().raw()).unwrap();
+        let servants = node.kernel().create_domain("servants");
+        let door = servants.create_door(Arc::new(servant)).unwrap();
+        let held = servants.transfer_door(door, &server.domain).unwrap();
+        let export = server.export_cap_tracked(held).unwrap().0.export;
+        let live = || node.kernel().stats().ids_issued - node.kernel().stats().ids_deleted;
+        let serve = |export: u64, bytes: &[u8], want_reply: bool| {
+            let wire = WireMessage {
+                bytes: bytes.to_vec(),
+                ..WireMessage::default()
+            };
+            let before = live();
+            let served = server.serve(export, wire, want_reply);
+            (served.outcome, served.fresh.len(), live() - before)
+        };
+
+        // A reply that is wanted is staged, its door pinned by one fresh
+        // export; one that is not is dropped and its door deleted.
+        let staged = serve(export, b"hi", true);
+        assert!(matches!(&staged.0, ReplyOutcome::Ok(w) if w.bytes == b"hi" && w.caps.len() == 1));
+        assert_eq!((staged.1, staged.2), (1, 1));
+        let dropped = serve(export, b"hi", false);
+        assert!(
+            matches!(&dropped.0, ReplyOutcome::Ok(w) if w.bytes.is_empty() && w.caps.is_empty())
+        );
+        assert_eq!((dropped.1, dropped.2), (0, 0));
+
+        for want_reply in [true, false] {
+            let failed = serve(export, b"fail", want_reply);
+            assert!(matches!(
+                failed,
+                (ReplyOutcome::Failed(DoorError::Handler(_)), 0, 0)
+            ));
+            let stale = serve(u64::MAX, b"hi", want_reply);
+            assert!(matches!(
+                stale,
+                (ReplyOutcome::NotDelivered(DoorError::Comm(_)), 0, 0)
+            ));
+        }
     }
 }

@@ -64,7 +64,6 @@ use std::thread;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spring_buf::WireError;
 use spring_kernel::callid::now_micros;
 use spring_kernel::framing::{self, FrameReadError};
 use spring_kernel::{hotpath, CallId, Domain, DoorError, DoorId, NodeId};
@@ -74,9 +73,9 @@ use crate::batch::{lock, PendingEntry};
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 use crate::transport::{
-    decode_hello, decode_oneway, decode_reply, decode_request, encode_hello, encode_oneway,
-    encode_reply, encode_request, frame_kind, Hello, OnewayEntry, ReplyOutcome, RequestCall,
-    Transport, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS, ROLE_DIALER_SERVES,
+    decode_calls, decode_hello, decode_reply, encode_calls, encode_hello, encode_reply, Hello,
+    ReplyOutcome, RequestCall, Transport, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS,
+    ROLE_DIALER_SERVES,
 };
 
 /// How long the two-frame HELLO exchange may take before the socket is
@@ -464,6 +463,11 @@ impl Link {
         Ok(())
     }
 
+    /// A request frame that could not be written kills the link.
+    fn send_failed(&self, e: io::Error) -> DoorError {
+        self.die(comm(format!("send on {} link failed: {e}", self.kind)))
+    }
+
     /// Kills the generation, once: shuts every socket — in-flight callers
     /// read EOF and fail with `Comm` instead of hanging, serving threads
     /// unblock and exit — wakes queued callers, and counts the disconnect.
@@ -513,7 +517,7 @@ impl Link {
             sock.timed = timeout.is_some();
         }
         self.send(net, &mut sock, request)
-            .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
+            .map_err(|e| self.send_failed(e))?;
         let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
             Ok(n) => n,
             // `SO_RCVTIMEO` expiring reads as `WouldBlock` (or `TimedOut`).
@@ -663,83 +667,64 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
             break;
         };
         net.count_socket_receive(n);
+        // A link whose serving node is gone can serve nothing: its death
+        // fails the caller's frame undelivered.
+        let Ok(server) = net.server(link.local) else {
+            link.die(comm(format!("serving node {} is gone", link.local)));
+            break;
+        };
         if std::mem::take(&mut spare) {
             // Replaced before the frame executes: the servant may be about
             // to trigger a call back to us.
             link.spawn_spare();
         }
         let frame = &sock.buf[..n];
-        // A frame whose declared counts or lengths disagree with the bytes
-        // received, or of a kind that has no business here (a HELLO, a
-        // REPLY): the peer's framing is not trustworthy. Reject it with the
-        // typed error and tear the link down, so the peer's in-flight calls
-        // fail with `Comm` rather than hang.
-        let reply = match frame_kind(frame) {
-            Ok(KIND_REQUEST) => decode_request(frame).map(|req| {
-                let (outcomes, fresh) = execute(&net, link.local, req.calls, true);
-                Some((encode_reply(req.id, &outcomes), fresh))
-            }),
-            Ok(KIND_ONEWAY) => decode_oneway(frame).map(|req| {
-                execute(&net, link.local, req.calls, false);
-                None
-            }),
-            Ok(other) => Err(WireError::BadTag {
-                offset: 0,
-                value: other as u32,
-            }),
-            Err(e) => Err(e),
+        let want_reply = frame.first() != Some(&KIND_ONEWAY);
+        let kind = if want_reply {
+            KIND_REQUEST
+        } else {
+            KIND_ONEWAY
         };
-        match reply {
-            Ok(None) => {}
-            Ok(Some((bytes, fresh))) => {
-                if link.send(&net, &mut sock, &bytes).is_err() {
-                    // The lost-reply discipline: the calls executed, these
-                    // replies will not be re-sent, so the exports freshly
-                    // pinned for them are released as one batch.
-                    if let Ok(server) = net.server(link.local) {
-                        server.unexport(&fresh);
-                    }
-                    link.close(sock, Side::Serving);
-                    break;
-                }
-            }
+        let req = match decode_calls(kind, frame) {
+            Ok(req) => req,
             Err(e) => {
+                // A frame whose declared counts or lengths disagree with
+                // the bytes received, or of a kind that has no business
+                // here (a HELLO, a REPLY): the peer's framing is not
+                // trustworthy. Reject it with the typed error and tear the
+                // link down, so the peer's in-flight calls fail with `Comm`
+                // rather than hang.
                 link.die(comm(format!("malformed {} frame: {e}", link.kind)));
                 break;
             }
+        };
+        let (outcomes, fresh) = execute(&server, req.calls, want_reply);
+        if !want_reply {
+            continue;
+        }
+        let reply = encode_reply(req.id, &outcomes);
+        if link.send(&net, &mut sock, &reply).is_err() {
+            // The lost-reply discipline: the calls executed, these replies
+            // will not be re-sent, so the exports freshly pinned for them
+            // are released as one batch.
+            server.unexport(&fresh);
+            link.close(sock, Side::Serving);
+            break;
         }
     }
     hotpath::count_dispatch_reaped();
 }
 
-/// Executes one inbound frame's calls: delivery and execution per call, in
-/// submission order, mirroring the simulated backend's per-call
-/// partial-failure discipline. With `reply`, returns each call's outcome
-/// and the exports freshly pinned by the staged replies. Without (a one-way
-/// frame: the sender explicitly waived delivery confirmation), outcomes
-/// are recorded in the trace span and otherwise dropped, and the doors a
-/// servant's reply carries are deleted rather than pinned in the serving
-/// domain forever — exactly as the simulated backend does for its one-way
-/// deliveries.
+/// Serves one inbound frame's calls, in submission order, each through
+/// [`NetServer::serve`]. Returns each call's outcome and the exports freshly
+/// pinned by the staged replies; for a one-way frame (`want_reply` false:
+/// the sender waived delivery confirmation) the outcomes show in the trace
+/// span and are otherwise dropped.
 fn execute(
-    net: &NetworkInner,
-    local: u64,
+    server: &Arc<NetServer>,
     calls: Vec<RequestCall>,
-    reply: bool,
+    want_reply: bool,
 ) -> (Vec<ReplyOutcome>, Vec<u64>) {
-    let server = match net.server(local) {
-        Ok(s) => s,
-        Err(e) => {
-            // The serving node is gone: every call aboard is undeliverable,
-            // and the sender must release what it pinned for them.
-            let outcomes = calls
-                .iter()
-                .map(|_| ReplyOutcome::NotDelivered(e.clone()))
-                .collect();
-            return (outcomes, Vec::new());
-        }
-    };
-
     let mut span = spring_trace::span_start(
         keys::NET_BATCH,
         server.domain.trace_scope(),
@@ -748,45 +733,12 @@ fn execute(
     let mut outcomes = Vec::with_capacity(calls.len());
     let mut reply_fresh: Vec<u64> = Vec::new();
     for call in calls {
-        let delivered = server
-            .export_target(call.export)
-            .and_then(|door| Ok((door, server.from_wire(call.wire)?)));
-        let (door, delivered) = match delivered {
-            Ok(landed) => landed,
-            Err(e) => {
-                outcomes.push(ReplyOutcome::NotDelivered(e));
-                continue;
-            }
-        };
-        // Snapshot the landed identifiers: if the kernel call fails before
-        // moving them into the serving domain they would be dropped
-        // undeleted (same backstop as the simulated backend).
-        let delivered_doors = delivered.doors.clone();
-        let staged = match server.domain.call(door, delivered) {
-            Ok(r) if reply => server.to_wire_tracked(r),
-            Ok(r) => {
-                for d in r.doors {
-                    let _ = server.domain.delete_door(d);
-                }
-                continue;
-            }
-            Err(e) => {
-                for d in delivered_doors {
-                    let _ = server.domain.delete_door(d);
-                }
-                Err(e)
-            }
-        };
-        outcomes.push(match staged {
-            Ok((wire, fresh)) => {
-                reply_fresh.extend(fresh);
-                ReplyOutcome::Ok(wire)
-            }
-            Err(e) => ReplyOutcome::Failed(e),
-        });
-    }
-    if outcomes.iter().any(|o| !matches!(o, ReplyOutcome::Ok(_))) {
-        span.fail();
+        let served = server.serve(call.export, call.wire, want_reply);
+        if !matches!(served.outcome, ReplyOutcome::Ok(_)) {
+            span.fail();
+        }
+        reply_fresh.extend(served.fresh);
+        outcomes.push(served.outcome);
     }
     (outcomes, reply_fresh)
 }
@@ -795,8 +747,8 @@ fn execute(
 // SocketPeer: the Transport reaching one remote process.
 // ---------------------------------------------------------------------------
 
-/// A link to one remote OS process, registered as the [`Transport`] for
-/// that process's node.
+/// A link to one remote OS process, registered as the transport for that
+/// process's node.
 ///
 /// Obtained from [`crate::Network::connect_tcp`] /
 /// [`crate::Network::connect_uds`] (dialing side, redials on failure) or
@@ -940,105 +892,61 @@ impl SocketPeer {
     fn ship_inner(
         &self,
         from: &Arc<NetServer>,
-        frame: &mut [PendingEntry],
+        frame: &[PendingEntry],
+        want_reply: bool,
     ) -> Result<(), DoorError> {
         let net = self.net()?;
         let link = self.live_link(&net)?;
 
-        let mut sent = Vec::with_capacity(frame.len());
-        let mut wires = Vec::with_capacity(frame.len());
+        let calls: Vec<(u64, &WireMessage)> = frame.iter().map(|e| (e.export, &e.wire)).collect();
+        let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
+        if !want_reply {
+            // One write on this thread and no read: a failure proves the
+            // frame never left; success is all a one-way caller learns.
+            let request = encode_calls(KIND_ONEWAY, id, &calls);
+            let mut sock = link.checkout(&net)?;
+            link.send(&net, &mut sock, &request)
+                .map_err(|e| link.send_failed(e))?;
+            link.checkin(sock);
+            hotpath::count_oneway_frame();
+            for entry in frame {
+                entry.settle(from, ReplyOutcome::Ok(WireMessage::default()));
+            }
+            return Ok(());
+        }
         // The reply wait is bounded when every call aboard carries a
         // deadline — by the latest of them; identity-free calls carry none.
         let (mut latest, mut bounded) = (0u64, true);
-        for (i, entry) in frame.iter_mut().enumerate() {
-            if let Some(wire) = entry.wire.take() {
-                let due = CallId::from_bytes(wire.call).deadline_micros;
-                bounded &= due != 0;
-                latest = latest.max(due);
-                sent.push(i);
-                wires.push((entry.export, wire));
-            }
+        for entry in frame {
+            let due = CallId::from_bytes(entry.wire.call).deadline_micros;
+            bounded &= due != 0;
+            latest = latest.max(due);
         }
-        let borrowed: Vec<(u64, &WireMessage)> = wires.iter().map(|(e, w)| (*e, w)).collect();
-        let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
-        let request = encode_request(id, &borrowed);
-        drop(borrowed);
-
         let deadline = (bounded && latest != 0).then_some(latest);
-        let outcomes = link.round_trip(&net, id, &request, sent.len(), deadline)?;
-        for (i, outcome) in sent.into_iter().zip(outcomes) {
-            let entry = &mut frame[i];
-            match outcome {
-                ReplyOutcome::Ok(wire) => {
-                    let landed = from.from_wire(wire);
-                    entry.slot.fulfill(landed);
-                }
-                ReplyOutcome::NotDelivered(e) => {
-                    // The call never reached its serving domain: nothing
-                    // can ever reference the exports pinned for it.
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                }
-                ReplyOutcome::Failed(e) => {
-                    // Delivered but failed in execution: the pins stay, as
-                    // the peer's proxy table may reference them.
-                    entry.slot.fulfill(Err(e));
-                }
-            }
+        let request = encode_calls(KIND_REQUEST, id, &calls);
+        let outcomes = link.round_trip(&net, id, &request, frame.len(), deadline)?;
+        for (entry, outcome) in frame.iter().zip(outcomes) {
+            entry.settle(from, outcome);
         }
         Ok(())
     }
 }
 
 impl Transport for SocketPeer {
-    fn kind(&self) -> &'static str {
-        self.link.lock().kind
-    }
-
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
+    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool) {
         let calls = frame.len() as u64;
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
-        if let Err(e) = self.ship_inner(from, frame) {
+        if let Err(e) = self.ship_inner(from, frame, want_reply) {
             // The frame failed wholesale (dial failure, send failure, peer
             // disconnect or expired deadline awaiting the reply): whether
             // the peer saw any of it is unknowable, but nobody will ever
-            // hear its reply, so every export freshly pinned for the frame
-            // is released and every in-flight call fails with `Comm` — the
-            // retrying subcontracts re-pin on the next attempt.
+            // hear its reply, so every call aboard settles undelivered —
+            // the retrying subcontracts re-pin on the next attempt.
             span.fail();
-            for entry in frame.iter_mut() {
-                from.unexport(&entry.fresh);
-                entry.slot.fulfill(Err(e.clone()));
+            for entry in frame.iter() {
+                entry.settle(from, ReplyOutcome::NotDelivered(e.clone()));
             }
         }
-    }
-
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), 1);
-        let result = (|| {
-            let net = self.net()?;
-            let link = self.live_link(&net)?;
-            let Some(wire) = entry.wire.take() else {
-                return Ok(()); // Nothing to carry; vacuously delivered.
-            };
-            let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
-            let bytes = encode_oneway(id, &[(entry.export, &wire)]);
-            let mut sock = link.checkout(&net)?;
-            link.send(&net, &mut sock, &bytes)
-                .map_err(|e| link.die(comm(format!("send on {} link failed: {e}", link.kind))))?;
-            link.checkin(sock);
-            hotpath::count_oneway_frame();
-            Ok(())
-        })();
-        if let Err(e) = result {
-            // The write happened (or not) on this thread, so the failure is
-            // synchronous and provable: the frame never left. Release the
-            // pins here — there is no reply whose absence would surface it.
-            from.unexport(&entry.fresh);
-            span.fail();
-            return Err(e);
-        }
-        Ok(())
     }
 }
 

@@ -1,10 +1,11 @@
-//! Pluggable frame transports behind the [`crate::batch::LinkBatcher`]
+//! The two frame shippers behind the [`crate::batch::LinkBatcher`]
 //! boundary, plus the byte-level frame codec the socket backend speaks.
 //!
-//! Everything above this line — proxy doors, `to_wire`/`from_wire` mapping,
-//! per-link batching, the partial-failure discipline — is transport
-//! agnostic: a formed frame of [`PendingEntry`]s is handed to whichever
-//! [`Transport`] serves the destination node. The default backend is the
+//! Everything a call meets on its way — proxy doors, wire mapping, per-link
+//! batching, how the destination serves it ([`NetServer::serve`]) and how
+//! its outcome settles ([`PendingEntry::settle`]) — is written once; a
+//! [`Transport`] only carries a formed frame of [`PendingEntry`]s to the
+//! node that serves it and the outcomes back. The default backend is the
 //! in-process simulated network ([`SimTransport`], which preserves the
 //! seeded fault behaviour bit for bit); the socket backend
 //! ([`crate::socket::SocketPeer`]) ships the same frames over TCP or
@@ -25,89 +26,46 @@ use crate::server::{NetServer, WireCap, WireMessage};
 ///
 /// Contract (DESIGN.md §5.15):
 ///
-/// * `ship` is invoked by the batcher's leader thread once the flush policy
-///   fires, with no batcher lock held, and **must settle every entry's
-///   [`crate::batch::CallSlot`] before returning** — the batcher fails
-///   whatever is left unsettled with a `Comm` abort rather than let its
-///   caller hang.
-/// * Calls within one frame are delivered to the destination in submission
-///   order; no ordering is promised *across* frames.
-/// * Failures must be reported through the existing taxonomy: anything a
-///   retrying subcontract should treat as transient (lost frame, dead
-///   connection, stale export on a restarted peer) is
-///   [`DoorError::Comm`], so replicon/reconnectable machinery works
-///   unchanged over any backend.
-/// * A frame that fails before delivery must release the export-table
-///   entries freshly pinned for every call aboard
-///   ([`NetServer::unexport`]); a per-call failure releases only that
-///   call's entries.
-pub trait Transport: Send + Sync {
-    /// Short transport kind for stats and debugging ("sim", "tcp", "uds").
-    fn kind(&self) -> &'static str;
-
-    /// Ships one frame of forwarded calls, settling every entry's slot.
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]);
-
-    /// Ships one reply-less call (DESIGN.md §5.16): the frame crosses the
-    /// wire once and no reply frame ever comes back.
-    ///
-    /// The contract shifts accordingly. An error return means the call
-    /// provably did not reach the destination (link down, lost frame,
-    /// stale export) and the transport has already released the entry's
-    /// freshly pinned exports; `Ok` means the call was handed to the wire
-    /// — whether the handler then succeeded is unknowable by design, and
-    /// any doors its reply would have carried are deleted at the serving
-    /// side. Socket backends write the frame on the calling thread, so a
-    /// failed write is an `Err` here and now; they may still report `Ok`
-    /// for a frame the peer never reads (death races the write). Only
-    /// best-effort traffic belongs here.
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError>;
-}
-
-/// One forwarded call travelling without a reply — the one-way analogue of
-/// [`PendingEntry`], opaque outside the crate for the same reason: the
-/// fields reference crate-private wire types.
-pub struct OnewayEntry {
-    /// Destination export id in the target node's table.
-    pub(crate) export: u64,
-    /// The marshalled call; `take`n by the transport when it ships.
-    pub(crate) wire: Option<WireMessage>,
-    /// Export-table entries freshly pinned when this call was marshalled;
-    /// released by whichever side learns the call cannot be delivered.
-    pub(crate) fresh: Vec<u64>,
+/// * `ship` runs with no batcher lock held and **must settle every entry**
+///   before returning; the batcher fails whatever is left unsettled with a
+///   `Comm` abort rather than let its caller hang.
+/// * Calls within one frame are served at the destination in submission
+///   order, each through [`NetServer::serve`]; no ordering is promised
+///   *across* frames.
+/// * Every outcome reaches its caller through [`PendingEntry::settle`], so
+///   failures speak one taxonomy: what a retrying subcontract should treat
+///   as transient (lost frame, dead connection, stale export on a restarted
+///   peer) is [`DoorError::Comm`], and a frame that fails before delivery
+///   settles every call aboard [`ReplyOutcome::NotDelivered`], releasing
+///   the exports freshly pinned for it.
+/// * Without `want_reply` (DESIGN.md §5.16) the frame crosses the wire once
+///   and no reply frame comes back: an error means the call provably did
+///   not reach its handler (pins released), `Ok` that it was handed to the
+///   wire — the simulator, omniscient, also reports a receiver-side
+///   delivery failure; a socket reports only a failed write. Only
+///   best-effort traffic belongs here.
+pub(crate) trait Transport: Send + Sync {
+    /// Ships one frame of forwarded calls, settling every entry.
+    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool);
 }
 
 /// The default backend: frames delivered through the in-process simulated
-/// network, with its seeded latency/jitter/loss model. This is the exact
-/// pre-transport-trait code path — same hops, same RNG draws, in the same
-/// order — so every seeded fault sweep reproduces bit for bit.
+/// network, with its seeded latency/jitter/loss model — same hops, same RNG
+/// draws, in the same order as before there was a transport boundary, so
+/// every seeded fault sweep reproduces bit for bit.
 pub(crate) struct SimTransport {
-    /// The network server of the node this transport reaches, resolved
-    /// when the node was installed; it also owns the way to the network.
-    home: Arc<NetServer>,
-}
-
-impl SimTransport {
-    pub(crate) fn new(home: Arc<NetServer>) -> SimTransport {
-        SimTransport { home }
-    }
+    /// The node this transport reaches.
+    pub origin: u64,
+    /// Its network server, resolved when the node was installed; `None`
+    /// for a node nobody has introduced, whose frames fail with "unknown
+    /// node" — counted and traced like any other frame's.
+    pub home: Option<Arc<NetServer>>,
 }
 
 impl Transport for SimTransport {
-    fn kind(&self) -> &'static str {
-        "sim"
-    }
-
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
-        let home = &self.home;
-        home.net
-            .ship_batch(from, home.node.raw(), Some(home), frame);
-    }
-
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
-        let home = &self.home;
-        home.net
-            .ship_oneway_batch(from, home.node.raw(), Some(home), entry)
+    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool) {
+        from.net
+            .ship_frame(from, self.origin, self.home.as_ref(), frame, want_reply);
     }
 }
 
@@ -203,19 +161,20 @@ pub(crate) struct RequestFrame {
     pub calls: Vec<RequestCall>,
 }
 
-/// Per-call outcome riding a reply frame.
+/// What became of one forwarded call: produced by [`NetServer::serve`] (and
+/// by a shipper whose frame could not travel), carried by a reply frame,
+/// consumed by [`PendingEntry::settle`].
 #[derive(Debug)]
 pub(crate) enum ReplyOutcome {
     Ok(WireMessage),
     /// Failed before the call reached its serving domain: the *sender*
     /// still owns responsibility for the exports it pinned for this call
-    /// and must release them (mirrors the simulated backend's
-    /// `from_wire`-failure discipline).
+    /// and releases them.
     NotDelivered(DoorError),
-    /// Delivered but failed in execution; the serving side has already
-    /// cleaned up the landed identifiers, the sender's pins stay (the
-    /// receiving node's proxy table references them), exactly as in the
-    /// simulated backend.
+    /// Delivered but failed in execution, or a reply that could not
+    /// travel; the serving side has already cleaned up what landed, the
+    /// sender's pins stay (the receiving node's proxy table references
+    /// them).
     Failed(DoorError),
 }
 
@@ -282,7 +241,7 @@ pub(crate) fn encode_hello(hello: &Hello) -> Vec<u8> {
 /// Encodes a request-shaped frame (`KIND_REQUEST` or `KIND_ONEWAY`) from
 /// the calls' wire messages. `calls` pairs each target export with its
 /// wire form.
-fn encode_calls(kind: u8, id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
+pub(crate) fn encode_calls(kind: u8, id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
     let payload: usize = calls.iter().map(|(_, w)| 48 + w.bytes.len()).sum();
     let mut out = Vec::with_capacity(16 + payload);
     out.push(kind);
@@ -293,14 +252,6 @@ fn encode_calls(kind: u8, id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
         put_wire(&mut out, wire);
     }
     out
-}
-
-pub(crate) fn encode_request(id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
-    encode_calls(KIND_REQUEST, id, calls)
-}
-
-pub(crate) fn encode_oneway(id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
-    encode_calls(KIND_ONEWAY, id, calls)
 }
 
 pub(crate) fn encode_reply(id: u64, outcomes: &[ReplyOutcome]) -> Vec<u8> {
@@ -389,7 +340,6 @@ fn get_error(c: &mut Cursor<'_>) -> Result<DoorError, WireError> {
     let kind_off = c.pos;
     let kind = c.u8()?;
     let len = c.u32()? as usize;
-    let msg_off = c.pos;
     let msg = String::from_utf8_lossy(c.take(len)?).into_owned();
     Ok(match kind {
         0 => DoorError::InvalidDoor,
@@ -400,11 +350,10 @@ fn get_error(c: &mut Cursor<'_>) -> Result<DoorError, WireError> {
         5 => DoorError::NotPermitted,
         6 => DoorError::InvalidShm,
         other => {
-            let _ = msg_off;
             return Err(WireError::BadTag {
                 offset: kind_off,
                 value: other as u32,
-            });
+            })
         }
     })
 }
@@ -431,14 +380,6 @@ fn get_wire(c: &mut Cursor<'_>) -> Result<WireMessage, WireError> {
         caps,
         trace,
         call,
-    })
-}
-
-/// Peeks at a frame's kind byte without consuming anything.
-pub(crate) fn frame_kind(frame: &[u8]) -> Result<u8, WireError> {
-    frame.first().copied().ok_or(WireError::Truncated {
-        needed: 1,
-        actual: 0,
     })
 }
 
@@ -485,7 +426,9 @@ fn expect_kind(c: &mut Cursor<'_>, kind: u8) -> Result<(), WireError> {
     Ok(())
 }
 
-fn decode_calls(kind: u8, frame: &[u8]) -> Result<RequestFrame, WireError> {
+/// Decodes a request-shaped frame of the given `kind` (`KIND_REQUEST` or
+/// `KIND_ONEWAY`).
+pub(crate) fn decode_calls(kind: u8, frame: &[u8]) -> Result<RequestFrame, WireError> {
     let mut c = Cursor::new(frame);
     expect_kind(&mut c, kind)?;
     let id = c.u64()?;
@@ -498,14 +441,6 @@ fn decode_calls(kind: u8, frame: &[u8]) -> Result<RequestFrame, WireError> {
     }
     c.finish()?;
     Ok(RequestFrame { id, calls })
-}
-
-pub(crate) fn decode_request(frame: &[u8]) -> Result<RequestFrame, WireError> {
-    decode_calls(KIND_REQUEST, frame)
-}
-
-pub(crate) fn decode_oneway(frame: &[u8]) -> Result<RequestFrame, WireError> {
-    decode_calls(KIND_ONEWAY, frame)
 }
 
 pub(crate) fn decode_reply(frame: &[u8]) -> Result<ReplyFrame, WireError> {
@@ -560,7 +495,7 @@ mod tests {
                 generation: 3,
             };
             let enc = encode_hello(&hello);
-            assert_eq!(frame_kind(&enc).unwrap(), KIND_HELLO);
+            assert_eq!(enc[0], KIND_HELLO);
             assert_eq!(decode_hello(&enc).unwrap(), hello);
             for cut in 0..enc.len() {
                 assert!(
@@ -588,8 +523,8 @@ mod tests {
     fn request_round_trip_preserves_payload_and_envelope() {
         let w1 = sample_wire(b"abcdef", &[(1, 2), (3, 4)]);
         let w2 = sample_wire(b"", &[]);
-        let enc = encode_request(77, &[(10, &w1), (11, &w2)]);
-        let dec = decode_request(&enc).unwrap();
+        let enc = encode_calls(KIND_REQUEST, 77, &[(10, &w1), (11, &w2)]);
+        let dec = decode_calls(KIND_REQUEST, &enc).unwrap();
         assert_eq!(dec.id, 77);
         assert_eq!(dec.calls.len(), 2);
         assert_eq!(dec.calls[0].export, 10);
@@ -605,27 +540,30 @@ mod tests {
     #[test]
     fn oneway_round_trip_shares_request_layout() {
         let w = sample_wire(b"notify", &[(1, 2)]);
-        let enc = encode_oneway(42, &[(10, &w)]);
-        assert_eq!(frame_kind(&enc).unwrap(), KIND_ONEWAY);
-        let dec = decode_oneway(&enc).unwrap();
+        let enc = encode_calls(KIND_ONEWAY, 42, &[(10, &w)]);
+        assert_eq!(enc[0], KIND_ONEWAY);
+        let dec = decode_calls(KIND_ONEWAY, &enc).unwrap();
         assert_eq!(dec.id, 42);
         assert_eq!(dec.calls.len(), 1);
         assert_eq!(dec.calls[0].export, 10);
         assert_eq!(dec.calls[0].wire.bytes, b"notify");
         // Byte-identical to a request frame except the kind byte, so every
         // defensive-decoding property proven for requests carries over.
-        let req = encode_request(42, &[(10, &w)]);
+        let req = encode_calls(KIND_REQUEST, 42, &[(10, &w)]);
         assert_eq!(enc[1..], req[1..]);
         assert!(matches!(
-            decode_request(&enc).unwrap_err(),
+            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
             WireError::BadTag { .. }
         ));
         assert!(matches!(
-            decode_oneway(&req).unwrap_err(),
+            decode_calls(KIND_ONEWAY, &req).unwrap_err(),
             WireError::BadTag { .. }
         ));
         for cut in 0..enc.len() {
-            assert!(decode_oneway(&enc[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                decode_calls(KIND_ONEWAY, &enc[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -661,12 +599,12 @@ mod tests {
     #[test]
     fn truncated_frames_get_typed_rejection() {
         let w = sample_wire(&[1; 100], &[(1, 2)]);
-        let enc = encode_request(1, &[(5, &w)]);
+        let enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
         // Every possible truncation point must produce a typed error, and
         // in particular a payload length field pointing past the end must
         // come back Truncated, never panic.
         for cut in 0..enc.len() {
-            let err = decode_request(&enc[..cut]).unwrap_err();
+            let err = decode_calls(KIND_REQUEST, &enc[..cut]).unwrap_err();
             assert!(
                 matches!(err, WireError::Truncated { .. }),
                 "cut at {cut}: {err:?}"
@@ -677,10 +615,10 @@ mod tests {
     #[test]
     fn trailing_bytes_get_typed_rejection() {
         let w = sample_wire(b"zz", &[]);
-        let mut enc = encode_request(1, &[(5, &w)]);
+        let mut enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
         enc.push(0);
         assert!(matches!(
-            decode_request(&enc).unwrap_err(),
+            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
             WireError::OverLength { .. }
         ));
     }
@@ -688,12 +626,12 @@ mod tests {
     #[test]
     fn lying_counts_get_typed_rejection() {
         let w = sample_wire(b"abc", &[(1, 2)]);
-        let mut enc = encode_request(1, &[(5, &w)]);
+        let mut enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
         // Inflate the cap count field far past the frame end (offset:
         // kind 1 + id 8 + ncalls 4 + export 8 + call 20 + trace 16 = 57).
         enc[57..61].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_request(&enc).unwrap_err(),
+            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
             WireError::Truncated { .. }
         ));
     }
@@ -707,10 +645,10 @@ mod tests {
             decode_reply(&enc).unwrap_err(),
             WireError::BadTag { value: 9, .. }
         ));
-        let mut enc = encode_request(1, &[]);
+        let mut enc = encode_calls(KIND_REQUEST, 1, &[]);
         enc[0] = 200; // frame kind
         assert!(matches!(
-            decode_request(&enc).unwrap_err(),
+            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
             WireError::BadTag { value: 200, .. }
         ));
     }

@@ -463,6 +463,47 @@ fn failed_same_node_ship_releases_every_identifier() {
 }
 
 #[test]
+fn failed_ship_to_a_dead_domain_releases_every_identifier() {
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let from = a.kernel().create_domain("from");
+
+    // Same node, then across the network. The receiving domain is dead, so
+    // the transfer into it fails on the first identifier — which the kernel
+    // has not moved, and which is lost with the rest of the message.
+    for (receiver, retained_proxies) in [(&a, 0), (&b, 2)] {
+        let to = receiver.kernel().create_domain("to");
+        to.crash();
+        let sender_before = live_ids(a.kernel());
+        let receiver_before = live_ids(receiver.kernel());
+        let msg = Message {
+            doors: vec![
+                from.create_door(Arc::new(Echo)).unwrap(),
+                from.create_door(Arc::new(Echo)).unwrap(),
+            ],
+            ..Message::default()
+        };
+        assert_eq!(
+            net.ship_message(&from, &to, msg).unwrap_err(),
+            DoorError::DomainDead
+        );
+        assert_eq!(
+            live_ids(a.kernel()),
+            sender_before,
+            "a failed ship must leave nothing behind on the sender: not the \
+             identifier whose transfer failed, not an export pin",
+        );
+        // What stays on a receiving node is the proxy door its network
+        // server retains per imported door (ROADMAP item 3), nothing else.
+        assert_eq!(
+            live_ids(receiver.kernel()),
+            receiver_before + retained_proxies
+        );
+    }
+}
+
+#[test]
 fn lost_call_attempts_do_not_pin_argument_exports() {
     let net = Network::new(NetConfig::default());
     let a = net.add_node("a");

@@ -57,9 +57,9 @@ pub static CACHE_MANAGER_TYPE: TypeInfo = TypeInfo {
 pub const OP_ATTACH: u32 = op_hash("attach");
 
 /// Coherence-protocol operation: register a callback door under a nonce.
-/// Served by [`CoherentHandler`] itself, never by the skeleton; an
-/// incoherent server never receives it (servants only speak the protocol
-/// when the marshalled form said the server is coherent).
+/// Served by the coherent export's door handler itself, never by the
+/// skeleton; an incoherent server never receives it (servants only speak
+/// the protocol when the marshalled form said the server is coherent).
 pub const OP_CACHE_REGISTER: u32 = op_hash("cache.register");
 
 /// Coherence-protocol operation: epoch-check RPC used to revalidate a lease.

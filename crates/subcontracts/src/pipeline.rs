@@ -5,7 +5,7 @@
 //! base-system changes. A pipeline object is wire-compatible with the
 //! other single-door subcontracts — one door identifier, the standard
 //! marshalled header — but besides the usual synchronous
-//! [`Subcontract::invoke`] it offers [`Pipeline::invoke_async`], which
+//! [`subcontract::Subcontract::invoke`] it offers [`Pipeline::invoke_async`], which
 //! returns a [`Promise`] immediately. One thread can therefore issue N
 //! calls before collecting any reply, and the network layer (which each
 //! call tells how many more are behind it, through

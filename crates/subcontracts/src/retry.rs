@@ -5,7 +5,7 @@
 //! communications error) — share one attempt-budget discipline here. An
 //! [`Invocation`] names one *logical* call: it allocates the nonce every
 //! attempt is stamped with (so the server's reply cache can deduplicate,
-//! see [`crate::dedup`]), fixes the absolute deadline the whole invocation
+//! see [`subcontract::ReplyCache`]), fixes the absolute deadline the whole invocation
 //! must finish by, and paces retries with exponentially growing, jittered
 //! sleeps so a herd of retrying clients does not hammer a recovering
 //! server in lockstep.

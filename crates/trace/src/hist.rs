@@ -7,7 +7,7 @@
 //! relative error of `1/SUB_BUCKETS` (6.25%) instead of the old pure-log2
 //! factor of two. Values below [`SUB_BUCKETS`]² are recorded exactly.
 //! Histograms are keyed by `(key, op)` where `key` is a subcontract
-//! identifier ([`ScId::raw`]-style 64-bit hash) or a kernel door token, and
+//! identifier (`ScId::raw`-style 64-bit hash) or a kernel door token, and
 //! `op` is the operation name (`"marshal"`, `"unmarshal"`, `"invoke"`,
 //! `"door_call"`, `"openloop.call"`, ...). The two key spaces share one
 //! registry; the op string keeps them apart.
