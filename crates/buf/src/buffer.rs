@@ -8,31 +8,6 @@ use spring_trace::TraceCtx;
 
 use crate::error::BufError;
 
-/// Backing store for a buffer's byte stream.
-enum Backing {
-    /// Ordinary heap memory, copied by the kernel on transmission.
-    Heap(Vec<u8>),
-    /// A mapped shared-memory region; bytes written here are visible to the
-    /// server without a kernel copy.
-    Shm(MappedShm),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Heap(v) => v,
-            Backing::Shm(m) => m,
-        }
-    }
-
-    fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        match self {
-            Backing::Heap(v) => v,
-            Backing::Shm(m) => &mut *m,
-        }
-    }
-}
-
 /// A marshalling buffer: an aligned byte stream plus a capability vector.
 ///
 /// Values are written with `put_*` methods and read back in the same order
@@ -43,7 +18,15 @@ impl Backing {
 /// object container — exactly as in the paper, where subcontract operations
 /// all traffic in "communication buffers".
 pub struct CommBuffer {
-    backing: Backing,
+    /// The byte stream, wherever it lives: one plain vector, so the put and
+    /// get paths never ask which backing they are on.
+    bytes: Vec<u8>,
+    /// `Some` while `bytes` is a mapped shared-memory region's storage (the
+    /// mapping then holds the set-aside heap vector in its place): bytes
+    /// written are visible to the server without a kernel copy. Every way
+    /// out of that state ([`CommBuffer::take_shm`], drop) swaps the storage
+    /// back before the mapping is released.
+    shm: Option<MappedShm>,
     /// Read cursor into the byte stream.
     rpos: usize,
     /// Out-of-band door identifiers, in slot order.
@@ -73,19 +56,15 @@ macro_rules! prim_impls {
     ($($put:ident, $get:ident, $ty:ty);* $(;)?) => {
         $(
             #[doc = concat!("Appends a `", stringify!($ty), "` (aligned, little-endian).")]
+            #[inline]
             pub fn $put(&mut self, v: $ty) {
-                self.align(std::mem::size_of::<$ty>());
-                self.backing.bytes_mut().extend_from_slice(&v.to_le_bytes());
+                self.put_aligned(v.to_le_bytes());
             }
 
             #[doc = concat!("Reads the next `", stringify!($ty), "`.")]
+            #[inline]
             pub fn $get(&mut self) -> Result<$ty, BufError> {
-                const N: usize = std::mem::size_of::<$ty>();
-                self.skip_align(N)?;
-                let raw = self.take(N)?;
-                let mut arr = [0u8; N];
-                arr.copy_from_slice(raw);
-                Ok(<$ty>::from_le_bytes(arr))
+                Ok(<$ty>::from_le_bytes(self.get_aligned()?))
             }
         )*
     };
@@ -95,7 +74,8 @@ impl CommBuffer {
     /// Creates an empty heap-backed buffer.
     pub fn new() -> Self {
         CommBuffer {
-            backing: Backing::Heap(Vec::new()),
+            bytes: Vec::new(),
+            shm: None,
             rpos: 0,
             caps: Vec::new(),
             consumed: Vec::new(),
@@ -107,7 +87,8 @@ impl CommBuffer {
     /// Creates an empty heap-backed buffer with reserved capacity.
     pub fn with_capacity(n: usize) -> Self {
         CommBuffer {
-            backing: Backing::Heap(Vec::with_capacity(n)),
+            bytes: Vec::with_capacity(n),
+            shm: None,
             rpos: 0,
             caps: Vec::new(),
             consumed: Vec::new(),
@@ -120,9 +101,11 @@ impl CommBuffer {
     /// per-thread buffer pool. Dropping any heap-backed buffer returns its
     /// backing to the pool, so the marshal → send → decode → drop cycle of
     /// a door call reuses the same allocations in steady state.
+    #[inline]
     pub fn pooled() -> Self {
         CommBuffer {
-            backing: Backing::Heap(pool::take(0)),
+            bytes: pool::take(0),
+            shm: None,
             rpos: 0,
             caps: Vec::new(),
             consumed: Vec::new(),
@@ -132,9 +115,11 @@ impl CommBuffer {
     }
 
     /// Wraps a received kernel message for decoding.
+    #[inline]
     pub fn from_message(msg: Message) -> Self {
         CommBuffer {
-            backing: Backing::Heap(msg.bytes),
+            bytes: msg.bytes,
+            shm: None,
             rpos: 0,
             caps: msg.doors,
             consumed: Vec::new(),
@@ -149,15 +134,17 @@ impl CommBuffer {
     ///
     /// Panics if the buffer was redirected to shared memory; use
     /// [`CommBuffer::take_shm`] on that path instead.
+    #[inline]
     pub fn into_message(mut self) -> Message {
-        match mem::replace(&mut self.backing, Backing::Heap(Vec::new())) {
-            Backing::Heap(bytes) => Message {
-                bytes,
-                doors: mem::take(&mut self.caps),
-                trace: self.trace,
-                call: self.call,
-            },
-            Backing::Shm(_) => panic!("shm-backed buffer cannot become a heap message"),
+        assert!(
+            self.shm.is_none(),
+            "shm-backed buffer cannot become a heap message"
+        );
+        Message {
+            bytes: mem::take(&mut self.bytes),
+            doors: mem::take(&mut self.caps),
+            trace: self.trace,
+            call: self.call,
         }
     }
 
@@ -167,38 +154,39 @@ impl CommBuffer {
     /// `invoke_preamble` runs before any argument marshalling, §5.1.4). The
     /// region's previous contents beyond the carried-over bytes are cleared.
     pub fn redirect_to_shm(&mut self, mut mapped: MappedShm) -> Result<(), BufError> {
-        match &mut self.backing {
-            Backing::Heap(v) => {
-                mapped.clear();
-                mapped.extend_from_slice(v);
-                self.backing = Backing::Shm(mapped);
-                Ok(())
-            }
-            Backing::Shm(_) => Err(BufError::WrongBacking),
+        if self.shm.is_some() {
+            return Err(BufError::WrongBacking);
         }
+        mapped.clear();
+        mapped.extend_from_slice(&self.bytes);
+        mem::swap(&mut self.bytes, &mut *mapped);
+        self.shm = Some(mapped);
+        Ok(())
+    }
+
+    /// Gives the region its storage back (taking the set-aside heap vector
+    /// in exchange) and returns the mapping, if there is one.
+    fn unmap(&mut self) -> Option<MappedShm> {
+        let mut mapped = self.shm.take()?;
+        mem::swap(&mut self.bytes, &mut *mapped);
+        Some(mapped)
     }
 
     /// Detaches the shared-memory mapping, returning it together with the
     /// number of marshalled bytes and the capability vector. Dropping the
     /// returned mapping publishes the bytes to the region.
     pub fn take_shm(mut self) -> Result<(MappedShm, usize, Vec<DoorId>), BufError> {
-        match mem::replace(&mut self.backing, Backing::Heap(Vec::new())) {
-            Backing::Shm(m) => {
-                let len = m.len();
-                Ok((m, len, mem::take(&mut self.caps)))
-            }
-            Backing::Heap(v) => {
-                self.backing = Backing::Heap(v);
-                Err(BufError::WrongBacking)
-            }
-        }
+        let mapped = self.unmap().ok_or(BufError::WrongBacking)?;
+        let len = mapped.len();
+        Ok((mapped, len, mem::take(&mut self.caps)))
     }
 
     /// Builds a decoding buffer over a mapped shared-memory region, with
     /// capabilities delivered out-of-band by the kernel message.
-    pub fn from_shm(mapped: MappedShm, caps: Vec<DoorId>) -> Self {
+    pub fn from_shm(mut mapped: MappedShm, caps: Vec<DoorId>) -> Self {
         CommBuffer {
-            backing: Backing::Shm(mapped),
+            bytes: mem::take(&mut *mapped),
+            shm: Some(mapped),
             rpos: 0,
             caps,
             consumed: Vec::new(),
@@ -231,22 +219,25 @@ impl CommBuffer {
 
     /// Returns true when the backing store is a shared-memory mapping.
     pub fn is_shm_backed(&self) -> bool {
-        matches!(self.backing, Backing::Shm(_))
+        self.shm.is_some()
     }
 
     /// Total bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.backing.bytes().len()
+        self.bytes.len()
     }
 
     /// Returns true when no bytes have been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.backing.bytes().is_empty()
+        self.bytes.is_empty()
     }
 
     /// Bytes not yet consumed by the read cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.len().saturating_sub(self.rpos)
+        self.bytes.len().saturating_sub(self.rpos)
     }
 
     /// Number of capability slots carried by this buffer.
@@ -254,36 +245,69 @@ impl CommBuffer {
         self.caps.len()
     }
 
-    fn align(&mut self, size: usize) {
-        let align = size.min(8);
-        let v = self.backing.bytes_mut();
-        let pad = (align - (v.len() % align)) % align;
-        v.resize(v.len() + pad, 0);
-    }
-
-    fn skip_align(&mut self, size: usize) -> Result<(), BufError> {
-        let align = size.min(8);
-        let pad = (align - (self.rpos % align)) % align;
-        if self.remaining() < pad {
-            return Err(BufError::OutOfData {
-                needed: pad,
-                remaining: self.remaining(),
-            });
+    /// Zero-fills the write position up to a multiple of `align` (a power
+    /// of two, at most 8).
+    #[inline]
+    fn align(&mut self, align: usize) {
+        let len = self.bytes.len();
+        let pad = len.wrapping_neg() & (align - 1);
+        if pad != 0 {
+            // A fixed-size store and a length adjustment rather than a
+            // `pad`-sized fill, which would compile to a `memset` call.
+            self.bytes.extend_from_slice(&[0; 8]);
+            self.bytes.truncate(len + pad);
         }
-        self.rpos += pad;
-        Ok(())
     }
 
+    /// Appends one primitive's `N` little-endian bytes at its natural
+    /// alignment (`N` is 1, 2, 4 or 8).
+    #[inline]
+    fn put_aligned<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.align(N);
+        self.bytes.extend_from_slice(&bytes);
+    }
+
+    /// Reads one primitive's `N` bytes from its natural alignment.
+    #[inline]
+    fn get_aligned<const N: usize>(&mut self) -> Result<[u8; N], BufError> {
+        let start = self.rpos + (self.rpos.wrapping_neg() & (N - 1));
+        match self.bytes.get(start..start + N) {
+            Some(raw) => {
+                self.rpos = start + N;
+                Ok(raw.try_into().expect("slice of N bytes"))
+            }
+            None => Err(self.short_read(N, N)),
+        }
+    }
+
+    /// The failed read of `n` bytes at alignment `align`, out of line so
+    /// that the readers inline as a bounds check and a load. What it leaves
+    /// behind is what reading in two steps would: a cursor that stops short
+    /// of padding it cannot skip, and otherwise sits after the padding.
+    #[cold]
+    #[inline(never)]
+    fn short_read(&mut self, align: usize, n: usize) -> BufError {
+        let pad = self.rpos.wrapping_neg() & (align - 1);
+        let needed = if self.remaining() < pad {
+            pad
+        } else {
+            self.rpos += pad;
+            n
+        };
+        BufError::OutOfData {
+            needed,
+            remaining: self.remaining(),
+        }
+    }
+
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&[u8], BufError> {
         if self.remaining() < n {
-            return Err(BufError::OutOfData {
-                needed: n,
-                remaining: self.remaining(),
-            });
+            return Err(self.short_read(1, n));
         }
         let start = self.rpos;
         self.rpos += n;
-        Ok(&self.backing.bytes()[start..start + n])
+        Ok(&self.bytes[start..start + n])
     }
 
     /// Pads the write position to an 8-byte boundary (zero fill).
@@ -292,14 +316,21 @@ impl CommBuffer {
     /// buffer offset so that the per-type constant field offsets computed by
     /// the IDL compiler — which are relative to the frame start — coincide
     /// with the absolute padding the aligned `put_*` methods insert.
+    #[inline]
     pub fn align8(&mut self) {
         self.align(8);
     }
 
     /// Pads the read cursor to an 8-byte boundary, mirroring
     /// [`CommBuffer::align8`].
+    #[inline]
     pub fn skip_align8(&mut self) -> Result<(), BufError> {
-        self.skip_align(8)
+        let pad = self.rpos.wrapping_neg() & 7;
+        if self.remaining() < pad {
+            return Err(self.short_read(8, 0));
+        }
+        self.rpos += pad;
+        Ok(())
     }
 
     /// Aligns the read cursor to 8 bytes and consumes *all* remaining bytes,
@@ -308,8 +339,9 @@ impl CommBuffer {
     ///
     /// The caller validates the slice against a type's footprint and then
     /// reads fields in place; no payload bytes are copied out of the buffer.
+    #[inline]
     pub fn flat_remaining(&mut self) -> Result<&[u8], BufError> {
-        self.skip_align(8)?;
+        self.skip_align8()?;
         // Pooled and shm backings are 8-byte aligned (see
         // `spring_kernel::pool::PAYLOAD_ALIGN`), so an 8-aligned cursor means
         // the frame itself starts on an 8-byte address boundary. Flat reads
@@ -317,10 +349,9 @@ impl CommBuffer {
         // invariant is what makes whole-frame casts sound, so check it.
         #[cfg(debug_assertions)]
         {
-            let bytes = self.backing.bytes();
-            if !bytes.is_empty() {
+            if !self.bytes.is_empty() {
                 debug_assert_eq!(
-                    bytes.as_ptr() as usize % crate::flat::FLAT_ALIGN,
+                    self.bytes.as_ptr() as usize % crate::flat::FLAT_ALIGN,
                     0,
                     "buffer backing lost its 8-byte alignment guarantee"
                 );
@@ -342,31 +373,37 @@ impl CommBuffer {
     }
 
     /// Appends an `f32`.
+    #[inline]
     pub fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
     }
 
     /// Reads the next `f32`.
+    #[inline]
     pub fn get_f32(&mut self) -> Result<f32, BufError> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
     /// Appends an `f64`.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Reads the next `f64`.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, BufError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Appends a boolean as a single byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
     /// Reads the next boolean, rejecting bytes other than 0 or 1.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, BufError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -378,7 +415,7 @@ impl CommBuffer {
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_string(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
-        self.backing.bytes_mut().extend_from_slice(s.as_bytes());
+        self.bytes.extend_from_slice(s.as_bytes());
     }
 
     /// Reads the next length-prefixed UTF-8 string.
@@ -400,7 +437,7 @@ impl CommBuffer {
     /// Appends a length-prefixed byte sequence (IDL `sequence<octet>`).
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_u32(b.len() as u32);
-        self.backing.bytes_mut().extend_from_slice(b);
+        self.bytes.extend_from_slice(b);
     }
 
     /// Reads the next length-prefixed byte sequence.
@@ -419,7 +456,7 @@ impl CommBuffer {
 
     /// Appends raw bytes with no length prefix (caller manages framing).
     pub fn put_raw(&mut self, b: &[u8]) {
-        self.backing.bytes_mut().extend_from_slice(b);
+        self.bytes.extend_from_slice(b);
     }
 
     /// Reads `n` raw bytes with no length prefix.
@@ -489,7 +526,7 @@ impl CommBuffer {
     pub fn peek_u64(&self) -> Result<u64, BufError> {
         let align_pad = (8 - (self.rpos % 8)) % 8;
         let start = self.rpos + align_pad;
-        let bytes = self.backing.bytes();
+        let bytes = &self.bytes;
         if start + 8 > bytes.len() {
             return Err(BufError::OutOfData {
                 needed: align_pad + 8,
@@ -505,7 +542,7 @@ impl CommBuffer {
     pub fn peek_u32(&self) -> Result<u32, BufError> {
         let align_pad = (4 - (self.rpos % 4)) % 4;
         let start = self.rpos + align_pad;
-        let bytes = self.backing.bytes();
+        let bytes = &self.bytes;
         if start + 4 > bytes.len() {
             return Err(BufError::OutOfData {
                 needed: align_pad + 4,
@@ -537,13 +574,15 @@ impl CommBuffer {
 }
 
 impl Drop for CommBuffer {
+    #[inline]
     fn drop(&mut self) {
-        // Return the heap backing to the per-thread pool. `into_message` and
-        // `take_shm` leave an empty (capacity 0) vector behind, which the
-        // pool ignores.
-        if let Backing::Heap(v) = mem::replace(&mut self.backing, Backing::Heap(Vec::new())) {
-            pool::give(v);
+        if self.shm.is_some() {
+            // Dropping the mapping publishes the region's bytes.
+            drop(self.unmap());
         }
+        // Return the heap vector to the per-thread pool. `into_message`
+        // leaves an empty (capacity 0) one behind, which the pool ignores.
+        pool::give(mem::take(&mut self.bytes));
     }
 }
 

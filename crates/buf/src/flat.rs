@@ -22,7 +22,8 @@
 //! agree and offsets are compile-time constants.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use spring_kernel::tally::{Slot, Tally};
 
 /// Flat frames start at buffer offsets aligned to this many bytes.
 pub const FLAT_ALIGN: usize = 8;
@@ -184,22 +185,29 @@ pub fn get_bool(bytes: &[u8], offset: usize) -> bool {
 }
 
 /// Payload bytes copied out of buffers by the *copying* decode path
-/// (`get_bytes`, `get_string`, `get_raw`), process-wide.
+/// (`get_bytes`, `get_string`, `get_raw`).
 ///
-/// The flat path's whole point is that this counter does not move: tests
-/// proving "zero payload copies" diff it around a call sequence. Like the
-/// pool counters it is a process-wide atomic, so diffs are only meaningful
-/// on a single thread with nothing else running.
-static DECODE_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
+/// The flat path's whole point is that this count does not move: tests
+/// proving "zero payload copies" diff it around a call sequence. It is kept
+/// like the pool's counts (`spring_kernel::pool`, *Counter scope*): each
+/// decoding thread bumps cells of its own, the reader sums all threads', so
+/// a diff is only meaningful with nothing else decoding in the process.
+static DECODE_BYTES_COPIED: Tally<1> = Tally::new();
+
+thread_local! {
+    static DECODED_HERE: Slot<1> = DECODE_BYTES_COPIED.register();
+}
 
 #[inline]
 pub(crate) fn note_decode_copy(n: usize) {
-    DECODE_BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);
+    // A decode that runs while its thread's locals are being torn down goes
+    // uncounted rather than panicking.
+    let _ = DECODED_HERE.try_with(|here| here.add(0, n as u64));
 }
 
 /// Process-wide count of payload bytes copied by owned decoders since start.
 pub fn decode_bytes_copied() -> u64 {
-    DECODE_BYTES_COPIED.load(Ordering::Relaxed)
+    DECODE_BYTES_COPIED.read()[0]
 }
 
 #[cfg(test)]

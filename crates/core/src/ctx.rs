@@ -52,6 +52,7 @@ impl DomainCtx {
     }
 
     /// The kernel domain this context belongs to.
+    #[inline]
     pub fn domain(&self) -> &Domain {
         &self.domain
     }

@@ -24,6 +24,45 @@ struct ObjInner {
     repr: Repr,
 }
 
+impl ObjInner {
+    /// Takes the object apart for an operation that destroys it.
+    fn into_parts(self) -> (Arc<DomainCtx>, Arc<dyn Subcontract>, ObjParts) {
+        (
+            self.ctx,
+            self.sc,
+            ObjParts {
+                type_info: self.type_info,
+                type_name: self.type_name,
+                repr: self.repr,
+            },
+        )
+    }
+}
+
+/// Runs one subcontract chokepoint of an object of `sc` in `ctx`. With
+/// tracing enabled it records one latency sample keyed by `(subcontract id,
+/// key)` — the per-subcontract histograms every mechanism shares — and marks
+/// the span failed on an error. The flag is tested before the span's
+/// arguments are evaluated (a virtual `id()` call and two pointer chases), so
+/// with tracing off a chokepoint costs one relaxed load, as a door call does.
+#[inline]
+fn spanned<T>(
+    ctx: &DomainCtx,
+    sc: &dyn Subcontract,
+    key: &'static str,
+    op: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    if !spring_trace::enabled() {
+        return op();
+    }
+    let mut span = spring_trace::span_start(key, ctx.domain().trace_scope(), sc.id().raw());
+    let result = op();
+    if result.is_err() {
+        span.fail();
+    }
+    result
+}
+
 /// A Spring object as held by a client.
 ///
 /// Spring presents a model where "clients are operating directly on
@@ -100,11 +139,13 @@ impl SpringObj {
         }
     }
 
+    #[inline]
     fn inner(&self) -> &ObjInner {
         self.inner.as_ref().expect("object already consumed")
     }
 
     /// The domain context the object lives in.
+    #[inline]
     pub fn ctx(&self) -> &Arc<DomainCtx> {
         &self.inner().ctx
     }
@@ -126,6 +167,7 @@ impl SpringObj {
     }
 
     /// The object's representation.
+    #[inline]
     pub fn repr(&self) -> &Repr {
         &self.inner().repr
     }
@@ -163,6 +205,7 @@ impl SpringObj {
     /// `invoke_preamble` control point, then writes the operation number.
     /// The stubs marshal arguments into the returned buffer and pass it to
     /// [`SpringObj::invoke`].
+    #[inline]
     pub fn start_call(&self, op: u32) -> Result<CommBuffer> {
         let mut buf = CommBuffer::pooled();
         let inner = self.inner();
@@ -177,38 +220,18 @@ impl SpringObj {
     /// This and the other subcontract chokepoints below each record one
     /// latency sample keyed by `(subcontract id, operation)` when tracing is
     /// enabled — the per-subcontract histograms every mechanism shares.
+    #[inline]
     pub fn invoke(&self, call: CommBuffer) -> Result<CommBuffer> {
         let inner = self.inner();
-        let mut span = spring_trace::span_start(
-            "invoke",
-            inner.ctx.domain().trace_scope(),
-            inner.sc.id().raw(),
-        );
-        let result = inner.sc.invoke(self, call);
-        if result.is_err() {
-            span.fail();
-        }
-        result
+        spanned(&inner.ctx, &*inner.sc, "invoke", || {
+            inner.sc.invoke(self, call)
+        })
     }
 
     /// Transmits the object into `buf`, consuming it (§5.1.1).
-    pub fn marshal(mut self, buf: &mut CommBuffer) -> Result<()> {
-        let inner = self.inner.take().expect("object already consumed");
-        let mut span = spring_trace::span_start(
-            "marshal",
-            inner.ctx.domain().trace_scope(),
-            inner.sc.id().raw(),
-        );
-        let parts = ObjParts {
-            type_info: inner.type_info,
-            type_name: inner.type_name,
-            repr: inner.repr,
-        };
-        let result = inner.sc.marshal(&inner.ctx, parts, buf);
-        if result.is_err() {
-            span.fail();
-        }
-        result
+    pub fn marshal(self, buf: &mut CommBuffer) -> Result<()> {
+        let (ctx, sc, parts) = self.into_parts();
+        spanned(&ctx, &*sc, "marshal", || sc.marshal(&ctx, parts, buf))
     }
 
     /// Marshals a copy of the object, leaving this object intact (§5.1.5).
@@ -216,52 +239,22 @@ impl SpringObj {
     /// marshal flavours).
     pub fn marshal_copy(&self, buf: &mut CommBuffer) -> Result<()> {
         let inner = self.inner();
-        let mut span = spring_trace::span_start(
-            "marshal",
-            inner.ctx.domain().trace_scope(),
-            inner.sc.id().raw(),
-        );
-        let result = inner.sc.marshal_copy(self, buf);
-        if result.is_err() {
-            span.fail();
-        }
-        result
+        spanned(&inner.ctx, &*inner.sc, "marshal", || {
+            inner.sc.marshal_copy(self, buf)
+        })
     }
 
     /// Produces a second object sharing the same underlying state (§7).
     pub fn copy(&self) -> Result<SpringObj> {
         let inner = self.inner();
-        let mut span = spring_trace::span_start(
-            "copy",
-            inner.ctx.domain().trace_scope(),
-            inner.sc.id().raw(),
-        );
-        let result = inner.sc.copy(self);
-        if result.is_err() {
-            span.fail();
-        }
-        result
+        spanned(&inner.ctx, &*inner.sc, "copy", || inner.sc.copy(self))
     }
 
     /// Deletes the object explicitly, surfacing any error (dropping the
     /// object does the same but swallows failures).
-    pub fn consume(mut self) -> Result<()> {
-        let inner = self.inner.take().expect("object already consumed");
-        let mut span = spring_trace::span_start(
-            "consume",
-            inner.ctx.domain().trace_scope(),
-            inner.sc.id().raw(),
-        );
-        let parts = ObjParts {
-            type_info: inner.type_info,
-            type_name: inner.type_name,
-            repr: inner.repr,
-        };
-        let result = inner.sc.consume(&inner.ctx, parts);
-        if result.is_err() {
-            span.fail();
-        }
-        result
+    pub fn consume(self) -> Result<()> {
+        let (ctx, sc, parts) = self.into_parts();
+        spanned(&ctx, &*sc, "consume", || sc.consume(&ctx, parts))
     }
 
     /// Disassembles the object without running `consume`, for subcontract
@@ -269,34 +262,17 @@ impl SpringObj {
     /// example `marshal_copy` optimizations or object adoption).
     pub fn into_parts(mut self) -> (Arc<DomainCtx>, Arc<dyn Subcontract>, ObjParts) {
         let inner = self.inner.take().expect("object already consumed");
-        (
-            inner.ctx,
-            inner.sc,
-            ObjParts {
-                type_info: inner.type_info,
-                type_name: inner.type_name,
-                repr: inner.repr,
-            },
-        )
+        inner.into_parts()
     }
 }
 
 impl Drop for SpringObj {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            let _span = spring_trace::span_start(
-                "consume",
-                inner.ctx.domain().trace_scope(),
-                inner.sc.id().raw(),
-            );
-            let parts = ObjParts {
-                type_info: inner.type_info,
-                type_name: inner.type_name,
-                repr: inner.repr,
-            };
+            let (ctx, sc, parts) = inner.into_parts();
             // Deaths must reach the server even on implicit drop, but a
             // failed consume cannot be reported from a destructor.
-            let _ = inner.sc.consume(&inner.ctx, parts);
+            let _ = spanned(&ctx, &*sc, "consume", || sc.consume(&ctx, parts));
         }
     }
 }

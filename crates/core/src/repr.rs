@@ -37,6 +37,7 @@ impl Repr {
     /// Fails with [`SpringError::BadRepresentation`] when the representation
     /// was produced by a different subcontract — the composition bug the
     /// paper's conventions are designed to prevent.
+    #[inline]
     pub fn downcast<T: ReprState>(&self, sc_name: &'static str) -> Result<&T> {
         // Dispatch on the inner `dyn ReprState`, not on the `Box` (which
         // also satisfies the blanket impl and would report its own TypeId).

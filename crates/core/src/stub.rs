@@ -38,9 +38,18 @@ pub enum ReplyStatus {
 /// System-level failures are converted to `Err` directly; user exceptions
 /// are returned for the generated stub to decode, since only it knows the
 /// exception types its operation declares.
+#[inline]
 pub fn decode_reply_status(reply: &mut CommBuffer) -> Result<ReplyStatus> {
     match reply.get_u8()? {
         STATUS_OK => Ok(ReplyStatus::Ok),
+        other => decode_not_ok(other, reply),
+    }
+}
+
+/// Every status but success, out of line: an inlined
+/// [`decode_reply_status`] is the byte read and one compare.
+fn decode_not_ok(status: u8, reply: &mut CommBuffer) -> Result<ReplyStatus> {
+    match status {
         STATUS_USER_EXN => Ok(ReplyStatus::UserException(reply.get_string()?)),
         STATUS_SYSTEM => Err(SpringError::Remote(reply.get_string()?)),
         STATUS_UNKNOWN_OP => Err(SpringError::UnknownOp(reply.get_u32()?)),
@@ -52,6 +61,7 @@ pub fn decode_reply_status(reply: &mut CommBuffer) -> Result<ReplyStatus> {
 }
 
 /// Writes a success status; the skeleton marshals results afterwards.
+#[inline]
 pub fn encode_ok(reply: &mut CommBuffer) {
     reply.put_u8(STATUS_OK);
 }

@@ -62,6 +62,7 @@ pub mod pool;
 mod rng;
 mod shm;
 mod stats;
+pub mod tally;
 
 pub use callid::CallId;
 pub use domain::{CallCtx, Domain, DoorHandler};

@@ -9,21 +9,27 @@
 //! back, and `spring-buf`'s `CommBuffer` does the same for marshalling
 //! buffers. In steady state a null call performs zero payload allocations.
 //!
-//! The free list is thread-local, so `take`/`give` never contend on a lock.
+//! The free list is thread-local, so `take`/`give` never contend on a lock,
+//! and both are `#[inline]`: a buffer's `pooled`/`Drop` compile down to the
+//! free-list probe in the caller's own code (DESIGN.md §5.2).
 //!
 //! # Counter scope (footgun)
 //!
-//! Hit/miss counters are **process-wide** atomics, not per-kernel:
-//! `KernelStats::snapshot` surfaces them, but every kernel in the process
-//! reports the same pool numbers, and any test or benchmark running
-//! concurrently in the same process moves them. Code asserting on pool
-//! behaviour must either diff two snapshots taken on the same thread with
+//! Hits and misses are counted **per thread** (a [`Tally`]: the taking
+//! thread is the only writer of its cells, so a bump is a plain load and
+//! store), and [`counters`] sums every thread's, exited ones included. The
+//! sum is still **per process**, not per kernel: `KernelStats::snapshot`
+//! surfaces it, every kernel in the process reports the same pool numbers,
+//! and a test that diffs two snapshots is disturbed by any test running
+//! concurrently in the same process — whichever thread that one runs on.
+//! Code asserting on pool behaviour must either diff two snapshots with
 //! nothing else running (what the benchmark harness does), or call
 //! [`reset_counters`] first and accept that it zeroes the counts for every
 //! observer at once.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::tally::{Slot, Tally};
 
 /// Minimum address alignment of every pooled backing's payload region.
 ///
@@ -42,16 +48,30 @@ const MAX_POOLED: usize = 32;
 /// payload does not pin a megabyte per thread forever.
 const MAX_RETAINED_CAPACITY: usize = 1 << 20;
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Cell indices into [`COUNTS`].
+const HIT: usize = 0;
+const MISS: usize = 1;
+
+static COUNTS: Tally<2> = Tally::new();
+
+/// What a thread owns of the pool: its free list and its cells of
+/// [`COUNTS`], behind one thread-local access per `take`/`give`.
+struct Local {
+    free: RefCell<Vec<Vec<u8>>>,
+    counts: Slot<2>,
+}
 
 thread_local! {
-    static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: Local = Local {
+        free: RefCell::new(Vec::new()),
+        counts: COUNTS.register(),
+    };
 }
 
 /// True when a backing satisfies [`PAYLOAD_ALIGN`]. Capacity-0 vectors hold
 /// no storage (their pointer is a dangling sentinel), so they are vacuously
 /// aligned.
+#[inline]
 fn is_aligned(v: &Vec<u8>) -> bool {
     v.capacity() == 0 || (v.as_ptr() as usize).is_multiple_of(PAYLOAD_ALIGN)
 }
@@ -59,7 +79,10 @@ fn is_aligned(v: &Vec<u8>) -> bool {
 /// Allocates a fresh backing with [`PAYLOAD_ALIGN`]ed storage. The global
 /// allocator already aligns to at least 8 on every supported target; the
 /// retry loop turns that practical fact into a checked guarantee without
-/// resorting to a custom allocator.
+/// resorting to a custom allocator. The miss path: kept out of line so an
+/// inlined [`take`] is only the free-list probe.
+#[cold]
+#[inline(never)]
 fn alloc_aligned(min_capacity: usize) -> Vec<u8> {
     let mut parked = Vec::new();
     for _ in 0..8 {
@@ -78,44 +101,49 @@ fn alloc_aligned(min_capacity: usize) -> Vec<u8> {
 /// Takes an empty byte vector with at least `min_capacity` spare capacity,
 /// reusing a pooled backing when one is large enough. The result's storage
 /// (when it has any) is [`PAYLOAD_ALIGN`]-byte aligned.
+#[inline]
 pub fn take(min_capacity: usize) -> Vec<u8> {
-    let reused = FREE.with(|free| {
-        let mut free = free.borrow_mut();
-        // Best fit: the smallest adequate backing. Taking any adequate one
-        // lets a tiny request steal a large backing and starve the next
-        // large request into a miss.
-        let (idx, _) = free
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.capacity() >= min_capacity)
-            .min_by_key(|(_, v)| v.capacity())?;
-        Some(free.swap_remove(idx))
-    });
-    match reused {
-        Some(v) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(v.is_empty());
-            debug_assert!(is_aligned(&v), "pool retained a misaligned backing");
-            v
+    LOCAL.with(|local| {
+        let reused = {
+            let mut free = local.free.borrow_mut();
+            // Best fit: the smallest adequate backing. Taking any adequate
+            // one lets a tiny request steal a large backing and starve the
+            // next large request into a miss.
+            let best = free
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.capacity() >= min_capacity)
+                .min_by_key(|(_, v)| v.capacity())
+                .map(|(idx, _)| idx);
+            best.map(|idx| free.swap_remove(idx))
+        };
+        match reused {
+            Some(v) => {
+                local.counts.add(HIT, 1);
+                debug_assert!(v.is_empty());
+                debug_assert!(is_aligned(&v), "pool retained a misaligned backing");
+                v
+            }
+            None => {
+                local.counts.add(MISS, 1);
+                alloc_aligned(min_capacity)
+            }
         }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            alloc_aligned(min_capacity)
-        }
-    }
+    })
 }
 
 /// Returns a no-longer-needed byte vector to the current thread's pool.
 ///
 /// Zero-capacity vectors (nothing to reuse), oversized ones, and any that
 /// lost the [`PAYLOAD_ALIGN`] guarantee are dropped.
+#[inline]
 pub fn give(mut v: Vec<u8>) {
     if v.capacity() == 0 || v.capacity() > MAX_RETAINED_CAPACITY || !is_aligned(&v) {
         return;
     }
     v.clear();
-    FREE.with(|free| {
-        let mut free = free.borrow_mut();
+    LOCAL.with(|local| {
+        let mut free = local.free.borrow_mut();
         if free.len() < MAX_POOLED {
             free.push(v);
         }
@@ -132,11 +160,13 @@ pub struct Counters {
     pub misses: u64,
 }
 
-/// Reads the process-wide hit/miss counts.
+/// Reads the process-wide hit/miss counts: the sum over every thread that
+/// ever took from its pool.
 pub fn counters() -> Counters {
+    let counts = COUNTS.read();
     Counters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
+        hits: counts[HIT],
+        misses: counts[MISS],
     }
 }
 
@@ -147,8 +177,7 @@ pub fn counters() -> Counters {
 /// single-threaded measurement section, not in library code. The pooled
 /// backings themselves are untouched (each thread keeps its free list).
 pub fn reset_counters() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    COUNTS.reset();
 }
 
 #[cfg(test)]

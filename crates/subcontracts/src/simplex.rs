@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorError, DoorId};
 use subcontract::{
@@ -40,51 +39,28 @@ fn control(call: &mut Call<'_>, disp: &dyn Dispatch) -> std::result::Result<(), 
     call.dispatch(disp)
 }
 
-/// Client representation: a remote door, or the local fast path.
-enum SimplexState {
+/// Client representation: a remote door, or the local fast path. No
+/// operation changes it in place — `invoke`, `copy` and `revoke` read it,
+/// `marshal` and `consume` own it — so it sits behind no lock.
+enum SimplexRepr {
     /// The common case: the server is reached through a door.
     Remote(DoorId),
     /// Same-address-space fast path: calls go straight to the dispatcher; a
-    /// door is created lazily on first marshal.
-    Local {
-        disp: Arc<dyn Dispatch>,
-        door: Option<DoorId>,
-    },
+    /// door is created if the object is marshalled, which consumes it.
+    Local(Arc<dyn Dispatch>),
 }
 
-#[derive(Debug)]
-struct SimplexReprInner {
-    state: SimplexState,
-}
+/// Objects cross threads, so their representation must.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<SimplexRepr>();
+};
 
-#[derive(Debug)]
-struct SimplexRepr {
-    inner: Mutex<SimplexReprInner>,
-}
-
-impl SimplexRepr {
-    fn remote(door: DoorId) -> Self {
-        SimplexRepr {
-            inner: Mutex::new(SimplexReprInner {
-                state: SimplexState::Remote(door),
-            }),
-        }
-    }
-
-    /// The door identifier, when the object is in the remote state.
-    fn remote_door(&self) -> Option<DoorId> {
-        match &self.inner.lock().state {
-            SimplexState::Remote(d) => Some(*d),
-            SimplexState::Local { door, .. } => *door,
-        }
-    }
-}
-
-impl std::fmt::Debug for SimplexState {
+impl std::fmt::Debug for SimplexRepr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimplexState::Remote(d) => write!(f, "Remote({d:?})"),
-            SimplexState::Local { door, .. } => write!(f, "Local(door: {door:?})"),
+            SimplexRepr::Remote(d) => write!(f, "Remote({d:?})"),
+            SimplexRepr::Local(_) => write!(f, "Local"),
         }
     }
 }
@@ -112,11 +88,7 @@ impl Simplex {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SimplexRepr {
-                inner: Mutex::new(SimplexReprInner {
-                    state: SimplexState::Local { disp, door: None },
-                }),
-            }),
+            Repr::new(SimplexRepr::Local(disp)),
         ))
     }
 
@@ -143,32 +115,19 @@ impl Subcontract for Simplex {
     }
 
     fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<SimplexRepr>(self.name())?;
-        // Decide the path under the lock, but run remote calls outside it.
-        enum Path {
-            Remote(DoorId),
-            Local(Arc<dyn Dispatch>),
-        }
-        let path = {
-            let inner = repr.inner.lock();
-            match &inner.state {
-                SimplexState::Remote(d) => Path::Remote(*d),
-                SimplexState::Local { disp, .. } => Path::Local(disp.clone()),
-            }
-        };
         let ctx = obj.ctx();
-        let reply = match path {
-            Path::Remote(door) => ctx.domain().call(door, call.into_message())?,
+        let reply = match obj.repr().downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(door) => ctx.domain().call(*door, call.into_message())?,
             // The same-address-space optimized invocation: the serve path
             // without the kernel. The buffer was built by our own
             // invoke_preamble, so the read cursor sits at the control byte.
-            Path::Local(disp) => serve(
+            SimplexRepr::Local(disp) => serve(
                 ctx,
                 SERVE_SPAN,
                 Self::ID,
                 ctx.domain().id(),
                 call.into_message(),
-                &|call| control(call, &*disp),
+                &|call| control(call, &**disp),
             )?,
         };
         let mut reply = CommBuffer::from_message(reply);
@@ -177,18 +136,13 @@ impl Subcontract for Simplex {
     }
 
     fn marshal(&self, ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<SimplexRepr>(self.name())?;
-        let inner = repr.inner.into_inner();
-        let door = match inner.state {
-            SimplexState::Remote(d) => d,
+        let door = match *parts.repr.into_downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(d) => d,
             // First transmission of a local object: create the
             // cross-domain resources now (§5.2.1: "When and if the object is
             // actually marshalled ... the subcontract will finally create
             // these resources").
-            SimplexState::Local { disp, door } => match door {
-                Some(d) => d,
-                None => Self::create_server_door(ctx, disp)?,
-            },
+            SimplexRepr::Local(disp) => Self::create_server_door(ctx, disp)?,
         };
         put_obj_header(buf, Self::ID, &parts.type_name);
         buf.put_door(door);
@@ -207,36 +161,25 @@ impl Subcontract for Simplex {
             expected,
             buf,
             |buf| Landed::take(ctx.domain(), buf),
-            |door, _| Ok(Repr::new(SimplexRepr::remote(door.keep()))),
+            |door, _| Ok(Repr::new(SimplexRepr::Remote(door.keep()))),
         )
     }
 
     fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<SimplexRepr>(self.name())?;
-        let new_state = {
-            let inner = repr.inner.lock();
-            match &inner.state {
-                SimplexState::Remote(d) => SimplexState::Remote(obj.ctx().domain().copy_door(*d)?),
-                // A copy of a local object shares the dispatcher (shallow
-                // copy: same underlying state); it grows its own door if it
-                // is ever marshalled.
-                SimplexState::Local { disp, .. } => SimplexState::Local {
-                    disp: disp.clone(),
-                    door: None,
-                },
-            }
+        let copy = match obj.repr().downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(d) => SimplexRepr::Remote(obj.ctx().domain().copy_door(*d)?),
+            // A copy of a local object shares the dispatcher (shallow copy:
+            // same underlying state); it grows its own door if it is ever
+            // marshalled.
+            SimplexRepr::Local(disp) => SimplexRepr::Local(disp.clone()),
         };
-        Ok(obj.assemble_like(Repr::new(SimplexRepr {
-            inner: Mutex::new(SimplexReprInner { state: new_state }),
-        })))
+        Ok(obj.assemble_like(Repr::new(copy)))
     }
 
     fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<SimplexRepr>(self.name())?;
-        match repr.inner.into_inner().state {
-            SimplexState::Remote(d) => ctx.domain().delete_door(d)?,
-            SimplexState::Local { door: Some(d), .. } => ctx.domain().delete_door(d)?,
-            SimplexState::Local { door: None, .. } => {}
+        match *parts.repr.into_downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(d) => ctx.domain().delete_door(d)?,
+            SimplexRepr::Local(_) => {}
         }
         Ok(())
     }
@@ -251,18 +194,17 @@ impl ServerSubcontract for Simplex {
             ctx.clone(),
             type_info,
             ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SimplexRepr::remote(door)),
+            Repr::new(SimplexRepr::Remote(door)),
         ))
     }
 
     fn revoke(&self, obj: &SpringObj) -> Result<()> {
-        let repr = obj.repr().downcast::<SimplexRepr>(self.name())?;
-        match repr.remote_door() {
-            Some(d) => {
-                obj.ctx().domain().revoke_door(d)?;
+        match obj.repr().downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(d) => {
+                obj.ctx().domain().revoke_door(*d)?;
                 Ok(())
             }
-            None => Err(subcontract::SpringError::Unsupported(
+            SimplexRepr::Local(_) => Err(subcontract::SpringError::Unsupported(
                 "cannot revoke a local object that has no door yet",
             )),
         }
