@@ -93,7 +93,7 @@ impl DoorHandler for PeerServant {
                 }
             }
             OP_MAKE_DOOR => {
-                let fresh = ctx.server.create_door(Arc::new(Echo))?;
+                let fresh = ctx.server().create_door(Arc::new(Echo))?;
                 Ok(Message {
                     doors: vec![fresh],
                     ..Message::default()

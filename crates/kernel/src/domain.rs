@@ -12,16 +12,13 @@ use crate::message::Message;
 /// Context passed to a [`DoorHandler`] for each incoming call.
 ///
 /// Spring door calls shuttle the caller's thread into the serving domain;
-/// the context tells the handler which domain it is logically executing in
-/// (so it can perform kernel operations on that domain's behalf) and which
-/// domain issued the call.
-pub struct CallCtx {
+/// the context tells the handler which domain issued the call and lends it
+/// the domain it is logically executing in ([`CallCtx::server`]). It
+/// borrows from the kernel and the door for the length of the call, so
+/// building one writes no reference count.
+pub struct CallCtx<'a> {
     /// The domain that issued the call.
     pub caller: DomainId,
-    /// The domain serving the door; door identifiers in the incoming message
-    /// are owned by this domain, and identifiers placed in the reply must be
-    /// owned by it too.
-    pub server: Domain,
     /// The caller wants no answer ([`Domain::call_one_way`]): a handler that
     /// forwards the call elsewhere may skip fetching the reply and return
     /// an empty message. A handler that ignores this replies as usual.
@@ -33,6 +30,18 @@ pub struct CallCtx {
     /// and send them together. Zero — every plain call — means nothing
     /// else is coming.
     pub company: u32,
+    pub(crate) kernel: &'a Kernel,
+    pub(crate) server: &'a Arc<DomainState>,
+}
+
+impl CallCtx<'_> {
+    /// A handle on the domain serving the door, for a handler that performs
+    /// kernel operations on its behalf: door identifiers in the incoming
+    /// message are owned by this domain, and identifiers placed in the
+    /// reply must be owned by it too.
+    pub fn server(&self) -> Domain {
+        Domain::new(self.kernel.clone(), Arc::clone(self.server))
+    }
 }
 
 /// The target of a door: server-side code invoked for each call.

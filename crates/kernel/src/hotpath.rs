@@ -5,8 +5,8 @@
 //! benchmark harness and the stats door read hardware-independent numbers
 //! from, and the socket layer (in `spring-net`) cannot reach into a
 //! specific kernel's `KernelStats` — a link serves whatever kernels its
-//! node hosts. Like the pool counters they are process-global, so every
-//! kernel's snapshot reports the same values.
+//! node hosts. Like the pool counters they are one process-wide
+//! [`Tally`], so every kernel's snapshot reports the same values.
 //!
 //! The counters follow the call-socket mechanism (DESIGN.md §5.15):
 //!
@@ -18,31 +18,44 @@
 //! * [`count_oneway_frame`] — a reply-less `KIND_ONEWAY` frame was shipped
 //!   (one crossing, no reply read).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::tally::{Slot, Tally};
 
-static FASTPATH_SENDS: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_SPAWNED: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_REAPED: AtomicU64 = AtomicU64::new(0);
-static ONEWAY_FRAMES: AtomicU64 = AtomicU64::new(0);
+/// Cell indices into [`COUNTS`].
+const FASTPATH_SENDS: usize = 0;
+const DISPATCH_SPAWNED: usize = 1;
+const DISPATCH_REAPED: usize = 2;
+const ONEWAY_FRAMES: usize = 3;
+
+/// Kept like the pool's counts (`crate::pool`, *Counter scope*): each
+/// thread bumps cells of its own, [`counters`] sums all threads'.
+static COUNTS: Tally<4> = Tally::new();
+
+thread_local! {
+    static MINE: Slot<4> = COUNTS.register();
+}
+
+fn count(event: usize) {
+    MINE.with(|mine| mine.add(event, 1));
+}
 
 /// Records a frame written to a call socket by the thread that produced it.
 pub fn count_fastpath_send() {
-    FASTPATH_SENDS.fetch_add(1, Ordering::Relaxed);
+    count(FASTPATH_SENDS);
 }
 
 /// Records a serving thread starting on a call socket.
 pub fn count_dispatch_spawned() {
-    DISPATCH_SPAWNED.fetch_add(1, Ordering::Relaxed);
+    count(DISPATCH_SPAWNED);
 }
 
 /// Records a serving thread ending (its socket closed or its link died).
 pub fn count_dispatch_reaped() {
-    DISPATCH_REAPED.fetch_add(1, Ordering::Relaxed);
+    count(DISPATCH_REAPED);
 }
 
 /// Records a reply-less one-way frame shipped on the wire.
 pub fn count_oneway_frame() {
-    ONEWAY_FRAMES.fetch_add(1, Ordering::Relaxed);
+    count(ONEWAY_FRAMES);
 }
 
 /// Point-in-time values of every hot-path counter, under the names
@@ -57,11 +70,12 @@ pub struct Counters {
 
 /// Reads every hot-path counter.
 pub fn counters() -> Counters {
+    let counts = COUNTS.read();
     Counters {
-        fastpath_sends: FASTPATH_SENDS.load(Ordering::Relaxed),
-        dispatch_pool_spawned: DISPATCH_SPAWNED.load(Ordering::Relaxed),
-        dispatch_pool_reaped: DISPATCH_REAPED.load(Ordering::Relaxed),
-        oneway_frames: ONEWAY_FRAMES.load(Ordering::Relaxed),
+        fastpath_sends: counts[FASTPATH_SENDS],
+        dispatch_pool_spawned: counts[DISPATCH_SPAWNED],
+        dispatch_pool_reaped: counts[DISPATCH_REAPED],
+        oneway_frames: counts[ONEWAY_FRAMES],
     }
 }
 

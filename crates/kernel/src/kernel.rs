@@ -29,7 +29,9 @@
 //!    callbacks.
 //!
 //! A null call (no identifiers in the message) therefore takes exactly one
-//! lock — the caller's door table — for one lookup and one `Arc` clone.
+//! lock — the caller's door table — for one lookup and one `Arc` clone, and
+//! writes no other shared line: its counts go to the calling thread's own
+//! cells ([`crate::tally`]) and its [`CallCtx`] borrows what it names.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -45,7 +47,7 @@ use crate::id::{DomainId, DoorId, IdMap, NodeId, ShmId};
 use crate::message::Message;
 use crate::pool;
 use crate::shm::ShmRegion;
-use crate::stats::{KernelStats, StatsSnapshot};
+use crate::stats::{Count, KernelStats, StatsSnapshot};
 
 static NEXT_NODE: AtomicU64 = AtomicU64::new(1);
 
@@ -102,7 +104,7 @@ impl Inner {
         match ds.table.try_lock() {
             Some(g) => g,
             None => {
-                self.stats.table_lock_waits.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Count::table_lock_waits, 1);
                 ds.table.lock()
             }
         }
@@ -113,7 +115,7 @@ impl Inner {
         match self.registry.try_lock() {
             Some(g) => g,
             None => {
-                self.stats.shard_lock_waits.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Count::shard_lock_waits, 1);
                 self.registry.lock()
             }
         }
@@ -353,11 +355,8 @@ impl Kernel {
                 return Err(DoorError::DomainDead);
             }
         }
-        self.inner
-            .stats
-            .doors_created
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.ids_issued.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::doors_created, 1);
+        self.inner.stats.add(Count::ids_issued, 1);
         Ok(DoorId {
             owner: domain.id,
             slot,
@@ -380,7 +379,7 @@ impl Kernel {
             door.refs.fetch_add(1, Ordering::Relaxed);
             table.insert(slot, door);
         }
-        self.inner.stats.ids_issued.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::ids_issued, 1);
         Ok(DoorId {
             owner: domain.id,
             slot,
@@ -416,10 +415,7 @@ impl Kernel {
             let door = tables.src_tab().remove(&id.slot).expect("checked above");
             tables.dst_tab().insert(slot, door);
         }
-        self.inner
-            .stats
-            .ids_transferred
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::ids_transferred, 1);
         Ok(DoorId { owner: to.id, slot })
     }
 
@@ -434,7 +430,7 @@ impl Kernel {
             }
             table.remove(&id.slot).ok_or(DoorError::InvalidDoor)?
         };
-        self.inner.stats.ids_deleted.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::ids_deleted, 1);
         self.drop_ref(door);
         Ok(())
     }
@@ -449,10 +445,7 @@ impl Kernel {
             return;
         }
         self.inner.lock_registry().remove(&door.token);
-        self.inner
-            .stats
-            .unref_notifications
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::unref_notifications, 1);
         // A handler panic during cleanup must not take down the caller.
         let _ = catch_unwind(AssertUnwindSafe(|| door.handler.unreferenced()));
     }
@@ -463,7 +456,7 @@ impl Kernel {
             return Err(DoorError::NotPermitted);
         }
         door.revoked.store(true, Ordering::Relaxed);
-        self.inner.stats.revocations.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::revocations, 1);
         Ok(())
     }
 
@@ -507,14 +500,8 @@ impl Kernel {
                 .filter(|d| d.server.id == domain.id && !d.revoked.swap(true, Ordering::Relaxed))
                 .count()
         };
-        self.inner
-            .stats
-            .revocations
-            .fetch_add(revoked as u64, Ordering::Relaxed);
-        self.inner
-            .stats
-            .ids_deleted
-            .fetch_add(owned.len() as u64, Ordering::Relaxed);
+        self.inner.stats.add(Count::revocations, revoked as u64);
+        self.inner.stats.add(Count::ids_deleted, owned.len() as u64);
         for door in owned {
             self.drop_ref(door);
         }
@@ -536,7 +523,7 @@ impl Kernel {
             return Err(DoorError::Revoked);
         }
 
-        self.inner.stats.door_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Count::door_calls, 1);
 
         // The traced variant lives in a cold out-of-line function so the
         // default path pays exactly one relaxed load for tracing — no span
@@ -561,9 +548,10 @@ impl Kernel {
         let delivered = self.translate(caller, &door.server, msg)?;
         let ctx = CallCtx {
             caller: caller.id,
-            server: Domain::new(self.clone(), Arc::clone(&door.server)),
             one_way,
             company,
+            kernel: self,
+            server: &door.server,
         };
         let reply = match catch_unwind(AssertUnwindSafe(|| door.handler.invoke(&ctx, delivered))) {
             Ok(result) => result?,
@@ -632,10 +620,7 @@ impl Kernel {
             // the boundary moves no bytes — the ownership transfer of the
             // backing is the delivery. Door identifiers still go through
             // slot translation below so capability accounting stays exact.
-            self.inner
-                .stats
-                .local_deliveries
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.add(Count::local_deliveries, 1);
             src
         } else if src.is_empty() {
             // Copying nothing: an empty Vec never allocates, so the pool
@@ -647,10 +632,7 @@ impl Kernel {
             // avoid. The copy target comes from the buffer pool and the
             // consumed source backing goes back to it, so steady-state calls
             // do not allocate.
-            self.inner
-                .stats
-                .bytes_copied
-                .fetch_add(src.len() as u64, Ordering::Relaxed);
+            self.inner.stats.add(Count::bytes_copied, src.len() as u64);
             let mut bytes = pool::take(src.len());
             bytes.extend_from_slice(&src);
             pool::give(src);
@@ -697,8 +679,7 @@ impl Kernel {
         }
         self.inner
             .stats
-            .ids_transferred
-            .fetch_add(doors.len() as u64, Ordering::Relaxed);
+            .add(Count::ids_transferred, doors.len() as u64);
         Ok(Message {
             bytes,
             doors,

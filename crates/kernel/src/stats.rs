@@ -1,18 +1,22 @@
 //! Kernel-wide counters used by the benchmark harness.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use crate::tally::{self, Slots, Tally};
 use crate::{hotpath, pool};
 
 /// Defines [`KernelStats`] / [`StatsSnapshot`] plus their `snapshot`,
 /// `since` and `fields` plumbing from one field list, so adding a counter is
 /// a one-line change instead of a copy of the same name per use.
 ///
-/// The `kernel` fields are this kernel's own atomics. The `process` fields
-/// are read from the sources named in the parentheses — [`pool::counters`]
-/// and [`hotpath::counters`] — because the buffer pool is per-thread state
-/// and the socket hot path is per-connection state, both shared by every
-/// kernel in the process: every kernel reports the same numbers for them.
+/// The `kernel` fields are cells of a [`Tally`] this kernel owns: each
+/// thread bumps cells of its own (a plain load and store, no shared line
+/// written), and a snapshot sums them. The `process` fields are read from
+/// the sources named in the parentheses — [`pool::counters`] and
+/// [`hotpath::counters`], tallies too — because the buffer pool is
+/// per-thread state and the socket hot path is per-connection state, both
+/// shared by every kernel in the process: every kernel reports the same
+/// numbers for them.
 macro_rules! kernel_counters {
     (
         kernel { $( $(#[$doc:meta])* $field:ident, )+ }
@@ -29,7 +33,19 @@ macro_rules! kernel_counters {
         /// not against 1993 microseconds.
         #[derive(Debug, Default)]
         pub struct KernelStats {
-            $( pub(crate) $field: AtomicU64, )+
+            tally: Arc<Tally<{ Count::CELLS }>>,
+        }
+
+        /// The counts a kernel keeps, by the name [`StatsSnapshot`] reports
+        /// each under.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        pub(crate) enum Count {
+            $( $field, )+
+        }
+
+        impl Count {
+            const CELLS: usize = [$( Count::$field, )+].len();
         }
 
         /// A point-in-time snapshot of [`KernelStats`].
@@ -42,9 +58,10 @@ macro_rules! kernel_counters {
         impl KernelStats {
             /// Takes a consistent-enough snapshot of all counters.
             pub fn snapshot(&self) -> StatsSnapshot {
+                let cells = self.tally.read();
                 $( let $source = $read; )+
                 StatsSnapshot {
-                    $( $field: self.$field.load(Ordering::Relaxed), )+
+                    $( $field: cells[Count::$field as usize], )+
                     $( $pfield: $value, )+
                 }
             }
@@ -137,6 +154,19 @@ kernel_counters! {
     }
 }
 
+thread_local! {
+    /// This thread's cells of every kernel it has counted for.
+    static MINE: Slots<{ Count::CELLS }> = const { Slots::new() };
+}
+
+impl KernelStats {
+    /// Adds `n` to one of this kernel's counts.
+    #[inline]
+    pub(crate) fn add(&self, count: Count, n: u64) {
+        tally::bump(&MINE, &self.tally, count as usize, n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,11 +174,11 @@ mod tests {
     #[test]
     fn snapshot_diff() {
         let stats = KernelStats::default();
-        stats.door_calls.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_copied.fetch_add(10, Ordering::Relaxed);
+        stats.add(Count::door_calls, 1);
+        stats.add(Count::bytes_copied, 10);
         let a = stats.snapshot();
-        stats.door_calls.fetch_add(2, Ordering::Relaxed);
-        stats.bytes_copied.fetch_add(10, Ordering::Relaxed);
+        stats.add(Count::door_calls, 2);
+        stats.add(Count::bytes_copied, 10);
         let b = stats.snapshot();
         let d = b.since(&a);
         assert_eq!(d.door_calls, 2);

@@ -108,9 +108,9 @@ fn message_transfers_identifiers_to_server() {
         fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
             assert_eq!(msg.doors.len(), 1);
             let id = msg.doors[0];
-            assert_eq!(id.owner(), ctx.server.id());
+            assert_eq!(id.owner(), ctx.server().id());
             // The identifier works from the server domain.
-            ctx.server.call(id, Message::new())?;
+            ctx.server().call(id, Message::new())?;
             Ok(Message::new())
         }
     }
@@ -143,7 +143,7 @@ fn reply_can_carry_identifiers_back() {
     struct Minter;
     impl DoorHandler for Minter {
         fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
-            let new_door = ctx.server.create_door(Arc::new(Echo))?;
+            let new_door = ctx.server().create_door(Arc::new(Echo))?;
             Ok(Message {
                 bytes: vec![],
                 doors: vec![new_door],
@@ -332,7 +332,7 @@ fn nested_calls_reenter_the_kernel() {
     }
     impl DoorHandler for Forwarder {
         fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
-            ctx.server.call(self.target, msg)
+            ctx.server().call(self.target, msg)
         }
     }
 

@@ -3,10 +3,11 @@
 //!
 //! Every (source node, destination node) pair owns a [`LinkBatcher`].
 //! Callers hand it their wire-form call and block until a reply (or error)
-//! lands in their [`CallSlot`]. The first caller to find the queue empty
-//! becomes the *leader* for the frame now forming: it waits — bounded by
-//! the flush policy below — for more calls to join, then takes the whole
-//! queue and ships it as one frame. Followers just park on their slot.
+//! comes back for it. The first caller to find the queue empty becomes the
+//! *leader* for the frame now forming: it waits — bounded by the flush
+//! policy below — for more calls to join, then takes the whole queue and
+//! ships it as one frame; its own outcome is written into its entry, which
+//! it reads when the shipper returns. Followers park on a [`CallSlot`].
 //!
 //! Leadership is per *frame*, not per link: while a leader is off shipping
 //! its frame (sleeping out the simulated latency, executing the batch's
@@ -41,9 +42,9 @@ pub(crate) struct BatchBudget {
 }
 
 /// One call riding in a frame: its request in wire form, the export-table
-/// entries freshly pinned for it, the slot its caller is parked on, and —
-/// filled in by a shipper that serves the call in this process — what the
-/// destination made of it.
+/// entries freshly pinned for it, where its caller will find the outcome,
+/// and — filled in by a shipper that serves the call in this process — what
+/// the destination made of it.
 pub(crate) struct PendingEntry {
     /// Export-table index of the target door on the destination node.
     pub export: u64,
@@ -53,16 +54,44 @@ pub(crate) struct PendingEntry {
     /// Export ids freshly pinned by `to_wire_tracked` for this request;
     /// released if the call is never delivered.
     pub fresh: Vec<u64>,
-    /// Where the caller waits for the outcome.
-    slot: Arc<CallSlot>,
+    waiter: Waiter,
     /// The served call, staged between execution and the reply frame.
     pub served: Option<Served>,
 }
 
+/// Where a call's outcome goes.
+enum Waiter {
+    /// The caller is the thread shipping the frame (a frame's leader, every
+    /// plain and every one-way call): the outcome waits in the entry until
+    /// the shipper returns. Nothing is shared, so nothing is locked.
+    Shipper(Option<Result<Message, DoorError>>),
+    /// The caller is parked on another thread (a follower).
+    Parked(Arc<CallSlot>),
+}
+
 impl PendingEntry {
+    fn new(export: u64, wire: WireMessage, fresh: Vec<u64>, waiter: Waiter) -> PendingEntry {
+        PendingEntry {
+            export,
+            wire,
+            fresh,
+            waiter,
+            served: None,
+        }
+    }
+
+    /// The outcome of an entry back in its shipping caller's hands; an
+    /// abort if the shipper settled nothing, and for a follower's entry.
+    fn into_outcome(self) -> Result<Message, DoorError> {
+        match self.waiter {
+            Waiter::Shipper(Some(outcome)) => outcome,
+            _ => Err(aborted()),
+        }
+    }
+
     /// Settles the call with what came back for it, on behalf of `from`,
-    /// the network server that sent it (DESIGN.md §5.19).
-    pub fn settle(&self, from: &Arc<NetServer>, outcome: ReplyOutcome) {
+    /// the network server that sent it (DESIGN.md §5.19). First write wins.
+    pub fn settle(&mut self, from: &Arc<NetServer>, outcome: ReplyOutcome) {
         let outcome = match outcome {
             ReplyOutcome::Ok(wire) => from.from_wire(wire),
             ReplyOutcome::NotDelivered(e) => {
@@ -75,11 +104,16 @@ impl PendingEntry {
             // proxy table may reference them.
             ReplyOutcome::Failed(e) => Err(e),
         };
-        self.slot.settle(|| outcome);
+        match &mut self.waiter {
+            Waiter::Shipper(settled) => {
+                settled.get_or_insert(outcome);
+            }
+            Waiter::Parked(slot) => slot.settle(|| outcome),
+        }
     }
 }
 
-/// A one-shot rendezvous between a queued caller and the frame shipper.
+/// A one-shot rendezvous between a follower and the frame shipper.
 ///
 /// Parked-flag protocol (DESIGN.md §5.12): `parked` is written only under
 /// the slot's mutex — set by the waiter immediately before `Condvar::wait`
@@ -178,18 +212,15 @@ fn take_slot() -> Arc<CallSlot> {
         .unwrap_or_else(|| Arc::new(CallSlot::new()))
 }
 
-/// Recycles a slot no other thread can reach any more — its frame has been
-/// cleared, so every settler (backstop included) is done with it — and
-/// returns the outcome it still held. A slot still referenced elsewhere is
-/// dropped instead, and reads as empty.
-fn retire(mut slot: Arc<CallSlot>) -> Option<Result<Message, DoorError>> {
-    let state = Arc::get_mut(&mut slot)?
-        .state
-        .get_mut()
-        .unwrap_or_else(|p| p.into_inner());
-    let outcome = mem::take(state).outcome;
-    recycle(&SLOT_POOL, slot);
-    outcome
+/// Recycles a follower's slot once no other thread can reach it — the
+/// leader has cleared the frame, so every settler (backstop included) is
+/// done with it; all it can still hold is a stale backstop fill. A slot
+/// still referenced elsewhere is dropped instead.
+fn retire(mut slot: Arc<CallSlot>) {
+    if let Some(unshared) = Arc::get_mut(&mut slot) {
+        *unshared.state.get_mut().unwrap_or_else(|p| p.into_inner()) = SlotState::default();
+        recycle(&SLOT_POOL, slot);
+    }
 }
 
 /// Ships one call as a frame of its own, built on the caller's stack: the
@@ -202,16 +233,15 @@ pub(crate) fn ship_alone(
     fresh: Vec<u64>,
     ship: impl FnOnce(&mut [PendingEntry]),
 ) -> Result<Message, DoorError> {
-    let mut frame = [PendingEntry {
+    let mut frame = [PendingEntry::new(
         export,
         wire,
         fresh,
-        slot: take_slot(),
-        served: None,
-    }];
+        Waiter::Shipper(None),
+    )];
     ship(&mut frame);
     let [entry] = frame;
-    retire(entry.slot).unwrap_or_else(|| Err(aborted()))
+    entry.into_outcome()
 }
 
 #[derive(Default)]
@@ -252,34 +282,32 @@ impl LinkBatcher {
         budget: BatchBudget,
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
-        let slot = take_slot();
         let wire_len = wire.bytes.len();
         let mut state = lock(&self.state);
-        let leading = !state.leader_present;
-        // A follower waits on its slot from another thread, so it shares
-        // it with its entry; a leader ships its own entry and takes the
-        // slot back out of the frame, so it moves it in.
-        let waiting = (!leading).then(|| slot.clone());
-        state.forming.push(PendingEntry {
-            export,
-            wire,
-            fresh,
-            slot,
-            served: None,
-        });
         state.forming_bytes += wire_len;
         state.expected = state.expected.max(company);
 
-        if let Some(slot) = waiting {
+        if state.leader_present {
+            // A follower waits from another thread than the one that ships
+            // its entry, so the two share a slot.
+            let slot = take_slot();
+            let waiter = Waiter::Parked(slot.clone());
+            state
+                .forming
+                .push(PendingEntry::new(export, wire, fresh, waiter));
             // The leader may now have enough calls to flush.
             self.arrivals.notify_all();
             drop(state);
             let outcome = slot.wait_take();
-            // Reusable only if the leader has already cleared the frame;
-            // all it can still hold then is a stale backstop fill.
             retire(slot);
             return outcome;
         }
+        state.forming.push(PendingEntry::new(
+            export,
+            wire,
+            fresh,
+            Waiter::Shipper(None),
+        ));
 
         // Leader: linger (bounded) for pipelined company, then ship. The
         // linger clock is read only once the frame actually has something
@@ -307,16 +335,17 @@ impl LinkBatcher {
 
         ship(&mut frame);
 
-        // Our own entry is back in our hands and its slot was never
-        // shared, so the outcome comes out without a lock or a wait. Every
-        // other caller wakes, even off a path `ship` missed.
-        let slot = frame.swap_remove(0).slot;
+        // Our own entry is back in our hands with its outcome in it.
+        // Every other caller wakes, even off a path `ship` missed.
+        let mine = frame.swap_remove(0);
         for entry in &frame {
-            entry.slot.abort_if_unsettled();
+            if let Waiter::Parked(slot) = &entry.waiter {
+                slot.abort_if_unsettled();
+            }
         }
         frame.clear();
         recycle(&SPARE_FRAMES, frame);
-        retire(slot).unwrap_or_else(|| Err(aborted()))
+        mine.into_outcome()
     }
 
     /// The flush conditions that need no clock.
@@ -327,5 +356,131 @@ impl LinkBatcher {
             // Everyone the calls aboard said was coming is aboard (and a
             // plain synchronous call, expecting nobody, flushes at once).
             || queued >= state.expected as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NetConfig, Network};
+
+    const ROOMY: BatchBudget = BatchBudget {
+        max_calls: 16,
+        max_bytes: 1 << 20,
+        // Far above the tests' runtime: a frame flushes because everyone
+        // expected is aboard, never because time passed.
+        linger: Duration::from_secs(30),
+    };
+
+    /// A network server to settle on behalf of (kept alive by its network).
+    fn sender() -> (Arc<Network>, Arc<NetServer>) {
+        let net = Network::new(NetConfig::default());
+        let node = net.add_node("n");
+        let server = net.inner.server(node.id().raw()).unwrap();
+        (net, server)
+    }
+
+    fn wire(bytes: &[u8]) -> WireMessage {
+        WireMessage {
+            bytes: bytes.to_vec(),
+            ..WireMessage::default()
+        }
+    }
+
+    fn echoed(entry: &PendingEntry) -> ReplyOutcome {
+        ReplyOutcome::Ok(wire(&entry.wire.bytes))
+    }
+
+    fn pooled_slots() -> usize {
+        SLOT_POOL.with_borrow(Vec::len)
+    }
+
+    fn is_abort(outcome: Result<Message, DoorError>) -> bool {
+        matches!(outcome, Err(DoorError::Comm(why)) if why == "batch frame aborted")
+    }
+
+    /// A caller that ships its own entry — a plain call through the
+    /// batcher, a one-way call around it — finds its outcome in the entry:
+    /// the first one settled, an abort if none was, and no slot either way.
+    #[test]
+    fn a_shipping_caller_reads_its_outcome_from_its_entry() {
+        let (_net, from) = sender();
+        let batcher = LinkBatcher::default();
+        let lost = || ReplyOutcome::Failed(DoorError::Comm("lost".into()));
+        // Each shipper sees one-entry frames only.
+        let echo = |frame: &mut [PendingEntry]| frame[0].settle(&from, echoed(&frame[0]));
+        let echo_then_lose = |frame: &mut [PendingEntry]| {
+            echo(frame);
+            frame[0].settle(&from, lost());
+        };
+        let lose_then_echo = |frame: &mut [PendingEntry]| {
+            frame[0].settle(&from, lost());
+            echo(frame);
+        };
+        let forget = |_: &mut [PendingEntry]| {};
+        let plain = |ship: &dyn Fn(&mut [PendingEntry])| {
+            batcher.submit(7, wire(b"plain"), Vec::new(), 0, ROOMY, ship)
+        };
+        let one_way =
+            |ship: &dyn Fn(&mut [PendingEntry])| ship_alone(7, wire(b"one-way"), Vec::new(), ship);
+
+        // On a thread of its own, whose slot pool starts empty: a slot
+        // taken for any of these calls would have been recycled into it.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(plain(&echo).unwrap().bytes, b"plain");
+                assert_eq!(one_way(&echo).unwrap().bytes, b"one-way");
+                assert_eq!(plain(&echo_then_lose).unwrap().bytes, b"plain");
+                assert_eq!(one_way(&echo_then_lose).unwrap().bytes, b"one-way");
+                let is_lost =
+                    |outcome| matches!(outcome, Err(DoorError::Comm(why)) if why == "lost");
+                assert!(is_lost(plain(&lose_then_echo)));
+                assert!(is_lost(one_way(&lose_then_echo)));
+                assert!(is_abort(plain(&forget)));
+                assert!(is_abort(one_way(&forget)));
+                assert_eq!(pooled_slots(), 0);
+            });
+        });
+    }
+
+    /// A frame of three: the leader reads its outcome from its entry, the
+    /// two followers wake from their slots, each with its own reply — and
+    /// with an abort when the shipper skipped them.
+    #[test]
+    fn followers_wake_from_their_slots_and_the_leader_from_its_entry() {
+        let (_net, from) = sender();
+        for skip_followers in [false, true] {
+            let batcher = LinkBatcher::default();
+            let ship = |frame: &mut [PendingEntry]| {
+                assert_eq!(frame.len(), 3);
+                let served = if skip_followers { 1 } else { 3 };
+                for entry in frame.iter_mut().take(served) {
+                    let reply = echoed(entry);
+                    entry.settle(&from, reply);
+                }
+            };
+            let call = |tag: u8| batcher.submit(7, wire(&[tag]), Vec::new(), 3, ROOMY, &ship);
+            std::thread::scope(|s| {
+                let leader = s.spawn(|| (call(0), pooled_slots()));
+                // The leader's entry is aboard, at index 0, before anyone
+                // else's: the followers start once it is seen waiting.
+                while !lock(&batcher.state).leader_present {
+                    std::thread::yield_now();
+                }
+                let followers = [1, 2].map(|tag| s.spawn(move || call(tag)));
+
+                let (led, slots_on_leader) = leader.join().unwrap();
+                assert_eq!(led.unwrap().bytes, [0]);
+                assert_eq!(slots_on_leader, 0);
+                for (tag, follower) in [1, 2].into_iter().zip(followers) {
+                    let outcome = follower.join().unwrap();
+                    if skip_followers {
+                        assert!(is_abort(outcome));
+                    } else {
+                        assert_eq!(outcome.unwrap().bytes, [tag]);
+                    }
+                }
+            });
+        }
     }
 }

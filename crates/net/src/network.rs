@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use spring_kernel::tally::{self, Slots, Tally};
 use spring_kernel::{CallCtx, Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
 use spring_trace::keys;
 
@@ -72,31 +73,33 @@ pub(crate) struct Route {
     transport: Arc<dyn Transport>,
 }
 
-#[derive(Default)]
-struct Counters {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    drops: AtomicU64,
-    calls_forwarded: AtomicU64,
-    exports: AtomicU64,
-    proxies: AtomicU64,
-    batch_flushes: AtomicU64,
-    calls_batched: AtomicU64,
-    calls_unbatched: AtomicU64,
-    socket_frames_sent: AtomicU64,
-    socket_frames_received: AtomicU64,
-    socket_bytes_sent: AtomicU64,
-    socket_bytes_received: AtomicU64,
-    socket_disconnects: AtomicU64,
+/// What a network counts, under the names [`NetStatsSnapshot`] and
+/// [`SocketStatsSnapshot`] report. Each is a cell of the network's
+/// [`Tally`]: a thread bumps cells of its own, a snapshot sums them.
+#[derive(Clone, Copy)]
+enum Count {
+    Messages,
+    Bytes,
+    Drops,
+    CallsForwarded,
+    Exports,
+    Proxies,
+    BatchFlushes,
+    CallsBatched,
+    CallsUnbatched,
+    SocketFramesSent,
+    SocketFramesReceived,
+    SocketBytesSent,
+    SocketBytesReceived,
+    SocketDisconnects,
 }
 
-/// Counters are statistics and publish nothing else, hence `Relaxed`.
-fn bump(counter: &AtomicU64, by: u64) {
-    counter.fetch_add(by, Ordering::Relaxed);
-}
+/// How many counts there are: [`Count::SocketDisconnects`] is the last.
+const COUNTS: usize = Count::SocketDisconnects as usize + 1;
 
-fn read(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed)
+thread_local! {
+    /// This thread's cells of every network it has counted for.
+    static MINE: Slots<COUNTS> = const { Slots::new() };
 }
 
 pub(crate) struct NetworkInner {
@@ -108,16 +111,21 @@ pub(crate) struct NetworkInner {
     /// use and never removed.
     batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
     rng: Mutex<FaultRng>,
-    stats: Counters,
+    stats: Arc<Tally<COUNTS>>,
 }
 
 impl NetworkInner {
+    #[inline]
+    fn count(&self, count: Count, by: u64) {
+        tally::bump(&MINE, &self.stats, count as usize, by);
+    }
+
     pub fn count_export(&self) {
-        bump(&self.stats.exports, 1);
+        self.count(Count::Exports, 1);
     }
 
     pub fn count_proxy(&self) {
-        bump(&self.stats.proxies, 1);
+        self.count(Count::Proxies, 1);
     }
 
     /// The currently published snapshot.
@@ -160,17 +168,17 @@ impl NetworkInner {
     }
 
     pub(crate) fn count_socket_send(&self, bytes: usize) {
-        bump(&self.stats.socket_frames_sent, 1);
-        bump(&self.stats.socket_bytes_sent, bytes as u64);
+        self.count(Count::SocketFramesSent, 1);
+        self.count(Count::SocketBytesSent, bytes as u64);
     }
 
     pub(crate) fn count_socket_receive(&self, bytes: usize) {
-        bump(&self.stats.socket_frames_received, 1);
-        bump(&self.stats.socket_bytes_received, bytes as u64);
+        self.count(Count::SocketFramesReceived, 1);
+        self.count(Count::SocketBytesReceived, bytes as u64);
     }
 
     pub(crate) fn count_socket_disconnect(&self) {
-        bump(&self.stats.socket_disconnects, 1);
+        self.count(Count::SocketDisconnects, 1);
     }
 
     /// The batcher for the `src -> dst` link, created on first use.
@@ -217,8 +225,8 @@ impl NetworkInner {
     /// jitter fraction are sampled together — and on a fault-free network
     /// (no loss, no jitter) it is not taken at all.
     fn hop(&self, cfg: &NetConfig, bytes: usize, lossy: bool) -> Result<(), DoorError> {
-        bump(&self.stats.messages, 1);
-        bump(&self.stats.bytes, bytes as u64);
+        self.count(Count::Messages, 1);
+        self.count(Count::Bytes, bytes as u64);
         let roll_loss = lossy && cfg.drop_prob > 0.0;
         let roll_jitter = !cfg.jitter.is_zero();
         let mut delay = cfg.latency;
@@ -226,7 +234,7 @@ impl NetworkInner {
             let mut rng = self.rng.lock();
             if roll_loss && rng.unit_f64() < cfg.drop_prob {
                 drop(rng);
-                bump(&self.stats.drops, 1);
+                self.count(Count::Drops, 1);
                 return Err(DoorError::Comm("message lost".into()));
             }
             if roll_jitter {
@@ -258,7 +266,7 @@ impl NetworkInner {
         mut msg: Message,
         ctx: &CallCtx,
     ) -> Result<Message, DoorError> {
-        bump(&self.stats.calls_forwarded, 1);
+        self.count(Count::CallsForwarded, 1);
 
         // One "net.forward" span per forwarded call; the piggybacked
         // context on the message (stamped by the proxy door's kernel call)
@@ -281,7 +289,7 @@ impl NetworkInner {
                 // No reply to wait for, so nothing to coalesce against:
                 // the call bypasses the batcher in a frame of its own.
                 return ship_alone(target.export, wire, fresh, |frame| {
-                    route.transport.ship(from, frame, false)
+                    route.transport.ship(from, &route.snap, frame, false)
                 });
             }
             let cfg = &route.snap.config;
@@ -290,7 +298,8 @@ impl NetworkInner {
                 max_bytes: cfg.batch_max_bytes,
                 linger: cfg.batch_linger,
             };
-            let ship = |frame: &mut [PendingEntry]| route.transport.ship(from, frame, true);
+            let ship =
+                |frame: &mut [PendingEntry]| route.transport.ship(from, &route.snap, frame, true);
             route
                 .batcher
                 .submit(target.export, wire, fresh, ctx.company, budget, &ship)
@@ -322,25 +331,29 @@ impl NetworkInner {
     pub(crate) fn ship_frame(
         &self,
         from: &Arc<NetServer>,
+        routed: &Arc<Snapshot>,
         origin: u64,
         home: Option<&Arc<NetServer>>,
         frame: &mut [PendingEntry],
         want_reply: bool,
     ) {
         let calls = frame.len() as u64;
-        bump(&self.stats.batch_flushes, 1);
+        self.count(Count::BatchFlushes, 1);
         if frame.len() > 1 {
-            bump(&self.stats.calls_batched, calls);
+            self.count(Count::CallsBatched, calls);
         } else {
-            bump(&self.stats.calls_unbatched, calls);
+            self.count(Count::CallsUnbatched, calls);
         }
         // The per-frame span carries the call count in its scid, so batch
         // sizes show up in the latency histograms.
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
 
-        // One snapshot for the way out; its config also prices the reply
-        // hop, as the per-frame config read always did.
-        let snap = self.load();
+        // One snapshot for the way out — the one the route was resolved
+        // against, unless a newer has been published since — and its config
+        // also prices the reply hop, as the per-frame config read always
+        // did.
+        let newer = self.newer_than(routed);
+        let snap = newer.as_ref().unwrap_or(routed);
         let request_bytes: usize = frame.iter().map(|e| e.wire.bytes.len()).sum();
         // On the way out, in this order: the link is not cut, the
         // destination exists, the request hop survives the loss roll.
@@ -357,7 +370,7 @@ impl NetworkInner {
                 // The frame never left this node: every call aboard is
                 // lost, undelivered.
                 span.fail();
-                for entry in frame.iter() {
+                for entry in frame.iter_mut() {
                     entry.settle(from, ReplyOutcome::NotDelivered(e.clone()));
                 }
                 return;
@@ -384,8 +397,8 @@ impl NetworkInner {
         // past whatever partitions were published while the calls executed.
         let mut reply_leg = Ok(());
         if want_reply {
-            let newer = self.newer_than(&snap);
-            let back = newer.as_deref().unwrap_or(&snap);
+            let newer = self.newer_than(snap);
+            let back = newer.as_ref().unwrap_or(snap);
             reply_leg = back.check_link(origin, from.node.raw());
             if replies && reply_leg.is_ok() {
                 let scope = home.domain.trace_scope();
@@ -488,7 +501,7 @@ impl Network {
                 epoch: AtomicU64::new(0),
                 batchers: RwLock::new(HashMap::new()),
                 rng: Mutex::new(FaultRng::seed_from_u64(0x5u64)),
-                stats: Counters::default(),
+                stats: Arc::default(),
             }),
         })
     }
@@ -570,13 +583,13 @@ impl Network {
 
     /// Socket-transport counter snapshot.
     pub fn socket_stats(&self) -> SocketStatsSnapshot {
-        let c = &self.inner.stats;
+        let c = self.inner.stats.read();
         SocketStatsSnapshot {
-            frames_sent: read(&c.socket_frames_sent),
-            frames_received: read(&c.socket_frames_received),
-            bytes_sent: read(&c.socket_bytes_sent),
-            bytes_received: read(&c.socket_bytes_received),
-            disconnects: read(&c.socket_disconnects),
+            frames_sent: c[Count::SocketFramesSent as usize],
+            frames_received: c[Count::SocketFramesReceived as usize],
+            bytes_sent: c[Count::SocketBytesSent as usize],
+            bytes_received: c[Count::SocketBytesReceived as usize],
+            disconnects: c[Count::SocketDisconnects as usize],
         }
     }
 
@@ -611,17 +624,17 @@ impl Network {
 
     /// Counter snapshot.
     pub fn stats(&self) -> NetStatsSnapshot {
-        let c = &self.inner.stats;
+        let c = self.inner.stats.read();
         NetStatsSnapshot {
-            messages: read(&c.messages),
-            bytes: read(&c.bytes),
-            drops: read(&c.drops),
-            calls_forwarded: read(&c.calls_forwarded),
-            exports: read(&c.exports),
-            proxies_created: read(&c.proxies),
-            batch_flushes: read(&c.batch_flushes),
-            calls_batched: read(&c.calls_batched),
-            calls_unbatched: read(&c.calls_unbatched),
+            messages: c[Count::Messages as usize],
+            bytes: c[Count::Bytes as usize],
+            drops: c[Count::Drops as usize],
+            calls_forwarded: c[Count::CallsForwarded as usize],
+            exports: c[Count::Exports as usize],
+            proxies_created: c[Count::Proxies as usize],
+            batch_flushes: c[Count::BatchFlushes as usize],
+            calls_batched: c[Count::CallsBatched as usize],
+            calls_unbatched: c[Count::CallsUnbatched as usize],
         }
     }
 

@@ -367,7 +367,7 @@ mod tests {
         if msg.bytes == b"fail" {
             return Err(DoorError::Handler("boom".into()));
         }
-        let door = ctx.server.create_door(Arc::new(servant))?;
+        let door = ctx.server().create_door(Arc::new(servant))?;
         Ok(Message {
             bytes: msg.bytes,
             doors: vec![door],

@@ -70,7 +70,7 @@ use spring_kernel::{hotpath, CallId, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{lock, PendingEntry};
-use crate::network::NetworkInner;
+use crate::network::{NetworkInner, Snapshot};
 use crate::server::{NetServer, WireCap, WireMessage};
 use crate::transport::{
     decode_calls, decode_hello, decode_reply, encode_calls, encode_hello, encode_reply, Hello,
@@ -892,24 +892,32 @@ impl SocketPeer {
     fn ship_inner(
         &self,
         from: &Arc<NetServer>,
-        frame: &[PendingEntry],
+        frame: &mut [PendingEntry],
         want_reply: bool,
     ) -> Result<(), DoorError> {
         let net = self.net()?;
         let link = self.live_link(&net)?;
 
-        let calls: Vec<(u64, &WireMessage)> = frame.iter().map(|e| (e.export, &e.wire)).collect();
         let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
+        let request = {
+            let calls: Vec<(u64, &WireMessage)> =
+                frame.iter().map(|e| (e.export, &e.wire)).collect();
+            let kind = if want_reply {
+                KIND_REQUEST
+            } else {
+                KIND_ONEWAY
+            };
+            encode_calls(kind, id, &calls)
+        };
         if !want_reply {
             // One write on this thread and no read: a failure proves the
             // frame never left; success is all a one-way caller learns.
-            let request = encode_calls(KIND_ONEWAY, id, &calls);
             let mut sock = link.checkout(&net)?;
             link.send(&net, &mut sock, &request)
                 .map_err(|e| link.send_failed(e))?;
             link.checkin(sock);
             hotpath::count_oneway_frame();
-            for entry in frame {
+            for entry in frame.iter_mut() {
                 entry.settle(from, ReplyOutcome::Ok(WireMessage::default()));
             }
             return Ok(());
@@ -917,15 +925,14 @@ impl SocketPeer {
         // The reply wait is bounded when every call aboard carries a
         // deadline — by the latest of them; identity-free calls carry none.
         let (mut latest, mut bounded) = (0u64, true);
-        for entry in frame {
+        for entry in frame.iter() {
             let due = CallId::from_bytes(entry.wire.call).deadline_micros;
             bounded &= due != 0;
             latest = latest.max(due);
         }
         let deadline = (bounded && latest != 0).then_some(latest);
-        let request = encode_calls(KIND_REQUEST, id, &calls);
         let outcomes = link.round_trip(&net, id, &request, frame.len(), deadline)?;
-        for (entry, outcome) in frame.iter().zip(outcomes) {
+        for (entry, outcome) in frame.iter_mut().zip(outcomes) {
             entry.settle(from, outcome);
         }
         Ok(())
@@ -933,7 +940,13 @@ impl SocketPeer {
 }
 
 impl Transport for SocketPeer {
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool) {
+    fn ship(
+        &self,
+        from: &Arc<NetServer>,
+        _snap: &Arc<Snapshot>,
+        frame: &mut [PendingEntry],
+        want_reply: bool,
+    ) {
         let calls = frame.len() as u64;
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
         if let Err(e) = self.ship_inner(from, frame, want_reply) {
@@ -943,7 +956,7 @@ impl Transport for SocketPeer {
             // hear its reply, so every call aboard settles undelivered —
             // the retrying subcontracts re-pin on the next attempt.
             span.fail();
-            for entry in frame.iter() {
+            for entry in frame.iter_mut() {
                 entry.settle(from, ReplyOutcome::NotDelivered(e.clone()));
             }
         }

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use spring_kernel::DoorError;
 
 use crate::batch::PendingEntry;
+use crate::network::Snapshot;
 use crate::server::{NetServer, WireCap, WireMessage};
 
 /// A frame shipper for one destination node.
@@ -45,8 +46,15 @@ use crate::server::{NetServer, WireCap, WireMessage};
 ///   delivery failure; a socket reports only a failed write. Only
 ///   best-effort traffic belongs here.
 pub(crate) trait Transport: Send + Sync {
-    /// Ships one frame of forwarded calls, settling every entry.
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool);
+    /// Ships one frame of forwarded calls, settling every entry. `snap` is
+    /// the snapshot the frame's route was resolved against.
+    fn ship(
+        &self,
+        from: &Arc<NetServer>,
+        snap: &Arc<Snapshot>,
+        frame: &mut [PendingEntry],
+        want_reply: bool,
+    );
 }
 
 /// The default backend: frames delivered through the in-process simulated
@@ -63,9 +71,16 @@ pub(crate) struct SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool) {
+    fn ship(
+        &self,
+        from: &Arc<NetServer>,
+        snap: &Arc<Snapshot>,
+        frame: &mut [PendingEntry],
+        want_reply: bool,
+    ) {
+        let home = self.home.as_ref();
         from.net
-            .ship_frame(from, self.origin, self.home.as_ref(), frame, want_reply);
+            .ship_frame(from, snap, self.origin, home, frame, want_reply);
     }
 }
 

@@ -36,7 +36,7 @@ struct DoorMaker;
 
 impl DoorHandler for DoorMaker {
     fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
-        let d = ctx.server.create_door(Arc::new(Echo))?;
+        let d = ctx.server().create_door(Arc::new(Echo))?;
         Ok(Message {
             doors: vec![d],
             ..Message::default()
@@ -364,6 +364,57 @@ fn one_bad_call_does_not_fail_its_seatmates() {
         good_results.iter().all(|&ok| ok),
         "calls sharing a frame with a failing one must still succeed: {good_results:?}",
     );
+}
+
+/// A caller with no company ships the frame it rides in — a plain call as
+/// the leader of a frame of one, a one-way call around the batcher — and
+/// takes its outcome from that frame: the reply, nothing for a one-way
+/// call, or the failure, across a cut link included.
+#[test]
+fn plain_and_one_way_calls_ship_their_own_frames() {
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let (client, proxy) = echo_proxy(&net, &b, &a, Arc::new(Picky));
+    let before = net.stats();
+    let bytes = |tag: u8| Message::from_bytes(vec![tag]);
+
+    assert_eq!(client.call(proxy, bytes(1)).unwrap().bytes, [1]);
+    assert_eq!(client.call_one_way(proxy, bytes(2)).unwrap().bytes, []);
+    // Delivered, then refused by the servant: the plain caller hears of it,
+    // the one-way caller asked not to.
+    assert!(matches!(
+        client.call(proxy, bytes(0xFF)),
+        Err(DoorError::Handler(_))
+    ));
+    assert_eq!(client.call_one_way(proxy, bytes(0xFF)).unwrap().bytes, []);
+
+    net.partition(a.id(), b.id());
+    for outcome in [
+        client.call(proxy, bytes(3)),
+        client.call_one_way(proxy, bytes(4)),
+    ] {
+        assert!(matches!(outcome, Err(DoorError::Comm(_))), "{outcome:?}");
+    }
+    net.heal_all();
+    // A frame lost on the wire fails the call that shipped it.
+    net.set_config(NetConfig {
+        drop_prob: 1.0,
+        ..NetConfig::default()
+    });
+    for outcome in [
+        client.call(proxy, bytes(5)),
+        client.call_one_way(proxy, bytes(6)),
+    ] {
+        assert!(matches!(outcome, Err(DoorError::Comm(_))), "{outcome:?}");
+    }
+    net.set_config(NetConfig::default());
+    assert_eq!(client.call(proxy, bytes(7)).unwrap().bytes, [7]);
+
+    // The two calls across the cut link were refused before a frame formed.
+    let sent = net.stats().since(&before);
+    assert_eq!((sent.calls_forwarded, sent.batch_flushes), (9, 7));
+    assert_eq!((sent.calls_unbatched, sent.calls_batched), (7, 0));
 }
 
 /// Polls until `net` has forwarded `calls` since `before`; panics after ten

@@ -124,7 +124,7 @@ fn replies_can_carry_doors_back_across_the_net() {
     struct Minter;
     impl DoorHandler for Minter {
         fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
-            let fresh = ctx.server.create_door(Arc::new(Echo))?;
+            let fresh = ctx.server().create_door(Arc::new(Echo))?;
             Ok(Message {
                 bytes: vec![],
                 doors: vec![fresh],
@@ -196,6 +196,50 @@ fn proxy_to(
         ..Message::default()
     };
     net.ship_message(&server, client, msg).unwrap().doors[0]
+}
+
+/// A network's counts are cells of a tally it owns: two networks in one
+/// process, called through alternately from one thread and then from a
+/// second, each report exactly their own traffic.
+#[test]
+fn two_networks_in_one_process_count_apart() {
+    let nets = [(); 2].map(|()| {
+        let net = Network::new(NetConfig::default());
+        let (a, b) = (net.add_node("a"), net.add_node("b"));
+        let client = a.kernel().create_domain("client");
+        let proxy = proxy_to(&net, &b, &client, Arc::new(Echo));
+        (net, client, proxy)
+    });
+    // Shipping the door was one message on each network.
+    for (net, ..) in &nets {
+        assert_eq!((net.stats().messages, net.stats().calls_forwarded), (1, 0));
+    }
+    let call_both = |first: usize, second: usize| {
+        for (calls, (_, client, proxy)) in [first, second].into_iter().zip(&nets) {
+            for _ in 0..calls {
+                client
+                    .call(*proxy, Message::from_bytes(vec![1; 5]))
+                    .unwrap();
+            }
+        }
+    };
+    for _ in 0..10 {
+        call_both(1, 2);
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| call_both(5, 0));
+    });
+    let [first, second] = [&nets[0].0, &nets[1].0].map(|net| net.stats());
+    // A forwarded call is a request and a reply message of five bytes each.
+    assert_eq!(
+        (first.calls_forwarded, first.messages, first.bytes),
+        (15, 31, 150)
+    );
+    assert_eq!(
+        (second.calls_forwarded, second.messages, second.bytes),
+        (20, 41, 200)
+    );
+    assert_eq!((first.batch_flushes, second.batch_flushes), (15, 20));
 }
 
 /// A proxy door keeps its resolved route across calls; every publication —
@@ -425,7 +469,7 @@ struct DoorMaker;
 
 impl DoorHandler for DoorMaker {
     fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
-        let d = ctx.server.create_door(Arc::new(Echo))?;
+        let d = ctx.server().create_door(Arc::new(Echo))?;
         Ok(Message {
             doors: vec![d],
             ..Message::default()
@@ -610,7 +654,7 @@ fn partition_during_execution_does_not_strand_reply_doors() {
     impl DoorHandler for Partitioner {
         fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
             self.net.partition(self.a, self.b);
-            let d = ctx.server.create_door(Arc::new(Echo))?;
+            let d = ctx.server().create_door(Arc::new(Echo))?;
             Ok(Message {
                 doors: vec![d],
                 ..Message::default()

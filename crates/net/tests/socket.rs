@@ -29,7 +29,7 @@ impl DoorHandler for CallsBack {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         let mut doors = msg.doors.into_iter();
         let target = doors.next().ok_or(DoorError::InvalidDoor)?;
-        let nested = ctx.server.call(
+        let nested = ctx.server().call(
             target,
             Message {
                 bytes: msg.bytes,
@@ -287,7 +287,7 @@ fn lost_reply_releases_server_side_reply_exports() {
     struct DoorMaker;
     impl DoorHandler for DoorMaker {
         fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
-            let fresh = ctx.server.create_door(Arc::new(Echo))?;
+            let fresh = ctx.server().create_door(Arc::new(Echo))?;
             Ok(Message {
                 doors: vec![fresh],
                 ..Message::default()
@@ -524,7 +524,7 @@ struct EchoOrMint;
 impl DoorHandler for EchoOrMint {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         if msg.bytes.first() == Some(&1) {
-            let fresh = ctx.server.create_door(Arc::new(Echo))?;
+            let fresh = ctx.server().create_door(Arc::new(Echo))?;
             return Ok(Message {
                 doors: vec![fresh],
                 ..Message::default()
@@ -862,7 +862,7 @@ struct EchoOrPark {
 impl DoorHandler for EchoOrPark {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         for d in &msg.doors {
-            let _ = ctx.server.delete_door(*d);
+            let _ = ctx.server().delete_door(*d);
         }
         if msg.bytes.first() == Some(&1) {
             self.parked.lock().unwrap().send(()).unwrap();
@@ -966,7 +966,7 @@ struct Recorder(std::sync::Mutex<Vec<Vec<u8>>>);
 impl DoorHandler for Recorder {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         for d in &msg.doors {
-            let _ = ctx.server.delete_door(*d);
+            let _ = ctx.server().delete_door(*d);
         }
         self.0.lock().unwrap().push(msg.bytes);
         Ok(Message::default())
@@ -1102,7 +1102,7 @@ impl DoorHandler for Relay {
         let Some(next) = doors.next() else {
             return Ok(Message::from_bytes(msg.bytes));
         };
-        let reply = ctx.server.call(
+        let reply = ctx.server().call(
             next,
             Message {
                 bytes: msg.bytes,
@@ -1110,7 +1110,7 @@ impl DoorHandler for Relay {
                 ..Message::default()
             },
         );
-        let _ = ctx.server.delete_door(next);
+        let _ = ctx.server().delete_door(next);
         reply
     }
 }

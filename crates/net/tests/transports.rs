@@ -34,12 +34,12 @@ const MINT: u8 = b'm';
 impl DoorHandler for Menu {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         for d in &msg.doors {
-            ctx.server.delete_door(*d)?;
+            ctx.server().delete_door(*d)?;
         }
         match msg.bytes.first() {
             Some(&FAIL) => Err(DoorError::Handler("boom".into())),
             Some(&MINT) => Ok(Message {
-                doors: vec![ctx.server.create_door(Arc::new(Echo))?],
+                doors: vec![ctx.server().create_door(Arc::new(Echo))?],
                 ..Message::default()
             }),
             _ => Ok(Message::from_bytes(msg.bytes)),

@@ -185,11 +185,12 @@ impl DoorHandler for RegistryServant {
         // owned by one stable domain regardless of which domain serves the
         // door.
         let mut msg = msg;
-        let foreign_serve = ctx.server.id() != self.domain.id();
+        let server = ctx.server();
+        let foreign_serve = server.id() != self.domain.id();
         if foreign_serve {
             let mut moved = Vec::with_capacity(msg.doors.len());
             for d in std::mem::take(&mut msg.doors) {
-                match ctx.server.transfer_door(d, &self.domain) {
+                match server.transfer_door(d, &self.domain) {
                     Ok(m) => moved.push(m),
                     Err(e) => {
                         for m in moved {
@@ -209,11 +210,11 @@ impl DoorHandler for RegistryServant {
                 if foreign_serve {
                     let mut out = Vec::with_capacity(reply.doors.len());
                     for d in std::mem::take(&mut reply.doors) {
-                        match self.domain.transfer_door(d, &ctx.server) {
+                        match self.domain.transfer_door(d, &server) {
                             Ok(m) => out.push(m),
                             Err(e) => {
                                 for m in out {
-                                    let _ = ctx.server.delete_door(m);
+                                    let _ = server.delete_door(m);
                                 }
                                 return Err(e);
                             }

@@ -19,7 +19,7 @@ use subcontract::{
     SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::retry::Invocation;
+use crate::retry::{Invocation, Replay};
 
 pub use crate::retry::RetryPolicy;
 
@@ -120,7 +120,7 @@ impl Subcontract for Reconnectable {
         let repr = obj.repr().downcast::<ReconRepr>(self.name())?;
         let domain = obj.ctx().domain();
         let msg = call.into_message();
-        let (bytes, arg_doors, trace) = (msg.bytes, msg.doors, msg.trace);
+        let (request, arg_doors, trace) = (Replay(msg.bytes), msg.doors, msg.trace);
 
         // One logical call: every attempt shares the nonce (so the server's
         // reply cache deduplicates a reply lost in flight) and the deadline.
@@ -128,7 +128,7 @@ impl Subcontract for Reconnectable {
         loop {
             let door = *repr.door.lock();
             let attempt = Message {
-                bytes: bytes.clone(),
+                bytes: request.copy(),
                 doors: arg_doors.clone(),
                 trace,
                 call: inv.call_id(),

@@ -28,7 +28,7 @@ use subcontract::{
     Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::retry::{Invocation, RetryPolicy};
+use crate::retry::{Invocation, Replay, RetryPolicy};
 
 /// Reply control flag: the client's replica set is current.
 const CTRL_CURRENT: u8 = 0;
@@ -121,7 +121,7 @@ impl Subcontract for Replicon {
         let repr = obj.repr().downcast::<RepliconRepr>(self.name())?;
         let domain = obj.ctx().domain();
         let msg = call.into_message();
-        let (bytes, arg_doors, trace) = (msg.bytes, msg.doors, msg.trace);
+        let (request, arg_doors, trace) = (Replay(msg.bytes), msg.doors, msg.trace);
 
         // One logical call across every failover and retry: all attempts
         // share the nonce, so whichever replica executed the first attempt
@@ -134,7 +134,7 @@ impl Subcontract for Replicon {
                 None => return Err(SpringError::Exhausted("no live replicas")),
             };
             let attempt = Message {
-                bytes: bytes.clone(),
+                bytes: request.copy(),
                 doors: arg_doors.clone(),
                 trace,
                 call: inv.call_id(),

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use spring_kernel::callid::{deadline_after, next_nonce, now_micros};
-use spring_kernel::{CallId, FaultRng};
+use spring_kernel::{pool, CallId, FaultRng};
 use subcontract::SpringError;
 
 /// How persistently a retrying subcontract re-attempts one invocation.
@@ -119,6 +119,28 @@ impl Invocation {
             std::thread::sleep(delay);
         }
         Ok(())
+    }
+}
+
+/// The marshalled request of an invocation that may be transmitted more
+/// than once. Every attempt, the first included, sends a copy drawn from
+/// the thread's buffer pool, and the original goes back to the pool when
+/// the invocation ends, whichever way it ends — so a retrying subcontract's
+/// steady-state call allocates nothing for its payload.
+pub(crate) struct Replay(pub(crate) Vec<u8>);
+
+impl Replay {
+    /// The bytes for one more attempt.
+    pub(crate) fn copy(&self) -> Vec<u8> {
+        let mut copy = pool::take(self.0.len());
+        copy.extend_from_slice(&self.0);
+        copy
+    }
+}
+
+impl Drop for Replay {
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.0));
     }
 }
 

@@ -336,11 +336,11 @@ impl DoorHandler for Twice {
             call,
             ..Message::default()
         };
-        for door in ctx.server.call(self.target, first)?.doors {
-            ctx.server.delete_door(door)?;
+        for door in ctx.server().call(self.target, first)?.doors {
+            ctx.server().delete_door(door)?;
         }
         call.attempt += 1;
-        ctx.server.call(self.target, Message { call, ..msg })
+        ctx.server().call(self.target, Message { call, ..msg })
     }
 }
 

@@ -16,8 +16,8 @@
 //! failure can report exactly which seeds were exercised.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -83,22 +83,37 @@ struct RecSink {
     delivered: Mutex<Vec<u64>>,
     lost: Mutex<Vec<(u64, u64)>>,
     evicted: Mutex<Vec<String>>,
-    /// When non-zero, every delivery sleeps this long (a slow consumer).
-    stall_ms: AtomicU64,
+    /// While set, a delivery parks until [`RecSink::resume`] (a consumer
+    /// that has stopped consuming).
+    stalled: StdMutex<bool>,
+    resumed: Condvar,
+    /// A delivery is parked, and with it the link worker that made it.
+    parked: AtomicBool,
 }
 
 impl RecSink {
     fn new() -> Arc<RecSink> {
         Arc::new(RecSink::default())
     }
+
+    fn stall(&self) {
+        *self.stalled.lock().unwrap() = true;
+    }
+
+    fn resume(&self) {
+        *self.stalled.lock().unwrap() = false;
+        self.resumed.notify_all();
+    }
 }
 
 impl Subscriber for RecSink {
     fn deliver(&self, seq: u64, _data: &[u8]) {
-        let stall = self.stall_ms.load(Ordering::Relaxed);
-        if stall > 0 {
-            std::thread::sleep(Duration::from_millis(stall));
+        let mut stalled = self.stalled.lock().unwrap();
+        while *stalled {
+            self.parked.store(true, Ordering::SeqCst);
+            stalled = self.resumed.wait(stalled).unwrap();
         }
+        drop(stalled);
         self.delivered.lock().push(seq);
     }
     fn lost(&self, from_seq: u64, to_seq: u64) {
@@ -253,7 +268,7 @@ fn evicted_subscribers_leak_no_doors_under_loss() {
         let shub_slow = SubscriberHub::new(&client);
         let shub_fast = SubscriberHub::new(&client);
         let slow = RecSink::new();
-        slow.stall_ms.store(50, Ordering::Relaxed);
+        slow.stall();
         let fast = RecSink::new();
         let slow_sub = shub_slow
             .subscribe(&proxy, DeliveryMode::BestEffort, slow.clone())
@@ -269,14 +284,32 @@ fn evicted_subscribers_leak_no_doors_under_loss() {
         // lost; the backpressure window expires and the hub evicts. The
         // eviction itself is a publisher-side decision, observable there
         // even if the lossy wire eats the notification.
+        //
+        // Each publish waits for the links to be done with the one before
+        // (a frame a link worker took ends up sent or dropped), so a queue
+        // only ever grows behind a parked delivery: however late the host
+        // schedules the fast link's worker, nothing but the stalled sink
+        // can be found full when a backpressure window expires. The slow
+        // link takes part until the first delivery that reaches its sink
+        // parks its worker; the frames it finished before that are as many
+        // as were published.
         let total = 40u64;
-        for i in 0..total {
-            hub.publish(&i.to_le_bytes()).unwrap();
+        let stats = hub.stats();
+        let finished = || stats.frames_sent() + stats.frames_dropped();
+        let mut slow_finished = None;
+        for published in 1..=total {
+            hub.publish(&published.to_le_bytes()).unwrap();
+            wait_until("the links finish with a published frame", || {
+                if slow.parked.load(Ordering::SeqCst) {
+                    slow_finished.get_or_insert(published - 1);
+                }
+                finished() >= slow_finished.unwrap_or(published) + published
+            });
         }
         wait_until("slow subscriber evicted under loss", || {
-            hub.stats().evictions() >= 1
+            stats.evictions() >= 1
         });
-        slow.stall_ms.store(0, Ordering::Relaxed);
+        slow.resume();
 
         // Heal, flush, and check the survivor accounts for everything.
         net.set_config(NetConfig::default());
