@@ -1,113 +1,77 @@
 //! `report` — regenerates every evaluation table of the paper.
 //!
-//! Usage: `cargo run --release -p spring-bench --bin report [--quick]
-//! [--smoke] [--trace] [--json-dir DIR]`
+//! Usage: `cargo run --release -p spring-bench --bin report [--smoke]
+//! [--trace] [--json-dir DIR]`
 //!
-//! One section per experiment from DESIGN.md §4 (E1–E14). Timings are
-//! machine-dependent; the accompanying counters (doors created, messages
-//! sent, bytes copied) are not, and EXPERIMENTS.md records both.
+//! One section per entry of [`EXPERIMENTS`] (E1–E17, DESIGN.md §4). Timings
+//! are machine-dependent; the accompanying counters (doors created,
+//! messages sent, bytes copied) are not, and EXPERIMENTS.md records both.
 //!
 //! Flags:
 //!
-//! * `--quick` — fewer iterations per timed loop (local sanity runs).
-//! * `--smoke` — E1/E1t/E4/E14/E15/E16/E17 only, with tiny iteration
-//!   counts and short sweeps; the CI per-push mode whose sole purpose is
-//!   producing `BENCH_e1.json` / `BENCH_e1t.json` / `BENCH_e4.json` /
-//!   `BENCH_e14.json` / `BENCH_e15.json` / `BENCH_e16.json` /
-//!   `BENCH_e17.json` and proving the harness still runs.
-//! * `--trace` — enable distributed tracing for the run, so the JSON
-//!   output carries per-subcontract latency histograms (slower; not the
-//!   configuration EXPERIMENTS.md records).
-//! * `--json-dir DIR` — write the machine-readable results of E1, E1t,
-//!   E4, E14, E15, E16 and E17 to `DIR/BENCH_e1.json`,
-//!   `DIR/BENCH_e1t.json`, `DIR/BENCH_e4.json`, `DIR/BENCH_e14.json`,
-//!   `DIR/BENCH_e15.json`, `DIR/BENCH_e16.json` and
-//!   `DIR/BENCH_e17.json`.
+//! * `--smoke` — every experiment at small iteration counts and short
+//!   sweeps: the per-push CI mode, and the scale the baselines under
+//!   `bench/baselines/` are recorded at.
+//! * `--trace` — enable distributed tracing for the run (slower; not the
+//!   configuration EXPERIMENTS.md records). With `--json-dir`, the
+//!   per-subcontract latency histograms of the whole run are written once,
+//!   to `DIR/TRACE.json`.
+//! * `--json-dir DIR` — write each experiment's table to
+//!   `DIR/BENCH_<id>.json`, the files `bench_compare` reads.
 
-use spring_bench::report;
-use spring_trace::json::Json;
+use std::path::Path;
+
+use spring_bench::report::{Scale, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trace = args.iter().any(|a| a == "--trace");
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let scale = if flag("--smoke") {
+        Scale::Smoke
+    } else {
+        Scale::Full
+    };
+    let trace = flag("--trace");
     let json_dir = args
         .iter()
         .position(|a| a == "--json-dir")
         .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let iters: u64 = if smoke {
-        500
-    } else if quick {
-        2_000
-    } else {
-        50_000
-    };
+        .map(Path::new);
 
     if trace {
         spring_trace::set_enabled(true);
     }
+    if let Some(dir) = json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
 
     println!("Subcontract evaluation reproduction (paper: Hamilton/Powell/Mitchell, SOSP 1993)");
-    println!(
-        "iterations per timed loop: {iters}{}",
-        if smoke {
-            " (smoke mode)"
-        } else if quick {
-            " (quick mode)"
-        } else {
-            ""
+    println!("scale: {scale:?}");
+    for experiment in EXPERIMENTS {
+        let table = (experiment.run)(scale);
+        print!("{}", table.render());
+        if let Some(dir) = json_dir {
+            let name = format!("BENCH_{}.json", experiment.id);
+            write(dir, &name, table.to_json().pretty());
         }
-    );
-
-    let e1 = report::e1_null_call(iters);
-    let e1t = report::e1_threaded(if smoke { 200 } else { iters });
-    let e4 = report::e4_caching(smoke || quick);
-    let e14 = report::e14_pipeline(smoke || quick);
-    let e15 = report::e15_open_loop(smoke || quick);
-    let e16 = report::e16_socket(smoke || quick);
-    let e17 = report::e17_pubsub(smoke || quick);
-
-    if !smoke {
-        report::e2_transmit(iters);
-        report::e3_cluster();
-        report::e4b_unmarshal_overhead(iters);
-        report::e5_replicon(iters);
-        report::e6_reconnect();
-        report::e7_marshal_copy(iters);
-        report::e8_shmem(if quick { 200 } else { 2_000 });
-        report::e9_discovery(iters);
-        report::e11_compat(iters);
-        report::e12_local(iters);
-        report::e13_stream(if quick { 500 } else { 10_000 });
     }
-
-    if let Some(dir) = json_dir {
-        write_json(&dir, "BENCH_e1.json", &e1);
-        write_json(&dir, "BENCH_e1t.json", &e1t);
-        write_json(&dir, "BENCH_e4.json", &e4);
-        write_json(&dir, "BENCH_e14.json", &e14);
-        write_json(&dir, "BENCH_e15.json", &e15);
-        write_json(&dir, "BENCH_e16.json", &e16);
-        write_json(&dir, "BENCH_e17.json", &e17);
-    }
-
     println!();
+    if let Some(dir) = json_dir {
+        if trace {
+            write(dir, "TRACE.json", spring_trace::histograms_json().pretty());
+        }
+        println!("wrote {} tables to {}", EXPERIMENTS.len(), dir.display());
+    }
     println!("done.");
 }
 
-fn write_json(dir: &str, name: &str, value: &Json) {
-    let dir = std::path::Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
+fn write(dir: &Path, name: &str, text: String) {
     let path = dir.join(name);
-    if let Err(e) = std::fs::write(&path, value.pretty()) {
+    if let Err(e) = std::fs::write(&path, text) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
-    println!("wrote {}", path.display());
 }

@@ -237,16 +237,12 @@ pub const OP_WORK: u32 = op_hash("work");
 
 /// A servant with a controllable service time — the workload behind the
 /// open-loop experiments, where what matters is how long a call *occupies a
-/// worker*, not what it computes. Two occupancy modes:
-///
-/// * [`SpinServant::new`] — CPU-bound: the call busy-spins for the service
-///   time (a compute-heavy server).
-/// * [`SpinServant::sleeping`] — timed occupancy: the call sleeps for the
-///   service time (an I/O-bound server). The queueing behaviour is
-///   identical — the worker is held either way — but the CPU stays free,
-///   which keeps the measurement honest on small or shared hosts where
-///   several spinning workers would preempt each other into
-///   scheduler-induced multi-millisecond stalls.
+/// worker*, not what it computes. Occupancy is timed: the call sleeps for
+/// the service time (an I/O-bound server). The queueing behaviour is that of
+/// a compute-bound server — the worker is held either way — but the CPU
+/// stays free, which keeps the measurement honest on small or shared hosts
+/// where several spinning workers would preempt each other into
+/// scheduler-induced multi-millisecond stalls.
 ///
 /// A one-shot stall can be armed to simulate a server hiccup (GC pause,
 /// page fault storm) for the coordinated-omission proof.
@@ -254,25 +250,14 @@ pub const OP_WORK: u32 = op_hash("work");
 pub struct SpinServant {
     service_ns: std::sync::atomic::AtomicU64,
     stall_ns: std::sync::atomic::AtomicU64,
-    busy: bool,
 }
 
 impl SpinServant {
-    /// Creates a servant whose `work` calls busy-spin for `service_ns`.
-    pub fn new(service_ns: u64) -> Arc<SpinServant> {
-        Self::with_mode(service_ns, true)
-    }
-
     /// Creates a servant whose `work` calls sleep for `service_ns`.
     pub fn sleeping(service_ns: u64) -> Arc<SpinServant> {
-        Self::with_mode(service_ns, false)
-    }
-
-    fn with_mode(service_ns: u64, busy: bool) -> Arc<SpinServant> {
         Arc::new(SpinServant {
             service_ns: std::sync::atomic::AtomicU64::new(service_ns),
             stall_ns: std::sync::atomic::AtomicU64::new(0),
-            busy,
         })
     }
 
@@ -281,20 +266,6 @@ impl SpinServant {
     pub fn arm_stall(&self, ns: u64) {
         self.stall_ns
             .store(ns, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn occupy_for(&self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        if self.busy {
-            let deadline = spring_trace::now_ns() + ns;
-            while spring_trace::now_ns() < deadline {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        }
     }
 }
 
@@ -313,8 +284,8 @@ impl Dispatch for SpinServant {
         match op {
             x if x == OP_WORK => {
                 let stall = self.stall_ns.swap(0, std::sync::atomic::Ordering::Relaxed);
-                self.occupy_for(stall);
-                self.occupy_for(self.service_ns.load(std::sync::atomic::Ordering::Relaxed));
+                let service = self.service_ns.load(std::sync::atomic::Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_nanos(stall + service));
                 encode_ok(reply);
                 Ok(())
             }

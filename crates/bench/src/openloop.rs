@@ -58,39 +58,15 @@ impl Default for OpenLoopConfig {
 /// What one open-loop run measured.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopReport {
-    /// Arrivals issued (always `total_calls`; the schedule is fixed).
-    pub offered: u64,
     /// Calls that completed successfully.
     pub served: u64,
     /// Calls the server shed with [`SpringError::Overloaded`].
     pub shed: u64,
     /// Calls that failed any other way.
     pub errors: u64,
-    /// Wall-clock duration of the run in nanoseconds.
-    pub elapsed_ns: u64,
     /// Latency distribution of *served* calls, measured from each call's
     /// intended start time.
     pub served_hist: HistSnapshot,
-    /// Time-to-rejection distribution of shed calls, same time base.
-    pub shed_hist: HistSnapshot,
-}
-
-impl OpenLoopReport {
-    /// Completions (served + shed + errored) per wall-clock second.
-    pub fn achieved_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        (self.served + self.shed + self.errors) as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
-    /// Served calls per wall-clock second (goodput).
-    pub fn goodput_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.served as f64 * 1e9 / self.elapsed_ns as f64
-    }
 }
 
 /// Runs one open-loop schedule.
@@ -113,7 +89,6 @@ where
     let period_ns = 1e9 / cfg.rate_per_sec;
 
     let served_hist = Histogram::default();
-    let shed_hist = Histogram::default();
     let served = AtomicU64::new(0);
     let shed = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
@@ -154,7 +129,6 @@ where
                         served.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(SpringError::Overloaded { .. }) => {
-                        shed_hist.record(latency);
                         shed.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(_) => {
@@ -166,12 +140,9 @@ where
     });
 
     OpenLoopReport {
-        offered: cfg.total_calls,
         served: served.into_inner(),
         shed: shed.into_inner(),
         errors: errors.into_inner(),
-        elapsed_ns: now_ns().saturating_sub(start_ns),
         served_hist: served_hist.snapshot(),
-        shed_hist: shed_hist.snapshot(),
     }
 }

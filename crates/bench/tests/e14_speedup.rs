@@ -4,58 +4,16 @@
 //! frame pays two 1 ms hops), so the ratio is robust even in debug builds
 //! and on loaded machines; a couple of retries absorb scheduler outliers.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use spring_bench::report::{Scale, EXPERIMENTS};
 
-use spring_bench::fixtures::{ctx_on, ping, ping_async, ping_collect, PingServant, PINGER_TYPE};
-use spring_net::{NetConfig, Network};
-use spring_subcontracts::Pipeline;
-use subcontract::ship_object;
-
-const CALLS: usize = 8;
 const MIN_SPEEDUP: f64 = 3.0;
-
-fn one_round() -> f64 {
-    let net = Network::new(NetConfig::with_latency(Duration::from_millis(1)));
-    let server_node = net.add_node("server");
-    let client_node = net.add_node("client");
-    let server_ctx = ctx_on(server_node.kernel(), "server");
-    let client_ctx = ctx_on(client_node.kernel(), "client");
-    let obj = Pipeline::export(&server_ctx, Arc::new(PingServant)).unwrap();
-    let client_obj = ship_object(&*net, obj, &client_ctx, &PINGER_TYPE).unwrap();
-
-    // Warm-up: spawn the worker pool and prime the pools.
-    ping(&client_obj).unwrap();
-    let warm: Vec<_> = (0..CALLS)
-        .map(|_| ping_async(&client_obj).unwrap())
-        .collect();
-    for p in warm {
-        ping_collect(p).unwrap();
-    }
-
-    let t0 = Instant::now();
-    for _ in 0..CALLS {
-        ping(&client_obj).unwrap();
-    }
-    let sequential = t0.elapsed();
-
-    let t0 = Instant::now();
-    let promises: Vec<_> = (0..CALLS)
-        .map(|_| ping_async(&client_obj).unwrap())
-        .collect();
-    for p in promises {
-        ping_collect(p).unwrap();
-    }
-    let pipelined = t0.elapsed();
-
-    sequential.as_secs_f64() / pipelined.as_secs_f64()
-}
 
 #[test]
 fn pipelined_burst_is_at_least_3x_faster_at_1ms_latency() {
+    let e14 = EXPERIMENTS.iter().find(|e| e.id == "e14").unwrap();
     let mut best = 0.0f64;
     for attempt in 0..3 {
-        let speedup = one_round();
+        let speedup = (e14.run)(Scale::Smoke).get("speedup_1ms").unwrap();
         best = best.max(speedup);
         if best >= MIN_SPEEDUP {
             return;

@@ -5,27 +5,16 @@
 //! the host's own measured capacity, so the gate is machine-independent;
 //! retries absorb the occasional CI host that stalls an entire round.
 
-use spring_trace::json::Json;
-
-fn knee_x(doc: &Json, arm: &str) -> f64 {
-    doc.get("arms")
-        .and_then(Json::as_arr)
-        .and_then(|arms| {
-            arms.iter()
-                .find(|a| a.get("name").and_then(Json::as_str) == Some(arm))
-        })
-        .and_then(|a| a.get("knee_x"))
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("BENCH_e15 json lacks knee_x for arm `{arm}`"))
-}
+use spring_bench::report::{Scale, EXPERIMENTS};
 
 #[test]
 fn shedding_moves_the_p99_knee_to_a_strictly_higher_offered_load() {
+    let e15 = EXPERIMENTS.iter().find(|e| e.id == "e15").unwrap();
     let mut last = (0.0, 0.0);
     for attempt in 0..3 {
-        let doc = spring_bench::report::e15_open_loop(true);
-        let noshed = knee_x(&doc, "no_shed");
-        let shed = knee_x(&doc, "shed");
+        let table = (e15.run)(Scale::Smoke);
+        let noshed = table.get("knee_x_no_shed").unwrap();
+        let shed = table.get("knee_x_shed").unwrap();
         if shed > noshed {
             return;
         }

@@ -72,25 +72,7 @@ pub fn ship_object(
     expected: &'static TypeInfo,
 ) -> Result<SpringObj> {
     let from = obj.ctx().domain().clone();
-    let mut span = spring_trace::span_start("ship", from.trace_scope(), 0);
-    let mut buf = CommBuffer::pooled();
-    obj.marshal(&mut buf)?;
-    let mut msg = buf.into_message();
-    // Stamp the envelope so the transport's far side reattaches under this
-    // span (the network transport serializes the context into its wire
-    // form).
-    if span.ctx().is_some() {
-        msg.trace = span.ctx();
-    }
-    let arrived = match transport.ship(&from, to.domain(), msg) {
-        Ok(m) => m,
-        Err(e) => {
-            span.fail();
-            return Err(e.into());
-        }
-    };
-    let mut buf = CommBuffer::from_message(arrived);
-    unmarshal_object(to, expected, &mut buf)
+    ship_marshalled(transport, &from, to, expected, |buf| obj.marshal(buf))
 }
 
 /// Transmits a copy of the object, leaving the original in place.
@@ -101,14 +83,29 @@ pub fn ship_object_copy(
     expected: &'static TypeInfo,
 ) -> Result<SpringObj> {
     let from = obj.ctx().domain().clone();
+    ship_marshalled(transport, &from, to, expected, |buf| obj.marshal_copy(buf))
+}
+
+/// The body of both entry points: `marshal` writes the object's wire form
+/// (moving or copying it), the transport carries it, `to` unmarshals it.
+fn ship_marshalled(
+    transport: &dyn Transport,
+    from: &Domain,
+    to: &Arc<DomainCtx>,
+    expected: &'static TypeInfo,
+    marshal: impl FnOnce(&mut CommBuffer) -> Result<()>,
+) -> Result<SpringObj> {
     let mut span = spring_trace::span_start("ship", from.trace_scope(), 0);
     let mut buf = CommBuffer::pooled();
-    obj.marshal_copy(&mut buf)?;
+    marshal(&mut buf)?;
     let mut msg = buf.into_message();
+    // Stamp the envelope so the transport's far side reattaches under this
+    // span (the network transport serializes the context into its wire
+    // form).
     if span.ctx().is_some() {
         msg.trace = span.ctx();
     }
-    let arrived = match transport.ship(&from, to.domain(), msg) {
+    let arrived = match transport.ship(from, to.domain(), msg) {
         Ok(m) => m,
         Err(e) => {
             span.fail();

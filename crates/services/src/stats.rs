@@ -144,8 +144,9 @@ impl StatsClient {
         let call = self.0.start_call(OP_KERNEL_STATS)?;
         let mut reply = self.0.invoke(call)?;
         expect_ok(&mut reply)?;
-        let n = reply.get_u32()?;
-        let mut out = Vec::with_capacity(n as usize);
+        // A row is a length-prefixed name and a u64.
+        let n = reply.get_seq_len(4 + 8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let name = reply.get_string()?;
             let value = reply.get_u64()?;
@@ -159,8 +160,9 @@ impl StatsClient {
         let call = self.0.start_call(OP_HIST_LIST)?;
         let mut reply = self.0.invoke(call)?;
         expect_ok(&mut reply)?;
-        let n = reply.get_u32()?;
-        let mut out = Vec::with_capacity(n as usize);
+        // A row is two u64s around a length-prefixed name.
+        let n = reply.get_seq_len(8 + 4 + 8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let key = reply.get_u64()?;
             let op = reply.get_string()?;

@@ -209,8 +209,8 @@ impl TopicRegistryClient {
         let call = self.0.start_call(OP_TOPIC_LIST)?;
         let mut reply = self.0.invoke(call)?;
         expect_ok(&mut reply)?;
-        let n = reply.get_u32()?;
-        let mut out = Vec::with_capacity(n as usize);
+        let n = reply.get_seq_len(4)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(reply.get_string()?);
         }

@@ -211,26 +211,11 @@ fn attempt_loop(
     msg: Message,
     mut company: Company,
 ) -> Result<Message> {
-    let (bytes, arg_doors, trace) = (msg.bytes, msg.doors, msg.trace);
-    let mut inv = Invocation::begin(policy);
+    let mut inv = Invocation::begin(policy, msg).under(parent);
     loop {
-        let attempt = Message {
-            bytes: bytes.clone(),
-            doors: arg_doors.clone(),
-            trace,
-            call: inv.call_id(),
-        };
-        let mut attempt_span = spring_trace::span_child_of(
-            spring_trace::keys::PIPELINE_ATTEMPT,
-            parent,
-            domain.trace_scope(),
-            inv.attempt() as u64,
-        );
-        let outcome = domain.call_in_company(door, attempt, company.of_attempt());
-        if outcome.is_err() {
-            attempt_span.fail();
-        }
-        drop(attempt_span);
+        let outcome = inv.attempt(spring_trace::keys::PIPELINE_ATTEMPT, domain, |attempt| {
+            domain.call_in_company(door, attempt, company.of_attempt())
+        });
         match outcome {
             Ok(reply) => return Ok(reply),
             Err(e) if e.is_comm_failure() => inv.backoff()?,

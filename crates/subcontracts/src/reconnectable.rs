@@ -13,13 +13,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorId, Message};
+use spring_kernel::DoorId;
 use subcontract::{
     client, put_obj_header, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId, ServeDoor,
     SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::retry::{Invocation, Replay};
+use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
 
@@ -119,33 +119,17 @@ impl Subcontract for Reconnectable {
     fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
         let repr = obj.repr().downcast::<ReconRepr>(self.name())?;
         let domain = obj.ctx().domain();
-        let msg = call.into_message();
-        let (request, arg_doors, trace) = (Replay(msg.bytes), msg.doors, msg.trace);
 
         // One logical call: every attempt shares the nonce (so the server's
         // reply cache deduplicates a reply lost in flight) and the deadline.
-        let mut inv = Invocation::begin(self.policy);
+        let mut inv = Invocation::begin(self.policy, call.into_message());
         loop {
             let door = *repr.door.lock();
-            let attempt = Message {
-                bytes: request.copy(),
-                doors: arg_doors.clone(),
-                trace,
-                call: inv.call_id(),
-            };
-            // One span per attempt, tagged with the attempt number, so a
-            // reconnect reads as a failed sibling plus the retry that
-            // succeeded.
-            let mut attempt_span = spring_trace::span_start(
-                "reconnectable.attempt",
-                domain.trace_scope(),
-                inv.attempt() as u64,
-            );
-            let outcome = domain.call(door, attempt);
-            if outcome.is_err() {
-                attempt_span.fail();
-            }
-            drop(attempt_span);
+            // A reconnect reads in the trace as a failed attempt plus the
+            // retry that succeeded.
+            let outcome = inv.attempt("reconnectable.attempt", domain, |attempt| {
+                domain.call(door, attempt)
+            });
             match outcome {
                 Ok(reply) => return Ok(CommBuffer::from_message(reply)),
                 Err(e) if e.is_comm_failure() => {

@@ -28,7 +28,7 @@ use subcontract::{
     Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
-use crate::retry::{Invocation, Replay, RetryPolicy};
+use crate::retry::{Invocation, RetryPolicy};
 
 /// Reply control flag: the client's replica set is current.
 const CTRL_CURRENT: u8 = 0;
@@ -120,38 +120,22 @@ impl Subcontract for Replicon {
     fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
         let repr = obj.repr().downcast::<RepliconRepr>(self.name())?;
         let domain = obj.ctx().domain();
-        let msg = call.into_message();
-        let (request, arg_doors, trace) = (Replay(msg.bytes), msg.doors, msg.trace);
 
         // One logical call across every failover and retry: all attempts
         // share the nonce, so whichever replica executed the first attempt
         // can be recognized through the group's shared reply cache.
-        let mut inv = Invocation::begin(self.policy);
+        let mut inv = Invocation::begin(self.policy, call.into_message());
         loop {
             // Snapshot the first target under the lock; call outside it.
             let target = match repr.state.lock().doors.first() {
                 Some(d) => *d,
                 None => return Err(SpringError::Exhausted("no live replicas")),
             };
-            let attempt = Message {
-                bytes: request.copy(),
-                doors: arg_doors.clone(),
-                trace,
-                call: inv.call_id(),
-            };
-            // One span per attempt, tagged with the attempt number: a
-            // failover shows up in the trace as a failed sibling followed
+            // A failover shows up in the trace as a failed attempt followed
             // by the successful retry.
-            let mut attempt_span = spring_trace::span_start(
-                "replicon.attempt",
-                domain.trace_scope(),
-                inv.attempt() as u64,
-            );
-            let outcome = domain.call(target, attempt);
-            if outcome.is_err() {
-                attempt_span.fail();
-            }
-            drop(attempt_span);
+            let outcome = inv.attempt("replicon.attempt", domain, |attempt| {
+                domain.call(target, attempt)
+            });
             match outcome {
                 Ok(reply) => {
                     let mut reply = CommBuffer::from_message(reply);

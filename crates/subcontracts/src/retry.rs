@@ -13,7 +13,8 @@
 use std::time::Duration;
 
 use spring_kernel::callid::{deadline_after, next_nonce, now_micros};
-use spring_kernel::{pool, CallId, FaultRng};
+use spring_kernel::{pool, CallId, Domain, DoorError, DoorId, FaultRng, Message};
+use spring_trace::TraceCtx;
 use subcontract::SpringError;
 
 /// How persistently a retrying subcontract re-attempts one invocation.
@@ -21,17 +22,11 @@ use subcontract::SpringError;
 pub struct RetryPolicy {
     /// Maximum retries per invocation after the initial attempt.
     pub max_attempts: u32,
-    /// Delay before the first retry ("retries periodically"); doubles —
-    /// or grows by [`RetryPolicy::multiplier`] — on each further retry.
+    /// Delay before the first retry ("retries periodically"); doubles on
+    /// each further retry.
     pub interval: Duration,
     /// Ceiling on the per-retry delay once backoff has grown it.
     pub max_interval: Duration,
-    /// Backoff growth factor between consecutive retries.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: each sleep is scaled by a random
-    /// factor in `[1 - jitter, 1 + jitter]` to de-synchronize retrying
-    /// clients.
-    pub jitter: f64,
     /// Wall-clock budget for the whole invocation, carried in the call
     /// envelope as an absolute deadline: the client stops retrying past
     /// it and servers refuse to *start* executing an expired call.
@@ -44,16 +39,29 @@ impl Default for RetryPolicy {
             max_attempts: 8,
             interval: Duration::from_millis(10),
             max_interval: Duration::from_millis(200),
-            multiplier: 2.0,
-            jitter: 0.5,
             deadline: Duration::from_secs(30),
         }
     }
 }
 
-/// One logical invocation's retry state: identity, budget, pacing.
+/// Backoff growth factor between consecutive retries.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Jitter fraction: each sleep is scaled by a random factor in
+/// `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]` to de-synchronize retrying
+/// clients.
+const BACKOFF_JITTER: f64 = 0.5;
+
+/// One logical invocation's retry state: the request every attempt
+/// re-sends, identity, budget, pacing.
 #[derive(Debug)]
 pub struct Invocation {
+    request: Replay,
+    arg_doors: Vec<DoorId>,
+    trace: TraceCtx,
+    /// What the attempt spans parent under: the given context, or the
+    /// thread's innermost open span at each attempt.
+    parent: Option<TraceCtx>,
     nonce: u64,
     deadline_micros: u64,
     policy: RetryPolicy,
@@ -65,10 +73,15 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Begins a logical invocation: fresh nonce, deadline anchored now.
-    pub fn begin(policy: RetryPolicy) -> Invocation {
+    /// Begins a logical invocation of the marshalled `call`: fresh nonce,
+    /// deadline anchored now.
+    pub fn begin(policy: RetryPolicy, call: Message) -> Invocation {
         let nonce = next_nonce();
         Invocation {
+            request: Replay(call.bytes),
+            arg_doors: call.doors,
+            trace: call.trace,
+            parent: None,
             nonce,
             deadline_micros: deadline_after(policy.deadline),
             policy,
@@ -80,6 +93,42 @@ impl Invocation {
         }
     }
 
+    /// Parents the attempt spans under `parent` — for an invocation that
+    /// runs on another thread than the one that issued it.
+    pub fn under(mut self, parent: TraceCtx) -> Invocation {
+        self.parent = Some(parent);
+        self
+    }
+
+    /// One attempt: hands `call` a fresh copy of the request stamped with
+    /// the current attempt's identity, under one span named `span` and
+    /// tagged with the attempt number — so a retry reads in the trace as a
+    /// failed sibling followed by the attempt that succeeded. What the
+    /// outcome means is the caller's business.
+    pub fn attempt<T>(
+        &self,
+        span: &'static str,
+        domain: &Domain,
+        call: impl FnOnce(Message) -> Result<T, DoorError>,
+    ) -> Result<T, DoorError> {
+        let msg = Message {
+            bytes: self.request.copy(),
+            doors: self.arg_doors.clone(),
+            trace: self.trace,
+            call: self.call_id(),
+        };
+        let (scope, tag) = (domain.trace_scope(), self.attempt as u64);
+        let mut attempt_span = match self.parent {
+            Some(parent) => spring_trace::span_child_of(span, parent, scope, tag),
+            None => spring_trace::span_start(span, scope, tag),
+        };
+        let outcome = call(msg);
+        if outcome.is_err() {
+            attempt_span.fail();
+        }
+        outcome
+    }
+
     /// The identity to stamp on the current attempt's call envelope.
     pub fn call_id(&self) -> CallId {
         CallId {
@@ -87,11 +136,6 @@ impl Invocation {
             attempt: self.attempt,
             deadline_micros: self.deadline_micros,
         }
-    }
-
-    /// The current attempt number (1 for the initial transmission).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// Records a failed attempt and sleeps the backoff delay before the
@@ -108,11 +152,9 @@ impl Invocation {
             return Err(SpringError::Exhausted("invocation deadline"));
         }
         let mut delay = self.next_delay.min(self.policy.max_interval);
-        self.next_delay = self.next_delay.mul_f64(self.policy.multiplier.max(1.0));
-        if self.policy.jitter > 0.0 {
-            let spread = self.policy.jitter.clamp(0.0, 1.0);
-            delay = delay.mul_f64(1.0 - spread + 2.0 * spread * self.rng.unit_f64());
-        }
+        self.next_delay = self.next_delay.mul_f64(BACKOFF_MULTIPLIER);
+        let jitter = 1.0 - BACKOFF_JITTER + 2.0 * BACKOFF_JITTER * self.rng.unit_f64();
+        delay = delay.mul_f64(jitter);
         // Never sleep past the deadline itself.
         delay = delay.min(Duration::from_micros(remaining_micros));
         if !delay.is_zero() {
@@ -127,11 +169,12 @@ impl Invocation {
 /// the thread's buffer pool, and the original goes back to the pool when
 /// the invocation ends, whichever way it ends — so a retrying subcontract's
 /// steady-state call allocates nothing for its payload.
-pub(crate) struct Replay(pub(crate) Vec<u8>);
+#[derive(Debug)]
+struct Replay(Vec<u8>);
 
 impl Replay {
     /// The bytes for one more attempt.
-    pub(crate) fn copy(&self) -> Vec<u8> {
+    fn copy(&self) -> Vec<u8> {
         let mut copy = pool::take(self.0.len());
         copy.extend_from_slice(&self.0);
         copy
@@ -159,7 +202,7 @@ mod tests {
 
     #[test]
     fn attempts_share_the_nonce_and_count_up() {
-        let mut inv = Invocation::begin(fast_policy());
+        let mut inv = Invocation::begin(fast_policy(), Message::default());
         let first = inv.call_id();
         assert!(first.is_some());
         assert_eq!(first.attempt, 1);
@@ -172,7 +215,7 @@ mod tests {
 
     #[test]
     fn budget_exhausts_after_max_attempts() {
-        let mut inv = Invocation::begin(fast_policy());
+        let mut inv = Invocation::begin(fast_policy(), Message::default());
         for _ in 0..3 {
             inv.backoff().unwrap();
         }
@@ -181,12 +224,13 @@ mod tests {
 
     #[test]
     fn deadline_exhausts_before_budget() {
-        let mut inv = Invocation::begin(RetryPolicy {
+        let policy = RetryPolicy {
             max_attempts: 1_000,
             interval: Duration::from_micros(100),
             deadline: Duration::from_millis(5),
             ..RetryPolicy::default()
-        });
+        };
+        let mut inv = Invocation::begin(policy, Message::default());
         let mut spent = 0;
         loop {
             match inv.backoff() {
@@ -203,8 +247,8 @@ mod tests {
 
     #[test]
     fn distinct_invocations_get_distinct_nonces() {
-        let a = Invocation::begin(fast_policy());
-        let b = Invocation::begin(fast_policy());
+        let a = Invocation::begin(fast_policy(), Message::default());
+        let b = Invocation::begin(fast_policy(), Message::default());
         assert_ne!(a.call_id().nonce, b.call_id().nonce);
     }
 }

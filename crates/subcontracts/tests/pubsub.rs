@@ -4,7 +4,7 @@
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use common::ctx_on;
@@ -42,8 +42,10 @@ struct RecSink {
     delivered: Mutex<Vec<(u64, Vec<u8>)>>,
     lost: Mutex<Vec<(u64, u64)>>,
     evicted: Mutex<Vec<String>>,
-    /// When non-zero, every delivery sleeps this long (a slow consumer).
-    stall_ms: AtomicU64,
+    /// While set, a delivery parks until [`RecSink::resume`] (a consumer
+    /// that has stopped consuming).
+    stalled: StdMutex<bool>,
+    resumed: Condvar,
     /// Deliveries *entered* (counted before any stall), so tests can tell
     /// a worker is parked inside the sink.
     entered: AtomicU64,
@@ -57,15 +59,25 @@ impl RecSink {
     fn seqs(&self) -> Vec<u64> {
         self.delivered.lock().iter().map(|(s, _)| *s).collect()
     }
+
+    fn stall(&self) {
+        *self.stalled.lock().unwrap() = true;
+    }
+
+    fn resume(&self) {
+        *self.stalled.lock().unwrap() = false;
+        self.resumed.notify_all();
+    }
 }
 
 impl Subscriber for RecSink {
     fn deliver(&self, seq: u64, data: &[u8]) {
         self.entered.fetch_add(1, Ordering::Relaxed);
-        let stall = self.stall_ms.load(Ordering::Relaxed);
-        if stall > 0 {
-            std::thread::sleep(Duration::from_millis(stall));
+        let mut stalled = self.stalled.lock().unwrap();
+        while *stalled {
+            stalled = self.resumed.wait(stalled).unwrap();
         }
+        drop(stalled);
         self.delivered.lock().push((seq, data.to_vec()));
     }
     fn lost(&self, from_seq: u64, to_seq: u64) {
@@ -113,10 +125,11 @@ fn one_publish_one_frame_per_link_not_per_subscriber() {
     for i in 0..publishes {
         hub.publish(&i.to_le_bytes()).unwrap();
     }
+    // A link worker counts a frame as sent when the delivery call returns,
+    // which is after the sinks have seen it.
     wait_until("all subscribers to drain", || {
-        sinks
-            .iter()
-            .all(|s| s.delivered.lock().len() == publishes as usize)
+        let drained = |s: &Arc<RecSink>| s.delivered.lock().len() == publishes as usize;
+        sinks.iter().all(drained) && hub.stats().frames_sent() >= publishes * 2
     });
 
     // The coalescing invariant: 20 subscribers, 2 links, so each publish
@@ -263,7 +276,7 @@ fn slow_subscriber_is_evicted_with_notification_and_no_leaks() {
     let shub_slow = SubscriberHub::new(&client);
     let shub_fast = SubscriberHub::new(&client);
     let slow = RecSink::new();
-    slow.stall_ms.store(50, Ordering::Relaxed);
+    slow.stall();
     let fast = RecSink::new();
     let slow_sub = shub_slow
         .subscribe(&proxy, DeliveryMode::BestEffort, slow.clone())
@@ -273,15 +286,29 @@ fn slow_subscriber_is_evicted_with_notification_and_no_leaks() {
         .unwrap();
     assert_eq!(hub.link_count(), 2);
 
-    // The slow sink stalls its link worker; its queue fills, the
+    // The slow sink parks its link worker; its queue fills, the
     // backpressure window expires, and the hub evicts it — delivering the
     // eviction as a callback-door notification.
+    //
+    // Each publish waits for the links to be done with the one before, so
+    // a queue only ever grows behind the parked delivery: however late the
+    // host schedules the fast link's worker, only the stalled sink can be
+    // found full when a backpressure window expires. The slow link's
+    // worker parks inside its first delivery, so it never finishes sending
+    // a frame: every frame counted as sent is the fast link's.
     let total = 40u64;
-    for i in 0..total {
-        hub.publish(&i.to_le_bytes()).unwrap();
+    let stats = hub.stats();
+    for published in 1..=total {
+        hub.publish(&published.to_le_bytes()).unwrap();
+        wait_until("the fast link sends the published frame", || {
+            stats.frames_sent() >= published
+        });
     }
-    wait_until("slow subscriber eviction", || slow_sub.was_evicted());
-    slow.stall_ms.store(0, Ordering::Relaxed);
+    // The eviction is the publisher's decision; its notification reaches
+    // the subscriber through the link the stalled sink is holding up.
+    wait_until("slow subscriber eviction", || stats.evictions() >= 1);
+    slow.resume();
+    wait_until("eviction notification", || slow_sub.was_evicted());
     wait_until("fast subscriber catches up", || {
         fast_sub.last_seq() == total
     });
@@ -463,7 +490,7 @@ fn publish_stalls_at_most_one_backpressure_window_across_links() {
     for _ in 0..3 {
         let shub = SubscriberHub::new(&client);
         let sink = RecSink::new();
-        sink.stall_ms.store(2_000, Ordering::Relaxed);
+        sink.stall();
         subs.push(
             shub.subscribe(&proxy, DeliveryMode::BestEffort, sink.clone())
                 .unwrap(),
@@ -497,4 +524,5 @@ fn publish_stalls_at_most_one_backpressure_window_across_links() {
     assert!(stalled >= backpressure / 2, "queues were not actually full");
     assert_eq!(hub.stats().evictions(), 3);
     assert_eq!(hub.subscriber_count(), 0);
+    sinks.iter().for_each(|sink| sink.resume());
 }

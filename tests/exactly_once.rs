@@ -52,7 +52,6 @@ fn fast_policy() -> RetryPolicy {
         interval: Duration::from_micros(200),
         max_interval: Duration::from_millis(2),
         deadline: Duration::from_secs(20),
-        ..RetryPolicy::default()
     }
 }
 
@@ -309,7 +308,6 @@ fn partitions_preserve_exactly_once_and_respect_budget() {
         interval: Duration::from_millis(1),
         max_interval: Duration::from_millis(4),
         deadline: Duration::from_secs(5),
-        ..RetryPolicy::default()
     };
     for seed in SEEDS {
         let net = Network::new(NetConfig::default());
@@ -377,7 +375,6 @@ fn replicon_partitions_fail_over_then_exhaust_in_bounded_time() {
         interval: Duration::from_millis(1),
         max_interval: Duration::from_millis(4),
         deadline: Duration::from_secs(5),
-        ..RetryPolicy::default()
     };
     for seed in SEEDS {
         let net = Network::new(NetConfig::default());
