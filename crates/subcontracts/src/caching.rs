@@ -18,25 +18,26 @@
 //! implemented entirely inside the subcontract, with the stubs untouched.
 //! The protocol is documented in DESIGN.md §5.11.
 //!
-//! Coherence in one paragraph: each coherent attachment registers a
-//! callback door with the server under a process-unique nonce. After any
+//! Coherence in one paragraph: each coherent attachment registers with the
+//! server over the callback channel (`callback.rs`, DESIGN.md §5.20),
+//! as `(its manager's callback door, a nonce of that manager's)`. After any
 //! non-cacheable (mutating) operation commits, the server bumps its *epoch*
 //! and broadcasts the new epoch to every registered cache. Because
 //! callbacks cross the simulated network they can be dropped, so
 //! correctness never depends on delivery: memo entries are tagged with the
 //! epoch they were read under and are only served while the servant holds a
-//! live *lease*; on lease expiry the servant revalidates with a cheap
-//! epoch-check RPC (re-registering if the server pruned it). A cache that
-//! stops acknowledging callbacks is pruned from the broadcast set without
-//! blocking the write path.
+//! live *lease*; on lease expiry the servant revalidates by registering
+//! again — the reply carries epoch and lease, and a server that had pruned
+//! the cache has it back. A cache that stops acknowledging callbacks is
+//! pruned from the broadcast set without blocking the write path.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spring_buf::CommBuffer;
+use spring_buf::{BufError, CommBuffer};
 use spring_kernel::callid::now_micros;
 use spring_kernel::{CallCtx, DoorError, DoorHandler, DoorId, Message};
 use subcontract::{
@@ -44,6 +45,8 @@ use subcontract::{
     ObjParts, ReplyStatus, Repr, Result, ScId, ServeDoor, ServerCtx, ServerSubcontract,
     SpringError, SpringObj, Subcontract, TypeInfo, STATUS_OK,
 };
+
+use crate::callback::{self, Inbox, Link};
 
 /// Run-time type of cache manager objects.
 pub static CACHE_MANAGER_TYPE: TypeInfo = TypeInfo {
@@ -56,32 +59,27 @@ pub static CACHE_MANAGER_TYPE: TypeInfo = TypeInfo {
 /// door back.
 pub const OP_ATTACH: u32 = op_hash("attach");
 
-/// Coherence-protocol operation: register a callback door under a nonce.
-/// Served by the coherent export's door handler itself, never by the
-/// skeleton; an incoherent server never receives it (servants only speak
-/// the protocol when the marshalled form said the server is coherent).
+/// Coherence-protocol operation: register a callback door under a nonce,
+/// or register again to revalidate a lease (the reply carries the epoch and
+/// the lease either way). Served by the coherent export's door handler
+/// itself, never by the skeleton; an incoherent server never receives it
+/// (servants only speak the protocol when the marshalled form said the
+/// server is coherent).
 pub const OP_CACHE_REGISTER: u32 = op_hash("cache.register");
 
-/// Coherence-protocol operation: epoch-check RPC used to revalidate a lease.
-pub const OP_CACHE_EPOCH: u32 = op_hash("cache.epoch");
-
 /// Coherence-protocol operation: drop a registration (best effort; a lost
-/// detach is reaped via the unknown-nonce list on the next broadcast).
+/// detach is reaped via the stale list in the next broadcast's reply).
 pub const OP_CACHE_DETACH: u32 = op_hash("cache.detach");
 
-/// Consecutive transient (Comm) callback failures before a cache is pruned
-/// from the broadcast set. Non-transient failures (revoked door, dead
-/// domain) prune immediately. A pruned-but-alive cache re-registers itself
-/// on its next lease revalidation, so an over-eager prune only costs
+/// Consecutive transient (Comm) broadcast failures before a cache manager
+/// is pruned from the broadcast set. Non-transient failures (revoked door,
+/// dead domain) prune immediately. A pruned-but-alive cache is registered
+/// again by its next lease revalidation, so an over-eager prune only costs
 /// callbacks, never correctness.
 const MAX_CALLBACK_FAILURES: u32 = 8;
 
-/// Default bound on a cache servant's memo (entries), LRU-evicted.
+/// Bound on a cache servant's memo (entries), LRU-evicted.
 const DEFAULT_MEMO_CAPACITY: usize = 1024;
-
-/// Process-wide attach nonce allocator; nonces name registrations across
-/// the network, so they must be unique across every manager in the process.
-static NEXT_ATTACH_NONCE: AtomicU64 = AtomicU64::new(1);
 
 /// Reads the operation word without copying the payload: caching objects
 /// have no `invoke_preamble`, so the op is the first aligned little-endian
@@ -159,7 +157,7 @@ impl Caching {
             inner: Self::direct_door(ctx, disp),
             cacheable: cacheable_ops.into_iter().collect(),
             lease_micros: lease.as_micros().max(1) as u64,
-            callbacks: Mutex::new(HashMap::new()),
+            links: Mutex::new(HashMap::new()),
             stats: stats.clone(),
         });
         let obj = Self::assemble_export(ctx, type_info, handler, manager_name.into(), true)?;
@@ -224,8 +222,8 @@ impl CoherentStats {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Invalidation broadcast calls issued (one per distinct callback door
-    /// per epoch bump, not one per registration).
+    /// Invalidation broadcast calls issued (one per cache manager per epoch
+    /// bump, not one per registration).
     pub fn broadcasts(&self) -> u64 {
         self.broadcasts.load(Ordering::Relaxed)
     }
@@ -240,21 +238,11 @@ impl CoherentStats {
         self.pruned.load(Ordering::Relaxed)
     }
 
-    /// Callback registrations accepted (including re-registrations).
+    /// Callback registrations accepted (lease revalidations included: a
+    /// revalidation is a registration).
     pub fn registrations(&self) -> u64 {
         self.registrations.load(Ordering::Relaxed)
     }
-}
-
-/// One registered invalidation callback.
-struct Callback {
-    /// Our copy of the cache's callback door (possibly a network proxy).
-    door: DoorId,
-    /// Underlying door token: registrations from the same manager share a
-    /// door, so broadcasts group by token and issue one call per machine.
-    token: u64,
-    /// Consecutive transient failures (reset on success).
-    fails: u32,
 }
 
 /// The coherent server handler: wraps the direct serve door, intercepts the
@@ -264,9 +252,10 @@ struct CoherentHandler {
     inner: Arc<ServeDoor>,
     cacheable: HashSet<u32>,
     lease_micros: u64,
-    /// nonce → callback. Never held across a door call (broadcasts snapshot
-    /// it first), per the kernel's lock discipline.
-    callbacks: Mutex<HashMap<u64, Callback>>,
+    /// Callback door token → the cache manager behind it and its
+    /// registered attachments. Never held across a door call (broadcasts
+    /// snapshot it first), per the kernel's lock discipline.
+    links: Mutex<HashMap<u64, Link<()>>>,
     stats: Arc<CoherentStats>,
 }
 
@@ -275,46 +264,28 @@ impl CoherentHandler {
         self.ctx.domain()
     }
 
+    /// Reads a protocol request: the op word `invoke` dispatched on, then
+    /// what the callback channel appended.
+    fn request(
+        &self,
+        msg: Message,
+        what: &str,
+    ) -> std::result::Result<callback::Request<'_>, DoorError> {
+        let mut args = CommBuffer::from_message(msg);
+        let _op = args.get_u32();
+        callback::read_request(self.domain(), &mut args, what)
+    }
+
     fn handle_register(&self, msg: Message) -> std::result::Result<Message, DoorError> {
-        let carried = msg.doors.clone();
-        let parsed = (|| -> Result<(u64, DoorId)> {
-            if carried.len() != 1 {
-                return Err(SpringError::Remote(
-                    "cache.register expects exactly one callback door".into(),
-                ));
-            }
-            let mut args = CommBuffer::from_message(msg);
-            let _op = args.get_u32()?;
-            let nonce = args.get_u64()?;
-            let door = args.get_door()?;
-            Ok((nonce, door))
-        })();
-        let (nonce, door) = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                for d in carried {
-                    let _ = self.domain().delete_door(d);
+        let req = self.request(msg, "cache.register")?;
+        {
+            let mut links = self.links.lock();
+            match links.get_mut(&req.token) {
+                Some(link) => link.join(req, ()),
+                None => {
+                    links.insert(req.token, Link::open(req, ()));
                 }
-                return Err(DoorError::Handler(format!("cache.register: {e}")));
             }
-        };
-        let token = match self.domain().door_token(door) {
-            Ok(t) => t,
-            Err(e) => {
-                let _ = self.domain().delete_door(door);
-                return Err(e);
-            }
-        };
-        let prev = self.callbacks.lock().insert(
-            nonce,
-            Callback {
-                door,
-                token,
-                fails: 0,
-            },
-        );
-        if let Some(prev) = prev {
-            let _ = self.domain().delete_door(prev.door);
         }
         self.stats.registrations.fetch_add(1, Ordering::Relaxed);
         let mut reply = CommBuffer::pooled();
@@ -324,138 +295,72 @@ impl CoherentHandler {
         Ok(reply.into_message())
     }
 
-    fn handle_epoch(&self, msg: Message) -> std::result::Result<Message, DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let nonce = (|| -> Result<u64> {
-            let _op = args.get_u32()?;
-            Ok(args.get_u64()?)
-        })()
-        .map_err(|e| DoorError::Handler(format!("cache.epoch: {e}")))?;
-        let registered = self.callbacks.lock().contains_key(&nonce);
-        let mut reply = CommBuffer::pooled();
-        encode_ok(&mut reply);
-        reply.put_u64(self.stats.epoch.load(Ordering::SeqCst));
-        reply.put_u64(self.lease_micros);
-        reply.put_bool(registered);
-        Ok(reply.into_message())
-    }
-
     fn handle_detach(&self, msg: Message) -> std::result::Result<Message, DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let nonce = (|| -> Result<u64> {
-            let _op = args.get_u32()?;
-            Ok(args.get_u64()?)
-        })()
-        .map_err(|e| DoorError::Handler(format!("cache.detach: {e}")))?;
-        if let Some(cb) = self.callbacks.lock().remove(&nonce) {
-            let _ = self.domain().delete_door(cb.door);
-        }
+        let req = self.request(msg, "cache.detach")?;
+        self.update_link(req.token, |link| link.subs.remove(&req.nonce));
         let mut reply = CommBuffer::pooled();
         encode_ok(&mut reply);
         Ok(reply.into_message())
     }
 
-    /// Broadcasts `epoch` to every registered cache, one call per distinct
-    /// callback door. Never blocks the write path on a misbehaving cache:
-    /// failures are counted and registrations pruned per
-    /// [`MAX_CALLBACK_FAILURES`]; correctness rests on leases, not on
-    /// delivery. Callback replies list nonces the manager no longer knows
-    /// (lost detaches), which are reaped here.
-    fn broadcast(&self, epoch: u64) {
-        let snapshot: Vec<(u64, DoorId, u64)> = {
-            let cbs = self.callbacks.lock();
-            cbs.iter().map(|(n, c)| (*n, c.door, c.token)).collect()
-        };
-        if snapshot.is_empty() {
-            return;
-        }
-        let mut groups: HashMap<u64, (DoorId, Vec<u64>)> = HashMap::new();
-        for (nonce, door, token) in snapshot {
-            groups
-                .entry(token)
-                .or_insert_with(|| (door, Vec::new()))
-                .1
-                .push(nonce);
-        }
-        for (_, (door, nonces)) in groups {
-            let mut note = CommBuffer::pooled();
-            note.put_u64(epoch);
-            note.put_u64(self.lease_micros);
-            note.put_u32(nonces.len() as u32);
-            for n in &nonces {
-                note.put_u64(*n);
-            }
-            self.stats.broadcasts.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.domain().call(door, note.into_message());
-            let mut dead: Vec<DoorId> = Vec::new();
-            {
-                let mut cbs = self.callbacks.lock();
-                match &outcome {
-                    Ok(reply) => {
-                        for n in &nonces {
-                            if let Some(cb) = cbs.get_mut(n) {
-                                cb.fails = 0;
-                            }
-                        }
-                        // Reap nonces the manager reported as unknown
-                        // (detach messages lost on the network).
-                        for n in decode_unknown_nonces(reply) {
-                            if let Some(cb) = cbs.remove(&n) {
-                                dead.push(cb.door);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        self.stats.callback_failures.fetch_add(1, Ordering::Relaxed);
-                        // Only Comm failures are transient; anything else
-                        // (revoked, dead domain) means the cache is gone.
-                        let transient = matches!(e, DoorError::Comm(_));
-                        for n in &nonces {
-                            let prune = match cbs.get_mut(n) {
-                                Some(cb) => {
-                                    cb.fails += 1;
-                                    !transient || cb.fails >= MAX_CALLBACK_FAILURES
-                                }
-                                None => false,
-                            };
-                            if prune {
-                                if let Some(cb) = cbs.remove(n) {
-                                    dead.push(cb.door);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for d in dead {
-                self.stats.pruned.fetch_add(1, Ordering::Relaxed);
-                let _ = self.domain().delete_door(d);
+    /// Applies `change` to `token`'s link, if there is one, and forgets a
+    /// link it leaves without registrations, releasing its door.
+    fn update_link<R>(&self, token: u64, change: impl FnOnce(&mut Link<()>) -> R) -> Option<R> {
+        let mut links = self.links.lock();
+        let link = links.get_mut(&token)?;
+        let out = change(link);
+        if link.subs.is_empty() {
+            let door = links.remove(&token).map(|link| link.door);
+            drop(links);
+            if let Some(door) = door {
+                let _ = self.domain().delete_door(door);
             }
         }
+        Some(out)
     }
-}
 
-/// Parses the unknown-nonce list a callback reply may carry.
-fn decode_unknown_nonces(reply: &Message) -> Vec<u64> {
-    let mut buf = CommBuffer::from_message(Message::from_bytes(reply.bytes.clone()));
-    let Ok(n) = buf.get_u32() else {
-        return Vec::new();
-    };
-    let mut out = Vec::with_capacity(n.min(1024) as usize);
-    for _ in 0..n {
-        match buf.get_u64() {
-            Ok(nonce) => out.push(nonce),
-            Err(_) => break,
+    /// Broadcasts `epoch` to every registered cache, one call per cache
+    /// manager. Never blocks the write path on a misbehaving cache:
+    /// failures are counted and links pruned per
+    /// [`MAX_CALLBACK_FAILURES`]; correctness rests on leases, not on
+    /// delivery.
+    fn broadcast(&self, epoch: u64) {
+        let notes: Vec<(u64, DoorId, Message)> = self
+            .links
+            .lock()
+            .iter()
+            .map(|(token, link)| {
+                let mut note = CommBuffer::pooled();
+                note.put_u64(epoch);
+                note.put_u64(self.lease_micros);
+                let nonces = link.subs.keys().map(|nonce| (*nonce, ()));
+                callback::put_addresses(&mut note, nonces, |_, ()| {});
+                (*token, link.door, note.into_message())
+            })
+            .collect();
+        for (token, door, note) in notes {
+            self.stats.broadcasts.fetch_add(1, Ordering::Relaxed);
+            let outcome = self.domain().call(door, note);
+            if outcome.is_err() {
+                self.stats.callback_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            let pruned = self
+                .update_link(token, |link| {
+                    link.settle(outcome, MAX_CALLBACK_FAILURES).dropped
+                })
+                .unwrap_or(0);
+            self.stats
+                .pruned
+                .fetch_add(pruned as u64, Ordering::Relaxed);
         }
     }
-    out
 }
 
 impl DoorHandler for CoherentHandler {
     fn unreferenced(&self) {
         let doors: Vec<DoorId> = {
-            let mut cbs = self.callbacks.lock();
-            cbs.drain().map(|(_, c)| c.door).collect()
+            let mut links = self.links.lock();
+            links.drain().map(|(_, link)| link.door).collect()
         };
         for d in doors {
             let _ = self.domain().delete_door(d);
@@ -466,7 +371,6 @@ impl DoorHandler for CoherentHandler {
     fn invoke(&self, cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
         match peek_op(&msg.bytes) {
             Some(OP_CACHE_REGISTER) => self.handle_register(msg),
-            Some(OP_CACHE_EPOCH) => self.handle_epoch(msg),
             Some(OP_CACHE_DETACH) => self.handle_detach(msg),
             Some(op) if self.cacheable.contains(&op) => self.inner.invoke(cctx, msg),
             _ => {
@@ -626,7 +530,7 @@ impl CacheStats {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Epoch-check RPCs issued on lease expiry.
+    /// Lease revalidations (re-registrations issued on lease expiry).
     pub fn revalidations(&self) -> u64 {
         self.revalidations.load(Ordering::Relaxed)
     }
@@ -639,40 +543,25 @@ impl CacheStats {
 /// forwards the rest. Bind the object from [`CacheManager::export`] into the
 /// machine-local naming context under the name caching objects carry.
 ///
-/// All coherent attachments share one callback door (created lazily);
-/// invalidation broadcasts address individual attachments by nonce, so one
-/// network call invalidates every cache the manager holds for that server.
+/// All coherent attachments share the one callback door of the manager's
+/// inbox; invalidation broadcasts address individual attachments by
+/// nonce, so one network call invalidates every cache the manager holds for
+/// that server.
 pub struct CacheManager {
     ctx: Arc<DomainCtx>,
     cacheable: HashSet<u32>,
     stats: Arc<CacheStats>,
-    memo_capacity: usize,
-    registry: Arc<CallbackRegistry>,
-    /// The shared callback door, created on first coherent attach and kept
-    /// for the manager's lifetime.
-    callback_door: Mutex<Option<DoorId>>,
+    inbox: Arc<Inbox<Weak<CacheServant>>>,
 }
 
 impl CacheManager {
     /// Creates a manager in `ctx`'s domain caching the given operations.
     pub fn new(ctx: &Arc<DomainCtx>, cacheable_ops: impl IntoIterator<Item = u32>) -> Arc<Self> {
-        Self::with_memo_capacity(ctx, cacheable_ops, DEFAULT_MEMO_CAPACITY)
-    }
-
-    /// Creates a manager whose per-attachment memo holds at most
-    /// `memo_capacity` entries (least-recently-used entries are evicted).
-    pub fn with_memo_capacity(
-        ctx: &Arc<DomainCtx>,
-        cacheable_ops: impl IntoIterator<Item = u32>,
-        memo_capacity: usize,
-    ) -> Arc<Self> {
         Arc::new(CacheManager {
             ctx: ctx.clone(),
             cacheable: cacheable_ops.into_iter().collect(),
             stats: Arc::new(CacheStats::default()),
-            memo_capacity: memo_capacity.max(1),
-            registry: Arc::new(CallbackRegistry::default()),
-            callback_door: Mutex::new(None),
+            inbox: Inbox::new(ctx, invalidate),
         })
     }
 
@@ -688,67 +577,40 @@ impl CacheManager {
         crate::simplex::Simplex.export(&self.ctx, disp)
     }
 
-    /// Returns the shared callback door, creating it on first use.
-    fn callback_door(&self) -> Result<DoorId> {
-        let mut slot = self.callback_door.lock();
-        if let Some(d) = *slot {
-            return Ok(d);
-        }
-        let handler = Arc::new(InvalidationCallback {
-            registry: self.registry.clone(),
-        });
-        let d = self.ctx.domain().create_door(handler)?;
-        *slot = Some(d);
-        Ok(d)
-    }
-
     /// Attaches a server door, returning the cache (D2) door. Owns
     /// `server_door` from the moment it is called: every failure path
     /// releases it and anything else allocated along the way.
     fn attach(self: &Arc<Self>, server_door: DoorId, coherent: bool) -> Result<DoorId> {
         let domain = self.ctx.domain();
-        let server_door = Landed::adopt(domain, server_door);
-        let coherence = if coherent {
-            let own = domain.copy_door(self.callback_door()?)?;
-            Some(Coherence {
-                nonce: NEXT_ATTACH_NONCE.fetch_add(1, Ordering::Relaxed),
-                callback_door: own,
+        let servant = Arc::new_cyclic(|me: &Weak<CacheServant>| CacheServant {
+            ctx: self.ctx.clone(),
+            server_door,
+            cacheable: self.cacheable.clone(),
+            stats: self.stats.clone(),
+            memo: Mutex::new(Memo::new(DEFAULT_MEMO_CAPACITY)),
+            coherence: coherent.then(|| Coherence {
+                nonce: self.inbox.insert(me.clone()),
+                inbox: self.inbox.clone(),
                 epoch: AtomicU64::new(0),
                 lease_micros: AtomicU64::new(0),
                 lease_until: AtomicU64::new(0),
-                registered: AtomicBool::new(false),
-                registry: self.registry.clone(),
-            })
-        } else {
-            None
-        };
-        let servant = Arc::new(CacheServant {
-            ctx: self.ctx.clone(),
-            server_door: server_door.keep(),
-            cacheable: self.cacheable.clone(),
-            stats: self.stats.clone(),
-            memo: Mutex::new(Memo::new(self.memo_capacity)),
-            coherence,
+            }),
         });
-        if let Some(coh) = &servant.coherence {
-            self.registry.insert(coh.nonce, Arc::downgrade(&servant));
-        }
         let d2 = match domain.create_door(servant.clone()) {
             Ok(d) => d,
             Err(e) => {
                 if let Some(coh) = &servant.coherence {
-                    self.registry.remove(coh.nonce);
-                    let _ = domain.delete_door(coh.callback_door);
+                    self.inbox.remove(coh.nonce);
                 }
-                let _ = domain.delete_door(servant.server_door);
+                let _ = domain.delete_door(server_door);
                 return Err(e.into());
             }
         };
         // Best-effort initial registration: on failure the servant stays in
         // lease-only mode (lease_until starts expired), so its first read
-        // revalidates — and re-registers — before serving anything.
-        if servant.coherence.is_some() {
-            let _ = servant.try_register();
+        // revalidates — which registers — before serving anything.
+        if let Some(coh) = &servant.coherence {
+            let _ = servant.register(coh);
         }
         self.stats.attaches.fetch_add(1, Ordering::Relaxed);
         Ok(d2)
@@ -783,76 +645,32 @@ impl Dispatch for CacheManagerDispatch {
     }
 }
 
-/// nonce → servant routing for the manager's shared callback door.
-#[derive(Default)]
-struct CallbackRegistry {
-    servants: Mutex<HashMap<u64, Weak<CacheServant>>>,
-}
-
-impl CallbackRegistry {
-    fn insert(&self, nonce: u64, servant: Weak<CacheServant>) {
-        self.servants.lock().insert(nonce, servant);
+/// Behind a manager's callback door: an epoch broadcast, routed to the
+/// attachments it addresses.
+fn invalidate(
+    inbox: &Inbox<Weak<CacheServant>>,
+    msg: Message,
+) -> std::result::Result<Message, DoorError> {
+    let mut note = CommBuffer::from_message(msg);
+    let head = (|| Ok::<_, BufError>((note.get_u64()?, note.get_u64()?)))();
+    let (epoch, lease_micros) =
+        head.map_err(|e| DoorError::Handler(format!("cache invalidation: {e}")))?;
+    let (hit, reply) = inbox.split(&mut note, |_| Ok(()))?;
+    // note_epoch takes the servant's memo lock; `split` has let go of the
+    // inbox's, so the lock scopes stay disjoint.
+    for servant in hit.iter().filter_map(|(servant, ())| servant.upgrade()) {
+        servant.note_epoch(epoch, lease_micros);
     }
-
-    fn remove(&self, nonce: u64) {
-        let mut map = self.servants.lock();
-        map.remove(&nonce);
-        // Opportunistically drop entries whose servants are gone.
-        map.retain(|_, w| w.strong_count() > 0);
-    }
-}
-
-/// Handler behind the manager's shared callback door: decodes an epoch
-/// broadcast and routes it to the addressed attachments. Replies with the
-/// nonces it did not recognise so the server can reap registrations whose
-/// detach message was lost.
-struct InvalidationCallback {
-    registry: Arc<CallbackRegistry>,
-}
-
-impl DoorHandler for InvalidationCallback {
-    fn invoke(&self, _cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
-        let mut buf = CommBuffer::from_message(msg);
-        let parsed = (|| -> Result<(u64, u64, u32)> {
-            Ok((buf.get_u64()?, buf.get_u64()?, buf.get_u32()?))
-        })();
-        let (epoch, lease_micros, count) =
-            parsed.map_err(|e| DoorError::Handler(format!("cache invalidation: {e}")))?;
-        let mut hit: Vec<Arc<CacheServant>> = Vec::new();
-        let mut unknown: Vec<u64> = Vec::new();
-        {
-            let servants = self.registry.servants.lock();
-            for _ in 0..count {
-                let nonce = buf
-                    .get_u64()
-                    .map_err(|e| DoorError::Handler(format!("cache invalidation: {e}")))?;
-                match servants.get(&nonce).and_then(Weak::upgrade) {
-                    Some(s) => hit.push(s),
-                    None => unknown.push(nonce),
-                }
-            }
-        }
-        // note_epoch takes the servant memo lock; do it outside the registry
-        // lock to keep lock scopes disjoint.
-        for s in hit {
-            s.note_epoch(epoch, lease_micros);
-        }
-        let mut reply = CommBuffer::pooled();
-        reply.put_u32(unknown.len() as u32);
-        for n in unknown {
-            reply.put_u64(n);
-        }
-        Ok(reply.into_message())
-    }
+    Ok(reply)
 }
 
 /// Per-attachment coherence state.
 struct Coherence {
-    /// Process-unique registration nonce.
+    /// The attachment's nonce in its manager's inbox.
     nonce: u64,
-    /// The servant's own copy of the manager's shared callback door, used
-    /// to (re-)register with the server.
-    callback_door: DoorId,
+    /// The manager's inbox: its callback door is what registers with the
+    /// server, and it lives as long as any attachment does.
+    inbox: Arc<Inbox<Weak<CacheServant>>>,
     /// Latest server epoch this cache knows.
     epoch: AtomicU64,
     /// Lease duration granted by the server (µs).
@@ -860,9 +678,6 @@ struct Coherence {
     /// Absolute expiry ([`now_micros`]) of the current lease. Starts at 0
     /// (= expired) so nothing is served before the server has been heard.
     lease_until: AtomicU64,
-    /// Whether the server acknowledged our callback registration.
-    registered: AtomicBool,
-    registry: Arc<CallbackRegistry>,
 }
 
 /// A memoized reply, tagged with the epoch it was read under.
@@ -963,7 +778,7 @@ impl CacheServant {
     }
 
     /// Adopts a (possibly newer) server epoch and renews the lease. Both a
-    /// callback delivery and an epoch-check reply prove contact with the
+    /// callback delivery and a register reply prove contact with the
     /// server at this instant, so either renews.
     fn note_epoch(&self, epoch: u64, lease_micros: u64) {
         let Some(coh) = &self.coherence else { return };
@@ -979,73 +794,19 @@ impl CacheServant {
         coh.lease_until.fetch_max(until, Ordering::AcqRel);
     }
 
-    /// Lease expired: ask the server for its current epoch. On success the
-    /// lease is renewed (and the registration repaired if the server no
-    /// longer knows us); on failure nothing may be served from the memo.
-    fn revalidate(&self, coh: &Coherence) -> std::result::Result<(), DoorError> {
-        self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
-        let mut call = CommBuffer::pooled();
-        call.put_u32(OP_CACHE_EPOCH);
-        call.put_u64(coh.nonce);
-        let reply = self
-            .ctx
-            .domain()
-            .call(self.server_door, call.into_message())?;
-        let mut reply = CommBuffer::from_message(reply);
-        let parsed = (|| -> Result<(u64, u64, bool)> {
-            if reply.get_u8()? != STATUS_OK {
-                return Err(SpringError::Remote("cache.epoch refused".into()));
-            }
-            Ok((reply.get_u64()?, reply.get_u64()?, reply.get_bool()?))
-        })();
-        let (epoch, lease, registered) =
-            parsed.map_err(|e| DoorError::Handler(format!("cache.epoch reply: {e}")))?;
-        self.note_epoch(epoch, lease);
-        if !registered {
-            // The server pruned us (or the registration never landed):
-            // repair it so invalidations resume. The lease alone keeps us
-            // correct in the meantime.
-            coh.registered.store(false, Ordering::Relaxed);
-            let _ = self.try_register();
-        }
-        Ok(())
-    }
-
-    /// Ships a copy of the callback door to the server under our nonce.
-    fn try_register(&self) -> std::result::Result<(), DoorError> {
-        let Some(coh) = &self.coherence else {
-            return Ok(());
-        };
-        let cb = self.ctx.domain().copy_door(coh.callback_door)?;
+    /// Registers this attachment with the server — for the first time, or
+    /// again because the lease ran out: the reply carries the server's
+    /// epoch and a fresh lease either way, and registering a second time
+    /// costs the server nothing it keeps. On failure nothing may be served
+    /// from the memo.
+    fn register(&self, coh: &Coherence) -> Result<()> {
         let mut call = CommBuffer::pooled();
         call.put_u32(OP_CACHE_REGISTER);
-        call.put_u64(coh.nonce);
-        call.put_door(cb);
-        let msg = call.into_message();
-        let sent: Vec<DoorId> = msg.doors.clone();
-        let reply = match self.ctx.domain().call(self.server_door, msg) {
-            Ok(r) => r,
-            Err(e) => {
-                // A failed call may have left the shipped copy in our table
-                // (identifiers are validated before any is moved); slots
-                // are never reused, so a stale delete is harmless.
-                for d in sent {
-                    let _ = self.ctx.domain().delete_door(d);
-                }
-                return Err(e);
-            }
-        };
-        let mut reply = CommBuffer::from_message(reply);
-        let parsed = (|| -> Result<(u64, u64)> {
-            if reply.get_u8()? != STATUS_OK {
-                return Err(SpringError::Remote("cache.register refused".into()));
-            }
-            Ok((reply.get_u64()?, reply.get_u64()?))
-        })();
-        let (epoch, lease) =
-            parsed.map_err(|e| DoorError::Handler(format!("cache.register reply: {e}")))?;
-        self.note_epoch(epoch, lease);
-        coh.registered.store(true, Ordering::Relaxed);
+        let mut reply = coh.inbox.request(self.server_door, call, coh.nonce)?;
+        if reply.get_u8()? != STATUS_OK {
+            return Err(SpringError::Remote("cache.register refused".into()));
+        }
+        self.note_epoch(reply.get_u64()?, reply.get_u64()?);
         Ok(())
     }
 }
@@ -1062,7 +823,8 @@ impl DoorHandler for CacheServant {
             let mut lease_ok = true;
             if let Some(coh) = &self.coherence {
                 if now_micros() >= coh.lease_until.load(Ordering::Acquire) {
-                    lease_ok = self.revalidate(coh).is_ok();
+                    self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+                    lease_ok = self.register(coh).is_ok();
                 }
             }
             if lease_ok {
@@ -1119,18 +881,13 @@ impl DoorHandler for CacheServant {
 
     fn unreferenced(&self) {
         // Last client detached: drop the memo, unhook from the broadcast
-        // set (best effort — a lost detach is reaped via the unknown-nonce
-        // reply on the server's next broadcast), and release our doors.
+        // set (best effort — a lost detach is reaped via the stale list in
+        // the reply to the server's next broadcast), and release our door.
         if let Some(coh) = &self.coherence {
-            coh.registry.remove(coh.nonce);
+            coh.inbox.remove(coh.nonce);
             let mut call = CommBuffer::pooled();
             call.put_u32(OP_CACHE_DETACH);
-            call.put_u64(coh.nonce);
-            let _ = self
-                .ctx
-                .domain()
-                .call(self.server_door, call.into_message());
-            let _ = self.ctx.domain().delete_door(coh.callback_door);
+            let _ = coh.inbox.request(self.server_door, call, coh.nonce);
         }
         self.memo.lock().clear();
         let _ = self.ctx.domain().delete_door(self.server_door);
@@ -1180,12 +937,7 @@ mod tests {
 
     #[test]
     fn protocol_ops_are_distinct() {
-        let ops = [
-            OP_ATTACH,
-            OP_CACHE_REGISTER,
-            OP_CACHE_EPOCH,
-            OP_CACHE_DETACH,
-        ];
+        let ops = [OP_ATTACH, OP_CACHE_REGISTER, OP_CACHE_DETACH];
         for (i, a) in ops.iter().enumerate() {
             for b in &ops[i + 1..] {
                 assert_ne!(a, b);

@@ -26,6 +26,7 @@
 //! | [`priority`] | §8.4 | transfers scheduling priority in the control region |
 //! | [`txn`] | §8.4 | transfers transaction identifiers; journals transactional calls |
 //! | [`stream`] | §8.4 | loss-tolerant sequence-numbered frames for live media |
+//! | [`pubsub`] | §8.4 spirit | topic fan-out: one delivery frame per destination link, delivery modes, slow-subscriber eviction |
 //!
 //! All of them are ordinary libraries built on the public `subcontract` API;
 //! none required new facilities in the base system — the paper's central
@@ -45,6 +46,7 @@ pub mod singleton;
 pub mod stream;
 pub mod txn;
 
+mod callback;
 mod setup;
 
 pub use caching::{CacheManager, CacheStats, Caching, CoherentStats};

@@ -8,12 +8,13 @@
 //! accounting, slow-subscriber eviction — lives in the subcontract's control
 //! region and its door handlers.
 //!
-//! Three design points, each borrowed from an existing mechanism in this
-//! repo and composed:
+//! Three design points, each built on an existing mechanism in this repo
+//! and composed:
 //!
-//! * **Per-link coalescing** (from the caching subcontract's broadcast):
-//!   subscribers are grouped by the kernel *token* of their callback door.
-//!   All subscriptions made through one [`SubscriberHub`] share one callback
+//! * **Per-link coalescing** (the callback channel, `callback.rs`,
+//!   which the caching subcontract's broadcast runs over too): subscribers
+//!   are grouped by the kernel *token* of their callback door. All
+//!   subscriptions made through one [`SubscriberHub`] share one callback
 //!   door, so all of a process's subscribers to a topic land in one group
 //!   and one publish becomes **one delivery frame per destination link**,
 //!   carrying the payload once plus the `(nonce, baseline)` of every
@@ -35,29 +36,31 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::callid::now_micros;
-use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Message};
+use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::keys;
 use subcontract::{
     client, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor,
     ServerCtx, SpringError, SpringObj, TypeInfo, OBJECT_TYPE,
 };
 
+use crate::callback::{self, Inbox, Link};
+
 /// Control-region kind: an ordinary request/reply operation.
 const KIND_CALL: u8 = 0;
 /// Control-region kind: publish one datum to the topic.
 const KIND_PUBLISH: u8 = 1;
-/// Control-region kind: attach a subscriber (carries the callback door).
+/// Control-region kind: attach a subscriber — the delivery mode, then a
+/// callback-channel request (nonce + callback door).
 const KIND_SUBSCRIBE: u8 = 2;
-/// Control-region kind: detach a subscriber by nonce. Carries the caller's
-/// callback door alongside the nonce: nonces are minted per subscriber
-/// *process*, so they collide across processes, and the door's kernel
-/// token is what scopes the removal to the caller's own link group.
+/// Control-region kind: detach a subscriber — a callback-channel request,
+/// whose door's kernel token scopes the removal to the caller's own link
+/// group (nonces collide across subscriber hubs).
 const KIND_UNSUBSCRIBE: u8 = 3;
 
 /// Delivery-frame tag: a published datum addressed to a list of
@@ -73,8 +76,7 @@ const NOTE_EVICT: u8 = 2;
 const SEQ_UNSET: u64 = u64::MAX;
 
 /// Consecutive `Comm` delivery failures after which a destination link is
-/// written off and all its subscribers dropped (the caching subcontract's
-/// callback-pruning policy). Deliberately generous: frames are
+/// written off and all its subscribers dropped. Deliberately generous: frames are
 /// fire-and-forget over a possibly lossy wire, so a run of drops must mean
 /// a dead link, not bad luck — at 30% per-hop loss a call fails ~half the
 /// time, and a run of 32 is a once-in-10^9 event.
@@ -243,7 +245,8 @@ impl SubEntry {
 /// Mutable state of one destination link's group, guarded by a std mutex so
 /// the link worker can block on the condvar.
 struct GroupState {
-    subs: HashMap<u64, SubEntry>,
+    /// The callback door reaching this link and the subscribers behind it.
+    link: Link<SubEntry>,
     /// Eviction notices awaiting delivery; these ride a separate lane so an
     /// eviction can always be enqueued even when queues are full.
     evict_notes: Vec<(u64, String)>,
@@ -256,19 +259,25 @@ struct GroupState {
 /// addresses.
 struct LinkGroup {
     token: u64,
-    door: DoorId,
     state: StdMutex<GroupState>,
     cv: Condvar,
 }
 
-impl LinkGroup {
-    /// Removes a subscriber; returns true if it was present. Closes the
-    /// group when nothing (subscribers or pending notices) remains.
-    fn remove_sub(&self, st: &mut GroupState, nonce: u64) -> bool {
-        let hit = st.subs.remove(&nonce).is_some();
-        if st.subs.is_empty() && st.evict_notes.is_empty() {
-            st.closed = true;
+impl GroupState {
+    /// Closes the group when nothing (subscribers or pending notices)
+    /// remains.
+    fn close_if_empty(&mut self) {
+        if self.link.subs.is_empty() && self.evict_notes.is_empty() {
+            self.closed = true;
         }
+    }
+}
+
+impl LinkGroup {
+    /// Removes a subscriber; returns true if it was present.
+    fn remove_sub(&self, st: &mut GroupState, nonce: u64) -> bool {
+        let hit = st.link.subs.remove(&nonce).is_some();
+        st.close_if_empty();
         hit
     }
 }
@@ -346,7 +355,7 @@ impl TopicHub {
         let groups: Vec<Arc<LinkGroup>> = self.groups.lock().values().cloned().collect();
         groups
             .iter()
-            .map(|g| g.state.lock().unwrap().subs.len())
+            .map(|g| g.state.lock().unwrap().link.subs.len())
             .sum()
     }
 
@@ -382,6 +391,7 @@ impl TopicHub {
             }
             loop {
                 let full: Vec<u64> = st
+                    .link
                     .subs
                     .iter()
                     .filter(|(_, s)| s.queue.len() >= self.cfg.queue_bound)
@@ -393,7 +403,7 @@ impl TopicHub {
                 let now = Instant::now();
                 if now >= deadline {
                     for nonce in full {
-                        st.subs.remove(&nonce);
+                        st.link.subs.remove(&nonce);
                         st.evict_notes.push((
                             nonce,
                             "slow subscriber: queue full past backpressure".into(),
@@ -407,7 +417,7 @@ impl TopicHub {
             if st.closed {
                 continue;
             }
-            for sub in st.subs.values_mut() {
+            for sub in st.link.subs.values_mut() {
                 sub.queue.push_back(frame.clone());
             }
             group.cv.notify_all();
@@ -428,9 +438,7 @@ impl TopicHub {
         let groups: Vec<Arc<LinkGroup>> = self.groups.lock().values().cloned().collect();
         for group in groups {
             let mut st = group.state.lock().unwrap();
-            let nonces: Vec<u64> = st.subs.keys().copied().collect();
-            for nonce in nonces {
-                st.subs.remove(&nonce);
+            for (nonce, _) in std::mem::take(&mut st.link.subs) {
                 st.evict_notes.push((nonce, reason.to_string()));
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -455,89 +463,46 @@ impl TopicHub {
         self: &Arc<Self>,
         call: &mut Call<'_>,
     ) -> std::result::Result<(), DoorError> {
-        let args = &mut call.args;
-        let parsed = (|| -> Result<(u64, DeliveryMode, DoorId)> {
-            if args.door_count() != 1 {
-                return Err(SpringError::Remote(
-                    "subscribe expects exactly one callback door".into(),
-                ));
-            }
-            let nonce = args.get_u64()?;
-            let mode = DeliveryMode::from_wire(args.get_u8()?)?;
-            let door = args.get_door()?;
-            Ok((nonce, mode, door))
-        })();
-        let (nonce, mode, door) = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                // The carried identifier already landed in this domain; a
-                // parse failure must delete it (the stream/caching
-                // unmarshal leak class).
-                for d in args.drain_doors() {
-                    let _ = self.domain().delete_door(d);
-                }
-                return Err(DoorError::Handler(format!("subscribe: {e}")));
-            }
-        };
+        // The mode byte is judged only once the carried door is under
+        // guard (if it is missing, so is the request behind it).
+        let mode = call.args.get_u8();
+        let req = callback::read_request(self.domain(), &mut call.args, "subscribe")?;
+        let mode = mode
+            .map_err(SpringError::from)
+            .and_then(DeliveryMode::from_wire)
+            .map_err(|e| DoorError::Handler(format!("subscribe: {e}")))?;
         if self.down.load(Ordering::SeqCst) {
-            let _ = self.domain().delete_door(door);
             return Err(DoorError::Handler(format!("topic {} closed", self.name)));
         }
-        let token = match self.domain().door_token(door) {
-            Ok(t) => t,
-            Err(e) => {
-                let _ = self.domain().delete_door(door);
-                return Err(e);
-            }
-        };
         // Baseline capture and group insertion happen with publishing
         // stalled, so "every frame stamped after `cur`" is exactly the set
         // this subscriber will be queued (delivery modulo wire loss).
         let _publishing = self.publish_lock.lock();
         let cur = self.next_seq.load(Ordering::SeqCst) - 1;
+        let entry = SubEntry::new(cur, mode);
         let mut groups = self.groups.lock();
-        match groups.get(&token) {
-            Some(group) => {
-                let mut st = group.state.lock().unwrap();
-                if st.closed {
-                    // The group's worker is mid-exit; its door is about to
-                    // be deleted, so the fresh identifier cannot join it.
-                    // Evict the stale entry and build a new group around
-                    // the carried door.
-                    drop(st);
-                    groups.remove(&token);
-                    let group = Arc::new(LinkGroup {
-                        token,
-                        door,
-                        state: StdMutex::new(GroupState {
-                            subs: HashMap::from([(nonce, SubEntry::new(cur, mode))]),
-                            evict_notes: Vec::new(),
-                            closed: false,
-                        }),
-                        cv: Condvar::new(),
-                    });
-                    groups.insert(token, group.clone());
-                    self.spawn_worker(group);
-                } else {
-                    // Same link as the existing group: it already owns a
-                    // door for this callback; the fresh copy is redundant.
-                    st.subs.insert(nonce, SubEntry::new(cur, mode));
-                    drop(st);
-                    let _ = self.domain().delete_door(door);
-                }
-            }
+        let known = groups.get(&req.token).cloned();
+        let open = known
+            .as_ref()
+            .map(|group| group.state.lock().unwrap())
+            .filter(|st| !st.closed);
+        match open {
+            Some(mut st) => st.link.join(req, entry),
             None => {
+                // First subscriber over this link — or the link's group is
+                // closed: its worker is mid-exit and about to delete its
+                // door, so the fresh identifier cannot join it and a new
+                // group, built around the carried door, takes its place.
                 let group = Arc::new(LinkGroup {
-                    token,
-                    door,
+                    token: req.token,
                     state: StdMutex::new(GroupState {
-                        subs: HashMap::from([(nonce, SubEntry::new(cur, mode))]),
+                        link: Link::open(req, entry),
                         evict_notes: Vec::new(),
                         closed: false,
                     }),
                     cv: Condvar::new(),
                 });
-                groups.insert(token, group.clone());
+                groups.insert(group.token, group.clone());
                 self.spawn_worker(group);
             }
         }
@@ -548,39 +513,13 @@ impl TopicHub {
     }
 
     fn handle_unsubscribe(&self, call: &mut Call<'_>) -> std::result::Result<(), DoorError> {
-        let args = &mut call.args;
-        let parsed = (|| -> Result<(u64, DoorId)> {
-            if args.door_count() != 1 {
-                return Err(SpringError::Remote(
-                    "unsubscribe expects exactly one callback door".into(),
-                ));
-            }
-            let nonce = args.get_u64()?;
-            let door = args.get_door()?;
-            Ok((nonce, door))
-        })();
-        let (nonce, door) = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                for d in args.drain_doors() {
-                    let _ = self.domain().delete_door(d);
-                }
-                return Err(DoorError::Handler(format!("bad unsubscribe: {e}")));
-            }
-        };
-        // The carried door exists only to prove which link group the
-        // caller is on — nonces come from a per-process counter, so two
-        // subscriber processes routinely hold colliding nonces for one
-        // topic, and demuxing by nonce alone would detach somebody else's
-        // subscription in another group. Token in hand, the copy is
-        // deleted immediately: unsubscribe must never pin anything.
-        let token = self.domain().door_token(door);
-        let _ = self.domain().delete_door(door);
-        let token = token.map_err(|e| DoorError::Handler(format!("bad unsubscribe: {e}")))?;
-        let group = self.groups.lock().get(&token).cloned();
+        // The carried door only proves which link group the caller is on;
+        // the request's guard deletes it: unsubscribe never pins anything.
+        let req = callback::read_request(self.domain(), &mut call.args, "unsubscribe")?;
+        let group = self.groups.lock().get(&req.token).cloned();
         if let Some(group) = group {
             let mut st = group.state.lock().unwrap();
-            if group.remove_sub(&mut st, nonce) {
+            if group.remove_sub(&mut st, req.nonce) {
                 self.stats.unsubscribes.fetch_add(1, Ordering::Relaxed);
                 group.cv.notify_all();
             }
@@ -603,7 +542,7 @@ impl TopicHub {
 
 /// The per-link delivery loop: pops the lowest pending sequence number
 /// across the group's subscribers, ships it as one frame addressing every
-/// subscriber whose head it is, and processes the reply's stale-nonce list.
+/// subscriber whose head it is, and settles the outcome with the link.
 fn link_worker(
     hub: Weak<TopicHub>,
     group: Arc<LinkGroup>,
@@ -611,7 +550,7 @@ fn link_worker(
     scope: u64,
     stats: Arc<PubSubStats>,
 ) {
-    let mut comm_failures: u32 = 0;
+    let door = group.state.lock().unwrap().link.door;
     // One-way frames delivered since the last two-way (reply-bearing) one;
     // drives the lazy-ack schedule on all-best-effort links.
     let mut since_ack: u64 = 0;
@@ -621,12 +560,11 @@ fn link_worker(
             loop {
                 if !st.evict_notes.is_empty() {
                     let notes = std::mem::take(&mut st.evict_notes);
-                    if st.subs.is_empty() {
-                        st.closed = true;
-                    }
+                    st.close_if_empty();
                     break Work::Evicts(notes);
                 }
                 let min = st
+                    .link
                     .subs
                     .values()
                     .filter_map(|s| s.queue.front().map(|f| f.seq))
@@ -635,7 +573,7 @@ fn link_worker(
                     let mut frame = None;
                     let mut subs = Vec::new();
                     let mut all_best_effort = true;
-                    for (nonce, sub) in st.subs.iter_mut() {
+                    for (nonce, sub) in st.link.subs.iter_mut() {
                         if sub.queue.front().map(|f| f.seq) == Some(min) {
                             frame = Some(sub.queue.pop_front().unwrap());
                             subs.push((*nonce, sub.baseline));
@@ -669,7 +607,7 @@ fn link_worker(
                 }
                 // Best-effort: an eviction notice lost to the same dead
                 // link it is reporting on is fine.
-                let _ = domain.call(group.door, buf.into_message());
+                let _ = domain.call(door, buf.into_message());
             }
             Work::Frame {
                 frame,
@@ -683,11 +621,7 @@ fn link_worker(
                 buf.put_u64(frame.seq);
                 buf.put_u64(frame.stamp_us);
                 buf.put_bytes(&frame.data);
-                buf.put_u32(subs.len() as u32);
-                for (nonce, baseline) in &subs {
-                    buf.put_u64(*nonce);
-                    buf.put_u64(*baseline);
-                }
+                callback::put_addresses(&mut buf, subs.iter().copied(), CommBuffer::put_u64);
                 // A purely best-effort frame rides the one-way wire path
                 // (no reply crossing) — except every LAZY_ACK_EVERY'th
                 // frame, which goes two-way so the reply's stale-nonce
@@ -696,14 +630,13 @@ fn link_worker(
                 // replies anyway, and both outcomes are handled below by
                 // looking at the reply itself.
                 let one_way = all_best_effort && since_ack + 1 < LAZY_ACK_EVERY;
-                let result = if one_way {
-                    domain.call_one_way(group.door, buf.into_message())
+                let outcome = if one_way {
+                    domain.call_one_way(door, buf.into_message())
                 } else {
-                    domain.call(group.door, buf.into_message())
+                    domain.call(door, buf.into_message())
                 };
-                match result {
+                match &outcome {
                     Ok(reply) => {
-                        comm_failures = 0;
                         stats.frames_sent.fetch_add(1, Ordering::Relaxed);
                         if one_way && reply.bytes.is_empty() {
                             // The elision actually happened (a real
@@ -714,33 +647,35 @@ fn link_worker(
                         } else {
                             since_ack = 0;
                         }
-                        let stale = decode_stale_nonces(reply);
-                        if !stale.is_empty() {
-                            let mut st = group.state.lock().unwrap();
-                            for nonce in stale {
-                                if group.remove_sub(&mut st, nonce) {
-                                    stats.reaped.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            group.cv.notify_all();
+                    }
+                    Err(e) => {
+                        span.fail();
+                        if matches!(e, DoorError::Comm(_)) {
+                            stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                            spring_trace::span_start(keys::PUBSUB_DROP, scope, subs.len() as u64)
+                                .fail();
                         }
                     }
-                    Err(DoorError::Comm(_)) => {
-                        span.fail();
-                        stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        spring_trace::span_start(keys::PUBSUB_DROP, scope, subs.len() as u64)
-                            .fail();
-                        comm_failures += 1;
-                        if comm_failures >= MAX_DELIVERY_FAILURES {
-                            prune_group(&group, &stats);
-                        }
-                    }
-                    Err(_) => {
-                        // The far side rejected the frame outright; the
-                        // link is wedged, not lossy. Write it off now.
-                        span.fail();
-                        prune_group(&group, &stats);
-                    }
+                }
+                let mut st = group.state.lock().unwrap();
+                let settled = st.link.settle(outcome, MAX_DELIVERY_FAILURES);
+                if settled.dead {
+                    // Wedged (the far side rejected the frame outright) or
+                    // lossy past belief: every subscriber is dropped
+                    // without notification, since none is deliverable.
+                    st.evict_notes.clear();
+                    stats
+                        .evictions
+                        .fetch_add(settled.dropped as u64, Ordering::Relaxed);
+                    stats.links_pruned.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    stats
+                        .reaped
+                        .fetch_add(settled.dropped as u64, Ordering::Relaxed);
+                }
+                if settled.dropped > 0 || settled.dead {
+                    st.close_if_empty();
+                    group.cv.notify_all();
                 }
             }
         }
@@ -757,36 +692,7 @@ fn link_worker(
             groups.remove(&group.token);
         }
     }
-    let _ = domain.delete_door(group.door);
-}
-
-/// Drops every subscriber of a wedged link without notification (none is
-/// deliverable) and closes the group.
-fn prune_group(group: &LinkGroup, stats: &PubSubStats) {
-    let mut st = group.state.lock().unwrap();
-    let dropped = st.subs.len() as u64;
-    st.subs.clear();
-    st.evict_notes.clear();
-    st.closed = true;
-    stats.evictions.fetch_add(dropped, Ordering::Relaxed);
-    stats.links_pruned.fetch_add(1, Ordering::Relaxed);
-    group.cv.notify_all();
-}
-
-/// Reads the stale-nonce list out of a `NOTE_DELIVER` reply; a malformed
-/// reply reaps nothing.
-fn decode_stale_nonces(reply: Message) -> Vec<u64> {
-    let mut buf = CommBuffer::from_message(reply);
-    let mut out = Vec::new();
-    if let Ok(n) = buf.get_u32() {
-        for _ in 0..n {
-            match buf.get_u64() {
-                Ok(nonce) => out.push(nonce),
-                Err(_) => return Vec::new(),
-            }
-        }
-    }
-    out
+    let _ = domain.delete_door(door);
 }
 
 /// Built-in operations every topic object answers over `KIND_CALL`.
@@ -991,8 +897,6 @@ impl DoorSubcontract for PubSub {
 // Subscriber side
 // ---------------------------------------------------------------------------
 
-static NEXT_SUB_NONCE: AtomicU64 = AtomicU64::new(1);
-
 /// One subscription's receiving-side state.
 struct SubState {
     sink: Arc<dyn Subscriber>,
@@ -1006,62 +910,43 @@ struct SubState {
     evicted: AtomicBool,
 }
 
-/// Routing table shared between the hub handle and its callback door.
-struct SubRoutes {
-    by_nonce: Mutex<HashMap<u64, Arc<SubState>>>,
-}
-
-/// The receiving half of pub/sub for one domain: owns the single shared
-/// callback door all of this domain's subscriptions advertise, which is
-/// what makes hub-side per-link coalescing possible.
+/// The receiving half of pub/sub for one domain: owns the inbox whose one
+/// callback door all of this hub's subscriptions advertise, which is what
+/// makes hub-side per-link coalescing possible.
 pub struct SubscriberHub {
-    ctx: Arc<DomainCtx>,
-    routes: Arc<SubRoutes>,
-    door: Mutex<Option<(DoorId, u64)>>,
+    inbox: Arc<Inbox<Arc<SubState>>>,
 }
 
 impl SubscriberHub {
     /// Creates the hub (no door yet; it is minted on first subscribe).
     pub fn new(ctx: &Arc<DomainCtx>) -> Arc<SubscriberHub> {
-        Arc::new(SubscriberHub {
-            ctx: ctx.clone(),
-            routes: Arc::new(SubRoutes {
-                by_nonce: Mutex::new(HashMap::new()),
-            }),
-            door: Mutex::new(None),
-        })
-    }
-
-    /// The shared callback door (created lazily) and its local token — the
-    /// token is the histogram key delivery latency is recorded under.
-    fn callback_door(&self) -> Result<(DoorId, u64)> {
-        let mut slot = self.door.lock();
-        if let Some(pair) = *slot {
-            return Ok(pair);
-        }
-        let callback = Arc::new(DeliveryCallback {
-            routes: self.routes.clone(),
-            hist: Mutex::new(None),
-        });
-        let door = self.ctx.domain().create_door(callback.clone())?;
-        let token = match self.ctx.domain().door_token(door) {
-            Ok(t) => t,
-            Err(e) => {
-                let _ = self.ctx.domain().delete_door(door);
-                return Err(e.into());
+        // Delivery latency is recorded under the callback door's token; a
+        // frame can only arrive through the door, so it exists by then.
+        let hist = OnceLock::new();
+        let inbox = Inbox::new(ctx, move |inbox, msg| {
+            let mut args = CommBuffer::from_message(msg);
+            let tag = args
+                .get_u8()
+                .map_err(|e| DoorError::Handler(format!("bad pubsub note: {e}")))?;
+            match tag {
+                NOTE_DELIVER => {
+                    let hist = hist.get_or_init(|| {
+                        let token = inbox.token().expect("a frame arrived through the door");
+                        spring_trace::histogram(token, keys::PUBSUB_DELIVER)
+                    });
+                    handle_deliver(inbox, hist, args)
+                }
+                NOTE_EVICT => handle_evict(inbox, args),
+                other => Err(DoorError::Handler(format!("unknown pubsub note {other}"))),
             }
-        };
-        // Bind the latency histogram to the door's token before any frame
-        // can arrive through it.
-        *callback.hist.lock() = Some(spring_trace::histogram(token, keys::PUBSUB_DELIVER));
-        *slot = Some((door, token));
-        Ok((door, token))
+        });
+        Arc::new(SubscriberHub { inbox })
     }
 
     /// The histogram key delivery latency is recorded under (None before
     /// the first subscription).
     pub fn latency_key(&self) -> Option<u64> {
-        (*self.door.lock()).map(|(_, t)| t)
+        self.inbox.token()
     }
 
     /// Publish-to-deliver latency percentiles observed by this hub, if any
@@ -1079,28 +964,7 @@ impl SubscriberHub {
         mode: DeliveryMode,
         sink: Arc<dyn Subscriber>,
     ) -> Result<Subscription> {
-        let nonce = NEXT_SUB_NONCE.fetch_add(1, Ordering::Relaxed);
-        self.subscribe_as(topic, mode, sink, nonce)
-    }
-
-    /// Test hook: subscribe under a caller-chosen nonce. Nonces are minted
-    /// per process, so two *processes* subscribing to one topic routinely
-    /// hold colliding nonces; this lets a single-process test reproduce
-    /// that collision (via two hubs = two link groups) and pin that the
-    /// hub demuxes unsubscribes by (link, nonce), never by nonce alone.
-    #[doc(hidden)]
-    pub fn subscribe_as(
-        self: &Arc<Self>,
-        topic: &SpringObj,
-        mode: DeliveryMode,
-        sink: Arc<dyn Subscriber>,
-        nonce: u64,
-    ) -> Result<Subscription> {
         let repr = client::repr::<PubSub>(topic)?;
-        let (shared, _token) = self.callback_door()?;
-        // The call consumes one identifier for the callback door; the
-        // shared one stays put.
-        let own = self.ctx.domain().copy_door(shared)?;
         let state = Arc::new(SubState {
             sink,
             mode,
@@ -1110,82 +974,62 @@ impl SubscriberHub {
             lost_reports: AtomicU64::new(0),
             evicted: AtomicBool::new(false),
         });
-        self.routes.by_nonce.lock().insert(nonce, state.clone());
-        let mut buf = CommBuffer::pooled();
-        buf.put_u8(KIND_SUBSCRIBE);
-        buf.put_u64(nonce);
-        buf.put_u8(mode as u8);
-        buf.put_door(own);
-        match self.ctx.domain().call(repr.door, buf.into_message()) {
-            Ok(reply) => {
-                let mut reply = CommBuffer::from_message(reply);
-                let baseline = match reply.get_u64() {
-                    Ok(b) => b,
-                    Err(e) => {
-                        // The hub accepted the subscription but the reply
-                        // is garbage: tear the half-open subscription down
-                        // on both sides, or the hub-side entry lives on
-                        // with no handle left to detach it.
-                        self.routes.by_nonce.lock().remove(&nonce);
-                        let _ = self.wire_unsubscribe(repr.door, nonce);
-                        return Err(e.into());
-                    }
-                };
-                // A delivery racing the reply may already have advanced
-                // last_seq; only install the baseline if it has not.
-                let _ = state.last_seq.compare_exchange(
-                    SEQ_UNSET,
-                    baseline,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                Ok(Subscription {
-                    hub: self.clone(),
-                    // The raw door identifier, deliberately NOT a pinning
-                    // copy: a subscription must not keep a dead topic's
-                    // door alive (the unbind-orphan class). If the caller
-                    // drops its topic object before unsubscribing, the
-                    // detach call simply fails and the hub reaps the stale
-                    // nonce from a later delivery reply.
-                    topic_door: repr.door,
-                    nonce,
-                    state,
+        let nonce = self.inbox.insert(state.clone());
+        let mut call = CommBuffer::pooled();
+        call.put_u8(KIND_SUBSCRIBE);
+        call.put_u8(mode as u8);
+        let baseline = self
+            .inbox
+            .request(repr.door, call, nonce)
+            .and_then(|mut reply| {
+                reply.get_u64().map_err(|e| {
+                    // The hub accepted the subscription but the reply is
+                    // garbage: tear the half-open subscription down on its
+                    // side too, or the entry there lives on with no handle
+                    // left to detach it.
+                    let _ = self.wire_unsubscribe(repr.door, nonce);
+                    e.into()
                 })
-            }
+            });
+        let baseline = match baseline {
+            Ok(b) => b,
             Err(e) => {
-                self.routes.by_nonce.lock().remove(&nonce);
-                Err(e.into())
+                self.inbox.remove(nonce);
+                return Err(e);
             }
-        }
+        };
+        // A delivery racing the reply may already have advanced last_seq;
+        // only install the baseline if it has not.
+        let _ = state.last_seq.compare_exchange(
+            SEQ_UNSET,
+            baseline,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        Ok(Subscription {
+            hub: self.clone(),
+            // The raw door identifier, deliberately NOT a pinning copy: a
+            // subscription must not keep a dead topic's door alive (the
+            // unbind-orphan class). If the caller drops its topic object
+            // before unsubscribing, the detach call simply fails and the
+            // hub reaps the stale nonce from a later delivery reply.
+            topic_door: repr.door,
+            nonce,
+            state,
+        })
     }
 
-    /// Sends `KIND_UNSUBSCRIBE` for `nonce` through `topic_door`, carrying
-    /// a copy of the shared callback door so the hub scopes the removal to
-    /// this hub's link group (nonces alone collide across processes).
+    /// Sends `KIND_UNSUBSCRIBE` for `nonce` through `topic_door`.
     fn wire_unsubscribe(&self, topic_door: DoorId, nonce: u64) -> Result<()> {
-        let shared = (*self.door.lock())
-            .map(|(d, _)| d)
-            .ok_or_else(|| SpringError::Remote("no callback door".into()))?;
-        let own = self.ctx.domain().copy_door(shared)?;
-        let mut buf = CommBuffer::pooled();
-        buf.put_u8(KIND_UNSUBSCRIBE);
-        buf.put_u64(nonce);
-        buf.put_door(own);
-        self.ctx.domain().call(topic_door, buf.into_message())?;
+        let mut call = CommBuffer::pooled();
+        call.put_u8(KIND_UNSUBSCRIBE);
+        self.inbox.request(topic_door, call, nonce)?;
         Ok(())
     }
 
     /// Live subscriptions routed through this hub.
     pub fn active(&self) -> usize {
-        self.routes.by_nonce.lock().len()
-    }
-}
-
-impl Drop for SubscriberHub {
-    fn drop(&mut self) {
-        if let Some((door, _)) = self.door.lock().take() {
-            let _ = self.ctx.domain().delete_door(door);
-        }
+        self.inbox.len()
     }
 }
 
@@ -1246,14 +1090,7 @@ impl Subscription {
     }
 
     fn detach(&mut self, strict: bool) -> Result<()> {
-        if self
-            .hub
-            .routes
-            .by_nonce
-            .lock()
-            .remove(&self.nonce)
-            .is_none()
-        {
+        if self.hub.inbox.remove(self.nonce).is_none() {
             // Already detached (evicted, or unsubscribe ran).
             return Ok(());
         }
@@ -1271,7 +1108,11 @@ impl Subscription {
     /// Test hook: forgets the reply-installed baseline, as if the first
     /// delivery were racing ahead of the subscribe reply. Deliveries
     /// re-install the baseline from the frame itself; this exists so tests
-    /// can pin that path deterministically.
+    /// can pin that path deterministically. The race itself cannot be
+    /// driven from outside: it is between the hub's link worker and the
+    /// reply to the very call that created the worker's first entry, both
+    /// inside one `subscribe`, with no point in between where a test could
+    /// hold the reply back while letting a delivery through.
     #[doc(hidden)]
     pub fn forget_baseline(&self) {
         self.state.last_seq.store(SEQ_UNSET, Ordering::SeqCst);
@@ -1284,104 +1125,67 @@ impl Drop for Subscription {
     }
 }
 
-/// The shared callback door's handler: demultiplexes delivery frames and
-/// eviction notices onto the routing table.
-struct DeliveryCallback {
-    routes: Arc<SubRoutes>,
-    /// Lazily-bound latency histogram (keyed by this door's token).
-    hist: Mutex<Option<Arc<spring_trace::Histogram>>>,
+/// A delivery frame, behind a hub's callback door.
+fn handle_deliver(
+    inbox: &Inbox<Arc<SubState>>,
+    hist: &spring_trace::Histogram,
+    mut args: CommBuffer,
+) -> std::result::Result<Message, DoorError> {
+    let bad = |e: spring_buf::BufError| DoorError::Handler(format!("bad delivery: {e}"));
+    let seq = args.get_u64().map_err(bad)?;
+    let stamp_us = args.get_u64().map_err(bad)?;
+    let data = args.get_bytes().map_err(bad)?;
+    let (hit, reply) = inbox.split(&mut args, CommBuffer::get_u64)?;
+    let latency_ns = now_micros().saturating_sub(stamp_us).saturating_mul(1000);
+    for (state, baseline) in hit {
+        // Install the subscribe-time baseline if the subscribe reply has
+        // not done it yet — a delivery can beat the reply back to the
+        // subscriber. The hub repeats it in every frame precisely so the
+        // gap accounting below never depends on that ordering: after this
+        // point last_seq is a real sequence number and "delivered ∪ lost
+        // tiles the space above the baseline" holds from the very first
+        // frame.
+        let _ = state.last_seq.compare_exchange(
+            SEQ_UNSET,
+            baseline,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        let last = state.last_seq.load(Ordering::Acquire);
+        if seq <= last {
+            // Duplicate or out-of-order relative to what this subscription
+            // already accounted for; ignore.
+            continue;
+        }
+        state.last_seq.store(seq, Ordering::Release);
+        if state.mode == DeliveryMode::Monitored && seq > last + 1 {
+            state.lost_reports.fetch_add(1, Ordering::Relaxed);
+            state
+                .lost_frames
+                .fetch_add(seq - last - 1, Ordering::Relaxed);
+            state.sink.lost(last + 1, seq - 1);
+        }
+        state.delivered.fetch_add(1, Ordering::Relaxed);
+        state.sink.deliver(seq, &data);
+        hist.record(latency_ns);
+    }
+    Ok(reply)
 }
 
-impl DeliveryCallback {
-    fn handle_deliver(&self, mut args: CommBuffer) -> std::result::Result<Message, DoorError> {
-        let bad = |e: spring_buf::BufError| DoorError::Handler(format!("bad delivery: {e}"));
-        let seq = args.get_u64().map_err(bad)?;
-        let stamp_us = args.get_u64().map_err(bad)?;
-        let data = args.get_bytes().map_err(bad)?;
-        let count = args.get_u32().map_err(bad)?;
-        let mut stale = Vec::new();
-        let mut hit = Vec::new();
-        {
-            let routes = self.routes.by_nonce.lock();
-            for _ in 0..count {
-                let nonce = args.get_u64().map_err(bad)?;
-                let baseline = args.get_u64().map_err(bad)?;
-                match routes.get(&nonce) {
-                    Some(state) => hit.push((state.clone(), baseline)),
-                    None => stale.push(nonce),
-                }
-            }
-        }
-        let latency_ns = now_micros().saturating_sub(stamp_us).saturating_mul(1000);
-        let hist = self.hist.lock().clone();
-        for (state, baseline) in hit {
-            // Install the subscribe-time baseline if the subscribe reply
-            // has not done it yet — a delivery can beat the reply back to
-            // the subscriber. The hub repeats it in every frame precisely
-            // so the gap accounting below never depends on that ordering:
-            // after this point last_seq is a real sequence number and
-            // "delivered ∪ lost tiles the space above the baseline" holds
-            // from the very first frame.
-            let _ = state.last_seq.compare_exchange(
-                SEQ_UNSET,
-                baseline,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            let last = state.last_seq.load(Ordering::Acquire);
-            if seq <= last {
-                // Duplicate or out-of-order relative to what this
-                // subscription already accounted for; ignore.
-                continue;
-            }
-            state.last_seq.store(seq, Ordering::Release);
-            if state.mode == DeliveryMode::Monitored && seq > last + 1 {
-                state.lost_reports.fetch_add(1, Ordering::Relaxed);
-                state
-                    .lost_frames
-                    .fetch_add(seq - last - 1, Ordering::Relaxed);
-                state.sink.lost(last + 1, seq - 1);
-            }
-            state.delivered.fetch_add(1, Ordering::Relaxed);
-            state.sink.deliver(seq, &data);
-            if let Some(h) = &hist {
-                h.record(latency_ns);
-            }
-        }
-        let mut reply = CommBuffer::pooled();
-        reply.put_u32(stale.len() as u32);
-        for nonce in stale {
-            reply.put_u64(nonce);
-        }
-        Ok(reply.into_message())
-    }
-
-    fn handle_evict(&self, mut args: CommBuffer) -> std::result::Result<Message, DoorError> {
-        let bad = |e: spring_buf::BufError| DoorError::Handler(format!("bad eviction: {e}"));
-        let count = args.get_u32().map_err(bad)?;
-        for _ in 0..count {
-            let nonce = args.get_u64().map_err(bad)?;
-            let reason = args.get_string().map_err(bad)?;
-            let state = self.routes.by_nonce.lock().remove(&nonce);
-            if let Some(state) = state {
-                state.evicted.store(true, Ordering::SeqCst);
-                state.sink.evicted(&reason);
-            }
-        }
-        Ok(Message::new())
-    }
-}
-
-impl DoorHandler for DeliveryCallback {
-    fn invoke(&self, _cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let tag = args
-            .get_u8()
-            .map_err(|e| DoorError::Handler(format!("bad pubsub note: {e}")))?;
-        match tag {
-            NOTE_DELIVER => self.handle_deliver(args),
-            NOTE_EVICT => self.handle_evict(args),
-            other => Err(DoorError::Handler(format!("unknown pubsub note {other}"))),
+/// Eviction notices, behind a hub's callback door.
+fn handle_evict(
+    inbox: &Inbox<Arc<SubState>>,
+    mut args: CommBuffer,
+) -> std::result::Result<Message, DoorError> {
+    let bad = |e: spring_buf::BufError| DoorError::Handler(format!("bad eviction: {e}"));
+    let count = args.get_u32().map_err(bad)?;
+    for _ in 0..count {
+        let nonce = args.get_u64().map_err(bad)?;
+        let reason = args.get_string().map_err(bad)?;
+        if let Some(state) = inbox.remove(nonce) {
+            state.evicted.store(true, Ordering::SeqCst);
+            state.sink.evicted(&reason);
         }
     }
+    Ok(Message::new())
 }

@@ -384,13 +384,13 @@ fn dropping_the_last_topic_identifier_evicts_and_tears_down() {
 
 #[test]
 fn unsubscribe_with_colliding_nonce_detaches_only_the_callers_link() {
-    // Nonces come from a per-process counter, so two subscriber
-    // *processes* on one topic routinely hold colliding nonces. The
-    // subscribe_as hook reproduces the collision in one process: two
-    // hubs (= two callback doors = two link groups) subscribe under the
-    // same nonce. Unsubscribing one must detach exactly that one — a
-    // nonce-only demux would pick a group by hash order and could
-    // silently detach the other process's subscriber.
+    // Every subscriber hub mints its nonces from its own counter, so two
+    // hubs on one topic — in two processes or in one — hold colliding
+    // nonces from their first subscription on: here two hubs (= two
+    // callback doors = two link groups) each subscribe once. Unsubscribing
+    // one must detach exactly that one — a nonce-only demux would pick a
+    // group by hash order and could silently detach the other hub's
+    // subscriber.
     let kernel = Kernel::new("t");
     let server = pubsub_ctx(&kernel, "hub");
     let client = pubsub_ctx(&kernel, "client");
@@ -402,10 +402,10 @@ fn unsubscribe_with_colliding_nonce_detaches_only_the_callers_link() {
     let sink_a = RecSink::new();
     let sink_b = RecSink::new();
     let sub_a = hub_a
-        .subscribe_as(&proxy, DeliveryMode::Monitored, sink_a.clone(), 7777)
+        .subscribe(&proxy, DeliveryMode::Monitored, sink_a.clone())
         .unwrap();
     let sub_b = hub_b
-        .subscribe_as(&proxy, DeliveryMode::Monitored, sink_b.clone(), 7777)
+        .subscribe(&proxy, DeliveryMode::Monitored, sink_b.clone())
         .unwrap();
     assert_eq!(sub_a.nonce(), sub_b.nonce(), "the collision under test");
     assert_eq!(hub.link_count(), 2);
@@ -422,6 +422,39 @@ fn unsubscribe_with_colliding_nonce_detaches_only_the_callers_link() {
     assert!(sink_b.lost.lock().is_empty());
     assert!(!sub_b.was_evicted());
     drop(sub_b);
+}
+
+#[test]
+fn requests_that_never_land_leave_no_identifier_behind() {
+    // Subscribe and unsubscribe each ship a copy of the callback door. The
+    // kernel validates the target before it moves any identifier, so when
+    // the hub's domain is dead the copy stays in the caller's table — and
+    // must be deleted there, or every failed attempt leaks one.
+    let kernel = Kernel::new("t");
+    let server = pubsub_ctx(&kernel, "hub");
+    let client = pubsub_ctx(&kernel, "client");
+    let (topic, _hub) = PubSub::export(&server, "doomed", TopicConfig::default()).unwrap();
+    let proxy = common::ship_copy(&topic, &client, &PUBSUB_TOPIC_TYPE).unwrap();
+    let shub = SubscriberHub::new(&client);
+    let sub = shub
+        .subscribe(&proxy, DeliveryMode::BestEffort, RecSink::new())
+        .unwrap();
+
+    server.domain().crash();
+    let after_crash = live_ids(&kernel);
+
+    // The detach call cannot land.
+    drop(sub);
+    assert_eq!(
+        live_ids(&kernel),
+        after_crash,
+        "a failed unsubscribe leaked"
+    );
+    // Nor can a fresh subscribe.
+    let refused = shub.subscribe(&proxy, DeliveryMode::BestEffort, RecSink::new());
+    assert!(refused.is_err());
+    assert_eq!(live_ids(&kernel), after_crash, "a failed subscribe leaked");
+    assert_eq!(shub.active(), 0);
 }
 
 #[test]

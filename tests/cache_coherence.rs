@@ -24,7 +24,7 @@ use spring::core::{
 };
 use spring::net::{NetConfig, Network, Node};
 use spring::services::{file_cache_manager, fs, register_fs_types, FileServer};
-use spring::subcontracts::register_standard;
+use spring::subcontracts::{register_standard, CoherentStats};
 
 /// The seeds every sweep runs; kept in one place so the recorded list in
 /// `target/cache-coherence-seeds.txt` matches what actually ran.
@@ -121,18 +121,24 @@ struct CacheMachine {
 }
 
 /// Builds a coherent-file topology: one server machine exporting `data`
-/// coherently with [`LEASE`], plus `n` client machines, each with its own
+/// coherently with `lease`, plus `n` client machines, each with its own
 /// cache manager and an attached handle. Shipping happens under the
 /// *reliable* default config; callers flip the network lossy afterwards.
 fn coherent_setup(
     net: &Arc<Network>,
     n: usize,
-) -> (Node, Arc<FileServer>, fs::CacheableFile, Vec<CacheMachine>) {
+    lease: Duration,
+) -> (
+    Node,
+    Arc<CoherentStats>,
+    fs::CacheableFile,
+    Vec<CacheMachine>,
+) {
     let server_node = net.add_node("server");
     let server_ctx = ctx_on(&server_node, "fileserver");
     let fileserver = FileServer::new(&server_ctx, "cache_manager");
     fileserver.put("data", &0u64.to_le_bytes());
-    let (obj, _stats) = fileserver.export_coherent("data", LEASE).unwrap();
+    let (obj, stats) = fileserver.export_coherent("data", lease).unwrap();
 
     let mut machines = Vec::new();
     for i in 0..n {
@@ -154,7 +160,7 @@ fn coherent_setup(
     // The server's own handle drives the D2 path: server-local writes must
     // invalidate remote caches too.
     let server_file = fs::CacheableFile::from_obj(obj).unwrap();
-    (server_node, fileserver, server_file, machines)
+    (server_node, stats, server_file, machines)
 }
 
 fn read_value(file: &fs::CacheableFile) -> Result<u64, fs::FileError> {
@@ -216,7 +222,7 @@ fn writes_invalidate_every_machine_within_a_lease() {
     record_seeds("coherent_loss", &SEEDS);
     for seed in SEEDS {
         let net = Network::new(NetConfig::default());
-        let (_server_node, _fileserver, server_file, machines) = coherent_setup(&net, 2);
+        let (_server_node, _stats, server_file, machines) = coherent_setup(&net, 2, LEASE);
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -255,7 +261,7 @@ fn partitions_bound_staleness_to_one_lease() {
     record_seeds("coherent_partition", &SEEDS);
     for seed in SEEDS {
         let net = Network::new(NetConfig::default());
-        let (server_node, _fileserver, _server_file, machines) = coherent_setup(&net, 2);
+        let (server_node, _stats, _server_file, machines) = coherent_setup(&net, 2, LEASE);
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -301,6 +307,37 @@ fn partitions_bound_staleness_to_one_lease() {
     }
 }
 
+/// Two cache managers are two registrations, whatever their nonces. Each
+/// manager numbers its attachments from 1 — as two managers in two OS
+/// processes always did — so both machines here register as nonce 1, and
+/// only the callback door they registered through tells them apart. A
+/// server that kept its registrations by nonce alone would hold one of the
+/// two, broadcast once, and leave the other machine serving its memo until
+/// the lease ran out; the lease is two seconds so that it cannot be what
+/// makes the reads below fresh.
+#[test]
+fn colliding_nonces_from_two_managers_are_two_registrations() {
+    let net = Network::new(NetConfig::default());
+    let (_server_node, stats, server_file, mut machines) =
+        coherent_setup(&net, 2, Duration::from_secs(2));
+    for m in &machines {
+        assert_eq!(read_value(&m.file).unwrap(), 0); // fills both memos
+    }
+
+    server_file.write(0, &7u64.to_le_bytes()).unwrap();
+    assert_eq!(stats.broadcasts(), 2, "one broadcast per cache manager");
+    for (i, m) in machines.iter().enumerate() {
+        assert_eq!(read_value(&m.file).unwrap(), 7, "machine {i} read stale");
+    }
+
+    // Detaching machine 0's nonce 1 must not detach machine 1's.
+    drop(machines.remove(0));
+    server_file.write(0, &9u64.to_le_bytes()).unwrap();
+    assert_eq!(stats.broadcasts(), 3, "machine 1 is still registered");
+    assert_eq!(read_value(&machines[0].file).unwrap(), 9);
+    assert_eq!(stats.pruned(), 0);
+}
+
 fn live_ids(kernel: &spring::kernel::Kernel) -> u64 {
     let s = kernel.stats();
     s.ids_issued - s.ids_deleted
@@ -310,7 +347,8 @@ fn live_ids(kernel: &spring::kernel::Kernel) -> u64 {
 /// the first attach/detach cycle pins the network layer's steady-state
 /// tables (one export + one proxy per door, by design), every further
 /// cycle — registration, invalidations, detach — returns both kernels to
-/// the same live-identifier count.
+/// the same live-identifier count, and dropping the manager releases the
+/// callback door all its attachments shared.
 #[test]
 fn callback_churn_leaks_no_identifiers() {
     let net = Network::new(NetConfig::default());
@@ -324,6 +362,7 @@ fn callback_churn_leaks_no_identifiers() {
     fileserver.put("data", &7u64.to_le_bytes());
     let (obj, stats) = fileserver.export_coherent("data", LEASE).unwrap();
 
+    let before_manager = live_ids(client_node.kernel());
     let manager = file_cache_manager(&mgr_ctx);
     let names = LocalNames::new(net.clone());
     names.bind("cache_manager", manager.export().unwrap());
@@ -357,6 +396,14 @@ fn callback_churn_leaks_no_identifiers() {
     }
     // Every cycle really registered a callback with the server.
     assert!(stats.registrations() >= 9);
+
+    // The manager's callback door goes with the manager: unbound and
+    // dropped, it leaves the client kernel where it was before it existed,
+    // but for the network layer's two pins (the callback door's export and
+    // the retained proxy for the server door).
+    drop(names.bound.lock().remove("cache_manager"));
+    drop(manager);
+    assert_eq!(live_ids(client_node.kernel()), before_manager + 2);
 }
 
 /// The unmarshal door-leak regression: when manager resolution fails on the
