@@ -155,7 +155,11 @@ pub mod framing {
     ///
     /// The declared length is validated before any payload is read, and a
     /// short read reports the exact received count — the caller never sees
-    /// a buffer that silently disagrees with its prefix.
+    /// a buffer that silently disagrees with its prefix. The buffer grows
+    /// as bytes arrive, never further ahead of them than it already
+    /// reached or than twice what has arrived: a peer that declares a large
+    /// frame and goes silent costs the reader what it sent, not what it
+    /// claimed.
     pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<usize, FrameReadError> {
         let mut prefix = [0u8; 4];
         // Hand-rolled read_exact for the prefix: zero bytes then EOF is a
@@ -186,9 +190,12 @@ pub mod framing {
             });
         }
         buf.clear();
-        buf.resize(declared, 0);
         let mut received = 0;
         while received < declared {
+            if received == buf.len() {
+                let reach = buf.capacity().max(2 * received).max(prefix.len());
+                buf.resize(declared.min(reach), 0);
+            }
             match r.read(&mut buf[received..]) {
                 Ok(0) => {
                     return Err(FrameReadError::Truncated { declared, received });
@@ -250,6 +257,25 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// A prefix declaring the largest frame allowed, then ten bytes and
+    /// EOF: the reader reports what arrived and never reserved, let alone
+    /// zeroed, the 64 MiB it was promised.
+    #[test]
+    fn framing_grows_the_buffer_as_bytes_arrive() {
+        let mut wire = (framing::MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[9; 10]);
+        let mut r = &wire[..];
+        let mut buf = Vec::new();
+        match framing::read_frame(&mut r, &mut buf) {
+            Err(framing::FrameReadError::Truncated { declared, received }) => {
+                assert_eq!(declared, framing::MAX_FRAME_LEN);
+                assert_eq!(received, 10);
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        assert!(buf.capacity() < crate::pool::MAX_RETAINED_CAPACITY);
     }
 
     #[test]

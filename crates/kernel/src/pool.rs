@@ -45,8 +45,10 @@ pub const PAYLOAD_ALIGN: usize = 8;
 const MAX_POOLED: usize = 32;
 
 /// Backings larger than this are dropped rather than retained, so one huge
-/// payload does not pin a megabyte per thread forever.
-const MAX_RETAINED_CAPACITY: usize = 1 << 20;
+/// payload does not pin a megabyte per thread forever. Buffers reused
+/// outside the pool (a socket's frame buffers) keep no more than this
+/// either.
+pub const MAX_RETAINED_CAPACITY: usize = 1 << 20;
 
 /// Cell indices into [`COUNTS`].
 const HIT: usize = 0;

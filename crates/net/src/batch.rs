@@ -80,6 +80,13 @@ impl PendingEntry {
         }
     }
 
+    /// An entry whose caller is the thread holding it, as a frame's leader
+    /// is: the codec's tests build frames of these.
+    #[cfg(test)]
+    pub(crate) fn shipped_by_caller(export: u64, wire: WireMessage) -> PendingEntry {
+        PendingEntry::new(export, wire, Vec::new(), Waiter::Shipper(None))
+    }
+
     /// The outcome of an entry back in its shipping caller's hands; an
     /// abort if the shipper settled nothing, and for a follower's entry.
     fn into_outcome(self) -> Result<Message, DoorError> {

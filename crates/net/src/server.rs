@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_kernel::{
-    CallCtx, CallId, Domain, DoorError, DoorHandler, DoorId, IdMap, Message, NodeId,
+    pool, CallCtx, CallId, Domain, DoorError, DoorHandler, DoorId, IdMap, Message, NodeId,
 };
 use spring_trace::TraceCtx;
 
@@ -222,7 +222,8 @@ impl NetServer {
     /// * Otherwise [`ReplyOutcome::Ok`] with the reply and the exports
     ///   freshly pinned for it. Without `want_reply` (a one-way call)
     ///   nobody will read a reply, so the doors it carries are deleted
-    ///   rather than pinned and the staged reply is empty.
+    ///   rather than pinned, its payload goes back to the buffer pool and
+    ///   the staged reply is empty.
     pub(crate) fn serve(
         self: &Arc<Self>,
         export: u64,
@@ -243,6 +244,7 @@ impl NetServer {
                 Ok(reply) if want_reply => self.to_wire_tracked(reply),
                 Ok(reply) => {
                     self.delete_doors(reply.doors);
+                    pool::give(reply.bytes);
                     Ok(Default::default())
                 }
                 Err(e) => {

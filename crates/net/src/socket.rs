@@ -55,6 +55,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write as _};
+use std::mem;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -66,7 +67,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use spring_kernel::callid::now_micros;
 use spring_kernel::framing::{self, FrameReadError};
-use spring_kernel::{hotpath, CallId, Domain, DoorError, DoorId, NodeId};
+use spring_kernel::{hotpath, pool, CallId, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{lock, PendingEntry};
@@ -224,16 +225,38 @@ enum Side {
 }
 
 /// One call socket, owned by whichever thread is using it: a caller between
-/// checkout and checkin, or the socket's serving thread.
+/// checkout and checkin, or the socket's serving thread. So are its
+/// buffers, which are reused from frame to frame without a lock.
 struct CallSocket {
     /// Key of this socket's shutdown handle in [`LinkState::sockets`].
     id: u64,
     stream: BufReader<Stream>,
-    /// Frame read buffer, recycled across the socket's calls.
+    /// The frame buffer: every frame this end writes is encoded into it
+    /// and every frame it reads lands in it.
     buf: Vec<u8>,
+    /// A reply frame's outcomes: decoded into it by the caller, who
+    /// settles from it; staged in it by the serving thread, which encodes
+    /// the reply from it.
+    outcomes: Vec<ReplyOutcome>,
     /// Whether a read timeout set for an earlier deadline-carrying call is
     /// still on the socket.
     timed: bool,
+}
+
+impl CallSocket {
+    /// Empties the socket's buffers once its frame is consumed.
+    fn consumed(&mut self) {
+        release(&mut self.buf);
+        release(&mut self.outcomes);
+    }
+}
+
+/// Empties a buffer reused from frame to frame, and lets go of capacity
+/// beyond what the pool keeps of a payload: one huge frame must not pin its
+/// size for as long as the buffer lives.
+fn release<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    buf.shrink_to(pool::MAX_RETAINED_CAPACITY / mem::size_of::<T>());
 }
 
 #[derive(Default)]
@@ -366,6 +389,7 @@ impl Link {
             id,
             stream: BufReader::new(stream),
             buf: Vec::new(),
+            outcomes: Vec::new(),
             timed: false,
         })
     }
@@ -434,7 +458,8 @@ impl Link {
 
     /// Returns a calling socket whose call completed (or, from the
     /// handshake, one that just arrived) to the idle list.
-    fn checkin(&self, sock: CallSocket) {
+    fn checkin(&self, mut sock: CallSocket) {
+        sock.consumed();
         let mut st = lock(&self.state);
         if self.is_dead() {
             return; // `die` already shut it; dropping closes it
@@ -445,9 +470,9 @@ impl Link {
         }
     }
 
-    /// Writes one frame on the calling thread — unless an injected write
-    /// fault is armed, which it consumes instead.
-    fn send(&self, net: &NetworkInner, sock: &mut CallSocket, bytes: &[u8]) -> io::Result<()> {
+    /// Writes the frame encoded in `sock.buf` on the calling thread —
+    /// unless an injected write fault is armed, which it consumes instead.
+    fn send(&self, net: &NetworkInner, sock: &mut CallSocket) -> io::Result<()> {
         let fault = self
             .inject
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
@@ -457,15 +482,27 @@ impl Link {
                 "injected write fault",
             ));
         }
-        write_frame_vectored(sock.stream.get_mut(), bytes)?;
+        write_frame_vectored(sock.stream.get_mut(), &sock.buf)?;
         hotpath::count_fastpath_send();
-        net.count_socket_send(bytes.len());
+        net.count_socket_send(sock.buf.len());
         Ok(())
     }
 
-    /// A request frame that could not be written kills the link.
-    fn send_failed(&self, e: io::Error) -> DoorError {
-        self.die(comm(format!("send on {} link failed: {e}", self.kind)))
+    /// Writes the request frame encoded in `sock.buf` from `frame`, whose
+    /// payloads then go back to the pool they came from. A request frame
+    /// that could not be written kills the link.
+    fn send_request(
+        &self,
+        net: &NetworkInner,
+        sock: &mut CallSocket,
+        frame: &mut [PendingEntry],
+    ) -> Result<(), DoorError> {
+        self.send(net, sock)
+            .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
+        for entry in frame {
+            pool::give(mem::take(&mut entry.wire.bytes));
+        }
+        Ok(())
     }
 
     /// Kills the generation, once: shuts every socket — in-flight callers
@@ -489,21 +526,23 @@ impl Link {
         reason
     }
 
-    /// One request frame out, its reply frame back, on one socket and this
-    /// thread. `deadline` (microseconds on the [`now_micros`] clock) bounds
-    /// the reply wait: on expiry the call fails with `Comm` and *only this
-    /// socket* is closed, so the late reply can never be read by the next
-    /// caller and other calls in flight on the link complete. Every other
-    /// failure kills the link.
+    /// One request frame out — `frame`'s calls, encoded in `sock.buf` as
+    /// frame `id` — and its reply frame back, on one socket and this
+    /// thread. The reply is decoded into `sock.outcomes` and checked whole
+    /// (frame id, outcome count, every outcome) before the socket is handed
+    /// back for the caller to settle from. `deadline` (microseconds on the
+    /// [`now_micros`] clock) bounds the reply wait: on expiry the call
+    /// fails with `Comm` and *only this socket* is closed, so the late
+    /// reply can never be read by the next caller and other calls in
+    /// flight on the link complete. Every other failure kills the link.
     fn round_trip(
         &self,
         net: &NetworkInner,
+        mut sock: CallSocket,
         id: u64,
-        request: &[u8],
-        calls: usize,
+        frame: &mut [PendingEntry],
         deadline: Option<u64>,
-    ) -> Result<Vec<ReplyOutcome>, DoorError> {
-        let mut sock = self.checkout(net)?;
+    ) -> Result<CallSocket, DoorError> {
         // The socket is exclusively ours until checkin, so its receive
         // timeout affects nobody else; a call without a deadline on a
         // socket that never had one sets nothing.
@@ -516,8 +555,7 @@ impl Link {
                 .map_err(|e| self.die(comm(e)))?;
             sock.timed = timeout.is_some();
         }
-        self.send(net, &mut sock, request)
-            .map_err(|e| self.send_failed(e))?;
+        self.send_request(net, &mut sock, frame)?;
         let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
             Ok(n) => n,
             // `SO_RCVTIMEO` expiring reads as `WouldBlock` (or `TimedOut`).
@@ -534,17 +572,16 @@ impl Link {
             Err(e) => return Err(self.die(self.read_failed(e))),
         };
         net.count_socket_receive(n);
-        let reply = decode_reply(&sock.buf[..n])
+        let reply = decode_reply(&sock.buf[..n], &mut sock.outcomes)
             .map_err(|e| self.die(comm(format!("malformed {} frame: {e}", self.kind))))?;
-        if reply.id != id || reply.outcomes.len() != calls {
+        if reply != id || sock.outcomes.len() != frame.len() {
             return Err(self.die(comm(format!(
-                "protocol violation: reply {} with {} outcomes for request {id} with {calls} calls",
-                reply.id,
-                reply.outcomes.len()
+                "protocol violation: reply {reply} with {} outcomes for request {id} with {} calls",
+                sock.outcomes.len(),
+                frame.len()
             ))));
         }
-        self.checkin(sock);
-        Ok(reply.outcomes)
+        Ok(sock)
     }
 
     /// Dialing side: parks one more serving socket with the acceptor, on a
@@ -650,10 +687,15 @@ fn read_hello(stream: &mut Stream, local: u64) -> Result<Hello, DoorError> {
 /// this socket alone: the caller hung up on it — its deadline expired, or
 /// its whole link died and every other socket says so — or, if it is still
 /// waiting, reads EOF and kills the link from its side.
+///
+/// Every buffer the loop touches is reused from frame to frame: the
+/// socket's frame buffer and outcome vector, and `calls`, the decoded
+/// request's calls. The loop's thread owns them all.
 fn serve(link: &Arc<Link>, mut sock: CallSocket) {
     hotpath::count_dispatch_spawned();
     // Dialing side: this socket is the spare until its first frame arrives.
     let mut spare = link.dial.is_some();
+    let mut calls = Vec::new();
     loop {
         let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
             Ok(n) => n,
@@ -685,8 +727,8 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
         } else {
             KIND_ONEWAY
         };
-        let req = match decode_calls(kind, frame) {
-            Ok(req) => req,
+        let id = match decode_calls(kind, frame, &mut calls) {
+            Ok(id) => id,
             Err(e) => {
                 // A frame whose declared counts or lengths disagree with
                 // the bytes received, or of a kind that has no business
@@ -698,41 +740,51 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
                 break;
             }
         };
-        let (outcomes, fresh) = execute(&server, req.calls, want_reply);
-        if !want_reply {
-            continue;
+        let fresh = execute(&server, &mut calls, &mut sock.outcomes, want_reply);
+        release(&mut calls);
+        if want_reply {
+            encode_reply(id, &sock.outcomes, &mut sock.buf);
+            if link.send(&net, &mut sock).is_err() {
+                // The lost-reply discipline: the calls executed, these
+                // replies will not be re-sent, so the exports freshly
+                // pinned for them are released as one batch.
+                server.unexport(&fresh);
+                link.close(sock, Side::Serving);
+                break;
+            }
         }
-        let reply = encode_reply(req.id, &outcomes);
-        if link.send(&net, &mut sock, &reply).is_err() {
-            // The lost-reply discipline: the calls executed, these replies
-            // will not be re-sent, so the exports freshly pinned for them
-            // are released as one batch.
-            server.unexport(&fresh);
-            link.close(sock, Side::Serving);
-            break;
+        // Written or waived, the staged replies are done with: their
+        // payloads go back to the pool, and no outcome of this frame is
+        // left to be taken for the next one's.
+        for outcome in sock.outcomes.drain(..) {
+            if let ReplyOutcome::Ok(wire) = outcome {
+                pool::give(wire.bytes);
+            }
         }
+        sock.consumed();
     }
     hotpath::count_dispatch_reaped();
 }
 
-/// Serves one inbound frame's calls, in submission order, each through
-/// [`NetServer::serve`]. Returns each call's outcome and the exports freshly
-/// pinned by the staged replies; for a one-way frame (`want_reply` false:
-/// the sender waived delivery confirmation) the outcomes show in the trace
-/// span and are otherwise dropped.
+/// Serves one inbound frame's calls, drained from `calls` in submission
+/// order, each through [`NetServer::serve`], staging each call's outcome in
+/// `outcomes`. Returns the exports freshly pinned by the staged replies;
+/// for a one-way frame (`want_reply` false: the sender waived delivery
+/// confirmation) the outcomes show in the trace span and are otherwise
+/// dropped.
 fn execute(
     server: &Arc<NetServer>,
-    calls: Vec<RequestCall>,
+    calls: &mut Vec<RequestCall>,
+    outcomes: &mut Vec<ReplyOutcome>,
     want_reply: bool,
-) -> (Vec<ReplyOutcome>, Vec<u64>) {
+) -> Vec<u64> {
     let mut span = spring_trace::span_start(
         keys::NET_BATCH,
         server.domain.trace_scope(),
         calls.len() as u64,
     );
-    let mut outcomes = Vec::with_capacity(calls.len());
     let mut reply_fresh: Vec<u64> = Vec::new();
-    for call in calls {
+    for call in calls.drain(..) {
         let served = server.serve(call.export, call.wire, want_reply);
         if !matches!(served.outcome, ReplyOutcome::Ok(_)) {
             span.fail();
@@ -740,7 +792,7 @@ fn execute(
         reply_fresh.extend(served.fresh);
         outcomes.push(served.outcome);
     }
-    (outcomes, reply_fresh)
+    reply_fresh
 }
 
 // ---------------------------------------------------------------------------
@@ -897,24 +949,19 @@ impl SocketPeer {
     ) -> Result<(), DoorError> {
         let net = self.net()?;
         let link = self.live_link(&net)?;
-
+        // The frame is encoded straight into the socket that carries it.
+        let mut sock = link.checkout(&net)?;
         let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
-        let request = {
-            let calls: Vec<(u64, &WireMessage)> =
-                frame.iter().map(|e| (e.export, &e.wire)).collect();
-            let kind = if want_reply {
-                KIND_REQUEST
-            } else {
-                KIND_ONEWAY
-            };
-            encode_calls(kind, id, &calls)
+        let kind = if want_reply {
+            KIND_REQUEST
+        } else {
+            KIND_ONEWAY
         };
+        encode_calls(kind, id, frame, &mut sock.buf);
         if !want_reply {
             // One write on this thread and no read: a failure proves the
             // frame never left; success is all a one-way caller learns.
-            let mut sock = link.checkout(&net)?;
-            link.send(&net, &mut sock, &request)
-                .map_err(|e| link.send_failed(e))?;
+            link.send_request(&net, &mut sock, frame)?;
             link.checkin(sock);
             hotpath::count_oneway_frame();
             for entry in frame.iter_mut() {
@@ -931,10 +978,11 @@ impl SocketPeer {
             latest = latest.max(due);
         }
         let deadline = (bounded && latest != 0).then_some(latest);
-        let outcomes = link.round_trip(&net, id, &request, frame.len(), deadline)?;
-        for (entry, outcome) in frame.iter_mut().zip(outcomes) {
+        let mut sock = link.round_trip(&net, sock, id, frame, deadline)?;
+        for (entry, outcome) in frame.iter_mut().zip(sock.outcomes.drain(..)) {
             entry.settle(from, outcome);
         }
+        link.checkin(sock);
         Ok(())
     }
 }
@@ -1211,5 +1259,53 @@ fn accept_loop(
             // the backlog: look again shortly.
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NetConfig, Network};
+    use spring_kernel::{CallCtx, Message};
+
+    fn echo(_ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        Ok(msg)
+    }
+
+    /// A frame far larger than the pool keeps of a payload does not pin its
+    /// size in the socket that carried it: after a 4 MiB echo the calling
+    /// socket's frame buffer and outcome vector hold at most 1 MiB.
+    #[test]
+    fn a_large_frame_leaves_its_socket_no_larger_than_the_pool_keeps() {
+        let path = std::env::temp_dir()
+            .join(format!("spring-large-frame-{}.sock", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let server_net = Network::new(NetConfig::default());
+        let server_node = server_net.add_node_with_id("server", 401);
+        let servants = server_node.kernel().create_domain("servants");
+        let door = servants.create_door(Arc::new(echo)).unwrap();
+        server_net
+            .set_bootstrap(server_node.id(), &servants, door)
+            .unwrap();
+        let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+        let client_net = Network::new(NetConfig::default());
+        let client_node = client_net.add_node_with_id("client", 402);
+        let client = client_node.kernel().create_domain("client");
+        let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+        let door = peer.bootstrap_door(&client).unwrap();
+
+        let big = vec![5u8; 4 << 20];
+        let reply = client.call(door, Message::from_bytes(big)).unwrap();
+        assert_eq!(reply.bytes.len(), 4 << 20);
+
+        let link = peer.link.lock().clone();
+        let st = lock(&link.state);
+        assert_eq!(st.idle.len(), 1, "one call, one calling socket");
+        let sock = &st.idle[0];
+        assert!(sock.buf.capacity() <= pool::MAX_RETAINED_CAPACITY);
+        let outcomes = sock.outcomes.capacity() * mem::size_of::<ReplyOutcome>();
+        assert!(outcomes <= pool::MAX_RETAINED_CAPACITY);
     }
 }

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use spring_kernel::DoorError;
+use spring_kernel::{pool, DoorError};
 
 use crate::batch::PendingEntry;
 use crate::network::Snapshot;
@@ -110,8 +110,12 @@ impl Transport for SimTransport {
 //
 // The payload bytes are the marshalled `WireMessage.bytes` **unmodified**:
 // a flat IDL frame produced by the PR 6 codegen travels byte-identical and
-// is validated in place on the receive side's read buffer — the socket
+// is validated in place on the receive side's one copy of it — the socket
 // layer never re-marshals, re-aligns, or re-tags application payloads.
+//
+// Buffers: the encoders write into, and the decoders decode into, vectors
+// their caller owns and reuses from frame to frame (a call socket's, or
+// its serving loop's); a decoded payload is drawn from the buffer pool.
 //
 // Decoding is fully defensive and returns `spring_buf::WireError`: a frame
 // whose declared counts or lengths disagree with the bytes received is
@@ -169,13 +173,6 @@ pub(crate) struct RequestCall {
     pub wire: WireMessage,
 }
 
-/// A decoded request frame.
-#[derive(Debug)]
-pub(crate) struct RequestFrame {
-    pub id: u64,
-    pub calls: Vec<RequestCall>,
-}
-
 /// What became of one forwarded call: produced by [`NetServer::serve`] (and
 /// by a shipper whose frame could not travel), carried by a reply frame,
 /// consumed by [`PendingEntry::settle`].
@@ -191,13 +188,6 @@ pub(crate) enum ReplyOutcome {
     /// sender's pins stay (the receiving node's proxy table references
     /// them).
     Failed(DoorError),
-}
-
-/// A decoded reply frame.
-#[derive(Debug)]
-pub(crate) struct ReplyFrame {
-    pub id: u64,
-    pub outcomes: Vec<ReplyOutcome>,
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -253,44 +243,44 @@ pub(crate) fn encode_hello(hello: &Hello) -> Vec<u8> {
     out
 }
 
-/// Encodes a request-shaped frame (`KIND_REQUEST` or `KIND_ONEWAY`) from
-/// the calls' wire messages. `calls` pairs each target export with its
-/// wire form.
-pub(crate) fn encode_calls(kind: u8, id: u64, calls: &[(u64, &WireMessage)]) -> Vec<u8> {
-    let payload: usize = calls.iter().map(|(_, w)| 48 + w.bytes.len()).sum();
-    let mut out = Vec::with_capacity(16 + payload);
+/// Starts a frame of `kind` in `out`, replacing whatever it held: the
+/// header every request-shaped and reply frame shares.
+fn put_header(out: &mut Vec<u8>, kind: u8, id: u64, count: usize) {
+    out.clear();
     out.push(kind);
-    put_u64(&mut out, id);
-    put_u32(&mut out, calls.len() as u32);
-    for (export, wire) in calls {
-        put_u64(&mut out, *export);
-        put_wire(&mut out, wire);
-    }
-    out
+    put_u64(out, id);
+    put_u32(out, count as u32);
 }
 
-pub(crate) fn encode_reply(id: u64, outcomes: &[ReplyOutcome]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.push(KIND_REPLY);
-    put_u64(&mut out, id);
-    put_u32(&mut out, outcomes.len() as u32);
+/// Encodes a request-shaped frame (`KIND_REQUEST` or `KIND_ONEWAY`) of the
+/// calls aboard `frame` into `out`, which it replaces.
+pub(crate) fn encode_calls(kind: u8, id: u64, frame: &[PendingEntry], out: &mut Vec<u8>) {
+    put_header(out, kind, id, frame.len());
+    for entry in frame {
+        put_u64(out, entry.export);
+        put_wire(out, &entry.wire);
+    }
+}
+
+/// Encodes a reply frame of `outcomes` into `out`, which it replaces.
+pub(crate) fn encode_reply(id: u64, outcomes: &[ReplyOutcome], out: &mut Vec<u8>) {
+    put_header(out, KIND_REPLY, id, outcomes.len());
     for outcome in outcomes {
         match outcome {
             ReplyOutcome::Ok(wire) => {
                 out.push(STATUS_OK);
-                put_wire(&mut out, wire);
+                put_wire(out, wire);
             }
             ReplyOutcome::NotDelivered(e) => {
                 out.push(STATUS_NOT_DELIVERED);
-                put_error(&mut out, e);
+                put_error(out, e);
             }
             ReplyOutcome::Failed(e) => {
                 out.push(STATUS_FAILED);
-                put_error(&mut out, e);
+                put_error(out, e);
             }
         }
     }
-    out
 }
 
 /// A bounds-checked little-endian cursor over one received frame. Every
@@ -338,6 +328,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// The frame must be fully consumed: trailing bytes mean the declared
     /// counts disagree with the received length.
     fn finish(self) -> Result<(), WireError> {
@@ -377,9 +371,9 @@ fn get_wire(c: &mut Cursor<'_>) -> Result<WireMessage, WireError> {
     let call: [u8; 20] = c.take(20)?.try_into().unwrap();
     let trace: [u8; 16] = c.take(16)?.try_into().unwrap();
     let ncaps = c.u32()? as usize;
-    // Bound the pre-allocation by what the frame could actually hold (16
+    // Bound the pre-allocation by what the rest of the frame could hold (16
     // bytes per cap), so a lying count fails on the read, not the reserve.
-    let mut caps = Vec::with_capacity(ncaps.min(c.buf.len() / 16 + 1));
+    let mut caps = Vec::with_capacity(ncaps.min(c.remaining() / 16));
     for _ in 0..ncaps {
         let origin = c.u64()?;
         let export = c.u64()?;
@@ -387,9 +381,16 @@ fn get_wire(c: &mut Cursor<'_>) -> Result<WireMessage, WireError> {
     }
     let nbytes = c.u32()? as usize;
     // The payload is copied out of the read buffer exactly once — the
-    // receive copy a real network always pays. Downstream flat decoding
-    // validates in place on this very allocation.
-    let bytes = c.take(nbytes)?.to_vec();
+    // receive copy a real network always pays — into a pooled backing,
+    // which whoever consumes the message gives back. Downstream flat
+    // decoding validates in place on this very allocation. An empty
+    // payload draws nothing, as the kernel's copy draws nothing for one.
+    let payload = c.take(nbytes)?;
+    let mut bytes = Vec::new();
+    if !payload.is_empty() {
+        bytes = pool::take(payload.len());
+        bytes.extend_from_slice(payload);
+    }
     Ok(WireMessage {
         bytes,
         caps,
@@ -441,46 +442,67 @@ fn expect_kind(c: &mut Cursor<'_>, kind: u8) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Decodes a request-shaped frame of the given `kind` (`KIND_REQUEST` or
-/// `KIND_ONEWAY`).
-pub(crate) fn decode_calls(kind: u8, frame: &[u8]) -> Result<RequestFrame, WireError> {
-    let mut c = Cursor::new(frame);
-    expect_kind(&mut c, kind)?;
-    let id = c.u64()?;
-    let ncalls = c.u32()? as usize;
-    let mut calls = Vec::with_capacity(ncalls.min(c.buf.len() / 48 + 1));
-    for _ in 0..ncalls {
-        let export = c.u64()?;
-        let wire = get_wire(&mut c)?;
-        calls.push(RequestCall { export, wire });
+/// Decodes a frame of `kind` whose header declares its items, each read by
+/// `item`, into `out` and returns the frame id. `out` is cleared first and
+/// left empty if the frame is malformed, so nothing decoded from one frame
+/// can be taken for another's; it grows only as items decode, never by a
+/// count the frame declares.
+fn decode_into<T>(
+    kind: u8,
+    frame: &[u8],
+    out: &mut Vec<T>,
+    mut item: impl FnMut(&mut Cursor<'_>) -> Result<T, WireError>,
+) -> Result<u64, WireError> {
+    out.clear();
+    let decoded = (|| {
+        let mut c = Cursor::new(frame);
+        expect_kind(&mut c, kind)?;
+        let id = c.u64()?;
+        for _ in 0..c.u32()? {
+            out.push(item(&mut c)?);
+        }
+        c.finish()?;
+        Ok(id)
+    })();
+    if decoded.is_err() {
+        out.clear();
     }
-    c.finish()?;
-    Ok(RequestFrame { id, calls })
+    decoded
 }
 
-pub(crate) fn decode_reply(frame: &[u8]) -> Result<ReplyFrame, WireError> {
-    let mut c = Cursor::new(frame);
-    expect_kind(&mut c, KIND_REPLY)?;
-    let id = c.u64()?;
-    let ncalls = c.u32()? as usize;
-    let mut outcomes = Vec::with_capacity(ncalls.min(c.buf.len() + 1));
-    for _ in 0..ncalls {
+/// Decodes a request-shaped frame of the given `kind` (`KIND_REQUEST` or
+/// `KIND_ONEWAY`) into `calls`; returns its frame id.
+pub(crate) fn decode_calls(
+    kind: u8,
+    frame: &[u8],
+    calls: &mut Vec<RequestCall>,
+) -> Result<u64, WireError> {
+    decode_into(kind, frame, calls, |c| {
+        let export = c.u64()?;
+        let wire = get_wire(c)?;
+        Ok(RequestCall { export, wire })
+    })
+}
+
+/// Decodes a reply frame into `outcomes`; returns its frame id.
+pub(crate) fn decode_reply(
+    frame: &[u8],
+    outcomes: &mut Vec<ReplyOutcome>,
+) -> Result<u64, WireError> {
+    decode_into(KIND_REPLY, frame, outcomes, |c| {
         let status_off = c.pos;
-        let status = c.u8()?;
-        outcomes.push(match status {
-            STATUS_OK => ReplyOutcome::Ok(get_wire(&mut c)?),
-            STATUS_NOT_DELIVERED => ReplyOutcome::NotDelivered(get_error(&mut c)?),
-            STATUS_FAILED => ReplyOutcome::Failed(get_error(&mut c)?),
+        Ok(match c.u8()? {
+            STATUS_OK => ReplyOutcome::Ok(get_wire(c)?),
+            STATUS_NOT_DELIVERED => ReplyOutcome::NotDelivered(get_error(c)?),
+            STATUS_FAILED => ReplyOutcome::Failed(get_error(c)?),
             other => {
                 return Err(WireError::BadTag {
                     offset: status_off,
                     value: other as u32,
                 })
             }
-        });
-    }
-    c.finish()?;
-    Ok(ReplyFrame { id, outcomes })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -534,57 +556,92 @@ mod tests {
         }
     }
 
+    /// A request-shaped frame of `kind` carrying `calls`, encoded over a
+    /// buffer holding stale bytes the encoder must replace.
+    fn calls_frame(kind: u8, id: u64, calls: Vec<(u64, WireMessage)>) -> Vec<u8> {
+        let frame: Vec<PendingEntry> = calls
+            .into_iter()
+            .map(|(export, wire)| PendingEntry::shipped_by_caller(export, wire))
+            .collect();
+        let mut out = vec![0xEE; 3];
+        encode_calls(kind, id, &frame, &mut out);
+        out
+    }
+
+    /// A reply frame of `outcomes`, encoded like [`calls_frame`].
+    fn reply_frame(id: u64, outcomes: &[ReplyOutcome]) -> Vec<u8> {
+        let mut out = vec![0xEE; 3];
+        encode_reply(id, outcomes, &mut out);
+        out
+    }
+
+    /// A call the decoders are handed before they decode, standing for
+    /// what an earlier frame left behind.
+    fn stale_call() -> RequestCall {
+        RequestCall {
+            export: 99,
+            wire: sample_wire(b"stale", &[]),
+        }
+    }
+
+    fn calls_of(kind: u8, frame: &[u8]) -> Result<(u64, Vec<RequestCall>), WireError> {
+        let mut calls = vec![stale_call()];
+        decode_calls(kind, frame, &mut calls).map(|id| (id, calls))
+    }
+
+    fn outcomes_of(frame: &[u8]) -> Result<(u64, Vec<ReplyOutcome>), WireError> {
+        let mut outcomes = vec![ReplyOutcome::Failed(DoorError::Revoked)];
+        decode_reply(frame, &mut outcomes).map(|id| (id, outcomes))
+    }
+
     #[test]
     fn request_round_trip_preserves_payload_and_envelope() {
         let w1 = sample_wire(b"abcdef", &[(1, 2), (3, 4)]);
         let w2 = sample_wire(b"", &[]);
-        let enc = encode_calls(KIND_REQUEST, 77, &[(10, &w1), (11, &w2)]);
-        let dec = decode_calls(KIND_REQUEST, &enc).unwrap();
-        assert_eq!(dec.id, 77);
-        assert_eq!(dec.calls.len(), 2);
-        assert_eq!(dec.calls[0].export, 10);
-        assert_eq!(dec.calls[0].wire.bytes, b"abcdef");
-        assert_eq!(dec.calls[0].wire.caps.len(), 2);
-        assert_eq!(dec.calls[0].wire.caps[1].export, 4);
-        assert_eq!(dec.calls[0].wire.trace, [7; 16]);
-        assert_eq!(dec.calls[0].wire.call, [9; 20]);
-        assert_eq!(dec.calls[1].export, 11);
-        assert!(dec.calls[1].wire.bytes.is_empty());
+        let enc = calls_frame(KIND_REQUEST, 77, vec![(10, w1), (11, w2)]);
+        let (id, calls) = calls_of(KIND_REQUEST, &enc).unwrap();
+        assert_eq!(id, 77);
+        assert_eq!(calls.len(), 2);
+        assert_eq!(calls[0].export, 10);
+        assert_eq!(calls[0].wire.bytes, b"abcdef");
+        assert_eq!(calls[0].wire.caps.len(), 2);
+        assert_eq!(calls[0].wire.caps[1].export, 4);
+        assert_eq!(calls[0].wire.trace, [7; 16]);
+        assert_eq!(calls[0].wire.call, [9; 20]);
+        assert_eq!(calls[1].export, 11);
+        assert!(calls[1].wire.bytes.is_empty());
     }
 
     #[test]
     fn oneway_round_trip_shares_request_layout() {
-        let w = sample_wire(b"notify", &[(1, 2)]);
-        let enc = encode_calls(KIND_ONEWAY, 42, &[(10, &w)]);
+        let w = || sample_wire(b"notify", &[(1, 2)]);
+        let enc = calls_frame(KIND_ONEWAY, 42, vec![(10, w())]);
         assert_eq!(enc[0], KIND_ONEWAY);
-        let dec = decode_calls(KIND_ONEWAY, &enc).unwrap();
-        assert_eq!(dec.id, 42);
-        assert_eq!(dec.calls.len(), 1);
-        assert_eq!(dec.calls[0].export, 10);
-        assert_eq!(dec.calls[0].wire.bytes, b"notify");
+        let (id, calls) = calls_of(KIND_ONEWAY, &enc).unwrap();
+        assert_eq!(id, 42);
+        assert_eq!(calls.len(), 1);
+        assert_eq!(calls[0].export, 10);
+        assert_eq!(calls[0].wire.bytes, b"notify");
         // Byte-identical to a request frame except the kind byte, so every
         // defensive-decoding property proven for requests carries over.
-        let req = encode_calls(KIND_REQUEST, 42, &[(10, &w)]);
+        let req = calls_frame(KIND_REQUEST, 42, vec![(10, w())]);
         assert_eq!(enc[1..], req[1..]);
         assert!(matches!(
-            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
+            calls_of(KIND_REQUEST, &enc).unwrap_err(),
             WireError::BadTag { .. }
         ));
         assert!(matches!(
-            decode_calls(KIND_ONEWAY, &req).unwrap_err(),
+            calls_of(KIND_ONEWAY, &req).unwrap_err(),
             WireError::BadTag { .. }
         ));
         for cut in 0..enc.len() {
-            assert!(
-                decode_calls(KIND_ONEWAY, &enc[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(calls_of(KIND_ONEWAY, &enc[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn reply_round_trip_all_statuses() {
-        let enc = encode_reply(
+        let enc = reply_frame(
             5,
             &[
                 ReplyOutcome::Ok(sample_wire(b"xy", &[(8, 9)])),
@@ -593,77 +650,163 @@ mod tests {
                 ReplyOutcome::Failed(DoorError::Revoked),
             ],
         );
-        let dec = decode_reply(&enc).unwrap();
-        assert_eq!(dec.id, 5);
-        assert_eq!(dec.outcomes.len(), 4);
-        assert!(matches!(&dec.outcomes[0], ReplyOutcome::Ok(w) if w.bytes == b"xy"));
+        let (id, outcomes) = outcomes_of(&enc).unwrap();
+        assert_eq!(id, 5);
+        assert_eq!(outcomes.len(), 4);
+        assert!(matches!(&outcomes[0], ReplyOutcome::Ok(w) if w.bytes == b"xy"));
         assert!(matches!(
-            &dec.outcomes[1],
+            &outcomes[1],
             ReplyOutcome::NotDelivered(DoorError::Comm(m)) if m == "stale export 3"
         ));
         assert!(matches!(
-            &dec.outcomes[2],
+            &outcomes[2],
             ReplyOutcome::Failed(DoorError::Handler(m)) if m == "boom"
         ));
         assert!(matches!(
-            &dec.outcomes[3],
+            &outcomes[3],
             ReplyOutcome::Failed(DoorError::Revoked)
         ));
     }
 
+    /// Every cut of a frame fails typed, and leaves the vector it decoded
+    /// into empty: a frame that failed partway settles nothing.
     #[test]
     fn truncated_frames_get_typed_rejection() {
         let w = sample_wire(&[1; 100], &[(1, 2)]);
-        let enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
+        let enc = calls_frame(KIND_REQUEST, 1, vec![(5, w)]);
         // Every possible truncation point must produce a typed error, and
         // in particular a payload length field pointing past the end must
         // come back Truncated, never panic.
         for cut in 0..enc.len() {
-            let err = decode_calls(KIND_REQUEST, &enc[..cut]).unwrap_err();
+            let mut calls = vec![stale_call()];
+            let err = decode_calls(KIND_REQUEST, &enc[..cut], &mut calls).unwrap_err();
             assert!(
                 matches!(err, WireError::Truncated { .. }),
                 "cut at {cut}: {err:?}"
             );
+            assert!(calls.is_empty(), "cut at {cut} left {} calls", calls.len());
+        }
+        let enc = reply_frame(
+            1,
+            &[
+                ReplyOutcome::Ok(sample_wire(b"first", &[])),
+                ReplyOutcome::Failed(DoorError::Handler("second".into())),
+                ReplyOutcome::Ok(sample_wire(b"third", &[(3, 4)])),
+            ],
+        );
+        for cut in 0..enc.len() {
+            let mut outcomes = Vec::new();
+            let err = decode_reply(&enc[..cut], &mut outcomes).unwrap_err();
+            assert!(
+                matches!(err, WireError::Truncated { .. }),
+                "cut at {cut}: {err:?}"
+            );
+            assert!(outcomes.is_empty(), "cut at {cut} left outcomes");
         }
     }
 
     #[test]
     fn trailing_bytes_get_typed_rejection() {
         let w = sample_wire(b"zz", &[]);
-        let mut enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
+        let mut enc = calls_frame(KIND_REQUEST, 1, vec![(5, w)]);
         enc.push(0);
+        let mut calls = Vec::new();
         assert!(matches!(
-            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
+            decode_calls(KIND_REQUEST, &enc, &mut calls).unwrap_err(),
             WireError::OverLength { .. }
         ));
+        // The one call decoded before the stray byte was found is gone.
+        assert!(calls.is_empty());
     }
 
     #[test]
     fn lying_counts_get_typed_rejection() {
         let w = sample_wire(b"abc", &[(1, 2)]);
-        let mut enc = encode_calls(KIND_REQUEST, 1, &[(5, &w)]);
+        let mut enc = calls_frame(KIND_REQUEST, 1, vec![(5, w)]);
         // Inflate the cap count field far past the frame end (offset:
         // kind 1 + id 8 + ncalls 4 + export 8 + call 20 + trace 16 = 57).
         enc[57..61].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
+            calls_of(KIND_REQUEST, &enc).unwrap_err(),
             WireError::Truncated { .. }
         ));
+    }
+
+    /// A reply that declares `u32::MAX` outcomes over 64 KiB of valid
+    /// 6-byte ones fails `Truncated`, and the outcome vector grew only with
+    /// what decoded: an 88-byte outcome per declared one would have been
+    /// a reservation of hundreds of gigabytes.
+    #[test]
+    fn a_lying_reply_count_reserves_nothing() {
+        let failed = ReplyOutcome::Failed(DoorError::InvalidDoor);
+        let one = reply_frame(0, std::slice::from_ref(&failed)).split_off(13);
+        assert_eq!(one.len(), 6);
+        let mut enc = reply_frame(7, &[]);
+        enc[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        while enc.len() + one.len() <= 13 + 64 * 1024 {
+            enc.extend_from_slice(&one);
+        }
+        let mut outcomes = Vec::new();
+        assert!(matches!(
+            decode_reply(&enc, &mut outcomes).unwrap_err(),
+            WireError::Truncated { .. }
+        ));
+        assert!(outcomes.is_empty());
+        assert!(
+            outcomes.capacity() <= 2 * (enc.len() / 6),
+            "{} outcomes reserved for a {}-byte frame",
+            outcomes.capacity(),
+            enc.len()
+        );
+    }
+
+    /// A decoder handed a vector an earlier frame filled clears it first,
+    /// so no outcome of that frame can settle a call of this one.
+    #[test]
+    fn decoders_replace_what_they_are_handed() {
+        let enc = calls_frame(KIND_REQUEST, 3, vec![(5, sample_wire(b"new", &[]))]);
+        let (_, calls) = calls_of(KIND_REQUEST, &enc).unwrap();
+        assert_eq!(calls.len(), 1);
+        assert_eq!(
+            (calls[0].export, &calls[0].wire.bytes[..]),
+            (5, &b"new"[..])
+        );
+
+        let enc = reply_frame(3, &[]);
+        let (_, outcomes) = outcomes_of(&enc).unwrap();
+        assert!(outcomes.is_empty());
+    }
+
+    /// A decoded payload is drawn from the decoding thread's buffer pool,
+    /// whoever consumes it gives it back.
+    #[test]
+    fn decoded_payloads_come_from_the_pool() {
+        // On a thread of its own, whose pool holds just this one backing.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let backing = Vec::with_capacity(64);
+                let at = backing.as_ptr();
+                pool::give(backing);
+                let enc = calls_frame(KIND_REQUEST, 1, vec![(5, sample_wire(b"pooled", &[]))]);
+                let (_, calls) = calls_of(KIND_REQUEST, &enc).unwrap();
+                assert_eq!(calls[0].wire.bytes.as_ptr(), at);
+            });
+        });
     }
 
     #[test]
     fn bad_tags_get_typed_rejection() {
         let w = sample_wire(b"", &[]);
-        let mut enc = encode_reply(1, &[ReplyOutcome::Ok(w)]);
+        let mut enc = reply_frame(1, &[ReplyOutcome::Ok(w)]);
         enc[13] = 9; // status byte
         assert!(matches!(
-            decode_reply(&enc).unwrap_err(),
+            outcomes_of(&enc).unwrap_err(),
             WireError::BadTag { value: 9, .. }
         ));
-        let mut enc = encode_calls(KIND_REQUEST, 1, &[]);
+        let mut enc = calls_frame(KIND_REQUEST, 1, Vec::new());
         enc[0] = 200; // frame kind
         assert!(matches!(
-            decode_calls(KIND_REQUEST, &enc).unwrap_err(),
+            calls_of(KIND_REQUEST, &enc).unwrap_err(),
             WireError::BadTag { value: 200, .. }
         ));
     }

@@ -1258,6 +1258,41 @@ fn a_straggler_of_an_older_generation_is_dropped_not_adopted() {
     });
 }
 
+/// The serving loop reuses its outcome vector from frame to frame: a
+/// one-way frame and then two requests on one socket get exactly two
+/// replies, each carrying its own request's one outcome — nothing the
+/// one-way frame staged rides along to settle a later call.
+#[test]
+fn requests_after_a_oneway_frame_on_one_socket_are_answered_alone() {
+    let (server_net, server_node) = echo_process(251);
+    let listener = server_net
+        .listen_tcp(server_node.id(), "127.0.0.1:0")
+        .unwrap();
+    let addr = listener.local_addr().to_string();
+    let mut s = raw_dial(&addr, 978, CALLS, 1).expect("a new dialer is adopted");
+
+    let mut oneway = request_payload(1, 1, b"one-way");
+    oneway[0] = 4; // KIND_ONEWAY: the request layout, no reply
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, &oneway);
+    put_frame(&mut bytes, &request_payload(2, 1, b"first request"));
+    put_frame(&mut bytes, &request_payload(3, 1, b"second request"));
+    s.write_all(&bytes).unwrap();
+    for (id, payload) in [(2u64, &b"first request"[..]), (3, b"second request")] {
+        let reply = read_raw_frame(&mut s).unwrap();
+        assert_eq!(reply[0], 3, "expected a REPLY frame");
+        assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), id);
+        assert_eq!(
+            u32::from_le_bytes(reply[9..13].try_into().unwrap()),
+            1,
+            "one outcome for the one call of request {id}"
+        );
+        assert_eq!(reply[13], 0, "status ok");
+        assert!(reply.ends_with(payload));
+    }
+    assert_eq!(server_net.socket_stats().disconnects, 0);
+}
+
 /// Holds every call until the gate opens, tracking how many are inside.
 struct Gate {
     inside: AtomicU64,
