@@ -7,18 +7,21 @@
 //! * parents must be interfaces, acyclic, and diamond inheritance is
 //!   deduplicated;
 //! * operation names must be unique across the flattened method set, and
-//!   their 32-bit wire hashes must not collide;
+//!   their 32-bit wire hashes must not collide; no operation may take the
+//!   name of one of the client stub's own methods (`obj`, `copy`, ...);
 //! * `raises` clauses must name exceptions;
 //! * `out`/`inout` modes are rejected for object types (an object's
 //!   round-trip identity is not well-defined under Spring's move semantics);
 //!   `copy` mode is *only* valid for object types (§5.1.5);
 //! * structs, exceptions, and sequences may not contain objects — object
-//!   arguments and results are handled by subcontracts at the top level.
+//!   arguments and results are handled by subcontracts at the top level;
+//! * a struct may not contain itself by value.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::ast::*;
-use crate::IdlError;
+use crate::codegen::STUB_METHODS;
+use crate::{layout, IdlError};
 
 /// One operation of a flattened method set, tagged with the interface that
 /// declared it (whose error enum the operation uses).
@@ -355,6 +358,17 @@ impl Checker {
 
         let mut ops = Vec::new();
         for op in &i.ops {
+            if let Some((method, ..)) = STUB_METHODS.iter().find(|(m, ..)| *m == op.name) {
+                return Err(err_at(
+                    op.line,
+                    op.col,
+                    format!(
+                        "operation {:?} in {abs:?} collides with the client stub's own method \
+                         `{method}`; rename it",
+                        op.name
+                    ),
+                ));
+            }
             let ret = self.norm_type(scope, &op.ret, false, (op.line, op.col))?;
             let mut params = Vec::new();
             let mut seen = HashSet::new();
@@ -609,8 +623,34 @@ pub fn check(spec: &Spec) -> Result<CheckedSpec, IdlError> {
         }
     }
 
+    // A struct may hold itself through a sequence, never by value: that
+    // value would have no finite size.
+    let out = &checker.out;
+    for (abs, s) in &out.structs {
+        if nests(out, abs, abs, &mut HashSet::new()) {
+            return Err(err_at(
+                s.line,
+                s.col,
+                format!("struct {abs:?} contains itself by value"),
+            ));
+        }
+    }
+
     checker.flatten()?;
     Ok(checker.out)
+}
+
+/// True when struct `outer` holds struct `target` by value, directly or
+/// through other structs (typedefs resolved).
+fn nests(out: &CheckedSpec, outer: &str, target: &str, seen: &mut HashSet<String>) -> bool {
+    out.structs[outer].fields.iter().any(|f| {
+        let Type::Named(n) = layout::resolve(out, &f.ty) else {
+            return false;
+        };
+        let inner = n.joined();
+        out.structs.contains_key(&inner)
+            && (inner == target || (seen.insert(inner.clone()) && nests(out, &inner, target, seen)))
+    })
 }
 
 #[cfg(test)]
@@ -784,6 +824,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("cycle"));
+    }
+
+    #[test]
+    fn struct_holding_itself_by_value_rejected() {
+        let err = checked(
+            r#"
+            struct a { long n; b x; };
+            typedef a a_alias;
+            struct b { a_alias y; };
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"2:13: struct "a" contains itself by value"#
+        );
+        // Through a sequence it has a size, and is allowed.
+        checked("struct a { sequence<a> xs; };").unwrap();
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Rust code generation.
+//! Rust code generation: lower, then emit.
 //!
-//! For each interface the generator emits, mirroring the IDL module tree:
+//! [`generate`] first lowers the checked spec to its wire layout
+//! ([`crate::layout`]), which decides once what every struct, exception and
+//! operation looks like on the wire. It then walks the IDL module tree and
+//! emits, for each interface:
 //!
 //! * a `TypeInfo` static encoding the inheritance graph and the default
 //!   subcontract chosen by the `[subcontract = ...]` annotation;
@@ -14,14 +17,50 @@
 //! * an error enum per interface covering its declared exceptions plus a
 //!   `System` variant.
 //!
-//! Structs, enums, and exceptions get `idl_encode`/`idl_decode` methods;
-//! object-typed parameters and results are marshalled through their own
-//! subcontracts (`in` moves, `copy` copies — §5.1.5).
+//! Structs, enums, and exceptions get `idl_encode`/`idl_decode` methods, and
+//! flat structs a `footprint`, a `validate` and a borrowing `*View`, all
+//! from the struct's record. Client and skeleton share one record encoder
+//! (client arguments, skeleton replies) and one record decoder, with a flat
+//! arm that reads in place and a copying arm (skeleton arguments, client
+//! replies). Object-typed parameters and results are marshalled through
+//! their own subcontracts (`in` moves, `copy` copies — §5.1.5).
 
 use std::fmt::Write as _;
 
 use crate::ast::*;
 use crate::check::{op_hash32, CheckedSpec, InterfaceInfo};
+use crate::layout::{self, Layout, Member, Prim, Record, Shape};
+
+/// The client stub's own methods, emitted ahead of its operations: name,
+/// doc line, signature after the name, and body lines, where `$T` stands
+/// for the stub type and `$I` for its `TypeInfo`. The checker rejects an
+/// operation that takes one of these names.
+pub(crate) const STUB_METHODS: [(&str, &str, &str, &str); 4] = [
+    (
+        "from_obj",
+        "Wraps an object, verifying its run-time type.",
+        "(obj: ::subcontract::SpringObj) -> ::subcontract::Result<Self>",
+        "obj.narrow(&$I)?;\nOk($T { obj })",
+    ),
+    (
+        "obj",
+        "The wrapped object.",
+        "(&self) -> &::subcontract::SpringObj",
+        "&self.obj",
+    ),
+    (
+        "into_obj",
+        "Unwraps the object.",
+        "(self) -> ::subcontract::SpringObj",
+        "self.obj",
+    ),
+    (
+        "copy",
+        "Shallow-copies the object (§7).",
+        "(&self) -> ::subcontract::Result<Self>",
+        "Ok($T { obj: self.obj.copy()? })",
+    ),
+];
 
 /// Converts `snake_or_lower` to `UpperCamel`.
 fn camel(s: &str) -> String {
@@ -45,11 +84,6 @@ fn upper_snake(s: &str) -> String {
     s.to_uppercase()
 }
 
-/// Byte offset rounded up to `align` (a power of two).
-fn align_up(offset: usize, align: usize) -> usize {
-    (offset + align - 1) & !(align - 1)
-}
-
 /// Escapes Rust keywords in value position (parameters, fields).
 fn sanitize(s: &str) -> String {
     const KEYWORDS: &[&str] = &[
@@ -66,9 +100,38 @@ fn sanitize(s: &str) -> String {
     }
 }
 
-/// A fixed-shape argument record: total footprint plus each parameter's
-/// `(offset, name, type)` in declaration order.
-type FlatArgs = (usize, Vec<(usize, String, Type)>);
+/// A buffer expression in argument position: `(&mut b)` loses the
+/// reborrow parens, which are redundant there.
+fn arg(buf: &str) -> &str {
+    buf.strip_prefix('(')
+        .and_then(|b| b.strip_suffix(')'))
+        .unwrap_or(buf)
+}
+
+/// The buffer itself, as a method receiver.
+fn receiver(buf: &str) -> &str {
+    arg(buf).trim_start_matches("&mut ")
+}
+
+/// `()`, `a`, or `(a, b, ...)`: the Rust spelling of a reply's values.
+fn tuple(items: &[String]) -> String {
+    match items {
+        [one] => one.clone(),
+        _ => format!("({})", items.join(", ")),
+    }
+}
+
+/// An operation record's members; none where nothing travels.
+fn members(rec: &Option<Record>) -> &[Member] {
+    rec.as_ref().map_or(&[], |r| &r.members)
+}
+
+/// `__r0, __r1, ...`: the variables holding a reply's values.
+fn reply_vars(reply: &Option<Record>) -> Vec<String> {
+    (0..members(reply).len())
+        .map(|i| format!("__r{i}"))
+        .collect()
+}
 
 /// Indentation-aware output writer.
 struct Out {
@@ -103,21 +166,27 @@ impl Out {
 
 struct Gen<'a> {
     checked: &'a CheckedSpec,
+    layout: &'a Layout,
     out: Out,
-    /// Current module path within the generated tree.
-    depth: usize,
+    /// The IDL module the emitted items belong to.
+    scope: Vec<String>,
 }
 
-impl Gen<'_> {
+impl<'a> Gen<'a> {
+    /// Absolute IDL name of `name` declared in the current module.
+    fn abs(&self, name: &str) -> String {
+        [&self.scope[..], &[name.to_owned()]].concat().join("::")
+    }
+
     /// Rust path from the current module to the item for `abs`, whose local
     /// Rust name is produced by `name_of`.
     fn path_to(&self, abs: &str, name_of: impl Fn(&str) -> String) -> String {
         let mut segments: Vec<&str> = abs.split("::").collect();
         let leaf = segments.pop().expect("non-empty path");
-        let mut path = if self.depth == 0 {
+        let mut path = if self.scope.is_empty() {
             "self::".to_owned()
         } else {
-            "super::".repeat(self.depth)
+            "super::".repeat(self.scope.len())
         };
         for m in segments {
             let _ = write!(path, "{m}::");
@@ -129,16 +198,8 @@ impl Gen<'_> {
         self.path_to(abs, |n| format!("{}_TYPE", upper_snake(n)))
     }
 
-    fn client_path(&self, abs: &str) -> String {
-        self.path_to(abs, camel)
-    }
-
     fn error_path(&self, abs: &str) -> String {
         self.path_to(abs, |n| format!("{}Error", camel(n)))
-    }
-
-    fn exception_path(&self, abs: &str) -> String {
-        self.path_to(abs, camel)
     }
 
     fn servant_path(&self, abs: &str) -> String {
@@ -149,330 +210,169 @@ impl Gen<'_> {
         self.path_to(abs, |n| format!("{n}_ops"))
     }
 
-    /// Resolves a named data type through typedefs to its underlying type.
-    fn underlying<'t>(&'t self, ty: &'t Type) -> &'t Type {
-        if let Type::Named(n) = ty {
-            if let Some(t) = self.checked.typedefs.get(&n.joined()) {
-                return self.underlying(t);
-            }
-        }
-        ty
-    }
-
-    /// True when the type denotes an object (interface or `object`).
-    fn is_object(&self, ty: &Type) -> bool {
-        match self.underlying(ty) {
-            Type::Object => true,
-            Type::Named(n) => self.checked.interfaces.contains_key(&n.joined()),
-            _ => false,
-        }
+    fn view_path(&self, abs: &str) -> String {
+        self.path_to(abs, |n| format!("{}View", camel(n)))
     }
 
     /// The Rust type for values of `ty` (client-facing and servant-facing).
     fn rust_type(&self, ty: &Type) -> String {
         match ty {
             Type::Void => "()".into(),
-            Type::Bool => "bool".into(),
-            Type::Octet => "u8".into(),
-            Type::Short => "i16".into(),
-            Type::UShort => "u16".into(),
-            Type::Long => "i32".into(),
-            Type::ULong => "u32".into(),
-            Type::LongLong => "i64".into(),
-            Type::ULongLong => "u64".into(),
-            Type::Float => "f32".into(),
-            Type::Double => "f64".into(),
             Type::Str => "String".into(),
             Type::Object => "::subcontract::SpringObj".into(),
             Type::Sequence(inner) => format!("Vec<{}>", self.rust_type(inner)),
-            Type::Named(n) => {
-                let abs = n.joined();
-                if self.checked.interfaces.contains_key(&abs) {
-                    self.client_path(&abs)
-                } else if self.checked.typedefs.contains_key(&abs) {
-                    self.path_to(&abs, camel)
+            Type::Named(n) => self.path_to(&n.joined(), camel),
+            prim => layout::prim(prim).expect("a primitive").rust.into(),
+        }
+    }
+
+    /// Emits statements encoding `value`, a data value (not an object) of
+    /// `shape`, into the buffer expression `buf`.
+    fn encode(&mut self, shape: &Shape, value: &str, buf: &str) {
+        match shape {
+            Shape::Prim(p) => self.out.line(format!("{buf}.put_{}({value});", p.rust)),
+            Shape::Str => self.out.line(format!("{buf}.put_string(&{value});")),
+            Shape::Bytes => self.out.line(format!("{buf}.put_bytes(&{value});")),
+            Shape::Seq(elem) => {
+                self.out.line(format!("{buf}.put_seq_len({value}.len());"));
+                self.out.open(format!("for __it in &{value} {{"));
+                self.encode(elem, "(*__it)", buf);
+                self.out.close("}");
+            }
+            Shape::Enum { .. } | Shape::Struct(_) => {
+                self.out
+                    .line(format!("({value}).idl_encode({});", arg(buf)));
+            }
+            Shape::Object(_) => unreachable!("objects are marshalled by their subcontract"),
+        }
+    }
+
+    /// Expression decoding one data value of `shape` from `buf`.
+    fn decode(&self, shape: &Shape, buf: &str) -> String {
+        match shape {
+            Shape::Prim(p) => format!("{buf}.get_{}()?", p.rust),
+            Shape::Str => format!("{buf}.get_string()?"),
+            Shape::Bytes => format!("{buf}.get_bytes()?"),
+            Shape::Seq(elem) => format!(
+                "{{ let __n = {buf}.get_seq_len({})?; \
+                 let mut __v = Vec::with_capacity(__n); \
+                 for _ in 0..__n {{ __v.push({}); }} __v }}",
+                self.layout.min_size(elem),
+                self.decode(elem, buf)
+            ),
+            Shape::Enum { name, .. } | Shape::Struct(name) => {
+                format!("{}::idl_decode({})?", self.path_to(name, camel), arg(buf))
+            }
+            Shape::Object(_) => unreachable!("objects are unmarshalled by their subcontract"),
+        }
+    }
+
+    /// Emits the encoding of a record's members, held in `values`, into
+    /// `buf` — 8-aligned first when the record is flat, so its offsets hold
+    /// absolutely. Used for client arguments and skeleton replies.
+    fn encode_record(&mut self, rec: &Option<Record>, buf: &str, values: &[String]) {
+        let Some(rec) = rec else { return };
+        if rec.footprint.is_some() {
+            self.out.line(format!("{}.align8();", receiver(buf)));
+        }
+        for (m, value) in rec.members.iter().zip(values) {
+            let Shape::Object(iface) = &m.shape else {
+                self.encode(&m.shape, value, buf);
+                continue;
+            };
+            let unwrap = match (iface, m.copy) {
+                (None, _) => "",
+                (Some(_), true) => ".obj()",
+                (Some(_), false) => ".into_obj()",
+            };
+            let marshal = if m.copy { "marshal_copy" } else { "marshal" };
+            self.out
+                .line(format!("{value}{unwrap}.{marshal}({})?;", arg(buf)));
+        }
+    }
+
+    /// Emits a `let` binding per member of a record, named by `vars`, read
+    /// from `buf`: in place from one validated slice when the record is
+    /// flat — no payload copies — else by the copying decoder, with objects
+    /// unmarshalled in `ctx`. Used for skeleton arguments and client
+    /// replies.
+    fn decode_record(&mut self, rec: &Option<Record>, buf: &str, ctx: &str, vars: &[String]) {
+        let Some(rec) = rec else { return };
+        if rec.footprint.is_some() {
+            self.out
+                .line(format!("let __flat = {}.flat_remaining()?;", receiver(buf)));
+            self.flat_checks("__flat", rec);
+        }
+        for (m, var) in rec.members.iter().zip(vars) {
+            let expr = if rec.footprint.is_some() {
+                self.flat_read(m, "__flat")
+            } else if let Shape::Object(iface) = &m.shape {
+                let expected = match iface {
+                    None => "&::subcontract::OBJECT_TYPE".to_owned(),
+                    Some(iface) => format!("&{}", self.type_info_path(iface)),
+                };
+                let obj = format!(
+                    "::subcontract::unmarshal_object({ctx}, {expected}, {})?",
+                    arg(buf)
+                );
+                if iface.is_none() {
+                    obj
                 } else {
-                    // Struct or enum.
-                    self.path_to(&abs, camel)
+                    // An interface: narrow to its client stub.
+                    self.out.line(format!("let {var} = {obj};"));
+                    format!("{}::from_obj({var})?", self.rust_type(&m.ty))
                 }
-            }
+            } else {
+                self.decode(&m.shape, buf)
+            };
+            self.out.line(format!("let {var} = {expr};"));
         }
     }
 
-    /// Minimal encoded size of one value of `ty`, for length-prefix guards.
-    fn min_size(&self, ty: &Type) -> usize {
-        match self.underlying(ty) {
-            Type::Void => 0,
-            Type::Bool | Type::Octet => 1,
-            Type::Short | Type::UShort => 2,
-            Type::Long | Type::ULong | Type::Float => 4,
-            Type::LongLong | Type::ULongLong | Type::Double => 8,
-            Type::Str | Type::Sequence(_) => 4,
-            Type::Object | Type::Named(_) => {
-                match self.underlying(ty) {
-                    Type::Named(n) => {
-                        let abs = n.joined();
-                        if let Some(s) = self.checked.structs.get(&abs) {
-                            s.fields
-                                .iter()
-                                .map(|f| self.min_size(&f.ty))
-                                .sum::<usize>()
-                                .max(1)
-                        } else if self.checked.enums.contains_key(&abs) {
-                            4
-                        } else {
-                            // Interface: header + door slot, at least.
-                            12
-                        }
-                    }
-                    _ => 12,
+    /// Emits the length check and the per-member tag/bool/nested-struct
+    /// checks of a flat record in `b`. Each emitted line ends in `?`, so
+    /// the surrounding function needs a `From<WireError>` error.
+    fn flat_checks(&mut self, b: &str, rec: &Record) {
+        let footprint = rec.footprint.expect("a flat record");
+        self.out
+            .line(format!("::spring_buf::flat::check_len({b}, {footprint})?;"));
+        for m in &rec.members {
+            let off = m.offset;
+            let check = match &m.shape {
+                Shape::Prim(Prim { rust: "bool", .. }) => {
+                    format!("::spring_buf::flat::check_bool({b}, {off})?;")
                 }
-            }
-        }
-    }
-
-    /// Emits statements encoding `value` (a data value, not an object) into
-    /// the buffer expression `buf` (already `&mut CommBuffer`-compatible).
-    fn emit_encode(&mut self, ty: &Type, value: &str, buf: &str) {
-        let ty = self.underlying(ty).clone();
-        match &ty {
-            Type::Void => {}
-            Type::Bool => self.out.line(format!("{buf}.put_bool({value});")),
-            Type::Octet => self.out.line(format!("{buf}.put_u8({value});")),
-            Type::Short => self.out.line(format!("{buf}.put_i16({value});")),
-            Type::UShort => self.out.line(format!("{buf}.put_u16({value});")),
-            Type::Long => self.out.line(format!("{buf}.put_i32({value});")),
-            Type::ULong => self.out.line(format!("{buf}.put_u32({value});")),
-            Type::LongLong => self.out.line(format!("{buf}.put_i64({value});")),
-            Type::ULongLong => self.out.line(format!("{buf}.put_u64({value});")),
-            Type::Float => self.out.line(format!("{buf}.put_f32({value});")),
-            Type::Double => self.out.line(format!("{buf}.put_f64({value});")),
-            Type::Str => self.out.line(format!("{buf}.put_string(&{value});")),
-            Type::Object => unreachable!("objects are handled at op level"),
-            Type::Sequence(inner) => {
-                if matches!(self.underlying(inner), Type::Octet) {
-                    self.out.line(format!("{buf}.put_bytes(&{value});"));
-                } else {
-                    self.out.line(format!("{buf}.put_seq_len({value}.len());"));
-                    self.out.open(format!("for __it in &{value} {{"));
-                    self.emit_encode(inner, "(*__it)", buf);
-                    self.out.close("}");
+                Shape::Enum { variants, .. } => {
+                    format!("::spring_buf::flat::check_tag({b}, {off}, {variants})?;")
                 }
-            }
-            Type::Named(_) => {
-                // In argument position the reborrow parens are redundant.
-                let arg = buf
-                    .strip_prefix('(')
-                    .and_then(|b| b.strip_suffix(')'))
-                    .unwrap_or(buf);
-                self.out.line(format!("({value}).idl_encode({arg});"));
-            }
-        }
-    }
-
-    /// Flat (fixed-shape) encoded size and alignment of `ty`, or `None` when
-    /// the type is variable-shape (string, sequence, object) and must take
-    /// the copying path. The flat layout rules: every value is aligned to
-    /// `min(size, 8)` relative to an 8-aligned frame start, nested structs
-    /// are aligned to 8, and enums are a 4-byte tag.
-    fn flat_size_align(&self, ty: &Type) -> Option<(usize, usize)> {
-        match self.underlying(ty) {
-            Type::Bool | Type::Octet => Some((1, 1)),
-            Type::Short | Type::UShort => Some((2, 2)),
-            Type::Long | Type::ULong | Type::Float => Some((4, 4)),
-            Type::LongLong | Type::ULongLong | Type::Double => Some((8, 8)),
-            Type::Named(n) => {
-                let abs = n.joined();
-                if self.checked.enums.contains_key(&abs) {
-                    Some((4, 4))
-                } else if let Some(s) = self.checked.structs.get(&abs) {
-                    let tys: Vec<Type> = s.fields.iter().map(|f| f.ty.clone()).collect();
-                    Some((self.flat_layout(&tys)?.0, 8))
-                } else {
-                    None
+                Shape::Struct(name) => {
+                    let path = self.path_to(name, camel);
+                    format!("{path}::validate(&{b}[{off}..{}])?;", m.end)
                 }
-            }
-            _ => None,
+                _ => continue,
+            };
+            self.out.line(check);
         }
     }
 
-    /// Offsets of the members of a flat record laid out from an 8-aligned
-    /// frame start; returns `(footprint, offsets)`, or `None` if any member
-    /// is variable-shape.
-    fn flat_layout(&self, tys: &[Type]) -> Option<(usize, Vec<usize>)> {
-        let mut cur = 0usize;
-        let mut offsets = Vec::with_capacity(tys.len());
-        for ty in tys {
-            let (size, align) = self.flat_size_align(ty)?;
-            let off = align_up(cur, align);
-            offsets.push(off);
-            cur = off + size;
-        }
-        Some((cur, offsets))
-    }
-
-    fn flat_view_path(&self, abs: &str) -> String {
-        self.path_to(abs, |n| format!("{}View", camel(n)))
-    }
-
-    /// Emits the per-member tag/bool/nested-struct checks of a flat record
-    /// in `b` (the length check is the caller's). Each emitted line ends in
-    /// `?`, so the surrounding function needs a `From<WireError>` error.
-    fn emit_flat_checks(&mut self, b: &str, members: &[(usize, Type)]) {
-        for (off, ty) in members {
-            match self.underlying(ty).clone() {
-                Type::Bool => self
-                    .out
-                    .line(format!("::spring_buf::flat::check_bool({b}, {off})?;")),
-                Type::Named(n) => {
-                    let abs = n.joined();
-                    if let Some(e) = self.checked.enums.get(&abs) {
-                        let k = e.variants.len();
-                        self.out
-                            .line(format!("::spring_buf::flat::check_tag({b}, {off}, {k})?;"));
-                    } else {
-                        let (size, _) = self
-                            .flat_size_align(&Type::Named(n.clone()))
-                            .expect("fixed-shape member");
-                        let end = off + size;
-                        let path = self.path_to(&abs, camel);
-                        self.out
-                            .line(format!("{path}::validate(&{b}[{off}..{end}])?;"));
-                    }
-                }
-                _ => {}
-            }
-        }
+    /// The borrowing view of a nested flat struct member of the frame `b`.
+    fn flat_view(&self, m: &Member, name: &str, b: &str) -> String {
+        let view = self.view_path(name);
+        format!("{view}::assume_valid(&{b}[{}..{}])", m.offset, m.end)
     }
 
     /// Expression reading one member of a *validated* flat record in `b` as
     /// an owned value. Infallible: validate already checked every tag.
-    fn flat_read_expr(&self, ty: &Type, b: &str, off: usize) -> String {
-        match self.underlying(ty) {
-            Type::Bool => format!("::spring_buf::flat::get_bool({b}, {off})"),
-            Type::Octet => format!("::spring_buf::flat::get_u8({b}, {off})"),
-            Type::Short => format!("::spring_buf::flat::get_i16({b}, {off})"),
-            Type::UShort => format!("::spring_buf::flat::get_u16({b}, {off})"),
-            Type::Long => format!("::spring_buf::flat::get_i32({b}, {off})"),
-            Type::ULong => format!("::spring_buf::flat::get_u32({b}, {off})"),
-            Type::LongLong => format!("::spring_buf::flat::get_i64({b}, {off})"),
-            Type::ULongLong => format!("::spring_buf::flat::get_u64({b}, {off})"),
-            Type::Float => format!("::spring_buf::flat::get_f32({b}, {off})"),
-            Type::Double => format!("::spring_buf::flat::get_f64({b}, {off})"),
-            Type::Named(n) => {
-                let abs = n.joined();
-                if self.checked.enums.contains_key(&abs) {
-                    format!(
-                        "{}::from_tag(::spring_buf::flat::get_u32({b}, {off}))",
-                        self.path_to(&abs, camel)
-                    )
-                } else {
-                    let (size, _) = self.flat_size_align(ty).expect("fixed-shape member");
-                    let end = off + size;
-                    format!(
-                        "{}::assume_valid(&{b}[{off}..{end}]).to_owned()",
-                        self.flat_view_path(&abs)
-                    )
-                }
-            }
+    fn flat_read(&self, m: &Member, b: &str) -> String {
+        let off = m.offset;
+        match &m.shape {
+            Shape::Prim(p) => format!("::spring_buf::flat::get_{}({b}, {off})", p.rust),
+            Shape::Enum { name, .. } => format!(
+                "{}::from_tag(::spring_buf::flat::get_u32({b}, {off}))",
+                self.path_to(name, camel)
+            ),
+            Shape::Struct(name) => format!("{}.to_owned()", self.flat_view(m, name, b)),
             _ => unreachable!("flat members are fixed-shape"),
-        }
-    }
-
-    /// In/inout parameters as `(footprint, [(offset, name, type)])` when the
-    /// whole argument record is fixed-shape (which also rules out `copy`-mode
-    /// object parameters); `None` sends the op down the copying path.
-    fn flat_args(&self, op: &Operation) -> Option<FlatArgs> {
-        if op.params.iter().any(|p| p.mode == ParamMode::Copy) {
-            return None;
-        }
-        let ins: Vec<&Param> = op
-            .params
-            .iter()
-            .filter(|p| matches!(p.mode, ParamMode::In | ParamMode::InOut))
-            .collect();
-        if ins.is_empty() {
-            return None;
-        }
-        let tys: Vec<Type> = ins.iter().map(|p| p.ty.clone()).collect();
-        let (footprint, offsets) = self.flat_layout(&tys)?;
-        Some((
-            footprint,
-            ins.iter()
-                .zip(offsets)
-                .map(|(p, off)| (off, sanitize(&p.name), p.ty.clone()))
-                .collect(),
-        ))
-    }
-
-    /// Reply values (return value, then out/inout parameters) as one flat
-    /// record; `None` when any is variable-shape or there are none.
-    fn flat_rets(&self, op: &Operation) -> Option<(usize, Vec<(usize, Type)>)> {
-        let rets = self.op_returns_owned(op);
-        if rets.is_empty() {
-            return None;
-        }
-        let tys: Vec<Type> = rets.iter().map(|(_, t)| t.clone()).collect();
-        let (footprint, offsets) = self.flat_layout(&tys)?;
-        Some((footprint, offsets.into_iter().zip(tys).collect()))
-    }
-
-    fn is_copy_prim(&self, ty: &Type) -> bool {
-        match self.underlying(ty) {
-            Type::Bool
-            | Type::Octet
-            | Type::Short
-            | Type::UShort
-            | Type::Long
-            | Type::ULong
-            | Type::LongLong
-            | Type::ULongLong
-            | Type::Float
-            | Type::Double => true,
-            // Enums are `Copy` in the generated code; pass them by value.
-            Type::Named(n) => self.checked.enums.contains_key(&n.joined()),
-            _ => false,
-        }
-    }
-
-    /// Expression decoding one data value of `ty` from `buf`.
-    fn decode_expr(&self, ty: &Type, buf: &str) -> String {
-        match self.underlying(ty).clone() {
-            Type::Void => "()".into(),
-            Type::Bool => format!("{buf}.get_bool()?"),
-            Type::Octet => format!("{buf}.get_u8()?"),
-            Type::Short => format!("{buf}.get_i16()?"),
-            Type::UShort => format!("{buf}.get_u16()?"),
-            Type::Long => format!("{buf}.get_i32()?"),
-            Type::ULong => format!("{buf}.get_u32()?"),
-            Type::LongLong => format!("{buf}.get_i64()?"),
-            Type::ULongLong => format!("{buf}.get_u64()?"),
-            Type::Float => format!("{buf}.get_f32()?"),
-            Type::Double => format!("{buf}.get_f64()?"),
-            Type::Str => format!("{buf}.get_string()?"),
-            Type::Object => unreachable!("objects are handled at op level"),
-            Type::Sequence(inner) => {
-                if matches!(self.underlying(&inner), Type::Octet) {
-                    format!("{buf}.get_bytes()?")
-                } else {
-                    let min = self.min_size(&inner).max(1);
-                    let elem = self.decode_expr(&inner, buf);
-                    format!(
-                        "{{ let __n = {buf}.get_seq_len({min})?; \
-                         let mut __v = Vec::with_capacity(__n); \
-                         for _ in 0..__n {{ __v.push({elem}); }} __v }}"
-                    )
-                }
-            }
-            Type::Named(n) => {
-                let abs = n.joined();
-                // In argument position the reborrow parens are redundant.
-                let arg = buf
-                    .strip_prefix('(')
-                    .and_then(|b| b.strip_suffix(')'))
-                    .unwrap_or(buf);
-                format!("{}::idl_decode({arg})?", self.path_to(&abs, camel))
-            }
         }
     }
 
@@ -482,16 +382,14 @@ impl Gen<'_> {
                 Definition::Module(m) => {
                     self.out.line("");
                     self.out.open(format!("pub mod {} {{", sanitize(&m.name)));
-                    self.depth += 1;
+                    self.scope.push(m.name.clone());
                     self.spec(&m.definitions);
-                    self.depth -= 1;
+                    self.scope.pop();
                     self.out.close("}");
                 }
                 Definition::Interface(i) => self.interface(i),
-                Definition::Struct(s) => self.struct_def(&s.name, &s.fields, None),
-                Definition::Exception(e) => {
-                    self.struct_def(&e.name, &e.fields, Some(&e.name));
-                }
+                Definition::Struct(s) => self.struct_def(&s.name),
+                Definition::Exception(e) => self.struct_def(&e.name),
                 Definition::Enum(e) => self.enum_def(e),
                 Definition::Typedef(t) => {
                     let rust = self.rust_type(&t.ty);
@@ -518,25 +416,18 @@ impl Gen<'_> {
         ));
     }
 
-    fn struct_def(&mut self, name: &str, fields: &[Field], exception: Option<&str>) {
+    /// Emits a struct or an exception from its record. Flat structs also
+    /// get a footprint, a validate and a zero-copy borrowing view.
+    fn struct_def(&mut self, name: &str) {
+        let rec = &self.layout.records[&self.abs(name)];
         let rust_name = camel(name);
-        // Fixed-shape structs additionally get a flat layout: footprint,
-        // validate, and a zero-copy borrowing view. Exceptions never do —
-        // they travel after a variable-length exception name.
-        let tys: Vec<Type> = fields.iter().map(|f| f.ty.clone()).collect();
-        let flat = if exception.is_none() {
-            self.flat_layout(&tys)
-        } else {
-            None
-        };
-
         self.out.line("");
         self.out.line("#[derive(Clone, Debug, PartialEq)]");
         self.out.open(format!("pub struct {rust_name} {{"));
-        for f in fields {
-            let field_ty = self.rust_type(&f.ty);
+        for m in &rec.members {
+            let field_ty = self.rust_type(&m.ty);
             self.out
-                .line(format!("pub {}: {},", sanitize(&f.name), field_ty));
+                .line(format!("pub {}: {},", sanitize(&m.name), field_ty));
         }
         self.out.close("}");
         self.out.line("");
@@ -546,8 +437,8 @@ impl Gen<'_> {
         // Every struct frame starts 8-aligned so the flat offsets computed
         // relative to the frame start equal the absolute buffer offsets.
         self.out.line("buf.align8();");
-        for f in fields {
-            self.emit_encode(&f.ty.clone(), &format!("self.{}", sanitize(&f.name)), "buf");
+        for m in &rec.members {
+            self.encode(&m.shape, &format!("self.{}", sanitize(&m.name)), "buf");
         }
         self.out.close("}");
         self.out.line("");
@@ -557,14 +448,13 @@ impl Gen<'_> {
         );
         self.out.line("buf.skip_align8()?;");
         self.out.open("Ok(Self {");
-        for f in fields {
-            let expr = self.decode_expr(&f.ty, "buf");
-            self.out.line(format!("{}: {},", sanitize(&f.name), expr));
+        for m in &rec.members {
+            let expr = self.decode(&m.shape, "buf");
+            self.out.line(format!("{}: {},", sanitize(&m.name), expr));
         }
         self.out.close("})");
         self.out.close("}");
-        if let Some((footprint, offsets)) = &flat {
-            let members: Vec<(usize, Type)> = offsets.iter().copied().zip(tys.clone()).collect();
+        if let Some(footprint) = rec.footprint {
             self.out.line("");
             self.out
                 .line("/// Exact flat-frame size from an 8-aligned frame start.");
@@ -580,27 +470,19 @@ impl Gen<'_> {
                 "pub fn validate(__b: &[u8]) -> \
                  ::std::result::Result<(), ::spring_buf::WireError> {",
             );
-            self.out
-                .line(format!("::spring_buf::flat::check_len(__b, {footprint})?;"));
-            self.emit_flat_checks("__b", &members);
+            self.flat_checks("__b", rec);
             self.out.line("Ok(())");
             self.out.close("}");
         }
         self.out.close("}");
 
-        if let Some((footprint, offsets)) = flat {
-            self.struct_view(&rust_name, fields, footprint, &offsets);
+        if let Some(footprint) = rec.footprint {
+            self.struct_view(&rust_name, rec, footprint);
         }
     }
 
     /// Emits the zero-copy borrowing view for a fixed-shape struct.
-    fn struct_view(
-        &mut self,
-        rust_name: &str,
-        fields: &[Field],
-        footprint: usize,
-        offsets: &[usize],
-    ) {
+    fn struct_view(&mut self, rust_name: &str, rec: &Record, footprint: usize) {
         self.out.line("");
         self.out.line(format!(
             "/// Zero-copy view over a validated `{rust_name}` flat frame."
@@ -633,31 +515,23 @@ impl Gen<'_> {
         self.out.open("pub fn as_bytes(&self) -> &'a [u8] {");
         self.out.line("self.bytes");
         self.out.close("}");
-        for (f, off) in fields.iter().zip(offsets) {
-            let fname = sanitize(&f.name);
+        for m in &rec.members {
             self.out.line("");
+            self.out.line(format!(
+                "/// Reads `{}` in place (offset {}).",
+                m.name, m.offset
+            ));
+            let (ret, expr) = match &m.shape {
+                Shape::Struct(name) => (
+                    format!("{}<'a>", self.view_path(name)),
+                    self.flat_view(m, name, "self.bytes"),
+                ),
+                _ => (self.rust_type(&m.ty), self.flat_read(m, "self.bytes")),
+            };
             self.out
-                .line(format!("/// Reads `{}` in place (offset {off}).", f.name));
-            match self.underlying(&f.ty).clone() {
-                Type::Named(n) if !self.checked.enums.contains_key(&n.joined()) => {
-                    let abs = n.joined();
-                    let (size, _) = self.flat_size_align(&f.ty).expect("fixed-shape field");
-                    let end = off + size;
-                    let view = self.flat_view_path(&abs);
-                    self.out
-                        .open(format!("pub fn {fname}(&self) -> {view}<'a> {{"));
-                    self.out
-                        .line(format!("{view}::assume_valid(&self.bytes[{off}..{end}])"));
-                    self.out.close("}");
-                }
-                _ => {
-                    let ret = self.rust_type(&f.ty);
-                    let expr = self.flat_read_expr(&f.ty, "self.bytes", *off);
-                    self.out.open(format!("pub fn {fname}(&self) -> {ret} {{"));
-                    self.out.line(expr);
-                    self.out.close("}");
-                }
-            }
+                .open(format!("pub fn {}(&self) -> {ret} {{", sanitize(&m.name)));
+            self.out.line(expr);
+            self.out.close("}");
         }
         self.out.line("");
         self.out
@@ -665,15 +539,14 @@ impl Gen<'_> {
         self.out
             .open(format!("pub fn to_owned(self) -> {rust_name} {{"));
         self.out.open(format!("{rust_name} {{"));
-        for f in fields {
-            let fname = sanitize(&f.name);
-            let expr = match self.underlying(&f.ty) {
-                Type::Named(n) if !self.checked.enums.contains_key(&n.joined()) => {
-                    format!("self.{fname}().to_owned()")
-                }
-                _ => format!("self.{fname}()"),
+        for m in &rec.members {
+            let fname = sanitize(&m.name);
+            let to_owned = if matches!(m.shape, Shape::Struct(_)) {
+                ".to_owned()"
+            } else {
+                ""
             };
-            self.out.line(format!("{fname}: {expr},"));
+            self.out.line(format!("{fname}: self.{fname}(){to_owned},"));
         }
         self.out.close("}");
         self.out.close("}");
@@ -766,27 +639,15 @@ impl Gen<'_> {
         self.out.close("}");
     }
 
-    /// The absolute IDL name of an interface declared at the current depth.
-    fn abs_of(&self, i: &Interface) -> String {
-        // The checker stored interfaces by absolute name; find the matching
-        // declaration by identity of name + line.
-        self.checked
-            .interfaces
-            .values()
-            .find(|info| info.decl.name == i.name && info.decl.line == i.line)
-            .map(|info| info.abs.clone())
-            .expect("interface registered by the checker")
-    }
-
     fn interface(&mut self, i: &Interface) {
-        let abs = self.abs_of(i);
-        let info = self.checked.interfaces[&abs].clone();
-        self.type_info_static(&info);
-        self.ops_module(&info);
-        self.error_enum(&info);
-        self.client_struct(&info);
-        self.servant_trait(&info);
-        self.skeleton(&info);
+        let checked = self.checked;
+        let info = &checked.interfaces[&self.abs(&i.name)];
+        self.type_info_static(info);
+        self.ops_module(info);
+        self.error_enum(info);
+        self.client_struct(info);
+        self.servant_trait(info);
+        self.skeleton(info);
     }
 
     fn type_info_static(&mut self, info: &InterfaceInfo) {
@@ -842,7 +703,7 @@ impl Gen<'_> {
         for e in &info.exceptions {
             let variant = camel(e.rsplit("::").next().unwrap());
             self.out
-                .line(format!("{variant}({}),", self.exception_path(e)));
+                .line(format!("{variant}({}),", self.path_to(e, camel)));
         }
         self.out.line("System(::subcontract::SpringError),");
         self.out.close("}");
@@ -897,31 +758,14 @@ impl Gen<'_> {
             .line(format!("impl ::std::error::Error for {name} {{}}"));
     }
 
-    /// Returns the list of values an operation yields, in wire order:
-    /// the return value first (when non-void), then out/inout parameters.
-    fn op_returns<'o>(&self, op: &'o Operation) -> Vec<(&'o str, &'o Type)> {
-        let mut out = Vec::new();
-        if op.ret != Type::Void {
-            out.push(("__ret", &op.ret));
-        }
-        for p in &op.params {
-            if matches!(p.mode, ParamMode::Out | ParamMode::InOut) {
-                out.push((p.name.as_str(), &p.ty));
-            }
-        }
-        out
-    }
-
-    fn returns_type(&self, op: &Operation) -> String {
-        let rets = self.op_returns(op);
-        match rets.len() {
-            0 => "()".into(),
-            1 => self.rust_type(rets[0].1),
-            _ => {
-                let list: Vec<String> = rets.iter().map(|(_, t)| self.rust_type(t)).collect();
-                format!("({})", list.join(", "))
-            }
-        }
+    /// The Rust type of what an operation yields: `()`, one value, or a
+    /// tuple of its reply record's members.
+    fn returns_type(&self, reply: &Option<Record>) -> String {
+        let types: Vec<String> = members(reply)
+            .iter()
+            .map(|m| self.rust_type(&m.ty))
+            .collect();
+        tuple(&types)
     }
 
     fn client_struct(&mut self, info: &InterfaceInfo) {
@@ -938,35 +782,18 @@ impl Gen<'_> {
         self.out.close("}");
         self.out.line("");
         self.out.open(format!("impl {name} {{"));
-        self.out
-            .line("/// Wraps an object, verifying its run-time type.");
-        self.out.open(
-            "pub fn from_obj(obj: ::subcontract::SpringObj) -> ::subcontract::Result<Self> {",
-        );
-        self.out.line(format!("obj.narrow(&{tinfo})?;"));
-        self.out.line(format!("Ok({name} {{ obj }})"));
-        self.out.close("}");
-        self.out.line("");
-        self.out.line("/// The wrapped object.");
-        self.out
-            .open("pub fn obj(&self) -> &::subcontract::SpringObj {");
-        self.out.line("&self.obj");
-        self.out.close("}");
-        self.out.line("");
-        self.out.line("/// Unwraps the object.");
-        self.out
-            .open("pub fn into_obj(self) -> ::subcontract::SpringObj {");
-        self.out.line("self.obj");
-        self.out.close("}");
-        self.out.line("");
-        self.out.line("/// Shallow-copies the object (§7).");
-        self.out
-            .open("pub fn copy(&self) -> ::subcontract::Result<Self> {");
-        self.out
-            .line(format!("Ok({name} {{ obj: self.obj.copy()? }})"));
-        self.out.close("}");
-
-        for f in info.flat_ops.clone() {
+        for (i, (method, doc, sig, body)) in STUB_METHODS.iter().enumerate() {
+            if i > 0 {
+                self.out.line("");
+            }
+            self.out.line(format!("/// {doc}"));
+            self.out.open(format!("pub fn {method}{sig} {{"));
+            for l in body.lines() {
+                self.out.line(l.replace("$T", &name).replace("$I", &tinfo));
+            }
+            self.out.close("}");
+        }
+        for f in &info.flat_ops {
             self.client_method(info, &f.owner, &f.op);
         }
         self.out.close("}");
@@ -975,25 +802,32 @@ impl Gen<'_> {
     fn client_method(&mut self, info: &InterfaceInfo, owner: &str, op: &Operation) {
         let err_ty = self.error_path(owner);
         let ops_mod = self.ops_mod_path(&info.abs);
-        let ret_ty = self.returns_type(op);
+        let layout = self.layout.op(owner, &op.name);
+        let ret_ty = self.returns_type(&layout.reply);
 
-        let mut sig_params = Vec::new();
-        for p in &op.params {
-            let pname = sanitize(&p.name);
-            let ty = &p.ty;
-            match p.mode {
-                ParamMode::In | ParamMode::InOut => {
-                    if self.is_object(ty) || self.is_copy_prim(ty) {
-                        sig_params.push(format!("{pname}: {}", self.rust_type(ty)));
-                    } else {
-                        sig_params.push(format!("{pname}: {}", self.client_ref_type(ty)));
-                    }
-                }
-                ParamMode::Copy => {
-                    sig_params.push(format!("{pname}: &{}", self.rust_type(ty)));
-                }
-                ParamMode::Out => {}
-            }
+        // Scalars, enums and moved objects pass by value, the rest by
+        // reference.
+        let mut sig_params = String::new();
+        let mut values = Vec::new();
+        for m in members(&layout.args) {
+            let pname = sanitize(&m.name);
+            let by_value = matches!(
+                m.shape,
+                Shape::Prim(_) | Shape::Enum { .. } | Shape::Object(_)
+            );
+            let ty = match layout::resolve(self.checked, &m.ty) {
+                _ if m.copy => format!("&{}", self.rust_type(&m.ty)),
+                _ if by_value => self.rust_type(&m.ty),
+                Type::Str => "&str".to_owned(),
+                Type::Sequence(elem) => format!("&[{}]", self.rust_type(elem)),
+                ty => format!("&{}", self.rust_type(ty)),
+            };
+            let _ = write!(sig_params, ", {pname}: {ty}");
+            values.push(if by_value {
+                pname
+            } else {
+                format!("(*{pname})")
+            });
         }
 
         self.out.line("");
@@ -1002,122 +836,28 @@ impl Gen<'_> {
             owner, op.name
         ));
         self.out.open(format!(
-            "pub fn {}(&self{}{}) -> ::std::result::Result<{ret_ty}, {err_ty}> {{",
+            "pub fn {}(&self{sig_params}) -> ::std::result::Result<{ret_ty}, {err_ty}> {{",
             sanitize(&op.name),
-            if sig_params.is_empty() { "" } else { ", " },
-            sig_params.join(", ")
         ));
         self.out.line(format!(
             "let mut __call = self.obj.start_call({ops_mod}::{})?;",
             upper_snake(&op.name)
         ));
-        if self.flat_args(op).is_some() {
-            // Start the flat argument record at an 8-aligned buffer offset
-            // so its compile-time field offsets hold absolutely; the
-            // skeleton's `flat_remaining` skips the same padding.
-            self.out.line("__call.align8();");
-        }
-        for p in &op.params {
-            let pname = sanitize(&p.name);
-            match p.mode {
-                ParamMode::Out => {}
-                ParamMode::Copy => {
-                    if matches!(self.underlying(&p.ty), Type::Object) {
-                        self.out
-                            .line(format!("{pname}.marshal_copy(&mut __call)?;"));
-                    } else {
-                        self.out
-                            .line(format!("{pname}.obj().marshal_copy(&mut __call)?;"));
-                    }
-                }
-                ParamMode::In | ParamMode::InOut => {
-                    if self.is_object(&p.ty) {
-                        if matches!(self.underlying(&p.ty), Type::Object) {
-                            self.out.line(format!("{pname}.marshal(&mut __call)?;"));
-                        } else {
-                            self.out
-                                .line(format!("{pname}.into_obj().marshal(&mut __call)?;"));
-                        }
-                    } else {
-                        let value = if self.is_copy_prim(&p.ty) {
-                            pname.clone()
-                        } else {
-                            format!("(*{pname})")
-                        };
-                        self.emit_encode(&p.ty.clone(), &value, "(&mut __call)");
-                    }
-                }
-            }
-        }
+        self.encode_record(&layout.args, "(&mut __call)", &values);
         self.out.line("let mut __reply = self.obj.invoke(__call)?;");
         self.out
             .open("match ::subcontract::decode_reply_status(&mut __reply)? {");
         self.out.open("::subcontract::ReplyStatus::Ok => {");
-        let rets = self.op_returns_owned(op);
-        let mut ret_exprs = Vec::new();
-        if let Some((footprint, members)) = self.flat_rets(op) {
-            // Zero-copy reply unmarshal: one bounds check, tag checks, then
-            // in-place reads at compile-time constant offsets.
-            self.out.line("let __flat = __reply.flat_remaining()?;");
-            self.out.line(format!(
-                "::spring_buf::flat::check_len(__flat, {footprint})?;"
-            ));
-            self.emit_flat_checks("__flat", &members);
-            for (idx, (off, ty)) in members.iter().enumerate() {
-                let var = format!("__r{idx}");
-                let expr = self.flat_read_expr(ty, "__flat", *off);
-                self.out.line(format!("let {var} = {expr};"));
-                ret_exprs.push(var);
-            }
-            match ret_exprs.len() {
-                0 => unreachable!("flat_rets is None for void replies"),
-                1 => self.out.line(format!("Ok({})", ret_exprs[0])),
-                _ => self.out.line(format!("Ok(({}))", ret_exprs.join(", "))),
-            }
-            self.out.close("}");
-            self.client_method_exn_arms(op, &err_ty);
-            return;
-        }
-        for (idx, (_, ty)) in rets.iter().enumerate() {
-            let var = format!("__r{idx}");
-            if self.is_object(ty) {
-                let expected = match self.underlying(ty) {
-                    Type::Object => "&::subcontract::OBJECT_TYPE".to_owned(),
-                    Type::Named(n) => format!("&{}", self.type_info_path(&n.joined())),
-                    _ => unreachable!(),
-                };
-                self.out.line(format!(
-                    "let {var} = ::subcontract::unmarshal_object(self.obj.ctx(), {expected}, &mut __reply)?;"
-                ));
-                if !matches!(self.underlying(ty), Type::Object) {
-                    let client = self.rust_type(ty);
-                    self.out
-                        .line(format!("let {var} = {client}::from_obj({var})?;"));
-                }
-            } else {
-                let expr = self.decode_expr(ty, "(&mut __reply)");
-                self.out.line(format!("let {var} = {expr};"));
-            }
-            ret_exprs.push(var);
-        }
-        match ret_exprs.len() {
-            0 => self.out.line("Ok(())"),
-            1 => self.out.line(format!("Ok({})", ret_exprs[0])),
-            _ => self.out.line(format!("Ok(({}))", ret_exprs.join(", "))),
-        }
+        let rets = reply_vars(&layout.reply);
+        self.decode_record(&layout.reply, "(&mut __reply)", "self.obj.ctx()", &rets);
+        self.out.line(format!("Ok({})", tuple(&rets)));
         self.out.close("}");
-        self.client_method_exn_arms(op, &err_ty);
-    }
-
-    /// Emits the `UserException` arm of a client method's reply match and
-    /// closes the match and the method.
-    fn client_method_exn_arms(&mut self, op: &Operation, err_ty: &str) {
         self.out
             .open("::subcontract::ReplyStatus::UserException(__name) => match __name.as_str() {");
         for r in &op.raises {
             let abs = r.joined();
             let variant = camel(abs.rsplit("::").next().unwrap());
-            let exn = self.exception_path(&abs);
+            let exn = self.path_to(&abs, camel);
             self.out.line(format!(
                 "{:?} => Err({err_ty}::{variant}({exn}::idl_decode(&mut __reply)?)),",
                 abs
@@ -1130,24 +870,6 @@ impl Gen<'_> {
         self.out.close("},");
         self.out.close("}");
         self.out.close("}");
-    }
-
-    /// Borrowed client-side parameter type for non-object data: `&str`,
-    /// `&[T]`, or `&Struct`.
-    fn client_ref_type(&self, ty: &Type) -> String {
-        match self.underlying(ty) {
-            Type::Str => "&str".to_owned(),
-            Type::Sequence(inner) => format!("&[{}]", self.rust_type(inner)),
-            other => format!("&{}", self.rust_type(&other.clone())),
-        }
-    }
-
-    /// Owned variant of [`Gen::op_returns`] (avoids borrow tangles).
-    fn op_returns_owned(&self, op: &Operation) -> Vec<(String, Type)> {
-        self.op_returns(op)
-            .into_iter()
-            .map(|(n, t)| (n.to_owned(), t.clone()))
-            .collect()
     }
 
     fn servant_trait(&mut self, info: &InterfaceInfo) {
@@ -1167,23 +889,19 @@ impl Gen<'_> {
             info.abs
         ));
         self.out.open(format!("pub trait {name}: {supertraits} {{"));
-        for op in info.decl.ops.clone() {
+        for op in &info.decl.ops {
             let err_ty = self.error_path(&info.abs);
-            let ret_ty = self.returns_type(&op);
-            let mut params = Vec::new();
-            for p in &op.params {
-                if matches!(p.mode, ParamMode::Out) {
-                    continue;
-                }
-                params.push(format!("{}: {}", sanitize(&p.name), self.rust_type(&p.ty)));
-            }
+            let layout = self.layout.op(&info.abs, &op.name);
+            let ret_ty = self.returns_type(&layout.reply);
+            let params: String = members(&layout.args)
+                .iter()
+                .map(|m| format!(", {}: {}", sanitize(&m.name), self.rust_type(&m.ty)))
+                .collect();
             self.out
                 .line(format!("/// Serves `{}::{}`.", info.abs, op.name));
             self.out.line(format!(
-                "fn {}(&self{}{}) -> ::std::result::Result<{ret_ty}, {err_ty}>;",
+                "fn {}(&self{params}) -> ::std::result::Result<{ret_ty}, {err_ty}>;",
                 sanitize(&op.name),
-                if params.is_empty() { "" } else { ", " },
-                params.join(", ")
             ));
         }
         self.out.close("}");
@@ -1228,7 +946,7 @@ impl Gen<'_> {
              -> ::subcontract::Result<()> {",
         );
         self.out.open("match __op {");
-        for f in info.flat_ops.clone() {
+        for f in &info.flat_ops {
             self.skeleton_arm(info, &f.owner, &f.op);
         }
         self.out
@@ -1240,102 +958,26 @@ impl Gen<'_> {
 
     fn skeleton_arm(&mut self, info: &InterfaceInfo, owner: &str, op: &Operation) {
         let ops_mod = self.ops_mod_path(&info.abs);
+        let err_ty = self.error_path(owner);
+        let layout = self.layout.op(owner, &op.name);
         self.out.open(format!(
             "__x if __x == {ops_mod}::{} => {{",
             upper_snake(&op.name)
         ));
-
-        // Unmarshal in/inout/copy arguments in declaration order. When the
-        // whole argument record is fixed-shape, unmarshal collapses to one
-        // bounds check plus in-place reads borrowed straight from the
-        // translated (or shared-memory) frame — no payload copies.
-        let mut call_args = Vec::new();
-        if let Some((footprint, members)) = self.flat_args(op) {
-            self.out.line("let __flat = __args.flat_remaining()?;");
-            self.out.line(format!(
-                "::spring_buf::flat::check_len(__flat, {footprint})?;"
-            ));
-            let checks: Vec<(usize, Type)> =
-                members.iter().map(|(o, _, t)| (*o, t.clone())).collect();
-            self.emit_flat_checks("__flat", &checks);
-            for (off, pname, ty) in &members {
-                let var = format!("__a_{pname}");
-                let expr = self.flat_read_expr(ty, "__flat", *off);
-                self.out.line(format!("let {var} = {expr};"));
-                call_args.push(var);
-            }
-            self.skeleton_arm_tail(owner, op, &call_args);
-            return;
-        }
-        for p in &op.params {
-            let pname = format!("__a_{}", sanitize(&p.name));
-            match p.mode {
-                ParamMode::Out => continue,
-                _ => {
-                    if self.is_object(&p.ty) {
-                        let expected = match self.underlying(&p.ty) {
-                            Type::Object => "&::subcontract::OBJECT_TYPE".to_owned(),
-                            Type::Named(n) => format!("&{}", self.type_info_path(&n.joined())),
-                            _ => unreachable!(),
-                        };
-                        self.out.line(format!(
-                            "let {pname} = ::subcontract::unmarshal_object(&__sctx.ctx, {expected}, __args)?;"
-                        ));
-                        if !matches!(self.underlying(&p.ty), Type::Object) {
-                            let client = self.rust_type(&p.ty);
-                            self.out
-                                .line(format!("let {pname} = {client}::from_obj({pname})?;"));
-                        }
-                    } else {
-                        let expr = self.decode_expr(&p.ty, "__args");
-                        self.out.line(format!("let {pname} = {expr};"));
-                    }
-                    call_args.push(pname);
-                }
-            }
-        }
-        self.skeleton_arm_tail(owner, op, &call_args);
-    }
-
-    /// Emits the servant call and reply marshalling of one skeleton arm,
-    /// closing the arm.
-    fn skeleton_arm_tail(&mut self, owner: &str, op: &Operation, call_args: &[String]) {
-        let err_ty = self.error_path(owner);
-        let rets = self.op_returns_owned(op);
-        let ok_pattern = match rets.len() {
-            0 => "Ok(())".to_owned(),
-            1 => "Ok(__r0)".to_owned(),
-            n => {
-                let vars: Vec<String> = (0..n).map(|i| format!("__r{i}")).collect();
-                format!("Ok(({}))", vars.join(", "))
-            }
-        };
-
+        let args: Vec<String> = members(&layout.args)
+            .iter()
+            .map(|m| format!("__a_{}", sanitize(&m.name)))
+            .collect();
+        self.decode_record(&layout.args, "__args", "&__sctx.ctx", &args);
+        let rets = reply_vars(&layout.reply);
         self.out.open(format!(
             "match self.servant.{}({}) {{",
             sanitize(&op.name),
-            call_args.join(", ")
+            args.join(", ")
         ));
-        self.out.open(format!("{ok_pattern} => {{"));
+        self.out.open(format!("Ok({}) => {{", tuple(&rets)));
         self.out.line("::subcontract::encode_ok(__reply);");
-        if self.flat_rets(op).is_some() {
-            // Start the flat reply record 8-aligned, mirroring the client's
-            // `flat_remaining` on decode.
-            self.out.line("__reply.align8();");
-        }
-        for (idx, (_, ty)) in rets.iter().enumerate() {
-            let var = format!("__r{idx}");
-            if self.is_object(ty) {
-                if matches!(self.underlying(ty), Type::Object) {
-                    self.out.line(format!("{var}.marshal(__reply)?;"));
-                } else {
-                    self.out
-                        .line(format!("{var}.into_obj().marshal(__reply)?;"));
-                }
-            } else {
-                self.emit_encode(ty, &var, "__reply");
-            }
-        }
+        self.encode_record(&layout.reply, "__reply", &rets);
         self.out.close("}");
         for r in &op.raises {
             let abs = r.joined();
@@ -1369,13 +1011,15 @@ impl Gen<'_> {
 
 /// Generates Rust code for a checked spec.
 pub fn generate(checked: &CheckedSpec) -> String {
+    let layout = layout::lower(checked);
     let mut gen = Gen {
         checked,
+        layout: &layout,
         out: Out {
             buf: String::new(),
             indent: 0,
         },
-        depth: 0,
+        scope: Vec::new(),
     };
     gen.out
         .line("// Generated by idlc (spring-idl). Do not edit.");

@@ -43,6 +43,7 @@
 mod ast;
 mod check;
 mod codegen;
+mod layout;
 mod lexer;
 mod parser;
 

@@ -143,6 +143,25 @@ fn hash_collision_is_rejected_with_advice() {
     assert!(err.message.contains("more than once"));
 }
 
+#[test]
+fn operations_named_like_the_stubs_own_methods_are_rejected() {
+    // Each would compile to a client with two methods of that name.
+    let err =
+        compile("interface thing {\n    long copy();\n    void obj(in long x);\n};").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "2:5: operation \"copy\" in \"thing\" collides with the client stub's own method \
+         `copy`; rename it"
+    );
+    for op in ["obj", "into_obj", "from_obj"] {
+        let err = compile(&format!("module m {{ interface t {{ void {op}(); }}; }};")).unwrap_err();
+        assert_eq!((err.line, err.col), (1, 26), "{err}");
+        assert!(err.message.contains(&format!("`{op}`")), "{err}");
+    }
+    // An attribute's accessors are prefixed, so `attribute long obj` is fine.
+    compile("interface thing { attribute long obj; };").unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -157,13 +157,7 @@ impl NetServer {
     pub(crate) fn import_cap(self: &Arc<Self>, cap: WireCap) -> Result<DoorId, DoorError> {
         if cap.origin == self.node.raw() {
             // The identifier came home: mint a fresh one for the receiver.
-            let tables = self.tables.lock();
-            let pinned = *tables
-                .exports
-                .get(&cap.export)
-                .ok_or_else(|| DoorError::Comm(format!("stale export {}", cap.export)))?;
-            drop(tables);
-            return self.domain.copy_door(pinned);
+            return self.domain.copy_door(self.export_target(cap.export)?);
         }
 
         // Foreign door: reuse or fabricate a proxy.
