@@ -84,7 +84,7 @@ pub mod framing {
     use std::io::{self, Read, Write};
 
     /// Largest frame a reader will accept. Generous next to the batching
-    /// budgets (a frame coalesces at most `batch_max_bytes` of payload),
+    /// budget (a frame coalesces at most 256 KiB of payload),
     /// but small enough that a garbage length prefix cannot make the
     /// reader allocate gigabytes.
     pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
@@ -276,6 +276,46 @@ mod tests {
             other => panic!("expected Truncated, got {other:?}"),
         }
         assert!(buf.capacity() < crate::pool::MAX_RETAINED_CAPACITY);
+    }
+
+    /// A reader that counts the `read` calls reaching it.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl std::io::Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    /// Behind a call socket's `BufReader` (8 KiB), a frame that fits the
+    /// buffer — prefix and body together — costs one underlying `read`, and
+    /// a larger one more: the prefix and the body are two reads of the
+    /// buffer, not of the socket.
+    #[test]
+    fn a_frame_that_fits_the_read_buffer_costs_one_read() {
+        for (len, fits) in [
+            (0, true),
+            (8, true),
+            (1024, true),
+            (8000, true),
+            (16 << 10, false),
+        ] {
+            let mut wire = Vec::new();
+            framing::write_frame(&mut wire, &vec![3u8; len]).unwrap();
+            let counted = Counted {
+                bytes: &wire,
+                reads: 0,
+            };
+            let mut r = std::io::BufReader::new(counted);
+            let mut buf = Vec::new();
+            assert_eq!(framing::read_frame(&mut r, &mut buf).unwrap(), len);
+            let reads = r.get_ref().reads;
+            assert_eq!(reads == 1, fits, "a {len}-byte frame took {reads} reads");
+        }
     }
 
     #[test]

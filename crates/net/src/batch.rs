@@ -33,13 +33,11 @@ use spring_kernel::{DoorError, Message};
 use crate::server::{NetServer, Served, WireMessage};
 use crate::transport::ReplyOutcome;
 
-/// Flush budgets, snapshotted from [`crate::NetConfig`] by the caller.
-#[derive(Clone, Copy)]
-pub(crate) struct BatchBudget {
-    pub max_calls: usize,
-    pub max_bytes: usize,
-    pub linger: Duration,
-}
+/// Most calls one frame coalesces.
+const MAX_CALLS: usize = 64;
+
+/// Most payload bytes one frame coalesces.
+const MAX_BYTES: usize = 256 * 1024;
 
 /// One call riding in a frame: its request in wire form, the export-table
 /// entries freshly pinned for it, where its caller will find the outcome,
@@ -276,7 +274,8 @@ pub(crate) struct LinkBatcher {
 impl LinkBatcher {
     /// Queues one wire-form call and blocks until its outcome arrives.
     ///
-    /// `company` is the call's pipelining hint (0 for a plain call). `ship`
+    /// `company` is the call's pipelining hint (0 for a plain call), and
+    /// `linger` the longest a frame waits for the company it expects. `ship`
     /// is invoked (on the leader's thread, with no batcher lock held) with
     /// the full frame once the flush policy fires; it must settle every
     /// entry's slot.
@@ -286,7 +285,7 @@ impl LinkBatcher {
         wire: WireMessage,
         fresh: Vec<u64>,
         company: u32,
-        budget: BatchBudget,
+        linger: Duration,
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
         let wire_len = wire.bytes.len();
@@ -321,9 +320,9 @@ impl LinkBatcher {
         // to wait for, so a plain synchronous call never reads it.
         state.leader_present = true;
         let mut started = None;
-        while !Self::should_flush(&state, budget) {
+        while !Self::should_flush(&state) {
             let started = *started.get_or_insert_with(Instant::now);
-            let remaining = budget.linger.saturating_sub(started.elapsed());
+            let remaining = linger.saturating_sub(started.elapsed());
             if remaining.is_zero() {
                 break;
             }
@@ -356,10 +355,10 @@ impl LinkBatcher {
     }
 
     /// The flush conditions that need no clock.
-    fn should_flush(state: &BatchState, budget: BatchBudget) -> bool {
+    fn should_flush(state: &BatchState) -> bool {
         let queued = state.forming.len();
-        queued >= budget.max_calls
-            || state.forming_bytes >= budget.max_bytes
+        queued >= MAX_CALLS
+            || state.forming_bytes >= MAX_BYTES
             // Everyone the calls aboard said was coming is aboard (and a
             // plain synchronous call, expecting nobody, flushes at once).
             || queued >= state.expected as usize
@@ -371,13 +370,9 @@ mod tests {
     use super::*;
     use crate::{NetConfig, Network};
 
-    const ROOMY: BatchBudget = BatchBudget {
-        max_calls: 16,
-        max_bytes: 1 << 20,
-        // Far above the tests' runtime: a frame flushes because everyone
-        // expected is aboard, never because time passed.
-        linger: Duration::from_secs(30),
-    };
+    /// Far above the tests' runtime: a frame flushes because everyone
+    /// expected is aboard, never because time passed.
+    const ROOMY: Duration = Duration::from_secs(30);
 
     /// A network server to settle on behalf of (kept alive by its network).
     fn sender() -> (Arc<Network>, Arc<NetServer>) {

@@ -11,10 +11,6 @@ pub struct NetConfig {
     pub jitter: Duration,
     /// Probability in `[0, 1]` that an invocation message is lost.
     pub drop_prob: f64,
-    /// Maximum number of calls coalesced into one wire frame per link.
-    pub batch_max_calls: usize,
-    /// Maximum total payload bytes coalesced into one wire frame per link.
-    pub batch_max_bytes: usize,
     /// Longest a partially-filled frame may wait for more pipelined calls.
     /// Only a frame carrying a call that reports company still to come ever
     /// waits at all, so plain synchronous calls are never delayed by this
@@ -28,8 +24,6 @@ impl Default for NetConfig {
             latency: Duration::ZERO,
             jitter: Duration::ZERO,
             drop_prob: 0.0,
-            batch_max_calls: 64,
-            batch_max_bytes: 256 * 1024,
             batch_linger: Duration::from_micros(200),
         }
     }
@@ -130,10 +124,8 @@ mod tests {
         assert!(c.latency.is_zero());
         assert!(c.jitter.is_zero());
         assert_eq!(c.drop_prob, 0.0);
-        // The batching budgets exist by default but only ever delay a call
+        // The linger budget exists by default but only ever delays a call
         // that says more are coming.
-        assert!(c.batch_max_calls >= 2);
-        assert!(c.batch_max_bytes > 0);
         assert!(!c.batch_linger.is_zero());
         assert_eq!(
             NetConfig::with_latency(Duration::from_millis(2))

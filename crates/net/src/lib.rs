@@ -45,6 +45,7 @@
 
 mod batch;
 mod config;
+mod link;
 mod network;
 mod server;
 mod socket;

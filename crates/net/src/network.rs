@@ -9,7 +9,7 @@ use spring_kernel::tally::{self, Slots, Tally};
 use spring_kernel::{CallCtx, Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
 use spring_trace::keys;
 
-use crate::batch::{ship_alone, BatchBudget, LinkBatcher, PendingEntry};
+use crate::batch::{ship_alone, LinkBatcher, PendingEntry};
 use crate::config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 use crate::server::{NetServer, Served, WireCap};
 use crate::socket::{Addr, SocketListener, SocketPeer};
@@ -64,7 +64,7 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 
 /// What a proxy door needs to forward a call, resolved once per published
 /// snapshot instead of once per call: the snapshot itself (partitions and
-/// batching budgets), the link's batcher, and the transport reaching the
+/// the batching linger), the link's batcher, and the transport reaching the
 /// target's home node (for a node nobody has introduced, a [`SimTransport`]
 /// with no home, whose calls fail with "unknown node" when they ship).
 pub(crate) struct Route {
@@ -292,17 +292,12 @@ impl NetworkInner {
                     route.transport.ship(from, &route.snap, frame, false)
                 });
             }
-            let cfg = &route.snap.config;
-            let budget = BatchBudget {
-                max_calls: cfg.batch_max_calls.max(1),
-                max_bytes: cfg.batch_max_bytes,
-                linger: cfg.batch_linger,
-            };
+            let linger = route.snap.config.batch_linger;
             let ship =
                 |frame: &mut [PendingEntry]| route.transport.ship(from, &route.snap, frame, true);
             route
                 .batcher
-                .submit(target.export, wire, fresh, ctx.company, budget, &ship)
+                .submit(target.export, wire, fresh, ctx.company, linger, &ship)
         })();
         if result.is_err() {
             span.fail();
@@ -558,13 +553,13 @@ impl Network {
     /// Returns the listener handle (and the bound address, for ephemeral
     /// ports) — dropping the handle stops accepting.
     pub fn listen_tcp(&self, node: NodeId, addr: &str) -> Result<Arc<SocketListener>, DoorError> {
-        SocketListener::bind_tcp(&self.inner, node, addr)
+        SocketListener::bind(&self.inner, node, Addr::Tcp(addr.to_owned()))
     }
 
     /// Starts accepting socket connections for `node` on a Unix-domain
     /// socket path.
     pub fn listen_uds(&self, node: NodeId, path: &str) -> Result<Arc<SocketListener>, DoorError> {
-        SocketListener::bind_uds(&self.inner, node, path)
+        SocketListener::bind(&self.inner, node, Addr::Uds(path.into()))
     }
 
     /// Connects `node` to a peer process listening on a TCP address.

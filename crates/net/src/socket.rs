@@ -13,36 +13,34 @@
 //! * the **serving thread** blocks in `read`, runs the frame's calls
 //!   itself, writes the reply and reads again.
 //!
-//! A cross-process null call is therefore four syscalls and two context
-//! switches, and ordering and non-interference hold by construction: a
-//! socket is a private queue between one caller and one handler (the
-//! interference-free network-objects model of PAPERS.md). A servant that
-//! calls back over the link, or parks until a *second* request over the
-//! same link releases it, is safe for the same reason — that request
-//! travels on another socket, to another serving thread.
+//! A cross-process null call is therefore four syscalls — two `writev`,
+//! two `read` — and two context switches, for any frame that fits the
+//! socket's 8 KiB `BufReader`: prefix and body then arrive in one `read`
+//! (a larger frame takes more). Ordering and non-interference hold by
+//! construction: a socket is a private queue between one caller and one
+//! handler (the interference-free network-objects model of PAPERS.md). A
+//! servant that calls back over the link, or parks until a *second*
+//! request over the same link releases it, is safe for the same reason —
+//! that request travels on another socket, to another serving thread.
 //!
-//! Two small state machines (stated as checked invariants in DESIGN.md
-//! §5.15) carry the rest:
-//!
-//! * **socket**: idle → calling → idle | closed. A socket never carries
-//!   two frames at once, and a socket whose call was abandoned (its
-//!   deadline expired) is closed, never reused — a late reply can then
-//!   never be read by the next caller.
-//! * **link generation**: alive → dead, never back. Only the connecting
-//!   side can dial, so every socket opens with a HELLO naming its *role*
-//!   (dialer calls / dialer serves) and its *generation*; the dialer opens
-//!   one more calling socket whenever none is idle (up to
-//!   [`CALL_SOCKET_CAP`]) and keeps one spare serving socket — one no call
-//!   has claimed yet — parked with the acceptor at all times, so
-//!   acceptor-originated calls (callbacks, pub/sub deliveries) always have
-//!   somewhere to go. A link dies as a
-//!   unit: a failed request write, a missing or malformed reply, a
-//!   malformed request or a protocol violation shuts every socket of the
-//!   generation — in-flight callers read EOF and fail with `Comm`, serving
-//!   threads unblock and exit, one disconnect is counted. The dialer then
-//!   redials the next generation single-flight, and the acceptor drops
-//!   stragglers: sockets of a generation older than the one it holds, or
-//!   of that one once it is dead.
+//! Two small state machines carry the rest — *socket* (idle → calling →
+//! idle | closed) and *link generation* (alive → dead, never back) — and
+//! every decision they make lives in the I/O-free core, [`crate::link`],
+//! where an exhaustive explorer checks DESIGN.md §5.15's nine invariants
+//! after every step. This module is the shell around it: it holds the
+//! lock, asks the core, and carries out the answer. Only the connecting
+//! side can dial, so every socket opens with a HELLO naming its *role*
+//! (dialer calls / dialer serves) and its *generation*; the dialer opens
+//! one more calling socket whenever none is idle (up to
+//! [`CALL_SOCKET_CAP`]) and keeps one spare serving socket parked with the
+//! acceptor, so acceptor-originated calls (callbacks, pub/sub deliveries)
+//! always have somewhere to go. A socket whose call was abandoned (its
+//! deadline expired) is closed, never reused. A link dies as a unit: a
+//! failed request write, a missing or malformed reply, a malformed request
+//! or a protocol violation shuts every socket of the generation — in-flight
+//! callers read EOF and fail with `Comm`, serving threads unblock and exit,
+//! one disconnect is counted. The dialer then redials the next generation
+//! single-flight, and the acceptor drops stragglers.
 //!
 //! Failure mapping: everything transient (dial failure, peer EOF, write
 //! error, stale export on a restarted peer, an expired deadline) surfaces
@@ -54,11 +52,11 @@
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write as _};
+use std::io::{self, BufReader, ErrorKind, IoSlice, Write as _};
 use std::mem;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::thread;
@@ -71,12 +69,12 @@ use spring_kernel::{hotpath, pool, CallId, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{lock, PendingEntry};
+use crate::link::{self, Checkout, LinkState, Side, Verdict, CALL_SOCKET_CAP};
 use crate::network::{NetworkInner, Snapshot};
 use crate::server::{NetServer, WireCap, WireMessage};
 use crate::transport::{
     decode_calls, decode_hello, decode_reply, encode_calls, encode_hello, encode_reply, Hello,
     ReplyOutcome, RequestCall, Transport, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS,
-    ROLE_DIALER_SERVES,
 };
 
 /// How long the two-frame HELLO exchange may take before the socket is
@@ -87,86 +85,40 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Poll interval of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Most call sockets a link opens per direction, i.e. most calls in flight
-/// each way and most serving threads per side. Each serving thread may
-/// block on an outbound nested call, so the cap bounds thread count per
-/// link while staying far above any realistic callback depth; callers
-/// beyond it queue for a socket.
-const CALL_SOCKET_CAP: usize = 32;
-
 fn comm(e: impl std::fmt::Display) -> DoorError {
     DoorError::Comm(e.to_string())
+}
+
+/// The kind of a request-shaped frame: one-way unless its calls await a
+/// reply.
+fn request_kind(want_reply: bool) -> u8 {
+    if want_reply {
+        KIND_REQUEST
+    } else {
+        KIND_ONEWAY
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Stream: one abstraction over the two socket families.
 // ---------------------------------------------------------------------------
 
-enum Stream {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
+/// A connected socket of either family, held as one type. Everything a
+/// call socket does — `read`, `writev`, `shutdown`, `SO_RCVTIMEO`, `dup`,
+/// `O_NONBLOCK` — is the same system call on any stream socket, so the
+/// family matters only where a socket is made: a TCP stream is held as this
+/// type once its one TCP-only option is set ([`tcp`]).
+type Stream = UnixStream;
 
-impl Stream {
-    fn connect(addr: &Addr) -> io::Result<Stream> {
-        Ok(match addr {
-            Addr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
-            Addr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
-        })
-    }
-
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Uds(s) => Stream::Uds(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(t),
-            Stream::Uds(s) => s.set_read_timeout(t),
-        }
-    }
-
-    /// The socket's real `writev` (not `Write`'s one-slice-at-a-time
-    /// default), so a frame costs one syscall, not one for its prefix and
-    /// one for its body.
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write_vectored(bufs),
-            Stream::Uds(s) => s.write_vectored(bufs),
-        }
-    }
-
-    /// Readies a fresh stream for the HELLO exchange.
-    fn start_handshake(&self) -> Result<(), DoorError> {
-        if let Stream::Tcp(s) = self {
-            // Frames are latency-sensitive RPCs; never Nagle them.
-            let _ = s.set_nodelay(true);
-        }
-        self.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).map_err(comm)
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Uds(s) => s.read(buf),
-        }
-    }
+/// A TCP stream made ready for frames, which are latency-sensitive RPCs
+/// (never Nagle them), and held as a [`Stream`].
+fn tcp(s: TcpStream) -> Stream {
+    let _ = s.set_nodelay(true);
+    OwnedFd::from(s).into()
 }
 
 /// Writes one frame — 4-byte length prefix and body — as a single vectored
-/// write, advancing manually across short writes.
+/// write, advancing across short writes.
 fn write_frame_vectored(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
     if body.len() > framing::MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -175,22 +127,15 @@ fn write_frame_vectored(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
         ));
     }
     let prefix = (body.len() as u32).to_le_bytes();
-    let (mut head, mut tail): (&[u8], &[u8]) = (&prefix, body);
-    while !(head.is_empty() && tail.is_empty()) {
-        let n = match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(tail)]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
-        };
-        let of_head = n.min(head.len());
-        head = &head[of_head..];
-        tail = &tail[n - of_head..];
+        }
     }
     Ok(())
 }
@@ -202,7 +147,7 @@ fn write_frame_vectored(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
 #[derive(Clone, Debug)]
 pub(crate) enum Addr {
     Tcp(String),
-    Uds(PathBuf),
+    Uds(String),
 }
 
 impl Addr {
@@ -214,21 +159,11 @@ impl Addr {
     }
 }
 
-/// Which end of a call socket this process holds. Indexes
-/// [`LinkState::open`]; as `u8`, the HELLO role a dialer asks for.
-#[derive(Clone, Copy)]
-enum Side {
-    /// We write requests on it and read replies.
-    Calling = ROLE_DIALER_CALLS as isize,
-    /// One of our threads reads requests on it and writes replies.
-    Serving = ROLE_DIALER_SERVES as isize,
-}
-
 /// One call socket, owned by whichever thread is using it: a caller between
 /// checkout and checkin, or the socket's serving thread. So are its
 /// buffers, which are reused from frame to frame without a lock.
 struct CallSocket {
-    /// Key of this socket's shutdown handle in [`LinkState::sockets`].
+    /// Key of this socket's shutdown handle in the link's state.
     id: u64,
     stream: BufReader<Stream>,
     /// The frame buffer: every frame this end writes is encoded into it
@@ -244,6 +179,16 @@ struct CallSocket {
 }
 
 impl CallSocket {
+    fn new(id: u64, stream: Stream) -> CallSocket {
+        CallSocket {
+            id,
+            stream: BufReader::new(stream),
+            buf: Vec::new(),
+            outcomes: Vec::new(),
+            timed: false,
+        }
+    }
+
     /// Empties the socket's buffers once its frame is consumed.
     fn consumed(&mut self) {
         release(&mut self.buf);
@@ -257,22 +202,6 @@ impl CallSocket {
 fn release<T>(buf: &mut Vec<T>) {
     buf.clear();
     buf.shrink_to(pool::MAX_RETAINED_CAPACITY / mem::size_of::<T>());
-}
-
-#[derive(Default)]
-struct LinkState {
-    next_socket: u64,
-    /// A shutdown handle (a dup of the descriptor) for every open socket of
-    /// the generation, wherever its [`CallSocket`] currently is.
-    sockets: HashMap<u64, Stream>,
-    /// Calling sockets nobody is using.
-    idle: Vec<CallSocket>,
-    /// Sockets open or being dialled, per [`Side`]; each at most
-    /// [`CALL_SOCKET_CAP`].
-    open: [usize; 2],
-    /// Callers parked on [`Link::freed`], so a checkin with nobody waiting
-    /// pays no `FUTEX_WAKE`.
-    waiting: usize,
 }
 
 struct Link {
@@ -289,9 +218,10 @@ struct Link {
     /// Armed write faults (shared with the owning peer/listener handle).
     inject: Arc<AtomicU64>,
     next_frame: AtomicU64,
-    /// Set once, by [`Link::die`]; a dead generation never comes back.
+    /// The core's verdict that the generation is dead, published for
+    /// checks that take no lock.
     dead: AtomicBool,
-    state: StdMutex<LinkState>,
+    state: StdMutex<LinkState<CallSocket, Stream>>,
     /// Signalled when a calling socket is checked in, arrives or closes.
     freed: Condvar,
 }
@@ -310,11 +240,11 @@ impl Link {
             kind,
             local,
             remote,
+            state: StdMutex::new(LinkState::new(dial.is_some(), CALL_SOCKET_CAP)),
             dial,
             inject,
             next_frame: AtomicU64::new(1),
             dead: AtomicBool::new(false),
-            state: StdMutex::default(),
             freed: Condvar::new(),
         })
     }
@@ -354,64 +284,34 @@ impl Link {
         }
     }
 
-    /// Claims one of `side`'s socket slots; `false` at the cap.
-    fn reserve(&self, side: Side) -> bool {
-        let mut st = lock(&self.state);
-        let room = st.open[side as usize] < CALL_SOCKET_CAP;
-        st.open[side as usize] += room as usize;
-        room
-    }
-
-    /// Returns one of `side`'s socket slots; a freed calling slot is news
-    /// for a caller queueing at the cap.
-    fn release(&self, side: Side) {
-        let mut st = lock(&self.state);
-        st.open[side as usize] -= 1;
-        if st.waiting > 0 {
+    /// Carries out the core's "wake one parked caller".
+    fn wake(&self, one: bool) {
+        if one {
             self.freed.notify_one();
         }
-    }
-
-    /// Makes a handshaken stream a socket of this generation (its slot
-    /// already reserved): from here on [`Link::die`] reaches it.
-    fn register(&self, stream: Stream) -> Result<CallSocket, DoorError> {
-        let handle = stream.try_clone().map_err(comm)?;
-        let mut st = lock(&self.state);
-        // Checked under the lock `die` shuts sockets under: either we see
-        // the link dead here, or `die` sees this socket.
-        if self.is_dead() {
-            return Err(self.disconnected());
-        }
-        let id = st.next_socket;
-        st.next_socket += 1;
-        st.sockets.insert(id, handle);
-        Ok(CallSocket {
-            id,
-            stream: BufReader::new(stream),
-            buf: Vec::new(),
-            outcomes: Vec::new(),
-            timed: false,
-        })
     }
 
     /// How a stream somebody else decided to open (the acceptor's inbound
     /// sockets, a new link's first) joins the generation.
     fn admit(&self, stream: Stream, side: Side) -> Result<CallSocket, DoorError> {
-        if !self.reserve(side) {
-            return Err(comm(format!("{} link is at its socket cap", self.kind)));
+        let handle = stream.try_clone().map_err(comm)?;
+        match lock(&self.state).admit(side, handle) {
+            Some(id) => Ok(CallSocket::new(id, stream)),
+            None => Err(comm(format!(
+                "{} link is dead or at its socket cap",
+                self.kind
+            ))),
         }
-        self.register(stream).inspect_err(|_| self.release(side))
     }
 
     /// Dials one more socket of this generation for `side`, whose slot the
-    /// caller reserved (and which is released again if the dial fails).
+    /// core reserved (and takes back if the dial fails).
     fn dial_socket(&self, net: &NetworkInner, side: Side) -> Result<CallSocket, DoorError> {
-        let role = side as u8;
         let dialled = self
             .dial
             .as_ref()
             .ok_or_else(|| comm("accepted links cannot dial"))
-            .and_then(|addr| dial(net, self.local, addr, role, self.remote.generation))
+            .and_then(|addr| dial(net, self.local, addr, side as u8, self.remote.generation))
             .and_then(|(stream, remote)| {
                 if remote.node != self.remote.node {
                     return Err(comm(format!(
@@ -419,18 +319,28 @@ impl Link {
                         self.kind, self.remote.node, remote.node
                     )));
                 }
-                self.register(stream)
+                Ok((stream.try_clone().map_err(comm)?, stream))
             });
-        dialled.inspect_err(|_| self.release(side))
+        let mut st = lock(&self.state);
+        match dialled {
+            Ok((handle, stream)) => match st.register(side, handle) {
+                Some(id) => Ok(CallSocket::new(id, stream)),
+                None => Err(self.disconnected()),
+            },
+            Err(e) => {
+                self.wake(st.release(side));
+                Err(e)
+            }
+        }
     }
 
     /// Closes one socket and nothing else: the link lives on.
     fn close(&self, sock: CallSocket, side: Side) {
-        if let Some(handle) = lock(&self.state).sockets.remove(&sock.id) {
-            handle.shutdown();
+        let (handle, wake) = lock(&self.state).close(sock.id, side);
+        self.wake(wake);
+        if let Some(handle) = handle {
+            let _ = handle.shutdown(Shutdown::Both);
         }
-        drop(sock);
-        self.release(side);
     }
 
     /// Takes an idle calling socket, dialling one more when none is idle
@@ -438,21 +348,18 @@ impl Link {
     /// checked in, arrives from the dialer, or the link dies.
     fn checkout(&self, net: &NetworkInner) -> Result<CallSocket, DoorError> {
         let mut st = lock(&self.state);
+        let mut woken = false;
         loop {
-            if self.is_dead() {
-                return Err(self.disconnected());
+            match st.checkout(woken) {
+                Checkout::Idle(sock) => return Ok(sock),
+                Checkout::Dial => {
+                    drop(st);
+                    return self.dial_socket(net, Side::Calling);
+                }
+                Checkout::Wait => st = self.freed.wait(st).unwrap_or_else(|p| p.into_inner()),
+                Checkout::Dead => return Err(self.disconnected()),
             }
-            if let Some(sock) = st.idle.pop() {
-                return Ok(sock);
-            }
-            if self.dial.is_some() && st.open[Side::Calling as usize] < CALL_SOCKET_CAP {
-                st.open[Side::Calling as usize] += 1;
-                drop(st);
-                return self.dial_socket(net, Side::Calling);
-            }
-            st.waiting += 1;
-            st = self.freed.wait(st).unwrap_or_else(|p| p.into_inner());
-            st.waiting -= 1;
+            woken = true;
         }
     }
 
@@ -460,14 +367,8 @@ impl Link {
     /// handshake, one that just arrived) to the idle list.
     fn checkin(&self, mut sock: CallSocket) {
         sock.consumed();
-        let mut st = lock(&self.state);
-        if self.is_dead() {
-            return; // `die` already shut it; dropping closes it
-        }
-        st.idle.push(sock);
-        if st.waiting > 0 {
-            self.freed.notify_one();
-        }
+        let wake = lock(&self.state).checkin(sock);
+        self.wake(wake);
     }
 
     /// Writes the frame encoded in `sock.buf` on the calling thread —
@@ -488,38 +389,21 @@ impl Link {
         Ok(())
     }
 
-    /// Writes the request frame encoded in `sock.buf` from `frame`, whose
-    /// payloads then go back to the pool they came from. A request frame
-    /// that could not be written kills the link.
-    fn send_request(
-        &self,
-        net: &NetworkInner,
-        sock: &mut CallSocket,
-        frame: &mut [PendingEntry],
-    ) -> Result<(), DoorError> {
-        self.send(net, sock)
-            .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
-        for entry in frame {
-            pool::give(mem::take(&mut entry.wire.bytes));
-        }
-        Ok(())
-    }
-
     /// Kills the generation, once: shuts every socket — in-flight callers
     /// read EOF and fail with `Comm` instead of hanging, serving threads
     /// unblock and exit — wakes queued callers, and counts the disconnect.
     /// Returns `reason` for the caller to fail with.
     fn die(&self, reason: DoorError) -> DoorError {
-        if self.dead.swap(true, Ordering::SeqCst) {
-            return reason;
-        }
         let mut st = lock(&self.state);
-        for (_, handle) in st.sockets.drain() {
-            handle.shutdown();
-        }
-        st.idle.clear();
+        let Some(handles) = st.die() else {
+            return reason;
+        };
+        self.dead.store(true, Ordering::SeqCst);
         self.freed.notify_all();
         drop(st);
+        for (_, handle) in handles {
+            let _ = handle.shutdown(Shutdown::Both);
+        }
         if let Some(net) = self.net.upgrade() {
             net.count_socket_disconnect();
         }
@@ -527,35 +411,50 @@ impl Link {
     }
 
     /// One request frame out — `frame`'s calls, encoded in `sock.buf` as
-    /// frame `id` — and its reply frame back, on one socket and this
-    /// thread. The reply is decoded into `sock.outcomes` and checked whole
+    /// frame `id` — on one socket and this thread, whose payloads then go
+    /// back to the pool they came from, and, if the callers `want_reply`,
+    /// its reply frame back. A request frame that could not be written kills
+    /// the link. The reply is decoded into `sock.outcomes` and checked whole
     /// (frame id, outcome count, every outcome) before the socket is handed
-    /// back for the caller to settle from. `deadline` (microseconds on the
-    /// [`now_micros`] clock) bounds the reply wait: on expiry the call
-    /// fails with `Comm` and *only this socket* is closed, so the late
-    /// reply can never be read by the next caller and other calls in
-    /// flight on the link complete. Every other failure kills the link.
+    /// back for the caller to settle from. When every call aboard carries a
+    /// deadline, the latest of them bounds the reply wait: on expiry the
+    /// call fails with `Comm` and *only this socket* is closed, so the late
+    /// reply can never be read by the next caller and other calls in flight
+    /// on the link complete. Every other failure kills the link.
     fn round_trip(
         &self,
         net: &NetworkInner,
         mut sock: CallSocket,
         id: u64,
         frame: &mut [PendingEntry],
-        deadline: Option<u64>,
+        want_reply: bool,
     ) -> Result<CallSocket, DoorError> {
+        // Identity-free calls carry no deadline, and one-way calls wait for
+        // nothing.
+        let (mut latest, mut bounded) = (0u64, want_reply);
+        for entry in frame.iter() {
+            let due = CallId::from_bytes(entry.wire.call).deadline_micros;
+            bounded &= due != 0;
+            latest = latest.max(due);
+        }
         // The socket is exclusively ours until checkin, so its receive
         // timeout affects nobody else; a call without a deadline on a
         // socket that never had one sets nothing.
-        let timeout =
-            deadline.map(|d| Duration::from_micros(d.saturating_sub(now_micros()).max(1)));
+        let timeout = (bounded && latest != 0)
+            .then(|| Duration::from_micros(latest.saturating_sub(now_micros()).max(1)));
         if timeout.is_some() || sock.timed {
-            sock.stream
-                .get_ref()
-                .set_read_timeout(timeout)
-                .map_err(|e| self.die(comm(e)))?;
+            let set = sock.stream.get_ref().set_read_timeout(timeout);
+            set.map_err(|e| self.die(comm(e)))?;
             sock.timed = timeout.is_some();
         }
-        self.send_request(net, &mut sock, frame)?;
+        self.send(net, &mut sock)
+            .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
+        for entry in frame.iter_mut() {
+            pool::give(mem::take(&mut entry.wire.bytes));
+        }
+        if !want_reply {
+            return Ok(sock);
+        }
         let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
             Ok(n) => n,
             // `SO_RCVTIMEO` expiring reads as `WouldBlock` (or `TimedOut`).
@@ -586,15 +485,15 @@ impl Link {
 
     /// Dialing side: parks one more serving socket with the acceptor, on a
     /// thread of its own that dials it and then serves it (so whoever asked
-    /// is not held up by a handshake). Called once when the link's
-    /// transport is registered — a request served here may call straight
-    /// back, and routing that call needs the registration — and then by
-    /// each serving thread when its socket is first used, so until the cap
-    /// the acceptor always holds a socket no call has claimed yet. Without
-    /// it the acceptor's nested callbacks could queue forever, so failing to
-    /// provide it kills the link.
+    /// is not held up by a handshake), whenever the core says one is owed:
+    /// once when the link's transport is registered — a request served here
+    /// may call straight back, and routing that call needs the registration
+    /// — and then each time a spare carries its first frame, so until the
+    /// cap the acceptor always holds a socket no call has claimed yet.
+    /// Without it the acceptor's nested callbacks could queue forever, so
+    /// failing to provide it kills the link.
     fn spawn_spare(self: &Arc<Link>) {
-        if !self.reserve(Side::Serving) {
+        if !lock(&self.state).spare_owed() {
             return;
         }
         let link = self.clone();
@@ -617,17 +516,6 @@ impl Link {
     }
 }
 
-/// The generation of the first link a peer of this process dials: a count
-/// of 1 in the low half under a number drawn once per process in the high
-/// half. Redials count up from it, so the generations of one run of a
-/// process are ordered, and a restarted process — which counts from 1
-/// again — is told apart from a straggler of the run before it.
-fn first_generation() -> u64 {
-    static RUN: OnceLock<u64> = OnceLock::new();
-    let run = RUN.get_or_init(|| RandomState::new().build_hasher().finish());
-    (run << 32) | 1
-}
-
 /// Dials one socket and runs the dialer's half of the HELLO exchange: we
 /// speak first, naming the socket's role and generation, and the acceptor's
 /// HELLO must echo both.
@@ -639,8 +527,14 @@ fn dial(
     generation: u64,
 ) -> Result<(Stream, Hello), DoorError> {
     let server = net.server(local)?;
-    let mut stream = Stream::connect(addr).map_err(|e| comm(format!("connect {addr:?}: {e}")))?;
-    stream.start_handshake()?;
+    let stream = match addr {
+        Addr::Tcp(a) => TcpStream::connect(a).map(tcp),
+        Addr::Uds(p) => UnixStream::connect(p),
+    };
+    let mut stream = stream.map_err(|e| comm(format!("connect {addr:?}: {e}")))?;
+    stream
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .map_err(comm)?;
     let ours = our_hello(&server, role, generation);
     write_frame_vectored(&mut stream, &encode_hello(&ours)).map_err(comm)?;
     let remote = read_hello(&mut stream, local)?;
@@ -693,8 +587,8 @@ fn read_hello(stream: &mut Stream, local: u64) -> Result<Hello, DoorError> {
 /// request's calls. The loop's thread owns them all.
 fn serve(link: &Arc<Link>, mut sock: CallSocket) {
     hotpath::count_dispatch_spawned();
-    // Dialing side: this socket is the spare until its first frame arrives.
-    let mut spare = link.dial.is_some();
+    // A socket is a spare until its first frame arrives.
+    let mut spare = true;
     let mut calls = Vec::new();
     loop {
         let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
@@ -715,19 +609,14 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
             link.die(comm(format!("serving node {} is gone", link.local)));
             break;
         };
-        if std::mem::take(&mut spare) {
+        if mem::take(&mut spare) {
             // Replaced before the frame executes: the servant may be about
             // to trigger a call back to us.
             link.spawn_spare();
         }
         let frame = &sock.buf[..n];
         let want_reply = frame.first() != Some(&KIND_ONEWAY);
-        let kind = if want_reply {
-            KIND_REQUEST
-        } else {
-            KIND_ONEWAY
-        };
-        let id = match decode_calls(kind, frame, &mut calls) {
+        let id = match decode_calls(request_kind(want_reply), frame, &mut calls) {
             Ok(id) => id,
             Err(e) => {
                 // A frame whose declared counts or lengths disagree with
@@ -750,6 +639,8 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
                 // pinned for them are released as one batch.
                 server.unexport(&fresh);
                 link.close(sock, Side::Serving);
+                // Below the cap again: a spare withheld at the cap is owed.
+                link.spawn_spare();
                 break;
             }
         }
@@ -833,7 +724,12 @@ impl SocketPeer {
         node: NodeId,
         addr: Addr,
     ) -> Result<Arc<SocketPeer>, DoorError> {
-        let link = Link::open(net, node.raw(), &addr, first_generation(), Arc::default())?;
+        // The run number of this process: drawn once, it tells the
+        // generations this process dials from a predecessor's.
+        static RUN: OnceLock<u64> = OnceLock::new();
+        let run = *RUN.get_or_init(|| RandomState::new().build_hasher().finish());
+        let generation = link::first_generation(run);
+        let link = Link::open(net, node.raw(), &addr, generation, Arc::default())?;
         let peer = Self::adopt(net, link.clone());
         link.spawn_spare();
         Ok(peer)
@@ -876,15 +772,12 @@ impl SocketPeer {
             return Ok(link);
         }
         let _dialing = self.redialing.lock();
-        // Double-check under the redial lock: a racing shipper may have
-        // finished this very redial while we waited for the mutex.
-        if let Some(link) = self.current_live() {
-            return Ok(link);
-        }
         let dead = self.link.lock().clone();
+        let Some(generation) = link::redial(dead.remote.generation, dead.is_dead()) else {
+            return Ok(dead);
+        };
         // Accepted peers cannot dial: their client must come back itself.
         let addr = dead.dial.as_ref().ok_or_else(|| dead.disconnected())?;
-        let generation = dead.remote.generation + 1;
         self.redials.fetch_add(1, Ordering::Relaxed);
         let link = Link::open(net, dead.local, addr, generation, dead.inject.clone())?;
         if dead.remote.node != link.remote.node {
@@ -952,35 +845,19 @@ impl SocketPeer {
         // The frame is encoded straight into the socket that carries it.
         let mut sock = link.checkout(&net)?;
         let id = link.next_frame.fetch_add(1, Ordering::Relaxed);
-        let kind = if want_reply {
-            KIND_REQUEST
+        encode_calls(request_kind(want_reply), id, frame, &mut sock.buf);
+        let mut sock = link.round_trip(&net, sock, id, frame, want_reply)?;
+        if want_reply {
+            for (entry, outcome) in frame.iter_mut().zip(sock.outcomes.drain(..)) {
+                entry.settle(from, outcome);
+            }
         } else {
-            KIND_ONEWAY
-        };
-        encode_calls(kind, id, frame, &mut sock.buf);
-        if !want_reply {
             // One write on this thread and no read: a failure proves the
             // frame never left; success is all a one-way caller learns.
-            link.send_request(&net, &mut sock, frame)?;
-            link.checkin(sock);
             hotpath::count_oneway_frame();
             for entry in frame.iter_mut() {
                 entry.settle(from, ReplyOutcome::Ok(WireMessage::default()));
             }
-            return Ok(());
-        }
-        // The reply wait is bounded when every call aboard carries a
-        // deadline — by the latest of them; identity-free calls carry none.
-        let (mut latest, mut bounded) = (0u64, true);
-        for entry in frame.iter() {
-            let due = CallId::from_bytes(entry.wire.call).deadline_micros;
-            bounded &= due != 0;
-            latest = latest.max(due);
-        }
-        let deadline = (bounded && latest != 0).then_some(latest);
-        let mut sock = link.round_trip(&net, sock, id, frame, deadline)?;
-        for (entry, outcome) in frame.iter_mut().zip(sock.outcomes.drain(..)) {
-            entry.settle(from, outcome);
         }
         link.checkin(sock);
         Ok(())
@@ -1015,30 +892,6 @@ impl Transport for SocketPeer {
 // SocketListener: the accepting side.
 // ---------------------------------------------------------------------------
 
-enum Acceptor {
-    Tcp(TcpListener),
-    Uds(UnixListener),
-}
-
-impl Acceptor {
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Acceptor::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                // The listener is non-blocking (for stop polling); the
-                // accepted stream must not inherit that.
-                s.set_nonblocking(false)?;
-                Ok(Stream::Tcp(s))
-            }
-            Acceptor::Uds(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Stream::Uds(s))
-            }
-        }
-    }
-}
-
 /// What the accept loop and the per-socket handshake threads share.
 struct Accepting {
     node: NodeId,
@@ -1050,16 +903,19 @@ struct Accepting {
 
 impl Accepting {
     /// Runs the acceptor's half of the HELLO exchange on an inbound stream
-    /// and joins it to its link. Returns the socket if it is ours to serve
-    /// (the dialer calls on it); one the dialer serves goes to the link's
-    /// idle list for our callers.
+    /// and joins it to the link the core's [`link::verdict`] finds for its
+    /// HELLO — a straggler is dropped. Returns the socket if it is ours to
+    /// serve (the dialer calls on it); one the dialer serves goes to the
+    /// link's idle list for our callers.
     fn handshake(
         &self,
         net: &Arc<NetworkInner>,
         mut stream: Stream,
     ) -> Result<Option<(Arc<Link>, CallSocket)>, DoorError> {
         let server = net.server(self.node.raw())?;
-        stream.start_handshake()?;
+        stream
+            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+            .map_err(comm)?;
         let hello = read_hello(&mut stream, self.node.raw())?;
         let side = if hello.role == ROLE_DIALER_CALLS {
             Side::Serving
@@ -1068,7 +924,35 @@ impl Accepting {
         };
         let echo = encode_hello(&our_hello(&server, hello.role, hello.generation));
         stream.set_read_timeout(None).map_err(comm)?;
-        let (link, mut sock) = self.join(net, hello, stream, side)?;
+        // Held across the registration: a second socket of a new generation
+        // must not be served before the first has registered its transport,
+        // or a servant calling straight back finds no route.
+        let mut links = self.links.lock();
+        let held = links.get(&hello.node).cloned();
+        let judged = held.as_ref().map(|l| (l.remote.generation, l.is_dead()));
+        let link = match (link::verdict(judged, hello.generation), held) {
+            (Verdict::Join, Some(held)) => held,
+            (Verdict::Straggler, Some(held)) => {
+                return Err(comm(format!(
+                    "straggler of generation {} (holding {})",
+                    hello.generation, held.remote.generation
+                )));
+            }
+            // Found, or supersede: the held link dies.
+            _ => {
+                let (node, generation) = (hello.node, hello.generation);
+                let local = self.node.raw();
+                let link = Link::new(net, local, hello, None, self.kind, self.inject.clone());
+                if let Some(old) = links.insert(node, link.clone()) {
+                    old.die(comm(format!("superseded by generation {generation}")));
+                }
+                // Registration in the transports map keeps the peer alive.
+                SocketPeer::adopt(net, link.clone());
+                link
+            }
+        };
+        let mut sock = link.admit(stream, side)?;
+        drop(links);
         // Joined before the echo leaves: once the dialer may use the socket
         // the link's transport is registered and `die` reaches the socket.
         if let Err(e) = write_frame_vectored(sock.stream.get_mut(), &echo) {
@@ -1083,132 +967,101 @@ impl Accepting {
             }
         })
     }
-
-    /// Finds or founds the link an inbound socket belongs to. The dialer
-    /// counts generations and only dials `g + 1` after `g` died on its
-    /// side, so a newer generation than the one we hold supersedes it, and
-    /// a socket of an older one — or of the held one, once that is dead —
-    /// is a straggler (a socket whose handshake lost the race with its
-    /// link's death) that must be dropped: never allowed to displace the
-    /// generation that replaced it, nor to raise a dead one as a link
-    /// nobody is at the other end of. Only generations of one run of the
-    /// dialer process (same high half, [`first_generation`]) are ordered; a
-    /// restarted dialer counts afresh and supersedes whatever we hold.
-    fn join(
-        &self,
-        net: &Arc<NetworkInner>,
-        hello: Hello,
-        stream: Stream,
-        side: Side,
-    ) -> Result<(Arc<Link>, CallSocket), DoorError> {
-        // Held across the registration: a second socket of a new generation
-        // must not be served before the first has registered its transport,
-        // or a servant calling straight back finds no route.
-        let mut links = self.links.lock();
-        let held = links
-            .get(&hello.node)
-            .map(|l| (l, l.remote.generation))
-            .filter(|(_, g)| g >> 32 == hello.generation >> 32);
-        let link = match held {
-            Some((l, g)) if hello.generation < g || (hello.generation == g && l.is_dead()) => {
-                return Err(comm(format!(
-                    "straggler of generation {} (holding {g})",
-                    hello.generation
-                )));
-            }
-            Some((l, g)) if hello.generation == g => l.clone(),
-            _ => {
-                let (node, generation) = (hello.node, hello.generation);
-                let local = self.node.raw();
-                let link = Link::new(net, local, hello, None, self.kind, self.inject.clone());
-                if let Some(old) = links.insert(node, link.clone()) {
-                    old.die(comm(format!("superseded by generation {generation}")));
-                }
-                // Registration in the transports map keeps the peer alive.
-                SocketPeer::adopt(net, link.clone());
-                link
-            }
-        };
-        let sock = link.admit(stream, side)?;
-        Ok((link, sock))
-    }
 }
 
 /// Accepts socket connections for one node; dropping it stops the accept
 /// loop (established links live on, but can open no further sockets).
 pub struct SocketListener {
     stop: Arc<AtomicBool>,
-    addr: String,
-    uds_path: Option<PathBuf>,
+    /// Where it listens: for TCP, the actual address bound.
+    bound: Addr,
     inject: Arc<AtomicU64>,
 }
 
 impl SocketListener {
-    pub(crate) fn bind_tcp(
+    pub(crate) fn bind(
         net: &Arc<NetworkInner>,
         node: NodeId,
-        addr: &str,
+        addr: Addr,
     ) -> Result<Arc<SocketListener>, DoorError> {
-        let listener = TcpListener::bind(addr).map_err(|e| comm(format!("bind {addr}: {e}")))?;
-        let local = listener.local_addr().map_err(comm)?.to_string();
-        listener.set_nonblocking(true).map_err(comm)?;
-        Self::spawn(net, node, Acceptor::Tcp(listener), local, None, "tcp")
-    }
-
-    pub(crate) fn bind_uds(
-        net: &Arc<NetworkInner>,
-        node: NodeId,
-        path: &str,
-    ) -> Result<Arc<SocketListener>, DoorError> {
-        let p = PathBuf::from(path);
-        // A stale socket file from a previous run would fail the bind.
-        let _ = std::fs::remove_file(&p);
-        let listener = UnixListener::bind(&p).map_err(|e| comm(format!("bind {path}: {e}")))?;
-        listener.set_nonblocking(true).map_err(comm)?;
-        Self::spawn(
-            net,
-            node,
-            Acceptor::Uds(listener),
-            path.to_string(),
-            Some(p),
-            "uds",
-        )
-    }
-
-    fn spawn(
-        net: &Arc<NetworkInner>,
-        node: NodeId,
-        acceptor: Acceptor,
-        addr: String,
-        uds_path: Option<PathBuf>,
-        kind: &'static str,
-    ) -> Result<Arc<SocketListener>, DoorError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let inject = Arc::new(AtomicU64::new(0));
-        let this = Arc::new(SocketListener {
-            stop: stop.clone(),
-            addr,
-            uds_path,
-            inject: inject.clone(),
-        });
+        let bind_failed = |e| comm(format!("bind {addr:?}: {e}"));
+        // The listener is non-blocking (for stop polling); an accepted
+        // stream must not inherit that.
+        let (accept, bound): (Box<dyn Fn() -> io::Result<Stream> + Send>, _) = match &addr {
+            Addr::Tcp(a) => {
+                let listener = TcpListener::bind(a).map_err(bind_failed)?;
+                listener.set_nonblocking(true).map_err(comm)?;
+                let local = listener.local_addr().map_err(comm)?.to_string();
+                let accept = move || {
+                    let (s, _) = listener.accept()?;
+                    s.set_nonblocking(false)?;
+                    Ok(tcp(s))
+                };
+                (Box::new(accept), Addr::Tcp(local))
+            }
+            Addr::Uds(p) => {
+                // A stale socket file from a previous run would fail the bind.
+                let _ = std::fs::remove_file(p);
+                let listener = UnixListener::bind(p).map_err(bind_failed)?;
+                listener.set_nonblocking(true).map_err(comm)?;
+                let accept = move || {
+                    let (s, _) = listener.accept()?;
+                    s.set_nonblocking(false)?;
+                    Ok(s)
+                };
+                (Box::new(accept), addr.clone())
+            }
+        };
+        let (stop, inject) = (Arc::new(AtomicBool::new(false)), Arc::default());
         let accepting = Arc::new(Accepting {
             node,
-            kind,
-            inject,
+            kind: addr.kind(),
+            inject: Arc::clone(&inject),
             links: Mutex::new(HashMap::new()),
         });
-        let net = Arc::downgrade(net);
+        let (net, stopped) = (Arc::downgrade(net), stop.clone());
         thread::Builder::new()
-            .name(format!("spring-sock-accept-{kind}"))
-            .spawn(move || accept_loop(&net, &acceptor, &stop, &accepting))
+            .name(format!("spring-sock-accept-{}", addr.kind()))
+            .spawn(move || {
+                while !stopped.load(Ordering::Relaxed) {
+                    // Nothing pending (`WouldBlock`), or a connection that
+                    // died in the backlog: look again shortly.
+                    let Ok(stream) = accept() else {
+                        thread::sleep(ACCEPT_POLL);
+                        continue;
+                    };
+                    let Some(net) = net.upgrade() else { return };
+                    let accepting = accepting.clone();
+                    // Each inbound socket handshakes on a thread of its own
+                    // — the one that goes on to serve it, if it is ours to
+                    // serve — so a peer that connects and goes silent holds
+                    // up nobody else. A bad handshake, a straggler or a
+                    // failed spawn just drops the socket; we keep accepting.
+                    let _ = thread::Builder::new()
+                        .name(format!("spring-sock-serve-{}", accepting.kind))
+                        .spawn(move || {
+                            let served = accepting.handshake(&net, stream);
+                            drop(net);
+                            if let Ok(Some((link, sock))) = served {
+                                serve(&link, sock);
+                            }
+                        });
+                }
+            })
             .map_err(comm)?;
-        Ok(this)
+        Ok(Arc::new(SocketListener {
+            stop,
+            bound,
+            inject,
+        }))
     }
 
     /// The bound address — the actual one, so `127.0.0.1:0` reports its
     /// ephemeral port.
     pub fn local_addr(&self) -> &str {
-        &self.addr
+        match &self.bound {
+            Addr::Tcp(a) | Addr::Uds(a) => a,
+        }
     }
 
     /// Arms `n` injected write faults on links accepted by this listener
@@ -1223,41 +1076,8 @@ impl SocketListener {
 impl Drop for SocketListener {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(p) = &self.uds_path {
+        if let Addr::Uds(p) = &self.bound {
             let _ = std::fs::remove_file(p);
-        }
-    }
-}
-
-fn accept_loop(
-    net: &Weak<NetworkInner>,
-    acceptor: &Acceptor,
-    stop: &AtomicBool,
-    accepting: &Arc<Accepting>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match acceptor.accept() {
-            Ok(stream) => {
-                let Some(net) = net.upgrade() else { return };
-                let accepting = accepting.clone();
-                // Each inbound socket handshakes on a thread of its own —
-                // the one that goes on to serve it, if it is ours to serve
-                // — so a peer that connects and goes silent holds up
-                // nobody else. A bad handshake, a straggler or a failed
-                // spawn just drops the socket; we keep accepting.
-                let _ = thread::Builder::new()
-                    .name(format!("spring-sock-serve-{}", accepting.kind))
-                    .spawn(move || {
-                        let served = accepting.handshake(&net, stream);
-                        drop(net);
-                        if let Ok(Some((link, sock))) = served {
-                            serve(&link, sock);
-                        }
-                    });
-            }
-            // Nothing pending (`WouldBlock`), or a connection that died in
-            // the backlog: look again shortly.
-            Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
 }

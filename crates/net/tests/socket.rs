@@ -616,24 +616,14 @@ fn socket_fault_sweep() -> Vec<String> {
         client.delete_door(d).unwrap();
     }
 
-    // Unref notifications from the deletes above propagate asynchronously;
-    // wait for the server's identifier count to stop moving, then take
-    // that as the pre-reply-fault snapshot.
-    let server_mid = {
-        let mut last = live_ids(server_node.kernel());
-        let mut stable = 0;
-        while stable < 20 {
-            std::thread::sleep(Duration::from_millis(10));
-            let now = live_ids(server_node.kernel());
-            if now == last {
-                stable += 1;
-            } else {
-                stable = 0;
-                last = now;
-            }
-        }
-        last
-    };
+    // The deletes above stay on the client (nothing crosses the wire for
+    // them); the server may still be finishing the replies the client has
+    // read. Once it has counted each of them as sent, it is done with
+    // their calls and its identifier count is the pre-reply-fault snapshot.
+    wait_until("the server to finish the replies the client read", || {
+        server_net.socket_stats().frames_sent == client_net.socket_stats().frames_received
+    });
+    let server_mid = live_ids(server_node.kernel());
     step(format!(
         "settled:server=+{}",
         server_mid as i64 - server_base as i64
@@ -790,7 +780,7 @@ fn redial_is_single_flight_under_concurrent_hammer() {
         // back, and every thread must get there.
         std::thread::scope(|s| {
             for t in 0..THREADS {
-                let client = &client;
+                let (client, peer) = (&client, &peer);
                 s.spawn(move || {
                     for _ in 0..500 {
                         match client.call(remote, Message::from_bytes(vec![t])) {
@@ -802,7 +792,10 @@ fn redial_is_single_flight_under_concurrent_hammer() {
                                 assert!(e.is_comm_failure(), "only Comm expected, got {e:?}")
                             }
                         }
-                        std::thread::sleep(Duration::from_millis(2));
+                        // A call fails only once a shipper has redialled
+                        // (each ship on a dead link redials first): wait
+                        // for that redial, not for a guess at its length.
+                        wait_until("the redial", || peer.redials() >= round);
                     }
                     panic!("link never came back in round {round}");
                 });
