@@ -81,7 +81,7 @@ impl Message {
 ///   ([`framing::FrameReadError::Closed`]), not an error to report.
 pub mod framing {
     use std::fmt;
-    use std::io::{self, Read, Write};
+    use std::io::{self, Read};
 
     /// Largest frame a reader will accept. Generous next to the batching
     /// budget (a frame coalesces at most 256 KiB of payload),
@@ -130,25 +130,6 @@ pub mod framing {
     }
 
     impl std::error::Error for FrameReadError {}
-
-    /// Writes one frame: a `u32` little-endian length prefix, then the
-    /// payload. Fails if the payload exceeds [`MAX_FRAME_LEN`] — the
-    /// writer enforces the same cap readers do, so an oversized frame is
-    /// caught before it hits the wire.
-    pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "frame of {} bytes exceeds the {MAX_FRAME_LEN} cap",
-                    payload.len()
-                ),
-            ));
-        }
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(payload)?;
-        Ok(())
-    }
 
     /// Reads one frame into `buf` (cleared and reused, so a steady-state
     /// reader recycles one allocation). Returns the payload length.
@@ -224,12 +205,14 @@ mod tests {
         assert!(m.doors.is_empty());
     }
 
+    /// One frame as it crosses the wire: the length prefix, then the payload.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        [&(payload.len() as u32).to_le_bytes()[..], payload].concat()
+    }
+
     #[test]
     fn framing_round_trip() {
-        let mut wire = Vec::new();
-        framing::write_frame(&mut wire, b"hello").unwrap();
-        framing::write_frame(&mut wire, b"").unwrap();
-        framing::write_frame(&mut wire, &[7u8; 1000]).unwrap();
+        let wire = [frame(b"hello"), frame(b""), frame(&[7u8; 1000])].concat();
         let mut r = &wire[..];
         let mut buf = Vec::new();
         assert_eq!(framing::read_frame(&mut r, &mut buf).unwrap(), 5);
@@ -245,8 +228,7 @@ mod tests {
 
     #[test]
     fn framing_rejects_truncated_payload() {
-        let mut wire = Vec::new();
-        framing::write_frame(&mut wire, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let mut wire = frame(&[1, 2, 3, 4, 5, 6, 7, 8]);
         wire.truncate(wire.len() - 3); // cut the stream mid-payload
         let mut r = &wire[..];
         let mut buf = Vec::new();
@@ -304,8 +286,7 @@ mod tests {
             (8000, true),
             (16 << 10, false),
         ] {
-            let mut wire = Vec::new();
-            framing::write_frame(&mut wire, &vec![3u8; len]).unwrap();
+            let wire = frame(&vec![3u8; len]);
             let counted = Counted {
                 bytes: &wire,
                 reads: 0,

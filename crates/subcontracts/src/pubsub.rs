@@ -26,11 +26,13 @@
 //!   [`DeliveryMode::Monitored`] subscribers detect the sequence gap on the
 //!   next arrival and get exactly one [`Subscriber::lost`] callback for it.
 //! * **Slow-subscriber policy** (the §8.4 concern made explicit): each
-//!   subscriber has a bounded pending queue. A publish that finds a queue
-//!   full waits up to [`TopicConfig::backpressure`] for the link worker to
-//!   drain it, then *evicts* the subscriber — the eviction is delivered as a
-//!   callback-door notification, the way the coherent cache delivers
-//!   invalidations, so the subscriber application learns it was dropped.
+//!   link has one pending queue, and a subscriber is owed the frames in it
+//!   numbered above its subscribe-time baseline. A publish that finds a
+//!   subscriber owed [`TopicConfig::queue_bound`] frames waits up to
+//!   [`TopicConfig::backpressure`] for the link worker to drain them, then
+//!   *evicts* the subscriber — the eviction is delivered as a callback-door
+//!   notification, the way the coherent cache delivers invalidations, so
+//!   the subscriber application learns it was dropped.
 //!
 //! [`pubsub.drop`]: spring_trace::keys::PUBSUB_DROP
 
@@ -132,11 +134,11 @@ pub trait Subscriber: Send + Sync {
 /// Tuning knobs for one topic hub.
 #[derive(Clone, Copy, Debug)]
 pub struct TopicConfig {
-    /// Per-subscriber pending-frame bound; beyond it the slow-subscriber
-    /// policy kicks in.
+    /// How many pending frames a subscriber may be owed; beyond it the
+    /// slow-subscriber policy kicks in.
     pub queue_bound: usize,
-    /// How long a publish waits for a full queue to drain before evicting
-    /// the subscriber.
+    /// How long a publish waits for a subscriber at the bound to be drained
+    /// before evicting it.
     pub backpressure: Duration,
 }
 
@@ -208,8 +210,8 @@ impl PubSubStats {
     }
 }
 
-/// One frame queued for delivery. The payload is shared across every
-/// subscriber queue and every link — publish copies the datum exactly once.
+/// One frame queued for delivery. The payload is shared across every link
+/// — publish copies the datum exactly once.
 struct Frame {
     seq: u64,
     stamp_us: u64,
@@ -218,12 +220,13 @@ struct Frame {
 
 /// One subscriber's hub-side state.
 struct SubEntry {
-    queue: VecDeque<Arc<Frame>>,
     /// The last sequence published before this subscription attached (read
-    /// under the publish lock at subscribe time). It rides in every
-    /// delivery frame addressed to this subscriber, so the receiving side
-    /// can install it even when the first delivery beats the subscribe
-    /// reply back — gap accounting must not depend on that ordering.
+    /// under the publish lock at subscribe time), so the subscriber is owed
+    /// exactly its link's pending frames numbered above it. It also rides
+    /// in every delivery frame addressed to this subscriber, so the
+    /// receiving side can install it even when the first delivery beats the
+    /// subscribe reply back — gap accounting must not depend on that
+    /// ordering.
     baseline: u64,
     /// How this subscriber wants loss surfaced. Monitored subscribers also
     /// pin their link's delivery frames to the two-way path: one-way frames
@@ -232,23 +235,16 @@ struct SubEntry {
     mode: DeliveryMode,
 }
 
-impl SubEntry {
-    fn new(baseline: u64, mode: DeliveryMode) -> SubEntry {
-        SubEntry {
-            queue: VecDeque::new(),
-            baseline,
-            mode,
-        }
-    }
-}
-
 /// Mutable state of one destination link's group, guarded by a std mutex so
 /// the link worker can block on the condvar.
 struct GroupState {
     /// The callback door reaching this link and the subscribers behind it.
     link: Link<SubEntry>,
+    /// Frames published to this link and not yet taken by its worker, in
+    /// sequence order: the one queue every subscriber behind it draws on.
+    pending: VecDeque<Arc<Frame>>,
     /// Eviction notices awaiting delivery; these ride a separate lane so an
-    /// eviction can always be enqueued even when queues are full.
+    /// eviction can always be enqueued even when the link is at its bound.
     evict_notes: Vec<(u64, String)>,
     closed: bool,
 }
@@ -271,14 +267,32 @@ impl GroupState {
             self.closed = true;
         }
     }
-}
 
-impl LinkGroup {
-    /// Removes a subscriber; returns true if it was present.
-    fn remove_sub(&self, st: &mut GroupState, nonce: u64) -> bool {
-        let hit = st.link.subs.remove(&nonce).is_some();
-        st.close_if_empty();
-        hit
+    /// The subscribers owed `bound` pending frames or more (the queue holds
+    /// at least `bound`). A subscriber is owed every pending frame numbered
+    /// above its baseline, so these are the ones whose baseline lies below
+    /// the `bound`-th newest frame.
+    fn owed_the_bound(&self, bound: usize) -> Vec<u64> {
+        let cutoff = self
+            .pending
+            .get(self.pending.len() - bound)
+            .map_or(u64::MAX, |f| f.seq);
+        self.link
+            .subs
+            .iter()
+            .filter(|(_, s)| s.baseline < cutoff)
+            .map(|(n, _)| *n)
+            .collect()
+    }
+
+    /// Drops the frames at the head of the queue that no subscriber is owed
+    /// (their subscribers left), so the queue never outgrows the bound.
+    fn trim(&mut self) {
+        let floor = self.link.subs.values().map(|s| s.baseline).min();
+        let floor = floor.unwrap_or(u64::MAX);
+        while self.pending.front().is_some_and(|f| f.seq <= floor) {
+            self.pending.pop_front();
+        }
     }
 }
 
@@ -319,9 +333,6 @@ pub struct TopicHub {
     groups: Mutex<HashMap<u64, Arc<LinkGroup>>>,
     stats: Arc<PubSubStats>,
     down: AtomicBool,
-    /// Set once inside the door handler so link workers can find the hub
-    /// to deregister groups without keeping it alive.
-    weak_self: Mutex<Weak<TopicHub>>,
 }
 
 impl TopicHub {
@@ -378,30 +389,20 @@ impl TopicHub {
             self.domain().trace_scope(),
             groups.len() as u64,
         );
-        // Slow-subscriber policy: give full queues one bounded chance to
-        // drain, then evict whoever is still full. The deadline is shared
-        // across every group — a publish stalls at most one backpressure
-        // window total, never one per congested link, so N slow links
-        // cannot multiply the head-of-line blocking under `publish_lock`.
+        // Slow-subscriber policy: a link whose queue is shorter than the
+        // bound owes no subscriber that many frames. At the bound, give the
+        // subscribers owed it one bounded chance to drain, then evict whoever
+        // still is. The deadline is shared across every group — a publish
+        // stalls at most one backpressure window total, never one per
+        // congested link, so N slow links cannot multiply the head-of-line
+        // blocking under `publish_lock`.
         let deadline = Instant::now() + self.cfg.backpressure;
         for group in groups {
             let mut st = group.state.lock().unwrap();
-            if st.closed {
-                continue;
-            }
-            loop {
-                let full: Vec<u64> = st
-                    .link
-                    .subs
-                    .iter()
-                    .filter(|(_, s)| s.queue.len() >= self.cfg.queue_bound)
-                    .map(|(n, _)| *n)
-                    .collect();
-                if full.is_empty() || st.closed {
-                    break;
-                }
+            while !st.closed && st.pending.len() >= self.cfg.queue_bound {
+                let full = st.owed_the_bound(self.cfg.queue_bound);
                 let now = Instant::now();
-                if now >= deadline {
+                if full.is_empty() || now >= deadline {
                     for nonce in full {
                         st.link.subs.remove(&nonce);
                         st.evict_notes.push((
@@ -410,6 +411,7 @@ impl TopicHub {
                         ));
                         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                     }
+                    st.trim();
                     break;
                 }
                 st = group.cv.wait_timeout(st, deadline - now).unwrap().0;
@@ -417,9 +419,7 @@ impl TopicHub {
             if st.closed {
                 continue;
             }
-            for sub in st.link.subs.values_mut() {
-                sub.queue.push_back(frame.clone());
-            }
+            st.pending.push_back(frame.clone());
             group.cv.notify_all();
         }
         self.stats.published.fetch_add(1, Ordering::Relaxed);
@@ -476,10 +476,13 @@ impl TopicHub {
         }
         // Baseline capture and group insertion happen with publishing
         // stalled, so "every frame stamped after `cur`" is exactly the set
-        // this subscriber will be queued (delivery modulo wire loss).
+        // this subscriber is owed (delivery modulo wire loss).
         let _publishing = self.publish_lock.lock();
         let cur = self.next_seq.load(Ordering::SeqCst) - 1;
-        let entry = SubEntry::new(cur, mode);
+        let entry = SubEntry {
+            baseline: cur,
+            mode,
+        };
         let mut groups = self.groups.lock();
         let known = groups.get(&req.token).cloned();
         let open = known
@@ -497,6 +500,7 @@ impl TopicHub {
                     token: req.token,
                     state: StdMutex::new(GroupState {
                         link: Link::open(req, entry),
+                        pending: VecDeque::new(),
                         evict_notes: Vec::new(),
                         closed: false,
                     }),
@@ -519,7 +523,8 @@ impl TopicHub {
         let group = self.groups.lock().get(&req.token).cloned();
         if let Some(group) = group {
             let mut st = group.state.lock().unwrap();
-            if group.remove_sub(&mut st, req.nonce) {
+            if st.link.subs.remove(&req.nonce).is_some() {
+                st.close_if_empty();
                 self.stats.unsubscribes.fetch_add(1, Ordering::Relaxed);
                 group.cv.notify_all();
             }
@@ -528,7 +533,7 @@ impl TopicHub {
     }
 
     fn spawn_worker(self: &Arc<Self>, group: Arc<LinkGroup>) {
-        let hub = self.weak_self.lock().clone();
+        let hub = Arc::downgrade(self);
         let domain = self.domain().clone();
         let scope = domain.trace_scope();
         let stats = self.stats.clone();
@@ -540,9 +545,9 @@ impl TopicHub {
     }
 }
 
-/// The per-link delivery loop: pops the lowest pending sequence number
-/// across the group's subscribers, ships it as one frame addressing every
-/// subscriber whose head it is, and settles the outcome with the link.
+/// The per-link delivery loop: pops the link's oldest pending frame, ships
+/// it as one frame addressing every subscriber owed it (its baseline lies
+/// below the frame), and settles the outcome with the link.
 fn link_worker(
     hub: Weak<TopicHub>,
     group: Arc<LinkGroup>,
@@ -563,28 +568,24 @@ fn link_worker(
                     st.close_if_empty();
                     break Work::Evicts(notes);
                 }
-                let min = st
-                    .link
-                    .subs
-                    .values()
-                    .filter_map(|s| s.queue.front().map(|f| f.seq))
-                    .min();
-                if let Some(min) = min {
-                    let mut frame = None;
+                if let Some(frame) = st.pending.pop_front() {
+                    // Space freed: a publisher may be waiting on a
+                    // subscriber at the bound.
+                    group.cv.notify_all();
                     let mut subs = Vec::new();
                     let mut all_best_effort = true;
-                    for (nonce, sub) in st.link.subs.iter_mut() {
-                        if sub.queue.front().map(|f| f.seq) == Some(min) {
-                            frame = Some(sub.queue.pop_front().unwrap());
+                    for (nonce, sub) in &st.link.subs {
+                        if sub.baseline < frame.seq {
                             subs.push((*nonce, sub.baseline));
                             all_best_effort &= sub.mode == DeliveryMode::BestEffort;
                         }
                     }
-                    // Space freed: a publisher may be blocked on a full
-                    // queue.
-                    group.cv.notify_all();
+                    if subs.is_empty() {
+                        // Its subscribers left before it shipped.
+                        continue;
+                    }
                     break Work::Frame {
-                        frame: frame.unwrap(),
+                        frame,
                         subs,
                         all_best_effort,
                     };
@@ -720,7 +721,7 @@ pub struct TopicInfo {
 
 /// The default dispatcher for topic objects: answers `topic.info`.
 struct TopicDispatch {
-    hub: Mutex<Weak<TopicHub>>,
+    hub: Weak<TopicHub>,
 }
 
 impl Dispatch for TopicDispatch {
@@ -739,7 +740,6 @@ impl Dispatch for TopicDispatch {
             OP_TOPIC_INFO => {
                 let hub = self
                     .hub
-                    .lock()
                     .upgrade()
                     .ok_or_else(|| SpringError::Remote("topic hub gone".into()))?;
                 subcontract::encode_ok(reply);
@@ -756,7 +756,7 @@ impl Dispatch for TopicDispatch {
     fn unreferenced(&self) {
         // The last identifier for the topic died (e.g. the naming binding
         // was dropped and no proxies remain): evict everyone and stop.
-        if let Some(hub) = self.hub.lock().upgrade() {
+        if let Some(hub) = self.hub.upgrade() {
             hub.shutdown("topic deleted");
         }
     }
@@ -783,9 +783,6 @@ impl PubSub {
         cfg: TopicConfig,
     ) -> Result<(SpringObj, Arc<TopicHub>)> {
         ctx.types().register(&PUBSUB_TOPIC_TYPE);
-        let disp = Arc::new(TopicDispatch {
-            hub: Mutex::new(Weak::new()),
-        });
         let hub = Arc::new(TopicHub {
             ctx: ctx.clone(),
             name: name.to_owned(),
@@ -795,10 +792,10 @@ impl PubSub {
             groups: Mutex::new(HashMap::new()),
             stats: Arc::new(PubSubStats::default()),
             down: AtomicBool::new(false),
-            weak_self: Mutex::new(Weak::new()),
         });
-        *hub.weak_self.lock() = Arc::downgrade(&hub);
-        *disp.hub.lock() = Arc::downgrade(&hub);
+        let disp = Arc::new(TopicDispatch {
+            hub: Arc::downgrade(&hub),
+        });
         // Demultiplexes the topic door: ordinary dispatched calls,
         // publishes, and subscription management.
         let served = hub.clone();
@@ -1188,4 +1185,77 @@ fn handle_evict(
         }
     }
     Ok(Message::new())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spring_kernel::{CallCtx, DoorHandler, Kernel};
+
+    struct Nop;
+    impl DoorHandler for Nop {
+        fn invoke(&self, _cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
+            Ok(msg)
+        }
+    }
+
+    fn pending_seqs(st: &GroupState) -> Vec<u64> {
+        st.pending.iter().map(|f| f.seq).collect()
+    }
+
+    #[test]
+    fn a_subscriber_is_owed_the_pending_frames_above_its_baseline() {
+        let kernel = Kernel::new("t");
+        let domain = kernel.create_domain("hub");
+        let door = domain.create_door(Arc::new(Nop)).unwrap();
+        let request = |nonce: u64| {
+            let mut args = CommBuffer::new();
+            args.put_u64(nonce);
+            args.put_door(domain.copy_door(door).unwrap());
+            callback::read_request(&domain, &mut args, "test").unwrap()
+        };
+        let entry = |baseline| SubEntry {
+            baseline,
+            mode: DeliveryMode::BestEffort,
+        };
+        // Subscriber 1 joined before seq 1 and is owed 1..=5; subscriber 2
+        // joined after seq 2 and is owed 3..=5.
+        let mut link = Link::open(request(1), entry(0));
+        link.join(request(2), entry(2));
+        let frame = |seq| {
+            let data: Arc<[u8]> = Arc::from(&[][..]);
+            Arc::new(Frame {
+                seq,
+                stamp_us: 0,
+                data,
+            })
+        };
+        let mut st = GroupState {
+            link,
+            pending: (1..=5).map(frame).collect(),
+            evict_notes: Vec::new(),
+            closed: false,
+        };
+        let owed = |bound| {
+            let mut nonces = st.owed_the_bound(bound);
+            nonces.sort_unstable();
+            nonces
+        };
+        assert_eq!(owed(5), [1]);
+        assert_eq!(owed(4), [1]);
+        assert_eq!(owed(3), [1, 2]);
+        assert_eq!(owed(0), [1, 2], "with no bound, everyone is past it");
+
+        // Nothing at the head is unowed while subscriber 1 stays.
+        st.trim();
+        assert_eq!(pending_seqs(&st), [1, 2, 3, 4, 5]);
+        // Once it leaves, seqs 1-2 are owed to nobody; with nobody left,
+        // nothing is.
+        st.link.subs.remove(&1);
+        st.trim();
+        assert_eq!(pending_seqs(&st), [3, 4, 5]);
+        st.link.subs.clear();
+        st.trim();
+        assert!(st.pending.is_empty());
+    }
 }

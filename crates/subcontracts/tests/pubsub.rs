@@ -350,6 +350,88 @@ fn slow_subscriber_is_evicted_with_notification_and_no_leaks() {
 }
 
 #[test]
+fn only_subscribers_owed_the_bound_are_evicted_from_a_stalled_link() {
+    let kernel = Kernel::new("t");
+    let server = pubsub_ctx(&kernel, "hub");
+    let client = pubsub_ctx(&kernel, "client");
+    let cfg = TopicConfig {
+        queue_bound: 4,
+        backpressure: Duration::from_millis(2),
+    };
+    let (topic, hub) = PubSub::export(&server, "stalled", cfg).unwrap();
+    let proxy = common::ship_copy(&topic, &client, &PUBSUB_TOPIC_TYPE).unwrap();
+
+    // One subscriber hub: both subscriptions ride one link, whose worker
+    // the early sink parks inside frame 1.
+    let shub = SubscriberHub::new(&client);
+    let early = RecSink::new();
+    early.stall();
+    let early_sub = shub
+        .subscribe(&proxy, DeliveryMode::BestEffort, early.clone())
+        .unwrap();
+    hub.publish(b"1").unwrap();
+    wait_until("the worker parks in frame 1", || {
+        early.entered.load(Ordering::Relaxed) == 1
+    });
+    hub.publish(b"2").unwrap();
+    hub.publish(b"3").unwrap();
+
+    // The late subscriber joins with seqs 2-3 pending: it is owed nothing
+    // of them, so when publish 6 finds the link at its bound of 4 (seqs
+    // 2-5), only the early subscriber is owed that many.
+    let late = RecSink::new();
+    let late_sub = shub
+        .subscribe(&proxy, DeliveryMode::Monitored, late.clone())
+        .unwrap();
+    for seq in 4..=6u64 {
+        assert_eq!(hub.publish(&seq.to_le_bytes()).unwrap(), seq);
+    }
+    assert_eq!(hub.stats().evictions(), 1);
+    assert_eq!(hub.subscriber_count(), 1);
+
+    early.resume();
+    wait_until("the early subscriber learns of its eviction", || {
+        early_sub.was_evicted()
+    });
+    wait_until("the late subscriber drains", || late_sub.last_seq() == 6);
+    assert!(!late_sub.was_evicted());
+    assert_eq!(late.seqs(), vec![4, 5, 6]);
+    assert!(late.lost.lock().is_empty());
+    assert_eq!(early.seqs(), vec![1]);
+}
+
+#[test]
+fn frames_owed_to_nobody_are_never_shipped() {
+    let kernel = Kernel::new("t");
+    let server = pubsub_ctx(&kernel, "hub");
+    let client = pubsub_ctx(&kernel, "client");
+    let (topic, hub) = PubSub::export(&server, "deserted", TopicConfig::default()).unwrap();
+    let proxy = common::ship_copy(&topic, &client, &PUBSUB_TOPIC_TYPE).unwrap();
+
+    let shub = SubscriberHub::new(&client);
+    let sink = RecSink::new();
+    sink.stall();
+    let sub = shub
+        .subscribe(&proxy, DeliveryMode::BestEffort, sink.clone())
+        .unwrap();
+    hub.publish(b"1").unwrap();
+    wait_until("the worker parks in frame 1", || {
+        sink.entered.load(Ordering::Relaxed) == 1
+    });
+    for seq in 2..=5u64 {
+        hub.publish(&seq.to_le_bytes()).unwrap();
+    }
+
+    // The link's only subscriber leaves with frames 2-5 pending: once the
+    // worker is free, it owes them to nobody and ships none of them.
+    sub.unsubscribe().unwrap();
+    sink.resume();
+    wait_until("the link's worker exits", || hub.link_count() == 0);
+    assert_eq!(hub.stats().frames_sent(), 1);
+    assert_eq!(sink.seqs(), vec![1]);
+}
+
+#[test]
 fn dropping_the_last_topic_identifier_evicts_and_tears_down() {
     let kernel = Kernel::new("t");
     let server = pubsub_ctx(&kernel, "hub");
