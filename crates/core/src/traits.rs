@@ -1,5 +1,6 @@
 //! The subcontract operations vector and related service traits.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
@@ -32,7 +33,9 @@ pub struct ObjParts {
 /// per-object state lives in the object's [`Repr`]. Implementations must be
 /// cheap to call — the paper counts the two indirect calls from the stubs
 /// into the client subcontract as the mechanism's core overhead (§9.3).
-pub trait Subcontract: Send + Sync {
+/// An instance is [`Any`], so a subcontract can find its own registered
+/// instance behind [`DomainCtx::lookup_subcontract`].
+pub trait Subcontract: Any + Send + Sync {
     /// The identifier written into every marshalled form (§6.1).
     fn id(&self) -> ScId;
 

@@ -13,18 +13,23 @@
 //! its frame (sleeping out the simulated latency, executing the batch's
 //! calls), the next arrival finds an empty queue and starts forming the
 //! next frame concurrently. A link therefore carries as many concurrent
-//! frames as it has concurrent callers, exactly like the unbatched path —
-//! batching only ever *merges* calls that would have overlapped anyway.
+//! frames as it has concurrent callers: batching only ever *merges* calls
+//! that overlap anyway.
 //!
 //! The flush policy is driven by the pipelining hint each call carries
 //! ([`spring_kernel::CallCtx::company`]): a frame keeps coalescing only
-//! while fewer calls are aboard than the largest company any of them
-//! reported, and the size/count/linger budgets still have room. A plain
-//! synchronous call (company 0) flushes immediately, so the batcher is
-//! invisible to non-pipelined traffic — on this link and on every other.
+//! while the calls aboard that reported company number fewer than the
+//! largest company any of them reported, and the size/count/linger budgets
+//! still have room. A plain synchronous call (company 0) that
+//! leads flushes immediately, and one that joins counts toward nobody, so
+//! the batcher is invisible to non-pipelined traffic — on this link and on
+//! every other.
+//!
+//! Every decision is the I/O-free core's (`batch/core.rs`, DESIGN.md
+//! §5.12); this module is its shell: the lock, the condvar, the clock, the
+//! followers' slots and the thread-local pools.
 
 use std::cell::RefCell;
-use std::mem;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -33,16 +38,15 @@ use spring_kernel::{DoorError, Message};
 use crate::server::{NetServer, Served, WireMessage};
 use crate::transport::ReplyOutcome;
 
-/// Most calls one frame coalesces.
-const MAX_CALLS: usize = 64;
+mod core;
 
-/// Most payload bytes one frame coalesces.
-const MAX_BYTES: usize = 256 * 1024;
+use self::core::{land, settle, Forming};
 
 /// One call riding in a frame: its request in wire form, the export-table
 /// entries freshly pinned for it, where its caller will find the outcome,
 /// and — filled in by a shipper that serves the call in this process — what
 /// the destination made of it.
+#[derive(Default)]
 pub(crate) struct PendingEntry {
     /// Export-table index of the target door on the destination node.
     pub export: u64,
@@ -65,6 +69,14 @@ enum Waiter {
     Shipper(Option<Result<Message, DoorError>>),
     /// The caller is parked on another thread (a follower).
     Parked(Arc<CallSlot>),
+}
+
+/// The waiter of a call its own caller ships. (`Forming`, the core's
+/// frame, asks a `Default` of its entries.)
+impl Default for Waiter {
+    fn default() -> Self {
+        Waiter::Shipper(None)
+    }
 }
 
 impl PendingEntry {
@@ -95,25 +107,27 @@ impl PendingEntry {
     }
 
     /// Settles the call with what came back for it, on behalf of `from`,
-    /// the network server that sent it (DESIGN.md §5.19). First write wins.
+    /// the network server that sent it (DESIGN.md §5.19): first write wins,
+    /// pins included.
     pub fn settle(&mut self, from: &Arc<NetServer>, outcome: ReplyOutcome) {
-        let outcome = match outcome {
-            ReplyOutcome::Ok(wire) => from.from_wire(wire),
-            ReplyOutcome::NotDelivered(e) => {
-                // The call never reached its serving domain: nothing can
-                // ever reference the exports freshly pinned for it.
-                from.unexport(&self.fresh);
-                Err(e)
+        let release = || from.unexport(&self.fresh);
+        let outcome = || land(outcome, |wire| from.from_wire(wire), release);
+        self.waiter.settle(outcome);
+    }
+}
+
+impl Waiter {
+    /// Settles the call with `outcome()` unless it was settled before, and
+    /// wakes a parked caller for it.
+    fn settle(&mut self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
+        match self {
+            Waiter::Shipper(settled) => _ = settle(settled, outcome),
+            Waiter::Parked(slot) => {
+                let mut state = lock(&slot.state);
+                if settle(&mut state.outcome, outcome) && state.parked {
+                    slot.cv.notify_one();
+                }
             }
-            // Delivered, then failed: the pins stay, as the destination's
-            // proxy table may reference them.
-            ReplyOutcome::Failed(e) => Err(e),
-        };
-        match &mut self.waiter {
-            Waiter::Shipper(settled) => {
-                settled.get_or_insert(outcome);
-            }
-            Waiter::Parked(slot) => slot.settle(|| outcome),
         }
     }
 }
@@ -127,6 +141,7 @@ impl PendingEntry {
 /// So either the waiter finds the outcome before it parks, or the settler
 /// finds `parked` set and notifies: no wake-up is lost, and nobody pays a
 /// `FUTEX_WAKE` for a waiter that is not asleep.
+#[derive(Default)]
 pub(crate) struct CallSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
@@ -143,43 +158,16 @@ fn aborted() -> DoorError {
     DoorError::Comm("batch frame aborted".into())
 }
 
-impl CallSlot {
-    fn new() -> CallSlot {
-        CallSlot {
-            state: Mutex::new(SlotState::default()),
-            cv: Condvar::new(),
+/// A follower's wait for the outcome its slot is settled with.
+fn wait_take(slot: &CallSlot) -> Result<Message, DoorError> {
+    let mut state = lock(&slot.state);
+    loop {
+        if let Some(outcome) = state.outcome.take() {
+            state.parked = false;
+            return outcome;
         }
-    }
-
-    /// Settles the slot with an abort error if nothing has been delivered
-    /// yet — the batcher's backstop, constructed lazily so settled slots
-    /// (the universal case) cost nothing.
-    fn abort_if_unsettled(&self) {
-        self.settle(|| Err(aborted()));
-    }
-
-    /// Delivers the call's outcome. First write wins; the batcher's
-    /// backstop fill is a no-op on slots already settled.
-    fn settle(&self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
-        let mut state = lock(&self.state);
-        if state.outcome.is_none() {
-            state.outcome = Some(outcome());
-            if state.parked {
-                self.cv.notify_one();
-            }
-        }
-    }
-
-    fn wait_take(&self) -> Result<Message, DoorError> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(outcome) = state.outcome.take() {
-                state.parked = false;
-                return outcome;
-            }
-            state.parked = true;
-            state = self.cv.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
+        state.parked = true;
+        state = slot.cv.wait(state).unwrap_or_else(|p| p.into_inner());
     }
 }
 
@@ -212,15 +200,12 @@ fn recycle<T>(pool: &'static std::thread::LocalKey<RefCell<Vec<T>>>, item: T) {
 }
 
 fn take_slot() -> Arc<CallSlot> {
-    SLOT_POOL
-        .with_borrow_mut(Vec::pop)
-        .unwrap_or_else(|| Arc::new(CallSlot::new()))
+    SLOT_POOL.with_borrow_mut(Vec::pop).unwrap_or_default()
 }
 
 /// Recycles a follower's slot once no other thread can reach it — the
 /// leader has cleared the frame, so every settler (backstop included) is
-/// done with it; all it can still hold is a stale backstop fill. A slot
-/// still referenced elsewhere is dropped instead.
+/// done with it. A slot still referenced elsewhere is dropped instead.
 fn retire(mut slot: Arc<CallSlot>) {
     if let Some(unshared) = Arc::get_mut(&mut slot) {
         *unshared.state.get_mut().unwrap_or_else(|p| p.into_inner()) = SlotState::default();
@@ -238,35 +223,17 @@ pub(crate) fn ship_alone(
     fresh: Vec<u64>,
     ship: impl FnOnce(&mut [PendingEntry]),
 ) -> Result<Message, DoorError> {
-    let mut frame = [PendingEntry::new(
-        export,
-        wire,
-        fresh,
-        Waiter::Shipper(None),
-    )];
+    let waiter = Waiter::Shipper(None);
+    let mut frame = [PendingEntry::new(export, wire, fresh, waiter)];
     ship(&mut frame);
     let [entry] = frame;
     entry.into_outcome()
 }
 
-#[derive(Default)]
-struct BatchState {
-    /// The frame currently forming.
-    forming: Vec<PendingEntry>,
-    forming_bytes: usize,
-    /// The largest company reported by a call aboard the forming frame:
-    /// how many calls the frame is worth holding for.
-    expected: u32,
-    /// Whether a leader is already collecting the forming frame. The
-    /// leader takes the whole queue when it stands down, so a new leader
-    /// always finds `forming` empty and its own entry lands at index 0.
-    leader_present: bool,
-}
-
 /// The batcher for one (source, destination) link.
 #[derive(Default)]
 pub(crate) struct LinkBatcher {
-    state: Mutex<BatchState>,
+    state: Mutex<Forming<PendingEntry>>,
     /// Wakes the leader: new arrivals notify here.
     arrivals: Condvar,
 }
@@ -288,55 +255,37 @@ impl LinkBatcher {
         linger: Duration,
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
-        let wire_len = wire.bytes.len();
+        let mut slot = None;
         let mut state = lock(&self.state);
-        state.forming_bytes += wire_len;
-        state.expected = state.expected.max(company);
-
-        if state.leader_present {
-            // A follower waits from another thread than the one that ships
-            // its entry, so the two share a slot.
-            let slot = take_slot();
-            let waiter = Waiter::Parked(slot.clone());
-            state
-                .forming
-                .push(PendingEntry::new(export, wire, fresh, waiter));
+        state.arrive(wire.bytes.len(), company, |leads| {
+            let waiter = match leads {
+                true => Waiter::Shipper(None),
+                // A follower waits from another thread than the one that
+                // ships its entry, so the two share a slot.
+                false => Waiter::Parked(slot.insert(take_slot()).clone()),
+            };
+            PendingEntry::new(export, wire, fresh, waiter)
+        });
+        if let Some(slot) = slot {
             // The leader may now have enough calls to flush.
             self.arrivals.notify_all();
             drop(state);
-            let outcome = slot.wait_take();
+            let outcome = wait_take(&slot);
             retire(slot);
             return outcome;
         }
-        state.forming.push(PendingEntry::new(
-            export,
-            wire,
-            fresh,
-            Waiter::Shipper(None),
-        ));
 
         // Leader: linger (bounded) for pipelined company, then ship. The
         // linger clock is read only once the frame actually has something
         // to wait for, so a plain synchronous call never reads it.
-        state.leader_present = true;
-        let mut started = None;
-        while !Self::should_flush(&state) {
-            let started = *started.get_or_insert_with(Instant::now);
-            let remaining = linger.saturating_sub(started.elapsed());
-            if remaining.is_zero() {
-                break;
-            }
-            let (relocked, _) = self
-                .arrivals
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|p| p.into_inner());
-            state = relocked;
+        let mut deadline = None;
+        while !state.should_flush(deadline.is_some_and(|d| Instant::now() >= d)) {
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + linger);
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let woken = self.arrivals.wait_timeout(state, remaining);
+            state = woken.unwrap_or_else(|p| p.into_inner()).0;
         }
-        let mut frame = SPARE_FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default();
-        mem::swap(&mut frame, &mut state.forming);
-        state.forming_bytes = 0;
-        state.expected = 0;
-        state.leader_present = false;
+        let mut frame = state.take(SPARE_FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default());
         drop(state);
 
         ship(&mut frame);
@@ -344,31 +293,24 @@ impl LinkBatcher {
         // Our own entry is back in our hands with its outcome in it.
         // Every other caller wakes, even off a path `ship` missed.
         let mine = frame.swap_remove(0);
-        for entry in &frame {
-            if let Waiter::Parked(slot) = &entry.waiter {
-                slot.abort_if_unsettled();
-            }
+        for entry in &mut frame {
+            entry.waiter.settle(|| Err(aborted()));
         }
         frame.clear();
         recycle(&SPARE_FRAMES, frame);
         mine.into_outcome()
     }
-
-    /// The flush conditions that need no clock.
-    fn should_flush(state: &BatchState) -> bool {
-        let queued = state.forming.len();
-        queued >= MAX_CALLS
-            || state.forming_bytes >= MAX_BYTES
-            // Everyone the calls aboard said was coming is aboard (and a
-            // plain synchronous call, expecting nobody, flushes at once).
-            || queued >= state.expected as usize
-    }
 }
+
+#[cfg(test)]
+mod explore;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{NetConfig, Network};
+    use spring_kernel::CallCtx;
+    use std::time::Instant;
 
     /// Far above the tests' runtime: a frame flushes because everyone
     /// expected is aboard, never because time passed.
@@ -466,7 +408,7 @@ mod tests {
                 let leader = s.spawn(|| (call(0), pooled_slots()));
                 // The leader's entry is aboard, at index 0, before anyone
                 // else's: the followers start once it is seen waiting.
-                while !lock(&batcher.state).leader_present {
+                while lock(&batcher.state).calls.is_empty() {
                     std::thread::yield_now();
                 }
                 let followers = [1, 2].map(|tag| s.spawn(move || call(tag)));
@@ -484,5 +426,75 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// A plain call (company 0) that joins a forming frame rides along: it
+    /// is none of the calls the frame waits for, so it neither flushes the
+    /// frame early nor changes how many calls the frame waits for. And what
+    /// a frame waited for is forgotten once it is taken: the next plain
+    /// call on the link leaves at once, alone.
+    #[test]
+    fn plain_call_rides_a_forming_frame_without_steering_it() {
+        let net = Network::new(NetConfig {
+            // Far above the test's runtime: nothing here flushes on time.
+            batch_linger: ROOMY,
+            ..NetConfig::default()
+        });
+        let (a, b) = (net.add_node("a"), net.add_node("b"));
+        let server = b.kernel().create_domain("server");
+        let client = a.kernel().create_domain("client");
+        let echo = |_: &CallCtx, msg: Message| Ok(msg);
+        let shipped = Message {
+            doors: vec![server.create_door(Arc::new(echo)).unwrap()],
+            ..Message::default()
+        };
+        let proxy = net.ship_message(&server, &client, shipped).unwrap().doors[0];
+        let batcher = net.inner.link(a.id().raw(), b.id().raw());
+        // Waits until `calls` calls are aboard the forming frame.
+        let aboard = |calls: usize| {
+            let deadline = Instant::now() + ROOMY;
+            while lock(&batcher.state).calls.len() < calls {
+                assert!(Instant::now() < deadline, "call {calls} never boarded");
+                std::thread::yield_now();
+            }
+        };
+
+        let before = net.stats();
+        std::thread::scope(|s| {
+            // The leader expects two calls of its own, itself included.
+            let leader = s.spawn(|| client.call_in_company(proxy, Message::from_bytes(vec![1]), 2));
+            aboard(1);
+
+            // The plain call joins: two aboard, but only one of the two
+            // expected, so nothing leaves.
+            let plain = s.spawn(|| client.call(proxy, Message::from_bytes(vec![2])));
+            aboard(2);
+            let forming = lock(&batcher.state);
+            assert!(
+                forming.calls.len() == 2 && !forming.should_flush(false),
+                "a plain call must neither flush a forming frame nor leave ahead of it",
+            );
+            drop(forming);
+
+            // The leader's second call completes the company it reported.
+            let third = client.call_in_company(proxy, Message::from_bytes(vec![3]), 1);
+            assert_eq!(third.unwrap().bytes, [3]);
+            assert_eq!(leader.join().unwrap().unwrap().bytes, [1]);
+            assert_eq!(plain.join().unwrap().unwrap().bytes, [2]);
+        });
+        let framed = net.stats();
+        let shared = framed.since(&before);
+        assert_eq!((shared.batch_flushes, shared.calls_batched), (1, 3));
+
+        // The frame is gone and so is its expectation of two.
+        let asked = Instant::now();
+        client.call(proxy, Message::from_bytes(vec![4])).unwrap();
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "a plain call after a pipelined frame lingered {:?}",
+            asked.elapsed(),
+        );
+        let alone = net.stats().since(&framed);
+        assert_eq!((alone.batch_flushes, alone.calls_unbatched), (1, 1));
     }
 }

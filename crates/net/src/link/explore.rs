@@ -1,4 +1,4 @@
-//! An exhaustive interleaving explorer for the link core.
+//! The link core's model for the workspace explorer (`spring-explore`).
 //!
 //! A [`World`] is two processes joined by one link, modelled on the shell
 //! in `socket.rs`: the dialer's generations and the acceptor's links are
@@ -6,16 +6,11 @@
 //! ids), and everything the shell does around a core call — the condvar,
 //! the redial lock, a dial's HELLO reaching the acceptor and its echo
 //! coming back, a serving thread reading a frame or EOF, a process restart
-//! — is an [`Ev`]. A depth-first search runs every interleaving of those
-//! events to a bounded depth, remembering the states it has seen (by hash),
-//! and checks DESIGN.md §5.15's nine invariants after every step. A
-//! violation prints its event path as a unit test that replays it.
+//! — is an [`Ev`]. The explorer runs every interleaving of those events to
+//! a bounded depth and checks DESIGN.md §5.15's nine invariants after
+//! every step.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::path::Path;
-use std::time::Instant;
+use spring_explore::Model;
 
 use super::*;
 
@@ -171,6 +166,8 @@ pub(super) struct World {
     callers: Vec<Caller>,
     /// Disconnects counted by the dialer's current run and the acceptor.
     disconnects: [u32; 2],
+    /// The scenario's [`Scenario::strict`].
+    strict: bool,
 }
 
 fn has(core: &Core, key: Option<u64>) -> bool {
@@ -193,6 +190,7 @@ impl World {
             socks: Vec::new(),
             callers: vec![Caller::Idle; (scn.dialers + scn.acceptors) as usize],
             disconnects: [0; 2],
+            strict: scn.strict,
         };
         // Connected: the first socket's HELLO and echo, its spare in flight.
         w.dial(first_generation(0), true, Opener::Connect, None);
@@ -341,7 +339,136 @@ impl World {
         }
     }
 
-    /// The enabled events, in a fixed order.
+    /// The acceptor's handshake: judge the HELLO, found or join, admit.
+    fn hello(&mut self, s: u8) {
+        let gen = self.socks[s as usize].gen;
+        let held = self
+            .held
+            .map(|h| (self.alinks[h].gen, self.alinks[h].core.dead));
+        let l = match verdict(held, gen) {
+            Verdict::Straggler => {
+                self.socks[s as usize].phase = Phase::Refused;
+                return;
+            }
+            Verdict::Join => self.held.expect("a join needs a held link"),
+            Verdict::Found | Verdict::Supersede => {
+                let l = self.alinks.len();
+                self.alinks.push(ALink {
+                    gen,
+                    core: Core::new(false, self.cap),
+                });
+                if let Some(old) = self.held.replace(l) {
+                    self.die(At::A(old));
+                }
+                l
+            }
+        };
+        let calls = self.socks[s as usize].calls;
+        let side = if calls { Side::Serving } else { Side::Calling };
+        let sock = &mut self.socks[s as usize];
+        match self.alinks[l].core.admit(side, s) {
+            Some(key) => {
+                (sock.alink, sock.akey, sock.phase) = (Some(l), Some(key), Phase::Joined);
+                if !calls {
+                    let wake = self.alinks[l].core.checkin(s);
+                    self.wake(At::A(l), wake);
+                }
+            }
+            None => sock.phase = Phase::Refused,
+        }
+    }
+
+    /// The dialer hears the acceptor's answer.
+    fn echo(&mut self, s: u8) -> Result<(), String> {
+        let sock = &self.socks[s as usize];
+        if sock.orphan || sock.phase == Phase::Refused {
+            self.dial_failed(s);
+            return Ok(());
+        }
+        let (gen, opener, dlink) = (sock.gen, sock.opener, sock.dlink);
+        self.socks[s as usize].phase = Phase::Done;
+        match (opener, dlink) {
+            (Opener::Caller(c), Some(l)) => match self.dlinks[l].core.register(Side::Calling, s) {
+                Some(key) => {
+                    let sock = &mut self.socks[s as usize];
+                    (sock.dkey, sock.in_call) = (Some(key), true);
+                    self.callers[c as usize] = Caller::Calling {
+                        at: At::D(l),
+                        sock: s,
+                    };
+                }
+                None => self.callers[c as usize] = Caller::Idle,
+            },
+            (Opener::Spare, Some(l)) => match self.dlinks[l].core.register(Side::Serving, s) {
+                Some(key) => {
+                    let sock = &mut self.socks[s as usize];
+                    (sock.dkey, sock.spare) = (Some(key), true);
+                }
+                None => self.die(At::D(l)),
+            },
+            (Opener::Open(_) | Opener::Connect, _) => {
+                if let Some(p) = self.peer.filter(|&p| !self.dlinks[p].core.dead) {
+                    return Err(format!(
+                        "invariant 8: generation {gen} was dialled while generation {} lives",
+                        self.dlinks[p].gen
+                    ));
+                }
+                let l = self.dlinks.len();
+                let mut core = Core::new(true, self.cap);
+                let key = core.admit(Side::Calling, s).expect("a new link has room");
+                let _ = core.checkin(s);
+                self.dlinks.push(DLink {
+                    gen,
+                    core,
+                    gone: false,
+                });
+                let sock = &mut self.socks[s as usize];
+                (sock.dlink, sock.dkey) = (Some(l), Some(key));
+                self.peer = Some(l);
+                self.spawn_spare(l);
+                if let Opener::Open(c) = opener {
+                    self.redialing = None;
+                    self.callers[c as usize] = Caller::Idle;
+                }
+            }
+            _ => unreachable!("a caller's or spare's dial names its link"),
+        }
+        Ok(())
+    }
+
+    /// The dialer process dies and starts again: its links, callers and
+    /// counters are gone with it; sockets it was dialling may still reach
+    /// the acceptor.
+    fn restart(&mut self) {
+        self.restarts -= 1;
+        for d in self.dlinks.iter_mut() {
+            d.gone = true;
+        }
+        for s in self.socks.iter_mut() {
+            s.orphan = true;
+            s.dkey = None;
+        }
+        for c in &mut self.callers[..self.dialers as usize] {
+            *c = Caller::Idle;
+        }
+        (self.peer, self.redialing, self.redials) = (None, None, 0);
+        self.disconnects[0] = 0;
+        self.run += 1;
+        self.dial(first_generation(self.run), true, Opener::Connect, None);
+    }
+
+    /// Every link that is not gone with its process.
+    fn cores(&self) -> impl Iterator<Item = (At, &Core)> {
+        let d = self.dlinks.iter().enumerate();
+        let d = d.filter(|(_, l)| !l.gone).map(|(i, l)| (At::D(i), &l.core));
+        let a = self.alinks.iter().enumerate();
+        d.chain(a.map(|(i, l)| (At::A(i), &l.core)))
+    }
+}
+
+impl Model for World {
+    type Event = Ev;
+
     fn events(&self) -> Vec<Ev> {
         let mut evs = Vec::new();
         for (i, caller) in self.callers.iter().enumerate() {
@@ -522,133 +649,7 @@ impl World {
         Ok(())
     }
 
-    /// The acceptor's handshake: judge the HELLO, found or join, admit.
-    fn hello(&mut self, s: u8) {
-        let gen = self.socks[s as usize].gen;
-        let held = self
-            .held
-            .map(|h| (self.alinks[h].gen, self.alinks[h].core.dead));
-        let l = match verdict(held, gen) {
-            Verdict::Straggler => {
-                self.socks[s as usize].phase = Phase::Refused;
-                return;
-            }
-            Verdict::Join => self.held.expect("a join needs a held link"),
-            Verdict::Found | Verdict::Supersede => {
-                let l = self.alinks.len();
-                self.alinks.push(ALink {
-                    gen,
-                    core: Core::new(false, self.cap),
-                });
-                if let Some(old) = self.held.replace(l) {
-                    self.die(At::A(old));
-                }
-                l
-            }
-        };
-        let calls = self.socks[s as usize].calls;
-        let side = if calls { Side::Serving } else { Side::Calling };
-        let sock = &mut self.socks[s as usize];
-        match self.alinks[l].core.admit(side, s) {
-            Some(key) => {
-                (sock.alink, sock.akey, sock.phase) = (Some(l), Some(key), Phase::Joined);
-                if !calls {
-                    let wake = self.alinks[l].core.checkin(s);
-                    self.wake(At::A(l), wake);
-                }
-            }
-            None => sock.phase = Phase::Refused,
-        }
-    }
-
-    /// The dialer hears the acceptor's answer.
-    fn echo(&mut self, s: u8) -> Result<(), String> {
-        let sock = &self.socks[s as usize];
-        if sock.orphan || sock.phase == Phase::Refused {
-            self.dial_failed(s);
-            return Ok(());
-        }
-        let (gen, opener, dlink) = (sock.gen, sock.opener, sock.dlink);
-        self.socks[s as usize].phase = Phase::Done;
-        match (opener, dlink) {
-            (Opener::Caller(c), Some(l)) => match self.dlinks[l].core.register(Side::Calling, s) {
-                Some(key) => {
-                    let sock = &mut self.socks[s as usize];
-                    (sock.dkey, sock.in_call) = (Some(key), true);
-                    self.callers[c as usize] = Caller::Calling {
-                        at: At::D(l),
-                        sock: s,
-                    };
-                }
-                None => self.callers[c as usize] = Caller::Idle,
-            },
-            (Opener::Spare, Some(l)) => match self.dlinks[l].core.register(Side::Serving, s) {
-                Some(key) => {
-                    let sock = &mut self.socks[s as usize];
-                    (sock.dkey, sock.spare) = (Some(key), true);
-                }
-                None => self.die(At::D(l)),
-            },
-            (Opener::Open(_) | Opener::Connect, _) => {
-                if let Some(p) = self.peer.filter(|&p| !self.dlinks[p].core.dead) {
-                    return Err(format!(
-                        "invariant 8: generation {gen} was dialled while generation {} lives",
-                        self.dlinks[p].gen
-                    ));
-                }
-                let l = self.dlinks.len();
-                let mut core = Core::new(true, self.cap);
-                let key = core.admit(Side::Calling, s).expect("a new link has room");
-                let _ = core.checkin(s);
-                self.dlinks.push(DLink {
-                    gen,
-                    core,
-                    gone: false,
-                });
-                let sock = &mut self.socks[s as usize];
-                (sock.dlink, sock.dkey) = (Some(l), Some(key));
-                self.peer = Some(l);
-                self.spawn_spare(l);
-                if let Opener::Open(c) = opener {
-                    self.redialing = None;
-                    self.callers[c as usize] = Caller::Idle;
-                }
-            }
-            _ => unreachable!("a caller's or spare's dial names its link"),
-        }
-        Ok(())
-    }
-
-    /// The dialer process dies and starts again: its links, callers and
-    /// counters are gone with it; sockets it was dialling may still reach
-    /// the acceptor.
-    fn restart(&mut self) {
-        self.restarts -= 1;
-        for d in self.dlinks.iter_mut() {
-            d.gone = true;
-        }
-        for s in self.socks.iter_mut() {
-            s.orphan = true;
-            s.dkey = None;
-        }
-        for c in &mut self.callers[..self.dialers as usize] {
-            *c = Caller::Idle;
-        }
-        (self.peer, self.redialing, self.redials) = (None, None, 0);
-        self.disconnects[0] = 0;
-        self.run += 1;
-        self.dial(first_generation(self.run), true, Opener::Connect, None);
-    }
-
-    /// Every link that is not gone with its process.
-    fn cores(&self) -> impl Iterator<Item = (At, &Core)> {
-        let d = self.dlinks.iter().enumerate();
-        let d = d.filter(|(_, l)| !l.gone).map(|(i, l)| (At::D(i), &l.core));
-        let a = self.alinks.iter().enumerate();
-        d.chain(a.map(|(i, l)| (At::A(i), &l.core)))
-    }
-
-    fn check(&self, prev: &World, ev: Ev, strict: bool) -> Result<(), String> {
+    fn check(&self, prev: &World, ev: Ev) -> Result<(), String> {
         let fail = |n: u8, why: String| Err(format!("invariant {n}: {why}"));
         let holder = |s: u8| {
             self.callers
@@ -812,7 +813,7 @@ impl World {
         // another run came in between (a restarted dialer supersedes).
         for (i, a) in self.alinks.iter().enumerate() {
             let earlier = &self.alinks[..i];
-            let clash = if strict {
+            let clash = if self.strict {
                 earlier
                     .iter()
                     .any(|e| e.gen >> 32 == a.gen >> 32 && e.gen >= a.gen)
@@ -830,122 +831,21 @@ impl World {
         }
         Ok(())
     }
+}
 
-    fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
+impl spring_explore::Scenario for Scenario {
+    type Model = World;
+
+    fn name(&self) -> &'static str {
+        self.name
     }
-}
 
-/// What one exploration saw.
-#[derive(Debug)]
-pub(super) struct Report {
-    pub states: usize,
-    pub steps: usize,
-    pub depth: usize,
-}
-
-/// Explores every interleaving of `scn` to its depth. On a violation,
-/// returns the shortest event path to one and why.
-pub(super) fn explore(scn: &Scenario) -> Result<Report, (Vec<Ev>, String)> {
-    let mut shortest = match search(scn, scn.depth) {
-        Ok(report) => return Ok(report),
-        Err(violation) => violation,
-    };
-    // Depth first finds some path; the shortest one is the one to read.
-    while let Err(shorter) = search(scn, shortest.0.len() - 1) {
-        shortest = shorter;
+    fn depth(&self) -> usize {
+        self.depth
     }
-    Err(shortest)
-}
 
-fn search(scn: &Scenario, depth: usize) -> Result<Report, (Vec<Ev>, String)> {
-    let scn = Scenario { depth, ..*scn };
-    let mut report = Report {
-        states: 0,
-        steps: 0,
-        depth: 0,
-    };
-    let (mut seen, mut path) = (HashMap::new(), Vec::new());
-    dfs(&scn, &World::new(&scn), &mut seen, &mut path, &mut report)?;
-    Ok(report)
-}
-
-fn dfs(
-    scn: &Scenario,
-    w: &World,
-    seen: &mut HashMap<u64, usize>,
-    path: &mut Vec<Ev>,
-    report: &mut Report,
-) -> Result<(), (Vec<Ev>, String)> {
-    let left = scn.depth - path.len();
-    match seen.get(&w.fingerprint()) {
-        Some(&had) if had >= left => return Ok(()),
-        _ => seen.insert(w.fingerprint(), left),
-    };
-    report.states = seen.len();
-    report.depth = report.depth.max(path.len());
-    if left == 0 {
-        return Ok(());
-    }
-    for ev in w.events() {
-        let mut next = w.clone();
-        path.push(ev);
-        report.steps += 1;
-        let checked = next.apply(ev).and_then(|()| next.check(w, ev, scn.strict));
-        if let Err(why) = checked {
-            return Err((path.clone(), why));
-        }
-        dfs(scn, &next, seen, path, report)?;
-        path.pop();
-    }
-    Ok(())
-}
-
-/// Replays `path` from `scn`'s start, checking every invariant after every
-/// step; panics on an event that is not enabled or on a violation.
-pub(super) fn replay(scn: &Scenario, path: &[Ev]) -> World {
-    let mut w = World::new(scn);
-    for (i, &ev) in path.iter().enumerate() {
-        assert!(w.events().contains(&ev), "step {i}: {ev:?} is not enabled");
-        let prev = w.clone();
-        if let Err(why) = w.apply(ev).and_then(|()| w.check(&prev, ev, scn.strict)) {
-            panic!("step {i}: {ev:?}: {why}");
-        }
-    }
-    w
-}
-
-/// Runs `scn` and, on a violation, writes the path as a unit test under
-/// `target/link-explorer/` and fails with it.
-fn run(scn: &Scenario) -> Report {
-    let started = Instant::now();
-    match explore(scn) {
-        Ok(report) => {
-            println!(
-                "{}: {} states, {} steps, depth {} in {:.1?}",
-                scn.name,
-                report.states,
-                report.steps,
-                report.depth,
-                started.elapsed()
-            );
-            report
-        }
-        Err((path, why)) => {
-            let events: Vec<String> = path.iter().map(|ev| format!("{ev:?}")).collect();
-            let test = format!(
-                "// {why}\n#[test]\nfn {name}_counterexample() {{\n    replay(&{scenario}, &[{events}]);\n}}\n",
-                name = scn.name,
-                scenario = scn.name.to_uppercase(),
-                events = events.join(", "),
-            );
-            let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/link-explorer");
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(dir.join(format!("{}.rs", scn.name)), &test);
-            panic!("{}: {} steps to a violation:\n{test}", scn.name, path.len());
-        }
+    fn start(&self) -> World {
+        World::new(self)
     }
 }
 
@@ -953,16 +853,7 @@ fn run(scn: &Scenario) -> Report {
 mod tests {
     use super::Ev::*;
     use super::*;
-
-    /// `depth` in an optimised build; three steps less in a debug build,
-    /// which runs some ten times slower (CI runs the full depth in release).
-    const fn deep(depth: usize) -> usize {
-        if cfg!(debug_assertions) {
-            depth - 3
-        } else {
-            depth
-        }
-    }
+    use spring_explore::{deep, explore, replay, run};
 
     /// Three dialer-side callers and one acceptor-side caller on two
     /// sockets per side: queueing at the cap, dials and spares racing link

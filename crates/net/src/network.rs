@@ -182,7 +182,7 @@ impl NetworkInner {
     }
 
     /// The batcher for the `src -> dst` link, created on first use.
-    fn link(&self, src: u64, dst: u64) -> Arc<LinkBatcher> {
+    pub(crate) fn link(&self, src: u64, dst: u64) -> Arc<LinkBatcher> {
         if let Some(batcher) = self.batchers.read().get(&(src, dst)) {
             return batcher.clone();
         }
@@ -255,9 +255,9 @@ impl NetworkInner {
     /// same link that overlap in time may share one wire frame (one request
     /// hop, one reply hop), with the flush policy in [`crate::batch`]
     /// deciding how long to wait for the company `ctx` says is coming. A
-    /// plain call (company 0) flushes immediately in a frame of its own,
-    /// which reproduces the unbatched path exactly — same hops, same loss
-    /// rolls, in the same order.
+    /// plain call (company 0) that finds no frame forming flushes
+    /// immediately in a frame of its own: one request hop and one reply
+    /// hop, its loss rolls drawn in call order.
     pub(crate) fn forward_call(
         &self,
         from: &Arc<NetServer>,

@@ -175,19 +175,20 @@ pub(crate) struct RequestCall {
 
 /// What became of one forwarded call: produced by [`NetServer::serve`] (and
 /// by a shipper whose frame could not travel), carried by a reply frame,
-/// consumed by [`PendingEntry::settle`].
+/// consumed by [`PendingEntry::settle`]. Generic so the batcher's model
+/// settles plain ids with it.
 #[derive(Debug)]
-pub(crate) enum ReplyOutcome {
-    Ok(WireMessage),
+pub(crate) enum ReplyOutcome<W = WireMessage, E = DoorError> {
+    Ok(W),
     /// Failed before the call reached its serving domain: the *sender*
     /// still owns responsibility for the exports it pinned for this call
     /// and releases them.
-    NotDelivered(DoorError),
+    NotDelivered(E),
     /// Delivered but failed in execution, or a reply that could not
     /// travel; the serving side has already cleaned up what landed, the
     /// sender's pins stay (the receiving node's proxy table references
     /// them).
-    Failed(DoorError),
+    Failed(E),
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

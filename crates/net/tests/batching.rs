@@ -17,7 +17,7 @@
 
 use std::io::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use spring_kernel::{CallCtx, DoorError, DoorHandler, FaultRng, Message};
 use spring_net::{NetConfig, Network};
@@ -415,72 +415,4 @@ fn plain_and_one_way_calls_ship_their_own_frames() {
     let sent = net.stats().since(&before);
     assert_eq!((sent.calls_forwarded, sent.batch_flushes), (9, 7));
     assert_eq!((sent.calls_unbatched, sent.calls_batched), (7, 0));
-}
-
-/// Polls until `net` has forwarded `calls` since `before`; panics after ten
-/// seconds.
-fn await_forwarded(net: &Network, before: &spring_net::NetStatsSnapshot, calls: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while net.stats().since(before).calls_forwarded < calls {
-        assert!(Instant::now() < deadline, "call {calls} never forwarded");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// A plain call (company 0) that joins a forming frame rides along: it does
-/// not flush the frame early and does not change how many calls the frame
-/// waits for. And what a frame waited for is forgotten once it is taken:
-/// the next plain call on the link leaves at once, alone.
-#[test]
-fn plain_call_rides_a_forming_frame_without_steering_it() {
-    // How long a call that has entered the network layer is given to reach
-    // its link's queue before the test looks for what it did there.
-    const SETTLE: Duration = Duration::from_millis(100);
-
-    let net = Network::new(NetConfig {
-        // Far above the test's runtime: nothing here flushes on time.
-        batch_linger: Duration::from_secs(30),
-        ..NetConfig::default()
-    });
-    let a = net.add_node("a");
-    let b = net.add_node("b");
-    let (client, proxy) = echo_proxy(&net, &b, &a, Arc::new(Echo));
-
-    let before = net.stats();
-    std::thread::scope(|s| {
-        // The leader expects three calls aboard, itself included.
-        let leader = s.spawn(|| client.call_in_company(proxy, Message::from_bytes(vec![1]), 3));
-        await_forwarded(&net, &before, 1);
-        std::thread::sleep(SETTLE);
-
-        // The plain call joins: two aboard, three expected, nothing leaves.
-        let plain = s.spawn(|| client.call(proxy, Message::from_bytes(vec![2])));
-        await_forwarded(&net, &before, 2);
-        std::thread::sleep(SETTLE);
-        assert_eq!(
-            net.stats().since(&before).batch_flushes,
-            0,
-            "a plain call must neither flush a forming frame nor leave ahead of it",
-        );
-
-        // The third call completes the company the leader reported.
-        let third = client.call_in_company(proxy, Message::from_bytes(vec![3]), 1);
-        assert_eq!(third.unwrap().bytes, [3]);
-        assert_eq!(leader.join().unwrap().unwrap().bytes, [1]);
-        assert_eq!(plain.join().unwrap().unwrap().bytes, [2]);
-    });
-    let framed = net.stats();
-    let shared = framed.since(&before);
-    assert_eq!((shared.batch_flushes, shared.calls_batched), (1, 3));
-
-    // The frame is gone and so is its expectation of three.
-    let asked = Instant::now();
-    client.call(proxy, Message::from_bytes(vec![4])).unwrap();
-    assert!(
-        asked.elapsed() < Duration::from_secs(5),
-        "a plain call after a pipelined frame lingered {:?}",
-        asked.elapsed(),
-    );
-    let alone = net.stats().since(&framed);
-    assert_eq!((alone.batch_flushes, alone.calls_unbatched), (1, 1));
 }

@@ -234,6 +234,7 @@ pub(crate) fn read_request<'a>(
 
 /// The sending end's record of one link: the registrations of one receiver
 /// and the one door that reaches them all.
+#[derive(Clone)]
 pub(crate) struct Link<S> {
     pub(crate) door: DoorId,
     /// Consecutive `Comm` failures; any success, or the receiver

@@ -18,9 +18,11 @@
 //! deadline, so the server-side reply cache deduplicates replies lost in
 //! flight, and exactly-once-for-success semantics survive pipelining.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
@@ -35,23 +37,25 @@ use crate::retry::Invocation;
 
 pub use crate::retry::RetryPolicy;
 
-/// What a pipeline object keeps beside its door: the retry policy the
-/// unmarshalling domain's registered instance carried, and the count of
-/// calls [`Pipeline::invoke_async`] has issued on this object that no
-/// attempt has yet carried into the door. Both are machine-local — they
-/// never travel on the wire, so each client retries on its own terms and
-/// counts only its own calls.
+/// What a pipeline object keeps beside its door: the retry policy and the
+/// worker pool of the domain's registered instance, and the count of calls
+/// [`Pipeline::invoke_async`] has issued on this object that no attempt has
+/// yet carried into the door. All are machine-local — they never travel on
+/// the wire, so each client retries on its own terms, runs its calls on its
+/// own workers and counts only its own calls.
 #[derive(Debug)]
 pub struct PipelineState {
     policy: RetryPolicy,
+    pool: Arc<Executor>,
     unsent: Arc<AtomicU32>,
 }
 
 impl PipelineState {
     /// The state of a new object: nothing issued on it yet.
-    fn fresh(policy: RetryPolicy) -> PipelineState {
+    fn fresh(policy: RetryPolicy, pool: &Arc<Executor>) -> PipelineState {
         PipelineState {
             policy,
+            pool: pool.clone(),
             unsent: Arc::default(),
         }
     }
@@ -89,10 +93,14 @@ impl Drop for Company {
     }
 }
 
-/// The pipeline subcontract (client and server side).
+/// The pipeline subcontract (client and server side). Each registered
+/// instance — one per domain that registers it — runs the asynchronous
+/// calls of its domain's objects on a worker pool of its own, so calls
+/// parked in one domain never hold up another's.
 #[derive(Debug, Default)]
 pub struct Pipeline {
     policy: RetryPolicy,
+    pool: Arc<Executor>,
 }
 
 impl Pipeline {
@@ -106,7 +114,10 @@ impl Pipeline {
 
     /// Creates the subcontract instance with a custom retry policy.
     pub fn with_policy(policy: RetryPolicy) -> Arc<Pipeline> {
-        Arc::new(Pipeline { policy })
+        Arc::new(Pipeline {
+            policy,
+            pool: Arc::default(),
+        })
     }
 
     /// Exports an object whose door delivers straight to the skeleton (no
@@ -119,22 +130,29 @@ impl Pipeline {
         let handler = ServeDoor::new(ctx, "pipeline.serve", Self::ID, servant, move |call| {
             call.dispatch(&*disp)
         });
-        let door = ctx.domain().create_door(handler)?;
         let sc = ctx.lookup_subcontract(Self::ID)?;
+        let registered = (&*sc as &dyn Any).downcast_ref::<Pipeline>();
+        let pool = &registered
+            .ok_or(SpringError::Unsupported(
+                "pipeline registered by another type",
+            ))?
+            .pool;
+        let state = PipelineState::fresh(RetryPolicy::default(), pool);
+        let door = ctx.domain().create_door(handler)?;
         Ok(SpringObj::assemble(
             ctx.clone(),
             type_info,
             sc,
-            DoorRepr::of(door, PipelineState::fresh(RetryPolicy::default())),
+            DoorRepr::of(door, state),
         ))
     }
 
     /// Issues a marshalled call asynchronously and returns a [`Promise`]
     /// for the reply. The calling thread does not block: the invocation
-    /// (including its whole retry loop) runs on a shared worker pool, and
-    /// each call tells the transport how many issued on this object are
-    /// still behind it, so overlapping pipelined calls can share wire
-    /// frames.
+    /// (including its whole retry loop) runs on the worker pool of the
+    /// domain's registered instance, and each call tells the transport how
+    /// many issued on this object are still behind it, so overlapping
+    /// pipelined calls can share wire frames.
     ///
     /// The object must stay alive until its promises resolve: consuming it
     /// deletes the door the in-flight attempts call through.
@@ -157,11 +175,14 @@ impl Pipeline {
             unsent: repr.state.unsent.clone(),
             counted: true,
         };
-        spawn_job(Box::new(move || {
-            let settle = SettleOnDrop(inner);
-            let outcome = attempt_loop(&domain, door, policy, parent, msg, company);
-            settle.0.fulfill(outcome);
-        }));
+        spawn_job(
+            &repr.state.pool,
+            Box::new(move || {
+                let settle = SettleOnDrop(inner);
+                let outcome = attempt_loop(&domain, door, policy, parent, msg, company);
+                settle.0.fulfill(outcome);
+            }),
+        );
         Ok(promise)
     }
 }
@@ -190,11 +211,11 @@ impl DoorSubcontract for Pipeline {
     }
 
     fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<PipelineState> {
-        Ok(PipelineState::fresh(self.policy))
+        Ok(PipelineState::fresh(self.policy, &self.pool))
     }
 
     fn fork(&self, _ctx: &Arc<DomainCtx>, state: &PipelineState) -> Result<PipelineState> {
-        Ok(PipelineState::fresh(state.policy))
+        Ok(PipelineState::fresh(state.policy, &state.pool))
     }
 }
 
@@ -317,11 +338,13 @@ impl Promise {
     }
 }
 
-/// A small shared worker pool for pipelined invocations.
+/// A small worker pool for pipelined invocations, one per registered
+/// [`Pipeline`].
 ///
 /// Workers are spawned on demand up to a cap, run queued invocation jobs
 /// (each job is one logical call's entire retry loop), and exit after a
 /// short idle period, so programs that never pipeline pay nothing.
+#[derive(Default)]
 struct Executor {
     queue: Mutex<VecDeque<Job>>,
     arrivals: Condvar,
@@ -334,18 +357,16 @@ type Job = Box<dyn FnOnce() + Send>;
 const MAX_WORKERS: usize = 32;
 const IDLE_EXIT: Duration = Duration::from_millis(100);
 
-fn executor() -> &'static Executor {
-    static EXECUTOR: OnceLock<Executor> = OnceLock::new();
-    EXECUTOR.get_or_init(|| Executor {
-        queue: Mutex::new(VecDeque::new()),
-        arrivals: Condvar::new(),
-        idle: AtomicUsize::new(0),
-        workers: AtomicUsize::new(0),
-    })
+impl fmt::Debug for Executor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let workers = self.workers.load(Ordering::Relaxed);
+        f.debug_struct("Executor")
+            .field("workers", &workers)
+            .finish()
+    }
 }
 
-fn spawn_job(job: Job) {
-    let ex = executor();
+fn spawn_job(ex: &Arc<Executor>, job: Job) {
     ex.queue
         .lock()
         .unwrap_or_else(|p| p.into_inner())
@@ -361,9 +382,10 @@ fn spawn_job(job: Job) {
             .compare_exchange(workers, workers + 1, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok()
     {
+        let pool = ex.clone();
         if std::thread::Builder::new()
             .name("pipeline-worker".into())
-            .spawn(move || worker_loop(ex))
+            .spawn(move || worker_loop(&pool))
             .is_err()
         {
             // Could not get a thread: run whatever is queued inline rather
@@ -383,7 +405,7 @@ fn spawn_job(job: Job) {
     }
 }
 
-fn worker_loop(ex: &'static Executor) {
+fn worker_loop(ex: &Executor) {
     loop {
         let job = {
             let mut queue = ex.queue.lock().unwrap_or_else(|p| p.into_inner());

@@ -219,6 +219,7 @@ struct Frame {
 }
 
 /// One subscriber's hub-side state.
+#[derive(Clone)]
 struct SubEntry {
     /// The last sequence published before this subscription attached (read
     /// under the publish lock at subscribe time), so the subscriber is owed
@@ -236,7 +237,11 @@ struct SubEntry {
 }
 
 /// Mutable state of one destination link's group, guarded by a std mutex so
-/// the link worker can block on the condvar.
+/// the link worker can block on the condvar. Its methods make every
+/// decision `publish` and the link worker take under that mutex, and take
+/// no lock, read no clock and touch no door themselves: the model in
+/// `pubsub/explore.rs` calls them as the shell does.
+#[derive(Clone)]
 struct GroupState {
     /// The callback door reaching this link and the subscribers behind it.
     link: Link<SubEntry>,
@@ -273,16 +278,10 @@ impl GroupState {
     /// above its baseline, so these are the ones whose baseline lies below
     /// the `bound`-th newest frame.
     fn owed_the_bound(&self, bound: usize) -> Vec<u64> {
-        let cutoff = self
-            .pending
-            .get(self.pending.len() - bound)
-            .map_or(u64::MAX, |f| f.seq);
-        self.link
-            .subs
-            .iter()
-            .filter(|(_, s)| s.baseline < cutoff)
-            .map(|(n, _)| *n)
-            .collect()
+        let cutoff = self.pending.get(self.pending.len() - bound);
+        let cutoff = cutoff.map_or(u64::MAX, |f| f.seq);
+        let owed = self.link.subs.iter().filter(|(_, s)| s.baseline < cutoff);
+        owed.map(|(n, _)| *n).collect()
     }
 
     /// Drops the frames at the head of the queue that no subscriber is owed
@@ -294,21 +293,81 @@ impl GroupState {
             self.pending.pop_front();
         }
     }
+
+    /// A publish's turn at this link with `frame`: `None` while the link's
+    /// queue is at `bound` and the subscribers owed that many may still be
+    /// drained before the backpressure deadline (`expired`, an input: the
+    /// shell owns the clock). Past it, those subscribers are evicted and
+    /// the queue trimmed. Then the frame is queued, unless the link is
+    /// closed or nobody behind it is left to owe it to; the answer is how
+    /// many subscribers were evicted.
+    fn admit(&mut self, frame: &Arc<Frame>, bound: usize, expired: bool) -> Option<usize> {
+        let mut evicted = 0;
+        if !self.closed && self.pending.len() >= bound {
+            let full = self.owed_the_bound(bound);
+            if !full.is_empty() && !expired {
+                return None;
+            }
+            evicted = full.len();
+            for nonce in full {
+                self.link.subs.remove(&nonce);
+                let why = "slow subscriber: queue full past backpressure";
+                self.evict_notes.push((nonce, why.into()));
+            }
+            self.trim();
+        }
+        if !self.closed && !self.link.subs.is_empty() {
+            self.pending.push_back(frame.clone());
+        }
+        Some(evicted)
+    }
+
+    /// What the link worker does next, or `None` to wait: deliver the
+    /// eviction notices, else ship the oldest pending frame anybody is still
+    /// owed (addressed to everyone owed it: those whose baseline lies below
+    /// it), else exit once the group is closed. Frames nobody is owed any
+    /// more — their subscribers left — are dropped on the way.
+    fn next(&mut self) -> Option<Work> {
+        if !self.evict_notes.is_empty() {
+            let notes = std::mem::take(&mut self.evict_notes);
+            self.close_if_empty();
+            return Some(Work::Evicts(notes));
+        }
+        while let Some(frame) = self.pending.pop_front() {
+            let (mut subs, mut all_best_effort) = (Vec::new(), true);
+            for (nonce, sub) in self
+                .link
+                .subs
+                .iter()
+                .filter(|(_, s)| s.baseline < frame.seq)
+            {
+                subs.push((*nonce, sub.baseline));
+                all_best_effort &= sub.mode == DeliveryMode::BestEffort;
+            }
+            if !subs.is_empty() {
+                return Some(Work::Frame(frame, subs, all_best_effort));
+            }
+        }
+        self.closed.then_some(Work::Exit)
+    }
+}
+
+/// What a subscriber that has accounted for every sequence up to `last`
+/// makes of frame `seq`: `None` for a duplicate (or a frame from before
+/// what it accounted for), else a delivery, with the range it reveals as
+/// lost if `seq` skips any.
+fn arrival(last: u64, seq: u64) -> Option<Option<(u64, u64)>> {
+    (seq > last).then(|| (seq > last + 1).then(|| (last + 1, seq - 1)))
 }
 
 /// What the link worker found to do on one iteration.
 enum Work {
     Evicts(Vec<(u64, String)>),
-    /// A frame plus the `(nonce, baseline)` of every subscriber it
-    /// addresses.
-    Frame {
-        frame: Arc<Frame>,
-        subs: Vec<(u64, u64)>,
-        /// Every addressed subscriber is [`DeliveryMode::BestEffort`]:
-        /// the frame may ship one-way (no reply crossing), modulo the
-        /// lazy-ack schedule.
-        all_best_effort: bool,
-    },
+    /// A frame, the `(nonce, baseline)` of every subscriber it addresses,
+    /// and whether every one of them is [`DeliveryMode::BestEffort`]: then
+    /// the frame may ship one-way (no reply crossing), modulo the lazy-ack
+    /// schedule.
+    Frame(Arc<Frame>, Vec<(u64, u64)>, bool),
     Exit,
 }
 
@@ -397,29 +456,20 @@ impl TopicHub {
         // congested link, so N slow links cannot multiply the head-of-line
         // blocking under `publish_lock`.
         let deadline = Instant::now() + self.cfg.backpressure;
+        let evictions = &self.stats.evictions;
         for group in groups {
-            let mut st = group.state.lock().unwrap();
-            while !st.closed && st.pending.len() >= self.cfg.queue_bound {
-                let full = st.owed_the_bound(self.cfg.queue_bound);
-                let now = Instant::now();
-                if full.is_empty() || now >= deadline {
-                    for nonce in full {
-                        st.link.subs.remove(&nonce);
-                        st.evict_notes.push((
-                            nonce,
-                            "slow subscriber: queue full past backpressure".into(),
-                        ));
-                        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    st.trim();
-                    break;
+            let (mut st, mut expired) = (group.state.lock().unwrap(), false);
+            let evicted = loop {
+                if let Some(evicted) = st.admit(&frame, self.cfg.queue_bound, expired) {
+                    break evicted;
                 }
-                st = group.cv.wait_timeout(st, deadline - now).unwrap().0;
-            }
-            if st.closed {
-                continue;
-            }
-            st.pending.push_back(frame.clone());
+                let now = Instant::now();
+                expired = now >= deadline;
+                if !expired {
+                    st = group.cv.wait_timeout(st, deadline - now).unwrap().0;
+                }
+            };
+            evictions.fetch_add(evicted as u64, Ordering::Relaxed);
             group.cv.notify_all();
         }
         self.stats.published.fetch_add(1, Ordering::Relaxed);
@@ -560,42 +610,17 @@ fn link_worker(
     // drives the lazy-ack schedule on all-best-effort links.
     let mut since_ack: u64 = 0;
     loop {
-        let work = {
-            let mut st = group.state.lock().unwrap();
-            loop {
-                if !st.evict_notes.is_empty() {
-                    let notes = std::mem::take(&mut st.evict_notes);
-                    st.close_if_empty();
-                    break Work::Evicts(notes);
-                }
-                if let Some(frame) = st.pending.pop_front() {
-                    // Space freed: a publisher may be waiting on a
-                    // subscriber at the bound.
-                    group.cv.notify_all();
-                    let mut subs = Vec::new();
-                    let mut all_best_effort = true;
-                    for (nonce, sub) in &st.link.subs {
-                        if sub.baseline < frame.seq {
-                            subs.push((*nonce, sub.baseline));
-                            all_best_effort &= sub.mode == DeliveryMode::BestEffort;
-                        }
-                    }
-                    if subs.is_empty() {
-                        // Its subscribers left before it shipped.
-                        continue;
-                    }
-                    break Work::Frame {
-                        frame,
-                        subs,
-                        all_best_effort,
-                    };
-                }
-                if st.closed {
-                    break Work::Exit;
-                }
-                st = group.cv.wait(st).unwrap();
+        let mut st = group.state.lock().unwrap();
+        let work = loop {
+            if let Some(work) = st.next() {
+                // Space freed: a publisher may be waiting on a subscriber
+                // at the bound.
+                group.cv.notify_all();
+                break work;
             }
+            st = group.cv.wait(st).unwrap();
         };
+        drop(st);
         match work {
             Work::Exit => break,
             Work::Evicts(notes) => {
@@ -610,11 +635,7 @@ fn link_worker(
                 // link it is reporting on is fine.
                 let _ = domain.call(door, buf.into_message());
             }
-            Work::Frame {
-                frame,
-                subs,
-                all_best_effort,
-            } => {
+            Work::Frame(frame, subs, all_best_effort) => {
                 let mut span =
                     spring_trace::span_start(keys::PUBSUB_FANOUT, scope, subs.len() as u64);
                 let mut buf = CommBuffer::pooled();
@@ -1148,19 +1169,16 @@ fn handle_deliver(
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-        let last = state.last_seq.load(Ordering::Acquire);
-        if seq <= last {
-            // Duplicate or out-of-order relative to what this subscription
-            // already accounted for; ignore.
+        let Some(lost) = arrival(state.last_seq.load(Ordering::Acquire), seq) else {
             continue;
-        }
+        };
         state.last_seq.store(seq, Ordering::Release);
-        if state.mode == DeliveryMode::Monitored && seq > last + 1 {
+        if let Some((from, to)) = lost.filter(|_| state.mode == DeliveryMode::Monitored) {
             state.lost_reports.fetch_add(1, Ordering::Relaxed);
             state
                 .lost_frames
-                .fetch_add(seq - last - 1, Ordering::Relaxed);
-            state.sink.lost(last + 1, seq - 1);
+                .fetch_add(to - from + 1, Ordering::Relaxed);
+            state.sink.lost(from, to);
         }
         state.delivered.fetch_add(1, Ordering::Relaxed);
         state.sink.deliver(seq, &data);
@@ -1186,6 +1204,9 @@ fn handle_evict(
     }
     Ok(Message::new())
 }
+
+#[cfg(test)]
+mod explore;
 
 #[cfg(test)]
 mod tests {

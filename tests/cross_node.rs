@@ -2,11 +2,13 @@
 //! failover over partitions, reconnection through the real name service,
 //! and pipelined traffic that steers no link but its own.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use spring::buf::CommBuffer;
-use spring::core::{encode_ok, ship_object, Dispatch, DomainCtx, ServerCtx, TypeInfo, OBJECT_TYPE};
+use spring::core::{
+    encode_ok, ship_object, Dispatch, DomainCtx, ServerCtx, SpringObj, TypeInfo, OBJECT_TYPE,
+};
 use spring::kernel::{CallCtx, Kernel, Message};
 use spring::naming::{NameClient, NameServer, NAMING_CONTEXT_TYPE};
 use spring::net::{NetConfig, Network};
@@ -399,4 +401,53 @@ fn pipelined_calls_in_flight_delay_no_plain_call_elsewhere() {
     for promise in promises {
         promise.wait().unwrap();
     }
+}
+
+/// Ships a pipeline object served by `servant` on a fresh server domain of
+/// `net` to a fresh client domain, each with its own registrations.
+fn pipeline_pair(net: &Network, servant: Arc<Parking>) -> SpringObj {
+    let server = ctx_on(net.add_node("server").kernel(), "parking");
+    let client = ctx_on(net.add_node("client").kernel(), "pipeliner");
+    let obj = Pipeline::export(&server, servant).unwrap();
+    ship_object(net, obj, &client, &OBJECT_TYPE).unwrap()
+}
+
+/// Asynchronous calls run on the workers of their domain's pipeline
+/// registration. Thirty-two calls parked in a servant behind one network
+/// (as many as a pool has workers) leave another network's promise to
+/// complete at once.
+#[test]
+fn a_blocked_network_does_not_starve_another_networks_promises() {
+    let blocked = Network::new(NetConfig::default());
+    let parking = Arc::new(Parking::default());
+    let stuck = pipeline_pair(&blocked, parking.clone());
+    // One at a time, so each call rides a frame of its own (see above).
+    let parked: Vec<_> = (1..=32)
+        .map(|calls| {
+            let promise = Pipeline::invoke_async(&stuck, stuck.start_call(1).unwrap()).unwrap();
+            parking.await_parked(calls);
+            promise
+        })
+        .collect();
+
+    let free = Network::new(NetConfig::default());
+    let open = Arc::new(Parking::default());
+    open.open();
+    let obj = pipeline_pair(&free, open);
+    let promise = Pipeline::invoke_async(&obj, obj.start_call(1).unwrap()).unwrap();
+    let (done, ready) = mpsc::channel();
+    promise.on_ready(move || {
+        let _ = done.send(());
+    });
+    let prompt = ready.recv_timeout(Duration::from_secs(5)).is_ok();
+
+    parking.open();
+    for promise in parked {
+        promise.wait().unwrap();
+    }
+    assert!(
+        prompt,
+        "a promise of another network waited for this one's workers"
+    );
+    promise.wait().unwrap();
 }
