@@ -17,26 +17,29 @@
 //! exiting nonzero with a message on the first failure:
 //!
 //! ```text
-//! peer drive --node N (--uds PATH | --tcp ADDR) --calls K [--kill]
+//! peer drive --node N (--uds PATH | --tcp ADDR) --calls K [--kill | --budget-ms B]
 //! ```
 //!
 //! With `--kill` it instead asks the server to die mid-call and checks the
-//! in-flight call fails with a communications error.
+//! in-flight call fails with a communications error. With `--budget-ms B` it
+//! instead sends one identity-carrying count whose deadline is B ms away and
+//! checks it executed exactly once: the deadline crosses as the time left,
+//! so it means the same on a serving process whose clock has run for longer.
 //!
 //! The op protocol, chosen by the first payload byte: 0 echo (bytes and
-//! doors come straight back), 1 count (returns a running counter,
-//! deduplicated by the envelope's `CallId` nonce), 2 mint a door into the
-//! reply, 3 report the serving kernel's live identifier count, 4 sleep
+//! doors come straight back), 1 count (returns a running counter, at most
+//! once per `CallId` through the server's reply cache), 2 mint a door into
+//! the reply, 3 report the serving kernel's live identifier count, 4 sleep
 //! `u64` ms then echo, 5 arm one injected write fault on the listener (the
 //! next reply frame dies), 6 exit the process mid-call.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use spring_kernel::{CallCtx, CallId, DoorError, DoorHandler, DoorId, Kernel, Message};
 use spring_net::{NetConfig, Network, SocketListener, SocketPeer};
+use subcontract::ReplyCache;
 
 const OP_ECHO: u8 = 0;
 const OP_COUNT: u8 = 1;
@@ -67,11 +70,11 @@ impl DoorHandler for Echo {
 struct PeerServant {
     kernel: Kernel,
     count: AtomicU64,
-    /// Reply cache for `OP_COUNT`: nonce → the value this logical call
-    /// counted. A retry of a nonce whose first attempt already executed
-    /// gets the recorded reply instead of a second execution — at-most-once
-    /// across real processes, keyed by the envelope the socket carried.
-    seen: Mutex<HashMap<u64, u64>>,
+    /// The production reply cache, in front of `OP_COUNT`: a retry of a
+    /// call whose first attempt already executed gets the recorded reply
+    /// instead of a second execution — at-most-once across real processes,
+    /// keyed by the envelope the socket carried.
+    replies: ReplyCache,
     listener: Mutex<Option<Arc<SocketListener>>>,
 }
 
@@ -79,19 +82,10 @@ impl DoorHandler for PeerServant {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
         let op = *msg.bytes.first().unwrap_or(&OP_ECHO);
         match op {
-            OP_COUNT => {
-                let id = msg.call;
-                if id.is_some() {
-                    let mut seen = self.seen.lock().unwrap();
-                    let counted = *seen
-                        .entry(id.nonce)
-                        .or_insert_with(|| self.count.fetch_add(1, Ordering::Relaxed) + 1);
-                    Ok(Message::from_bytes(counted.to_le_bytes().to_vec()))
-                } else {
-                    let counted = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-                    Ok(Message::from_bytes(counted.to_le_bytes().to_vec()))
-                }
-            }
+            OP_COUNT => self.replies.serve(msg, |_| {
+                let counted = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+                Ok(Message::from_bytes(counted.to_le_bytes().to_vec()))
+            }),
             OP_MAKE_DOOR => {
                 let fresh = ctx.server().create_door(Arc::new(Echo))?;
                 Ok(Message {
@@ -143,13 +137,17 @@ struct Args {
     addr: Addr,
     calls: u64,
     kill: bool,
+    budget_ms: Option<u64>,
 }
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
     let mode = argv.get(1).cloned().unwrap_or_default();
     if mode != "serve" && mode != "drive" {
-        fail("usage: peer (serve|drive) --node N (--uds PATH | --tcp ADDR) [--calls K] [--kill]");
+        fail(
+            "usage: peer (serve|drive) --node N (--uds PATH | --tcp ADDR) [--calls K] \
+             [--kill | --budget-ms B]",
+        );
     }
     let flag = |name: &str| {
         argv.iter()
@@ -171,17 +169,21 @@ fn parse_args() -> Args {
         addr,
         calls: flag("--calls").and_then(|v| v.parse().ok()).unwrap_or(1000),
         kill: argv.iter().any(|a| a == "--kill"),
+        budget_ms: flag("--budget-ms").and_then(|v| v.parse().ok()),
     }
 }
 
 fn serve(args: Args) -> ! {
+    // The process clock starts here, so deadlines are judged against the
+    // whole uptime of the serving process, as in any long-running server.
+    spring_kernel::callid::now_micros();
     let net = Network::new(NetConfig::default());
     let node = net.add_node_with_id("peer-serve", args.node);
     let domain = node.kernel().create_domain("servants");
     let servant = Arc::new(PeerServant {
         kernel: node.kernel().clone(),
         count: AtomicU64::new(0),
-        seen: Mutex::new(HashMap::new()),
+        replies: ReplyCache::default(),
         listener: Mutex::new(None),
     });
     let door = domain
@@ -249,6 +251,38 @@ fn drive(args: Args) {
     let door = peer
         .bootstrap_door(&domain)
         .unwrap_or_else(|e| fail(&format!("bootstrap_door: {e}")));
+
+    let count_at = |id: CallId| -> Result<u64, DoorError> {
+        let mut msg = Message::from_bytes(vec![OP_COUNT]);
+        msg.call = id;
+        domain.call(door, msg).map(|r| expect_u64(&r, "count"))
+    };
+
+    if let Some(ms) = args.budget_ms {
+        // This process's clock has just started; the server's may have run
+        // for much longer. The budget is what the call has left, either way.
+        let n0 = count_at(CallId::NONE).unwrap_or_else(|e| fail(&format!("count: {e}")));
+        let id = CallId {
+            nonce: spring_kernel::callid::next_nonce(),
+            attempt: 1,
+            deadline_micros: spring_kernel::callid::deadline_after(Duration::from_millis(ms)),
+        };
+        let counted = count_at(id).unwrap_or_else(|e| fail(&format!("budgeted count: {e}")));
+        let replayed = count_at(CallId { attempt: 2, ..id })
+            .unwrap_or_else(|e| fail(&format!("budgeted retry: {e}")));
+        let n2 = count_at(CallId::NONE).unwrap_or_else(|e| fail(&format!("count: {e}")));
+        if (counted, replayed, n2) != (n0 + 1, n0 + 1, n0 + 2) {
+            fail(&format!(
+                "budget: counted {counted}, retry replayed {replayed}, counter at {n2}; \
+                 expected {}, {}, {}",
+                n0 + 1,
+                n0 + 1,
+                n0 + 2
+            ));
+        }
+        println!("budget: the {ms} ms call executed exactly once");
+        return;
+    }
 
     if args.kill {
         // Warm call, then ask the server to exit mid-call: the in-flight
@@ -329,11 +363,6 @@ fn drive(args: Args) {
     // At-most-once across a lost reply: arm one reply-frame fault, issue a
     // counted call, watch it fail with Comm, retry with the SAME nonce,
     // and check the server executed the count exactly once.
-    let count_at = |id: CallId| -> Result<u64, DoorError> {
-        let mut msg = Message::from_bytes(vec![OP_COUNT]);
-        msg.call = id;
-        domain.call(door, msg).map(|r| expect_u64(&r, "count"))
-    };
     let n0 = count_at(CallId::NONE).unwrap_or_else(|e| fail(&format!("count: {e}")));
     // Arm two reply faults: the first eats the arming call's own reply
     // (so that call must itself fail with Comm), the second eats the

@@ -191,21 +191,23 @@ const KIND_REPLY: u8 = 3;
 const KIND_ONEWAY: u8 = 4;
 
 /// Wire layout mirrored from the transport codec: `[kind][u64 frame
-/// id][u32 ncalls]` then per call `[u64 export][20B call id][16B
-/// trace][u32 ncaps][caps][u32 nbytes][payload]` — the same under
-/// `KIND_REQUEST` and `KIND_ONEWAY`.
+/// id][u32 ncalls]` then per call `[u64 export][u8 envelope flags, then
+/// the fields they name][u32 ncaps][caps][u32 nbytes][payload]` — the same
+/// under `KIND_REQUEST` and `KIND_ONEWAY`.
 fn encode_raw_call(kind: u8, frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
     let mut p = vec![kind];
     p.extend_from_slice(&frame_id.to_le_bytes());
     p.extend_from_slice(&1u32.to_le_bytes());
     p.extend_from_slice(&export.to_le_bytes());
-    p.extend_from_slice(&[0u8; 20]); // call id: NONE
-    p.extend_from_slice(&[0u8; 16]); // trace: NONE
+    p.push(0); // envelope: no call id, no trace
     p.extend_from_slice(&0u32.to_le_bytes()); // no caps
     p.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     p.extend_from_slice(payload);
     p
 }
+
+/// Offset of the envelope's flag byte in [`encode_raw_call`]'s frame.
+const ENVELOPE_AT: usize = 21;
 
 /// A dialer's HELLO: `[kind=1][u64 node][u8 has_boot][u64 boot][u8
 /// role][u64 generation][u16 name_len][name]`, advertising no bootstrap and
@@ -368,7 +370,7 @@ fn seeded_mutation_sweep_over_real_socket_oneway() {
 }
 
 fn run_socket_mutation_sweep(kind: u8, node_base: u64, suite: &str) {
-    let (_net, _listener, addr) = flat_validator(node_base);
+    let (net, _listener, addr) = flat_validator(node_base);
     let flat = valid_frame();
     let valid = encode_raw_call(kind, 1, 1, &flat);
     // Sent behind every frame under test: its reply (recognised by frame
@@ -430,6 +432,27 @@ fn run_socket_mutation_sweep(kind: u8, node_base: u64, suite: &str) {
             }
         }
     }
+
+    // An envelope flag byte naming a field nobody defined: the link dies
+    // with a typed error rather than guess at the bytes behind it.
+    let mut unknown = valid.clone();
+    unknown[ENVELOPE_AT] |= 0x80;
+    let disconnects = net.socket_stats().disconnects;
+    // The probe's write may already meet the teardown.
+    assert!(write_raw_frame(&mut conn, &unknown));
+    let _ = write_raw_frame(&mut conn, &probe);
+    assert_eq!(
+        read_raw_frame(&mut conn).unwrap(),
+        None,
+        "an unknown envelope bit must tear the link down"
+    );
+    for _ in 0..500 {
+        if net.socket_stats().disconnects > disconnects {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(net.socket_stats().disconnects, disconnects + 1);
 
     // After the whole sweep the server still serves real peers.
     assert_still_serving(&addr, node_base + 1);

@@ -3,7 +3,8 @@
 //! calls including a pipelined burst and an at-most-once retry across an
 //! injected reply loss, with zero leaked doors asserted on both sides by
 //! the drive process itself. A second scenario kills the serving process
-//! mid-call and checks the in-flight call fails with `Comm`.
+//! mid-call and checks the in-flight call fails with `Comm`; a third sends
+//! a call whose deadline is nearer than the serving process's uptime.
 //!
 //! The test binary only orchestrates; every assertion about the calls
 //! lives in `peer drive`, which exits nonzero with a message on the first
@@ -145,6 +146,37 @@ fn two_processes_exchange_door_calls_over_tcp() {
         String::from_utf8_lossy(&out.stderr)
     );
     drop(serve);
+}
+
+/// Two processes, two clocks: a fresh `peer drive` sends an
+/// identity-carrying count with a 300 ms budget to a `peer serve` whose
+/// clock has run for longer than that. The deadline crosses the socket as
+/// the time left, so the server's reply cache does not take it for expired,
+/// and the count executes exactly once.
+#[test]
+fn a_deadline_means_the_same_to_a_server_whose_clock_ran_longer() {
+    let path = temp_sock("budget");
+    let _ = std::fs::remove_file(&path);
+    let (serve, _) = spawn_serve(81, &["--uds", &path]);
+    let serve = KillOnDrop(serve);
+    // The serving process reads its clock at startup: let it run past the
+    // budget before the driving process's clock even starts.
+    std::thread::sleep(Duration::from_millis(600));
+
+    let out = run_drive(82, &["--uds", &path, "--budget-ms", "300"]);
+    assert!(
+        out.status.success(),
+        "budget drive failed (status {:?}):\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("executed exactly once"),
+        "budget drive did not confirm the count"
+    );
+    drop(serve);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

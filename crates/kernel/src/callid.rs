@@ -6,17 +6,18 @@
 //! non-idempotent operations. The fix is the paper's own piggyback
 //! convention: subcontract control data rides the call envelope next to the
 //! out-of-band door identifiers. [`CallId`] is that control data — a client
-//! nonce naming the logical invocation, an attempt counter, and an absolute
-//! deadline — and the server-side reply cache keyed by the nonce turns
-//! at-least-once retries into at-most-once invocations.
+//! nonce naming the logical invocation, an attempt counter, and a deadline
+//! — and the server-side reply cache keyed by the nonce turns at-least-once
+//! retries into at-most-once invocations.
 //!
 //! The all-zero value ([`CallId::NONE`]) means "no identity": ordinary
-//! non-retrying calls carry it at zero cost (no allocation, a 20-byte copy
-//! on the wire, and every dedup lookup is skipped).
+//! non-retrying calls carry it at zero cost (no allocation, no bytes on the
+//! wire, and every dedup lookup is skipped). In a process the deadline is
+//! absolute on [`now_micros`]; between processes the frame codec carries
+//! the time left and the receiver re-anchors it on its own clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The identity of one logical invocation, piggybacked in the
 /// [`crate::Message`] envelope exactly like the trace context.
@@ -27,17 +28,14 @@ pub struct CallId {
     pub nonce: u64,
     /// Attempt counter, starting at 1 for the first transmission.
     pub attempt: u32,
-    /// Absolute per-invocation deadline in microseconds of process uptime
-    /// ([`now_micros`] clock), or 0 for "no deadline". Servers may refuse
+    /// Absolute per-invocation deadline on the process clock
+    /// ([`now_micros`]), or 0 for "no deadline". Servers may refuse
     /// to execute expired calls; clients stop retrying past it.
     pub deadline_micros: u64,
 }
 
 impl CallId {
-    /// Number of bytes of the wire form.
-    pub const WIRE_LEN: usize = 20;
-
-    /// The absent identity (all zeroes on the wire).
+    /// The absent identity (not sent on the wire).
     pub const NONE: CallId = CallId {
         nonce: 0,
         attempt: 0,
@@ -61,24 +59,6 @@ impl CallId {
     pub fn is_expired(self) -> bool {
         self.deadline_micros != 0 && now_micros() > self.deadline_micros
     }
-
-    /// The 20-byte wire form (little-endian nonce, attempt, deadline).
-    pub fn to_bytes(self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.nonce.to_le_bytes());
-        out[8..12].copy_from_slice(&self.attempt.to_le_bytes());
-        out[12..].copy_from_slice(&self.deadline_micros.to_le_bytes());
-        out
-    }
-
-    /// Rebuilds an identity from its 20-byte wire form.
-    pub fn from_bytes(raw: [u8; Self::WIRE_LEN]) -> CallId {
-        CallId {
-            nonce: u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")),
-            attempt: u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes")),
-            deadline_micros: u64::from_le_bytes(raw[12..].try_into().expect("8 bytes")),
-        }
-    }
 }
 
 /// Process-wide nonce allocator. Deterministic (a counter, not a random
@@ -91,14 +71,12 @@ pub fn next_nonce() -> u64 {
     NEXT_NONCE.fetch_add(1, Ordering::Relaxed)
 }
 
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Microseconds of process uptime — the clock [`CallId::deadline_micros`]
-/// is expressed in. A monotonic process-local clock is sufficient because
-/// the whole simulated network lives in one process; a real deployment
-/// would carry a *remaining budget* instead and re-anchor it per hop.
+/// Microseconds on the process clock ([`spring_trace::now_ns`]) — the
+/// clock [`CallId::deadline_micros`], cache leases and publish stamps are
+/// expressed in. It means nothing in another process, so a deadline
+/// crosses a socket as the time left.
 pub fn now_micros() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+    spring_trace::now_ns() / 1_000
 }
 
 /// The [`now_micros`] value `d` from now, saturating, never returning the
@@ -111,16 +89,13 @@ pub fn deadline_after(d: Duration) -> u64 {
 mod tests {
     use super::*;
 
+    /// Deadlines, leases and span timestamps read one timeline.
     #[test]
-    fn wire_round_trip() {
-        let id = CallId {
-            nonce: 0x0123_4567_89ab_cdef,
-            attempt: 7,
-            deadline_micros: 42,
-        };
-        assert_eq!(CallId::from_bytes(id.to_bytes()), id);
-        assert_eq!(id.to_bytes().len(), CallId::WIRE_LEN);
-        assert_eq!(CallId::from_bytes([0; CallId::WIRE_LEN]), CallId::NONE);
+    fn one_process_clock() {
+        let a = now_micros();
+        let b = spring_trace::now_ns();
+        let c = now_micros();
+        assert!(a <= b / 1_000 && b / 1_000 <= c, "{a} µs, {b} ns, {c} µs");
     }
 
     #[test]

@@ -24,13 +24,13 @@ pub struct Message {
     pub bytes: Vec<u8>,
     /// Door identifiers transferred with the message, in slot order.
     pub doors: Vec<DoorId>,
-    /// Piggybacked trace context (16 bytes on the wire), carried in the
+    /// Piggybacked trace context (on a socket, sent only when set), carried in the
     /// envelope next to the out-of-band door identifiers — the same channel
     /// subcontracts use for their own dialogue (§5) — so propagation never
     /// touches the payload and stubs stay oblivious (§9.1).
     /// [`TraceCtx::NONE`] when tracing is disabled.
     pub trace: TraceCtx,
-    /// Piggybacked call identity (20 bytes on the wire) for at-most-once
+    /// Piggybacked call identity (on a socket, sent only when set) for at-most-once
     /// invocation: retrying subcontracts stamp every attempt of one logical
     /// call with the same nonce so the server's reply cache can return the
     /// original reply instead of re-executing. [`CallId::NONE`] — the

@@ -34,16 +34,10 @@ pub(crate) struct WireCap {
 pub(crate) struct WireMessage {
     pub bytes: Vec<u8>,
     pub caps: Vec<WireCap>,
-    /// The piggybacked trace context, serialized to its 16-byte wire form —
-    /// genuinely flattened and rebuilt on each side of the simulated
-    /// serialization boundary, so cross-machine propagation exercises the
-    /// same path a real network stack would.
-    pub trace: [u8; 16],
-    /// The piggybacked call identity, serialized to its 20-byte wire form
-    /// alongside the trace context — same envelope channel, same
-    /// flatten/rebuild discipline, so at-most-once retries stay
-    /// deduplicatable across machines without any stub changes.
-    pub call: [u8; 20],
+    /// The piggybacked envelope, moved as typed values: only the socket
+    /// codec lays it out in bytes (`transport::put_envelope`).
+    pub trace: TraceCtx,
+    pub call: CallId,
 }
 
 #[derive(Default)]
@@ -296,8 +290,8 @@ impl NetServer {
             WireMessage {
                 bytes: msg.bytes,
                 caps,
-                trace: msg.trace.to_bytes(),
-                call: msg.call.to_bytes(),
+                trace: msg.trace,
+                call: msg.call,
             },
             fresh,
         ))
@@ -321,8 +315,8 @@ impl NetServer {
         Ok(Message {
             bytes: wire.bytes,
             doors,
-            trace: TraceCtx::from_bytes(wire.trace),
-            call: CallId::from_bytes(wire.call),
+            trace: wire.trace,
+            call: wire.call,
         })
     }
 }

@@ -65,7 +65,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use spring_kernel::callid::now_micros;
 use spring_kernel::framing::{self, FrameReadError};
-use spring_kernel::{hotpath, pool, CallId, Domain, DoorError, DoorId, NodeId};
+use spring_kernel::{hotpath, pool, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{lock, PendingEntry};
@@ -431,12 +431,9 @@ impl Link {
     ) -> Result<CallSocket, DoorError> {
         // Identity-free calls carry no deadline, and one-way calls wait for
         // nothing.
-        let (mut latest, mut bounded) = (0u64, want_reply);
-        for entry in frame.iter() {
-            let due = CallId::from_bytes(entry.wire.call).deadline_micros;
-            bounded &= due != 0;
-            latest = latest.max(due);
-        }
+        let dues = frame.iter().map(|entry| entry.wire.call.deadline_micros);
+        let bounded = want_reply && dues.clone().all(|due| due != 0);
+        let latest = dues.max().unwrap_or(0);
         // The socket is exclusively ours until checkin, so its receive
         // timeout affects nobody else; a call without a deadline on a
         // socket that never had one sets nothing.

@@ -17,7 +17,9 @@
 
 use std::sync::Arc;
 
-use spring_kernel::{pool, DoorError};
+use spring_kernel::callid::now_micros;
+use spring_kernel::{pool, CallId, DoorError};
+use spring_trace::TraceCtx;
 
 use crate::batch::PendingEntry;
 use crate::network::Snapshot;
@@ -98,15 +100,28 @@ impl Transport for SimTransport {
 //            dialing side calls on this socket, 1 = it serves it; the
 //            accepting side's HELLO echoes both)
 //   REQUEST: [kind=2][u64 frame_id][u32 ncalls] then per call
-//            [u64 export][20B call id][16B trace][u32 ncaps]
+//            [u64 export][envelope][u32 ncaps]
 //            [ncaps × (u64 origin, u64 export)][u32 nbytes][payload]
 //   REPLY:   [kind=3][u64 frame_id][u32 ncalls] then per call
 //            [u8 status] where status 0 (ok) is followed by
-//            [20B call id][16B trace][u32 ncaps][caps][u32 nbytes][payload]
+//            [envelope][u32 ncaps][caps][u32 nbytes][payload]
 //            and statuses 1 (not delivered) / 2 (failed in execution) by
 //            [u8 error kind][u32 msg_len][utf-8 message]
 //   ONEWAY:  [kind=4] then exactly the REQUEST layout after the kind byte;
 //            no REPLY frame is ever produced for it
+//
+//   envelope: [u8 flags] then only the fields whose flag is set, in order:
+//            bit 0, the call identity: [u64 nonce][u32 attempt][u64 µs left]
+//            (the deadline as time left, at least 1; 0 = no deadline);
+//            bit 1, the trace context: [u64 trace][u64 span].
+//            Any other bit is a `BadTag`. An untraced, identity-free call's
+//            envelope is the one flag byte.
+//
+// The envelope is the message's piggybacked control data (the paper's §5
+// dialogue) and `put_envelope`/`get_envelope` are the only code that knows
+// its bytes: the simulated network moves `WireMessage.call`/`.trace` as
+// typed values. A deadline is absolute on the sending process's clock, so
+// it travels as the time left and the receiver re-anchors it on its own.
 //
 // The payload bytes are the marshalled `WireMessage.bytes` **unmodified**:
 // a flat IDL frame produced by the PR 6 codegen travels byte-identical and
@@ -218,9 +233,32 @@ fn put_error(out: &mut Vec<u8>, e: &DoorError) {
     out.extend_from_slice(msg.as_bytes());
 }
 
+/// Envelope flag: the call identity follows.
+const ENVELOPE_CALL: u8 = 1;
+/// Envelope flag: the trace context follows.
+const ENVELOPE_TRACE: u8 = 2;
+
+/// Writes a message's envelope: the flag byte, then only the fields that
+/// are set, a deadline as the microseconds it has left (at least 1).
+fn put_envelope(out: &mut Vec<u8>, call: CallId, trace: TraceCtx) {
+    out.push((ENVELOPE_CALL * call.is_some() as u8) | (ENVELOPE_TRACE * trace.is_some() as u8));
+    if call.is_some() {
+        put_u64(out, call.nonce);
+        put_u32(out, call.attempt);
+        let left = match call.deadline_micros {
+            0 => 0,
+            due => due.saturating_sub(now_micros()).max(1),
+        };
+        put_u64(out, left);
+    }
+    if trace.is_some() {
+        put_u64(out, trace.trace);
+        put_u64(out, trace.span);
+    }
+}
+
 fn put_wire(out: &mut Vec<u8>, wire: &WireMessage) {
-    out.extend_from_slice(&wire.call);
-    out.extend_from_slice(&wire.trace);
+    put_envelope(out, wire.call, wire.trace);
     put_u32(out, wire.caps.len() as u32);
     for cap in &wire.caps {
         put_u64(out, cap.origin);
@@ -346,6 +384,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// An unknown one-byte tag (kind, status, role, error kind or envelope
+/// flags) read at `offset`.
+fn bad_tag(offset: usize, value: u8) -> WireError {
+    WireError::BadTag {
+        offset,
+        value: value.into(),
+    }
+}
+
 fn get_error(c: &mut Cursor<'_>) -> Result<DoorError, WireError> {
     let kind_off = c.pos;
     let kind = c.u8()?;
@@ -359,18 +406,37 @@ fn get_error(c: &mut Cursor<'_>) -> Result<DoorError, WireError> {
         4 => DoorError::Handler(msg),
         5 => DoorError::NotPermitted,
         6 => DoorError::InvalidShm,
-        other => {
-            return Err(WireError::BadTag {
-                offset: kind_off,
-                value: other as u32,
-            })
-        }
+        other => return Err(bad_tag(kind_off, other)),
     })
 }
 
+/// Reads what [`put_envelope`] wrote, re-anchoring a deadline on this
+/// process's clock; an absent field reads as its `NONE`.
+fn get_envelope(c: &mut Cursor<'_>) -> Result<(CallId, TraceCtx), WireError> {
+    let flags_off = c.pos;
+    let flags = c.u8()?;
+    if flags & !(ENVELOPE_CALL | ENVELOPE_TRACE) != 0 {
+        return Err(bad_tag(flags_off, flags));
+    }
+    let mut call = CallId::NONE;
+    if flags & ENVELOPE_CALL != 0 {
+        call.nonce = c.u64()?;
+        call.attempt = c.u32()?;
+        call.deadline_micros = match c.u64()? {
+            0 => 0,
+            left => now_micros().saturating_add(left),
+        };
+    }
+    let mut trace = TraceCtx::NONE;
+    if flags & ENVELOPE_TRACE != 0 {
+        trace.trace = c.u64()?;
+        trace.span = c.u64()?;
+    }
+    Ok((call, trace))
+}
+
 fn get_wire(c: &mut Cursor<'_>) -> Result<WireMessage, WireError> {
-    let call: [u8; 20] = c.take(20)?.try_into().unwrap();
-    let trace: [u8; 16] = c.take(16)?.try_into().unwrap();
+    let (call, trace) = get_envelope(c)?;
     let ncaps = c.u32()? as usize;
     // Bound the pre-allocation by what the rest of the frame could hold (16
     // bytes per cap), so a lying count fails on the read, not the reserve.
@@ -414,10 +480,7 @@ pub(crate) fn decode_hello(frame: &[u8]) -> Result<Hello, WireError> {
     let boot = c.u64()?;
     let role = c.u8()?;
     if role > ROLE_DIALER_SERVES {
-        return Err(WireError::BadTag {
-            offset: 18,
-            value: role as u32,
-        });
+        return Err(bad_tag(18, role));
     }
     let generation = c.u64()?;
     let name_len = c.u16()? as usize;
@@ -435,10 +498,7 @@ pub(crate) fn decode_hello(frame: &[u8]) -> Result<Hello, WireError> {
 fn expect_kind(c: &mut Cursor<'_>, kind: u8) -> Result<(), WireError> {
     let got = c.u8()?;
     if got != kind {
-        return Err(WireError::BadTag {
-            offset: 0,
-            value: got as u32,
-        });
+        return Err(bad_tag(0, got));
     }
     Ok(())
 }
@@ -496,12 +556,7 @@ pub(crate) fn decode_reply(
             STATUS_OK => ReplyOutcome::Ok(get_wire(c)?),
             STATUS_NOT_DELIVERED => ReplyOutcome::NotDelivered(get_error(c)?),
             STATUS_FAILED => ReplyOutcome::Failed(get_error(c)?),
-            other => {
-                return Err(WireError::BadTag {
-                    offset: status_off,
-                    value: other as u32,
-                })
-            }
+            other => return Err(bad_tag(status_off, other)),
         })
     })
 }
@@ -509,6 +564,8 @@ pub(crate) fn decode_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spring_kernel::callid::deadline_after;
+    use std::time::Duration;
 
     fn sample_wire(payload: &[u8], caps: &[(u64, u64)]) -> WireMessage {
         WireMessage {
@@ -517,9 +574,124 @@ mod tests {
                 .iter()
                 .map(|&(origin, export)| WireCap { origin, export })
                 .collect(),
-            trace: [7; 16],
-            call: [9; 20],
+            trace: TRACE,
+            call: CALL,
         }
+    }
+
+    /// A call identity without a deadline, which reads back unchanged.
+    const CALL: CallId = CallId {
+        nonce: 0x0123_4567_89ab_cdef,
+        attempt: 7,
+        deadline_micros: 0,
+    };
+    const TRACE: TraceCtx = TraceCtx {
+        trace: 0xfeed_f00d,
+        span: 42,
+    };
+
+    fn envelope(call: CallId, trace: TraceCtx) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_envelope(&mut out, call, trace);
+        out
+    }
+
+    /// Offset of the first call's envelope in a request frame: kind 1 +
+    /// frame id 8 + call count 4 + export 8.
+    const ENVELOPE_AT: usize = 21;
+
+    /// Each field is sent only when set: 1, 21, 17 and 37 bytes, and each
+    /// comes back as it went, an absent one as its `NONE`.
+    #[test]
+    fn the_envelope_carries_only_what_is_set() {
+        for (call, trace, len) in [
+            (CallId::NONE, TraceCtx::NONE, 1),
+            (CALL, TraceCtx::NONE, 21),
+            (CallId::NONE, TRACE, 17),
+            (CALL, TRACE, 37),
+        ] {
+            let enc = envelope(call, trace);
+            assert_eq!(enc.len(), len);
+            let mut c = Cursor::new(&enc);
+            assert_eq!(get_envelope(&mut c).unwrap(), (call, trace));
+            c.finish().unwrap();
+
+            // Inside a frame, every cut inside a present field fails typed
+            // and settles nothing.
+            let wire = WireMessage {
+                call,
+                trace,
+                ..WireMessage::default()
+            };
+            let enc = calls_frame(KIND_REQUEST, 1, vec![(5, wire)]);
+            let (_, calls) = calls_of(KIND_REQUEST, &enc).unwrap();
+            assert_eq!((calls[0].wire.call, calls[0].wire.trace), (call, trace));
+            for cut in ENVELOPE_AT + 1..ENVELOPE_AT + len {
+                let mut calls = vec![stale_call()];
+                let err = decode_calls(KIND_REQUEST, &enc[..cut], &mut calls).unwrap_err();
+                assert!(
+                    matches!(err, WireError::Truncated { .. }),
+                    "len {len}, cut at {cut}: {err:?}"
+                );
+                assert!(calls.is_empty(), "len {len}, cut at {cut} left calls");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_envelope_bit_gets_typed_rejection() {
+        let enc = calls_frame(KIND_REQUEST, 1, vec![(5, sample_wire(b"x", &[]))]);
+        for bit in 2..8 {
+            let mut bad = enc.clone();
+            bad[ENVELOPE_AT] |= 1 << bit;
+            let mut calls = vec![stale_call()];
+            assert_eq!(
+                decode_calls(KIND_REQUEST, &bad, &mut calls).unwrap_err(),
+                WireError::BadTag {
+                    offset: ENVELOPE_AT,
+                    value: bad[ENVELOPE_AT] as u32
+                }
+            );
+            assert!(calls.is_empty());
+        }
+    }
+
+    /// A deadline leaves as the microseconds it has left, never 0 (which
+    /// is "no deadline"), and is re-anchored on the receiver's clock.
+    #[test]
+    fn a_deadline_travels_as_the_time_left() {
+        let left_of = |deadline_micros| {
+            let enc = envelope(
+                CallId {
+                    deadline_micros,
+                    ..CALL
+                },
+                TraceCtx::NONE,
+            );
+            u64::from_le_bytes(enc[13..21].try_into().unwrap())
+        };
+        let d = 5_000_000;
+        let due = deadline_after(Duration::from_micros(d));
+        let left = left_of(due);
+        assert!(0 < left && left <= d, "{left} µs left of {d}");
+        while now_micros() < 2 {}
+        assert_eq!(left_of(1), 1, "an expired deadline is sent as 1 µs left");
+        assert_eq!(left_of(0), 0);
+
+        let enc = envelope(
+            CallId {
+                deadline_micros: due,
+                ..CALL
+            },
+            TraceCtx::NONE,
+        );
+        let before = now_micros();
+        let (call, _) = get_envelope(&mut Cursor::new(&enc)).unwrap();
+        let sent_left = u64::from_le_bytes(enc[13..21].try_into().unwrap());
+        assert!(
+            before + sent_left <= call.deadline_micros
+                && call.deadline_micros <= now_micros() + sent_left
+        );
     }
 
     #[test]
@@ -607,8 +779,8 @@ mod tests {
         assert_eq!(calls[0].wire.bytes, b"abcdef");
         assert_eq!(calls[0].wire.caps.len(), 2);
         assert_eq!(calls[0].wire.caps[1].export, 4);
-        assert_eq!(calls[0].wire.trace, [7; 16]);
-        assert_eq!(calls[0].wire.call, [9; 20]);
+        assert_eq!(calls[0].wire.trace, TRACE);
+        assert_eq!(calls[0].wire.call, CALL);
         assert_eq!(calls[1].export, 11);
         assert!(calls[1].wire.bytes.is_empty());
     }
@@ -723,10 +895,11 @@ mod tests {
     #[test]
     fn lying_counts_get_typed_rejection() {
         let w = sample_wire(b"abc", &[(1, 2)]);
+        // Inflate the cap count field, which follows the envelope, far past
+        // the frame end.
+        let at = ENVELOPE_AT + envelope(w.call, w.trace).len();
         let mut enc = calls_frame(KIND_REQUEST, 1, vec![(5, w)]);
-        // Inflate the cap count field far past the frame end (offset:
-        // kind 1 + id 8 + ncalls 4 + export 8 + call 20 + trace 16 = 57).
-        enc[57..61].copy_from_slice(&u32::MAX.to_le_bytes());
+        enc[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             calls_of(KIND_REQUEST, &enc).unwrap_err(),
             WireError::Truncated { .. }

@@ -139,6 +139,57 @@ fn door_calls_over_tcp() {
     roundtrip(&client, door, &[]);
 }
 
+/// Echoes the payload in a reply of its own, which carries no envelope.
+fn fresh_reply(_: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+    Ok(Message::from_bytes(msg.bytes))
+}
+
+/// The wire bytes of one call as the benchmark counts them — both frames,
+/// length prefixes included, from `socket_stats()`: an untraced,
+/// identity-free echo of k bytes moves 61 + 2k, each envelope being its
+/// one flag byte, and a call identity on the request adds its 20 bytes.
+#[test]
+fn an_envelope_sends_only_what_is_set() {
+    assert!(!spring_trace::enabled());
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-bytes", 121);
+    let servants = server_node.kernel().create_domain("servants");
+    let door = servants.create_door(Arc::new(fresh_reply)).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("bytes");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 122);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    let wire_bytes = |k: u64, call: spring_kernel::CallId| {
+        let before = client_net.socket_stats();
+        let msg = Message {
+            bytes: vec![7; k as usize],
+            call,
+            ..Message::default()
+        };
+        assert_eq!(client.call(remote, msg).unwrap().bytes.len(), k as usize);
+        let s = client_net.socket_stats().since(&before);
+        assert_eq!((s.frames_sent, s.frames_received), (1, 1));
+        s.bytes_sent + s.bytes_received + 4 * (s.frames_sent + s.frames_received)
+    };
+    for k in [0, 1, 16, 1000] {
+        assert_eq!(wire_bytes(k, spring_kernel::CallId::NONE), 61 + 2 * k);
+        let id = spring_kernel::CallId {
+            nonce: spring_kernel::callid::next_nonce(),
+            attempt: 1,
+            deadline_micros: spring_kernel::callid::deadline_after(Duration::from_secs(60)),
+        };
+        assert_eq!(wire_bytes(k, id), 81 + 2 * k);
+    }
+}
+
 /// A door identifier sent through the socket becomes a proxy on the far
 /// side, and invoking it calls *back* across the same connection — the
 /// nested call must not deadlock the link's reader.
@@ -410,7 +461,7 @@ fn malformed_frames_are_rejected_not_trusted() {
         p.extend_from_slice(&1u64.to_le_bytes()); // frame id
         p.extend_from_slice(&1u32.to_le_bytes()); // one call
         p.extend_from_slice(&1u64.to_le_bytes()); // export
-        p.extend_from_slice(&[0u8; 36]); // call id + trace
+        p.push(0); // envelope: no call id, no trace
         p.extend_from_slice(&u32::MAX.to_le_bytes()); // ncaps: a lie
         p
     };
@@ -835,7 +886,7 @@ fn request_payload(frame_id: u64, export: u64, payload: &[u8]) -> Vec<u8> {
     p.extend_from_slice(&frame_id.to_le_bytes());
     p.extend_from_slice(&1u32.to_le_bytes());
     p.extend_from_slice(&export.to_le_bytes());
-    p.extend_from_slice(&[0u8; 36]); // call id + trace
+    p.push(0); // envelope: no call id, no trace
     p.extend_from_slice(&0u32.to_le_bytes());
     p.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     p.extend_from_slice(payload);

@@ -5,7 +5,7 @@
 //! communications error) — share one attempt-budget discipline here. An
 //! [`Invocation`] names one *logical* call: it allocates the nonce every
 //! attempt is stamped with (so the server's reply cache can deduplicate,
-//! see [`subcontract::ReplyCache`]), fixes the absolute deadline the whole invocation
+//! see [`subcontract::ReplyCache`]), fixes the deadline the whole invocation
 //! must finish by, and paces retries with exponentially growing, jittered
 //! sleeps so a herd of retrying clients does not hammer a recovering
 //! server in lockstep.
@@ -28,8 +28,9 @@ pub struct RetryPolicy {
     /// Ceiling on the per-retry delay once backoff has grown it.
     pub max_interval: Duration,
     /// Wall-clock budget for the whole invocation, carried in the call
-    /// envelope as an absolute deadline: the client stops retrying past
-    /// it and servers refuse to *start* executing an expired call.
+    /// envelope (over a socket, as the time it has left): the client stops
+    /// retrying past it and servers refuse to *start* executing an expired
+    /// call.
     pub deadline: Duration,
 }
 

@@ -1,4 +1,4 @@
-//! The propagated trace context: a 16-byte trace/span identifier pair.
+//! The propagated trace context: a trace/span identifier pair.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// trace a message belongs to and which span is its immediate parent.
 ///
 /// The all-zero value means "no context" ([`TraceCtx::NONE`]); identifier
-/// allocation starts at 1 so the zero trace id is never issued. The pair
-/// marshals to exactly 16 bytes ([`TraceCtx::to_bytes`]), the size quoted in
-/// the wire-format description in DESIGN.md.
+/// allocation starts at 1 so the zero trace id is never issued. Only a set
+/// context is sent on a socket (the frame codec's envelope lays it out); an
+/// absent one costs nothing there and arrives as [`TraceCtx::NONE`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TraceCtx {
     /// End-to-end trace identifier, shared by every span of one logical call.
@@ -20,7 +20,7 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// The absent context (all zeroes on the wire).
+    /// The absent context (not sent on the wire).
     pub const NONE: TraceCtx = TraceCtx { trace: 0, span: 0 };
 
     /// Returns true when this is the absent context.
@@ -33,22 +33,6 @@ impl TraceCtx {
     #[inline]
     pub fn is_some(self) -> bool {
         self.trace != 0
-    }
-
-    /// The 16-byte wire form (two little-endian `u64`s: trace, then span).
-    pub fn to_bytes(self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&self.trace.to_le_bytes());
-        out[8..].copy_from_slice(&self.span.to_le_bytes());
-        out
-    }
-
-    /// Rebuilds a context from its 16-byte wire form.
-    pub fn from_bytes(raw: [u8; 16]) -> TraceCtx {
-        TraceCtx {
-            trace: u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")),
-            span: u64::from_le_bytes(raw[8..].try_into().expect("8 bytes")),
-        }
     }
 }
 
@@ -88,17 +72,6 @@ pub(crate) fn next_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_round_trip() {
-        let ctx = TraceCtx {
-            trace: 0x0123_4567_89ab_cdef,
-            span: 42,
-        };
-        assert_eq!(TraceCtx::from_bytes(ctx.to_bytes()), ctx);
-        assert_eq!(ctx.to_bytes().len(), 16);
-        assert_eq!(TraceCtx::from_bytes([0; 16]), TraceCtx::NONE);
-    }
 
     #[test]
     fn none_is_none() {

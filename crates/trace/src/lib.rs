@@ -3,12 +3,13 @@
 //!
 //! The paper's central trick is that subcontracts piggyback their own
 //! dialogue on the marshalled call stream (§5, §7). This crate rides the
-//! same channel: a 16-byte trace/span identifier pair travels in the
-//! message *envelope* — next to the out-of-band capability vector, exactly
-//! where the kernel already carries data that is not payload — so a trace
-//! context crosses domains, door calls, and simulated network hops with
-//! zero changes to stubs or skeletons (the §9.1 stub-independence
-//! invariant).
+//! same channel: a trace/span identifier pair travels in the message
+//! *envelope* — next to the out-of-band capability vector, exactly where
+//! the kernel already carries data that is not payload — so a trace
+//! context crosses domains, door calls, simulated network hops and sockets
+//! with zero changes to stubs or skeletons (the §9.1 stub-independence
+//! invariant). The simulated network moves it as a typed value; a socket
+//! frame sends it only when it is set.
 //!
 //! Everything here is disabled by default. The enable flag is a single
 //! relaxed atomic; every instrumentation site in the kernel and the
@@ -94,7 +95,8 @@ pub fn set_enabled(on: bool) {
 /// Process-wide monotonic clock origin, fixed at first use.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Nanoseconds since the process trace epoch (monotonic).
+/// Nanoseconds since the process epoch (monotonic): the one process clock,
+/// which span timestamps and `spring_kernel::callid::now_micros` both read.
 pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -437,3 +437,91 @@ fn pipelined_burst_spans_parent_under_the_issuing_span() {
         spring::trace::render_text()
     );
 }
+
+/// Over a Unix-domain socket the envelope travels as bytes: the serving
+/// side's `door_call` is a child in the caller's trace, under the forward
+/// that shipped it, and a call identity's nonce and attempt arrive intact.
+#[test]
+fn the_envelope_crosses_a_unix_socket() {
+    use spring::kernel::callid::{deadline_after, next_nonce};
+    use spring::kernel::{CallCtx, CallId, DoorError, Message};
+
+    let _gate = GATE.lock().unwrap();
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("uds-server", 901);
+    let servants = server_node.kernel().create_domain("servants");
+    let arrived = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = arrived.clone();
+    let door = servants
+        .create_door(Arc::new(
+            move |_: &CallCtx, msg: Message| -> std::result::Result<Message, DoorError> {
+                seen.lock().unwrap().push(msg.call);
+                Ok(Message::from_bytes(msg.bytes))
+            },
+        ))
+        .unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = std::env::temp_dir()
+        .join(format!("spring-trace-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let _ = std::fs::remove_file(&path);
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("uds-client", 902);
+    let client = client_node.kernel().create_domain("client");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    let id = CallId {
+        nonce: next_nonce(),
+        attempt: 3,
+        deadline_micros: deadline_after(Duration::from_secs(60)),
+    };
+    spring::trace::reset();
+    spring::trace::set_enabled(true);
+    let root = spring::trace::span_start("uds.root", 0, 0);
+    let trace = root.ctx().trace;
+    let outcome = client.call(
+        remote,
+        Message {
+            bytes: vec![1, 2, 3],
+            call: id,
+            ..Message::default()
+        },
+    );
+    drop(root);
+    spring::trace::set_enabled(false);
+    assert_eq!(outcome.unwrap().bytes, vec![1, 2, 3]);
+
+    let forest = spring::trace::span_forest();
+    let (_, roots) = forest
+        .iter()
+        .find(|(t, _)| *t == trace)
+        .expect("the caller's trace was recorded");
+    let forward = find_all(roots, "net.forward");
+    assert_eq!(forward.len(), 1, "{}", spring::trace::render_text());
+    assert_eq!(forward[0].event.scope >> 32, 902);
+    let served = find_all(roots, "door_call")
+        .into_iter()
+        .find(|d| d.event.scope >> 32 == 901)
+        .unwrap_or_else(|| {
+            panic!(
+                "no serving-side door call in the caller's trace:\n{}",
+                spring::trace::render_text()
+            )
+        });
+    assert_eq!(served.event.parent, forward[0].event.span);
+
+    let arrived = arrived.lock().unwrap();
+    assert_eq!(arrived.len(), 1);
+    assert_eq!((arrived[0].nonce, arrived[0].attempt), (id.nonce, 3));
+    // Sent as the time left and re-anchored on arrival: never earlier
+    // than the caller's deadline, later only by the transit time.
+    assert!(arrived[0].deadline_micros >= id.deadline_micros);
+    drop(peer);
+    let _ = std::fs::remove_file(&path);
+}
