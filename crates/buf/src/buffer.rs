@@ -200,12 +200,6 @@ impl CommBuffer {
         self.trace
     }
 
-    /// Sets the envelope trace context emitted by
-    /// [`CommBuffer::into_message`].
-    pub fn set_trace(&mut self, trace: TraceCtx) {
-        self.trace = trace;
-    }
-
     /// The envelope call identity this buffer carries.
     pub fn call(&self) -> CallId {
         self.call

@@ -25,8 +25,9 @@
 //!
 //! Concrete subcontracts (singleton, simplex, cluster, replicon, caching,
 //! reconnectable, shmem) live in the `spring-subcontracts` crate. What they
-//! share is here: the serve path behind every exported door ([`ServeDoor`])
-//! and the client path of every door-backed object ([`client`]).
+//! share is here: the export path of a door-backed object ([`export_door`]),
+//! the serve path behind every exported door ([`ServeDoor`]) and the client
+//! path of every door-backed object ([`client`]).
 
 pub mod client;
 mod ctx;
@@ -58,7 +59,9 @@ pub use object::SpringObj;
 pub use registry::SubcontractRegistry;
 pub use repr::{Repr, ReprState};
 pub use scid::ScId;
-pub use server::{serve, server_dispatch, Call, Control, Dispatch, ServeDoor, ServerCtx};
+pub use server::{
+    export_door, serve, server_dispatch, Call, Control, Dispatch, ServeDoor, ServerCtx,
+};
 pub use stub::{
     decode_reply_status, encode_ok, encode_overloaded, encode_system_error, encode_unknown_op,
     encode_user_exception, op_hash, ReplyStatus, STATUS_OK, STATUS_OVERLOADED, STATUS_SYSTEM,

@@ -126,21 +126,13 @@ impl LibraryNameContext for MapLibraryNames {
 /// installed anywhere else fails with [`SpringError::UntrustedLibrary`].
 pub struct LibraryLoader {
     store: Arc<LibraryStore>,
-    search_path: RwLock<Vec<String>>,
+    search_path: Vec<String>,
 }
 
 impl LibraryLoader {
     /// Creates a loader over `store` trusting the given directories.
     pub fn new(store: Arc<LibraryStore>, search_path: Vec<String>) -> Self {
-        LibraryLoader {
-            store,
-            search_path: RwLock::new(search_path),
-        }
-    }
-
-    /// Replaces the trusted search path (an administrative action).
-    pub fn set_search_path(&self, path: Vec<String>) {
-        *self.search_path.write() = path;
+        LibraryLoader { store, search_path }
     }
 
     /// Loads a library by name, enforcing the trust policy, and registers
@@ -150,7 +142,7 @@ impl LibraryLoader {
             .store
             .get(name)
             .ok_or_else(|| SpringError::ResolveFailed(name.to_owned()))?;
-        let trusted = self.search_path.read().contains(&lib.location);
+        let trusted = self.search_path.contains(&lib.location);
         if !trusted {
             return Err(SpringError::UntrustedLibrary {
                 library: name.to_owned(),
@@ -166,10 +158,6 @@ impl LibraryLoader {
 
 impl fmt::Debug for LibraryLoader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "LibraryLoader(search path {:?})",
-            self.search_path.read()
-        )
+        write!(f, "LibraryLoader(search path {:?})", self.search_path)
     }
 }

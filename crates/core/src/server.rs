@@ -1,18 +1,22 @@
-//! Server-side dispatch machinery shared by all subcontracts: the one serve
-//! path every server door runs ([`ServeDoor`], [`serve`]) and the skeleton
-//! entry point under it ([`server_dispatch`]).
+//! Server-side dispatch machinery shared by all subcontracts: the one export
+//! path of a door-backed object ([`export_door`]), the one serve path every
+//! server door runs ([`ServeDoor`], [`serve`]) and the skeleton entry point
+//! under it ([`server_dispatch`]).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::{CallCtx, DomainId, DoorError, DoorHandler, Message};
+use spring_kernel::{CallCtx, DomainId, DoorError, DoorHandler, DoorId, Message};
 
 use crate::ctx::DomainCtx;
-use crate::dedup::{DedupStats, ReplyCache};
+use crate::dedup::ReplyCache;
 use crate::error::{Result, SpringError};
+use crate::object::SpringObj;
+use crate::repr::Repr;
 use crate::scid::ScId;
 use crate::stub::{encode_system_error, encode_unknown_op};
+use crate::traits::Subcontract;
 use crate::types::TypeInfo;
 
 /// Context available to a skeleton while dispatching one call.
@@ -216,11 +220,6 @@ impl ServeDoor {
     pub fn share_cache(&self, cache: Arc<ReplyCache>) {
         *self.cache.lock() = cache;
     }
-
-    /// Counter snapshot of the reply cache this door currently serves from.
-    pub fn cache_stats(&self) -> DedupStats {
-        self.cache.lock().stats()
-    }
 }
 
 impl DoorHandler for ServeDoor {
@@ -249,4 +248,34 @@ impl DoorHandler for ServeDoor {
             servant.unreferenced();
         }
     }
+}
+
+/// Exports `servant` behind a fresh [`ServeDoor`]: the one export path of
+/// every door-backed subcontract (§5.2). It looks up the client half `scid`
+/// names and lets `repr` prepare the representation from that instance,
+/// registers the servant's type, builds the door (calls run `control`
+/// against the servant, under the span key `span`), mints it and assembles
+/// the object around it. Nothing that can fail runs after the mint, so a
+/// failed export leaves no door behind.
+pub fn export_door<R: FnOnce(DoorId) -> Repr>(
+    ctx: &Arc<DomainCtx>,
+    span: &'static str,
+    scid: ScId,
+    servant: Arc<dyn Dispatch>,
+    control: impl Fn(&mut Call<'_>, &dyn Dispatch) -> std::result::Result<(), DoorError>
+        + Send
+        + Sync
+        + 'static,
+    repr: impl FnOnce(&Arc<dyn Subcontract>) -> Result<R>,
+) -> Result<SpringObj> {
+    let sc = ctx.lookup_subcontract(scid)?;
+    let repr = repr(&sc)?;
+    let type_info = servant.type_info();
+    ctx.types().register(type_info);
+    let disp = servant.clone();
+    let handler = ServeDoor::new(ctx, span, scid, Some(servant), move |call| {
+        control(call, &*disp)
+    });
+    let door = ctx.domain().create_door(handler)?;
+    Ok(SpringObj::assemble(ctx.clone(), type_info, sc, repr(door)))
 }

@@ -307,6 +307,11 @@ impl Kernel {
         self.inner.shm.lock().remove(&id);
     }
 
+    /// Number of shared-memory regions currently registered.
+    pub fn live_shm(&self) -> usize {
+        self.inner.shm.lock().len()
+    }
+
     fn fresh_slot(&self) -> u64 {
         self.inner.next_slot.fetch_add(1, Ordering::Relaxed)
     }

@@ -138,8 +138,8 @@ kernel_counters! {
         /// and [`Self::writev_frames`] survive **only** because
         /// `benchmark/src/bench.rs` names them (by field and over the stats
         /// door) and a change may not touch `benchmark/` together with
-        /// other code; they go with the `benchmark`-only change ROADMAP
-        /// item 2 describes.
+        /// other code; they go with the `benchmark`-only change of ROADMAP
+        /// item 1(a).
         writev_wakeups = 0,
         /// Always 0, see [`Self::writev_wakeups`].
         writev_frames = 0,

@@ -130,7 +130,6 @@ impl Caching {
         manager_name: impl Into<String>,
     ) -> Result<SpringObj> {
         let type_info = disp.type_info();
-        ctx.types().register(type_info);
         let handler = Self::direct_door(ctx, disp);
         Self::assemble_export(ctx, type_info, handler, manager_name.into(), false)
     }
@@ -150,7 +149,6 @@ impl Caching {
         lease: Duration,
     ) -> Result<(SpringObj, Arc<CoherentStats>)> {
         let type_info = disp.type_info();
-        ctx.types().register(type_info);
         let stats = Arc::new(CoherentStats::default());
         let handler = Arc::new(CoherentHandler {
             ctx: ctx.clone(),
@@ -173,6 +171,10 @@ impl Caching {
         })
     }
 
+    /// The export path of [`export_door`](subcontract::export_door), by
+    /// hand: the handler is not always a bare serve door, and the object
+    /// holds two identifiers for it. Nothing that can fail runs after the
+    /// second identifier exists.
     fn assemble_export(
         ctx: &Arc<DomainCtx>,
         type_info: &'static TypeInfo,
@@ -180,6 +182,8 @@ impl Caching {
         manager: String,
         coherent: bool,
     ) -> Result<SpringObj> {
+        let sc = ctx.lookup_subcontract(Self::ID)?;
+        ctx.types().register(type_info);
         let d1 = ctx.domain().create_door(handler)?;
         // The exporting server needs no cache to reach itself: its D2 is a
         // second identifier for the server door (which, for a coherent
@@ -195,7 +199,7 @@ impl Caching {
         Ok(SpringObj::assemble(
             ctx.clone(),
             type_info,
-            ctx.lookup_subcontract(Self::ID)?,
+            sc,
             Repr::new(CachingRepr {
                 d1,
                 d2,

@@ -79,11 +79,16 @@ impl ClusterServer {
         }))
     }
 
-    /// Exports one object through the cluster: assigns a tag, copies the
-    /// shared door identifier, and fabricates the Spring object.
+    /// Exports one object through the cluster: copies the shared door
+    /// identifier, assigns a tag, and fabricates the Spring object. The
+    /// order is [`export_door`](subcontract::export_door)'s: nothing that
+    /// can fail runs after the copy, so a failed export leaves neither an
+    /// identifier nor a tag behind.
     pub fn export(&self, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
+        let sc = self.ctx.lookup_subcontract(Cluster::ID)?;
         let type_info = disp.type_info();
         self.ctx.types().register(type_info);
+        let door = self.ctx.domain().copy_door(self.master)?;
         let tag = {
             let mut table = self.table.write();
             let tag = table.next_tag;
@@ -91,11 +96,10 @@ impl ClusterServer {
             table.by_tag.insert(tag, disp);
             tag
         };
-        let door = self.ctx.domain().copy_door(self.master)?;
         Ok(SpringObj::assemble(
             self.ctx.clone(),
             type_info,
-            self.ctx.lookup_subcontract(Cluster::ID)?,
+            sc,
             DoorRepr::of(door, tag),
         ))
     }

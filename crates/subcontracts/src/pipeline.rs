@@ -29,7 +29,7 @@ use spring_buf::CommBuffer;
 use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::TraceCtx;
 use subcontract::{
-    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringError,
+    client, export_door, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, SpringError,
     SpringObj,
 };
 
@@ -124,27 +124,23 @@ impl Pipeline {
     /// control region; the serve path's reply cache is what makes the
     /// client's retries at-most-once).
     pub fn export(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "pipeline.serve", Self::ID, servant, move |call| {
-            call.dispatch(&*disp)
-        });
-        let sc = ctx.lookup_subcontract(Self::ID)?;
-        let registered = (&*sc as &dyn Any).downcast_ref::<Pipeline>();
-        let pool = &registered
-            .ok_or(SpringError::Unsupported(
-                "pipeline registered by another type",
-            ))?
-            .pool;
-        let state = PipelineState::fresh(RetryPolicy::default(), pool);
-        let door = ctx.domain().create_door(handler)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            sc,
-            DoorRepr::of(door, state),
-        ))
+        export_door(
+            ctx,
+            "pipeline.serve",
+            Self::ID,
+            disp,
+            |call, disp| call.dispatch(disp),
+            |sc| {
+                let registered = (&**sc as &dyn Any).downcast_ref::<Pipeline>();
+                let pool = &registered
+                    .ok_or(SpringError::Unsupported(
+                        "pipeline registered by another type",
+                    ))?
+                    .pool;
+                let state = PipelineState::fresh(RetryPolicy::default(), pool);
+                Ok(|door| DoorRepr::of(door, state))
+            },
+        )
     }
 
     /// Issues a marshalled call asynchronously and returns a [`Promise`]

@@ -32,8 +32,8 @@ use std::time::Duration;
 use spring_buf::CommBuffer;
 use spring_kernel::DoorError;
 use subcontract::{
-    client, encode_overloaded, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
-    ServeDoor, ServerSubcontract, SpringObj,
+    client, encode_overloaded, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract,
+    Result, ScId, ServerSubcontract, SpringObj,
 };
 
 /// Span key recorded (failed) for every call the admission controller
@@ -222,19 +222,14 @@ impl Priority {
         disp: Arc<dyn Dispatch>,
         admission: Option<(AdmissionConfig, Arc<AdmissionStats>)>,
     ) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "priority.serve", Self::ID, servant, move |call| {
-            control(&admission, call, &*disp)
-        });
-        let door = ctx.domain().create_door(handler)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            DoorRepr::of(door, AtomicU32::new(0)),
-        ))
+        export_door(
+            ctx,
+            "priority.serve",
+            Self::ID,
+            disp,
+            move |call, disp| control(&admission, call, disp),
+            |_| Ok(|door| DoorRepr::of(door, AtomicU32::new(0))),
+        )
     }
 
     /// Exports a servant behind an admission controller: calls whose

@@ -47,7 +47,7 @@ use spring_kernel::callid::now_micros;
 use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::keys;
 use subcontract::{
-    client, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor,
+    client, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
     ServerCtx, SpringError, SpringObj, TypeInfo, OBJECT_TYPE,
 };
 
@@ -803,7 +803,6 @@ impl PubSub {
         name: &str,
         cfg: TopicConfig,
     ) -> Result<(SpringObj, Arc<TopicHub>)> {
-        ctx.types().register(&PUBSUB_TOPIC_TYPE);
         let hub = Arc::new(TopicHub {
             ctx: ctx.clone(),
             name: name.to_owned(),
@@ -820,8 +819,7 @@ impl PubSub {
         // Demultiplexes the topic door: ordinary dispatched calls,
         // publishes, and subscription management.
         let served = hub.clone();
-        let servant: Option<Arc<dyn Dispatch>> = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "pubsub.serve", Self::ID, servant, move |call| {
+        let control = move |call: &mut Call<'_>, disp: &dyn Dispatch| {
             let kind = call
                 .args
                 .get_u8()
@@ -830,19 +828,15 @@ impl PubSub {
                 KIND_PUBLISH => served.handle_publish(call),
                 KIND_SUBSCRIBE => served.handle_subscribe(call),
                 KIND_UNSUBSCRIBE => served.handle_unsubscribe(call),
-                KIND_CALL => call.dispatch(&*disp),
+                KIND_CALL => call.dispatch(disp),
                 other => Err(DoorError::Handler(format!(
                     "unknown pubsub packet kind {other}"
                 ))),
             }
-        });
-        let door = ctx.domain().create_door(handler)?;
-        let obj = SpringObj::assemble(
-            ctx.clone(),
-            &PUBSUB_TOPIC_TYPE,
-            ctx.lookup_subcontract(Self::ID)?,
-            DoorRepr::of(door, name.to_owned()),
-        );
+        };
+        let obj = export_door(ctx, "pubsub.serve", Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, name.to_owned()))
+        })?;
         Ok((obj, hub))
     }
 

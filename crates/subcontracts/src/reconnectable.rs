@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::DoorId;
 use subcontract::{
-    client, put_obj_header, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId, ServeDoor,
+    client, export_door, put_obj_header, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId,
     SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
@@ -59,24 +59,24 @@ impl Reconnectable {
         disp: Arc<dyn Dispatch>,
         name: impl Into<String>,
     ) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
+        let name = name.into();
         // No control region: a door adopted after a reconnect speaks the
         // same wire (see `adopt_door`).
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "reconnectable.serve", Self::ID, servant, move |call| {
-            call.dispatch(&*disp)
-        });
-        let door = ctx.domain().create_door(handler)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(ReconRepr {
-                door: Mutex::new(door),
-                name: name.into(),
-            }),
-        ))
+        export_door(
+            ctx,
+            "reconnectable.serve",
+            Self::ID,
+            disp,
+            |call, disp| call.dispatch(disp),
+            |_| {
+                Ok(|door| {
+                    Repr::new(ReconRepr {
+                        door: Mutex::new(door),
+                        name,
+                    })
+                })
+            },
+        )
     }
 
     /// Extracts the door from a freshly resolved object of a subcontract

@@ -24,8 +24,8 @@ use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::{Domain, DoorError, DoorId, Message};
 use subcontract::{
-    client, put_obj_header, DedupStats, Dispatch, DomainCtx, Landed, ObjParts, ReplyCache, Repr,
-    Result, ScId, ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
+    client, put_obj_header, Dispatch, DomainCtx, Landed, ObjParts, ReplyCache, Repr, Result, ScId,
+    ServeDoor, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 use crate::retry::{Invocation, RetryPolicy};
@@ -348,12 +348,6 @@ impl RepliconServer {
     /// The serving domain's context.
     pub fn ctx(&self) -> &Arc<DomainCtx> {
         &self.ctx
-    }
-
-    /// Counter snapshot of the reply cache this replica currently serves
-    /// from (the group-wide cache once the replica has joined a group).
-    pub fn dedup_stats(&self) -> DedupStats {
-        self.door.cache_stats()
     }
 
     /// True while the serving domain is alive.

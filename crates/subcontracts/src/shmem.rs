@@ -20,8 +20,8 @@ use spring_buf::BufError;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorError, ShmId, ShmRegion};
 use subcontract::{
-    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringError,
-    SpringObj,
+    client, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
+    SpringError, SpringObj,
 };
 
 /// The shmem subcontract (client and server side).
@@ -59,19 +59,18 @@ impl Shmem {
 
     /// Exports an object whose clients marshal arguments straight into a
     /// shared region. `region_size` is advertised to clients, each of which
-    /// creates its own private region of that size.
+    /// creates its own private region of that size. A failed export
+    /// releases the region it made.
     pub fn export(
         ctx: &Arc<DomainCtx>,
         disp: Arc<dyn Dispatch>,
         region_size: usize,
     ) -> Result<SpringObj> {
         let region = Self::create_region(ctx, region_size as u64)?;
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
+        let id = region.id();
         // Server-side shmem code: maps the region named by the descriptor
         // and reads the arguments in place — no kernel copy of the payload.
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "shmem.serve", Self::ID, servant, move |call| {
+        let control = |call: &mut Call<'_>, disp: &dyn Dispatch| {
             let desc = &mut call.args;
             let (region_id, _len) =
                 (|| -> Result<(u64, u64)> { Ok((desc.get_u64()?, desc.get_u64()?)) })()
@@ -80,15 +79,12 @@ impl Shmem {
             let mapped = kernel.lookup_shm(ShmId::from_raw(region_id))?.map_mut()?;
             let doors = call.args.drain_doors();
             call.args = CommBuffer::from_shm(mapped, doors);
-            call.dispatch(&*disp)
-        });
-        let door = ctx.domain().create_door(handler)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            DoorRepr::of(door, region),
-        ))
+            call.dispatch(disp)
+        };
+        export_door(ctx, "shmem.serve", Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, region))
+        })
+        .inspect_err(|_| ctx.domain().kernel().destroy_shm(id))
     }
 }
 

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use spring_buf::CommBuffer;
 use spring_kernel::{DoorError, DoorId};
 use subcontract::{
-    client, put_obj_header, serve, Call, Dispatch, DomainCtx, Landed, ObjParts, Repr, Result, ScId,
-    ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    client, export_door, put_obj_header, serve, Call, Dispatch, DomainCtx, Landed, ObjParts, Repr,
+    Result, ScId, ServeDoor, ServerSubcontract, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Control-region flag: an ordinary call.
@@ -91,13 +91,6 @@ impl Simplex {
             Repr::new(SimplexRepr::Local(disp)),
         ))
     }
-
-    fn create_server_door(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<DoorId> {
-        let handler = ServeDoor::new(ctx, SERVE_SPAN, Self::ID, Some(disp.clone()), move |call| {
-            control(call, &*disp)
-        });
-        Ok(ctx.domain().create_door(handler)?)
-    }
 }
 
 impl Subcontract for Simplex {
@@ -142,7 +135,13 @@ impl Subcontract for Simplex {
             // cross-domain resources now (§5.2.1: "When and if the object is
             // actually marshalled ... the subcontract will finally create
             // these resources").
-            SimplexRepr::Local(disp) => Self::create_server_door(ctx, disp)?,
+            SimplexRepr::Local(disp) => {
+                let servant = Some(disp.clone());
+                let handler = ServeDoor::new(ctx, SERVE_SPAN, Self::ID, servant, move |call| {
+                    control(call, &*disp)
+                });
+                ctx.domain().create_door(handler)?
+            }
         };
         put_obj_header(buf, Self::ID, &parts.type_name);
         buf.put_door(door);
@@ -187,15 +186,9 @@ impl Subcontract for Simplex {
 
 impl ServerSubcontract for Simplex {
     fn export(&self, ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
-        let door = Self::create_server_door(ctx, disp)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            Repr::new(SimplexRepr::Remote(door)),
-        ))
+        export_door(ctx, SERVE_SPAN, Self::ID, disp, control, |_| {
+            Ok(|door| Repr::new(SimplexRepr::Remote(door)))
+        })
     }
 
     fn revoke(&self, obj: &SpringObj) -> Result<()> {

@@ -10,10 +10,9 @@
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::DoorId;
 use subcontract::{
-    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor,
-    ServerSubcontract, SpringObj, Subcontract, TypeInfo,
+    client, export_door, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
+    ServerSubcontract, SpringObj,
 };
 
 /// Client representation: one kernel door identifier.
@@ -30,22 +29,6 @@ impl Singleton {
     /// Creates the subcontract instance to register in a domain.
     pub fn new() -> Arc<Singleton> {
         Arc::new(Singleton)
-    }
-
-    /// Assembles a singleton object directly from a door identifier owned by
-    /// `ctx`'s domain (used by infrastructure and tests).
-    pub fn object_from_door(
-        self: &Arc<Self>,
-        ctx: &Arc<DomainCtx>,
-        type_info: &'static TypeInfo,
-        door: DoorId,
-    ) -> SpringObj {
-        SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            self.clone() as Arc<dyn Subcontract>,
-            SingletonRepr::of(door, ()),
-        )
     }
 }
 
@@ -67,20 +50,15 @@ impl DoorSubcontract for Singleton {
 
 impl ServerSubcontract for Singleton {
     fn export(&self, ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
         // No control region: the door delivers straight to the skeleton.
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "singleton.serve", Self::ID, servant, move |call| {
-            call.dispatch(&*disp)
-        });
-        let door = ctx.domain().create_door(handler)?;
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            SingletonRepr::of(door, ()),
-        ))
+        export_door(
+            ctx,
+            "singleton.serve",
+            Self::ID,
+            disp,
+            |call, disp| call.dispatch(disp),
+            |_| Ok(|door| SingletonRepr::of(door, ())),
+        )
     }
 
     fn revoke(&self, obj: &SpringObj) -> Result<()> {

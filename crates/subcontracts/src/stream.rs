@@ -19,7 +19,8 @@ use std::sync::Arc;
 use spring_buf::CommBuffer;
 use spring_kernel::DoorError;
 use subcontract::{
-    client, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringObj,
+    client, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
+    SpringObj,
 };
 
 /// Control-region kind: an ordinary request/reply operation.
@@ -100,13 +101,10 @@ impl Stream {
         disp: Arc<dyn Dispatch>,
         sink: Arc<dyn FrameSink>,
     ) -> Result<(SpringObj, Arc<StreamStats>)> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
         let stats = Arc::new(StreamStats::default());
         let seen = stats.clone();
         // Server side: demultiplexes frames from ordinary calls.
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "stream.serve", Self::ID, servant, move |call| {
+        let control = move |call: &mut Call<'_>, disp: &dyn Dispatch| {
             let args = &mut call.args;
             let kind = args
                 .get_u8()
@@ -125,19 +123,15 @@ impl Stream {
                     sink.frame(seq, &data);
                     Ok(())
                 }
-                KIND_CALL => call.dispatch(&*disp),
+                KIND_CALL => call.dispatch(disp),
                 other => Err(DoorError::Handler(format!(
                     "unknown stream packet kind {other}"
                 ))),
             }
-        });
-        let door = ctx.domain().create_door(handler)?;
-        let obj = SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            DoorRepr::of(door, AtomicU64::new(1)),
-        );
+        };
+        let obj = export_door(ctx, "stream.serve", Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, AtomicU64::new(1)))
+        })?;
         Ok((obj, stats))
     }
 

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use spring_buf::CommBuffer;
 use spring_kernel::DoorError;
 use subcontract::{
-    Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, ServeDoor, SpringObj,
+    export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, SpringObj,
 };
 
 // Why two thread-locals and not a field of the call: a door call shuttles the
@@ -104,14 +104,11 @@ impl Txn {
         ctx: &Arc<DomainCtx>,
         disp: Arc<dyn Dispatch>,
     ) -> Result<(SpringObj, Arc<TxnJournal>)> {
-        let type_info = disp.type_info();
-        ctx.types().register(type_info);
         let journal = Arc::new(TxnJournal::default());
         let log = journal.clone();
         // Server-side txn code: reads the control region, journals the call,
         // and publishes the transaction for the servant.
-        let servant = Some(disp.clone());
-        let handler = ServeDoor::new(ctx, "txn.serve", Self::ID, servant, move |call| {
+        let control = move |call: &mut Call<'_>, disp: &dyn Dispatch| {
             let txn = call
                 .args
                 .get_u64()
@@ -124,17 +121,13 @@ impl Txn {
                 log.entries.lock().push((txn, op));
             }
             let previous = SERVER_TXN.with(|c| c.replace(txn));
-            let result = call.dispatch(&*disp);
+            let result = call.dispatch(disp);
             SERVER_TXN.with(|c| c.set(previous));
             result
-        });
-        let door = ctx.domain().create_door(handler)?;
-        let obj = SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            ctx.lookup_subcontract(Self::ID)?,
-            DoorRepr::of(door, ()),
-        );
+        };
+        let obj = export_door(ctx, "txn.serve", Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, ()))
+        })?;
         Ok((obj, journal))
     }
 }

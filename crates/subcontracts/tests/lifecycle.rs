@@ -14,7 +14,8 @@ use spring_subcontracts::priority::Priority;
 use spring_subcontracts::stream::Stream;
 use spring_subcontracts::txn::Txn;
 use spring_subcontracts::{
-    CacheManager, Caching, Reconnectable, ReplicaGroup, RepliconServer, Shmem, Simplex, Singleton,
+    CacheManager, Caching, Pipeline, Reconnectable, ReplicaGroup, RepliconServer, Shmem, Simplex,
+    Singleton,
 };
 use subcontract::{ServerSubcontract, SpringError};
 
@@ -247,6 +248,7 @@ fn servant_observes_unreferenced() {
         "replicon",
         "caching",
         "reconnectable",
+        "pipeline",
         "shmem",
         "priority",
         "txn",
@@ -283,6 +285,7 @@ fn servant_observes_unreferenced() {
             }
             "caching" => Caching::export(&server, disp, "cache_manager"),
             "reconnectable" => Reconnectable::export(&server, disp, "svc/x"),
+            "pipeline" => Pipeline::export(&server, disp),
             "shmem" => Shmem::export(&server, disp, 4096),
             "priority" => Priority.export(&server, disp),
             "txn" => Txn::export_with_journal(&server, disp).map(|(obj, _)| obj),

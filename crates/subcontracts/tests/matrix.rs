@@ -9,10 +9,13 @@
 //! to replay a reply that moved a door, rejects a broken control region as
 //! an error, and builds its reply in a pooled buffer.
 //!
-//! The last part is the client column (`subcontract::client`): the marshalled
+//! Then comes the client column (`subcontract::client`): the marshalled
 //! form of every subject is pinned byte for byte, a form cut short at any
 //! offset strands no door identifier, copies consume back to the baseline,
 //! and `marshal_copy` is `copy` then `marshal` without the copy (§5.1.5).
+//!
+//! The last is the export column (`subcontract::export_door`): an export
+//! whose subcontract the domain cannot find fails before it mints anything.
 
 mod common;
 
@@ -20,6 +23,7 @@ use std::any::Any;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use common::{ctx_on, live, ship, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET};
 use parking_lot::Mutex;
@@ -30,12 +34,13 @@ use spring_subcontracts::priority::Priority;
 use spring_subcontracts::stream::Stream;
 use spring_subcontracts::txn::Txn;
 use spring_subcontracts::{
-    CacheManager, Caching, ClusterServer, Pipeline, PubSub, Reconnectable, ReplicaGroup,
-    RepliconServer, Shmem, Simplex, Singleton, TopicConfig, PUBSUB_TOPIC_TYPE,
+    AdmissionConfig, CacheManager, Caching, Cluster, ClusterServer, Pipeline, PubSub,
+    Reconnectable, ReplicaGroup, RepliconServer, Shmem, Simplex, Singleton, TopicConfig,
+    PUBSUB_TOPIC_TYPE,
 };
 use subcontract::{
     op_hash, put_obj_header, unmarshal_object, Dispatch, DomainCtx, ScId, ServerCtx,
-    ServerSubcontract, SpringError, SpringObj, TypeInfo,
+    ServerSubcontract, SpringError, SpringObj, Subcontract, TypeInfo,
 };
 
 /// Two columns flip process-wide state (the tracer switch, the buffer-pool
@@ -757,4 +762,91 @@ fn every_marshalled_form_is_pinned_byte_for_byte() {
         assert_eq!(wire.doors.len(), doors, "{name}");
         release(&ctx, wire.doors);
     }
+}
+
+// ---- The export column: a failed export leaves nothing behind --------------
+
+/// An export entry point, into a domain that also holds one cluster server.
+type Export = fn(&Arc<DomainCtx>, &ClusterServer) -> subcontract::Result<SpringObj>;
+
+fn counter() -> Arc<dyn Dispatch> {
+    CounterServant::new(10)
+}
+
+#[test]
+fn every_failed_export_leaves_nothing_behind() {
+    let _serial = SERIAL.lock();
+    let kernel = Kernel::new("matrix");
+    // Each entry point, with a fresh instance of the subcontract it looks up.
+    let table: [(&str, Arc<dyn Subcontract>, Export); 13] = [
+        ("singleton", Singleton::new(), |ctx, _| {
+            Singleton.export(ctx, counter())
+        }),
+        ("simplex", Simplex::new(), |ctx, _| {
+            Simplex.export(ctx, counter())
+        }),
+        ("priority", Priority::new(), |ctx, _| {
+            Priority.export(ctx, counter())
+        }),
+        ("priority-admission", Priority::new(), |ctx, _| {
+            let cfg = AdmissionConfig {
+                queue_bound: Duration::from_millis(1),
+                shed_below: 1,
+            };
+            Priority::export_with_admission(ctx, counter(), cfg).map(|(obj, _)| obj)
+        }),
+        ("txn", Txn::new(), |ctx, _| {
+            Txn::export_with_journal(ctx, counter()).map(|(obj, _)| obj)
+        }),
+        ("pipeline", Pipeline::new(), |ctx, _| {
+            Pipeline::export(ctx, counter())
+        }),
+        ("stream", Stream::new(), |ctx, _| {
+            Stream::export(ctx, counter(), Arc::new(|_: u64, _: &[u8]| {})).map(|(obj, _)| obj)
+        }),
+        ("shmem", Shmem::new(), |ctx, _| {
+            Shmem::export(ctx, counter(), 4096)
+        }),
+        ("pubsub", PubSub::new(), |ctx, _| {
+            PubSub::export(ctx, "t", TopicConfig::default()).map(|(obj, _)| obj)
+        }),
+        ("reconnectable", Reconnectable::new(), |ctx, _| {
+            Reconnectable::export(ctx, counter(), "svc/x")
+        }),
+        ("caching", Caching::new(), |ctx, _| {
+            Caching::export(ctx, counter(), "cache_manager")
+        }),
+        ("caching-coherent", Caching::new(), |ctx, _| {
+            let lease = Duration::from_secs(1);
+            Caching::export_coherent(ctx, counter(), "cache_manager", [OP_GET], lease)
+                .map(|(obj, _)| obj)
+        }),
+        ("cluster", Cluster::new(), |_, cluster| {
+            cluster.export(counter())
+        }),
+    ];
+    let mut failures = Vec::new();
+    for (name, sc, export) in table {
+        // No subcontract registered and no library loader configured.
+        let ctx = DomainCtx::new(kernel.create_domain(name));
+        let cluster = ClusterServer::new(&ctx).unwrap();
+        let (ids, regions) = (live(&kernel), kernel.live_shm());
+        match export(&ctx, &cluster) {
+            Err(SpringError::UnknownSubcontract(id)) if id == sc.id() => {}
+            other => failures.push(format!("{name}: not unknown: {:?}", other.err())),
+        }
+        let (now, now_regions) = (live(&kernel), kernel.live_shm());
+        if now != ids || now_regions != regions || cluster.live_objects() != 0 {
+            failures.push(format!(
+                "{name}: live {ids:?} -> {now:?}, shm regions {regions} -> {now_regions}, \
+                 cluster tags {}",
+                cluster.live_objects()
+            ));
+        }
+        ctx.register_subcontract(sc);
+        if let Err(e) = export(&ctx, &cluster) {
+            failures.push(format!("{name}: registered, the export failed: {e}"));
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -194,30 +194,6 @@ pub fn histograms_json() -> Json {
     )
 }
 
-/// The spans reachable from traces that include span `span` — convenience
-/// for tests that need "the tree containing this call".
-pub fn trace_containing(span: u64) -> Option<(u64, Vec<SpanNode>)> {
-    span_forest().into_iter().find(|(_, roots)| {
-        fn contains(node: &SpanNode, span: u64) -> bool {
-            node.event.span == span || node.children.iter().any(|c| contains(c, span))
-        }
-        roots.iter().any(|r| contains(r, span))
-    })
-}
-
-/// All events belonging to one trace id, ordered by start time.
-pub fn events_of_trace(trace: u64) -> Vec<Event> {
-    ring::events()
-        .into_iter()
-        .filter(|e| e.trace == trace)
-        .collect()
-}
-
-/// The most recently started trace id, if any span has been recorded.
-pub fn latest_trace() -> Option<u64> {
-    ring::events().last().map(|e| e.trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
