@@ -532,6 +532,18 @@ impl CommBuffer {
         Ok(u64::from_le_bytes(arr))
     }
 
+    /// Peeks at the `u8` at the current read position without consuming it
+    /// (a reply's status byte, while the reply is still being written).
+    pub fn peek_u8(&self) -> Result<u8, BufError> {
+        self.bytes
+            .get(self.rpos)
+            .copied()
+            .ok_or(BufError::OutOfData {
+                needed: 1,
+                remaining: 0,
+            })
+    }
+
     /// Peeks at the `u32` at the current read position without consuming it.
     pub fn peek_u32(&self) -> Result<u32, BufError> {
         let align_pad = (4 - (self.rpos % 4)) % 4;

@@ -6,10 +6,13 @@
 //! state of its subcontract's own is a [`DoorRepr`], and its subcontract is
 //! a [`DoorSubcontract`]: it declares its identifier, its name, the state
 //! that follows the door and — where they differ from the plain door call —
-//! its `invoke_preamble` and `invoke`. The [`Subcontract`] vector of such a
-//! subcontract is the blanket implementation below, monomorphised per
-//! subcontract: marshal, `marshal_copy`, unmarshal, copy and consume run
-//! the same fixed sequence for all of them.
+//! its `invoke_preamble` and `invoke`. The state may hold what never
+//! travels: a shared-memory region, or caching's machine-local cache door,
+//! which `get` attaches given the landed door and `retire` releases. The
+//! [`Subcontract`] vector of such a subcontract is the blanket
+//! implementation below, monomorphised per subcontract: marshal,
+//! `marshal_copy`, unmarshal, copy and consume run the same fixed sequence
+//! for all of them.
 //!
 //! Subcontracts with another shape of representation (several doors, a door
 //! behind a lock, no door yet) keep their own operations but take their
@@ -160,8 +163,10 @@ pub trait DoorSubcontract: Send + Sync + Sized + 'static {
     }
 
     /// Reads back what [`DoorSubcontract::put`] wrote, in the receiving
-    /// domain. The door has landed by now; an error here releases it.
-    fn get(&self, ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<Self::State>;
+    /// domain. `door` has landed by now and its guard still owns it: `get`
+    /// may present it somewhere (a copy of it, say), and an error here
+    /// releases it.
+    fn get(&self, ctx: &Arc<DomainCtx>, door: DoorId, buf: &mut CommBuffer) -> Result<Self::State>;
 
     /// The state of a copy of the object.
     fn fork(&self, ctx: &Arc<DomainCtx>, state: &Self::State) -> Result<Self::State>;
@@ -228,7 +233,7 @@ impl<T: DoorSubcontract> Subcontract for T {
             buf,
             |buf| Landed::take(ctx.domain(), buf),
             |door, buf| {
-                let state = self.get(ctx, buf)?;
+                let state = self.get(ctx, door.id(), buf)?;
                 Ok(DoorRepr::of(door.keep(), state))
             },
         )

@@ -15,8 +15,10 @@
 //!   by `create_door` and by whoever drops a door's last identifier, read by
 //!   `live_doors` and `crash_domain`'s revoke sweep. Calls never touch it.
 //! * `domains` — an `RwLock` map from [`DomainId`] to its `DomainState`,
-//!   written by `create_domain` and read by `domain_handle` alone. Entries
-//!   are never removed (a crashed domain stays with `alive == false`).
+//!   written by `create_domain` and read only by the kernel's `Drop`, which
+//!   empties every table so that doors and the domains they hold are freed.
+//!   Entries are never removed (a crashed domain stays with `alive ==
+//!   false`).
 //!
 //! Lock-ordering rules (deadlock freedom):
 //!
@@ -259,28 +261,16 @@ impl Kernel {
         Ok(())
     }
 
-    fn new_domain_state(id: DomainId, name: String, alive: bool) -> Arc<DomainState> {
-        Arc::new(DomainState {
-            id,
-            name,
-            alive: AtomicBool::new(alive),
-            table: Mutex::default(),
-        })
-    }
-
     /// Creates a new domain (a simulated address space).
     pub fn create_domain(&self, name: impl Into<String>) -> Domain {
         let id = DomainId(self.inner.next_domain.fetch_add(1, Ordering::Relaxed));
-        let state = Self::new_domain_state(id, name.into(), true);
+        let state = Arc::new(DomainState {
+            id,
+            name: name.into(),
+            alive: AtomicBool::new(true),
+            table: Mutex::default(),
+        });
         self.inner.domains.write().insert(id, Arc::clone(&state));
-        Domain::new(self.clone(), state)
-    }
-
-    /// Rebuilds a [`Domain`] handle from an id (infrastructure use). An id
-    /// this kernel never issued yields a handle on a dead, nameless domain.
-    pub fn domain_handle(&self, id: DomainId) -> Domain {
-        let known = self.inner.domains.read().get(&id).cloned();
-        let state = known.unwrap_or_else(|| Self::new_domain_state(id, String::new(), false));
         Domain::new(self.clone(), state)
     }
 

@@ -31,6 +31,7 @@
 //! the cache has it back. A cache that stops acknowledging callbacks is
 //! pruned from the broadcast set without blocking the write path.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -39,14 +40,14 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use spring_buf::{BufError, CommBuffer};
 use spring_kernel::callid::now_micros;
-use spring_kernel::{CallCtx, DoorError, DoorHandler, DoorId, Message};
+use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Message};
 use subcontract::{
-    client, decode_reply_status, encode_ok, op_hash, put_obj_header, Dispatch, DomainCtx, Landed,
-    ObjParts, ReplyStatus, Repr, Result, ScId, ServeDoor, ServerCtx, ServerSubcontract,
-    SpringError, SpringObj, Subcontract, TypeInfo, STATUS_OK,
+    client, decode_reply_status, encode_ok, export_door, op_hash, Call, Dispatch, DomainCtx,
+    DoorRepr, DoorSubcontract, Landed, ReplyStatus, Result, ScId, ServerCtx, ServerSubcontract,
+    SpringError, SpringObj, TypeInfo, STATUS_OK,
 };
 
-use crate::callback::{self, Inbox, Link};
+use crate::callback::{self, DoorResult, Inbox, Link};
 
 /// Run-time type of cache manager objects.
 pub static CACHE_MANAGER_TYPE: TypeInfo = TypeInfo {
@@ -61,8 +62,8 @@ pub const OP_ATTACH: u32 = op_hash("attach");
 
 /// Coherence-protocol operation: register a callback door under a nonce,
 /// or register again to revalidate a lease (the reply carries the epoch and
-/// the lease either way). Served by the coherent export's door handler
-/// itself, never by the skeleton; an incoherent server never receives it
+/// the lease either way). Answered by the coherent export's control step,
+/// never by the skeleton; an incoherent server never receives it
 /// (servants only speak the protocol when the marshalled form said the
 /// server is coherent).
 pub const OP_CACHE_REGISTER: u32 = op_hash("cache.register");
@@ -81,6 +82,9 @@ const MAX_CALLBACK_FAILURES: u32 = 8;
 /// Bound on a cache servant's memo (entries), LRU-evicted.
 const DEFAULT_MEMO_CAPACITY: usize = 1024;
 
+/// Span key of the server-side half, coherent or not.
+const SERVE_SPAN: &str = "caching.serve";
+
 /// Reads the operation word without copying the payload: caching objects
 /// have no `invoke_preamble`, so the op is the first aligned little-endian
 /// `u32` of the marshalled stream.
@@ -89,13 +93,13 @@ fn peek_op(bytes: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(raw))
 }
 
-/// Client representation: server door, cache door, and the manager name.
+/// What a caching object keeps beside its server door (D1).
 #[derive(Debug)]
-struct CachingRepr {
-    /// D1: points at the real server.
-    d1: DoorId,
-    /// D2: points at the local cache; all invocations use this.
-    d2: DoorId,
+pub struct CacheState {
+    /// D2: the local cache, which every invocation uses. The exporting
+    /// server's own object has none: it needs no cache to reach itself,
+    /// and calls D1.
+    d2: Option<DoorId>,
     /// Name of the cache manager, resolved machine-locally on unmarshal.
     manager: String,
     /// Whether the server broadcasts invalidations: receiving machines
@@ -129,16 +133,18 @@ impl Caching {
         disp: Arc<dyn Dispatch>,
         manager_name: impl Into<String>,
     ) -> Result<SpringObj> {
-        let type_info = disp.type_info();
-        let handler = Self::direct_door(ctx, disp);
-        Self::assemble_export(ctx, type_info, handler, manager_name.into(), false)
+        let state = own_state(manager_name.into(), false);
+        let control = |call: &mut Call<'_>, disp: &dyn Dispatch| call.dispatch(disp);
+        export_door(ctx, SERVE_SPAN, Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, state))
+        })
     }
 
     /// Exports a *coherent* caching object: every attached cache registers
     /// an invalidation callback, mutating operations bump the server epoch
     /// and broadcast it, and memo entries are only served under a live
-    /// `lease`. The exporting server's own D2 path shares the handler, so
-    /// server-local writes invalidate remote caches too.
+    /// `lease`. The exporting server's own object calls the export's door
+    /// directly, so server-local writes invalidate remote caches too.
     ///
     /// Returns the object plus the server-side coherence counters.
     pub fn export_coherent(
@@ -148,65 +154,30 @@ impl Caching {
         cacheable_ops: impl IntoIterator<Item = u32>,
         lease: Duration,
     ) -> Result<(SpringObj, Arc<CoherentStats>)> {
-        let type_info = disp.type_info();
-        let stats = Arc::new(CoherentStats::default());
-        let handler = Arc::new(CoherentHandler {
-            ctx: ctx.clone(),
-            inner: Self::direct_door(ctx, disp),
+        let step = CoherentStep {
+            domain: ctx.domain().clone(),
             cacheable: cacheable_ops.into_iter().collect(),
             lease_micros: lease.as_micros().max(1) as u64,
             links: Mutex::new(HashMap::new()),
-            stats: stats.clone(),
-        });
-        let obj = Self::assemble_export(ctx, type_info, handler, manager_name.into(), true)?;
+            stats: Arc::new(CoherentStats::default()),
+        };
+        let stats = step.stats.clone();
+        let state = own_state(manager_name.into(), true);
+        let control = move |call: &mut Call<'_>, disp: &dyn Dispatch| step.serve(call, disp);
+        let obj = export_door(ctx, SERVE_SPAN, Self::ID, disp, control, |_| {
+            Ok(|door| DoorRepr::of(door, state))
+        })?;
         Ok((obj, stats))
     }
+}
 
-    /// The server door: no control region, calls go straight to the
-    /// skeleton (the wire the cache servants also speak when forwarding).
-    fn direct_door(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Arc<ServeDoor> {
-        let servant = Some(disp.clone());
-        ServeDoor::new(ctx, "caching.serve", Self::ID, servant, move |call| {
-            call.dispatch(&*disp)
-        })
-    }
-
-    /// The export path of [`export_door`](subcontract::export_door), by
-    /// hand: the handler is not always a bare serve door, and the object
-    /// holds two identifiers for it. Nothing that can fail runs after the
-    /// second identifier exists.
-    fn assemble_export(
-        ctx: &Arc<DomainCtx>,
-        type_info: &'static TypeInfo,
-        handler: Arc<dyn DoorHandler>,
-        manager: String,
-        coherent: bool,
-    ) -> Result<SpringObj> {
-        let sc = ctx.lookup_subcontract(Self::ID)?;
-        ctx.types().register(type_info);
-        let d1 = ctx.domain().create_door(handler)?;
-        // The exporting server needs no cache to reach itself: its D2 is a
-        // second identifier for the server door (which, for a coherent
-        // export, is exactly what routes server-local writes through the
-        // broadcast).
-        let d2 = match ctx.domain().copy_door(d1) {
-            Ok(d2) => d2,
-            Err(e) => {
-                let _ = ctx.domain().delete_door(d1);
-                return Err(e.into());
-            }
-        };
-        Ok(SpringObj::assemble(
-            ctx.clone(),
-            type_info,
-            sc,
-            Repr::new(CachingRepr {
-                d1,
-                d2,
-                manager,
-                coherent,
-            }),
-        ))
+/// The exporting server's own object holds D1 alone: it reaches the server
+/// without a cache, and so (for a coherent export) through the broadcast.
+fn own_state(manager: String, coherent: bool) -> CacheState {
+    CacheState {
+        d2: None,
+        manager,
+        coherent,
     }
 }
 
@@ -249,11 +220,12 @@ impl CoherentStats {
     }
 }
 
-/// The coherent server handler: wraps the direct serve door, intercepts the
-/// coherence-protocol ops, and broadcasts epoch bumps after mutating ops.
-struct CoherentHandler {
-    ctx: Arc<DomainCtx>,
-    inner: Arc<ServeDoor>,
+/// The coherent export's control step: answers the coherence-protocol ops
+/// itself, dispatches the rest, and broadcasts after a committed mutating
+/// op. It lives as long as the export's door, and releases its links' doors
+/// with it.
+struct CoherentStep {
+    domain: Domain,
     cacheable: HashSet<u32>,
     lease_micros: u64,
     /// Callback door token → the cache manager behind it and its
@@ -263,48 +235,54 @@ struct CoherentHandler {
     stats: Arc<CoherentStats>,
 }
 
-impl CoherentHandler {
-    fn domain(&self) -> &spring_kernel::Domain {
-        self.ctx.domain()
-    }
-
-    /// Reads a protocol request: the op word `invoke` dispatched on, then
-    /// what the callback channel appended.
-    fn request(
-        &self,
-        msg: Message,
-        what: &str,
-    ) -> std::result::Result<callback::Request<'_>, DoorError> {
-        let mut args = CommBuffer::from_message(msg);
-        let _op = args.get_u32();
-        callback::read_request(self.domain(), &mut args, what)
-    }
-
-    fn handle_register(&self, msg: Message) -> std::result::Result<Message, DoorError> {
-        let req = self.request(msg, "cache.register")?;
-        {
-            let mut links = self.links.lock();
-            match links.get_mut(&req.token) {
-                Some(link) => link.join(req, ()),
-                None => {
-                    links.insert(req.token, Link::open(req, ()));
+impl CoherentStep {
+    fn serve(&self, call: &mut Call<'_>, disp: &dyn Dispatch) -> DoorResult<()> {
+        match call.args.peek_u32().ok() {
+            Some(OP_CACHE_REGISTER) => self.register(call),
+            Some(OP_CACHE_DETACH) => self.detach(call),
+            Some(op) if self.cacheable.contains(&op) => call.dispatch(disp),
+            _ => {
+                // Mutating (or unparsable) operation: run it, then bump the
+                // epoch and broadcast iff it committed. The epoch is bumped
+                // *before* the broadcast so even a cache that misses every
+                // callback sees the mismatch on its next revalidation.
+                call.dispatch(disp)?;
+                if call.reply.peek_u8().ok() == Some(STATUS_OK) {
+                    let epoch = self.stats.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+                    self.broadcast(epoch);
                 }
+                Ok(())
+            }
+        }
+    }
+
+    /// Reads a protocol request: the op word `serve` dispatched on, then
+    /// what the callback channel appended.
+    fn request(&self, call: &mut Call<'_>, what: &str) -> DoorResult<callback::Request<'_>> {
+        let _op = call.args.get_u32();
+        callback::read_request(&self.domain, &mut call.args, what)
+    }
+
+    fn register(&self, call: &mut Call<'_>) -> DoorResult<()> {
+        let req = self.request(call, "cache.register")?;
+        match self.links.lock().entry(req.token) {
+            Entry::Occupied(mut link) => link.get_mut().join(req, ()),
+            Entry::Vacant(slot) => {
+                slot.insert(Link::open(req, ()));
             }
         }
         self.stats.registrations.fetch_add(1, Ordering::Relaxed);
-        let mut reply = CommBuffer::pooled();
-        encode_ok(&mut reply);
-        reply.put_u64(self.stats.epoch.load(Ordering::SeqCst));
-        reply.put_u64(self.lease_micros);
-        Ok(reply.into_message())
+        encode_ok(&mut call.reply);
+        call.reply.put_u64(self.stats.epoch.load(Ordering::SeqCst));
+        call.reply.put_u64(self.lease_micros);
+        Ok(())
     }
 
-    fn handle_detach(&self, msg: Message) -> std::result::Result<Message, DoorError> {
-        let req = self.request(msg, "cache.detach")?;
+    fn detach(&self, call: &mut Call<'_>) -> DoorResult<()> {
+        let req = self.request(call, "cache.detach")?;
         self.update_link(req.token, |link| link.subs.remove(&req.nonce));
-        let mut reply = CommBuffer::pooled();
-        encode_ok(&mut reply);
-        Ok(reply.into_message())
+        encode_ok(&mut call.reply);
+        Ok(())
     }
 
     /// Applies `change` to `token`'s link, if there is one, and forgets a
@@ -317,7 +295,7 @@ impl CoherentHandler {
             let door = links.remove(&token).map(|link| link.door);
             drop(links);
             if let Some(door) = door {
-                let _ = self.domain().delete_door(door);
+                let _ = self.domain.delete_door(door);
             }
         }
         Some(out)
@@ -344,7 +322,7 @@ impl CoherentHandler {
             .collect();
         for (token, door, note) in notes {
             self.stats.broadcasts.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.domain().call(door, note);
+            let outcome = self.domain.call(door, note);
             if outcome.is_err() {
                 self.stats.callback_failures.fetch_add(1, Ordering::Relaxed);
             }
@@ -360,111 +338,62 @@ impl CoherentHandler {
     }
 }
 
-impl DoorHandler for CoherentHandler {
-    fn unreferenced(&self) {
-        let doors: Vec<DoorId> = {
-            let mut links = self.links.lock();
-            links.drain().map(|(_, link)| link.door).collect()
-        };
-        for d in doors {
-            let _ = self.domain().delete_door(d);
-        }
-        self.inner.unreferenced();
-    }
-
-    fn invoke(&self, cctx: &CallCtx, msg: Message) -> std::result::Result<Message, DoorError> {
-        match peek_op(&msg.bytes) {
-            Some(OP_CACHE_REGISTER) => self.handle_register(msg),
-            Some(OP_CACHE_DETACH) => self.handle_detach(msg),
-            Some(op) if self.cacheable.contains(&op) => self.inner.invoke(cctx, msg),
-            _ => {
-                // Mutating (or unparsable) operation: run it, then bump the
-                // epoch and broadcast iff it committed. The epoch is bumped
-                // *before* the broadcast so even a cache that misses every
-                // callback sees the mismatch on its next revalidation.
-                let reply = self.inner.invoke(cctx, msg)?;
-                if reply.bytes.first() == Some(&STATUS_OK) {
-                    let epoch = self.stats.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                    self.broadcast(epoch);
-                }
-                Ok(reply)
-            }
+impl Drop for CoherentStep {
+    /// The export's door is gone, and with it every broadcast: the links'
+    /// doors go too, whether or not their caches ever detached.
+    fn drop(&mut self) {
+        for (_, link) in self.links.get_mut().drain() {
+            let _ = self.domain.delete_door(link.door);
         }
     }
 }
 
-impl Subcontract for Caching {
-    fn id(&self) -> ScId {
-        Self::ID
-    }
+/// Client half: the object's door is D1, the manager name and the
+/// coherence flag follow it on the wire, and D2 stays on this machine.
+impl DoorSubcontract for Caching {
+    const ID: ScId = Caching::ID;
+    const NAME: &'static str = "caching";
+    type State = CacheState;
 
-    fn name(&self) -> &'static str {
-        "caching"
-    }
-
-    fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
-        let repr = obj.repr().downcast::<CachingRepr>(self.name())?;
+    fn call(&self, obj: &SpringObj, args: CommBuffer) -> Result<CommBuffer> {
+        let repr = client::repr::<Self>(obj)?;
         // All invocations go through D2 — the local cache (§8.2).
-        let reply = obj.ctx().domain().call(repr.d2, call.into_message())?;
+        let door = repr.state.d2.unwrap_or(repr.door);
+        let reply = obj.ctx().domain().call(door, args.into_message())?;
         Ok(CommBuffer::from_message(reply))
     }
 
-    fn marshal(&self, ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
-        let repr = parts.repr.into_downcast::<CachingRepr>(self.name())?;
-        // Only D1, the manager name and the coherence flag travel; the
-        // local cache attachment is not meaningful on another machine.
-        put_obj_header(buf, Self::ID, &parts.type_name);
-        buf.put_door(repr.d1);
-        buf.put_string(&repr.manager);
-        buf.put_bool(repr.coherent);
-        let _ = ctx.domain().delete_door(repr.d2);
-        Ok(())
+    fn put(&self, state: &CacheState, buf: &mut CommBuffer) {
+        buf.put_string(&state.manager);
+        buf.put_bool(state.coherent);
     }
 
-    fn unmarshal(
-        &self,
-        ctx: &Arc<DomainCtx>,
-        expected: &'static TypeInfo,
-        buf: &mut CommBuffer,
-    ) -> Result<SpringObj> {
-        client::unmarshal(
-            Self::ID,
-            ctx,
-            expected,
-            buf,
-            |buf| Landed::take(ctx.domain(), buf),
-            |d1, buf| {
-                let manager = buf.get_string()?;
-                let coherent = buf.get_bool()?;
-                let d2 = attach_local(ctx, d1.id(), &manager, coherent)?;
-                Ok(Repr::new(CachingRepr {
-                    d1: d1.keep(),
-                    d2,
-                    manager,
-                    coherent,
-                }))
-            },
-        )
-    }
-
-    fn copy(&self, obj: &SpringObj) -> Result<SpringObj> {
-        let repr = obj.repr().downcast::<CachingRepr>(self.name())?;
-        let domain = obj.ctx().domain();
-        let d1 = Landed::copy_of(domain, repr.d1)?;
-        let d2 = domain.copy_door(repr.d2)?;
-        Ok(obj.assemble_like(Repr::new(CachingRepr {
-            d1: d1.keep(),
+    /// Presents the landed D1 to the local cache manager, which attaches a
+    /// cache and answers with D2.
+    fn get(&self, ctx: &Arc<DomainCtx>, d1: DoorId, buf: &mut CommBuffer) -> Result<CacheState> {
+        let manager = buf.get_string()?;
+        let coherent = buf.get_bool()?;
+        let d2 = Some(attach_local(ctx, d1, &manager, coherent)?);
+        Ok(CacheState {
             d2,
-            manager: repr.manager.clone(),
-            coherent: repr.coherent,
-        })))
+            manager,
+            coherent,
+        })
     }
 
-    fn consume(&self, ctx: &Arc<DomainCtx>, parts: ObjParts) -> Result<()> {
-        let repr = parts.repr.into_downcast::<CachingRepr>(self.name())?;
-        let _ = ctx.domain().delete_door(repr.d2);
-        ctx.domain().delete_door(repr.d1)?;
-        Ok(())
+    fn fork(&self, ctx: &Arc<DomainCtx>, state: &CacheState) -> Result<CacheState> {
+        Ok(CacheState {
+            d2: state.d2.map(|d2| ctx.domain().copy_door(d2)).transpose()?,
+            manager: state.manager.clone(),
+            coherent: state.coherent,
+        })
+    }
+
+    /// The local cache attachment is not meaningful on another machine.
+    fn retire(&self, ctx: &Arc<DomainCtx>, state: CacheState) {
+        if let Some(d2) = state.d2 {
+            let _ = ctx.domain().delete_door(d2);
+        }
     }
 }
 

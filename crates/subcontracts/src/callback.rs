@@ -33,7 +33,7 @@ use spring_buf::{BufError, CommBuffer};
 use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Message};
 use subcontract::{DomainCtx, Landed, Result, SpringError};
 
-type DoorResult<T> = std::result::Result<T, DoorError>;
+pub(crate) type DoorResult<T> = std::result::Result<T, DoorError>;
 
 /// What runs behind an inbox's door: the subcontract's note handler.
 type Serve<T> = Box<dyn Fn(&Inbox<T>, Message) -> DoorResult<Message> + Send + Sync>;

@@ -136,7 +136,7 @@ impl DoorSubcontract for Cluster {
         buf.put_u32(*tag);
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<u32> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, buf: &mut CommBuffer) -> Result<u32> {
         Ok(buf.get_u32()?)
     }
 

@@ -206,7 +206,12 @@ impl DoorSubcontract for Pipeline {
         .map(CommBuffer::from_message)
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<PipelineState> {
+    fn get(
+        &self,
+        _ctx: &Arc<DomainCtx>,
+        _door: DoorId,
+        _buf: &mut CommBuffer,
+    ) -> Result<PipelineState> {
         Ok(PipelineState::fresh(self.policy, &self.pool))
     }
 

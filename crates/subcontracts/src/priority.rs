@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
-use spring_kernel::DoorError;
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
     client, encode_overloaded, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract,
     Result, ScId, ServerSubcontract, SpringObj,
@@ -207,7 +207,7 @@ impl DoorSubcontract for Priority {
         buf.put_u32(priority.load(Ordering::Relaxed));
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<AtomicU32> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, buf: &mut CommBuffer) -> Result<AtomicU32> {
         Ok(AtomicU32::new(buf.get_u32()?))
     }
 

@@ -896,7 +896,7 @@ impl DoorSubcontract for PubSub {
         buf.put_string(topic);
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<String> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, buf: &mut CommBuffer) -> Result<String> {
         Ok(buf.get_string()?)
     }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use spring_buf::BufError;
 use spring_buf::CommBuffer;
-use spring_kernel::{DoorError, ShmId, ShmRegion};
+use spring_kernel::{DoorError, DoorId, ShmId, ShmRegion};
 use subcontract::{
     client, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
     SpringError, SpringObj,
@@ -126,7 +126,7 @@ impl DoorSubcontract for Shmem {
         buf.put_u64(region.size() as u64);
     }
 
-    fn get(&self, ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<ShmRegion> {
+    fn get(&self, ctx: &Arc<DomainCtx>, _door: DoorId, buf: &mut CommBuffer) -> Result<ShmRegion> {
         Self::create_region(ctx, buf.get_u64()?)
     }
 

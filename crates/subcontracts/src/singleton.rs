@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
+use spring_kernel::DoorId;
 use subcontract::{
     client, export_door, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
     ServerSubcontract, SpringObj,
@@ -39,7 +40,7 @@ impl DoorSubcontract for Singleton {
     const NAME: &'static str = "singleton";
     type State = ();
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<()> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, _buf: &mut CommBuffer) -> Result<()> {
         Ok(())
     }
 

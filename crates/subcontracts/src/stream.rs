@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
-use spring_kernel::DoorError;
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
     client, export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId,
     SpringObj,
@@ -176,7 +176,7 @@ impl DoorSubcontract for Stream {
         buf.put_u64(next_seq.load(Ordering::Relaxed));
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, buf: &mut CommBuffer) -> Result<AtomicU64> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, buf: &mut CommBuffer) -> Result<AtomicU64> {
         Ok(AtomicU64::new(buf.get_u64()?))
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spring_buf::CommBuffer;
-use spring_kernel::DoorError;
+use spring_kernel::{DoorError, DoorId};
 use subcontract::{
     export_door, Call, Dispatch, DomainCtx, DoorRepr, DoorSubcontract, Result, ScId, SpringObj,
 };
@@ -146,7 +146,7 @@ impl DoorSubcontract for Txn {
         Ok(())
     }
 
-    fn get(&self, _ctx: &Arc<DomainCtx>, _buf: &mut CommBuffer) -> Result<()> {
+    fn get(&self, _ctx: &Arc<DomainCtx>, _door: DoorId, _buf: &mut CommBuffer) -> Result<()> {
         Ok(())
     }
 

@@ -4,6 +4,7 @@
 mod common;
 
 use common::{ctx_on, ship, CounterClient, CounterServant, TestNames, COUNTER_TYPE, OP_GET};
+use spring_buf::CommBuffer;
 use spring_kernel::Kernel;
 use spring_subcontracts::{CacheManager, Caching};
 use subcontract::SpringError;
@@ -144,4 +145,35 @@ fn copied_caching_object_shares_cache_door() {
     assert_eq!(manager.stats().attaches(), 1);
     assert_eq!(manager.stats().misses(), 1);
     assert_eq!(manager.stats().hits(), 1);
+}
+
+/// §5.1.5 on caching: a `marshal_copy` of an attached object puts a copy of
+/// D1 in the buffer and issues nothing else — no copy of D2 that the
+/// marshal would delete again — and writes what `copy().marshal()` writes.
+#[test]
+fn marshal_copy_of_an_attached_object_copies_only_d1() {
+    let kernel = Kernel::new("t");
+    let names = TestNames::new();
+    let server = ctx_on(&kernel, "server");
+    let (client, manager) = client_with_manager(&kernel, &names);
+
+    let obj = Caching::export(&server, CounterServant::new(5), "cache_manager").unwrap();
+    let obj = ship(obj, &client, &COUNTER_TYPE).unwrap();
+    assert_eq!(manager.stats().attaches(), 1);
+
+    let before = kernel.stats();
+    let mut short_cut = CommBuffer::new();
+    obj.marshal_copy(&mut short_cut).unwrap();
+    let after = kernel.stats();
+    let issued = after.ids_issued - before.ids_issued;
+    let deleted = after.ids_deleted - before.ids_deleted;
+    assert_eq!((issued, deleted), (1, 0), "identifiers (issued, deleted)");
+
+    let mut long_way = CommBuffer::new();
+    obj.copy().unwrap().marshal(&mut long_way).unwrap();
+    let (short_cut, long_way) = (short_cut.into_message(), long_way.into_message());
+    assert_eq!(short_cut.bytes, long_way.bytes);
+    for door in short_cut.doors.into_iter().chain(long_way.doors) {
+        client.domain().delete_door(door).unwrap();
+    }
 }

@@ -247,6 +247,7 @@ fn servant_observes_unreferenced() {
         "simplex-local",
         "replicon",
         "caching",
+        "caching-coherent",
         "reconnectable",
         "pipeline",
         "shmem",
@@ -284,6 +285,11 @@ fn servant_observes_unreferenced() {
                 group.object_for(&server)
             }
             "caching" => Caching::export(&server, disp, "cache_manager"),
+            "caching-coherent" => {
+                let lease = std::time::Duration::from_secs(5);
+                Caching::export_coherent(&server, disp, "cache_manager", [OP_GET], lease)
+                    .map(|(obj, _)| obj)
+            }
             "reconnectable" => Reconnectable::export(&server, disp, "svc/x"),
             "pipeline" => Pipeline::export(&server, disp),
             "shmem" => Shmem::export(&server, disp, 4096),

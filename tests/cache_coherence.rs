@@ -2,13 +2,14 @@
 //!
 //! A coherent `cacheable_file` is attached from several machines' cache
 //! managers over a lossy simulated network. Writes go through one machine's
-//! cache — or directly through the exporting server's own D2 path — and
+//! cache — or directly through the exporting server's own handle — and
 //! every other machine must stop serving the old contents within one lease
 //! interval, even though invalidation callbacks can be dropped on the wire.
 //! These tests sweep RNG seeds at `drop_prob = 0.3`, include a partition
 //! forming mid-run and healing, and pin the callback registration protocol
 //! with door-count regression checks (no identifier may leak from
-//! attach/detach churn or from failed unmarshals).
+//! attach/detach churn, from failed unmarshals, or from an export dropped
+//! while a cache was still registered).
 //!
 //! Each sweep appends its seeds to `target/cache-coherence-seeds.txt` so a
 //! CI failure can report exactly which seeds were exercised.
@@ -157,8 +158,8 @@ fn coherent_setup(
         });
     }
 
-    // The server's own handle drives the D2 path: server-local writes must
-    // invalidate remote caches too.
+    // The server's own handle calls the export's door directly: server-local
+    // writes must invalidate remote caches too.
     let server_file = fs::CacheableFile::from_obj(obj).unwrap();
     (server_node, stats, server_file, machines)
 }
@@ -230,7 +231,7 @@ fn writes_invalidate_every_machine_within_a_lease() {
         for round in 0..6u64 {
             value = 100 * (seed + 1) + round;
             // Rotate the writer: machine 0, machine 1, then the server's
-            // own D2 path (the bug fixed here: server-local writes used to
+            // own handle (the bug fixed here: server-local writes used to
             // invalidate nobody).
             match round % 3 {
                 0 => write_until_acked(seed, &machines[0].file, value),
@@ -404,6 +405,42 @@ fn callback_churn_leaks_no_identifiers() {
     drop(names.bound.lock().remove("cache_manager"));
     drop(manager);
     assert_eq!(live_ids(client_node.kernel()), before_manager + 2);
+}
+
+/// A registration whose detach never arrives (its manager's domain
+/// crashed) is released with the export: once the export and every client
+/// object are gone, the server's kernel holds no identifier for the
+/// callback door. Every domain shares one machine here, because the network
+/// layer pins an export for as long as its server lives.
+#[test]
+fn dropping_the_export_releases_links_that_never_detached() {
+    let net = Network::new(NetConfig::default());
+    let node = net.add_node("server");
+    let server_ctx = ctx_on(&node, "fileserver");
+    let client_ctx = ctx_on(&node, "client");
+    let mgr_ctx = ctx_on(&node, "manager");
+    let fileserver = FileServer::new(&server_ctx, "cache_manager");
+    fileserver.put("data", &7u64.to_le_bytes());
+    let baseline = live_ids(node.kernel());
+
+    let (obj, stats) = fileserver.export_coherent("data", LEASE).unwrap();
+    let manager = file_cache_manager(&mgr_ctx);
+    let names = LocalNames::new(net.clone());
+    names.bind("cache_manager", manager.export().unwrap());
+    client_ctx.set_resolver(names.resolver_for(&client_ctx));
+    let shipped = ship_object_copy(&*net, &obj, &client_ctx, &fs::CACHEABLE_FILE_TYPE).unwrap();
+    assert_eq!(stats.registrations(), 1, "the attachment registered");
+
+    // Every identifier the manager's domain held goes with it, and its
+    // attachment's detach is never sent.
+    mgr_ctx.domain().crash();
+    drop(shipped);
+    drop(obj);
+    assert_eq!(
+        live_ids(node.kernel()),
+        baseline,
+        "the dropped export left its link's callback door behind",
+    );
 }
 
 /// The unmarshal door-leak regression: when manager resolution fails on the
