@@ -7,8 +7,8 @@ use std::sync::Arc;
 use spring_buf::CommBuffer;
 use spring_kernel::Kernel;
 use spring_subcontracts::{
-    standard_library, CacheManager, Caching, ClusterServer, ReplicaGroup, RepliconServer, Simplex,
-    Singleton,
+    standard_library, CacheManager, Caching, ClusterServer, Reconnectable, ReplicaGroup,
+    RepliconServer, Simplex, Singleton,
 };
 use subcontract::{
     ship_object, ship_object_copy, unmarshal_object, DomainCtx, KernelTransport, LibraryStore,
@@ -213,6 +213,8 @@ pub fn e7_marshal_copy(scale: Scale) -> Table {
     };
 
     let singleton = Singleton.export(&server, servant()).unwrap();
+    let simplex = Simplex.export(&server, servant()).unwrap();
+    let reconnectable = Reconnectable::export(&server, servant(), "e7/reconnectable").unwrap();
     // Replicon with three replicas.
     let group = ReplicaGroup::new();
     for i in 0..3 {
@@ -225,6 +227,8 @@ pub fn e7_marshal_copy(scale: Scale) -> Table {
 
     for (name, figure, obj) in [
         ("singleton", "singleton_saving_ns", &singleton),
+        ("simplex", "simplex_saving_ns", &simplex),
+        ("reconnectable", "reconnectable_saving_ns", &reconnectable),
         ("replicon (3 doors)", "replicon_saving_ns", &replicon),
     ] {
         let naive = ns_per_iter(iters, || {

@@ -31,10 +31,14 @@ pub struct CommBuffer {
     rpos: usize,
     /// Out-of-band door identifiers, in slot order.
     caps: Vec<DoorId>,
-    /// Bitset (64 slots per word) of capability slots consumed by
-    /// `get_door`. Allocated lazily on first consumption, so buffers that
-    /// carry no capabilities — the common case — never touch it.
-    consumed: Vec<u64>,
+    /// Bitset of the first 64 capability slots consumed by `get_door`,
+    /// inline: a marshalled object (one door, a handful at most) is
+    /// unmarshalled without allocating a bitset.
+    consumed: u64,
+    /// The rest of the bitset (64 slots per word, from slot 64 on),
+    /// allocated only when a buffer carrying more than 64 capabilities has
+    /// one of those consumed.
+    consumed_spill: Vec<u64>,
     /// Trace context riding the envelope: captured from the incoming
     /// [`Message`] by [`CommBuffer::from_message`] and re-emitted by
     /// [`CommBuffer::into_message`], so decode → re-marshal paths (the
@@ -78,7 +82,8 @@ impl CommBuffer {
             shm: None,
             rpos: 0,
             caps: Vec::new(),
-            consumed: Vec::new(),
+            consumed: 0,
+            consumed_spill: Vec::new(),
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -91,7 +96,8 @@ impl CommBuffer {
             shm: None,
             rpos: 0,
             caps: Vec::new(),
-            consumed: Vec::new(),
+            consumed: 0,
+            consumed_spill: Vec::new(),
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -108,7 +114,8 @@ impl CommBuffer {
             shm: None,
             rpos: 0,
             caps: Vec::new(),
-            consumed: Vec::new(),
+            consumed: 0,
+            consumed_spill: Vec::new(),
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -122,7 +129,8 @@ impl CommBuffer {
             shm: None,
             rpos: 0,
             caps: msg.doors,
-            consumed: Vec::new(),
+            consumed: 0,
+            consumed_spill: Vec::new(),
             trace: msg.trace,
             call: msg.call,
         }
@@ -189,7 +197,8 @@ impl CommBuffer {
             shm: Some(mapped),
             rpos: 0,
             caps,
-            consumed: Vec::new(),
+            consumed: 0,
+            consumed_spill: Vec::new(),
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -412,8 +421,10 @@ impl CommBuffer {
         self.bytes.extend_from_slice(s.as_bytes());
     }
 
-    /// Reads the next length-prefixed UTF-8 string.
-    pub fn get_string(&mut self) -> Result<String, BufError> {
+    /// Reads the next length-prefixed UTF-8 string in place, borrowing it
+    /// from the buffer: nothing is copied (a type name looked up in a
+    /// registry, a path walked by a name server).
+    pub fn get_str(&mut self) -> Result<&str, BufError> {
         let len = self.get_u32()? as usize;
         if len > self.remaining() {
             return Err(BufError::LengthOverrun {
@@ -422,10 +433,16 @@ impl CommBuffer {
             });
         }
         let raw = self.take(len)?;
-        crate::flat::note_decode_copy(raw.len());
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| BufError::InvalidUtf8)
+        std::str::from_utf8(raw).map_err(|_| BufError::InvalidUtf8)
+    }
+
+    /// Reads the next length-prefixed UTF-8 string into an owned copy:
+    /// [`CommBuffer::get_str`] plus the copy, which counts as decode bytes
+    /// copied.
+    pub fn get_string(&mut self) -> Result<String, BufError> {
+        let s = self.get_str()?;
+        crate::flat::note_decode_copy(s.len());
+        Ok(s.to_owned())
     }
 
     /// Appends a length-prefixed byte sequence (IDL `sequence<octet>`).
@@ -489,17 +506,27 @@ impl CommBuffer {
     }
 
     fn is_consumed(&self, idx: usize) -> bool {
-        self.consumed
-            .get(idx / 64)
-            .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
+        let bit = 1u64 << (idx % 64);
+        match idx / 64 {
+            0 => self.consumed & bit != 0,
+            word => self
+                .consumed_spill
+                .get(word - 1)
+                .is_some_and(|w| w & bit != 0),
+        }
     }
 
     fn mark_consumed(&mut self, idx: usize) {
-        let word = idx / 64;
-        if self.consumed.len() <= word {
-            self.consumed.resize(word + 1, 0);
+        let bit = 1u64 << (idx % 64);
+        match idx / 64 {
+            0 => self.consumed |= bit,
+            word => {
+                if self.consumed_spill.len() < word {
+                    self.consumed_spill.resize(word, 0);
+                }
+                self.consumed_spill[word - 1] |= bit;
+            }
         }
-        self.consumed[word] |= 1u64 << (idx % 64);
     }
 
     /// Reads a door slot index and takes the identifier from the capability
@@ -772,6 +799,51 @@ mod tests {
         assert_eq!(crate::flat::decode_bytes_copied(), before + 4);
         r.get_string().unwrap();
         assert_eq!(crate::flat::decode_bytes_copied(), before + 7);
+    }
+
+    #[test]
+    fn get_str_borrows_without_counting_a_copy() {
+        let mut b = CommBuffer::new();
+        b.put_string("in place");
+        b.put_u32(3);
+        b.put_raw(&[0xFF, 0xFE, 0xFD]);
+        let mut r = CommBuffer::from_message(b.into_message());
+        let before = crate::flat::decode_bytes_copied();
+        assert_eq!(r.get_str().unwrap(), "in place");
+        assert_eq!(crate::flat::decode_bytes_copied(), before);
+        assert_eq!(r.get_str().unwrap_err(), BufError::InvalidUtf8);
+    }
+
+    #[test]
+    fn consumed_slots_past_the_inline_word_spill() {
+        let kernel = spring_kernel::Kernel::new("t");
+        let domain = kernel.create_domain("d");
+        let echo = domain
+            .create_door(std::sync::Arc::new(
+                |_: &spring_kernel::CallCtx, m: Message| Ok(m),
+            ))
+            .unwrap();
+        let mut b = CommBuffer::new();
+        let ids: Vec<DoorId> = (0..130).map(|_| domain.copy_door(echo).unwrap()).collect();
+        for &id in &ids {
+            b.put_door(id);
+        }
+        // Slot 0 (inline) and slot 70 (spilled) again, after all of them.
+        b.put_u32(0);
+        b.put_u32(70);
+        let mut r = CommBuffer::from_message(b.into_message());
+        for &id in &ids[..100] {
+            assert_eq!(r.get_door().unwrap(), id);
+        }
+        for _ in 100..130 {
+            r.get_u32().unwrap();
+        }
+        // Neither taken slot is handed out twice, and exactly the untaken
+        // ones drain.
+        assert_eq!(r.get_door().unwrap_err(), BufError::InvalidDoorSlot(0));
+        assert_eq!(r.get_door().unwrap_err(), BufError::InvalidDoorSlot(70));
+        assert_eq!(r.drain_doors(), ids[100..].to_vec());
+        assert!(r.drain_doors().is_empty());
     }
 
     #[test]

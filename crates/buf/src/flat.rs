@@ -198,8 +198,10 @@ thread_local! {
     static DECODED_HERE: Slot<1> = DECODE_BYTES_COPIED.register();
 }
 
+/// Counts `n` bytes copied out of a buffer by a decoder that read them in
+/// place first ([`crate::CommBuffer::get_str`], then a copy).
 #[inline]
-pub(crate) fn note_decode_copy(n: usize) {
+pub fn note_decode_copy(n: usize) {
     // A decode that runs while its thread's locals are being torn down goes
     // uncounted rather than panicking.
     let _ = DECODED_HERE.try_with(|here| here.add(0, n as u64));

@@ -1,5 +1,6 @@
 //! The Spring object: method table + subcontract ops vector + representation.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,8 +17,9 @@ struct ObjInner {
     /// The authoritative type name from the marshalled form. It survives
     /// transit through domains that do not know the type (where `type_info`
     /// degrades to the declared type), so a later, better-informed receiver
-    /// can still narrow correctly.
-    type_name: String,
+    /// can still narrow correctly. Borrowed from the type registry when the
+    /// domain knows the type; owned only when it does not.
+    type_name: Cow<'static, str>,
     /// Best locally-known type information.
     type_info: &'static TypeInfo,
     sc: Arc<dyn Subcontract>,
@@ -94,7 +96,7 @@ impl SpringObj {
         SpringObj {
             inner: Some(ObjInner {
                 ctx,
-                type_name: type_info.name.to_owned(),
+                type_name: Cow::Borrowed(type_info.name),
                 type_info,
                 sc,
                 repr,
@@ -107,7 +109,7 @@ impl SpringObj {
     /// (the final step of every subcontract's `unmarshal`, §5.1.2).
     pub fn assemble_from_wire(
         ctx: Arc<DomainCtx>,
-        type_name: String,
+        type_name: impl Into<Cow<'static, str>>,
         type_info: &'static TypeInfo,
         sc: Arc<dyn Subcontract>,
         repr: Repr,
@@ -115,7 +117,7 @@ impl SpringObj {
         SpringObj {
             inner: Some(ObjInner {
                 ctx,
-                type_name,
+                type_name: type_name.into(),
                 type_info,
                 sc,
                 repr,
@@ -196,7 +198,7 @@ impl SpringObj {
         } else {
             Err(SpringError::TypeMismatch {
                 expected: target.name,
-                actual: self.inner().type_name.clone(),
+                actual: self.type_name().to_owned(),
             })
         }
     }

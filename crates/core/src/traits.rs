@@ -1,6 +1,7 @@
 //! The subcontract operations vector and related service traits.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
@@ -22,7 +23,7 @@ pub struct ObjParts {
     /// The object's most-derived locally known type.
     pub type_info: &'static TypeInfo,
     /// The authoritative type name carried on the wire.
-    pub type_name: String,
+    pub type_name: Cow<'static, str>,
     /// The representation, owned.
     pub repr: Repr,
 }

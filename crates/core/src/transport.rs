@@ -47,16 +47,8 @@ impl Transport for KernelTransport {
                 "kernel transport cannot cross machines; use a network transport".into(),
             ));
         }
-        let mut doors = Vec::with_capacity(msg.doors.len());
-        for d in msg.doors {
-            doors.push(from.transfer_door(d, to)?);
-        }
-        Ok(Message {
-            bytes: msg.bytes,
-            doors,
-            trace: msg.trace,
-            call: msg.call,
-        })
+        let doors = from.transfer_doors(msg.doors, to)?;
+        Ok(Message { doors, ..msg })
     }
 }
 

@@ -9,6 +9,7 @@
 //! unmarshal operation sees some other value then it calls into a registry
 //! to locate the correct code for that subcontract."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use spring_buf::CommBuffer;
@@ -38,12 +39,14 @@ pub fn put_obj_header(buf: &mut CommBuffer, id: ScId, type_name: &str) {
 /// downstream can still narrow.
 ///
 /// Returns the subcontract identifier, the wire type name, and the
-/// best-known local type information.
+/// best-known local type information. The name is read in place and, when
+/// the receiver knows the type, borrowed from its registry: only the name
+/// of a type the receiver has never heard of is copied out of the buffer.
 pub fn get_obj_header(
     ctx: &Arc<DomainCtx>,
     expected: &'static TypeInfo,
     buf: &mut CommBuffer,
-) -> Result<(ScId, String, &'static TypeInfo)> {
+) -> Result<(ScId, Cow<'static, str>, &'static TypeInfo)> {
     let (id, name, info) = read_obj_header(ctx, expected, buf)?;
     Ok((id, name, info?))
 }
@@ -56,18 +59,26 @@ pub(crate) fn read_obj_header(
     ctx: &Arc<DomainCtx>,
     expected: &'static TypeInfo,
     buf: &mut CommBuffer,
-) -> Result<(ScId, String, Result<&'static TypeInfo>)> {
+) -> Result<(ScId, Cow<'static, str>, Result<&'static TypeInfo>)> {
     let id = ScId::from_raw(buf.get_u64()?);
-    let name = buf.get_string()?;
-    let info = match ctx.types().lookup(&name) {
-        Some(t) if !t.is_a(expected) => Err(SpringError::TypeMismatch {
-            expected: expected.name,
-            actual: name.clone(),
-        }),
-        Some(t) => Ok(t),
-        None => Ok(expected),
-    };
-    Ok((id, name, info))
+    let name = buf.get_str()?;
+    Ok(match ctx.types().lookup(name) {
+        Some(t) => {
+            let info = if t.is_a(expected) {
+                Ok(t)
+            } else {
+                Err(SpringError::TypeMismatch {
+                    expected: expected.name,
+                    actual: t.name.to_owned(),
+                })
+            };
+            (id, Cow::Borrowed(t.name), info)
+        }
+        None => {
+            spring_buf::flat::note_decode_copy(name.len());
+            (id, Cow::Owned(name.to_owned()), Ok(expected))
+        }
+    })
 }
 
 /// The stub-level entry point for reading an object out of a buffer.

@@ -36,6 +36,39 @@ fn kernel_transport_moves_identifiers() {
     assert!(b.door_is_valid(moved.doors[0]));
 }
 
+/// A message the kernel cannot move whole is lost whole: nothing lands in
+/// the receiver, and the sender's identifiers in it are deleted rather than
+/// dropped undeleted.
+#[test]
+fn kernel_transport_failure_leaves_no_identifier_behind() {
+    let kernel = Kernel::new("t");
+    let a = kernel.create_domain("a");
+    let b = kernel.create_domain("b");
+    let other = kernel.create_domain("other");
+    let echo = || Arc::new(|_: &spring_kernel::CallCtx, m| Ok(m));
+    let live = || {
+        let s = kernel.stats();
+        s.ids_issued - s.ids_deleted
+    };
+    let foreign = other.create_door(echo()).unwrap();
+    let base = live();
+    let valid = a.create_door(echo()).unwrap();
+
+    let shipped = KernelTransport.ship(
+        &a,
+        &b,
+        Message {
+            doors: vec![valid, foreign],
+            ..Message::default()
+        },
+    );
+    assert_eq!(shipped.unwrap_err(), DoorError::InvalidDoor);
+    assert!(!a.door_is_valid(valid));
+    assert!(other.door_is_valid(foreign), "not the sender's to delete");
+    assert_eq!(live(), base, "identifiers left behind by a failed ship");
+    kernel.audit().unwrap();
+}
+
 #[test]
 fn a_door_marshalled_twice_into_one_buffer_is_refused_by_the_kernel() {
     let kernel = Kernel::new("t");

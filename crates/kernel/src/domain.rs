@@ -165,6 +165,20 @@ impl Domain {
         self.kernel.transfer_door(&self.state, door, to)
     }
 
+    /// Transfers a message's door identifiers to another domain of the same
+    /// kernel, all or nothing, rewriting the vector in place to the
+    /// identifiers they landed as. A failure loses the whole list: nothing
+    /// lands in `to`, and every identifier in it that this domain owns is
+    /// deleted, rather than a partial capability set being stranded in two
+    /// domains or dropped undeleted.
+    pub fn transfer_doors(
+        &self,
+        doors: Vec<DoorId>,
+        to: &Domain,
+    ) -> Result<Vec<DoorId>, DoorError> {
+        self.kernel.transfer_doors(&self.state, doors, to)
+    }
+
     /// Deletes a door identifier owned by this domain. Deleting the last
     /// identifier for a door triggers the handler's
     /// [`DoorHandler::unreferenced`] notification.

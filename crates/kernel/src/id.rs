@@ -85,6 +85,15 @@ pub struct DoorId {
 }
 
 impl DoorId {
+    /// An identifier of no door in any domain (domain and slot numbers start
+    /// at 1), which every kernel operation refuses: a placeholder for the
+    /// slots of a door list being rewritten in place that a failure left
+    /// unfilled.
+    pub const NONE: DoorId = DoorId {
+        owner: DomainId(0),
+        slot: 0,
+    };
+
     /// The domain this identifier belongs to.
     pub fn owner(self) -> DomainId {
         self.owner

@@ -390,28 +390,19 @@ impl Kernel {
         if id.owner != from.id {
             return Err(DoorError::InvalidDoor);
         }
-        // A handle on another kernel's domain names no domain of this one.
-        if !Arc::ptr_eq(&self.inner, &to.kernel().inner) {
-            return Err(DoorError::DomainDead);
+        let mut moved = [id];
+        self.move_doors(from, self.same_kernel(to)?, &mut moved)?;
+        Ok(moved[0])
+    }
+
+    /// The state of `to`, which must be a domain of this kernel: a handle on
+    /// another kernel's domain names no domain of this one.
+    fn same_kernel<'a>(&self, to: &'a Domain) -> Result<&'a DomainState, DoorError> {
+        if Arc::ptr_eq(&self.inner, &to.kernel().inner) {
+            Ok(to.state())
+        } else {
+            Err(DoorError::DomainDead)
         }
-        let to = to.state();
-        let slot = self.fresh_slot();
-        {
-            let mut tables = Tables::lock(&self.inner, from, to);
-            if !from.alive.load(Ordering::Relaxed) {
-                return Err(DoorError::DomainDead);
-            }
-            if !tables.src_tab().contains_key(&id.slot) {
-                return Err(DoorError::InvalidDoor);
-            }
-            if !to.alive.load(Ordering::Relaxed) {
-                return Err(DoorError::DomainDead);
-            }
-            let door = tables.src_tab().remove(&id.slot).expect("checked above");
-            tables.dst_tab().insert(slot, door);
-        }
-        self.inner.stats.add(Count::ids_transferred, 1);
-        Ok(DoorId { owner: to.id, slot })
     }
 
     pub(crate) fn delete_door(&self, domain: &DomainState, id: DoorId) -> Result<(), DoorError> {
@@ -606,7 +597,7 @@ impl Kernel {
     ) -> Result<Message, DoorError> {
         let Message {
             bytes: src,
-            doors: sent,
+            mut doors,
             trace,
             call,
         } = msg;
@@ -634,30 +625,41 @@ impl Kernel {
             bytes
         };
 
-        if sent.is_empty() {
+        if doors.is_empty() {
             // Fast path: no identifiers to move, no table locks needed.
             if !to.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            return Ok(Message {
-                bytes,
-                doors: Vec::new(),
-                trace,
-                call,
-            });
+        } else {
+            self.move_doors(from, to, &mut doors)?;
         }
+        Ok(Message {
+            bytes,
+            doors,
+            trace,
+            call,
+        })
+    }
 
-        let mut doors = Vec::with_capacity(sent.len());
+    /// Moves every identifier in `doors` from `from`'s table to `to`'s,
+    /// rewriting each in place to the identifier it landed as, so a door
+    /// list keeps one allocation however many domains it crosses. All or
+    /// nothing: every identifier is validated before any moves (one named
+    /// twice is invalid: one reference cannot land as two), so a failure
+    /// leaves both tables and `doors` untouched.
+    fn move_doors(
+        &self,
+        from: &DomainState,
+        to: &DomainState,
+        doors: &mut [DoorId],
+    ) -> Result<(), DoorError> {
         {
             let mut tables = Tables::lock(&self.inner, from, to);
-            // Validate every identifier before moving any, so a bad message
-            // leaves the sender's table untouched. An identifier named twice
-            // is bad: one reference cannot land as two.
             if !from.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            for (i, d) in sent.iter().enumerate() {
-                let fresh = d.owner == from.id && !sent[..i].contains(d);
+            for (i, d) in doors.iter().enumerate() {
+                let fresh = d.owner == from.id && !doors[..i].contains(d);
                 if !fresh || !tables.src_tab().contains_key(&d.slot) {
                     return Err(DoorError::InvalidDoor);
                 }
@@ -665,22 +667,41 @@ impl Kernel {
             if !to.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
-            for d in &sent {
+            for d in doors.iter_mut() {
                 let door = tables.src_tab().remove(&d.slot).expect("validated above");
                 let slot = self.fresh_slot();
                 tables.dst_tab().insert(slot, door);
-                doors.push(DoorId { owner: to.id, slot });
+                *d = DoorId { owner: to.id, slot };
             }
         }
         self.inner
             .stats
             .add(Count::ids_transferred, doors.len() as u64);
-        Ok(Message {
-            bytes,
-            doors,
-            trace,
-            call,
-        })
+        Ok(())
+    }
+
+    /// [`Domain::transfer_doors`]: [`Kernel::move_doors`], and on failure
+    /// the sender's identifiers in `doors` deleted.
+    pub(crate) fn transfer_doors(
+        &self,
+        from: &DomainState,
+        mut doors: Vec<DoorId>,
+        to: &Domain,
+    ) -> Result<Vec<DoorId>, DoorError> {
+        if doors.is_empty() {
+            return Ok(doors);
+        }
+        let moved = self
+            .same_kernel(to)
+            .and_then(|to| self.move_doors(from, to, &mut doors));
+        if let Err(e) = moved {
+            for d in doors {
+                // Identifiers that are not the sender's stay where they are.
+                let _ = self.delete_door(from, d);
+            }
+            return Err(e);
+        }
+        Ok(doors)
     }
 }
 

@@ -135,8 +135,9 @@ impl Dispatch for ContextDispatch {
                 Ok(())
             }
             x if x == ops::RESOLVE => {
-                let name = args.get_string()?;
-                let (owner, leaf) = match self.servant.walk(&name) {
+                // The path is walked where it lies in the call buffer.
+                let name = args.get_str()?;
+                let (owner, leaf) = match self.servant.walk(name) {
                     Ok(x) => x,
                     Err(why) => {
                         naming_error(reply, why);
@@ -167,8 +168,8 @@ impl Dispatch for ContextDispatch {
                 Ok(())
             }
             x if x == ops::UNBIND => {
-                let name = args.get_string()?;
-                match self.servant.unbind(&name) {
+                let name = args.get_str()?;
+                match self.servant.unbind(name) {
                     Ok(()) => encode_ok(reply),
                     Err(why) => naming_error(reply, why),
                 }

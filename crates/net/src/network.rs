@@ -645,7 +645,7 @@ impl Network {
         let from_node = from.kernel().node_id();
         let to_node = to.kernel().node_id();
         if from_node == to_node {
-            let doors = transfer_all(from, to, msg.doors)?;
+            let doors = from.transfer_doors(msg.doors, to)?;
             return Ok(Message { doors, ..msg });
         }
 
@@ -657,7 +657,7 @@ impl Network {
         // Move identifiers into the sending network server, map to wire
         // form, hop, and reverse on the receiving side. Object transfers
         // ride a reliable stream, so no loss is applied.
-        let doors = transfer_all(from, &src.domain, msg.doors)?;
+        let doors = from.transfer_doors(msg.doors, &src.domain)?;
         let (wire, fresh) = src.to_wire_tracked(Message { doors, ..msg })?;
         let arrived = self
             .inner
@@ -669,7 +669,7 @@ impl Network {
             )
             .and_then(|()| dst.from_wire(wire))
             .and_then(|arrived| {
-                let doors = transfer_all(&dst.domain, to, arrived.doors)?;
+                let doors = dst.domain.transfer_doors(arrived.doors, to)?;
                 Ok(Message { doors, ..arrived })
             });
         if arrived.is_err() {
@@ -679,32 +679,6 @@ impl Network {
         }
         arrived
     }
-}
-
-/// Moves a message's identifiers from one domain to another of the same
-/// kernel. A failed transfer loses the whole message: the identifiers
-/// already landed in the receiver, the one that failed (the kernel
-/// validates before it moves, so it is still the sender's) and the ones
-/// not yet sent are all deleted, rather than stranding a partially
-/// transferred capability set in two domains forever.
-fn transfer_all(from: &Domain, to: &Domain, doors: Vec<DoorId>) -> Result<Vec<DoorId>, DoorError> {
-    let mut landed = Vec::with_capacity(doors.len());
-    let mut pending = doors.into_iter();
-    while let Some(d) = pending.next() {
-        match from.transfer_door(d, to) {
-            Ok(t) => landed.push(t),
-            Err(e) => {
-                for t in landed {
-                    let _ = to.delete_door(t);
-                }
-                for unsent in std::iter::once(d).chain(pending) {
-                    let _ = from.delete_door(unsent);
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(landed)
 }
 
 impl subcontract::Transport for Network {

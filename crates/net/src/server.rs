@@ -28,8 +28,11 @@ pub(crate) struct WireCap {
 /// copied: `to_wire_tracked` takes `Message.bytes` by value into this struct
 /// and `from_wire` moves it back out, so a forwarded call's payload is
 /// allocated once (from the thread-local buffer pool) and handed along.
-/// The simulated cross-address-space copy happens in the kernel's
-/// `translate`, where a real system pays it too.
+/// The door list crosses the same way: `to_wire_tracked` rewrites the
+/// message's `Vec<DoorId>` in place into `caps` and `from_wire` rewrites it
+/// back, so a list is allocated once, by whoever marshalled it. The
+/// simulated cross-address-space copy happens in the kernel's `translate`,
+/// where a real system pays it too.
 #[derive(Debug, Default)]
 pub(crate) struct WireMessage {
     pub bytes: Vec<u8>,
@@ -266,25 +269,29 @@ impl NetServer {
         &self,
         msg: Message,
     ) -> Result<(WireMessage, Vec<u64>), DoorError> {
-        let mut caps = Vec::with_capacity(msg.doors.len());
         let mut fresh = Vec::new();
-        let mut doors = msg.doors.into_iter();
-        for d in doors.by_ref() {
-            match self.export_cap_tracked(d) {
-                Ok((cap, is_fresh)) => {
-                    if is_fresh {
-                        fresh.push(cap.export);
-                    }
-                    caps.push(cap);
+        let (caps, exported) = rewrite(
+            msg.doors,
+            WireCap {
+                origin: 0,
+                export: 0,
+            },
+            |d| {
+                let (cap, is_fresh) = self.export_cap_tracked(d)?;
+                if is_fresh {
+                    fresh.push(cap.export);
                 }
-                Err(e) => {
-                    self.unexport(&fresh);
-                    // The failing identifier and the ones not yet exported
-                    // would otherwise be dropped undeleted.
-                    self.delete_doors(std::iter::once(d).chain(doors));
-                    return Err(e);
-                }
-            }
+                Ok(cap)
+            },
+            // The failing identifier and the ones not yet exported would
+            // otherwise be dropped undeleted.
+            |d| {
+                let _ = self.domain.delete_door(d);
+            },
+        );
+        if let Err(e) = exported {
+            self.unexport(&fresh);
+            return Err(e);
         }
         Ok((
             WireMessage {
@@ -300,17 +307,12 @@ impl NetServer {
     /// Converts an inbound wire message to a local message whose identifiers
     /// are owned by this server's domain.
     pub(crate) fn from_wire(self: &Arc<Self>, wire: WireMessage) -> Result<Message, DoorError> {
-        let mut doors = Vec::with_capacity(wire.caps.len());
-        for cap in wire.caps {
-            match self.import_cap(cap) {
-                Ok(d) => doors.push(d),
-                Err(e) => {
-                    // Roll back the identifiers already issued for this
-                    // message; the call is not going to be delivered.
-                    self.delete_doors(doors);
-                    return Err(e);
-                }
-            }
+        let (doors, imported) = rewrite(wire.caps, DoorId::NONE, |cap| self.import_cap(cap), drop);
+        if let Err(e) = imported {
+            // Roll back the identifiers already issued for this message;
+            // the call is not going to be delivered.
+            self.delete_doors(doors.into_iter().filter(|&d| d != DoorId::NONE));
+            return Err(e);
         }
         Ok(Message {
             bytes: wire.bytes,
@@ -319,6 +321,46 @@ impl NetServer {
             call: wire.call,
         })
     }
+}
+
+/// A door list crosses the wire boundary the way a payload does: a
+/// [`DoorId`] and a [`WireCap`] have one layout, so converting one list into
+/// the other reuses its vector.
+const _: () = assert!(
+    std::mem::size_of::<DoorId>() == std::mem::size_of::<WireCap>()
+        && std::mem::align_of::<DoorId>() == std::mem::align_of::<WireCap>()
+);
+
+/// Rewrites a door list element by element through `convert`, in place (the
+/// collect reuses the vector when the two element types share a layout).
+/// All or nothing: past the first failure `convert` is not called again —
+/// the failing element and the ones after it go to `unsent` and leave
+/// `hole` in their slots — and that failure comes back beside the list.
+fn rewrite<T, U>(
+    items: Vec<T>,
+    hole: U,
+    mut convert: impl FnMut(T) -> Result<U, DoorError>,
+    mut unsent: impl FnMut(T),
+) -> (Vec<U>, Result<(), DoorError>)
+where
+    T: Copy,
+    U: Copy,
+{
+    let mut outcome = Ok(());
+    let out = items
+        .into_iter()
+        .map(|item| {
+            if outcome.is_ok() {
+                match convert(item) {
+                    Ok(converted) => return converted,
+                    Err(e) => outcome = Err(e),
+                }
+            }
+            unsent(item);
+            hole
+        })
+        .collect();
+    (out, outcome)
 }
 
 /// Handler for a proxy door: forwards invocations across the network.
@@ -408,5 +450,43 @@ mod tests {
                 (ReplyOutcome::NotDelivered(DoorError::Comm(_)), 0, 0)
             ));
         }
+    }
+
+    /// A door list that fails partway through either conversion is lost
+    /// whole: exports pinned for it are released, the failing and unsent
+    /// identifiers deleted, and identifiers already issued deleted.
+    #[test]
+    fn a_conversion_that_fails_partway_leaves_no_identifier_behind() {
+        let net = Network::new(NetConfig::default());
+        let node = net.add_node("n");
+        let server = net.inner.server(node.id().raw()).unwrap();
+        let live = || node.kernel().stats().ids_issued - node.kernel().stats().ids_deleted;
+        let door = || server.domain.create_door(Arc::new(servant)).unwrap();
+        let base = live();
+
+        let outbound = Message {
+            doors: vec![door(), DoorId::NONE, door()],
+            ..Message::default()
+        };
+        let err = server.to_wire_tracked(outbound).unwrap_err();
+        assert_eq!(err, DoorError::InvalidDoor);
+        assert_eq!(live(), base, "to_wire_tracked left identifiers behind");
+
+        let (cap, fresh) = server.export_cap_tracked(door()).unwrap();
+        assert!(fresh);
+        let pinned = live();
+        let stale = WireCap {
+            export: u64::MAX,
+            ..cap
+        };
+        let inbound = WireMessage {
+            caps: vec![cap, cap, stale, cap],
+            ..WireMessage::default()
+        };
+        assert!(matches!(
+            server.from_wire(inbound),
+            Err(DoorError::Comm(m)) if m.contains("stale export")
+        ));
+        assert_eq!(live(), pinned, "from_wire left identifiers behind");
     }
 }

@@ -1,5 +1,6 @@
 //! The steady-state forwarded-call fast path must not allocate — over the
-//! simulated network and over a real socket.
+//! simulated network and over a real socket — and a reply that carries a
+//! door allocates only the door list its handler built.
 //!
 //! This binary installs a counting global allocator (which is why the tests
 //! live alone in their own integration-test file). A byte-only cross-node
@@ -16,7 +17,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use spring_kernel::{pool, CallCtx, DoorError, DoorHandler, Message};
+use spring_kernel::{pool, CallCtx, DoorError, DoorHandler, DoorId, Message};
 use spring_net::{NetConfig, Network};
 
 struct CountingAlloc;
@@ -123,6 +124,75 @@ fn steady_state_forwarded_call_does_not_allocate() {
         after - before,
         0,
         "steady-state forwarded calls allocated {} times",
+        after - before
+    );
+}
+
+/// Replies with a fresh identifier for the door it holds.
+struct HandsOut(DoorId);
+
+impl DoorHandler for HandsOut {
+    fn invoke(&self, ctx: &CallCtx, mut msg: Message) -> Result<Message, DoorError> {
+        msg.doors = vec![ctx.server().copy_door(self.0)?];
+        Ok(msg)
+    }
+}
+
+/// A forwarded call whose reply carries a door identifier: once the door is
+/// exported and its proxy exists on the caller's node, the reply's door list
+/// is the one vector its handler built, rewritten in place at every hop —
+/// the kernel's translation into the network server, the wire form, the
+/// import, the translation into the caller. One allocation per call.
+#[test]
+fn steady_state_reply_carrying_a_door_allocates_only_its_door_list() {
+    let _serial = serial();
+    assert!(!spring_trace::enabled());
+
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let server = b.kernel().create_domain("server");
+    let client = a.kernel().create_domain("client");
+    let held = server.create_door(Arc::new(Echo)).unwrap();
+    let door = server.create_door(Arc::new(HandsOut(held))).unwrap();
+    let arrived = net
+        .ship_message(
+            &server,
+            &client,
+            Message {
+                doors: vec![door],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+    let proxy = arrived.doors[0];
+
+    let forwarded_call = || {
+        let mut bytes = pool::take(8);
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        let reply = client.call(proxy, Message::from_bytes(bytes)).unwrap();
+        assert_eq!(reply.doors.len(), 1);
+        client.delete_door(reply.doors[0]).unwrap();
+        pool::give(reply.bytes);
+    };
+
+    // The first call exports the held door and builds its proxy; the rest
+    // warm the pools.
+    for _ in 0..100 {
+        forwarded_call();
+    }
+
+    COUNTING.set(true);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..1_000 {
+        forwarded_call();
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.set(false);
+    assert_eq!(
+        after - before,
+        1_000,
+        "1000 door-carrying replies allocated {} times",
         after - before
     );
 }

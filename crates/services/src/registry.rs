@@ -67,19 +67,7 @@ impl RegistryServant {
         let msg = buf.into_message();
         // The marshalled identifiers are owned by the object's domain; the
         // entry must own them in *ours* so later lookups can copy them out.
-        let from = obj.ctx().domain().clone();
-        let mut moved = Vec::with_capacity(msg.doors.len());
-        for d in msg.doors {
-            match from.transfer_door(d, &self.domain) {
-                Ok(m) => moved.push(m),
-                Err(e) => {
-                    for m in moved {
-                        let _ = self.domain.delete_door(m);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
+        let moved = obj.ctx().domain().transfer_doors(msg.doors, &self.domain)?;
         self.store(name.to_owned(), msg.bytes, moved);
         Ok(())
     }
@@ -188,19 +176,7 @@ impl DoorHandler for RegistryServant {
         let server = ctx.server();
         let foreign_serve = server.id() != self.domain.id();
         if foreign_serve {
-            let mut moved = Vec::with_capacity(msg.doors.len());
-            for d in std::mem::take(&mut msg.doors) {
-                match server.transfer_door(d, &self.domain) {
-                    Ok(m) => moved.push(m),
-                    Err(e) => {
-                        for m in moved {
-                            let _ = self.domain.delete_door(m);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            msg.doors = moved;
+            msg.doors = server.transfer_doors(msg.doors, &self.domain)?;
         }
         // A failed register must not strand the identifiers that landed in
         // our domain: `handle` either stores them or they are deleted here.
@@ -208,19 +184,7 @@ impl DoorHandler for RegistryServant {
         match self.handle(msg) {
             Ok(mut reply) => {
                 if foreign_serve {
-                    let mut out = Vec::with_capacity(reply.doors.len());
-                    for d in std::mem::take(&mut reply.doors) {
-                        match self.domain.transfer_door(d, &server) {
-                            Ok(m) => out.push(m),
-                            Err(e) => {
-                                for m in out {
-                                    let _ = server.delete_door(m);
-                                }
-                                return Err(e);
-                            }
-                        }
-                    }
-                    reply.doors = out;
+                    reply.doors = self.domain.transfer_doors(reply.doors, &server)?;
                 }
                 Ok(reply)
             }

@@ -166,6 +166,17 @@ impl Subcontract for Reconnectable {
         Ok(())
     }
 
+    /// §5.1.5: a copy of the current door, then the name, straight into the
+    /// buffer; no intermediate lock or name is built.
+    fn marshal_copy(&self, obj: &SpringObj, buf: &mut CommBuffer) -> Result<()> {
+        let repr = obj.repr().downcast::<ReconRepr>(self.name())?;
+        let door = obj.ctx().domain().copy_door(*repr.door.lock())?;
+        put_obj_header(buf, Self::ID, obj.type_name());
+        buf.put_door(door);
+        buf.put_string(&repr.name);
+        Ok(())
+    }
+
     fn unmarshal(
         &self,
         ctx: &Arc<DomainCtx>,

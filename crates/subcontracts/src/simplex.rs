@@ -91,6 +91,17 @@ impl Simplex {
             Repr::new(SimplexRepr::Local(disp)),
         ))
     }
+
+    /// First transmission of a local object: create the cross-domain
+    /// resources now (§5.2.1: "When and if the object is actually marshalled
+    /// ... the subcontract will finally create these resources").
+    fn mint_door(ctx: &Arc<DomainCtx>, disp: Arc<dyn Dispatch>) -> Result<DoorId> {
+        let servant = Some(disp.clone());
+        let handler = ServeDoor::new(ctx, SERVE_SPAN, Self::ID, servant, move |call| {
+            control(call, &*disp)
+        });
+        Ok(ctx.domain().create_door(handler)?)
+    }
 }
 
 impl Subcontract for Simplex {
@@ -131,19 +142,23 @@ impl Subcontract for Simplex {
     fn marshal(&self, ctx: &Arc<DomainCtx>, parts: ObjParts, buf: &mut CommBuffer) -> Result<()> {
         let door = match *parts.repr.into_downcast::<SimplexRepr>(self.name())? {
             SimplexRepr::Remote(d) => d,
-            // First transmission of a local object: create the
-            // cross-domain resources now (§5.2.1: "When and if the object is
-            // actually marshalled ... the subcontract will finally create
-            // these resources").
-            SimplexRepr::Local(disp) => {
-                let servant = Some(disp.clone());
-                let handler = ServeDoor::new(ctx, SERVE_SPAN, Self::ID, servant, move |call| {
-                    control(call, &*disp)
-                });
-                ctx.domain().create_door(handler)?
-            }
+            SimplexRepr::Local(disp) => Self::mint_door(ctx, disp)?,
         };
         put_obj_header(buf, Self::ID, &parts.type_name);
+        buf.put_door(door);
+        Ok(())
+    }
+
+    /// §5.1.5: the copy's door goes straight into the buffer — the bytes of
+    /// `copy()` then `marshal`, with no intermediate object built and
+    /// destroyed. A local object mints the door its copy's marshal would.
+    fn marshal_copy(&self, obj: &SpringObj, buf: &mut CommBuffer) -> Result<()> {
+        let ctx = obj.ctx();
+        let door = match obj.repr().downcast::<SimplexRepr>(self.name())? {
+            SimplexRepr::Remote(d) => ctx.domain().copy_door(*d)?,
+            SimplexRepr::Local(disp) => Self::mint_door(ctx, disp.clone())?,
+        };
+        put_obj_header(buf, Self::ID, obj.type_name());
         buf.put_door(door);
         Ok(())
     }
