@@ -11,7 +11,8 @@
 //! * Shmem transport: argument frames cross in shared memory and are
 //!   flat-decoded in place; only the 16-byte region descriptor and the
 //!   small reply ride the kernel's copying path, independent of payload
-//!   size.
+//!   size. The descriptor's backing comes from the pool, so a warm call
+//!   allocates nothing here either.
 //!
 //! The allocation count is scoped to the measuring thread; the copy
 //! counters are process-global, so the tests serialize on one mutex.
@@ -93,9 +94,11 @@ fn shmem_flat_arguments_cross_without_payload_copies() {
 
     let before = kernel.stats();
     let decode_before = decode_bytes_copied();
-    for _ in 0..CALLS {
-        flat.sink_sample(&sample).unwrap();
-    }
+    let allocs_delta = common::allocations_in(|| {
+        for _ in 0..CALLS {
+            flat.sink_sample(&sample).unwrap();
+        }
+    });
     let delta = kernel.stats().since(&before);
     let decode_delta = decode_bytes_copied() - decode_before;
 
@@ -106,6 +109,12 @@ fn shmem_flat_arguments_cross_without_payload_copies() {
     // Each call marshals a footprint-sized frame into the region; if those
     // bytes rode the kernel's copying path the per-call copy cost would be
     // at least the footprint. Only the descriptor + reply may be copied.
+    // The descriptor comes from the buffer pool and the buffer holds the
+    // mapped region in place: a warm call allocates nothing.
+    assert_eq!(
+        allocs_delta, 0,
+        "steady-state shmem calls allocated {allocs_delta} times"
+    );
     let footprint = Sample::footprint() as u64;
     assert!(
         delta.bytes_copied < CALLS * footprint,

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::mem;
 
-use spring_kernel::{pool, CallId, DoorId, MappedShm, Message};
+use spring_kernel::{pool, CallId, DoorId, MappedShm, Message, ShmRegion};
 use spring_trace::TraceCtx;
 
 use crate::error::BufError;
@@ -21,12 +21,12 @@ pub struct CommBuffer {
     /// The byte stream, wherever it lives: one plain vector, so the put and
     /// get paths never ask which backing they are on.
     bytes: Vec<u8>,
-    /// `Some` while `bytes` is a mapped shared-memory region's storage (the
-    /// mapping then holds the set-aside heap vector in its place): bytes
-    /// written are visible to the server without a kernel copy. Every way
-    /// out of that state ([`CommBuffer::take_shm`], drop) swaps the storage
-    /// back before the mapping is released.
-    shm: Option<MappedShm>,
+    /// `Some` while `bytes` is the storage of this mapped shared-memory
+    /// region: bytes written are visible to the server without a kernel
+    /// copy. One word, where the mapping itself would be four. Every way out
+    /// of that state ([`CommBuffer::take_shm`], drop) puts the storage back
+    /// into the region.
+    shm: Option<ShmRegion>,
     /// Read cursor into the byte stream.
     rpos: usize,
     /// Out-of-band door identifiers, in slot order.
@@ -35,10 +35,10 @@ pub struct CommBuffer {
     /// inline: a marshalled object (one door, a handful at most) is
     /// unmarshalled without allocating a bitset.
     consumed: u64,
-    /// The rest of the bitset (64 slots per word, from slot 64 on),
-    /// allocated only when a buffer carrying more than 64 capabilities has
-    /// one of those consumed.
-    consumed_spill: Vec<u64>,
+    /// The rest of the bitset (64 slots per word, from slot 64 on), behind
+    /// one pointer and allocated only when a buffer carrying more than 64
+    /// capabilities has one of those consumed.
+    consumed_spill: Option<Box<Spill>>,
     /// Trace context riding the envelope: captured from the incoming
     /// [`Message`] by [`CommBuffer::from_message`] and re-emitted by
     /// [`CommBuffer::into_message`], so decode → re-marshal paths (the
@@ -49,6 +49,14 @@ pub struct CommBuffer {
     /// servant, proxies) keep at-most-once retries deduplicatable.
     call: CallId,
 }
+
+// Values of up to 128 bytes move as inline copies on x86-64; larger ones call `memcpy`.
+const _: () = assert!(size_of::<CommBuffer>() <= 120);
+
+/// The spilled words of the consumed-slot bitset. A struct rather than a
+/// bare `Box<[u64]>`, whose pointer is two words.
+#[derive(Default)]
+struct Spill(Vec<u64>);
 
 impl Default for CommBuffer {
     fn default() -> Self {
@@ -83,7 +91,7 @@ impl CommBuffer {
             rpos: 0,
             caps: Vec::new(),
             consumed: 0,
-            consumed_spill: Vec::new(),
+            consumed_spill: None,
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -97,7 +105,7 @@ impl CommBuffer {
             rpos: 0,
             caps: Vec::new(),
             consumed: 0,
-            consumed_spill: Vec::new(),
+            consumed_spill: None,
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -115,7 +123,7 @@ impl CommBuffer {
             rpos: 0,
             caps: Vec::new(),
             consumed: 0,
-            consumed_spill: Vec::new(),
+            consumed_spill: None,
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -130,7 +138,7 @@ impl CommBuffer {
             rpos: 0,
             caps: msg.doors,
             consumed: 0,
-            consumed_spill: Vec::new(),
+            consumed_spill: None,
             trace: msg.trace,
             call: msg.call,
         }
@@ -161,23 +169,24 @@ impl CommBuffer {
     /// Bytes already written are carried over into the region (normally none:
     /// `invoke_preamble` runs before any argument marshalling, §5.1.4). The
     /// region's previous contents beyond the carried-over bytes are cleared.
-    pub fn redirect_to_shm(&mut self, mut mapped: MappedShm) -> Result<(), BufError> {
+    pub fn redirect_to_shm(&mut self, mapped: MappedShm) -> Result<(), BufError> {
         if self.shm.is_some() {
             return Err(BufError::WrongBacking);
         }
-        mapped.clear();
-        mapped.extend_from_slice(&self.bytes);
-        mem::swap(&mut self.bytes, &mut *mapped);
-        self.shm = Some(mapped);
+        let (region, mut data) = mapped.into_parts();
+        data.clear();
+        data.extend_from_slice(&self.bytes);
+        pool::give(mem::replace(&mut self.bytes, data));
+        self.shm = Some(region);
         Ok(())
     }
 
-    /// Gives the region its storage back (taking the set-aside heap vector
-    /// in exchange) and returns the mapping, if there is one.
+    /// Hands the region its storage back as a mapping, if the buffer is
+    /// shm-backed; dropping that mapping publishes the bytes. Leaves the
+    /// buffer empty.
     fn unmap(&mut self) -> Option<MappedShm> {
-        let mut mapped = self.shm.take()?;
-        mem::swap(&mut self.bytes, &mut *mapped);
-        Some(mapped)
+        let region = self.shm.take()?;
+        Some(MappedShm::from_parts(region, mem::take(&mut self.bytes)))
     }
 
     /// Detaches the shared-memory mapping, returning it together with the
@@ -191,14 +200,15 @@ impl CommBuffer {
 
     /// Builds a decoding buffer over a mapped shared-memory region, with
     /// capabilities delivered out-of-band by the kernel message.
-    pub fn from_shm(mut mapped: MappedShm, caps: Vec<DoorId>) -> Self {
+    pub fn from_shm(mapped: MappedShm, caps: Vec<DoorId>) -> Self {
+        let (region, bytes) = mapped.into_parts();
         CommBuffer {
-            bytes: mem::take(&mut *mapped),
-            shm: Some(mapped),
+            bytes,
+            shm: Some(region),
             rpos: 0,
             caps,
             consumed: 0,
-            consumed_spill: Vec::new(),
+            consumed_spill: None,
             trace: TraceCtx::NONE,
             call: CallId::NONE,
         }
@@ -511,7 +521,8 @@ impl CommBuffer {
             0 => self.consumed & bit != 0,
             word => self
                 .consumed_spill
-                .get(word - 1)
+                .as_ref()
+                .and_then(|spill| spill.0.get(word - 1))
                 .is_some_and(|w| w & bit != 0),
         }
     }
@@ -521,10 +532,11 @@ impl CommBuffer {
         match idx / 64 {
             0 => self.consumed |= bit,
             word => {
-                if self.consumed_spill.len() < word {
-                    self.consumed_spill.resize(word, 0);
+                let spill = &mut self.consumed_spill.get_or_insert_default().0;
+                if spill.len() < word {
+                    spill.resize(word, 0);
                 }
-                self.consumed_spill[word - 1] |= bit;
+                spill[word - 1] |= bit;
             }
         }
     }
@@ -613,8 +625,9 @@ impl Drop for CommBuffer {
             // Dropping the mapping publishes the region's bytes.
             drop(self.unmap());
         }
-        // Return the heap vector to the per-thread pool. `into_message`
-        // leaves an empty (capacity 0) one behind, which the pool ignores.
+        // Return the heap vector to the per-thread pool. `into_message` and
+        // `unmap` leave an empty (capacity 0) one behind, which the pool
+        // ignores.
         pool::give(mem::take(&mut self.bytes));
     }
 }

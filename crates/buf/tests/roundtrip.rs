@@ -117,6 +117,46 @@ fn shm_redirect_preserves_prefix() {
 }
 
 #[test]
+fn shm_buffer_dropped_without_take_shm_publishes_and_unmaps() {
+    // A marshal that fails after the preamble drops the call buffer while
+    // it is still redirected: the region gets its storage back.
+    let kernel = Kernel::new("buf-test");
+    let region = kernel.create_shm(64);
+
+    let mut buf = CommBuffer::new();
+    buf.redirect_to_shm(region.map_mut().unwrap()).unwrap();
+    buf.put_u64(0x0123_4567_89AB_CDEF);
+    drop(buf);
+
+    let word = region
+        .with(|d| u64::from_le_bytes(d[..8].try_into().unwrap()))
+        .unwrap();
+    assert_eq!(word, 0x0123_4567_89AB_CDEF);
+    let mut r = CommBuffer::from_shm(region.map_mut().unwrap(), Vec::new());
+    assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
+}
+
+#[test]
+fn shm_decode_buffer_dropped_after_reading_unmaps() {
+    let kernel = Kernel::new("buf-test");
+    let region = kernel.create_shm(64);
+    {
+        let mut m = region.map_mut().unwrap();
+        m.clear();
+        m.extend_from_slice(&[1, 2, 3, 4]);
+    }
+
+    let mut r = CommBuffer::from_shm(region.map_mut().unwrap(), Vec::new());
+    assert_eq!(region.with(|_| ()).unwrap_err(), DoorError::InvalidShm);
+    assert_eq!(r.get_u32().unwrap(), u32::from_le_bytes([1, 2, 3, 4]));
+    drop(r);
+
+    assert_eq!(region.with(|d| d.to_vec()).unwrap(), vec![1, 2, 3, 4]);
+    let again = region.map_mut().unwrap();
+    assert_eq!(&again[..], &[1, 2, 3, 4]);
+}
+
+#[test]
 fn wrong_backing_errors() {
     let buf = CommBuffer::new();
     assert_eq!(

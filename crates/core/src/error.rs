@@ -10,6 +10,9 @@ use crate::scid::ScId;
 /// Convenience alias used across the subcontract machinery.
 pub type Result<T> = std::result::Result<T, SpringError>;
 
+// Values of up to 128 bytes move as inline copies on x86-64; larger ones call `memcpy`.
+const _: () = assert!(size_of::<Result<spring_buf::CommBuffer>>() <= 120);
+
 /// Errors surfaced by subcontract operations and generated stubs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpringError {

@@ -125,6 +125,9 @@ pub struct Call<'a> {
     caller: DomainId,
 }
 
+// Two buffers under the 128-byte inline-copy limit of x86-64, plus two words.
+const _: () = assert!(size_of::<Call<'_>>() <= 256);
+
 impl Call<'_> {
     /// The serving domain's context.
     pub fn ctx(&self) -> &Arc<DomainCtx> {

@@ -34,10 +34,15 @@ use crate::id::ShmId;
 /// assert_eq!(region.with(|data| data[0]).unwrap(), 42);
 /// ```
 #[derive(Clone)]
-pub struct ShmRegion {
+pub struct ShmRegion(Arc<Region>);
+
+/// What every handle on one region shares: one pointer per handle, so a
+/// communications buffer holds a mapped region in a single word.
+struct Region {
     id: ShmId,
     size: usize,
-    data: Arc<Mutex<Option<Vec<u8>>>>,
+    /// The region's storage, `None` while it is mapped.
+    data: Mutex<Option<Vec<u8>>>,
 }
 
 impl ShmRegion {
@@ -62,21 +67,21 @@ impl ShmRegion {
                 break parked.pop().expect("just pushed");
             }
         };
-        ShmRegion {
+        ShmRegion(Arc::new(Region {
             id,
             size,
-            data: Arc::new(Mutex::new(Some(data))),
-        }
+            data: Mutex::new(Some(data)),
+        }))
     }
 
     /// The region's kernel-wide identifier.
     pub fn id(&self) -> ShmId {
-        self.id
+        self.0.id
     }
 
     /// The region's size in bytes, fixed at creation.
     pub fn size(&self) -> usize {
-        self.size
+        self.0.size
     }
 
     /// Maps the region for direct access.
@@ -86,7 +91,7 @@ impl ShmRegion {
     /// hand-off discipline shared-memory transports follow: the client fills
     /// the region, then the server reads it, never both at once.
     pub fn map_mut(&self) -> Result<MappedShm, DoorError> {
-        let data = self.data.lock().take().ok_or(DoorError::InvalidShm)?;
+        let data = self.0.data.lock().take().ok_or(DoorError::InvalidShm)?;
         Ok(MappedShm {
             region: self.clone(),
             data: Some(data),
@@ -97,7 +102,7 @@ impl ShmRegion {
     ///
     /// Fails if the region is currently mapped with [`ShmRegion::map_mut`].
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Result<R, DoorError> {
-        let guard = self.data.lock();
+        let guard = self.0.data.lock();
         let data = guard.as_ref().ok_or(DoorError::InvalidShm)?;
         Ok(f(data))
     }
@@ -105,7 +110,7 @@ impl ShmRegion {
 
 impl fmt::Debug for ShmRegion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShmRegion({:?}, {} bytes)", self.id, self.size)
+        write!(f, "ShmRegion({:?}, {} bytes)", self.0.id, self.0.size)
     }
 }
 
@@ -119,11 +124,37 @@ pub struct MappedShm {
     data: Option<Vec<u8>>,
 }
 
+impl MappedShm {
+    /// Splits the mapping into its region and the region's storage. The
+    /// region stays mapped until [`MappedShm::from_parts`] rebuilds the
+    /// mapping and that is dropped: this is how a buffer marshals straight
+    /// into the storage while holding the region in one word.
+    pub fn into_parts(mut self) -> (ShmRegion, Vec<u8>) {
+        let data = self.data.take().expect("mapping already unmapped");
+        (self.region.clone(), data)
+    }
+
+    /// Rebuilds a mapping from what [`MappedShm::into_parts`] returned (the
+    /// storage may have been written and grown meanwhile). Dropping it
+    /// publishes `data` to the region.
+    pub fn from_parts(region: ShmRegion, data: Vec<u8>) -> MappedShm {
+        debug_assert!(
+            region.0.data.lock().is_none(),
+            "a mapping rebuilt over a region that is not mapped"
+        );
+        MappedShm {
+            region,
+            data: Some(data),
+        }
+    }
+}
+
 impl Deref for MappedShm {
     type Target = Vec<u8>;
 
     fn deref(&self) -> &Vec<u8> {
-        // The Option is only `None` transiently inside `drop`.
+        // The Option is only `None` transiently inside `drop` and
+        // `into_parts`.
         self.data.as_ref().expect("mapping already unmapped")
     }
 }
@@ -137,7 +168,7 @@ impl DerefMut for MappedShm {
 impl Drop for MappedShm {
     fn drop(&mut self) {
         if let Some(data) = self.data.take() {
-            *self.region.data.lock() = Some(data);
+            *self.region.0.data.lock() = Some(data);
         }
     }
 }

@@ -85,7 +85,7 @@ impl TopicRegistry {
 
     /// Unbinds a topic and shuts its hub down. Live subscribers receive an
     /// eviction notification; their doors (both sides) are released.
-    pub fn remove_topic(&self, path: &str) -> Result<()> {
+    fn remove_topic(&self, path: &str) -> Result<()> {
         let hub = self.topics.lock().remove(path);
         self.names.unbind(path)?;
         // The binding kept the hub's door identifier alive in the naming

@@ -248,9 +248,8 @@ fn attempt_loop(
 
 /// The pending result of a pipelined invocation.
 ///
-/// Completion can be observed three ways: poll [`Promise::is_complete`],
-/// register an [`Promise::on_ready`] callback, or block in
-/// [`Promise::wait`].
+/// Completion can be observed two ways: register an [`Promise::on_ready`]
+/// callback, or block in [`Promise::wait`].
 pub struct Promise {
     inner: Arc<PromiseInner>,
 }
@@ -311,7 +310,7 @@ impl Promise {
 
     /// True once the outcome is available ([`Promise::wait`] will not
     /// block).
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.inner.done.load(Ordering::Acquire)
     }
 

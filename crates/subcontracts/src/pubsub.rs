@@ -158,11 +158,9 @@ pub struct PubSubStats {
     frames_sent: AtomicU64,
     frames_oneway: AtomicU64,
     frames_dropped: AtomicU64,
-    subscribes: AtomicU64,
     unsubscribes: AtomicU64,
     evictions: AtomicU64,
     reaped: AtomicU64,
-    links_pruned: AtomicU64,
 }
 
 impl PubSubStats {
@@ -187,10 +185,6 @@ impl PubSubStats {
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped.load(Ordering::Relaxed)
     }
-    /// Subscriptions accepted.
-    pub fn subscribes(&self) -> u64 {
-        self.subscribes.load(Ordering::Relaxed)
-    }
     /// Explicit unsubscribes processed.
     pub fn unsubscribes(&self) -> u64 {
         self.unsubscribes.load(Ordering::Relaxed)
@@ -203,10 +197,6 @@ impl PubSubStats {
     /// nonce (stale registrations reported back in delivery replies).
     pub fn reaped(&self) -> u64 {
         self.reaped.load(Ordering::Relaxed)
-    }
-    /// Destination links written off after repeated delivery failures.
-    pub fn links_pruned(&self) -> u64 {
-        self.links_pruned.load(Ordering::Relaxed)
     }
 }
 
@@ -561,7 +551,6 @@ impl TopicHub {
             }
         }
         drop(groups);
-        self.stats.subscribes.fetch_add(1, Ordering::Relaxed);
         call.reply.put_u64(cur);
         Ok(())
     }
@@ -689,7 +678,6 @@ fn link_worker(
                     stats
                         .evictions
                         .fetch_add(settled.dropped as u64, Ordering::Relaxed);
-                    stats.links_pruned.fetch_add(1, Ordering::Relaxed);
                 } else {
                     stats
                         .reaped
@@ -955,16 +943,12 @@ impl SubscriberHub {
         Arc::new(SubscriberHub { inbox })
     }
 
-    /// The histogram key delivery latency is recorded under (None before
-    /// the first subscription).
-    pub fn latency_key(&self) -> Option<u64> {
-        self.inbox.token()
-    }
-
     /// Publish-to-deliver latency percentiles observed by this hub, if any
     /// deliveries have arrived.
     pub fn delivery_latency(&self) -> Option<spring_trace::HistSnapshot> {
-        let key = self.latency_key()?;
+        // The key delivery latency is recorded under: the inbox door's
+        // token, which exists from the first subscription on.
+        let key = self.inbox.token()?;
         spring_trace::snapshot_of(key, keys::PUBSUB_DELIVER)
     }
 

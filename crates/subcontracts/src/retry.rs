@@ -131,7 +131,7 @@ impl Invocation {
     }
 
     /// The identity to stamp on the current attempt's call envelope.
-    pub fn call_id(&self) -> CallId {
+    fn call_id(&self) -> CallId {
         CallId {
             nonce: self.nonce,
             attempt: self.attempt,

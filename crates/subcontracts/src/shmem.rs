@@ -112,7 +112,11 @@ impl DoorSubcontract for Shmem {
         let (mapped, len, caps) = args.take_shm()?;
         drop(mapped); // Publish the marshalled arguments to the region.
 
-        let mut desc = CommBuffer::new();
+        // From the pool, like every call buffer: the kernel's copy donates
+        // this backing to the pool whatever it is, and a fresh one each
+        // call would fill the pool with 16-byte backings that every best-fit
+        // take then scans.
+        let mut desc = CommBuffer::pooled();
         desc.put_u64(repr.state.id().raw());
         desc.put_u64(len as u64);
         let mut msg = desc.into_message();

@@ -71,7 +71,7 @@ fn bucket_of(ns: u64) -> usize {
 }
 
 /// Inclusive lower bound of bucket `i` in nanoseconds.
-pub fn bucket_low(i: usize) -> u64 {
+fn bucket_low(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         i as u64
     } else {
@@ -82,7 +82,7 @@ pub fn bucket_low(i: usize) -> u64 {
 }
 
 /// Exclusive upper bound of bucket `i` in nanoseconds.
-pub fn bucket_high(i: usize) -> u64 {
+fn bucket_high(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         i as u64 + 1
     } else {
@@ -118,8 +118,8 @@ impl Histogram {
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Clone, Copy, Debug)]
 pub struct HistSnapshot {
-    /// Per-bucket sample counts; bucket bounds come from [`bucket_low`] /
-    /// [`bucket_high`].
+    /// Per-bucket sample counts, in the log-linear layout the module
+    /// describes.
     pub buckets: [u64; BUCKETS],
     /// Total samples.
     pub count: u64,
