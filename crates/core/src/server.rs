@@ -3,6 +3,7 @@
 //! server door runs ([`ServeDoor`], [`serve`]) and the skeleton entry point
 //! under it ([`server_dispatch`]).
 
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -136,11 +137,23 @@ impl Call<'_> {
 
     /// Hands what is left of `args` to a skeleton, which appends the status
     /// byte and results to `reply` (see [`server_dispatch`]).
+    ///
+    /// The skeleton's [`ServerCtx`] is lent, not built: its `ctx` is the
+    /// serving domain's own handle, so a served call writes no reference
+    /// count.
     pub fn dispatch(&mut self, disp: &dyn Dispatch) -> std::result::Result<(), DoorError> {
-        let sctx = ServerCtx {
-            ctx: self.ctx.clone(),
+        // SAFETY: `ptr::read` makes a second handle on the `Arc` that
+        // `self.ctx` borrows for `'a`, without raising its strong count. The
+        // borrow keeps that `Arc`, and so the allocation, alive past this
+        // call. The copy sits in a `ManuallyDrop` that is never dropped (not
+        // on return, not when a panic unwinds through here), so the count it
+        // never raised is never lowered; and it is lent only by `&`, through
+        // which it can be cloned (a counted handle of its own) but neither
+        // moved out nor dropped.
+        let sctx = ManuallyDrop::new(ServerCtx {
+            ctx: unsafe { std::ptr::read(self.ctx) },
             caller: self.caller,
-        };
+        });
         server_dispatch(&sctx, disp, &mut self.args, &mut self.reply)
     }
 }
@@ -281,4 +294,86 @@ pub fn export_door<R: FnOnce(DoorId) -> Repr>(
     });
     let door = ctx.domain().create_door(handler)?;
     Ok(SpringObj::assemble(ctx.clone(), type_info, sc, repr(door)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spring_kernel::Kernel;
+
+    static NOTHING: TypeInfo = TypeInfo {
+        name: "test::Nothing",
+        parents: &[],
+        default_subcontract: ScId::from_name("test"),
+    };
+
+    /// Records the serving context's strong count as the skeleton sees it,
+    /// then does what `op` says: 1 keeps a clone past the call, 2 panics.
+    #[derive(Default)]
+    struct Peek {
+        seen: Mutex<Vec<usize>>,
+        kept: Mutex<Vec<Arc<DomainCtx>>>,
+    }
+
+    impl Dispatch for Peek {
+        fn type_info(&self) -> &'static TypeInfo {
+            &NOTHING
+        }
+
+        fn dispatch(
+            &self,
+            sctx: &ServerCtx,
+            op: u32,
+            _args: &mut CommBuffer,
+            _reply: &mut CommBuffer,
+        ) -> Result<()> {
+            self.seen.lock().push(Arc::strong_count(&sctx.ctx));
+            match op {
+                1 => self.kept.lock().push(sctx.ctx.clone()),
+                2 => panic!("skeleton panicked"),
+                _ => {}
+            }
+            Ok(())
+        }
+    }
+
+    /// The lent context raises no count: a skeleton sees the count its
+    /// domain holds; one that clones it holds a counted handle of its own,
+    /// which it gives back by dropping; and a panic through the skeleton
+    /// leaves the count where it was.
+    #[test]
+    fn dispatch_lends_the_context_without_counting_it() {
+        let ctx = DomainCtx::new(Kernel::new("t").create_domain("server"));
+        let peek = Peek::default();
+        let held = Arc::strong_count(&ctx);
+        let run = |op: u32| {
+            let mut args = CommBuffer::pooled();
+            args.put_u32(op);
+            let mut call = Call {
+                args,
+                reply: CommBuffer::pooled(),
+                ctx: &ctx,
+                caller: ctx.domain().id(),
+            };
+            call.dispatch(&peek)
+        };
+
+        run(0).unwrap();
+        run(0).unwrap();
+        assert_eq!(Arc::strong_count(&ctx), held);
+        run(1).unwrap();
+        assert_eq!(Arc::strong_count(&ctx), held + 1);
+        run(0).unwrap();
+        peek.kept.lock().clear();
+        assert_eq!(Arc::strong_count(&ctx), held);
+
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(2)));
+        assert!(panicked.is_err());
+        assert_eq!(Arc::strong_count(&ctx), held);
+        assert_eq!(
+            *peek.seen.lock(),
+            [held, held, held, held + 1, held],
+            "the skeleton saw a count the lent context raised",
+        );
+    }
 }

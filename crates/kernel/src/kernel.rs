@@ -99,6 +99,15 @@ struct Door {
     revoked: AtomicBool,
 }
 
+/// What one door call moved besides itself, both ways: deliveries within
+/// one domain and payload bytes copied. Counted with the call when it
+/// returns.
+#[derive(Default)]
+struct Moved {
+    local: u64,
+    copied: u64,
+}
+
 impl Inner {
     /// Locks a domain's door table, counting the acquisition as contended
     /// when another thread holds it.
@@ -309,6 +318,18 @@ impl Kernel {
     /// Looks up the door a live identifier of `domain` refers to, validating
     /// capability ownership: one table lock, one lookup, one `Arc` clone.
     fn resolve(&self, domain: &DomainState, id: DoorId) -> Result<Arc<Door>, DoorError> {
+        self.read_door(domain, id, Arc::clone)
+    }
+
+    /// What `read` makes of the door a live identifier of `domain` refers
+    /// to, under the table lock and with [`Kernel::resolve`]'s checks: a
+    /// field is read in place, the door's reference count untouched.
+    fn read_door<T>(
+        &self,
+        domain: &DomainState,
+        id: DoorId,
+        read: impl FnOnce(&Arc<Door>) -> T,
+    ) -> Result<T, DoorError> {
         if id.owner != domain.id {
             return Err(DoorError::InvalidDoor);
         }
@@ -316,7 +337,7 @@ impl Kernel {
         if !domain.alive.load(Ordering::Relaxed) {
             return Err(DoorError::DomainDead);
         }
-        table.get(&id.slot).cloned().ok_or(DoorError::InvalidDoor)
+        table.get(&id.slot).map(read).ok_or(DoorError::InvalidDoor)
     }
 
     pub(crate) fn create_door(
@@ -454,11 +475,11 @@ impl Kernel {
     /// doors they have already exported or proxied when mapping door
     /// identifiers to and from their extended network form (§3.3).
     pub(crate) fn door_token(&self, domain: &DomainState, id: DoorId) -> Result<u64, DoorError> {
-        self.resolve(domain, id).map(|door| door.token)
+        self.read_door(domain, id, |door| door.token)
     }
 
     pub(crate) fn door_is_valid(&self, domain: &DomainState, id: DoorId) -> bool {
-        self.resolve(domain, id).is_ok()
+        self.read_door(domain, id, |_| ()).is_ok()
     }
 
     /// Marks a domain dead: doors it serves are revoked and every identifier
@@ -509,15 +530,22 @@ impl Kernel {
             return Err(DoorError::Revoked);
         }
 
-        self.inner.stats.add(Count::door_calls, 1);
-
         // The traced variant lives in a cold out-of-line function so the
         // default path pays exactly one relaxed load for tracing — no span
         // guard on the stack, no extra branches in the hot body.
-        if spring_trace::enabled() {
-            return self.call_traced(caller, &door, msg, one_way, company);
-        }
-        self.call_body(caller, &door, msg, one_way, company)
+        let mut moved = Moved::default();
+        let result = if spring_trace::enabled() {
+            self.call_traced(caller, &door, msg, one_way, company, &mut moved)
+        } else {
+            self.call_body(caller, &door, msg, one_way, company, &mut moved)
+        };
+        // The call and what it moved, delivered or not, in one tally lookup.
+        self.inner.stats.add_each([
+            (Count::door_calls, 1),
+            (Count::local_deliveries, moved.local),
+            (Count::bytes_copied, moved.copied),
+        ]);
+        result
     }
 
     /// Phases 2 and 3 of a door call: deliver the message, run the handler
@@ -530,8 +558,9 @@ impl Kernel {
         msg: Message,
         one_way: bool,
         company: u32,
+        moved: &mut Moved,
     ) -> Result<Message, DoorError> {
-        let delivered = self.translate(caller, &door.server, msg)?;
+        let delivered = self.translate(caller, &door.server, msg, moved)?;
         let ctx = CallCtx {
             caller: caller.id,
             one_way,
@@ -543,7 +572,7 @@ impl Kernel {
             Ok(result) => result?,
             Err(_) => return Err(DoorError::Handler("door handler panicked".into())),
         };
-        self.translate(&door.server, caller, reply)
+        self.translate(&door.server, caller, reply, moved)
     }
 
     /// A door call with tracing enabled: one "door_call" span per call,
@@ -560,6 +589,7 @@ impl Kernel {
         mut msg: Message,
         one_way: bool,
         company: u32,
+        moved: &mut Moved,
     ) -> Result<Message, DoorError> {
         let parent = if msg.trace.is_some() {
             msg.trace
@@ -570,7 +600,7 @@ impl Kernel {
         let mut span = spring_trace::span_child_of("door_call", parent, scope, door.token);
         msg.trace = span.ctx();
 
-        let mut result = self.call_body(caller, door, msg, one_way, company);
+        let mut result = self.call_body(caller, door, msg, one_way, company, moved);
         match &mut result {
             Err(_) => span.fail(),
             // Stamp the reply so whoever forwards it (the network server's
@@ -586,14 +616,15 @@ impl Kernel {
     }
 
     /// Copies a message's payload (the simulated cross-address-space copy)
-    /// and transfers its door identifiers from `from` to `to`. Same-domain
-    /// (D2) deliveries skip the copy: both sides share one address space, so
-    /// the payload moves by reference.
+    /// and transfers its door identifiers from `from` to `to`, adding what it
+    /// moved to `moved`. Same-domain (D2) deliveries skip the copy: both
+    /// sides share one address space, so the payload moves by reference.
     fn translate(
         &self,
         from: &DomainState,
         to: &DomainState,
         msg: Message,
+        moved: &mut Moved,
     ) -> Result<Message, DoorError> {
         let Message {
             bytes: src,
@@ -606,7 +637,7 @@ impl Kernel {
             // the boundary moves no bytes — the ownership transfer of the
             // backing is the delivery. Door identifiers still go through
             // slot translation below so capability accounting stays exact.
-            self.inner.stats.add(Count::local_deliveries, 1);
+            moved.local += 1;
             src
         } else if src.is_empty() {
             // Copying nothing: an empty Vec never allocates, so the pool
@@ -618,7 +649,7 @@ impl Kernel {
             // avoid. The copy target comes from the buffer pool and the
             // consumed source backing goes back to it, so steady-state calls
             // do not allocate.
-            self.inner.stats.add(Count::bytes_copied, src.len() as u64);
+            moved.copied += src.len() as u64;
             let mut bytes = pool::take(src.len());
             bytes.extend_from_slice(&src);
             pool::give(src);

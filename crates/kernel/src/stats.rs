@@ -165,6 +165,13 @@ impl KernelStats {
     pub(crate) fn add(&self, count: Count, n: u64) {
         tally::bump(&MINE, &self.tally, count as usize, n);
     }
+
+    /// Adds to several of this kernel's counts at one site, in one tally
+    /// lookup.
+    #[inline]
+    pub(crate) fn add_each<const K: usize>(&self, counts: [(Count, u64); K]) {
+        tally::bump_many(&MINE, &self.tally, &counts.map(|(c, n)| (c as usize, n)));
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@
 //! that value. A thread cannot name its slot of an owner it has yet to
 //! meet, so the use site declares the thread's [`Slots`] — one slot per
 //! owner the thread has bumped, two or three in practice, found by a scan —
-//! and bumps through [`bump`]:
+//! and bumps through [`bump`] (or [`bump_many`], for several counts at one
+//! site):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -174,6 +175,13 @@ impl<const N: usize> Slot<N> {
         );
     }
 
+    #[inline]
+    fn add_all(&self, counts: &[(usize, u64)]) {
+        for &(i, n) in counts {
+            self.add(i, n);
+        }
+    }
+
     /// Whether this is a slot of `owner`. A `Weak` keeps its allocation, so
     /// the address of an owner that is gone is never a later owner's.
     #[inline]
@@ -223,13 +231,13 @@ impl<const N: usize> Slots<N> {
     }
 
     #[inline]
-    fn add(&self, owner: &Arc<Tally<N>>, i: usize, n: u64) {
+    fn add(&self, owner: &Arc<Tally<N>>, counts: &[(usize, u64)]) {
         let held = self.held.borrow();
         match held.iter().find(|s| s.is_of(owner)) {
-            Some(slot) => slot.add(i, n),
+            Some(slot) => slot.add_all(counts),
             None => {
                 drop(held);
-                self.add_first(owner, i, n);
+                self.add_first(owner, counts);
             }
         }
     }
@@ -238,9 +246,9 @@ impl<const N: usize> Slots<N> {
     /// owners dropped since the last registration go, so a thread that
     /// outlives many owners scans only the living ones.
     #[cold]
-    fn add_first(&self, owner: &Arc<Tally<N>>, i: usize, n: u64) {
+    fn add_first(&self, owner: &Arc<Tally<N>>, counts: &[(usize, u64)]) {
         let slot = owner.slot(Home::Owned(Arc::downgrade(owner)));
-        slot.add(i, n);
+        slot.add_all(counts);
         let mut held = self.held.borrow_mut();
         held.retain(|s| !s.is_orphan());
         held.push(slot);
@@ -264,9 +272,23 @@ pub fn bump<const N: usize>(
     i: usize,
     n: u64,
 ) {
-    if slots.try_with(|slots| slots.add(owner, i, n)).is_err() {
-        let retired = &mut owner.lock().retired[i];
-        *retired = retired.wrapping_add(n);
+    bump_many(slots, owner, &[(i, n)]);
+}
+
+/// Adds, for each `(i, n)` of `counts`, `n` to count `i` of `owner`: what
+/// [`bump`] does for one count, with one thread-local access and one scan
+/// for the slot however many counts a site makes.
+#[inline]
+pub fn bump_many<const N: usize>(
+    slots: &'static LocalKey<Slots<N>>,
+    owner: &Arc<Tally<N>>,
+    counts: &[(usize, u64)],
+) {
+    if slots.try_with(|slots| slots.add(owner, counts)).is_err() {
+        let retired = &mut owner.lock().retired;
+        for &(i, n) in counts {
+            retired[i] = retired[i].wrapping_add(n);
+        }
     }
 }
 
@@ -336,6 +358,21 @@ mod tests {
         bump(&MINE, &c, 0, 7);
         assert_eq!((a.read(), c.read()), ([103], [7]));
         assert_eq!(held(), 2);
+    }
+
+    /// Several counts at one site land in their own cells, on the slot
+    /// the first bump registered.
+    #[test]
+    fn bump_many_adds_each_count_to_its_cell() {
+        thread_local! {
+            static MINE: Slots<3> = const { Slots::new() };
+        }
+        let t = Arc::new(Tally::new());
+        bump_many(&MINE, &t, &[(0, 1), (2, 40)]);
+        bump_many(&MINE, &t, &[(0, 1), (1, 0), (2, 2)]);
+        bump(&MINE, &t, 1, 5);
+        assert_eq!(t.read(), [2, 5, 42]);
+        assert_eq!(t.lock().live.len(), 1);
     }
 
     #[test]

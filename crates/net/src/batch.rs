@@ -33,60 +33,83 @@ use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use spring_kernel::{DoorError, Message};
+use spring_kernel::{CallId, DoorError, Message};
+use spring_trace::TraceCtx;
 
 use crate::server::{NetServer, Served, WireMessage};
 use crate::transport::ReplyOutcome;
 
 mod core;
 
-use self::core::{land, settle, Forming};
+use self::core::{land, settle, Cell, Forming};
 
-/// One call riding in a frame: its request in wire form, the export-table
-/// entries freshly pinned for it, where its caller will find the outcome,
-/// and — filled in by a shipper that serves the call in this process — what
-/// the destination made of it.
-#[derive(Default)]
+/// One call riding in a frame: the export it targets, the export-table
+/// entries freshly pinned for it, where it is on its way — request, staged
+/// reply, outcome — and, for a follower, the slot its caller is parked on.
 pub(crate) struct PendingEntry {
     /// Export-table index of the target door on the destination node.
     pub export: u64,
-    /// The request; a shipper that serves the call in this process takes it
-    /// for delivery.
-    pub wire: WireMessage,
     /// Export ids freshly pinned by `to_wire_tracked` for this request;
     /// released if the call is never delivered.
-    pub fresh: Vec<u64>,
-    waiter: Waiter,
-    /// The served call, staged between execution and the reply frame.
-    pub served: Option<Served>,
+    fresh: Vec<u64>,
+    stage: Stage,
+    /// A follower's rendezvous: its caller waits on another thread than
+    /// the one that ships its entry, so its outcome goes here. `None` when
+    /// the caller is the thread shipping the frame (a frame's leader, a
+    /// plain call on an idle link, a one-way call), which reads it from
+    /// `stage`.
+    slot: Option<Arc<CallSlot>>,
 }
 
-/// Where a call's outcome goes.
-enum Waiter {
-    /// The caller is the thread shipping the frame (a frame's leader, every
-    /// plain and every one-way call): the outcome waits in the entry until
-    /// the shipper returns. Nothing is shared, so nothing is locked.
-    Shipper(Option<Result<Message, DoorError>>),
-    /// The caller is parked on another thread (a follower).
-    Parked(Arc<CallSlot>),
+// Moved by value into and out of every frame; DESIGN.md §5.2 audits it. The
+// three stages share one place, so the entry is its largest stage plus
+// three words.
+const _: () = assert!(size_of::<PendingEntry>() <= 160);
+
+/// Where a call is on its way, in the one place it lives.
+enum Stage {
+    /// The request in wire form. A shipper that serves the call in this
+    /// process takes it for delivery, leaving an empty one.
+    Request(WireMessage),
+    /// What the destination made of the call, staged between execution and
+    /// the reply frame.
+    Served(Served),
+    /// What a shipping caller reads; the first outcome settled wins.
+    Settled(Result<Message, DoorError>),
 }
 
-/// The waiter of a call its own caller ships. (`Forming`, the core's
-/// frame, asks a `Default` of its entries.)
-impl Default for Waiter {
-    fn default() -> Self {
-        Waiter::Shipper(None)
+/// A request with nothing in it: what a taken or settled entry shows.
+static NO_REQUEST: WireMessage = WireMessage {
+    bytes: Vec::new(),
+    caps: Vec::new(),
+    trace: TraceCtx::NONE,
+    call: CallId::NONE,
+};
+
+impl Cell for Stage {
+    type Outcome = Result<Message, DoorError>;
+
+    fn is_settled(&self) -> bool {
+        matches!(self, Stage::Settled(_))
+    }
+
+    fn write(&mut self, outcome: Self::Outcome) {
+        *self = Stage::Settled(outcome);
     }
 }
 
 impl PendingEntry {
-    fn new(export: u64, wire: WireMessage, fresh: Vec<u64>, waiter: Waiter) -> PendingEntry {
+    fn new(
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+        slot: Option<Arc<CallSlot>>,
+    ) -> PendingEntry {
         PendingEntry {
             export,
-            wire,
             fresh,
-            waiter,
-            served: None,
+            stage: Stage::Request(wire),
+            slot,
         }
     }
 
@@ -94,14 +117,56 @@ impl PendingEntry {
     /// is: the codec's tests build frames of these.
     #[cfg(test)]
     pub(crate) fn shipped_by_caller(export: u64, wire: WireMessage) -> PendingEntry {
-        PendingEntry::new(export, wire, Vec::new(), Waiter::Shipper(None))
+        PendingEntry::new(export, wire, Vec::new(), None)
+    }
+
+    /// The request aboard: empty once it was taken for serving.
+    pub fn request(&self) -> &WireMessage {
+        match &self.stage {
+            Stage::Request(wire) => wire,
+            _ => &NO_REQUEST,
+        }
+    }
+
+    /// The request's payload, taken once it is on the wire (empty if it
+    /// was taken before).
+    pub fn take_payload(&mut self) -> Vec<u8> {
+        match &mut self.stage {
+            Stage::Request(wire) => std::mem::take(&mut wire.bytes),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Serves the request aboard with `serve` and stages what it made of
+    /// the call; `None`, and nothing served, if there is no request left.
+    pub fn serve(&mut self, serve: impl FnOnce(u64, WireMessage) -> Served) -> Option<&Served> {
+        let Stage::Request(wire) = &mut self.stage else {
+            return None;
+        };
+        let wire = std::mem::take(wire);
+        self.stage = Stage::Served(serve(self.export, wire));
+        match &self.stage {
+            Stage::Served(served) => Some(served),
+            _ => None,
+        }
+    }
+
+    /// Takes the call's staged reply, if it was served.
+    pub fn take_served(&mut self) -> Option<Served> {
+        if !matches!(self.stage, Stage::Served(_)) {
+            return None;
+        }
+        match std::mem::replace(&mut self.stage, Stage::Request(WireMessage::default())) {
+            Stage::Served(served) => Some(served),
+            _ => None,
+        }
     }
 
     /// The outcome of an entry back in its shipping caller's hands; an
     /// abort if the shipper settled nothing, and for a follower's entry.
     fn into_outcome(self) -> Result<Message, DoorError> {
-        match self.waiter {
-            Waiter::Shipper(Some(outcome)) => outcome,
+        match self.stage {
+            Stage::Settled(outcome) => outcome,
             _ => Err(aborted()),
         }
     }
@@ -110,25 +175,29 @@ impl PendingEntry {
     /// the network server that sent it (DESIGN.md §5.19): first write wins,
     /// pins included.
     pub fn settle(&mut self, from: &Arc<NetServer>, outcome: ReplyOutcome) {
-        let release = || from.unexport(&self.fresh);
+        let fresh = &self.fresh;
+        let release = || from.unexport(fresh);
         let outcome = || land(outcome, |wire| from.from_wire(wire), release);
-        self.waiter.settle(outcome);
+        write(&mut self.stage, &self.slot, outcome);
+    }
+
+    /// Settles the call with an abort unless it was settled before.
+    fn abort(&mut self) {
+        write(&mut self.stage, &self.slot, || Err(aborted()));
     }
 }
 
-impl Waiter {
-    /// Settles the call with `outcome()` unless it was settled before, and
-    /// wakes a parked caller for it.
-    fn settle(&mut self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
-        match self {
-            Waiter::Shipper(settled) => _ = settle(settled, outcome),
-            Waiter::Parked(slot) => {
-                let mut state = lock(&slot.state);
-                if settle(&mut state.outcome, outcome) && state.parked {
-                    slot.cv.notify_one();
-                }
-            }
-        }
+/// Writes a call's outcome where its caller reads it — the entry's `stage`
+/// for a shipping caller, a follower's `slot` — unless it was settled
+/// before.
+fn write(
+    stage: &mut Stage,
+    slot: &Option<Arc<CallSlot>>,
+    outcome: impl FnOnce() -> Result<Message, DoorError>,
+) {
+    match slot {
+        None => _ = settle(stage, outcome),
+        Some(slot) => slot.settle(outcome),
     }
 }
 
@@ -152,6 +221,17 @@ struct SlotState {
     outcome: Option<Result<Message, DoorError>>,
     /// Whether the slot's one waiter is asleep on `cv`.
     parked: bool,
+}
+
+impl CallSlot {
+    /// Settles the slot with `outcome()` unless it was settled before, and
+    /// wakes its caller if it is asleep.
+    fn settle(&self, outcome: impl FnOnce() -> Result<Message, DoorError>) {
+        let mut state = lock(&self.state);
+        if settle(&mut state.outcome, outcome) && state.parked {
+            self.cv.notify_one();
+        }
+    }
 }
 
 fn aborted() -> DoorError {
@@ -214,17 +294,17 @@ fn retire(mut slot: Arc<CallSlot>) {
 }
 
 /// Ships one call as a frame of its own, built on the caller's stack: the
-/// way of a call with no reply to wait for (a one-way call), which has
-/// nothing to coalesce against and so bypasses the link batcher. `ship`
-/// must settle the entry.
+/// way of a call with nothing to coalesce against — a one-way call, which
+/// has no reply to wait for, and a plain call on an idle link, which the
+/// core would make a frame's leader and flush at once. `ship` must settle
+/// the entry.
 pub(crate) fn ship_alone(
     export: u64,
     wire: WireMessage,
     fresh: Vec<u64>,
     ship: impl FnOnce(&mut [PendingEntry]),
 ) -> Result<Message, DoorError> {
-    let waiter = Waiter::Shipper(None);
-    let mut frame = [PendingEntry::new(export, wire, fresh, waiter)];
+    let mut frame = [PendingEntry::new(export, wire, fresh, None)];
     ship(&mut frame);
     let [entry] = frame;
     entry.into_outcome()
@@ -255,16 +335,17 @@ impl LinkBatcher {
         linger: Duration,
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
-        let mut slot = None;
         let mut state = lock(&self.state);
+        if state.ships_alone(company) {
+            drop(state);
+            return ship_alone(export, wire, fresh, ship);
+        }
+        let mut slot = None;
         state.arrive(wire.bytes.len(), company, |leads| {
-            let waiter = match leads {
-                true => Waiter::Shipper(None),
-                // A follower waits from another thread than the one that
-                // ships its entry, so the two share a slot.
-                false => Waiter::Parked(slot.insert(take_slot()).clone()),
-            };
-            PendingEntry::new(export, wire, fresh, waiter)
+            // A follower waits from another thread than the one that ships
+            // its entry, so the two share a slot.
+            let parked = (!leads).then(|| slot.insert(take_slot()).clone());
+            PendingEntry::new(export, wire, fresh, parked)
         });
         if let Some(slot) = slot {
             // The leader may now have enough calls to flush.
@@ -294,7 +375,7 @@ impl LinkBatcher {
         // Every other caller wakes, even off a path `ship` missed.
         let mine = frame.swap_remove(0);
         for entry in &mut frame {
-            entry.waiter.settle(|| Err(aborted()));
+            entry.abort();
         }
         frame.clear();
         recycle(&SPARE_FRAMES, frame);
@@ -332,7 +413,7 @@ mod tests {
     }
 
     fn echoed(entry: &PendingEntry) -> ReplyOutcome {
-        ReplyOutcome::Ok(wire(&entry.wire.bytes))
+        ReplyOutcome::Ok(wire(&entry.request().bytes))
     }
 
     fn pooled_slots() -> usize {
@@ -382,6 +463,34 @@ mod tests {
                 assert!(is_lost(one_way(&lose_then_echo)));
                 assert!(is_abort(plain(&forget)));
                 assert!(is_abort(one_way(&forget)));
+                assert_eq!(pooled_slots(), 0);
+            });
+        });
+    }
+
+    /// A plain call on an idle link never boards the forming frame: it
+    /// ships alone, as the core's solo branch says. A call that boarded
+    /// would leave storage behind — its push allocates the forming vector,
+    /// and taking the frame swaps a recycled one in — so on a thread whose
+    /// pools start empty, plain calls leave both the forming vector and the
+    /// pool of spare frames untouched.
+    #[test]
+    fn a_plain_call_on_an_idle_link_ships_without_boarding() {
+        let (_net, from) = sender();
+        let batcher = LinkBatcher::default();
+        let ship = |frame: &mut [PendingEntry]| {
+            assert_eq!(frame.len(), 1);
+            assert!(lock(&batcher.state).calls.is_empty());
+            frame[0].settle(&from, echoed(&frame[0]));
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for tag in 0..3 {
+                    let reply = batcher.submit(7, wire(&[tag]), Vec::new(), 0, ROOMY, &ship);
+                    assert_eq!(reply.unwrap().bytes, [tag]);
+                }
+                assert_eq!(lock(&batcher.state).calls.capacity(), 0);
+                assert_eq!(SPARE_FRAMES.with_borrow(Vec::len), 0);
                 assert_eq!(pooled_slots(), 0);
             });
         });

@@ -17,7 +17,7 @@ const MAX_CALLS: usize = 64;
 const MAX_BYTES: usize = 256 * 1024;
 
 /// The frame forming on one link, as the shell's lock guards it.
-#[derive(Clone, Debug, Default, Hash, PartialEq, Eq)]
+#[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub(crate) struct Forming<E> {
     /// The calls aboard in arrival order, the leader's first.
     pub(crate) calls: Vec<E>,
@@ -30,7 +30,27 @@ pub(crate) struct Forming<E> {
     counted: usize,
 }
 
+impl<E> Default for Forming<E> {
+    fn default() -> Self {
+        Forming {
+            calls: Vec::new(),
+            bytes: 0,
+            expected: 0,
+            counted: 0,
+        }
+    }
+}
+
 impl<E> Forming<E> {
+    /// Whether a call whose caller reported `company` ships alone instead
+    /// of boarding: a plain call on an idle link, which would lead a frame
+    /// that flushes the moment it boards. Its caller ships it in a frame of
+    /// its own and the forming frame never sees it — who leads, when a
+    /// frame flushes and who joins are as if it had boarded and been taken.
+    pub fn ships_alone(&self, company: u32) -> bool {
+        company == 0 && self.calls.is_empty()
+    }
+
     /// A call of `bytes` payload bytes whose caller reported `company`
     /// boards the frame. Returns whether its caller leads the frame — it
     /// is the first aboard — or follows; `entry` builds what boards,
@@ -64,13 +84,38 @@ impl<E> Forming<E> {
     }
 }
 
+/// Where a call's outcome is written: a follower's slot holds an `Option`,
+/// a shipping caller's entry its stage.
+pub(crate) trait Cell {
+    type Outcome;
+
+    /// Whether an outcome has been written.
+    fn is_settled(&self) -> bool;
+
+    fn write(&mut self, outcome: Self::Outcome);
+}
+
+impl<T> Cell for Option<T> {
+    type Outcome = T;
+
+    fn is_settled(&self) -> bool {
+        self.is_some()
+    }
+
+    fn write(&mut self, outcome: T) {
+        *self = Some(outcome);
+    }
+}
+
 /// Settles a call's outcome `cell` with `outcome()` unless it was settled
 /// before — by the shipper, or by the batcher's backstop when the shipper
 /// is back and settled nothing — and returns whether it did: the first
 /// write wins, and the ones after it are never evaluated.
-pub(crate) fn settle<T>(cell: &mut Option<T>, outcome: impl FnOnce() -> T) -> bool {
-    let first = cell.is_none();
-    cell.get_or_insert_with(outcome);
+pub(crate) fn settle<C: Cell>(cell: &mut C, outcome: impl FnOnce() -> C::Outcome) -> bool {
+    let first = !cell.is_settled();
+    if first {
+        cell.write(outcome());
+    }
     first
 }
 
@@ -117,7 +162,21 @@ mod tests {
         assert!(sized.should_flush(false), "{MAX_BYTES} bytes aboard");
 
         assert_eq!(sized.take(Vec::new()).len(), 2);
-        assert!(sized.arrive(1, 0, |_| ()), "the next call leads");
-        assert!(sized.should_flush(false), "and, plain, leaves alone");
+        assert!(sized.ships_alone(0), "the next plain call leaves alone");
+        assert!(sized.arrive(1, 0, |_| ()), "and, boarding, would lead");
+        assert!(sized.should_flush(false), "a frame that flushes at once");
+    }
+
+    /// Only a plain call on an idle link ships alone: a call reporting
+    /// company boards to lead, and a plain call that finds a frame forming
+    /// joins it.
+    #[test]
+    fn only_a_plain_call_on_an_idle_link_ships_alone() {
+        let mut forming = Forming::default();
+        assert!(forming.ships_alone(0));
+        assert!(!forming.ships_alone(2));
+        forming.arrive(1, 2, |_| ());
+        assert!(!forming.ships_alone(0));
+        assert!(!forming.ships_alone(2));
     }
 }

@@ -37,8 +37,9 @@ pub(super) enum Fate {
 /// One step of the world. Numbers are callers, or frame and call indices.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
 pub(super) enum Ev {
-    /// An idle caller calls: its call boards the forming frame, and a
-    /// leader that need not wait takes the frame at once.
+    /// An idle caller calls: a plain call on an idle link ships alone in a
+    /// frame of its own; any other boards the forming frame, and a leader
+    /// that need not wait takes the frame at once.
     Arrive(u8),
     /// A waiting leader's linger deadline passes.
     Linger(u8),
@@ -231,6 +232,17 @@ impl Model for World {
                     ..Entry::default()
                 };
                 let company = self.companies[c as usize];
+                if self.forming.ships_alone(company) {
+                    // The shell's solo branch: the forming frame never
+                    // sees the call.
+                    self.callers[c as usize] = Caller::Shipping;
+                    self.frames.push(Frame {
+                        leader: c,
+                        calls: vec![entry],
+                        returned: false,
+                    });
+                    return Ok(());
+                }
                 let leads = self.forming.arrive(1, company, |_| entry);
                 self.boarded.push(c);
                 self.callers[c as usize] = if !leads {

@@ -1,6 +1,8 @@
 //! The network itself: nodes, hops, fault injection.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,8 +24,9 @@ use crate::transport::{ReplyOutcome, SimTransport, Transport};
 /// the snapshot — `add_node`, `set_config`, `partition`, `heal`, `heal_all`
 /// and `register_transport` go through it, copying the value once per
 /// publication and never per call. A forwarded call holds a snapshot for at
-/// most its own duration, and a proxy door's cached [`Route`] holds one
-/// until the first call that finds a newer epoch published.
+/// most its own duration, and a thread's held [`Route`] holds one until
+/// the first call along its link that finds a newer epoch published (or
+/// until the thread drops the route for another).
 #[derive(Clone)]
 pub(crate) struct Snapshot {
     /// Publication count; a held snapshot is current while this equals
@@ -63,14 +66,85 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 }
 
 /// What a proxy door needs to forward a call, resolved once per published
-/// snapshot instead of once per call: the snapshot itself (partitions and
-/// the batching linger), the link's batcher, and the transport reaching the
-/// target's home node (for a node nobody has introduced, a [`SimTransport`]
-/// with no home, whose calls fail with "unknown node" when they ship).
+/// snapshot instead of once per call: the network server the call leaves
+/// from, the snapshot itself (partitions and the batching linger), the
+/// link's batcher, and the transport reaching the target's home node (for a
+/// node nobody has introduced, a [`SimTransport`] with no home, whose calls
+/// fail with "unknown node" when they ship).
+///
+/// Every proxy of one link resolves the same route, so a thread keeps the
+/// routes it forwards along in a small cache of its own ([`Route::held`]),
+/// keyed by sending server and destination node: a warm call clones an
+/// `Rc` and reads the published epoch, writing no line another thread
+/// shares.
 pub(crate) struct Route {
+    from: Arc<NetServer>,
+    dst: u64,
     snap: Arc<Snapshot>,
     batcher: Arc<LinkBatcher>,
     transport: Arc<dyn Transport>,
+}
+
+/// Most routes one thread holds. A thread forwarding along more links
+/// than this re-resolves the oldest it dropped on its next call there.
+const ROUTES_HELD: usize = 8;
+
+thread_local! {
+    /// This thread's routes, oldest first, at most [`ROUTES_HELD`]. An
+    /// entry is used only while its snapshot is the published one; a
+    /// stale one is replaced by the next call along its link.
+    static ROUTES: RefCell<Vec<Rc<Route>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Route {
+    /// This thread's route from the network server at `from` to node
+    /// `dst`, if it holds one resolved against the published snapshot.
+    /// The route owns its server, so while it is held no other server
+    /// can live at `from`.
+    pub(crate) fn held(from: *const NetServer, dst: u64) -> Option<Rc<Route>> {
+        ROUTES.with_borrow(|routes| {
+            let route = routes
+                .iter()
+                .find(|r| Arc::as_ptr(&r.from) == from && r.dst == dst)?;
+            route
+                .from
+                .net
+                .is_current(&route.snap)
+                .then(|| route.clone())
+        })
+    }
+
+    /// Resolves the route from `from` to node `dst` against the published
+    /// snapshot and holds it on this thread in place of a stale one for the
+    /// same link, or of the oldest when the thread holds its fill.
+    pub(crate) fn resolve(from: Arc<NetServer>, dst: u64) -> Rc<Route> {
+        let route = Rc::new(from.net.route(from.clone(), dst));
+        let displaced = ROUTES.with_borrow_mut(|routes| {
+            let same = |r: &Rc<Route>| Arc::ptr_eq(&r.from, &from) && r.dst == dst;
+            let displaced = match routes.iter().position(same) {
+                Some(at) => Some(routes.remove(at)),
+                None if routes.len() >= ROUTES_HELD => Some(routes.remove(0)),
+                None => None,
+            };
+            routes.push(route.clone());
+            displaced
+        });
+        // Dropped outside the borrow: it may hold the last reference to a
+        // superseded snapshot and the transports in it.
+        drop(displaced);
+        route
+    }
+
+    /// Forwards a proxy-door invocation along this route to `target`
+    /// (see [`NetworkInner::forward_call`]).
+    pub(crate) fn forward(
+        &self,
+        target: WireCap,
+        msg: Message,
+        ctx: &CallCtx,
+    ) -> Result<Message, DoorError> {
+        self.from.net.forward_call(self, target, msg, ctx)
+    }
 }
 
 /// What a network counts, under the names [`NetStatsSnapshot`] and
@@ -118,6 +192,18 @@ impl NetworkInner {
     #[inline]
     fn count(&self, count: Count, by: u64) {
         tally::bump(&MINE, &self.stats, count as usize, by);
+    }
+
+    /// Several counts of one site, in one tally lookup.
+    #[inline]
+    fn count_each<const K: usize>(&self, counts: [(Count, u64); K]) {
+        tally::bump_many(&MINE, &self.stats, &counts.map(|(c, n)| (c as usize, n)));
+    }
+
+    /// The message and bytes a hop of `bytes` payload bytes puts on the
+    /// wire, counted whether or not the loss roll drops it.
+    fn count_hop(&self, bytes: usize) {
+        self.count_each([(Count::Messages, 1), (Count::Bytes, bytes as u64)]);
     }
 
     pub fn count_export(&self) {
@@ -168,13 +254,23 @@ impl NetworkInner {
     }
 
     pub(crate) fn count_socket_send(&self, bytes: usize) {
-        self.count(Count::SocketFramesSent, 1);
-        self.count(Count::SocketBytesSent, bytes as u64);
+        self.count_each([
+            (Count::SocketFramesSent, 1),
+            (Count::SocketBytesSent, bytes as u64),
+        ]);
     }
 
     pub(crate) fn count_socket_receive(&self, bytes: usize) {
-        self.count(Count::SocketFramesReceived, 1);
-        self.count(Count::SocketBytesReceived, bytes as u64);
+        self.count_each([
+            (Count::SocketFramesReceived, 1),
+            (Count::SocketBytesReceived, bytes as u64),
+        ]);
+    }
+
+    /// The calls aboard a frame a socket ships, forwarded (see
+    /// [`NetworkInner::forward_call`]).
+    pub(crate) fn count_forwarded(&self, calls: usize) {
+        self.count(Count::CallsForwarded, calls as u64);
     }
 
     pub(crate) fn count_socket_disconnect(&self) {
@@ -189,19 +285,9 @@ impl NetworkInner {
         self.batchers.write().entry((src, dst)).or_default().clone()
     }
 
-    /// The route for calls `src -> dst`: the one in `cached` while the
-    /// snapshot it was resolved against is still the published one,
-    /// otherwise resolved afresh (and cached) against the current one.
-    pub(crate) fn route(
-        &self,
-        cached: &Mutex<Option<Arc<Route>>>,
-        src: u64,
-        dst: u64,
-    ) -> Arc<Route> {
-        let mut cached = cached.lock();
-        if let Some(route) = cached.as_ref().filter(|r| self.is_current(&r.snap)) {
-            return route.clone();
-        }
+    /// The route for calls from `from`'s node to `dst`, resolved against
+    /// the published snapshot.
+    pub(crate) fn route(&self, from: Arc<NetServer>, dst: u64) -> Route {
         let snap = self.load();
         let transport = snap.transports.get(&dst).cloned().unwrap_or_else(|| {
             Arc::new(SimTransport {
@@ -209,24 +295,23 @@ impl NetworkInner {
                 home: None,
             })
         });
-        let route = Arc::new(Route {
+        Route {
             transport,
-            batcher: self.link(src, dst),
+            batcher: self.link(from.node.raw(), dst),
             snap,
-        });
-        *cached = Some(route.clone());
-        route
+            dst,
+            from,
+        }
     }
 
-    /// One network hop: latency, jitter, accounting, and (for invocation
-    /// traffic) probabilistic loss.
+    /// One network hop: latency, jitter, and (for invocation traffic)
+    /// probabilistic loss. Its caller counts it ([`NetworkInner::count_hop`]),
+    /// a frame's request hop together with the frame.
     ///
     /// The RNG mutex is taken at most once per hop — the loss roll and the
     /// jitter fraction are sampled together — and on a fault-free network
     /// (no loss, no jitter) it is not taken at all.
-    fn hop(&self, cfg: &NetConfig, bytes: usize, lossy: bool) -> Result<(), DoorError> {
-        self.count(Count::Messages, 1);
-        self.count(Count::Bytes, bytes as u64);
+    fn hop(&self, cfg: &NetConfig, lossy: bool) -> Result<(), DoorError> {
         let roll_loss = lossy && cfg.drop_prob > 0.0;
         let roll_jitter = !cfg.jitter.is_zero();
         let mut delay = cfg.latency;
@@ -249,25 +334,28 @@ impl NetworkInner {
 
     /// Forwards a proxy-door invocation along its resolved `route` to its
     /// home node and returns the reply. `msg`'s identifiers are owned by
-    /// `from`'s network server.
+    /// the route's sending network server.
     ///
     /// The call is queued on its link's batcher: concurrent calls over the
     /// same link that overlap in time may share one wire frame (one request
     /// hop, one reply hop), with the flush policy in [`crate::batch`]
     /// deciding how long to wait for the company `ctx` says is coming. A
-    /// plain call (company 0) that finds no frame forming flushes
-    /// immediately in a frame of its own: one request hop and one reply
-    /// hop, its loss rolls drawn in call order.
-    pub(crate) fn forward_call(
+    /// plain call (company 0) that finds no frame forming ships at once in
+    /// a frame of its own: one request hop and one reply hop, its loss
+    /// rolls drawn in call order.
+    ///
+    /// A call counts as forwarded where its frame is shipped, with the
+    /// frame's own counts (`ship_frame`; the socket shipper through
+    /// [`NetworkInner::count_forwarded`]), or here if it is refused before
+    /// it reaches a shipper.
+    fn forward_call(
         &self,
-        from: &Arc<NetServer>,
-        target: WireCap,
         route: &Route,
+        target: WireCap,
         mut msg: Message,
         ctx: &CallCtx,
     ) -> Result<Message, DoorError> {
-        self.count(Count::CallsForwarded, 1);
-
+        let from = &route.from;
         // One "net.forward" span per forwarded call; the piggybacked
         // context on the message (stamped by the proxy door's kernel call)
         // wins over the thread-local current span.
@@ -283,8 +371,14 @@ impl NetworkInner {
         }
 
         let result = (|| {
-            route.snap.check_link(from.node.raw(), target.origin)?;
-            let (wire, fresh) = from.to_wire_tracked(msg)?;
+            let handed = route
+                .snap
+                .check_link(from.node.raw(), target.origin)
+                .and_then(|()| from.to_wire_tracked(msg));
+            let (wire, fresh) = handed.inspect_err(|_| {
+                // Refused before any shipper saw it: the call counts here.
+                self.count(Count::CallsForwarded, 1);
+            })?;
             if ctx.one_way {
                 // No reply to wait for, so nothing to coalesce against:
                 // the call bypasses the batcher in a frame of its own.
@@ -333,12 +427,6 @@ impl NetworkInner {
         want_reply: bool,
     ) {
         let calls = frame.len() as u64;
-        self.count(Count::BatchFlushes, 1);
-        if frame.len() > 1 {
-            self.count(Count::CallsBatched, calls);
-        } else {
-            self.count(Count::CallsUnbatched, calls);
-        }
         // The per-frame span carries the call count in its scid, so batch
         // sizes show up in the latency histograms.
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
@@ -349,16 +437,30 @@ impl NetworkInner {
         // did.
         let newer = self.newer_than(routed);
         let snap = newer.as_ref().unwrap_or(routed);
-        let request_bytes: usize = frame.iter().map(|e| e.wire.bytes.len()).sum();
+        let request_bytes: usize = frame.iter().map(|e| e.request().bytes.len()).sum();
         // On the way out, in this order: the link is not cut, the
         // destination exists, the request hop survives the loss roll.
-        let departed = snap
+        let departing = snap
             .check_link(from.node.raw(), origin)
-            .and_then(|()| home.ok_or_else(|| unknown_node(origin)))
-            .and_then(|home| {
-                self.traced_hop(&snap.config, request_bytes, true, from.domain.trace_scope())?;
-                Ok(home)
-            });
+            .and_then(|()| home.ok_or_else(|| unknown_node(origin)));
+        // The frame, its calls, and its request hop if it takes one, in one
+        // lookup.
+        let hops = departing.is_ok() as u64;
+        let batched = match calls {
+            1 => Count::CallsUnbatched,
+            _ => Count::CallsBatched,
+        };
+        self.count_each([
+            (Count::CallsForwarded, calls),
+            (Count::BatchFlushes, 1),
+            (batched, calls),
+            (Count::Messages, hops),
+            (Count::Bytes, hops * request_bytes as u64),
+        ]);
+        let departed = departing.and_then(|home| {
+            self.traced_hop(&snap.config, true, from.domain.trace_scope())?;
+            Ok(home)
+        });
         let home = match departed {
             Ok(home) => home,
             Err(e) => {
@@ -379,13 +481,11 @@ impl NetworkInner {
         let mut replies = false;
         let mut reply_bytes = 0usize;
         for entry in frame.iter_mut() {
-            let wire = std::mem::take(&mut entry.wire);
-            let served = home.serve(entry.export, wire, want_reply);
-            if let ReplyOutcome::Ok(reply) = &served.outcome {
+            let served = entry.serve(|export, wire| home.serve(export, wire, want_reply));
+            if let Some(ReplyOutcome::Ok(reply)) = served.map(|served| &served.outcome) {
                 replies = true;
                 reply_bytes += reply.bytes.len();
             }
-            entry.served = Some(served);
         }
 
         // The replies travel back across the same link, again as one frame,
@@ -396,15 +496,16 @@ impl NetworkInner {
             let back = newer.as_ref().unwrap_or(snap);
             reply_leg = back.check_link(origin, from.node.raw());
             if replies && reply_leg.is_ok() {
+                self.count_hop(reply_bytes);
                 let scope = home.domain.trace_scope();
-                reply_leg = self.traced_hop(&snap.config, reply_bytes, true, scope);
+                reply_leg = self.traced_hop(&snap.config, true, scope);
             }
         }
         if reply_leg.is_err() {
             span.fail();
         }
         for entry in frame.iter_mut() {
-            let Some(Served { outcome, fresh }) = entry.served.take() else {
+            let Some(Served { outcome, fresh }) = entry.take_served() else {
                 continue;
             };
             entry.settle(
@@ -431,15 +532,9 @@ impl NetworkInner {
     /// Wraps [`NetworkInner::hop`] in a "net.hop" span; a dropped message
     /// records as a failed span, so retries read as a failed hop followed by
     /// a successful sibling.
-    fn traced_hop(
-        &self,
-        cfg: &NetConfig,
-        bytes: usize,
-        lossy: bool,
-        scope: u64,
-    ) -> Result<(), DoorError> {
+    fn traced_hop(&self, cfg: &NetConfig, lossy: bool, scope: u64) -> Result<(), DoorError> {
         let mut span = spring_trace::span_start(keys::NET_HOP, scope, 0);
-        let result = self.hop(cfg, bytes, lossy);
+        let result = self.hop(cfg, lossy);
         if result.is_err() {
             span.fail();
         }
@@ -617,6 +712,13 @@ impl Network {
         self.inner.publish(|s| s.partitions.clear());
     }
 
+    /// How many routes the calling thread holds, over every network in the
+    /// process: at most eight (DESIGN.md §5.12). A test hook.
+    #[doc(hidden)]
+    pub fn routes_held_here() -> usize {
+        ROUTES.with_borrow(Vec::len)
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> NetStatsSnapshot {
         let c = self.inner.stats.read();
@@ -659,14 +761,10 @@ impl Network {
         // ride a reliable stream, so no loss is applied.
         let doors = from.transfer_doors(msg.doors, &src.domain)?;
         let (wire, fresh) = src.to_wire_tracked(Message { doors, ..msg })?;
+        self.inner.count_hop(wire.bytes.len());
         let arrived = self
             .inner
-            .traced_hop(
-                &snap.config,
-                wire.bytes.len(),
-                false,
-                src.domain.trace_scope(),
-            )
+            .traced_hop(&snap.config, false, src.domain.trace_scope())
             .and_then(|()| dst.from_wire(wire))
             .and_then(|arrived| {
                 let doors = dst.domain.transfer_doors(arrived.doors, to)?;

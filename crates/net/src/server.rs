@@ -168,7 +168,6 @@ impl NetServer {
         let handler = Arc::new(ProxyHandler {
             target: cap,
             server: Arc::downgrade(self),
-            route: Mutex::new(None),
         });
         let retained = self.domain.create_door(handler)?;
         let issued = self.domain.copy_door(retained)?;
@@ -363,29 +362,28 @@ where
     (out, outcome)
 }
 
-/// Handler for a proxy door: forwards invocations across the network.
+/// Handler for a proxy door: forwards invocations across the network along
+/// the calling thread's [`Route`] for its link.
 struct ProxyHandler {
     target: WireCap,
     server: std::sync::Weak<NetServer>,
-    /// The link's resolved route, kept across calls and re-resolved by
-    /// [`NetworkInner::route`] when the network publishes a new snapshot.
-    route: Mutex<Option<Arc<Route>>>,
 }
 
 impl DoorHandler for ProxyHandler {
     fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
-        let server = self
-            .server
-            .upgrade()
-            .ok_or_else(|| DoorError::Comm("network server shut down".into()))?;
+        let route = match Route::held(self.server.as_ptr(), self.target.origin) {
+            Some(route) => route,
+            None => {
+                let server = self
+                    .server
+                    .upgrade()
+                    .ok_or_else(|| DoorError::Comm("network server shut down".into()))?;
+                Route::resolve(server, self.target.origin)
+            }
+        };
         // The kernel has already translated `msg`'s identifiers into the
         // network server's domain; forward over the network.
-        let route = server
-            .net
-            .route(&self.route, server.node.raw(), self.target.origin);
-        server
-            .net
-            .forward_call(&server, self.target, &route, msg, ctx)
+        route.forward(self.target, msg, ctx)
     }
 }
 

@@ -431,7 +431,9 @@ impl Link {
     ) -> Result<CallSocket, DoorError> {
         // Identity-free calls carry no deadline, and one-way calls wait for
         // nothing.
-        let dues = frame.iter().map(|entry| entry.wire.call.deadline_micros);
+        let dues = frame
+            .iter()
+            .map(|entry| entry.request().call.deadline_micros);
         let bounded = want_reply && dues.clone().all(|due| due != 0);
         let latest = dues.max().unwrap_or(0);
         // The socket is exclusively ours until checkin, so its receive
@@ -447,7 +449,7 @@ impl Link {
         self.send(net, &mut sock)
             .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
         for entry in frame.iter_mut() {
-            pool::give(mem::take(&mut entry.wire.bytes));
+            pool::give(entry.take_payload());
         }
         if !want_reply {
             return Ok(sock);
@@ -870,6 +872,7 @@ impl Transport for SocketPeer {
         want_reply: bool,
     ) {
         let calls = frame.len() as u64;
+        from.net.count_forwarded(frame.len());
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
         if let Err(e) = self.ship_inner(from, frame, want_reply) {
             // The frame failed wholesale (dial failure, send failure, peer

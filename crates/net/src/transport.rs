@@ -297,7 +297,7 @@ pub(crate) fn encode_calls(kind: u8, id: u64, frame: &[PendingEntry], out: &mut 
     put_header(out, kind, id, frame.len());
     for entry in frame {
         put_u64(out, entry.export);
-        put_wire(out, &entry.wire);
+        put_wire(out, entry.request());
     }
 }
 

@@ -302,6 +302,70 @@ fn warm_proxy_sees_partitions_and_config_on_the_next_call() {
     assert!(start.elapsed() < Duration::from_millis(10));
 }
 
+/// Replies with one fixed byte, whatever it is sent.
+fn replying(tag: u8) -> Arc<dyn DoorHandler> {
+    Arc::new(move |_: &CallCtx, _: Message| Ok(Message::from_bytes(vec![tag])))
+}
+
+/// A thread holds one route per link it forwards along, keyed by the
+/// sending network server as well as the destination node: two networks
+/// whose nodes carry the same identifiers, called through alternately from
+/// one thread, each serve and count only their own calls.
+#[test]
+fn one_thread_alternating_two_networks_routes_each_call_on_its_own() {
+    let nets = [1u8, 2].map(|tag| {
+        let net = Network::new(NetConfig::default());
+        let a = net.add_node_with_id("a", 7_001);
+        let b = net.add_node_with_id("b", 7_002);
+        let client = a.kernel().create_domain("client");
+        let proxy = proxy_to(&net, &b, &client, replying(tag));
+        (net, client, proxy, tag)
+    });
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..10 {
+                for (_, client, proxy, tag) in &nets {
+                    let reply = client.call(*proxy, Message::new()).unwrap();
+                    assert_eq!(reply.bytes, [*tag], "a call landed on the other network");
+                }
+            }
+            assert_eq!(Network::routes_held_here(), 2);
+        });
+    });
+    for (net, ..) in &nets {
+        assert_eq!(net.stats().calls_forwarded, 10);
+    }
+}
+
+/// A thread that forwards to more destinations than it holds routes for
+/// routes every call right and holds no more than its bound.
+#[test]
+fn a_thread_forwarding_to_many_nodes_holds_a_bounded_set_of_routes() {
+    const NODES: u8 = 12;
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let client = a.kernel().create_domain("client");
+    let proxies: Vec<_> = (0..NODES)
+        .map(|tag| {
+            let node = net.add_node(format!("n{tag}"));
+            proxy_to(&net, &node, &client, replying(tag))
+        })
+        .collect();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..3 {
+                for (tag, proxy) in proxies.iter().enumerate() {
+                    let reply = client.call(*proxy, Message::new()).unwrap();
+                    assert_eq!(reply.bytes, [tag as u8], "round {round}");
+                    assert!(Network::routes_held_here() <= 8);
+                }
+            }
+            assert_eq!(Network::routes_held_here(), 8);
+        });
+    });
+    assert_eq!(net.stats().calls_forwarded, 3 * NODES as u64);
+}
+
 /// Adding a node publishes a new snapshot: doors on the new node are
 /// reachable from a client whose other proxies are already warm, those
 /// proxies keep working, and the new node can be partitioned off alone.
