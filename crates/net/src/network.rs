@@ -47,6 +47,18 @@ impl Snapshot {
         self.nodes.get(&node).ok_or_else(|| unknown_node(node))
     }
 
+    /// The transport reaching node `dst`: for a node nobody has introduced,
+    /// a [`SimTransport`] with no home, whose calls fail with "unknown node"
+    /// when they ship.
+    fn transport(&self, dst: u64) -> Arc<dyn Transport> {
+        self.transports.get(&dst).cloned().unwrap_or_else(|| {
+            Arc::new(SimTransport {
+                origin: dst,
+                home: None,
+            })
+        })
+    }
+
     fn check_link(&self, a: u64, b: u64) -> Result<(), DoorError> {
         if !self.partitions.is_empty() && self.partitions.contains(&link_key(a, b)) {
             return Err(DoorError::Comm(format!(
@@ -68,9 +80,8 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 /// What a proxy door needs to forward a call, resolved once per published
 /// snapshot instead of once per call: the network server the call leaves
 /// from, the snapshot itself (partitions and the batching linger), the
-/// link's batcher, and the transport reaching the target's home node (for a
-/// node nobody has introduced, a [`SimTransport`] with no home, whose calls
-/// fail with "unknown node" when they ship).
+/// link's batcher, and the transport reaching the target's home node
+/// ([`Snapshot::transport`]).
 ///
 /// Every proxy of one link resolves the same route, so a thread keeps the
 /// routes it forwards along in a small cache of its own ([`Route::held`]),
@@ -85,54 +96,126 @@ pub(crate) struct Route {
     transport: Arc<dyn Transport>,
 }
 
-/// Most routes one thread holds. A thread forwarding along more links
-/// than this re-resolves the oldest it dropped on its next call there.
+/// Most routes one thread holds. Holding routes per thread pays off while a
+/// thread forwards along at most this many links at a time: every call
+/// along a held link is warm. Past it, a call along a link the thread no
+/// longer holds re-resolves its route (DESIGN.md §5.12).
 const ROUTES_HELD: usize = 8;
 
+/// This thread's routes.
+struct Held {
+    /// At most [`ROUTES_HELD`], the most recently used last. An entry is
+    /// used only while its snapshot is the published one; a stale one is
+    /// replaced by the next call along its link.
+    routes: Vec<Rc<Route>>,
+    /// Routes resolved on this thread, i.e. its misses.
+    resolved: u64,
+}
+
 thread_local! {
-    /// This thread's routes, oldest first, at most [`ROUTES_HELD`]. An
-    /// entry is used only while its snapshot is the published one; a
-    /// stale one is replaced by the next call along its link.
-    static ROUTES: RefCell<Vec<Rc<Route>>> = const { RefCell::new(Vec::new()) };
+    static ROUTES: RefCell<Held> = const {
+        RefCell::new(Held {
+            routes: Vec::new(),
+            resolved: 0,
+        })
+    };
+}
+
+impl Held {
+    /// The entry a miss displaces when the thread holds its fill: any but
+    /// the most recently used, picked by a hash of the miss count. Evicting
+    /// the oldest would make a thread that cycles over one link more than
+    /// it holds miss on every call; a scattered victim keeps most of such a
+    /// cycle warm (nine links: about three calls in four).
+    fn victim(&self) -> usize {
+        // splitmix64's finaliser.
+        let mut z = self.resolved.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize % (self.routes.len() - 1)
+    }
+
+    /// Takes out the entry a route from `from` to node `dst` replaces: the
+    /// stale one for its link or, when the thread holds its fill, a victim.
+    fn displace(&mut self, from: &Arc<NetServer>, dst: u64) -> Option<Rc<Route>> {
+        self.resolved += 1;
+        let same = |r: &Rc<Route>| Arc::ptr_eq(&r.from, from) && r.dst == dst;
+        match self.routes.iter().position(same) {
+            Some(at) => Some(self.routes.remove(at)),
+            None if self.routes.len() >= ROUTES_HELD => Some(self.routes.remove(self.victim())),
+            None => None,
+        }
+    }
 }
 
 impl Route {
     /// This thread's route from the network server at `from` to node
-    /// `dst`, if it holds one resolved against the published snapshot.
-    /// The route owns its server, so while it is held no other server
-    /// can live at `from`.
+    /// `dst`, if it holds one resolved against the published snapshot; it
+    /// becomes the most recently used. The route owns its server, so while
+    /// it is held no other server can live at `from`.
     pub(crate) fn held(from: *const NetServer, dst: u64) -> Option<Rc<Route>> {
-        ROUTES.with_borrow(|routes| {
-            let route = routes
+        ROUTES.with_borrow_mut(|held| {
+            let routes = &mut held.routes;
+            let at = routes
                 .iter()
-                .find(|r| Arc::as_ptr(&r.from) == from && r.dst == dst)?;
-            route
-                .from
-                .net
-                .is_current(&route.snap)
-                .then(|| route.clone())
+                .rposition(|r| Arc::as_ptr(&r.from) == from && r.dst == dst)?;
+            let route = &routes[at];
+            if !route.from.net.is_current(&route.snap) {
+                return None;
+            }
+            routes[at..].rotate_left(1);
+            routes.last().cloned()
         })
     }
 
     /// Resolves the route from `from` to node `dst` against the published
-    /// snapshot and holds it on this thread in place of a stale one for the
-    /// same link, or of the oldest when the thread holds its fill.
+    /// snapshot and holds it on this thread as the most recently used, in
+    /// place of the entry [`Held::displace`] takes out. That entry is
+    /// re-resolved in place when nothing else holds it, so a miss allocates
+    /// nothing.
     pub(crate) fn resolve(from: Arc<NetServer>, dst: u64) -> Rc<Route> {
-        let route = Rc::new(from.net.route(from.clone(), dst));
-        let displaced = ROUTES.with_borrow_mut(|routes| {
-            let same = |r: &Rc<Route>| Arc::ptr_eq(&r.from, &from) && r.dst == dst;
-            let displaced = match routes.iter().position(same) {
-                Some(at) => Some(routes.remove(at)),
-                None if routes.len() >= ROUTES_HELD => Some(routes.remove(0)),
-                None => None,
-            };
-            routes.push(route.clone());
-            displaced
-        });
-        // Dropped outside the borrow: it may hold the last reference to a
-        // superseded snapshot and the transports in it.
-        drop(displaced);
+        let displaced = ROUTES.with_borrow_mut(|held| held.displace(&from, dst));
+        // Outside the borrow: what the displaced entry drops may be the
+        // last reference to a superseded snapshot and the transports in it.
+        let route = match displaced {
+            Some(mut old) => match Rc::get_mut(&mut old) {
+                Some(slot) => {
+                    slot.retarget(from, dst);
+                    old
+                }
+                // A call in progress on this thread still holds it.
+                None => Rc::new(Route::new(from, dst)),
+            },
+            None => Rc::new(Route::new(from, dst)),
+        };
+        ROUTES.with_borrow_mut(|held| held.routes.push(route.clone()));
         route
+    }
+
+    /// The route from `from` to node `dst`, resolved against the published
+    /// snapshot.
+    fn new(from: Arc<NetServer>, dst: u64) -> Route {
+        let snap = from.net.load();
+        Route {
+            transport: snap.transport(dst),
+            batcher: from.net.link(from.node.raw(), dst),
+            snap,
+            dst,
+            from,
+        }
+    }
+
+    /// Re-resolves this route as the one from `from` to node `dst`, keeping
+    /// its snapshot while that is the one `from`'s network publishes.
+    fn retarget(&mut self, from: Arc<NetServer>, dst: u64) {
+        let net = &from.net;
+        if !(Arc::ptr_eq(&self.from.net, net) && net.is_current(&self.snap)) {
+            self.snap = net.load();
+        }
+        self.transport = self.snap.transport(dst);
+        self.batcher = net.link(from.node.raw(), dst);
+        self.from = from;
+        self.dst = dst;
     }
 
     /// Forwards a proxy-door invocation along this route to `target`
@@ -267,12 +350,6 @@ impl NetworkInner {
         ]);
     }
 
-    /// The calls aboard a frame a socket ships, forwarded (see
-    /// [`NetworkInner::forward_call`]).
-    pub(crate) fn count_forwarded(&self, calls: usize) {
-        self.count(Count::CallsForwarded, calls as u64);
-    }
-
     pub(crate) fn count_socket_disconnect(&self) {
         self.count(Count::SocketDisconnects, 1);
     }
@@ -283,25 +360,6 @@ impl NetworkInner {
             return batcher.clone();
         }
         self.batchers.write().entry((src, dst)).or_default().clone()
-    }
-
-    /// The route for calls from `from`'s node to `dst`, resolved against
-    /// the published snapshot.
-    pub(crate) fn route(&self, from: Arc<NetServer>, dst: u64) -> Route {
-        let snap = self.load();
-        let transport = snap.transports.get(&dst).cloned().unwrap_or_else(|| {
-            Arc::new(SimTransport {
-                origin: dst,
-                home: None,
-            })
-        });
-        Route {
-            transport,
-            batcher: self.link(from.node.raw(), dst),
-            snap,
-            dst,
-            from,
-        }
     }
 
     /// One network hop: latency, jitter, and (for invocation traffic)
@@ -344,10 +402,9 @@ impl NetworkInner {
     /// a frame of its own: one request hop and one reply hop, its loss
     /// rolls drawn in call order.
     ///
-    /// A call counts as forwarded where its frame is shipped, with the
-    /// frame's own counts (`ship_frame`; the socket shipper through
-    /// [`NetworkInner::count_forwarded`]), or here if it is refused before
-    /// it reaches a shipper.
+    /// Every call counts as forwarded here, whichever transport ships it:
+    /// a frame's calls as the frame is handed to its shipper, a call
+    /// refused before that on its own.
     fn forward_call(
         &self,
         route: &Route,
@@ -383,12 +440,15 @@ impl NetworkInner {
                 // No reply to wait for, so nothing to coalesce against:
                 // the call bypasses the batcher in a frame of its own.
                 return ship_alone(target.export, wire, fresh, |frame| {
+                    self.count(Count::CallsForwarded, frame.len() as u64);
                     route.transport.ship(from, &route.snap, frame, false)
                 });
             }
             let linger = route.snap.config.batch_linger;
-            let ship =
-                |frame: &mut [PendingEntry]| route.transport.ship(from, &route.snap, frame, true);
+            let ship = |frame: &mut [PendingEntry]| {
+                self.count(Count::CallsForwarded, frame.len() as u64);
+                route.transport.ship(from, &route.snap, frame, true)
+            };
             route
                 .batcher
                 .submit(target.export, wire, fresh, ctx.company, linger, &ship)
@@ -443,15 +503,14 @@ impl NetworkInner {
         let departing = snap
             .check_link(from.node.raw(), origin)
             .and_then(|()| home.ok_or_else(|| unknown_node(origin)));
-        // The frame, its calls, and its request hop if it takes one, in one
-        // lookup.
+        // The frame, its calls' batching, and its request hop if it takes
+        // one, in one lookup.
         let hops = departing.is_ok() as u64;
         let batched = match calls {
             1 => Count::CallsUnbatched,
             _ => Count::CallsBatched,
         };
         self.count_each([
-            (Count::CallsForwarded, calls),
             (Count::BatchFlushes, 1),
             (batched, calls),
             (Count::Messages, hops),
@@ -716,7 +775,15 @@ impl Network {
     /// process: at most eight (DESIGN.md §5.12). A test hook.
     #[doc(hidden)]
     pub fn routes_held_here() -> usize {
-        ROUTES.with_borrow(Vec::len)
+        ROUTES.with_borrow(|held| held.routes.len())
+    }
+
+    /// How many routes the calling thread has resolved, over every network
+    /// in the process: one per call that found no current route held. A
+    /// test hook.
+    #[doc(hidden)]
+    pub fn routes_resolved_here() -> u64 {
+        ROUTES.with_borrow(|held| held.resolved)
     }
 
     /// Counter snapshot.

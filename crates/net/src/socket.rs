@@ -872,7 +872,6 @@ impl Transport for SocketPeer {
         want_reply: bool,
     ) {
         let calls = frame.len() as u64;
-        from.net.count_forwarded(frame.len());
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
         if let Err(e) = self.ship_inner(from, frame, want_reply) {
             // The frame failed wholesale (dial failure, send failure, peer

@@ -330,6 +330,8 @@ fn one_thread_alternating_two_networks_routes_each_call_on_its_own() {
                 }
             }
             assert_eq!(Network::routes_held_here(), 2);
+            // Both links stayed warm: one resolution each.
+            assert_eq!(Network::routes_resolved_here(), 2);
         });
     });
     for (net, ..) in &nets {
@@ -338,10 +340,13 @@ fn one_thread_alternating_two_networks_routes_each_call_on_its_own() {
 }
 
 /// A thread that forwards to more destinations than it holds routes for
-/// routes every call right and holds no more than its bound.
+/// routes every call right and holds no more than its bound; cycling over
+/// them, it still finds many of its calls' routes held, where evicting the
+/// oldest would make every call after the first round resolve again.
 #[test]
 fn a_thread_forwarding_to_many_nodes_holds_a_bounded_set_of_routes() {
     const NODES: u8 = 12;
+    const ROUNDS: u64 = 20;
     let net = Network::new(NetConfig::default());
     let a = net.add_node("a");
     let client = a.kernel().create_domain("client");
@@ -353,17 +358,28 @@ fn a_thread_forwarding_to_many_nodes_holds_a_bounded_set_of_routes() {
         .collect();
     std::thread::scope(|s| {
         s.spawn(|| {
-            for round in 0..3 {
+            let mut first_round = 0;
+            for round in 0..ROUNDS {
                 for (tag, proxy) in proxies.iter().enumerate() {
                     let reply = client.call(*proxy, Message::new()).unwrap();
                     assert_eq!(reply.bytes, [tag as u8], "round {round}");
                     assert!(Network::routes_held_here() <= 8);
                 }
+                if round == 0 {
+                    first_round = Network::routes_resolved_here();
+                }
             }
             assert_eq!(Network::routes_held_here(), 8);
+            assert_eq!(first_round, NODES as u64);
+            let later_calls = (ROUNDS - 1) * NODES as u64;
+            let later_misses = Network::routes_resolved_here() - first_round;
+            assert!(
+                later_misses * 4 < later_calls * 3,
+                "{later_misses} of {later_calls} calls after the first round resolved their route"
+            );
         });
     });
-    assert_eq!(net.stats().calls_forwarded, 3 * NODES as u64);
+    assert_eq!(net.stats().calls_forwarded, ROUNDS * NODES as u64);
 }
 
 /// Adding a node publishes a new snapshot: doors on the new node are

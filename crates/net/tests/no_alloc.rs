@@ -128,6 +128,57 @@ fn steady_state_forwarded_call_does_not_allocate() {
     );
 }
 
+/// A thread forwarding to more nodes than it holds routes for re-resolves
+/// some of them on every round, and a route it resolves reuses the one it
+/// displaces: no call allocates, misses included.
+#[test]
+fn forwarding_past_the_held_routes_does_not_allocate() {
+    let _serial = serial();
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let client = a.kernel().create_domain("client");
+    let proxies: Vec<DoorId> = (0..12)
+        .map(|i| {
+            let node = net.add_node(format!("n{i}"));
+            let server = node.kernel().create_domain("server");
+            let door = server.create_door(Arc::new(Echo)).unwrap();
+            let msg = Message {
+                doors: vec![door],
+                ..Message::default()
+            };
+            net.ship_message(&server, &client, msg).unwrap().doors[0]
+        })
+        .collect();
+    let round = || {
+        for &proxy in &proxies {
+            let mut bytes = pool::take(8);
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            let reply = client.call(proxy, Message::from_bytes(bytes)).unwrap();
+            pool::give(reply.bytes);
+        }
+    };
+    for _ in 0..20 {
+        round();
+    }
+
+    let resolved = Network::routes_resolved_here();
+    COUNTING.set(true);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        round();
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    COUNTING.set(false);
+    assert!(
+        Network::routes_resolved_here() > resolved,
+        "no call missed its route"
+    );
+    assert_eq!(
+        allocs, 0,
+        "1200 calls past the held routes allocated {allocs} times"
+    );
+}
+
 /// Replies with a fresh identifier for the door it holds.
 struct HandsOut(DoorId);
 
