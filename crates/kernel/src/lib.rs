@@ -69,7 +69,7 @@ pub use domain::{CallCtx, Domain, DoorHandler};
 pub use error::DoorError;
 pub use id::{DomainId, DoorId, IdHasher, IdMap, NodeId, ShmId};
 pub use kernel::Kernel;
-pub use message::{framing, Message};
+pub use message::Message;
 pub use rng::FaultRng;
 pub use shm::{MappedShm, ShmRegion};
 pub use stats::{KernelStats, StatsSnapshot};

@@ -186,31 +186,44 @@ pub fn reset_counters() {
 mod tests {
     use super::*;
 
+    /// The capacities of this thread's pooled backings. The counters are
+    /// process-wide and other tests bump them in parallel, so these tests
+    /// assert on this thread's backings instead.
+    fn pooled() -> Vec<usize> {
+        LOCAL.with(|local| local.free.borrow().iter().map(Vec::capacity).collect())
+    }
+
+    /// Empties this thread's pool, so nothing an earlier test left on the
+    /// thread answers a request.
+    fn drain() {
+        LOCAL.with(|local| local.free.borrow_mut().clear());
+    }
+
     #[test]
     fn reuse_round_trip() {
         // Prime the pool, then verify the same backing comes back.
-        give(Vec::with_capacity(128));
-        let h0 = counters().hits;
+        drain();
+        let primed = Vec::with_capacity(128);
+        let at = primed.as_ptr();
+        give(primed);
         let v = take(64);
         assert!(v.capacity() >= 64);
-        let h1 = counters().hits;
-        assert_eq!(h1, h0 + 1);
+        assert_eq!(v.as_ptr(), at);
+        assert_eq!(pooled(), []);
     }
 
     #[test]
     fn small_requests_do_not_steal_nothing() {
-        let m0 = counters().misses;
-        // An empty pool (or no large-enough backing) is a miss.
+        drain();
+        give(Vec::with_capacity(64));
+        // No large-enough backing: the request allocates, and the small
+        // one stays pooled.
         let v = take(MAX_RETAINED_CAPACITY + 1);
         assert!(v.capacity() > MAX_RETAINED_CAPACITY);
-        let m1 = counters().misses;
-        assert_eq!(m1, m0 + 1);
+        assert_eq!(pooled(), [64]);
         // Oversized backings are not retained.
         give(v);
-        let w = take(MAX_RETAINED_CAPACITY + 1);
-        let m2 = counters().misses;
-        assert_eq!(m2, m1 + 1);
-        drop(w);
+        assert_eq!(pooled(), [64]);
     }
 
     #[test]

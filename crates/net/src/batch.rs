@@ -2,12 +2,12 @@
 //! wire frame.
 //!
 //! Every (source node, destination node) pair owns a [`LinkBatcher`].
-//! Callers hand it their wire-form call and block until a reply (or error)
-//! comes back for it. The first caller to find the queue empty becomes the
-//! *leader* for the frame now forming: it waits — bounded by the flush
-//! policy below — for more calls to join, then takes the whole queue and
-//! ships it as one frame; its own outcome is written into its entry, which
-//! it reads when the shipper returns. Followers park on a [`CallSlot`].
+//! Pipelined callers hand it their wire-form call and block until a reply
+//! (or error) comes back for it. The first caller to find the queue empty
+//! becomes the *leader* for the frame now forming: it waits — bounded by
+//! the flush policy below — for more calls to join, then takes the whole
+//! queue and ships it as one frame; its own outcome is written into its
+//! entry, which it reads when the shipper returns. Followers park on a [`CallSlot`].
 //!
 //! Leadership is per *frame*, not per link: while a leader is off shipping
 //! its frame (sleeping out the simulated latency, executing the batch's
@@ -18,12 +18,12 @@
 //!
 //! The flush policy is driven by the pipelining hint each call carries
 //! ([`spring_kernel::CallCtx::company`]): a frame keeps coalescing only
-//! while the calls aboard that reported company number fewer than the
-//! largest company any of them reported, and the size/count/linger budgets
-//! still have room. A plain synchronous call (company 0) that
-//! leads flushes immediately, and one that joins counts toward nobody, so
-//! the batcher is invisible to non-pipelined traffic — on this link and on
-//! every other.
+//! while the calls aboard number fewer than the largest company any of
+//! them reported, and the size/count/linger budgets still have room. Only
+//! calls that report company come here: forwarding sends a plain
+//! synchronous call (company 0) and a one-way call alone ([`ship_alone`]),
+//! so the batcher is invisible to non-pipelined traffic — on this link and
+//! on every other.
 //!
 //! Every decision is the I/O-free core's (`batch/core.rs`, DESIGN.md
 //! §5.12); this module is its shell: the lock, the condvar, the clock, the
@@ -56,8 +56,7 @@ pub(crate) struct PendingEntry {
     /// A follower's rendezvous: its caller waits on another thread than
     /// the one that ships its entry, so its outcome goes here. `None` when
     /// the caller is the thread shipping the frame (a frame's leader, a
-    /// plain call on an idle link, a one-way call), which reads it from
-    /// `stage`.
+    /// call shipped alone), which reads it from `stage`.
     slot: Option<Arc<CallSlot>>,
 }
 
@@ -294,10 +293,8 @@ fn retire(mut slot: Arc<CallSlot>) {
 }
 
 /// Ships one call as a frame of its own, built on the caller's stack: the
-/// way of a call with nothing to coalesce against — a one-way call, which
-/// has no reply to wait for, and a plain call on an idle link, which the
-/// core would make a frame's leader and flush at once. `ship` must settle
-/// the entry.
+/// way of a call that reported no company — a plain call, and a one-way
+/// call, which has no reply to wait for. `ship` must settle the entry.
 pub(crate) fn ship_alone(
     export: u64,
     wire: WireMessage,
@@ -321,11 +318,11 @@ pub(crate) struct LinkBatcher {
 impl LinkBatcher {
     /// Queues one wire-form call and blocks until its outcome arrives.
     ///
-    /// `company` is the call's pipelining hint (0 for a plain call), and
-    /// `linger` the longest a frame waits for the company it expects. `ship`
-    /// is invoked (on the leader's thread, with no batcher lock held) with
-    /// the full frame once the flush policy fires; it must settle every
-    /// entry's slot.
+    /// `company` is the call's pipelining hint, at least 1 (a plain call
+    /// ships alone), and `linger` the longest a frame waits for the company
+    /// it expects. `ship` is invoked (on the leader's thread, with no
+    /// batcher lock held) with the full frame once the flush policy fires;
+    /// it must settle every entry's slot.
     pub fn submit(
         &self,
         export: u64,
@@ -336,10 +333,6 @@ impl LinkBatcher {
         ship: &dyn Fn(&mut [PendingEntry]),
     ) -> Result<Message, DoorError> {
         let mut state = lock(&self.state);
-        if state.ships_alone(company) {
-            drop(state);
-            return ship_alone(export, wire, fresh, ship);
-        }
         let mut slot = None;
         state.arrive(wire.bytes.len(), company, |leads| {
             // A follower waits from another thread than the one that ships
@@ -358,7 +351,7 @@ impl LinkBatcher {
 
         // Leader: linger (bounded) for pipelined company, then ship. The
         // linger clock is read only once the frame actually has something
-        // to wait for, so a plain synchronous call never reads it.
+        // to wait for, so a leader expecting no one never reads it.
         let mut deadline = None;
         while !state.should_flush(deadline.is_some_and(|d| Instant::now() >= d)) {
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + linger);
@@ -424,9 +417,9 @@ mod tests {
         matches!(outcome, Err(DoorError::Comm(why)) if why == "batch frame aborted")
     }
 
-    /// A caller that ships its own entry — a plain call through the
-    /// batcher, a one-way call around it — finds its outcome in the entry:
-    /// the first one settled, an abort if none was, and no slot either way.
+    /// A caller that ships its own entry — a frame's leader, a call shipped
+    /// alone — finds its outcome in the entry: the first one settled, an
+    /// abort if none was, and no slot either way.
     #[test]
     fn a_shipping_caller_reads_its_outcome_from_its_entry() {
         let (_net, from) = sender();
@@ -443,54 +436,27 @@ mod tests {
             echo(frame);
         };
         let forget = |_: &mut [PendingEntry]| {};
-        let plain = |ship: &dyn Fn(&mut [PendingEntry])| {
-            batcher.submit(7, wire(b"plain"), Vec::new(), 0, ROOMY, ship)
+        // A leader expecting no one but itself ships at once.
+        let led = |ship: &dyn Fn(&mut [PendingEntry])| {
+            batcher.submit(7, wire(b"led"), Vec::new(), 1, ROOMY, ship)
         };
-        let one_way =
-            |ship: &dyn Fn(&mut [PendingEntry])| ship_alone(7, wire(b"one-way"), Vec::new(), ship);
+        let alone =
+            |ship: &dyn Fn(&mut [PendingEntry])| ship_alone(7, wire(b"alone"), Vec::new(), ship);
 
         // On a thread of its own, whose slot pool starts empty: a slot
         // taken for any of these calls would have been recycled into it.
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert_eq!(plain(&echo).unwrap().bytes, b"plain");
-                assert_eq!(one_way(&echo).unwrap().bytes, b"one-way");
-                assert_eq!(plain(&echo_then_lose).unwrap().bytes, b"plain");
-                assert_eq!(one_way(&echo_then_lose).unwrap().bytes, b"one-way");
+                assert_eq!(led(&echo).unwrap().bytes, b"led");
+                assert_eq!(alone(&echo).unwrap().bytes, b"alone");
+                assert_eq!(led(&echo_then_lose).unwrap().bytes, b"led");
+                assert_eq!(alone(&echo_then_lose).unwrap().bytes, b"alone");
                 let is_lost =
                     |outcome| matches!(outcome, Err(DoorError::Comm(why)) if why == "lost");
-                assert!(is_lost(plain(&lose_then_echo)));
-                assert!(is_lost(one_way(&lose_then_echo)));
-                assert!(is_abort(plain(&forget)));
-                assert!(is_abort(one_way(&forget)));
-                assert_eq!(pooled_slots(), 0);
-            });
-        });
-    }
-
-    /// A plain call on an idle link never boards the forming frame: it
-    /// ships alone, as the core's solo branch says. A call that boarded
-    /// would leave storage behind — its push allocates the forming vector,
-    /// and taking the frame swaps a recycled one in — so on a thread whose
-    /// pools start empty, plain calls leave both the forming vector and the
-    /// pool of spare frames untouched.
-    #[test]
-    fn a_plain_call_on_an_idle_link_ships_without_boarding() {
-        let (_net, from) = sender();
-        let batcher = LinkBatcher::default();
-        let ship = |frame: &mut [PendingEntry]| {
-            assert_eq!(frame.len(), 1);
-            assert!(lock(&batcher.state).calls.is_empty());
-            frame[0].settle(&from, echoed(&frame[0]));
-        };
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for tag in 0..3 {
-                    let reply = batcher.submit(7, wire(&[tag]), Vec::new(), 0, ROOMY, &ship);
-                    assert_eq!(reply.unwrap().bytes, [tag]);
-                }
-                assert_eq!(lock(&batcher.state).calls.capacity(), 0);
-                assert_eq!(SPARE_FRAMES.with_borrow(Vec::len), 0);
+                assert!(is_lost(led(&lose_then_echo)));
+                assert!(is_lost(alone(&lose_then_echo)));
+                assert!(is_abort(led(&forget)));
+                assert!(is_abort(alone(&forget)));
                 assert_eq!(pooled_slots(), 0);
             });
         });
@@ -537,13 +503,12 @@ mod tests {
         }
     }
 
-    /// A plain call (company 0) that joins a forming frame rides along: it
-    /// is none of the calls the frame waits for, so it neither flushes the
-    /// frame early nor changes how many calls the frame waits for. And what
-    /// a frame waited for is forgotten once it is taken: the next plain
-    /// call on the link leaves at once, alone.
+    /// A plain call (company 0) on a link where a pipelined frame is
+    /// forming leaves at once, alone: it never boards, so it neither waits
+    /// out the frame's linger nor counts toward the company the frame
+    /// waits for. The frame flushes once that company is aboard.
     #[test]
-    fn plain_call_rides_a_forming_frame_without_steering_it() {
+    fn a_plain_call_leaves_beside_a_forming_frame() {
         let net = Network::new(NetConfig {
             // Far above the test's runtime: nothing here flushes on time.
             batch_linger: ROOMY,
@@ -574,36 +539,45 @@ mod tests {
             let leader = s.spawn(|| client.call_in_company(proxy, Message::from_bytes(vec![1]), 2));
             aboard(1);
 
-            // The plain call joins: two aboard, but only one of the two
-            // expected, so nothing leaves.
+            // The plain call returns while the frame is still forming.
             let plain = s.spawn(|| client.call(proxy, Message::from_bytes(vec![2])));
-            aboard(2);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !plain.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let left_alone = plain.is_finished();
             let forming = lock(&batcher.state);
-            assert!(
-                forming.calls.len() == 2 && !forming.should_flush(false),
-                "a plain call must neither flush a forming frame nor leave ahead of it",
-            );
+            let (held, ready) = (forming.calls.len(), forming.should_flush(false));
             drop(forming);
+            let meanwhile = net.stats().since(&before);
 
-            // The leader's second call completes the company it reported.
-            let third = client.call_in_company(proxy, Message::from_bytes(vec![3]), 1);
-            assert_eq!(third.unwrap().bytes, [3]);
+            // The leader's second call completes the company it reported
+            // (and, were the plain call aboard, lets it out).
+            let second = client.call_in_company(proxy, Message::from_bytes(vec![3]), 1);
+            assert_eq!(second.unwrap().bytes, [3]);
             assert_eq!(leader.join().unwrap().unwrap().bytes, [1]);
             assert_eq!(plain.join().unwrap().unwrap().bytes, [2]);
-        });
-        let framed = net.stats();
-        let shared = framed.since(&before);
-        assert_eq!((shared.batch_flushes, shared.calls_batched), (1, 3));
 
-        // The frame is gone and so is its expectation of two.
-        let asked = Instant::now();
-        client.call(proxy, Message::from_bytes(vec![4])).unwrap();
-        assert!(
-            asked.elapsed() < Duration::from_secs(5),
-            "a plain call after a pipelined frame lingered {:?}",
-            asked.elapsed(),
+            assert!(left_alone, "a plain call waited for a forming frame");
+            assert_eq!(
+                (held, ready),
+                (1, false),
+                "the frame holds its leader alone"
+            );
+            assert_eq!(
+                (meanwhile.batch_flushes, meanwhile.calls_unbatched),
+                (1, 1),
+                "the plain call travels in a frame of its own",
+            );
+        });
+        let framed = net.stats().since(&before);
+        assert_eq!(
+            (
+                framed.batch_flushes,
+                framed.calls_batched,
+                framed.calls_unbatched
+            ),
+            (2, 2, 1),
         );
-        let alone = net.stats().since(&framed);
-        assert_eq!((alone.batch_flushes, alone.calls_unbatched), (1, 1));
     }
 }

@@ -16,7 +16,8 @@ const MAX_CALLS: usize = 64;
 /// Most payload bytes one frame coalesces.
 const MAX_BYTES: usize = 256 * 1024;
 
-/// The frame forming on one link, as the shell's lock guards it.
+/// The frame forming on one link, as the shell's lock guards it. Every call
+/// aboard reported company: a plain call never boards (it ships alone).
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub(crate) struct Forming<E> {
     /// The calls aboard in arrival order, the leader's first.
@@ -25,9 +26,6 @@ pub(crate) struct Forming<E> {
     /// The largest company a call aboard reported: how many pipelined
     /// calls the frame is worth holding for.
     pub(crate) expected: u32,
-    /// The calls aboard that reported company. A plain call (company 0)
-    /// is none of the calls anyone expects, so it rides without counting.
-    counted: usize,
 }
 
 impl<E> Default for Forming<E> {
@@ -36,50 +34,39 @@ impl<E> Default for Forming<E> {
             calls: Vec::new(),
             bytes: 0,
             expected: 0,
-            counted: 0,
         }
     }
 }
 
 impl<E> Forming<E> {
-    /// Whether a call whose caller reported `company` ships alone instead
-    /// of boarding: a plain call on an idle link, which would lead a frame
-    /// that flushes the moment it boards. Its caller ships it in a frame of
-    /// its own and the forming frame never sees it — who leads, when a
-    /// frame flushes and who joins are as if it had boarded and been taken.
-    pub fn ships_alone(&self, company: u32) -> bool {
-        company == 0 && self.calls.is_empty()
-    }
-
-    /// A call of `bytes` payload bytes whose caller reported `company`
-    /// boards the frame. Returns whether its caller leads the frame — it
-    /// is the first aboard — or follows; `entry` builds what boards,
-    /// knowing which. (The leader takes every call when it stands down, so
-    /// a frame with calls aboard has a leader collecting it.)
+    /// A call of `bytes` payload bytes whose caller reported `company` (at
+    /// least 1) boards the frame. Returns whether its caller leads the
+    /// frame — it is the first aboard — or follows; `entry` builds what
+    /// boards, knowing which. (The leader takes every call when it stands
+    /// down, so a frame with calls aboard has a leader collecting it.)
     pub fn arrive(&mut self, bytes: usize, company: u32, entry: impl FnOnce(bool) -> E) -> bool {
+        debug_assert!(company > 0, "a plain call ships alone, never aboard");
         let leads = self.calls.is_empty();
         self.bytes += bytes;
         self.expected = self.expected.max(company);
-        self.counted += (company > 0) as usize;
         self.calls.push(entry(leads));
         leads
     }
 
     /// Whether the leader ships now: the frame is full, every call the
-    /// calls aboard said was coming is aboard (so a plain call that leads
-    /// ships at once), or the linger deadline has passed (`lingered`, an
-    /// input: the shell owns the clock).
+    /// calls aboard said was coming is aboard, or the linger deadline has
+    /// passed (`lingered`, an input: the shell owns the clock).
     pub fn should_flush(&self, lingered: bool) -> bool {
         lingered
             || self.calls.len() >= MAX_CALLS
             || self.bytes >= MAX_BYTES
-            || self.counted >= self.expected as usize
+            || self.calls.len() >= self.expected as usize
     }
 
     /// The leader takes the frame, leaving `spare` (empty) in its place and
     /// nothing of what the frame waited for: the next arrival leads.
     pub fn take(&mut self, spare: Vec<E>) -> Vec<E> {
-        (self.bytes, self.expected, self.counted) = (0, 0, 0);
+        (self.bytes, self.expected) = (0, 0);
         std::mem::replace(&mut self.calls, spare)
     }
 }
@@ -147,13 +134,13 @@ mod tests {
     /// calls reported is not all aboard; taking it forgets that company.
     #[test]
     fn a_full_frame_flushes_with_its_company_unmet() {
-        let mut counted = Forming::default();
+        let mut full = Forming::default();
         for _ in 1..MAX_CALLS {
-            counted.arrive(1, 1000, |_| ());
+            full.arrive(1, 1000, |_| ());
         }
-        assert!(!counted.should_flush(false));
-        counted.arrive(1, 1000, |_| ());
-        assert!(counted.should_flush(false), "{MAX_CALLS} calls aboard");
+        assert!(!full.should_flush(false));
+        full.arrive(1, 1000, |_| ());
+        assert!(full.should_flush(false), "{MAX_CALLS} calls aboard");
 
         let mut sized = Forming::default();
         sized.arrive(MAX_BYTES - 1, 1000, |_| ());
@@ -162,21 +149,15 @@ mod tests {
         assert!(sized.should_flush(false), "{MAX_BYTES} bytes aboard");
 
         assert_eq!(sized.take(Vec::new()).len(), 2);
-        assert!(sized.ships_alone(0), "the next plain call leaves alone");
-        assert!(sized.arrive(1, 0, |_| ()), "and, boarding, would lead");
+        assert!(sized.arrive(1, 1, |_| ()), "the next call leads");
         assert!(sized.should_flush(false), "a frame that flushes at once");
     }
 
-    /// Only a plain call on an idle link ships alone: a call reporting
-    /// company boards to lead, and a plain call that finds a frame forming
-    /// joins it.
+    /// A plain call never boards: `arrive` holds its callers to that.
     #[test]
-    fn only_a_plain_call_on_an_idle_link_ships_alone() {
-        let mut forming = Forming::default();
-        assert!(forming.ships_alone(0));
-        assert!(!forming.ships_alone(2));
-        forming.arrive(1, 2, |_| ());
-        assert!(!forming.ships_alone(0));
-        assert!(!forming.ships_alone(2));
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a plain call ships alone")]
+    fn a_plain_call_never_boards() {
+        Forming::<()>::default().arrive(1, 0, |_| ());
     }
 }

@@ -25,16 +25,16 @@
 //! and object-transfer traffic is reliable (loss applies to invocations).
 
 //! Pipelining: concurrent forwarded calls over the same link may share one
-//! wire frame — see DESIGN.md §5.12. The batcher is policy-invisible to
-//! plain synchronous traffic: a call that reports no company
-//! ([`spring_kernel::CallCtx::company`] is 0) flushes immediately in its
-//! own frame, whatever else is in flight.
+//! wire frame — see DESIGN.md §5.12. Plain synchronous traffic never meets
+//! the batcher: a call that reports no company
+//! ([`spring_kernel::CallCtx::company`] is 0) leaves at once in its own
+//! frame, whatever else is in flight or forming.
 
 //! Real sockets: the same door/proxy machinery runs between OS processes.
 //! [`Network::listen_tcp`], [`Network::listen_uds`],
 //! [`Network::connect_tcp`] and [`Network::connect_uds`] attach socket
-//! backends. A backend only carries frames (the crate-private `Transport`
-//! trait, DESIGN.md §5.15); everything else — batching, how the receiving
+//! backends. A backend only carries frames (one arm of the crate-private
+//! reach table, DESIGN.md §5.15); everything else — batching, how the receiving
 //! network server serves a call and how its outcome settles at the sender
 //! (one delivery path, DESIGN.md §5.19), at-most-once retries — is shared
 //! with the simulated backend, which remains the default. A socket link is
@@ -45,6 +45,7 @@
 
 mod batch;
 mod config;
+mod framing;
 mod link;
 mod network;
 mod server;

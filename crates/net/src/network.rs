@@ -15,14 +15,14 @@ use crate::batch::{ship_alone, LinkBatcher, PendingEntry};
 use crate::config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 use crate::server::{NetServer, Served, WireCap};
 use crate::socket::{Addr, SocketListener, SocketPeer};
-use crate::transport::{ReplyOutcome, SimTransport, Transport};
+use crate::transport::{Reach, ReplyOutcome};
 
 /// The network's read-mostly state as one immutable value: behaviour knobs,
-/// cut links, the machines and the transport reaching each of them.
+/// cut links, and what reaches each machine.
 ///
 /// Publish rule (DESIGN.md §5.12): only [`NetworkInner::publish`] replaces
 /// the snapshot — `add_node`, `set_config`, `partition`, `heal`, `heal_all`
-/// and `register_transport` go through it, copying the value once per
+/// and `register_peer` go through it, copying the value once per
 /// publication and never per call. A forwarded call holds a snapshot for at
 /// most its own duration, and a thread's held [`Route`] holds one until
 /// the first call along its link that finds a newer epoch published (or
@@ -34,29 +34,19 @@ pub(crate) struct Snapshot {
     epoch: u64,
     config: NetConfig,
     partitions: HashSet<(u64, u64)>,
-    nodes: HashMap<u64, Arc<NetServer>>,
-    /// Destination node -> the transport whose frames reach it. Local
-    /// nodes route through [`SimTransport`] (the default, in-process
-    /// simulated backend); nodes in *other OS processes* route through the
-    /// socket peer that reached them.
-    transports: HashMap<u64, Arc<dyn Transport>>,
+    /// Node -> what reaches it: its network server for a node of this
+    /// network, the socket peer that reached it for a node in another OS
+    /// process. A node with no entry is unknown.
+    reach: HashMap<u64, Reach>,
 }
 
 impl Snapshot {
+    /// The network server of `node`, a node of this network.
     fn server(&self, node: u64) -> Result<&Arc<NetServer>, DoorError> {
-        self.nodes.get(&node).ok_or_else(|| unknown_node(node))
-    }
-
-    /// The transport reaching node `dst`: for a node nobody has introduced,
-    /// a [`SimTransport`] with no home, whose calls fail with "unknown node"
-    /// when they ship.
-    fn transport(&self, dst: u64) -> Arc<dyn Transport> {
-        self.transports.get(&dst).cloned().unwrap_or_else(|| {
-            Arc::new(SimTransport {
-                origin: dst,
-                home: None,
-            })
-        })
+        match self.reach.get(&node) {
+            Some(Reach::Sim(server)) => Ok(server),
+            _ => Err(unknown_node(node)),
+        }
     }
 
     fn check_link(&self, a: u64, b: u64) -> Result<(), DoorError> {
@@ -80,8 +70,8 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 /// What a proxy door needs to forward a call, resolved once per published
 /// snapshot instead of once per call: the network server the call leaves
 /// from, the snapshot itself (partitions and the batching linger), the
-/// link's batcher, and the transport reaching the target's home node
-/// ([`Snapshot::transport`]).
+/// link's batcher, and what reaches the target's home node — `None` for a
+/// node the snapshot does not know, whose frames fail when they ship.
 ///
 /// Every proxy of one link resolves the same route, so a thread keeps the
 /// routes it forwards along in a small cache of its own ([`Route::held`]),
@@ -93,7 +83,7 @@ pub(crate) struct Route {
     dst: u64,
     snap: Arc<Snapshot>,
     batcher: Arc<LinkBatcher>,
-    transport: Arc<dyn Transport>,
+    reach: Option<Reach>,
 }
 
 /// Most routes one thread holds. Holding routes per thread pays off while a
@@ -176,7 +166,7 @@ impl Route {
     pub(crate) fn resolve(from: Arc<NetServer>, dst: u64) -> Rc<Route> {
         let displaced = ROUTES.with_borrow_mut(|held| held.displace(&from, dst));
         // Outside the borrow: what the displaced entry drops may be the
-        // last reference to a superseded snapshot and the transports in it.
+        // last reference to a superseded snapshot and the peers in it.
         let route = match displaced {
             Some(mut old) => match Rc::get_mut(&mut old) {
                 Some(slot) => {
@@ -197,7 +187,7 @@ impl Route {
     fn new(from: Arc<NetServer>, dst: u64) -> Route {
         let snap = from.net.load();
         Route {
-            transport: snap.transport(dst),
+            reach: snap.reach.get(&dst).cloned(),
             batcher: from.net.link(from.node.raw(), dst),
             snap,
             dst,
@@ -212,7 +202,7 @@ impl Route {
         if !(Arc::ptr_eq(&self.from.net, net) && net.is_current(&self.snap)) {
             self.snap = net.load();
         }
-        self.transport = self.snap.transport(dst);
+        self.reach = self.snap.reach.get(&dst).cloned();
         self.batcher = net.link(from.node.raw(), dst);
         self.from = from;
         self.dst = dst;
@@ -227,6 +217,19 @@ impl Route {
         ctx: &CallCtx,
     ) -> Result<Message, DoorError> {
         self.from.net.forward_call(self, target, msg, ctx)
+    }
+
+    /// Ships one frame along this route through what reaches its
+    /// destination, settling every entry; every call aboard counts as
+    /// forwarded.
+    fn ship(&self, frame: &mut [PendingEntry], want_reply: bool) {
+        let net = &self.from.net;
+        net.count(Count::CallsForwarded, frame.len() as u64);
+        match &self.reach {
+            Some(Reach::Sim(home)) => net.ship_frame(self, Some(home), frame, want_reply),
+            Some(Reach::Socket(peer)) => peer.ship(&self.from, frame, want_reply),
+            None => net.ship_frame(self, None, frame, want_reply),
+        }
     }
 }
 
@@ -329,10 +332,14 @@ impl NetworkInner {
         self.snapshot.read().server(node).cloned()
     }
 
-    /// Registers (or replaces, on reconnect) the transport reaching `node`.
-    pub(crate) fn register_transport(&self, node: u64, transport: Arc<dyn Transport>) {
+    /// Registers (or replaces, on reconnect) the socket peer reaching
+    /// `node`, a node in another OS process. A node of this network stays
+    /// reached in process.
+    pub(crate) fn register_peer(&self, node: u64, peer: Arc<SocketPeer>) {
         self.publish(|s| {
-            s.transports.insert(node, transport);
+            if !matches!(s.reach.get(&node), Some(Reach::Sim(_))) {
+                s.reach.insert(node, Reach::Socket(peer));
+            }
         });
     }
 
@@ -394,13 +401,14 @@ impl NetworkInner {
     /// home node and returns the reply. `msg`'s identifiers are owned by
     /// the route's sending network server.
     ///
-    /// The call is queued on its link's batcher: concurrent calls over the
-    /// same link that overlap in time may share one wire frame (one request
-    /// hop, one reply hop), with the flush policy in [`crate::batch`]
-    /// deciding how long to wait for the company `ctx` says is coming. A
-    /// plain call (company 0) that finds no frame forming ships at once in
-    /// a frame of its own: one request hop and one reply hop, its loss
-    /// rolls drawn in call order.
+    /// How the call leaves is decided here, once. A plain call (company 0)
+    /// and a one-way call ship at once in a frame of their own: one request
+    /// hop and, for a plain call, one reply hop, loss rolls drawn in call
+    /// order — whatever is forming on the link. A call that reports company
+    /// is queued on its link's batcher: concurrent pipelined calls over the
+    /// same link that overlap in time may share one wire frame, with the
+    /// flush policy in [`crate::batch`] deciding how long to wait for the
+    /// company `ctx` says is coming.
     ///
     /// Every call counts as forwarded here, whichever transport ships it:
     /// a frame's calls as the frame is handed to its shipper, a call
@@ -436,19 +444,15 @@ impl NetworkInner {
                 // Refused before any shipper saw it: the call counts here.
                 self.count(Count::CallsForwarded, 1);
             })?;
-            if ctx.one_way {
-                // No reply to wait for, so nothing to coalesce against:
-                // the call bypasses the batcher in a frame of its own.
+            if ctx.one_way || ctx.company == 0 {
+                // Nothing to coalesce with: the call leaves alone.
+                let want_reply = !ctx.one_way;
                 return ship_alone(target.export, wire, fresh, |frame| {
-                    self.count(Count::CallsForwarded, frame.len() as u64);
-                    route.transport.ship(from, &route.snap, frame, false)
+                    route.ship(frame, want_reply)
                 });
             }
             let linger = route.snap.config.batch_linger;
-            let ship = |frame: &mut [PendingEntry]| {
-                self.count(Count::CallsForwarded, frame.len() as u64);
-                route.transport.ship(from, &route.snap, frame, true)
-            };
+            let ship = |frame: &mut [PendingEntry]| route.ship(frame, true);
             route
                 .batcher
                 .submit(target.export, wire, fresh, ctx.company, linger, &ship)
@@ -459,11 +463,16 @@ impl NetworkInner {
         result
     }
 
-    /// Ships one frame of forwarded calls through the simulated backend: a
-    /// single request hop (latency charged once, payload bytes summed),
-    /// each call served on the destination node `home`, and — when the
+    /// Ships one frame of forwarded calls along `route` through the
+    /// simulated backend: a single request hop (latency charged once,
+    /// payload bytes summed), each call served on the destination node
+    /// `home` (`None` for a node nobody has introduced, whose frame fails
+    /// "unknown node" — counted and traced like any other), and — when the
     /// callers `want_reply` — a single reply hop for every reply the frame
-    /// produced. Settles every entry.
+    /// produced. Settles every entry. Its seeded latency, jitter and loss
+    /// draws are the same, in the same order, as before there was a
+    /// transport boundary, so every seeded fault sweep reproduces bit for
+    /// bit.
     ///
     /// Partial-failure discipline (DESIGN.md §5.19): a lost or partitioned
     /// request frame fails *every* call aboard undelivered, a call that
@@ -477,15 +486,14 @@ impl NetworkInner {
     /// published while the calls executed releases the reply's doors by
     /// un-exporting them, where this shipper once deleted them unexported —
     /// the same identifiers die either way.
-    pub(crate) fn ship_frame(
+    fn ship_frame(
         &self,
-        from: &Arc<NetServer>,
-        routed: &Arc<Snapshot>,
-        origin: u64,
+        route: &Route,
         home: Option<&Arc<NetServer>>,
         frame: &mut [PendingEntry],
         want_reply: bool,
     ) {
+        let (from, routed, origin) = (&route.from, &route.snap, route.dst);
         let calls = frame.len() as u64;
         // The per-frame span carries the call count in its scid, so batch
         // sizes show up in the latency histograms.
@@ -644,8 +652,7 @@ impl Network {
                     epoch: 0,
                     config,
                     partitions: HashSet::new(),
-                    nodes: HashMap::new(),
-                    transports: HashMap::new(),
+                    reach: HashMap::new(),
                 })),
                 epoch: AtomicU64::new(0),
                 batchers: RwLock::new(HashMap::new()),
@@ -675,13 +682,8 @@ impl Network {
         let server = NetServer::new(kernel.node_id(), domain, self.inner.clone());
         let raw = kernel.node_id().raw();
         // Local nodes are reached by the in-process simulated backend.
-        let transport = Arc::new(SimTransport {
-            origin: raw,
-            home: Some(server.clone()),
-        });
         self.inner.publish(|s| {
-            s.nodes.insert(raw, server);
-            s.transports.insert(raw, transport);
+            s.reach.insert(raw, Reach::Sim(server));
         });
         Node { kernel }
     }

@@ -52,7 +52,7 @@
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, BufReader, ErrorKind, IoSlice, Write as _};
+use std::io::{self, BufReader, ErrorKind};
 use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
@@ -64,17 +64,17 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use spring_kernel::callid::now_micros;
-use spring_kernel::framing::{self, FrameReadError};
 use spring_kernel::{hotpath, pool, Domain, DoorError, DoorId, NodeId};
 use spring_trace::keys;
 
 use crate::batch::{lock, PendingEntry};
+use crate::framing::{self, write_frame_vectored, FrameReadError};
 use crate::link::{self, Checkout, LinkState, Side, Verdict, CALL_SOCKET_CAP};
-use crate::network::{NetworkInner, Snapshot};
+use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 use crate::transport::{
     decode_calls, decode_hello, decode_reply, encode_calls, encode_hello, encode_reply, Hello,
-    ReplyOutcome, RequestCall, Transport, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS,
+    ReplyOutcome, RequestCall, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS,
 };
 
 /// How long the two-frame HELLO exchange may take before the socket is
@@ -115,29 +115,6 @@ type Stream = UnixStream;
 fn tcp(s: TcpStream) -> Stream {
     let _ = s.set_nodelay(true);
     OwnedFd::from(s).into()
-}
-
-/// Writes one frame — 4-byte length prefix and body — as a single vectored
-/// write, advancing across short writes.
-fn write_frame_vectored(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
-    if body.len() > framing::MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds the cap", body.len()),
-        ));
-    }
-    let prefix = (body.len() as u32).to_le_bytes();
-    let mut slices = [IoSlice::new(&prefix), IoSlice::new(body)];
-    let mut unsent = &mut slices[..];
-    while !unsent.is_empty() {
-        match stream.write_vectored(unsent) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -686,11 +663,11 @@ fn execute(
 }
 
 // ---------------------------------------------------------------------------
-// SocketPeer: the Transport reaching one remote process.
+// SocketPeer: what reaches one remote process.
 // ---------------------------------------------------------------------------
 
-/// A link to one remote OS process, registered as the transport for that
-/// process's node.
+/// A link to one remote OS process, registered in the network's reach table
+/// for that process's node.
 ///
 /// Obtained from [`crate::Network::connect_tcp`] /
 /// [`crate::Network::connect_uds`] (dialing side, redials on failure) or
@@ -734,9 +711,9 @@ impl SocketPeer {
         Ok(peer)
     }
 
-    /// Wraps `link` in a peer and registers it as the transport reaching
-    /// the link's remote node (replacing, on the accepting side, the peer
-    /// of an older generation wholesale).
+    /// Wraps `link` in a peer and registers it as what reaches the link's
+    /// remote node (replacing, on the accepting side, the peer of an older
+    /// generation wholesale).
     fn adopt(net: &Arc<NetworkInner>, link: Arc<Link>) -> Arc<SocketPeer> {
         let remote = link.remote.node;
         let peer = Arc::new_cyclic(|me| SocketPeer {
@@ -746,7 +723,7 @@ impl SocketPeer {
             redials: AtomicU64::new(0),
             me: me.clone(),
         });
-        net.register_transport(remote, peer.clone());
+        net.register_peer(remote, peer.clone());
         peer
     }
 
@@ -784,7 +761,7 @@ impl SocketPeer {
             // identity routes through this peer too. (The old id's entry
             // stays and fails with "stale export", which is accurate.)
             if let Some(me) = self.me.upgrade() {
-                net.register_transport(link.remote.node, me);
+                net.register_peer(link.remote.node, me);
             }
         }
         *self.link.lock() = link.clone();
@@ -861,16 +838,10 @@ impl SocketPeer {
         link.checkin(sock);
         Ok(())
     }
-}
 
-impl Transport for SocketPeer {
-    fn ship(
-        &self,
-        from: &Arc<NetServer>,
-        _snap: &Arc<Snapshot>,
-        frame: &mut [PendingEntry],
-        want_reply: bool,
-    ) {
+    /// Ships one frame of forwarded calls over the link, settling every
+    /// entry (the [`crate::transport::Reach`] contract).
+    pub(crate) fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry], want_reply: bool) {
         let calls = frame.len() as u64;
         let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
         if let Err(e) = self.ship_inner(from, frame, want_reply) {
@@ -924,7 +895,7 @@ impl Accepting {
         let echo = encode_hello(&our_hello(&server, hello.role, hello.generation));
         stream.set_read_timeout(None).map_err(comm)?;
         // Held across the registration: a second socket of a new generation
-        // must not be served before the first has registered its transport,
+        // must not be served before the first has registered its peer,
         // or a servant calling straight back finds no route.
         let mut links = self.links.lock();
         let held = links.get(&hello.node).cloned();
@@ -945,7 +916,7 @@ impl Accepting {
                 if let Some(old) = links.insert(node, link.clone()) {
                     old.die(comm(format!("superseded by generation {generation}")));
                 }
-                // Registration in the transports map keeps the peer alive.
+                // Registration in the reach table keeps the peer alive.
                 SocketPeer::adopt(net, link.clone());
                 link
             }
@@ -953,7 +924,7 @@ impl Accepting {
         let mut sock = link.admit(stream, side)?;
         drop(links);
         // Joined before the echo leaves: once the dialer may use the socket
-        // the link's transport is registered and `die` reaches the socket.
+        // the link's peer is registered and `die` reaches the socket.
         if let Err(e) = write_frame_vectored(sock.stream.get_mut(), &echo) {
             link.close(sock, side);
             return Err(comm(e));
@@ -1126,5 +1097,118 @@ mod tests {
         assert!(sock.buf.capacity() <= pool::MAX_RETAINED_CAPACITY);
         let outcomes = sock.outcomes.capacity() * mem::size_of::<ReplyOutcome>();
         assert!(outcomes <= pool::MAX_RETAINED_CAPACITY);
+    }
+
+    /// A node nobody introduced to this network fails a call to it where
+    /// its frame ships. A dials B and B dials C, so a door of C's that B
+    /// hands to A reaches A as a proxy to a node A has no reach for: A's
+    /// call through it fails `Comm("unknown node …")`, counts as one
+    /// forwarded call in one unbatched frame, and releases the pin made for
+    /// its argument door, leaving A's live identifiers where they were.
+    #[test]
+    fn a_call_to_a_node_nobody_introduced_fails_and_releases_its_pins() {
+        let sock = |tag: &str| {
+            std::env::temp_dir()
+                .join(format!("spring-unknown-{tag}-{}.sock", std::process::id()))
+                .to_string_lossy()
+                .into_owned()
+        };
+        let live_ids = |node: &crate::Node| {
+            let stats = node.kernel().stats();
+            stats.ids_issued - stats.ids_deleted
+        };
+
+        // C publishes an echo door.
+        let c_net = Network::new(NetConfig::default());
+        let c_node = c_net.add_node_with_id("c", 413);
+        let servants = c_node.kernel().create_domain("servants");
+        let door = servants.create_door(Arc::new(echo)).unwrap();
+        c_net.set_bootstrap(c_node.id(), &servants, door).unwrap();
+        let c_path = sock("c");
+        let _c_listener = c_net.listen_uds(c_node.id(), &c_path).unwrap();
+
+        // B reaches C and publishes a door that hands out C's.
+        let b_net = Network::new(NetConfig::default());
+        let b_node = b_net.add_node_with_id("b", 412);
+        let broker = b_node.kernel().create_domain("broker");
+        let to_c = b_net.connect_uds(b_node.id(), &c_path).unwrap();
+        let c_echo = to_c.bootstrap_door(&broker).unwrap();
+        let hand_out = move |ctx: &CallCtx, _: Message| {
+            let doors = vec![ctx.server().copy_door(c_echo)?];
+            Ok(Message {
+                doors,
+                ..Message::default()
+            })
+        };
+        let door = broker.create_door(Arc::new(hand_out)).unwrap();
+        b_net.set_bootstrap(b_node.id(), &broker, door).unwrap();
+        let b_path = sock("b");
+        let _b_listener = b_net.listen_uds(b_node.id(), &b_path).unwrap();
+
+        // A reaches B alone, and is handed C's door.
+        let a_net = Network::new(NetConfig::default());
+        let a_node = a_net.add_node_with_id("a", 411);
+        let client = a_node.kernel().create_domain("client");
+        let to_b = a_net.connect_uds(a_node.id(), &b_path).unwrap();
+        let broker = to_b.bootstrap_door(&client).unwrap();
+        let c_echo = client.call(broker, Message::new()).unwrap().doors[0];
+
+        let baseline = live_ids(&a_node);
+        let before = a_net.stats();
+        let argument = client.create_door(Arc::new(echo)).unwrap();
+        let refused = client.call(
+            c_echo,
+            Message {
+                doors: vec![argument],
+                ..Message::default()
+            },
+        );
+        assert!(
+            matches!(&refused, Err(DoorError::Comm(why)) if why == "unknown node 413"),
+            "{refused:?}",
+        );
+        assert_eq!(live_ids(&a_node), baseline);
+        let shipped = a_net.stats().since(&before);
+        assert_eq!(
+            (
+                shipped.calls_forwarded,
+                shipped.batch_flushes,
+                shipped.calls_unbatched,
+                shipped.messages,
+            ),
+            (1, 1, 1, 0),
+        );
+    }
+
+    /// A socket peer never displaces a node of the network it registers
+    /// in: when one node dials a listener of another node of its own
+    /// network, both stay reached in process, and a call between them
+    /// crosses no socket.
+    #[test]
+    fn a_peer_never_displaces_a_node_of_its_own_network() {
+        let path = std::env::temp_dir()
+            .join(format!("spring-loopback-{}.sock", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let net = Network::new(NetConfig::default());
+        let (a, b) = (net.add_node("a"), net.add_node("b"));
+        let _listener = net.listen_uds(b.id(), &path).unwrap();
+        let peer = net.connect_uds(a.id(), &path).unwrap();
+        assert_eq!(peer.remote_node(), Some(b.id()));
+
+        let server = b.kernel().create_domain("server");
+        let client = a.kernel().create_domain("client");
+        let shipped = Message {
+            doors: vec![server.create_door(Arc::new(echo)).unwrap()],
+            ..Message::default()
+        };
+        let proxy = net.ship_message(&server, &client, shipped).unwrap().doors[0];
+        let before = net.socket_stats();
+        let reply = client.call(proxy, Message::from_bytes(vec![7])).unwrap();
+        assert_eq!(reply.bytes, [7]);
+        assert_eq!(net.socket_stats().since(&before).frames_sent, 0);
+        for node in [a.id(), b.id()] {
+            assert!(net.inner.server(node.raw()).is_ok());
+        }
     }
 }

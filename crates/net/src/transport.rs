@@ -1,15 +1,16 @@
-//! The two frame shippers behind the [`crate::batch::LinkBatcher`]
-//! boundary, plus the byte-level frame codec the socket backend speaks.
+//! What reaches a node — the two frame shippers behind the
+//! [`crate::batch::LinkBatcher`] boundary — plus the byte-level frame codec
+//! the socket backend speaks.
 //!
 //! Everything a call meets on its way — proxy doors, wire mapping, per-link
 //! batching, how the destination serves it ([`NetServer::serve`]) and how
 //! its outcome settles ([`PendingEntry::settle`]) — is written once; a
-//! [`Transport`] only carries a formed frame of [`PendingEntry`]s to the
-//! node that serves it and the outcomes back. The default backend is the
-//! in-process simulated network ([`SimTransport`], which preserves the
-//! seeded fault behaviour bit for bit); the socket backend
-//! ([`crate::socket::SocketPeer`]) ships the same frames over TCP or
-//! Unix-domain sockets between real OS processes — one REQUEST out and its
+//! [`Reach`] only carries a formed frame of [`PendingEntry`]s to the node
+//! that serves it and the outcomes back. A node of this network is reached
+//! in process through the simulated network ([`Reach::Sim`], which
+//! preserves the seeded fault behaviour bit for bit); a node in another OS
+//! process through the socket backend ([`Reach::Socket`]), which ships the
+//! same frames over TCP or Unix-domain sockets — one REQUEST out and its
 //! REPLY back per call socket at a time, every socket opened by a HELLO
 //! naming its role and link generation (layouts below). Subcontracts cannot
 //! tell the difference except by the failure modes DESIGN.md §5.15
@@ -22,14 +23,15 @@ use spring_kernel::{pool, CallId, DoorError};
 use spring_trace::TraceCtx;
 
 use crate::batch::PendingEntry;
-use crate::network::Snapshot;
 use crate::server::{NetServer, WireCap, WireMessage};
+use crate::socket::SocketPeer;
 
-/// A frame shipper for one destination node.
+/// What reaches one destination node: the network's reach table holds one
+/// per known node, and a frame ships through one `match` on it.
 ///
-/// Contract (DESIGN.md §5.15):
+/// Contract of both arms (DESIGN.md §5.15):
 ///
-/// * `ship` runs with no batcher lock held and **must settle every entry**
+/// * Shipping runs with no batcher lock held and **settles every entry**
 ///   before returning; the batcher fails whatever is left unsettled with a
 ///   `Comm` abort rather than let its caller hang.
 /// * Calls within one frame are served at the destination in submission
@@ -47,43 +49,15 @@ use crate::server::{NetServer, WireCap, WireMessage};
 ///   wire — the simulator, omniscient, also reports a receiver-side
 ///   delivery failure; a socket reports only a failed write. Only
 ///   best-effort traffic belongs here.
-pub(crate) trait Transport: Send + Sync {
-    /// Ships one frame of forwarded calls, settling every entry. `snap` is
-    /// the snapshot the frame's route was resolved against.
-    fn ship(
-        &self,
-        from: &Arc<NetServer>,
-        snap: &Arc<Snapshot>,
-        frame: &mut [PendingEntry],
-        want_reply: bool,
-    );
-}
-
-/// The default backend: frames delivered through the in-process simulated
-/// network, with its seeded latency/jitter/loss model — same hops, same RNG
-/// draws, in the same order as before there was a transport boundary, so
-/// every seeded fault sweep reproduces bit for bit.
-pub(crate) struct SimTransport {
-    /// The node this transport reaches.
-    pub origin: u64,
-    /// Its network server, resolved when the node was installed; `None`
-    /// for a node nobody has introduced, whose frames fail with "unknown
-    /// node" — counted and traced like any other frame's.
-    pub home: Option<Arc<NetServer>>,
-}
-
-impl Transport for SimTransport {
-    fn ship(
-        &self,
-        from: &Arc<NetServer>,
-        snap: &Arc<Snapshot>,
-        frame: &mut [PendingEntry],
-        want_reply: bool,
-    ) {
-        let home = self.home.as_ref();
-        from.net
-            .ship_frame(from, snap, self.origin, home, frame, want_reply);
-    }
+#[derive(Clone)]
+pub(crate) enum Reach {
+    /// A node of this network: its network server, which serves frames in
+    /// this process after the simulated hop
+    /// ([`crate::network::NetworkInner`]'s `ship_frame`).
+    Sim(Arc<NetServer>),
+    /// A node in another OS process: the socket peer that reached it
+    /// ([`SocketPeer::ship`]).
+    Socket(Arc<SocketPeer>),
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +65,7 @@ impl Transport for SimTransport {
 // ---------------------------------------------------------------------------
 //
 // The socket backend exchanges length-prefixed frames (the prefix handled
-// by `spring_kernel::framing`); the payload layout here is deliberately
+// by `crate::framing`); the payload layout here is deliberately
 // flat and little-endian throughout:
 //
 //   HELLO:   [kind=1][u64 node][u8 has_boot][u64 boot_export]

@@ -186,7 +186,6 @@ fn own_state(manager: String, coherent: bool) -> CacheState {
 pub struct CoherentStats {
     epoch: AtomicU64,
     broadcasts: AtomicU64,
-    callback_failures: AtomicU64,
     pruned: AtomicU64,
     registrations: AtomicU64,
 }
@@ -201,11 +200,6 @@ impl CoherentStats {
     /// bump, not one per registration).
     pub fn broadcasts(&self) -> u64 {
         self.broadcasts.load(Ordering::Relaxed)
-    }
-
-    /// Broadcast calls that failed (lost on the network, dead peer…).
-    pub fn callback_failures(&self) -> u64 {
-        self.callback_failures.load(Ordering::Relaxed)
     }
 
     /// Registrations pruned from the broadcast set.
@@ -323,9 +317,6 @@ impl CoherentStep {
         for (token, door, note) in notes {
             self.stats.broadcasts.fetch_add(1, Ordering::Relaxed);
             let outcome = self.domain.call(door, note);
-            if outcome.is_err() {
-                self.stats.callback_failures.fetch_add(1, Ordering::Relaxed);
-            }
             let pruned = self
                 .update_link(token, |link| {
                     link.settle(outcome, MAX_CALLBACK_FAILURES).dropped
@@ -429,7 +420,6 @@ pub struct CacheStats {
     invalidations: AtomicU64,
     attaches: AtomicU64,
     evictions: AtomicU64,
-    revalidations: AtomicU64,
 }
 
 impl CacheStats {
@@ -461,11 +451,6 @@ impl CacheStats {
     /// Memo entries evicted to stay within the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Lease revalidations (re-registrations issued on lease expiry).
-    pub fn revalidations(&self) -> u64 {
-        self.revalidations.load(Ordering::Relaxed)
     }
 }
 
@@ -756,7 +741,6 @@ impl DoorHandler for CacheServant {
             let mut lease_ok = true;
             if let Some(coh) = &self.coherence {
                 if now_micros() >= coh.lease_until.load(Ordering::Acquire) {
-                    self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
                     lease_ok = self.register(coh).is_ok();
                 }
             }

@@ -38,9 +38,8 @@ pub fn span_forest() -> Vec<(u64, Vec<SpanNode>)> {
     forest_of(ring::events())
 }
 
-/// Like [`span_forest`] but over an explicit event list (tests, or a caller
-/// that filtered by scope first).
-pub fn forest_of(events: Vec<Event>) -> Vec<(u64, Vec<SpanNode>)> {
+/// Like [`span_forest`] but over an explicit event list.
+fn forest_of(events: Vec<Event>) -> Vec<(u64, Vec<SpanNode>)> {
     let recorded: std::collections::HashSet<u64> = events.iter().map(|e| e.span).collect();
     // span id -> children events, built oldest-first so child order holds.
     let mut children: HashMap<u64, Vec<Event>> = HashMap::new();

@@ -318,10 +318,11 @@ impl Dispatch for Parking {
 }
 
 /// Pipelined calls outstanding on one link are that link's business alone.
-/// With two `invoke_async` calls held in a servant, a plain call on another
-/// link of the same network, and one on a different network altogether,
-/// leave at once in frames of their own — although both networks would let
-/// a frame that expects company linger five seconds.
+/// With two `invoke_async` calls held in a servant, a plain call on their
+/// own link, one on another link of the same network, and one on a
+/// different network altogether, leave at once in frames of their own —
+/// although both networks would let a frame that expects company linger
+/// five seconds.
 #[test]
 fn pipelined_calls_in_flight_delay_no_plain_call_elsewhere() {
     fn slow() -> NetConfig {
@@ -387,6 +388,7 @@ fn pipelined_calls_in_flight_delay_no_plain_call_elsewhere() {
         })
         .collect();
 
+    assert_plain_call_is_prompt_and_alone(&busy, &server_node, &client_node, "the pipelining link");
     assert_plain_call_is_prompt_and_alone(
         &busy,
         &bystander_node,
