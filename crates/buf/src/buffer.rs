@@ -85,20 +85,11 @@ macro_rules! prim_impls {
 impl CommBuffer {
     /// Creates an empty heap-backed buffer.
     pub fn new() -> Self {
-        CommBuffer {
-            bytes: Vec::new(),
-            shm: None,
-            rpos: 0,
-            caps: Vec::new(),
-            consumed: 0,
-            consumed_spill: None,
-            trace: TraceCtx::NONE,
-            call: CallId::NONE,
-        }
+        CommBuffer::with_capacity(0)
     }
 
     /// Creates an empty heap-backed buffer with reserved capacity.
-    pub fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         CommBuffer {
             bytes: Vec::with_capacity(n),
             shm: None,

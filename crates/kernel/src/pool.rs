@@ -103,9 +103,12 @@ fn alloc_aligned(min_capacity: usize) -> Vec<u8> {
 /// Takes an empty byte vector with at least `min_capacity` spare capacity,
 /// reusing a pooled backing when one is large enough. The result's storage
 /// (when it has any) is [`PAYLOAD_ALIGN`]-byte aligned.
+///
+/// A thread-local destructor that runs after the pool's own allocates
+/// instead, uncounted.
 #[inline]
 pub fn take(min_capacity: usize) -> Vec<u8> {
-    LOCAL.with(|local| {
+    let taken = LOCAL.try_with(|local| {
         let reused = {
             let mut free = local.free.borrow_mut();
             // Best fit: the smallest adequate backing. Taking any adequate
@@ -131,20 +134,22 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
                 alloc_aligned(min_capacity)
             }
         }
-    })
+    });
+    taken.unwrap_or_else(|_| alloc_aligned(min_capacity))
 }
 
 /// Returns a no-longer-needed byte vector to the current thread's pool.
 ///
-/// Zero-capacity vectors (nothing to reuse), oversized ones, and any that
-/// lost the [`PAYLOAD_ALIGN`] guarantee are dropped.
+/// Zero-capacity vectors (nothing to reuse), oversized ones, any that lost
+/// the [`PAYLOAD_ALIGN`] guarantee, and any given after the pool's
+/// thread-local destructor ran are dropped.
 #[inline]
 pub fn give(mut v: Vec<u8>) {
     if v.capacity() == 0 || v.capacity() > MAX_RETAINED_CAPACITY || !is_aligned(&v) {
         return;
     }
     v.clear();
-    LOCAL.with(|local| {
+    _ = LOCAL.try_with(|local| {
         let mut free = local.free.borrow_mut();
         if free.len() < MAX_POOLED {
             free.push(v);

@@ -1,9 +1,9 @@
-//! Deterministic fault-injection / jitter RNG.
+//! Deterministic fault-injection / backoff RNG.
 //!
-//! The network layer needs a loss roll and a jitter fraction per hop, and
-//! the retry engine needs backoff jitter — so the workspace carries one
-//! tiny SplitMix64 generator instead of an external dependency (the build
-//! environment has no crates.io access). Determinism per seed is part of
+//! The network layer needs a loss roll per lossy hop, and the retry engine
+//! needs backoff jitter — so the workspace carries one tiny SplitMix64
+//! generator instead of an external dependency (the build environment has
+//! no crates.io access). Determinism per seed is part of
 //! the contract: tests reseed via `Network::reseed` and expect reproducible
 //! drop patterns, and the exactly-once fault-injection suite sweeps seeds.
 

@@ -111,3 +111,35 @@ fn reset_zeroes_every_threads_counts() {
     handle.join().unwrap();
     assert_eq!(counts(), (11, 0));
 }
+
+/// Takes a backing from the pool and gives it back when it is dropped.
+struct GivesOnDrop;
+
+impl Drop for GivesOnDrop {
+    fn drop(&mut self) {
+        pool::give(pool::take(64));
+    }
+}
+
+thread_local! {
+    static GIVES_ON_DROP: GivesOnDrop = const { GivesOnDrop };
+}
+
+/// A thread-local destructor that runs after the pool's own may still take
+/// and give: it allocates uncounted, and what it gives is dropped. A thread
+/// runs its thread-local destructors in the reverse order of first use, so
+/// a value touched before the pool is dropped after it — as a route cache
+/// holding the last reference to a kernel would be.
+#[test]
+fn a_destructor_that_runs_after_the_pools_own_takes_and_gives() {
+    let _turn = my_turn();
+    thread::spawn(|| {
+        GIVES_ON_DROP.with(|_| {});
+        churn(0);
+    })
+    .join()
+    .expect("the thread exits cleanly");
+    // The churn's one miss, folded in when the pool's destructor ran; the
+    // later take counted nothing (had it run first, it would have hit).
+    assert_eq!(counts(), (0, 1));
+}

@@ -26,10 +26,9 @@
 //! on every other.
 //!
 //! Every decision is the I/O-free core's (`batch/core.rs`, DESIGN.md
-//! §5.12); this module is its shell: the lock, the condvar, the clock, the
-//! followers' slots and the thread-local pools.
+//! §5.12); this module is its shell: the lock, the condvar, the clock and
+//! the followers' slots.
 
-use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -256,42 +255,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-thread_local! {
-    /// Recycled call slots: a steady-state caller reuses the slot from its
-    /// previous call instead of allocating a fresh `Arc` per call.
-    static SLOT_POOL: RefCell<Vec<Arc<CallSlot>>> = const { RefCell::new(Vec::new()) };
-    /// Recycled frame storage: a leader swaps a vector it shipped earlier
-    /// in for the queue it takes, so neither side reallocates. More than
-    /// one, because a servant run by `ship` may forward calls of its own
-    /// on this thread while the outer frame is still out.
-    static SPARE_FRAMES: RefCell<Vec<Vec<PendingEntry>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Thread-local pools keep at most this many idle items each.
-const POOL_CAP: usize = 8;
-
-fn recycle<T>(pool: &'static std::thread::LocalKey<RefCell<Vec<T>>>, item: T) {
-    pool.with_borrow_mut(|pool| {
-        if pool.len() < POOL_CAP {
-            pool.push(item);
-        }
-    });
-}
-
-fn take_slot() -> Arc<CallSlot> {
-    SLOT_POOL.with_borrow_mut(Vec::pop).unwrap_or_default()
-}
-
-/// Recycles a follower's slot once no other thread can reach it — the
-/// leader has cleared the frame, so every settler (backstop included) is
-/// done with it. A slot still referenced elsewhere is dropped instead.
-fn retire(mut slot: Arc<CallSlot>) {
-    if let Some(unshared) = Arc::get_mut(&mut slot) {
-        *unshared.state.get_mut().unwrap_or_else(|p| p.into_inner()) = SlotState::default();
-        recycle(&SLOT_POOL, slot);
-    }
-}
-
 /// Ships one call as a frame of its own, built on the caller's stack: the
 /// way of a call that reported no company — a plain call, and a one-way
 /// call, which has no reply to wait for. `ship` must settle the entry.
@@ -337,16 +300,14 @@ impl LinkBatcher {
         state.arrive(wire.bytes.len(), company, |leads| {
             // A follower waits from another thread than the one that ships
             // its entry, so the two share a slot.
-            let parked = (!leads).then(|| slot.insert(take_slot()).clone());
+            let parked = (!leads).then(|| slot.insert(Arc::<CallSlot>::default()).clone());
             PendingEntry::new(export, wire, fresh, parked)
         });
         if let Some(slot) = slot {
             // The leader may now have enough calls to flush.
             self.arrivals.notify_all();
             drop(state);
-            let outcome = wait_take(&slot);
-            retire(slot);
-            return outcome;
+            return wait_take(&slot);
         }
 
         // Leader: linger (bounded) for pipelined company, then ship. The
@@ -359,7 +320,7 @@ impl LinkBatcher {
             let woken = self.arrivals.wait_timeout(state, remaining);
             state = woken.unwrap_or_else(|p| p.into_inner()).0;
         }
-        let mut frame = state.take(SPARE_FRAMES.with_borrow_mut(Vec::pop).unwrap_or_default());
+        let mut frame = state.take();
         drop(state);
 
         ship(&mut frame);
@@ -370,8 +331,6 @@ impl LinkBatcher {
         for entry in &mut frame {
             entry.abort();
         }
-        frame.clear();
-        recycle(&SPARE_FRAMES, frame);
         mine.into_outcome()
     }
 }
@@ -409,8 +368,16 @@ mod tests {
         ReplyOutcome::Ok(wire(&entry.request().bytes))
     }
 
-    fn pooled_slots() -> usize {
-        SLOT_POOL.with_borrow(Vec::len)
+    /// `ship`, once it has checked that the caller shipping the frame put
+    /// no slot in its own entry, the frame's first.
+    fn slotless(ship: impl Fn(&mut [PendingEntry])) -> impl Fn(&mut [PendingEntry]) {
+        move |frame| {
+            assert!(
+                frame[0].slot.is_none(),
+                "the shipper's own entry has a slot"
+            );
+            ship(frame)
+        }
     }
 
     fn is_abort(outcome: Result<Message, DoorError>) -> bool {
@@ -438,28 +405,21 @@ mod tests {
         let forget = |_: &mut [PendingEntry]| {};
         // A leader expecting no one but itself ships at once.
         let led = |ship: &dyn Fn(&mut [PendingEntry])| {
-            batcher.submit(7, wire(b"led"), Vec::new(), 1, ROOMY, ship)
+            batcher.submit(7, wire(b"led"), Vec::new(), 1, ROOMY, &slotless(ship))
         };
-        let alone =
-            |ship: &dyn Fn(&mut [PendingEntry])| ship_alone(7, wire(b"alone"), Vec::new(), ship);
+        let alone = |ship: &dyn Fn(&mut [PendingEntry])| {
+            ship_alone(7, wire(b"alone"), Vec::new(), slotless(ship))
+        };
 
-        // On a thread of its own, whose slot pool starts empty: a slot
-        // taken for any of these calls would have been recycled into it.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(led(&echo).unwrap().bytes, b"led");
-                assert_eq!(alone(&echo).unwrap().bytes, b"alone");
-                assert_eq!(led(&echo_then_lose).unwrap().bytes, b"led");
-                assert_eq!(alone(&echo_then_lose).unwrap().bytes, b"alone");
-                let is_lost =
-                    |outcome| matches!(outcome, Err(DoorError::Comm(why)) if why == "lost");
-                assert!(is_lost(led(&lose_then_echo)));
-                assert!(is_lost(alone(&lose_then_echo)));
-                assert!(is_abort(led(&forget)));
-                assert!(is_abort(alone(&forget)));
-                assert_eq!(pooled_slots(), 0);
-            });
-        });
+        assert_eq!(led(&echo).unwrap().bytes, b"led");
+        assert_eq!(alone(&echo).unwrap().bytes, b"alone");
+        assert_eq!(led(&echo_then_lose).unwrap().bytes, b"led");
+        assert_eq!(alone(&echo_then_lose).unwrap().bytes, b"alone");
+        let is_lost = |outcome| matches!(outcome, Err(DoorError::Comm(why)) if why == "lost");
+        assert!(is_lost(led(&lose_then_echo)));
+        assert!(is_lost(alone(&lose_then_echo)));
+        assert!(is_abort(led(&forget)));
+        assert!(is_abort(alone(&forget)));
     }
 
     /// A frame of three: the leader reads its outcome from its entry, the
@@ -472,15 +432,17 @@ mod tests {
             let batcher = LinkBatcher::default();
             let ship = |frame: &mut [PendingEntry]| {
                 assert_eq!(frame.len(), 3);
+                assert!(frame[1..].iter().all(|follower| follower.slot.is_some()));
                 let served = if skip_followers { 1 } else { 3 };
                 for entry in frame.iter_mut().take(served) {
                     let reply = echoed(entry);
                     entry.settle(&from, reply);
                 }
             };
+            let ship = slotless(ship);
             let call = |tag: u8| batcher.submit(7, wire(&[tag]), Vec::new(), 3, ROOMY, &ship);
             std::thread::scope(|s| {
-                let leader = s.spawn(|| (call(0), pooled_slots()));
+                let leader = s.spawn(|| call(0));
                 // The leader's entry is aboard, at index 0, before anyone
                 // else's: the followers start once it is seen waiting.
                 while lock(&batcher.state).calls.is_empty() {
@@ -488,9 +450,7 @@ mod tests {
                 }
                 let followers = [1, 2].map(|tag| s.spawn(move || call(tag)));
 
-                let (led, slots_on_leader) = leader.join().unwrap();
-                assert_eq!(led.unwrap().bytes, [0]);
-                assert_eq!(slots_on_leader, 0);
+                assert_eq!(leader.join().unwrap().unwrap().bytes, [0]);
                 for (tag, follower) in [1, 2].into_iter().zip(followers) {
                     let outcome = follower.join().unwrap();
                     if skip_followers {

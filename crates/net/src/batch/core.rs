@@ -63,11 +63,11 @@ impl<E> Forming<E> {
             || self.calls.len() >= self.expected as usize
     }
 
-    /// The leader takes the frame, leaving `spare` (empty) in its place and
-    /// nothing of what the frame waited for: the next arrival leads.
-    pub fn take(&mut self, spare: Vec<E>) -> Vec<E> {
+    /// The leader takes the frame, leaving an empty queue and nothing of
+    /// what the frame waited for: the next arrival leads.
+    pub fn take(&mut self) -> Vec<E> {
         (self.bytes, self.expected) = (0, 0);
-        std::mem::replace(&mut self.calls, spare)
+        std::mem::take(&mut self.calls)
     }
 }
 
@@ -148,7 +148,7 @@ mod tests {
         sized.arrive(1, 1000, |_| ());
         assert!(sized.should_flush(false), "{MAX_BYTES} bytes aboard");
 
-        assert_eq!(sized.take(Vec::new()).len(), 2);
+        assert_eq!(sized.take().len(), 2);
         assert!(sized.arrive(1, 1, |_| ()), "the next call leads");
         assert!(sized.should_flush(false), "a frame that flushes at once");
     }

@@ -149,7 +149,7 @@ impl World {
     /// The leader `c` takes the frame, which must hold every call boarded
     /// since the last take, in arrival order, its own first.
     fn take(&mut self, c: u8) -> Result<(), String> {
-        let calls = self.forming.take(Vec::new());
+        let calls = self.forming.take();
         let order: Vec<u8> = calls.iter().map(|e| e.caller).collect();
         if order != self.boarded || order.first() != Some(&c) {
             let why = format!("leader {c} took {order:?}, boarded {:?}", self.boarded);

@@ -7,8 +7,6 @@ use std::time::Duration;
 pub struct NetConfig {
     /// One-way latency added to every network hop.
     pub latency: Duration,
-    /// Maximum extra uniform jitter per hop.
-    pub jitter: Duration,
     /// Probability in `[0, 1]` that an invocation message is lost.
     pub drop_prob: f64,
     /// Longest a partially-filled frame may wait for more pipelined calls.
@@ -22,7 +20,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             latency: Duration::ZERO,
-            jitter: Duration::ZERO,
             drop_prob: 0.0,
             batch_linger: Duration::from_micros(200),
         }
@@ -122,7 +119,6 @@ mod tests {
     fn defaults_are_inert() {
         let c = NetConfig::default();
         assert!(c.latency.is_zero());
-        assert!(c.jitter.is_zero());
         assert_eq!(c.drop_prob, 0.0);
         // The linger budget exists by default but only ever delays a call
         // that says more are coming.

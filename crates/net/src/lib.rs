@@ -15,8 +15,8 @@
 //! subcontracts: a replicon object whose replicas live on three machines
 //! holds three ordinary-looking door identifiers.
 //!
-//! Fault injection: configurable per-hop latency and jitter, probabilistic
-//! message loss (applied to invocation traffic), and node partitions —
+//! Fault injection: configurable per-hop latency, probabilistic message
+//! loss (applied to invocation traffic), and node partitions —
 //! enough to reproduce the failure behaviour the caching, replicon, and
 //! reconnectable subcontracts are designed around.
 //!

@@ -69,9 +69,9 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 
 /// What a proxy door needs to forward a call, resolved once per published
 /// snapshot instead of once per call: the network server the call leaves
-/// from, the snapshot itself (partitions and the batching linger), the
-/// link's batcher, and what reaches the target's home node — `None` for a
-/// node the snapshot does not know, whose frames fail when they ship.
+/// from, the snapshot itself (partitions and the batching linger), and what
+/// reaches the target's home node — `None` for a node the snapshot does not
+/// know, whose frames fail when they ship.
 ///
 /// Every proxy of one link resolves the same route, so a thread keeps the
 /// routes it forwards along in a small cache of its own ([`Route::held`]),
@@ -82,7 +82,6 @@ pub(crate) struct Route {
     from: Arc<NetServer>,
     dst: u64,
     snap: Arc<Snapshot>,
-    batcher: Arc<LinkBatcher>,
     reach: Option<Reach>,
 }
 
@@ -188,7 +187,6 @@ impl Route {
         let snap = from.net.load();
         Route {
             reach: snap.reach.get(&dst).cloned(),
-            batcher: from.net.link(from.node.raw(), dst),
             snap,
             dst,
             from,
@@ -203,7 +201,6 @@ impl Route {
             self.snap = net.load();
         }
         self.reach = self.snap.reach.get(&dst).cloned();
-        self.batcher = net.link(from.node.raw(), dst);
         self.from = from;
         self.dst = dst;
     }
@@ -267,8 +264,8 @@ pub(crate) struct NetworkInner {
     /// Epoch of the published snapshot, readable without the lock: holders
     /// of a snapshot or a [`Route`] compare against it to revalidate.
     epoch: AtomicU64,
-    /// One call batcher per (source, destination) link, created on first
-    /// use and never removed.
+    /// One call batcher per (source, destination) link that has carried a
+    /// pipelined call, created by the first and never removed.
     batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
     rng: Mutex<FaultRng>,
     stats: Arc<Tally<COUNTS>>,
@@ -361,7 +358,8 @@ impl NetworkInner {
         self.count(Count::SocketDisconnects, 1);
     }
 
-    /// The batcher for the `src -> dst` link, created on first use.
+    /// The batcher for the `src -> dst` link, created on first use: by the
+    /// first pipelined call along it.
     pub(crate) fn link(&self, src: u64, dst: u64) -> Arc<LinkBatcher> {
         if let Some(batcher) = self.batchers.read().get(&(src, dst)) {
             return batcher.clone();
@@ -369,30 +367,19 @@ impl NetworkInner {
         self.batchers.write().entry((src, dst)).or_default().clone()
     }
 
-    /// One network hop: latency, jitter, and (for invocation traffic)
-    /// probabilistic loss. Its caller counts it ([`NetworkInner::count_hop`]),
-    /// a frame's request hop together with the frame.
+    /// One network hop: latency and, for invocation traffic, probabilistic
+    /// loss. Its caller counts it ([`NetworkInner::count_hop`]), a frame's
+    /// request hop together with the frame.
     ///
-    /// The RNG mutex is taken at most once per hop — the loss roll and the
-    /// jitter fraction are sampled together — and on a fault-free network
-    /// (no loss, no jitter) it is not taken at all.
+    /// The RNG mutex is taken for a loss roll only, so a lossless network
+    /// never takes it.
     fn hop(&self, cfg: &NetConfig, lossy: bool) -> Result<(), DoorError> {
-        let roll_loss = lossy && cfg.drop_prob > 0.0;
-        let roll_jitter = !cfg.jitter.is_zero();
-        let mut delay = cfg.latency;
-        if roll_loss || roll_jitter {
-            let mut rng = self.rng.lock();
-            if roll_loss && rng.unit_f64() < cfg.drop_prob {
-                drop(rng);
-                self.count(Count::Drops, 1);
-                return Err(DoorError::Comm("message lost".into()));
-            }
-            if roll_jitter {
-                delay += cfg.jitter.mul_f64(rng.unit_f64());
-            }
+        if lossy && cfg.drop_prob > 0.0 && self.rng.lock().unit_f64() < cfg.drop_prob {
+            self.count(Count::Drops, 1);
+            return Err(DoorError::Comm("message lost".into()));
         }
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
+        if !cfg.latency.is_zero() {
+            std::thread::sleep(cfg.latency);
         }
         Ok(())
     }
@@ -453,9 +440,8 @@ impl NetworkInner {
             }
             let linger = route.snap.config.batch_linger;
             let ship = |frame: &mut [PendingEntry]| route.ship(frame, true);
-            route
-                .batcher
-                .submit(target.export, wire, fresh, ctx.company, linger, &ship)
+            let batcher = self.link(from.node.raw(), route.dst);
+            batcher.submit(target.export, wire, fresh, ctx.company, linger, &ship)
         })();
         if result.is_err() {
             span.fail();
@@ -469,10 +455,9 @@ impl NetworkInner {
     /// `home` (`None` for a node nobody has introduced, whose frame fails
     /// "unknown node" — counted and traced like any other), and — when the
     /// callers `want_reply` — a single reply hop for every reply the frame
-    /// produced. Settles every entry. Its seeded latency, jitter and loss
-    /// draws are the same, in the same order, as before there was a
-    /// transport boundary, so every seeded fault sweep reproduces bit for
-    /// bit.
+    /// produced. Settles every entry. On a lossy network it draws one
+    /// seeded loss roll per hop it takes, the request hop's first, so every
+    /// seeded fault sweep reproduces bit for bit.
     ///
     /// Partial-failure discipline (DESIGN.md §5.19): a lost or partitioned
     /// request frame fails *every* call aboard undelivered, a call that
@@ -744,12 +729,12 @@ impl Network {
         }
     }
 
-    /// Replaces the network behaviour (latency, jitter, loss).
+    /// Replaces the network behaviour (latency, loss, batching linger).
     pub fn set_config(&self, config: NetConfig) {
         self.inner.publish(|s| s.config = config);
     }
 
-    /// Reseeds the loss/jitter RNG (determinism for tests).
+    /// Reseeds the loss RNG (determinism for tests).
     pub fn reseed(&self, seed: u64) {
         *self.inner.rng.lock() = FaultRng::seed_from_u64(seed);
     }

@@ -5,10 +5,10 @@
 //! This binary installs a counting global allocator (which is why the tests
 //! live alone in their own integration-test file). A byte-only cross-node
 //! call moves its payload through the wire boundary — `to_wire` and
-//! `from_wire` transfer the backing storage, they never copy it — and the
-//! batching layer recycles its frame vectors and call slots, so after
-//! warmup a forwarded call performs zero heap allocations even though it
-//! now passes through the link batcher. Over a socket, each end reuses the
+//! `from_wire` transfer the backing storage, they never copy it — and a
+//! plain call ships alone, in a one-entry frame on its caller's stack that
+//! never meets the link batcher, so after warmup a forwarded call performs
+//! zero heap allocations. Over a socket, each end reuses the
 //! frame buffer and outcome vector its call socket owns, and every payload
 //! it copies off the wire is drawn from the buffer pool and given back.
 
@@ -107,8 +107,7 @@ fn steady_state_forwarded_call_does_not_allocate() {
         pool::give(reply.bytes);
     };
 
-    // Warm the buffer pool, the batcher's recycled frame storage, and the
-    // call-slot pool.
+    // Warm the buffer pool and this thread's route.
     for _ in 0..100 {
         forwarded_call();
     }

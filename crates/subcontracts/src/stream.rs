@@ -152,11 +152,6 @@ impl Stream {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// The next sequence number this object will stamp (diagnostics).
-    pub fn next_seq(obj: &SpringObj) -> Result<u64> {
-        Ok(client::repr::<Stream>(obj)?.state.load(Ordering::Relaxed))
-    }
 }
 
 /// Client representation: the door, then the next frame sequence number.
