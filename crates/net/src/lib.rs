@@ -41,7 +41,11 @@
 //! a set of *call sockets* — one per call in flight, one thread at each
 //! end, the caller blocking in `read` for its own reply — each opened by
 //! the connecting side with a HELLO that says which side calls on the
-//! socket and which link generation it belongs to.
+//! socket and which link generation it belongs to. Over a Unix-domain socket
+//! the HELLO also hands over the two pipes that then carry the socket's
+//! frames; over TCP the socket carries them itself.
+
+#![deny(unsafe_code)]
 
 mod batch;
 mod config;
@@ -50,8 +54,14 @@ mod link;
 mod network;
 mod server;
 mod socket;
+#[allow(unsafe_code)]
+mod sys;
 mod transport;
 
 pub use config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 pub use network::{Network, Node};
 pub use socket::{SocketListener, SocketPeer};
+/// How a UDS dialer hands a socket's pipes over with its HELLO, for tests
+/// that play a dialer handing over the wrong ones.
+#[doc(hidden)]
+pub use sys::send_with_fds;

@@ -13,15 +13,20 @@
 //! * the **serving thread** blocks in `read`, runs the frame's calls
 //!   itself, writes the reply and reads again.
 //!
-//! A cross-process null call is therefore four syscalls — two `writev`,
-//! two `read` — and two context switches, for any frame that fits the
-//! socket's 8 KiB `BufReader`: prefix and body then arrive in one `read`
-//! (a larger frame takes more). Ordering and non-interference hold by
-//! construction: a socket is a private queue between one caller and one
-//! handler (the interference-free network-objects model of PAPERS.md). A
-//! servant that calls back over the link, or parks until a *second*
-//! request over the same link releases it, is safe for the same reason —
-//! that request travels on another socket, to another serving thread.
+//! What a socket's frames travel through follows the address family. Over
+//! TCP it is the socket itself. Over a UDS it is a pair of pipes, one each
+//! way: the dialer makes them and hands the acceptor its two ends with the
+//! HELLO, in one `sendmsg` (`SCM_RIGHTS`), and the UDS stream carries no
+//! frame after that — a pipe's wake-up is cheaper than a socket's. Either
+//! way a cross-process null call is four syscalls — two `writev`, two
+//! `read` — and two context switches, for any frame that fits the socket's
+//! 8 KiB `BufReader`: prefix and body then arrive in one `read` (a larger
+//! frame takes more). Ordering and non-interference hold by construction:
+//! a socket is a private queue between one caller and one handler (the
+//! interference-free network-objects model of PAPERS.md). A servant that
+//! calls back over the link, or parks until a *second* request over the
+//! same link releases it, is safe for the same reason — that request
+//! travels on another socket, to another serving thread.
 //!
 //! Two small state machines carry the rest — *socket* (idle → calling →
 //! idle | closed) and *link generation* (alive → dead, never back) — and
@@ -37,25 +42,32 @@
 //! always have somewhere to go. A socket whose call was abandoned (its
 //! deadline expired) is closed, never reused. A link dies as a unit: a
 //! failed request write, a missing or malformed reply, a malformed request
-//! or a protocol violation shuts every socket of the generation — in-flight
-//! callers read EOF and fail with `Comm`, serving threads unblock and exit,
-//! one disconnect is counted. The dialer then redials the next generation
-//! single-flight, and the acceptor drops stragglers.
+//! or a protocol violation wakes every blocked reader of the generation —
+//! a TCP socket is shut down, a pipe gets a wake byte, and any read of a
+//! dead link fails — so in-flight callers fail with `Comm` and serving
+//! threads unblock and exit; one disconnect is counted. The peer learns at
+//! once: its TCP sockets read EOF, and over a UDS a watcher thread on each
+//! side reads EOF on the link's first stream. The dialer then redials the
+//! next generation single-flight, and the acceptor drops stragglers.
 //!
 //! Failure mapping: everything transient (dial failure, peer EOF, write
 //! error, stale export on a restarted peer, an expired deadline) surfaces
 //! as [`DoorError::Comm`], so the replicon/reconnectable retry machinery
-//! and at-most-once deduplication work unchanged over sockets. Accepted
-//! peers cannot redial (the server can't call a client back into
-//! existence), so their ships fail with `Comm` until the client returns.
+//! and at-most-once deduplication work unchanged over sockets. A deadline
+//! bounds a reply wait through `poll` before each `read`, on either
+//! carrier. Accepted peers cannot redial (the server can't call a client
+//! back into existence), so their ships fail with `Comm` until the client
+//! returns.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, BufReader, ErrorKind};
+use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::fd::OwnedFd;
+use std::os::fd::{AsFd, AsRawFd, OwnedFd};
+use std::os::unix::fs::{FileTypeExt, OpenOptionsExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
@@ -72,6 +84,7 @@ use crate::framing::{self, write_frame_vectored, FrameReadError};
 use crate::link::{self, Checkout, LinkState, Side, Verdict, CALL_SOCKET_CAP};
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
+use crate::sys;
 use crate::transport::{
     decode_calls, decode_hello, decode_reply, encode_calls, encode_hello, encode_reply, Hello,
     ReplyOutcome, RequestCall, KIND_ONEWAY, KIND_REQUEST, ROLE_DIALER_CALLS,
@@ -82,8 +95,9 @@ use crate::transport::{
 /// dialer or its handshake thread forever).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop pauses after a failed `accept` (out of
+/// descriptors, say), so that a lasting failure does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 fn comm(e: impl std::fmt::Display) -> DoorError {
     DoorError::Comm(e.to_string())
@@ -100,14 +114,14 @@ fn request_kind(want_reply: bool) -> u8 {
 }
 
 // ---------------------------------------------------------------------------
-// Stream: one abstraction over the two socket families.
+// Carriers: what a call socket's frames travel through.
 // ---------------------------------------------------------------------------
 
-/// A connected socket of either family, held as one type. Everything a
-/// call socket does — `read`, `writev`, `shutdown`, `SO_RCVTIMEO`, `dup`,
-/// `O_NONBLOCK` — is the same system call on any stream socket, so the
-/// family matters only where a socket is made: a TCP stream is held as this
-/// type once its one TCP-only option is set ([`tcp`]).
+/// A connected socket of either family, held as one type: the socket a
+/// HELLO exchange runs on, and, over TCP, the socket that then carries the
+/// frames. A TCP stream is held as this type once its one TCP-only option
+/// is set ([`tcp`]); `read`, `writev`, `shutdown`, `SO_RCVTIMEO` and `dup`
+/// are the same system call on any stream socket.
 type Stream = UnixStream;
 
 /// A TCP stream made ready for frames, which are latency-sensitive RPCs
@@ -115,6 +129,123 @@ type Stream = UnixStream;
 fn tcp(s: TcpStream) -> Stream {
     let _ = s.set_nodelay(true);
     OwnedFd::from(s).into()
+}
+
+/// The two ends a call socket's frames travel through, and the handle that
+/// wakes a thread blocked reading them when the link dies. Over TCP both
+/// ends are the one socket; over a UDS they are two pipes the dialer handed
+/// over with its HELLO ([`hand_over`], [`take_over`]), and the socket
+/// carries no frame after that. The address family picks the carrier.
+struct Carrier {
+    rx: File,
+    tx: File,
+    wake: Wake,
+}
+
+impl Carrier {
+    /// Frames over the TCP socket itself, the HELLO exchange done.
+    fn socket(stream: Stream) -> io::Result<Carrier> {
+        let rx = File::from(OwnedFd::from(stream.try_clone()?));
+        let tx = File::from(OwnedFd::from(stream.try_clone()?));
+        Ok(Carrier {
+            rx,
+            tx,
+            wake: Wake::Shut(stream),
+        })
+    }
+
+    /// Frames over a pipe pair: requests or replies are read from `rx` and
+    /// written to `tx`.
+    fn pipes(rx: File, tx: File) -> io::Result<Carrier> {
+        let wake = Wake::Byte(rx.try_clone()?);
+        Ok(Carrier { rx, tx, wake })
+    }
+}
+
+/// How [`Link::die`] wakes whoever is blocked reading a socket of the
+/// generation: the handle the link's state holds for each socket.
+enum Wake {
+    /// TCP: shut the socket down. Both ends read EOF.
+    Shut(Stream),
+    /// A pipe pair: a duplicate of the read end of the socket's `rx` pipe.
+    /// To wake, a write end of that pipe is opened through `/proc/self/fd`
+    /// and one byte written into it; the reader wakes and finds the link
+    /// dead. The end is opened only then, and non-blocking — a pipe too
+    /// full to take the byte already wakes its reader. Held open, a write
+    /// end would keep the pipe from reading EOF when the peer closes its
+    /// end, which is how a serving thread tells its caller that this one
+    /// socket is gone (a reply it could not write); and a `dup` of the
+    /// peer's write end would share the peer's file description, so
+    /// `O_NONBLOCK` set on it would reach the peer's writes too.
+    Byte(File),
+}
+
+impl Wake {
+    fn wake(&self) {
+        match self {
+            Wake::Shut(s) => drop(s.shutdown(Shutdown::Both)),
+            Wake::Byte(rx) => {
+                let end = OpenOptions::new()
+                    .write(true)
+                    .custom_flags(sys::O_NONBLOCK)
+                    .open(format!("/proc/self/fd/{}", rx.as_raw_fd()));
+                if let Ok(mut end) = end {
+                    let _ = end.write(&[0]);
+                }
+            }
+        }
+    }
+
+    /// Closes one socket of a live link. A TCP socket is shut, so that its
+    /// peer's blocked thread reads EOF; a pipe's ends close with the socket.
+    fn close(self) {
+        if let Wake::Shut(s) = self {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// A call socket's reading end: `read(2)` of a pipe or of a TCP socket, with
+/// two rules added. While `due` is set (a reply wait bounded by a deadline,
+/// in [`now_micros`] units) each read waits in `poll` for at most the time
+/// left, and fails `TimedOut` once there is none. And every read is
+/// followed by a check of the link's dead flag: once the link is dead, a
+/// read fails whatever it returned — [`Link::die`]'s wake byte may have
+/// landed inside a frame the peer was still writing, so nothing read after
+/// death is trusted.
+struct Rx {
+    file: File,
+    dead: Arc<AtomicBool>,
+    due: u64,
+}
+
+impl Rx {
+    /// Waits until `file` is readable or `due` has passed.
+    fn await_readable(&self) -> io::Result<()> {
+        loop {
+            let left = self.due.saturating_sub(now_micros());
+            let ms = left.div_ceil(1000).min(i32::MAX as u64) as i32;
+            if sys::readable_within(self.file.as_fd(), ms)? {
+                return Ok(());
+            }
+            if left == 0 {
+                return Err(ErrorKind::TimedOut.into());
+            }
+        }
+    }
+}
+
+impl Read for Rx {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.due != 0 {
+            self.await_readable()?;
+        }
+        let read = (&self.file).read(buf);
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(ErrorKind::ConnectionAborted.into());
+        }
+        read
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -140,9 +271,10 @@ impl Addr {
 /// checkout and checkin, or the socket's serving thread. So are its
 /// buffers, which are reused from frame to frame without a lock.
 struct CallSocket {
-    /// Key of this socket's shutdown handle in the link's state.
+    /// Key of this socket's wake handle in the link's state.
     id: u64,
-    stream: BufReader<Stream>,
+    rx: BufReader<Rx>,
+    tx: File,
     /// The frame buffer: every frame this end writes is encoded into it
     /// and every frame it reads lands in it.
     buf: Vec<u8>,
@@ -150,19 +282,20 @@ struct CallSocket {
     /// settles from it; staged in it by the serving thread, which encodes
     /// the reply from it.
     outcomes: Vec<ReplyOutcome>,
-    /// Whether a read timeout set for an earlier deadline-carrying call is
-    /// still on the socket.
-    timed: bool,
 }
 
 impl CallSocket {
-    fn new(id: u64, stream: Stream) -> CallSocket {
+    fn new(id: u64, rx: File, tx: File, dead: Arc<AtomicBool>) -> CallSocket {
         CallSocket {
             id,
-            stream: BufReader::new(stream),
+            rx: BufReader::new(Rx {
+                file: rx,
+                dead,
+                due: 0,
+            }),
+            tx,
             buf: Vec::new(),
             outcomes: Vec::new(),
-            timed: false,
         }
     }
 
@@ -196,11 +329,16 @@ struct Link {
     inject: Arc<AtomicU64>,
     next_frame: AtomicU64,
     /// The core's verdict that the generation is dead, published for
-    /// checks that take no lock.
-    dead: AtomicBool,
-    state: StdMutex<LinkState<CallSocket, Stream>>,
+    /// checks that take no lock — among them every read of a call socket.
+    dead: Arc<AtomicBool>,
+    state: StdMutex<LinkState<CallSocket, Wake>>,
     /// Signalled when a calling socket is checked in, arrives or closes.
     freed: Condvar,
+    /// Over a UDS, the first socket's stream, which carries nothing after
+    /// its handover: a watcher thread blocks reading it ([`Link::watch`]),
+    /// and [`Link::die`] shuts it down, which the peer's watcher reads as
+    /// EOF.
+    watched: Mutex<Option<Stream>>,
 }
 
 impl Link {
@@ -221,9 +359,42 @@ impl Link {
             dial,
             inject,
             next_frame: AtomicU64::new(1),
-            dead: AtomicBool::new(false),
+            dead: Arc::default(),
             freed: Condvar::new(),
+            watched: Mutex::new(None),
         })
+    }
+
+    /// Over a UDS, watches the peer for the link's first socket. A dying
+    /// link's pipes do not all close at once — a serving thread inside a
+    /// servant holds its socket until the servant returns — so the peer
+    /// could wait on them. Instead a thread blocks in `read` on `stream`,
+    /// which nobody writes after the handover, and kills the link whatever
+    /// that read returns: EOF when the peer's process exits or its side of
+    /// the link dies, EOF too when our own [`Link::die`] shuts the stream
+    /// down. The watcher holds the link weakly, and a link dropped alive
+    /// shuts the stream too.
+    fn watch(self: &Arc<Link>, stream: &Stream) -> Result<(), DoorError> {
+        let watched = stream.try_clone().map_err(comm)?;
+        *self.watched.lock() = Some(stream.try_clone().map_err(comm)?);
+        let link = Arc::downgrade(self);
+        let spawned = thread::Builder::new()
+            .name(format!("spring-sock-watch-{}", self.remote.node))
+            .spawn(move || {
+                let mut byte = [0u8];
+                while let Err(e) = (&watched).read(&mut byte) {
+                    if e.kind() != ErrorKind::Interrupted {
+                        break;
+                    }
+                }
+                if let Some(link) = link.upgrade() {
+                    link.die(link.disconnected());
+                }
+            });
+        if let Err(e) = spawned {
+            return Err(self.die(comm(format!("watcher thread spawn failed: {e}"))));
+        }
+        Ok(())
     }
 
     /// Dials the first socket of generation `generation` — a calling one,
@@ -235,9 +406,12 @@ impl Link {
         generation: u64,
         inject: Arc<AtomicU64>,
     ) -> Result<Arc<Link>, DoorError> {
-        let (stream, remote) = dial(net, local, addr, ROLE_DIALER_CALLS, generation)?;
+        let (carrier, stream, remote) = dial(net, local, addr, ROLE_DIALER_CALLS, generation)?;
         let link = Link::new(net, local, remote, Some(addr.clone()), addr.kind(), inject);
-        let sock = link.admit(stream, Side::Calling)?;
+        if let Some(stream) = stream {
+            link.watch(&stream)?;
+        }
+        let sock = link.admit(carrier, Side::Calling)?;
         link.checkin(sock);
         Ok(link)
     }
@@ -250,13 +424,14 @@ impl Link {
         comm(format!("{} peer disconnected", self.kind))
     }
 
-    /// Why a read that wanted a frame ends the link: the peer hung up, or —
-    /// `Truncated` (the stream ended short of the declared length),
-    /// `Oversized` (a garbage prefix) — sent what is typed rejection, never
-    /// a hang on bytes that will not arrive.
+    /// Why a read that wanted a frame ends the link: the peer hung up or the
+    /// link died under the read, or — `Truncated` (the stream ended short of
+    /// the declared length), `Oversized` (a garbage prefix) — the peer sent
+    /// what is typed rejection, never a hang on bytes that will not arrive.
     fn read_failed(&self, e: FrameReadError) -> DoorError {
         match e {
             FrameReadError::Closed => self.disconnected(),
+            _ if self.is_dead() => self.disconnected(),
             e => comm(format!("{} link read failed: {e}", self.kind)),
         }
     }
@@ -268,12 +443,12 @@ impl Link {
         }
     }
 
-    /// How a stream somebody else decided to open (the acceptor's inbound
+    /// How a socket somebody else decided to open (the acceptor's inbound
     /// sockets, a new link's first) joins the generation.
-    fn admit(&self, stream: Stream, side: Side) -> Result<CallSocket, DoorError> {
-        let handle = stream.try_clone().map_err(comm)?;
-        match lock(&self.state).admit(side, handle) {
-            Some(id) => Ok(CallSocket::new(id, stream)),
+    fn admit(&self, carrier: Carrier, side: Side) -> Result<CallSocket, DoorError> {
+        let Carrier { rx, tx, wake } = carrier;
+        match lock(&self.state).admit(side, wake) {
+            Some(id) => Ok(CallSocket::new(id, rx, tx, self.dead.clone())),
             None => Err(comm(format!(
                 "{} link is dead or at its socket cap",
                 self.kind
@@ -289,19 +464,20 @@ impl Link {
             .as_ref()
             .ok_or_else(|| comm("accepted links cannot dial"))
             .and_then(|addr| dial(net, self.local, addr, side as u8, self.remote.generation))
-            .and_then(|(stream, remote)| {
+            // Only the link's first socket keeps its UDS stream.
+            .and_then(|(carrier, _, remote)| {
                 if remote.node != self.remote.node {
                     return Err(comm(format!(
                         "{} peer changed from node {} to node {} mid-link",
                         self.kind, self.remote.node, remote.node
                     )));
                 }
-                Ok((stream.try_clone().map_err(comm)?, stream))
+                Ok(carrier)
             });
         let mut st = lock(&self.state);
         match dialled {
-            Ok((handle, stream)) => match st.register(side, handle) {
-                Some(id) => Ok(CallSocket::new(id, stream)),
+            Ok(Carrier { rx, tx, wake }) => match st.register(side, wake) {
+                Some(id) => Ok(CallSocket::new(id, rx, tx, self.dead.clone())),
                 None => Err(self.disconnected()),
             },
             Err(e) => {
@@ -316,7 +492,7 @@ impl Link {
         let (handle, wake) = lock(&self.state).close(sock.id, side);
         self.wake(wake);
         if let Some(handle) = handle {
-            let _ = handle.shutdown(Shutdown::Both);
+            handle.close();
         }
     }
 
@@ -360,16 +536,18 @@ impl Link {
                 "injected write fault",
             ));
         }
-        write_frame_vectored(sock.stream.get_mut(), &sock.buf)?;
+        write_frame_vectored(&mut sock.tx, &sock.buf)?;
         hotpath::count_fastpath_send();
         net.count_socket_send(sock.buf.len());
         Ok(())
     }
 
-    /// Kills the generation, once: shuts every socket — in-flight callers
-    /// read EOF and fail with `Comm` instead of hanging, serving threads
-    /// unblock and exit — wakes queued callers, and counts the disconnect.
-    /// Returns `reason` for the caller to fail with.
+    /// Kills the generation, once: wakes every socket's blocked reader — a
+    /// TCP socket is shut down, a pipe gets a wake byte, and either way an
+    /// in-flight caller fails with `Comm` instead of hanging and a serving
+    /// thread unblocks and exits — wakes queued callers, tells the peer
+    /// (its sockets read EOF over TCP, its watcher over a UDS), and counts
+    /// the disconnect. Returns `reason` for the caller to fail with.
     fn die(&self, reason: DoorError) -> DoorError {
         let mut st = lock(&self.state);
         let Some(handles) = st.die() else {
@@ -379,7 +557,10 @@ impl Link {
         self.freed.notify_all();
         drop(st);
         for (_, handle) in handles {
-            let _ = handle.shutdown(Shutdown::Both);
+            handle.wake();
+        }
+        if let Some(watched) = self.watched.lock().take() {
+            let _ = watched.shutdown(Shutdown::Both);
         }
         if let Some(net) = self.net.upgrade() {
             net.count_socket_disconnect();
@@ -412,17 +593,9 @@ impl Link {
             .iter()
             .map(|entry| entry.request().call.deadline_micros);
         let bounded = want_reply && dues.clone().all(|due| due != 0);
-        let latest = dues.max().unwrap_or(0);
-        // The socket is exclusively ours until checkin, so its receive
-        // timeout affects nobody else; a call without a deadline on a
-        // socket that never had one sets nothing.
-        let timeout = (bounded && latest != 0)
-            .then(|| Duration::from_micros(latest.saturating_sub(now_micros()).max(1)));
-        if timeout.is_some() || sock.timed {
-            let set = sock.stream.get_ref().set_read_timeout(timeout);
-            set.map_err(|e| self.die(comm(e)))?;
-            sock.timed = timeout.is_some();
-        }
+        // The socket is exclusively ours until checkin, so its reads'
+        // deadline affects nobody else.
+        sock.rx.get_mut().due = if bounded { dues.max().unwrap_or(0) } else { 0 };
         self.send(net, &mut sock)
             .map_err(|e| self.die(comm(format!("send on {} link failed: {e}", self.kind))))?;
         for entry in frame.iter_mut() {
@@ -431,13 +604,9 @@ impl Link {
         if !want_reply {
             return Ok(sock);
         }
-        let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
+        let n = match framing::read_frame(&mut sock.rx, &mut sock.buf) {
             Ok(n) => n,
-            // `SO_RCVTIMEO` expiring reads as `WouldBlock` (or `TimedOut`).
-            Err(FrameReadError::Io(e))
-                if sock.timed
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
+            Err(FrameReadError::Io(e)) if bounded && e.kind() == ErrorKind::TimedOut => {
                 self.close(sock, Side::Calling);
                 return Err(comm(format!(
                     "deadline expired awaiting the reply on {} link",
@@ -492,16 +661,27 @@ impl Link {
     }
 }
 
+impl Drop for Link {
+    /// A link dropped alive lets its watcher go, and its peer know.
+    fn drop(&mut self) {
+        if let Some(watched) = self.watched.get_mut().take() {
+            let _ = watched.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 /// Dials one socket and runs the dialer's half of the HELLO exchange: we
-/// speak first, naming the socket's role and generation, and the acceptor's
-/// HELLO must echo both.
+/// speak first, naming the socket's role and generation — over a UDS,
+/// handing the socket's pipe pair over with it — and the acceptor's HELLO
+/// must echo both. Returns the socket's carrier, the UDS stream (idle from
+/// now on) and the peer's HELLO.
 fn dial(
     net: &NetworkInner,
     local: u64,
     addr: &Addr,
     role: u8,
     generation: u64,
-) -> Result<(Stream, Hello), DoorError> {
+) -> Result<(Carrier, Option<Stream>, Hello), DoorError> {
     let server = net.server(local)?;
     let stream = match addr {
         Addr::Tcp(a) => TcpStream::connect(a).map(tcp),
@@ -511,8 +691,12 @@ fn dial(
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(comm)?;
-    let ours = our_hello(&server, role, generation);
-    write_frame_vectored(&mut stream, &encode_hello(&ours)).map_err(comm)?;
+    let ours = encode_hello(&our_hello(&server, role, generation));
+    let pipes = match addr {
+        Addr::Tcp(_) => write_frame_vectored(&mut stream, &ours).map(|()| None),
+        Addr::Uds(_) => hand_over(&stream, &ours).map(Some),
+    };
+    let pipes = pipes.map_err(comm)?;
     let remote = read_hello(&mut stream, local)?;
     if (remote.role, remote.generation) != (role, generation) {
         return Err(comm(format!(
@@ -522,7 +706,47 @@ fn dial(
         )));
     }
     stream.set_read_timeout(None).map_err(comm)?;
-    Ok((stream, remote))
+    Ok(match pipes {
+        Some(carrier) => (carrier, Some(stream), remote),
+        None => (Carrier::socket(stream).map_err(comm)?, None, remote),
+    })
+}
+
+/// The dialer's half of a UDS handover: makes the socket's two pipes and
+/// sends the acceptor its ends — the read end of the pipe the dialer writes
+/// and the write end of the pipe it reads — with the HELLO frame `hello`,
+/// in one `sendmsg`.
+fn hand_over(stream: &Stream, hello: &[u8]) -> io::Result<Carrier> {
+    let (peer_rx, tx) = io::pipe()?;
+    let (rx, peer_tx) = io::pipe()?;
+    let mut frame = Vec::with_capacity(4 + hello.len());
+    write_frame_vectored(&mut frame, hello)?;
+    let sent = sys::send_with_fds(stream.as_fd(), &frame, &[peer_rx.as_fd(), peer_tx.as_fd()])?;
+    (&*stream).write_all(&frame[sent..])?;
+    Carrier::pipes(OwnedFd::from(rx).into(), OwnedFd::from(tx).into())
+}
+
+/// The acceptor's half of a UDS handover: the dialer's HELLO and the two
+/// pipe ends that came with it. A HELLO with anything but exactly two
+/// descriptors, both pipes, is refused, and every descriptor that came is
+/// closed.
+fn take_over(stream: &mut Stream, local: u64) -> Result<(Hello, Carrier), DoorError> {
+    let mut head = [0u8; 256];
+    let (n, fds) = sys::recv_with_fds(stream.as_fd(), &mut head).map_err(comm)?;
+    let [rx, tx] = <[OwnedFd; 2]>::try_from(fds).map_err(|fds| {
+        comm(format!(
+            "bad handshake: a UDS HELLO carries 2 descriptors, not {}",
+            fds.len()
+        ))
+    })?;
+    let (rx, tx) = (File::from(rx), File::from(tx));
+    for end in [&rx, &tx] {
+        if !end.metadata().map_err(comm)?.file_type().is_fifo() {
+            return Err(comm("bad handshake: a UDS HELLO carries pipes"));
+        }
+    }
+    let hello = read_hello(&mut (&head[..n]).chain(&mut *stream), local)?;
+    Ok((hello, Carrier::pipes(rx, tx).map_err(comm)?))
 }
 
 fn our_hello(server: &NetServer, role: u8, generation: u64) -> Hello {
@@ -535,7 +759,7 @@ fn our_hello(server: &NetServer, role: u8, generation: u64) -> Hello {
     }
 }
 
-fn read_hello(stream: &mut Stream, local: u64) -> Result<Hello, DoorError> {
+fn read_hello(stream: &mut impl Read, local: u64) -> Result<Hello, DoorError> {
     let mut buf = Vec::new();
     let n = framing::read_frame(stream, &mut buf).map_err(comm)?;
     let hello = decode_hello(&buf[..n]).map_err(|e| comm(format!("bad handshake: {e}")))?;
@@ -567,7 +791,7 @@ fn serve(link: &Arc<Link>, mut sock: CallSocket) {
     let mut spare = true;
     let mut calls = Vec::new();
     loop {
-        let n = match framing::read_frame(&mut sock.stream, &mut sock.buf) {
+        let n = match framing::read_frame(&mut sock.rx, &mut sock.buf) {
             Ok(n) => n,
             Err(e) => {
                 link.die(link.read_failed(e));
@@ -866,6 +1090,9 @@ impl SocketPeer {
 struct Accepting {
     node: NodeId,
     kind: &'static str,
+    /// Whether inbound sockets hand over a pipe pair with their HELLO (a
+    /// UDS listener) or carry their frames themselves (TCP).
+    pipes: bool,
     inject: Arc<AtomicU64>,
     /// Remote node -> the newest link generation it has opened with us.
     links: Mutex<HashMap<u64, Arc<Link>>>,
@@ -873,7 +1100,8 @@ struct Accepting {
 
 impl Accepting {
     /// Runs the acceptor's half of the HELLO exchange on an inbound stream
-    /// and joins it to the link the core's [`link::verdict`] finds for its
+    /// (over a UDS, taking the socket's pipe pair over with the HELLO) and
+    /// joins it to the link the core's [`link::verdict`] finds for its
     /// HELLO — a straggler is dropped. Returns the socket if it is ours to
     /// serve (the dialer calls on it); one the dialer serves goes to the
     /// link's idle list for our callers.
@@ -886,7 +1114,12 @@ impl Accepting {
         stream
             .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(comm)?;
-        let hello = read_hello(&mut stream, self.node.raw())?;
+        let (hello, pipes) = if self.pipes {
+            let (hello, carrier) = take_over(&mut stream, self.node.raw())?;
+            (hello, Some(carrier))
+        } else {
+            (read_hello(&mut stream, self.node.raw())?, None)
+        };
         let side = if hello.role == ROLE_DIALER_CALLS {
             Side::Serving
         } else {
@@ -894,6 +1127,10 @@ impl Accepting {
         };
         let echo = encode_hello(&our_hello(&server, hello.role, hello.generation));
         stream.set_read_timeout(None).map_err(comm)?;
+        let carrier = match pipes {
+            Some(carrier) => carrier,
+            None => Carrier::socket(stream.try_clone().map_err(comm)?).map_err(comm)?,
+        };
         // Held across the registration: a second socket of a new generation
         // must not be served before the first has registered its peer,
         // or a servant calling straight back finds no route.
@@ -913,6 +1150,9 @@ impl Accepting {
                 let (node, generation) = (hello.node, hello.generation);
                 let local = self.node.raw();
                 let link = Link::new(net, local, hello, None, self.kind, self.inject.clone());
+                if self.pipes {
+                    link.watch(&stream)?;
+                }
                 if let Some(old) = links.insert(node, link.clone()) {
                     old.die(comm(format!("superseded by generation {generation}")));
                 }
@@ -921,11 +1161,12 @@ impl Accepting {
                 link
             }
         };
-        let mut sock = link.admit(stream, side)?;
+        let sock = link.admit(carrier, side)?;
         drop(links);
         // Joined before the echo leaves: once the dialer may use the socket
-        // the link's peer is registered and `die` reaches the socket.
-        if let Err(e) = write_frame_vectored(sock.stream.get_mut(), &echo) {
+        // the link's peer is registered and `die` reaches the socket. The
+        // echo goes back on the stream the HELLO came in on.
+        if let Err(e) = write_frame_vectored(&mut stream, &echo) {
             link.close(sock, side);
             return Err(comm(e));
         }
@@ -955,30 +1196,18 @@ impl SocketListener {
         addr: Addr,
     ) -> Result<Arc<SocketListener>, DoorError> {
         let bind_failed = |e| comm(format!("bind {addr:?}: {e}"));
-        // The listener is non-blocking (for stop polling); an accepted
-        // stream must not inherit that.
         let (accept, bound): (Box<dyn Fn() -> io::Result<Stream> + Send>, _) = match &addr {
             Addr::Tcp(a) => {
                 let listener = TcpListener::bind(a).map_err(bind_failed)?;
-                listener.set_nonblocking(true).map_err(comm)?;
                 let local = listener.local_addr().map_err(comm)?.to_string();
-                let accept = move || {
-                    let (s, _) = listener.accept()?;
-                    s.set_nonblocking(false)?;
-                    Ok(tcp(s))
-                };
+                let accept = move || Ok(tcp(listener.accept()?.0));
                 (Box::new(accept), Addr::Tcp(local))
             }
             Addr::Uds(p) => {
                 // A stale socket file from a previous run would fail the bind.
                 let _ = std::fs::remove_file(p);
                 let listener = UnixListener::bind(p).map_err(bind_failed)?;
-                listener.set_nonblocking(true).map_err(comm)?;
-                let accept = move || {
-                    let (s, _) = listener.accept()?;
-                    s.set_nonblocking(false)?;
-                    Ok(s)
-                };
+                let accept = move || Ok(listener.accept()?.0);
                 (Box::new(accept), addr.clone())
             }
         };
@@ -986,37 +1215,43 @@ impl SocketListener {
         let accepting = Arc::new(Accepting {
             node,
             kind: addr.kind(),
+            pipes: matches!(addr, Addr::Uds(_)),
             inject: Arc::clone(&inject),
             links: Mutex::new(HashMap::new()),
         });
         let (net, stopped) = (Arc::downgrade(net), stop.clone());
         thread::Builder::new()
             .name(format!("spring-sock-accept-{}", addr.kind()))
-            .spawn(move || {
-                while !stopped.load(Ordering::Relaxed) {
-                    // Nothing pending (`WouldBlock`), or a connection that
-                    // died in the backlog: look again shortly.
-                    let Ok(stream) = accept() else {
-                        thread::sleep(ACCEPT_POLL);
-                        continue;
-                    };
-                    let Some(net) = net.upgrade() else { return };
-                    let accepting = accepting.clone();
-                    // Each inbound socket handshakes on a thread of its own
-                    // — the one that goes on to serve it, if it is ours to
-                    // serve — so a peer that connects and goes silent holds
-                    // up nobody else. A bad handshake, a straggler or a
-                    // failed spawn just drops the socket; we keep accepting.
-                    let _ = thread::Builder::new()
-                        .name(format!("spring-sock-serve-{}", accepting.kind))
-                        .spawn(move || {
-                            let served = accepting.handshake(&net, stream);
-                            drop(net);
-                            if let Ok(Some((link, sock))) = served {
-                                serve(&link, sock);
-                            }
-                        });
+            .spawn(move || loop {
+                // `accept` blocks; dropping the listener sets `stop` and
+                // then connects once to wake it.
+                let accepted = accept();
+                if stopped.load(Ordering::SeqCst) {
+                    return;
                 }
+                // A connection that died in the backlog, or no descriptor
+                // left to take one with: pause, so a lasting failure does
+                // not spin.
+                let Ok(stream) = accepted else {
+                    thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                };
+                let Some(net) = net.upgrade() else { return };
+                let accepting = accepting.clone();
+                // Each inbound socket handshakes on a thread of its own —
+                // the one that goes on to serve it, if it is ours to serve —
+                // so a peer that connects and goes silent holds up nobody
+                // else. A bad handshake, a straggler or a failed spawn just
+                // drops the socket; we keep accepting.
+                let _ = thread::Builder::new()
+                    .name(format!("spring-sock-serve-{}", accepting.kind))
+                    .spawn(move || {
+                        let served = accepting.handshake(&net, stream);
+                        drop(net);
+                        if let Ok(Some((link, sock))) = served {
+                            serve(&link, sock);
+                        }
+                    });
             })
             .map_err(comm)?;
         Ok(Arc::new(SocketListener {
@@ -1044,10 +1279,16 @@ impl SocketListener {
 }
 
 impl Drop for SocketListener {
+    /// Stops the accept loop: sets `stop`, then wakes the blocked `accept`
+    /// with one connection of our own, which the loop drops unserved.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Addr::Uds(p) = &self.bound {
-            let _ = std::fs::remove_file(p);
+        self.stop.store(true, Ordering::SeqCst);
+        match &self.bound {
+            Addr::Tcp(a) => drop(TcpStream::connect(a)),
+            Addr::Uds(p) => {
+                drop(UnixStream::connect(p));
+                let _ = std::fs::remove_file(p);
+            }
         }
     }
 }
@@ -1178,6 +1419,45 @@ mod tests {
             ),
             (1, 1, 1, 0),
         );
+    }
+
+    /// The watcher carries a UDS link's death across the process boundary
+    /// by itself: shutting the client's watched stream down — all that a
+    /// dying or exiting peer does to it — kills the link on both sides, with
+    /// no frame in flight and no socket of the link closed.
+    #[test]
+    fn a_shut_watched_stream_kills_the_uds_link_on_both_sides() {
+        let path = std::env::temp_dir()
+            .join(format!("spring-watch-{}.sock", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let server_net = Network::new(NetConfig::default());
+        let server_node = server_net.add_node_with_id("server", 421);
+        let servants = server_node.kernel().create_domain("servants");
+        let door = servants.create_door(Arc::new(echo)).unwrap();
+        server_net
+            .set_bootstrap(server_node.id(), &servants, door)
+            .unwrap();
+        let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+        let client_net = Network::new(NetConfig::default());
+        let client_node = client_net.add_node_with_id("client", 422);
+        let client = client_node.kernel().create_domain("client");
+        let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+        let door = peer.bootstrap_door(&client).unwrap();
+        client.call(door, Message::from_bytes(vec![1])).unwrap();
+
+        let link = peer.link.lock().clone();
+        let watched = link.watched.lock().as_ref().unwrap().try_clone().unwrap();
+        watched.shutdown(Shutdown::Both).unwrap();
+        let started = std::time::Instant::now();
+        while client_net.socket_stats().disconnects + server_net.socket_stats().disconnects < 2 {
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "the link lives on"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert!(link.is_dead());
     }
 
     /// A socket peer never displaces a node of the network it registers

@@ -1400,3 +1400,168 @@ fn callers_beyond_the_socket_cap_queue_and_all_complete() {
     assert_eq!(gate.most.load(Ordering::SeqCst), CAP);
     assert_eq!(client_net.socket_stats().disconnects, 0);
 }
+
+// ---------------------------------------------------------------------------
+// The pipe carrier: a UDS socket's frames travel over two pipes.
+// ---------------------------------------------------------------------------
+
+/// Whether this process runs test `name` alone. What a test reads from
+/// `/proc/self` — threads, descriptors — is the whole process's, and the
+/// other tests of this binary start threads and open sockets beside it; so
+/// such a test reruns itself alone, as `<this binary> --exact <name>`, and
+/// in the parent only checks that the rerun passed.
+fn alone(name: &str) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name) {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--test-threads=1", "--nocapture"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{name}, run alone:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+fn descriptors() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+/// Spins until `cond` holds, failing if that takes longer than `limit`.
+fn within(limit: Duration, what: &str, mut cond: impl FnMut() -> bool) {
+    let started = std::time::Instant::now();
+    while !cond() {
+        assert!(started.elapsed() < limit, "{what} took over {limit:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A UDS link's death wakes a caller blocked reading its pipe. The caller
+/// waits on a parked servant; a second caller's injected write fault kills
+/// the link on the client's side, and the first fails with `Comm` within a
+/// second, while the servant still holds. Once the servant lets go, every
+/// thread the link started on either side — serving threads and both
+/// watchers — is gone within a second, and the next call redials.
+#[test]
+fn a_dying_uds_link_wakes_a_caller_blocked_on_a_parked_servant() {
+    if !alone("a_dying_uds_link_wakes_a_caller_blocked_on_a_parked_servant") {
+        return;
+    }
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel();
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("proc-parked", 221);
+    let servants = server_node.kernel().create_domain("servants");
+    let parking = Arc::new(EchoOrPark {
+        parked: std::sync::Mutex::new(parked_tx),
+        release: std::sync::Mutex::new(release_rx),
+        answered: AtomicU64::new(0),
+    });
+    let door = servants.create_door(parking.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &servants, door)
+        .unwrap();
+    let path = temp_sock("wake");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+    let baseline = threads();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", 222);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    roundtrip(&client, remote, b"\0warm");
+    assert!(threads() > baseline);
+
+    std::thread::scope(|s| {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let client = &client;
+        s.spawn(move || {
+            let _ = done_tx.send(client.call(remote, Message::from_bytes(vec![1])));
+        });
+        parked_rx.recv().unwrap();
+        peer.inject_write_faults(1);
+        let err = client
+            .call(remote, Message::from_bytes(vec![0]))
+            .unwrap_err();
+        assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+        let woken = done_rx.recv_timeout(Duration::from_secs(1));
+        let holding = parking.answered.load(Ordering::SeqCst) == 0;
+        drop(release_tx);
+        let err = woken
+            .expect("the blocked caller was not woken within 1 s of its link's death")
+            .unwrap_err();
+        assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+        assert!(holding, "the servant let go before the caller woke");
+    });
+
+    within(
+        Duration::from_secs(1),
+        "the dead link's serving threads and watchers to exit",
+        || threads() == baseline,
+    );
+    roundtrip(&client, remote, b"\0after the death");
+    assert_eq!(peer.redials(), 1);
+}
+
+/// A UDS HELLO hands over exactly two descriptors, the socket's pipe ends.
+/// One that carries 0, 1 or 3 is refused — the acceptor drops the socket
+/// unanswered — and every descriptor that came with it is closed: once the
+/// dialer's side is dropped too, the process holds as many descriptors as
+/// before the first try. Two, as a control, are answered.
+#[test]
+fn a_uds_hello_with_other_than_two_descriptors_is_refused_and_closed() {
+    use std::os::fd::AsFd;
+    use std::os::unix::net::UnixStream;
+
+    if !alone("a_uds_hello_with_other_than_two_descriptors_is_refused_and_closed") {
+        return;
+    }
+    let (server_net, server_node) = echo_process(231);
+    let path = temp_sock("handover");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+    let baseline = descriptors();
+    for (n, generation) in [(0, 1), (1, 2), (3, 3), (2, 4)] {
+        let mut s = UnixStream::connect(&path).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (a, b) = (std::io::pipe().unwrap(), std::io::pipe().unwrap());
+        let ends = [a.0.as_fd(), b.1.as_fd(), b.0.as_fd()];
+        let mut hello = Vec::new();
+        put_frame(&mut hello, &hello_payload(232, None, 0, generation));
+        let sent = spring_net::send_with_fds(s.as_fd(), &hello, &ends[..n]).unwrap();
+        assert_eq!(sent, hello.len());
+        let mut byte = [0u8];
+        let answered = matches!(s.read(&mut byte), Ok(1));
+        assert_eq!(answered, n == 2, "a HELLO with {n} descriptors");
+    }
+    wait_until("every handed-over descriptor to close", || {
+        descriptors() == baseline
+    });
+}
+
+/// Dropping a listener stops its accept thread at once: `accept` blocks,
+/// and the drop wakes it.
+#[test]
+fn a_dropped_listener_stops_its_accept_thread() {
+    if !alone("a_dropped_listener_stops_its_accept_thread") {
+        return;
+    }
+    let (net, node) = echo_process(241);
+    let baseline = threads();
+    let uds = net.listen_uds(node.id(), &temp_sock("stop")).unwrap();
+    let tcp = net.listen_tcp(node.id(), "127.0.0.1:0").unwrap();
+    assert_eq!(threads(), baseline + 2);
+    drop((uds, tcp));
+    within(Duration::from_secs(1), "the accept threads to exit", || {
+        threads() == baseline
+    });
+}

@@ -71,7 +71,10 @@ fn record_seeds(suite: &str, seeds: &[u64]) {
         .open("target/exactly-once-seeds.txt")
     {
         let list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(f, "{suite}: drop_prob={DROP_PROB} seeds={}", list.join(","));
+        // One `write` per line: the sweeps run in parallel and append to
+        // one file, and `writeln!` writes a line in pieces.
+        let line = format!("{suite}: drop_prob={DROP_PROB} seeds={}\n", list.join(","));
+        let _ = f.write_all(line.as_bytes());
     }
 }
 
