@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::ast::*;
-use crate::codegen::STUB_METHODS;
+use crate::codegen::{SERVANT_METHOD, STUB_METHODS};
 use crate::{layout, IdlError};
 
 /// One operation of a flattened method set, tagged with the interface that
@@ -358,14 +358,19 @@ impl Checker {
 
         let mut ops = Vec::new();
         for op in &i.ops {
-            if let Some((method, ..)) = STUB_METHODS.iter().find(|(m, ..)| *m == op.name) {
+            let owner = if STUB_METHODS.iter().any(|(m, ..)| *m == op.name) {
+                Some("client stub")
+            } else {
+                (op.name == SERVANT_METHOD).then_some("servant trait")
+            };
+            if let Some(owner) = owner {
                 return Err(err_at(
                     op.line,
                     op.col,
                     format!(
-                        "operation {:?} in {abs:?} collides with the client stub's own method \
-                         `{method}`; rename it",
-                        op.name
+                        "operation {:?} in {abs:?} collides with the {owner}'s own method \
+                         `{}`; rename it",
+                        op.name, op.name
                     ),
                 ));
             }

@@ -13,7 +13,8 @@
 //!   the object's subcontract;
 //! * a servant trait (inheriting its parents' servant traits) and a
 //!   skeleton implementing `subcontract::Dispatch` over the *flattened*
-//!   method set;
+//!   method set, which passes the kernel's `unreferenced` notice on to the
+//!   servant;
 //! * an error enum per interface covering its declared exceptions plus a
 //!   `System` variant.
 //!
@@ -30,6 +31,11 @@ use std::fmt::Write as _;
 use crate::ast::*;
 use crate::check::{op_hash32, CheckedSpec, InterfaceInfo};
 use crate::layout::{self, Layout, Member, Prim, Record, Shape};
+
+/// The servant trait's own method, which the skeleton calls when the
+/// kernel reports the object unreferenced (§7). The checker rejects an
+/// operation of this name too.
+pub(crate) const SERVANT_METHOD: &str = "unreferenced";
 
 /// The client stub's own methods, emitted ahead of its operations: name,
 /// doc line, signature after the name, and body lines, where `$T` stands
@@ -904,6 +910,9 @@ impl<'a> Gen<'a> {
                 sanitize(&op.name),
             ));
         }
+        self.out
+            .line("/// The last door identifier for this object died (§7).");
+        self.out.line(format!("fn {SERVANT_METHOD}(&self) {{}}"));
         self.out.close("}");
     }
 
@@ -952,6 +961,11 @@ impl<'a> Gen<'a> {
         self.out
             .line("__other => Err(::subcontract::SpringError::UnknownOp(__other)),");
         self.out.close("}");
+        self.out.close("}");
+        self.out.line("");
+        self.out.open(format!("fn {SERVANT_METHOD}(&self) {{"));
+        self.out
+            .line(format!("<S as {servant}>::{SERVANT_METHOD}(&self.servant)"));
         self.out.close("}");
         self.out.close("}");
     }

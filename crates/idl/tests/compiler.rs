@@ -153,7 +153,7 @@ fn operations_named_like_the_stubs_own_methods_are_rejected() {
         "2:5: operation \"copy\" in \"thing\" collides with the client stub's own method \
          `copy`; rename it"
     );
-    for op in ["obj", "into_obj", "from_obj"] {
+    for op in ["obj", "into_obj", "from_obj", "unreferenced"] {
         let err = compile(&format!("module m {{ interface t {{ void {op}(); }}; }};")).unwrap_err();
         assert_eq!((err.line, err.col), (1, 26), "{err}");
         assert!(err.message.contains(&format!("`{op}`")), "{err}");

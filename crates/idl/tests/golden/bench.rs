@@ -431,6 +431,8 @@ pub mod flatbench {
         fn echo_sample(&self, s: super::flatbench::Sample) -> ::std::result::Result<super::flatbench::Sample, super::flatbench::FlatPingError>;
         /// Serves `flatbench::flat_ping::sink_sample`.
         fn sink_sample(&self, s: super::flatbench::Sample) -> ::std::result::Result<(), super::flatbench::FlatPingError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `flatbench::flat_ping`: unmarshals arguments and calls into the server application (§4).
@@ -496,6 +498,10 @@ pub mod flatbench {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as FlatPingServant>::unreferenced(&self.servant)
         }
     }
 }

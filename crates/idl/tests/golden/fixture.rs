@@ -398,6 +398,8 @@ pub trait SensorServant: Send + Sync + 'static {
     fn store(&self, r: self::Reading, l: self::Labeled) -> ::std::result::Result<(), self::SensorError>;
     /// Serves `sensor::describe`.
     fn describe(&self) -> ::std::result::Result<self::Labeled, self::SensorError>;
+    /// The last door identifier for this object died (§7).
+    fn unreferenced(&self) {}
 }
 
 /// Server-side stub (skeleton) for `sensor`: unmarshals arguments and calls into the server application (§4).
@@ -456,6 +458,10 @@ impl<S: SensorServant> ::subcontract::Dispatch for SensorSkeleton<S> {
             }
             __other => Err(::subcontract::SpringError::UnknownOp(__other)),
         }
+    }
+
+    fn unreferenced(&self) {
+        <S as SensorServant>::unreferenced(&self.servant)
     }
 }
 
@@ -1265,6 +1271,8 @@ pub mod shapes {
         fn rename(&self, name: String) -> ::std::result::Result<String, super::shapes::ShapeError>;
         /// Serves `shapes::shape::echo_prims`.
         fn echo_prims(&self, p: super::geo::Prims) -> ::std::result::Result<super::geo::Prims, super::shapes::ShapeError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `shapes::shape`: unmarshals arguments and calls into the server application (§4).
@@ -1503,6 +1511,10 @@ pub mod shapes {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as ShapeServant>::unreferenced(&self.servant)
         }
     }
 
@@ -1938,6 +1950,8 @@ pub mod shapes {
         fn again(&self) -> ::std::result::Result<super::shapes::CachedShape, super::shapes::CachedShapeError>;
         /// Serves `shapes::cached_shape::tune`.
         fn tune(&self, lvl: super::Level, k: u8, w: u16, f: f32) -> ::std::result::Result<bool, super::shapes::CachedShapeError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `shapes::cached_shape`: unmarshals arguments and calls into the server application (§4).
@@ -2255,6 +2269,10 @@ pub mod shapes {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as CachedShapeServant>::unreferenced(&self.servant)
         }
     }
 }

@@ -325,6 +325,8 @@ pub mod fs {
         fn stat(&self) -> ::std::result::Result<super::fs::FileStat, super::fs::FileError>;
         /// Serves `fs::file::version`.
         fn version(&self) -> ::std::result::Result<i64, super::fs::FileError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `fs::file`: unmarshals arguments and calls into the server application (§4).
@@ -442,6 +444,10 @@ pub mod fs {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as FileServant>::unreferenced(&self.servant)
         }
     }
 
@@ -653,6 +659,8 @@ pub mod fs {
     pub trait CacheableFileServant: super::fs::FileServant {
         /// Serves `fs::cacheable_file::cache_manager_name`.
         fn cache_manager_name(&self) -> ::std::result::Result<String, super::fs::CacheableFileError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `fs::cacheable_file`: unmarshals arguments and calls into the server application (§4).
@@ -780,6 +788,10 @@ pub mod fs {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as CacheableFileServant>::unreferenced(&self.servant)
         }
     }
 
@@ -1035,6 +1047,8 @@ pub mod fs {
         fn sync_write(&self, offset: i64, data: Vec<u8>) -> ::std::result::Result<(), super::fs::ReplicatedFileError>;
         /// Serves `fs::replicated_file::sync_truncate`.
         fn sync_truncate(&self, new_size: i64) -> ::std::result::Result<(), super::fs::ReplicatedFileError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `fs::replicated_file`: unmarshals arguments and calls into the server application (§4).
@@ -1197,6 +1211,10 @@ pub mod fs {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as ReplicatedFileServant>::unreferenced(&self.servant)
         }
     }
 
@@ -1396,6 +1414,8 @@ pub mod fs {
         fn list(&self) -> ::std::result::Result<Vec<String>, super::fs::FileSystemError>;
         /// Serves `fs::file_system::import_file`.
         fn import_file(&self, name: String, source: super::fs::File) -> ::std::result::Result<(), super::fs::FileSystemError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `fs::file_system`: unmarshals arguments and calls into the server application (§4).
@@ -1509,6 +1529,10 @@ pub mod fs {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as FileSystemServant>::unreferenced(&self.servant)
         }
     }
 }

@@ -327,6 +327,8 @@ pub mod kv {
         fn scan(&self, prefix: String) -> ::std::result::Result<Vec<super::kv::Entry>, super::kv::BucketError>;
         /// Serves `kv::bucket::version_of`.
         fn version_of(&self, key: String) -> ::std::result::Result<i64, super::kv::BucketError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `kv::bucket`: unmarshals arguments and calls into the server application (§4).
@@ -472,6 +474,10 @@ pub mod kv {
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
         }
+
+        fn unreferenced(&self) {
+            <S as BucketServant>::unreferenced(&self.servant)
+        }
     }
 
     /// Run-time type information for `kv::store`.
@@ -609,6 +615,8 @@ pub mod kv {
         fn buckets(&self) -> ::std::result::Result<Vec<String>, super::kv::StoreError>;
         /// Serves `kv::store::drop_bucket`.
         fn drop_bucket(&self, name: String) -> ::std::result::Result<(), super::kv::StoreError>;
+        /// The last door identifier for this object died (§7).
+        fn unreferenced(&self) {}
     }
 
     /// Server-side stub (skeleton) for `kv::store`: unmarshals arguments and calls into the server application (§4).
@@ -676,6 +684,10 @@ pub mod kv {
                 }
                 __other => Err(::subcontract::SpringError::UnknownOp(__other)),
             }
+        }
+
+        fn unreferenced(&self) {
+            <S as StoreServant>::unreferenced(&self.servant)
         }
     }
 }

@@ -545,15 +545,20 @@ impl Link {
     /// Kills the generation, once: wakes every socket's blocked reader — a
     /// TCP socket is shut down, a pipe gets a wake byte, and either way an
     /// in-flight caller fails with `Comm` instead of hanging and a serving
-    /// thread unblocks and exits — wakes queued callers, tells the peer
-    /// (its sockets read EOF over TCP, its watcher over a UDS), and counts
-    /// the disconnect. Returns `reason` for the caller to fail with.
+    /// thread unblocks and exits — wakes queued callers and tells the peer
+    /// (its sockets read EOF over TCP, its watcher over a UDS). The
+    /// disconnect is counted first, before any wake-up: whoever sees the
+    /// death, here or at the peer, already reads it in `socket_stats()`.
+    /// Returns `reason` for the caller to fail with.
     fn die(&self, reason: DoorError) -> DoorError {
         let mut st = lock(&self.state);
         let Some(handles) = st.die() else {
             return reason;
         };
         self.dead.store(true, Ordering::SeqCst);
+        if let Some(net) = self.net.upgrade() {
+            net.count_socket_disconnect();
+        }
         self.freed.notify_all();
         drop(st);
         for (_, handle) in handles {
@@ -561,9 +566,6 @@ impl Link {
         }
         if let Some(watched) = self.watched.lock().take() {
             let _ = watched.shutdown(Shutdown::Both);
-        }
-        if let Some(net) = self.net.upgrade() {
-            net.count_socket_disconnect();
         }
         reason
     }

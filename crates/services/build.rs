@@ -2,7 +2,7 @@
 
 fn main() {
     let out_dir = std::path::PathBuf::from(std::env::var("OUT_DIR").expect("OUT_DIR"));
-    for name in ["fs", "kv"] {
+    for name in ["fs", "kv", "log", "topics"] {
         let input = format!("idl/{name}.idl");
         println!("cargo::rerun-if-changed={input}");
         let source = std::fs::read_to_string(&input).unwrap_or_else(|e| panic!("{input}: {e}"));

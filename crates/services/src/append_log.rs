@@ -1,4 +1,7 @@
-//! A deliberately non-idempotent append-log service.
+//! A deliberately non-idempotent append-log service, compiled from
+//! [`idl/log.idl`](../idl/log.idl): the client ([`log::AppendLog`]) and the
+//! skeleton ([`log::AppendLogSkeleton`]) are generated; this module is the
+//! servant.
 //!
 //! The at-most-once machinery (call identity + server reply cache) exists
 //! for exactly this shape of operation: `append` applies its payload
@@ -8,32 +11,18 @@
 //! suite compares against the client's view of successful calls.
 //!
 //! The state is shared (`Arc`) so a replica group can serve one log from
-//! several servant instances — standing in for the state synchronization
-//! the paper requires replicated servers to perform themselves.
+//! several skeletons — standing in for the state synchronization the paper
+//! requires replicated servers to perform themselves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use spring_buf::CommBuffer;
-use subcontract::{
-    decode_reply_status, encode_ok, op_hash, Dispatch, ReplyStatus, Result, ServerCtx, SpringError,
-    SpringObj, TypeInfo, OBJECT_TYPE,
-};
 
-/// Run-time type of append-log objects.
-pub static APPEND_LOG_TYPE: TypeInfo = TypeInfo {
-    name: "append_log",
-    parents: &[&OBJECT_TYPE],
-    default_subcontract: spring_subcontracts::Singleton::ID,
-};
+use crate::idl::log;
 
-/// Appends one entry; returns the log length after the append.
-pub const OP_APPEND: u32 = op_hash("append");
-/// Returns the number of entries.
-pub const OP_LEN: u32 = op_hash("len");
-
-/// The log itself: entries plus a server-side application counter.
+/// The log itself: entries plus a server-side application counter. It is
+/// the servant: export it wrapped in a [`log::AppendLogSkeleton`].
 #[derive(Debug, Default)]
 pub struct AppendLogState {
     entries: Mutex<Vec<u64>>,
@@ -58,82 +47,17 @@ impl AppendLogState {
     }
 }
 
-/// Servant dispatching the append-log operations over a shared state.
-pub struct AppendLogServant {
-    state: Arc<AppendLogState>,
-}
-
-impl AppendLogServant {
-    /// Creates a servant over the given (possibly shared) log state.
-    pub fn new(state: Arc<AppendLogState>) -> Arc<AppendLogServant> {
-        Arc::new(AppendLogServant { state })
-    }
-}
-
-impl Dispatch for AppendLogServant {
-    fn type_info(&self) -> &'static TypeInfo {
-        &APPEND_LOG_TYPE
+impl log::AppendLogServant for AppendLogState {
+    fn append(&self, value: u64) -> Result<u64, log::AppendLogError> {
+        let mut entries = self.entries.lock();
+        entries.push(value);
+        let len = entries.len() as u64;
+        drop(entries);
+        self.applied.fetch_add(1, Ordering::Relaxed);
+        Ok(len)
     }
 
-    fn dispatch(
-        &self,
-        _sctx: &ServerCtx,
-        op: u32,
-        args: &mut CommBuffer,
-        reply: &mut CommBuffer,
-    ) -> Result<()> {
-        match op {
-            x if x == OP_APPEND => {
-                let value = args.get_u64()?;
-                let mut entries = self.state.entries.lock();
-                entries.push(value);
-                let len = entries.len() as u64;
-                drop(entries);
-                self.state.applied.fetch_add(1, Ordering::Relaxed);
-                encode_ok(reply);
-                reply.put_u64(len);
-                Ok(())
-            }
-            x if x == OP_LEN => {
-                encode_ok(reply);
-                reply.put_u64(self.state.entries.lock().len() as u64);
-                Ok(())
-            }
-            other => Err(SpringError::UnknownOp(other)),
-        }
-    }
-}
-
-/// Typed convenience wrapper playing the role of generated stubs.
-pub struct AppendLogClient(pub SpringObj);
-
-impl AppendLogClient {
-    /// Appends `value`; returns the log length after the append.
-    pub fn append(&self, value: u64) -> Result<u64> {
-        let mut call = self.0.start_call(OP_APPEND)?;
-        call.put_u64(value);
-        let mut reply = self.0.invoke(call)?;
-        expect_ok(&mut reply)?;
-        Ok(reply.get_u64()?)
-    }
-
-    /// The current number of entries.
-    pub fn len(&self) -> Result<u64> {
-        let call = self.0.start_call(OP_LEN)?;
-        let mut reply = self.0.invoke(call)?;
-        expect_ok(&mut reply)?;
-        Ok(reply.get_u64()?)
-    }
-
-    /// True when the log has no entries.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
-    }
-}
-
-fn expect_ok(reply: &mut CommBuffer) -> Result<()> {
-    match decode_reply_status(reply)? {
-        ReplyStatus::Ok => Ok(()),
-        ReplyStatus::UserException(name) => Err(SpringError::UnknownUserException(name)),
+    fn len(&self) -> Result<u64, log::AppendLogError> {
+        Ok(self.entries.lock().len() as u64)
     }
 }

@@ -2,12 +2,17 @@
 //!
 //! A topic is just a [`spring_subcontracts::PubSub`] object; what makes it
 //! *discoverable* is a binding in the name service. This servant owns that
-//! glue: `topic.create` exports a fresh hub and binds the topic object
-//! under the requested path in a naming context, `topic.remove` unbinds it
-//! **and** shuts the hub down (evicting live subscribers with a
-//! notification) — necessary because remote subscriber proxies pin the
-//! hub's door in the network export table, so dropping the binding alone
-//! would leave the hub running with no name.
+//! glue. Its door is the `topics::directory` interface of
+//! [`idl/topics.idl`](../idl/topics.idl), whose client
+//! ([`topics::Directory`]) and skeleton ([`topics::DirectorySkeleton`]) are
+//! generated: `create` exports a fresh hub and binds the topic object under
+//! the requested path in a naming context, `remove` unbinds it **and**
+//! shuts the hub down (evicting live subscribers with a notification) —
+//! necessary because remote subscriber proxies pin the hub's door in the
+//! network export table, so dropping the binding alone would leave the hub
+//! running with no name. Both raise `topic_error` on a bound or unknown
+//! path. When the registry's own object is unreferenced, the skeleton
+//! passes the notice on and the registry removes every topic it created.
 //!
 //! Subscribers need nothing from this module: they resolve the path with
 //! an ordinary [`NameClient::resolve`] against
@@ -19,31 +24,11 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spring_buf::CommBuffer;
 use spring_naming::NameClient;
 use spring_subcontracts::pubsub::{PubSub, TopicConfig, TopicHub};
-use subcontract::{
-    decode_reply_status, encode_ok, encode_user_exception, op_hash, Dispatch, ReplyStatus, Result,
-    ServerCtx, SpringError, SpringObj, TypeInfo, OBJECT_TYPE,
-};
+use subcontract::{Result, SpringError};
 
-/// Run-time type of the topic registry servant.
-pub static TOPIC_REGISTRY_TYPE: TypeInfo = TypeInfo {
-    name: "topic_registry",
-    parents: &[&OBJECT_TYPE],
-    default_subcontract: spring_subcontracts::Singleton::ID,
-};
-
-/// Creates a topic: `(path, queue_bound u32, backpressure_us u64)`.
-pub const OP_TOPIC_CREATE: u32 = op_hash("topic.create");
-/// Removes a topic by path, evicting its subscribers.
-pub const OP_TOPIC_REMOVE: u32 = op_hash("topic.remove");
-/// Lists the registry's topic paths, sorted.
-pub const OP_TOPIC_LIST: u32 = op_hash("topic.list");
-
-/// User exception raised when creating an already-bound path or removing an
-/// unknown one.
-pub const EXN_TOPIC: &str = "topic_error";
+use crate::idl::topics;
 
 /// The registry: creates hubs in its own domain and binds them by name.
 pub struct TopicRegistry {
@@ -112,121 +97,39 @@ impl TopicRegistry {
     }
 }
 
-impl Dispatch for TopicRegistry {
-    fn type_info(&self) -> &'static TypeInfo {
-        &TOPIC_REGISTRY_TYPE
+fn topic_error(e: SpringError) -> topics::DirectoryError {
+    topics::DirectoryError::TopicError(topics::TopicError {
+        reason: e.to_string(),
+    })
+}
+
+impl topics::DirectoryServant for TopicRegistry {
+    fn create(
+        &self,
+        path: String,
+        queue_bound: u32,
+        backpressure_us: u64,
+    ) -> std::result::Result<(), topics::DirectoryError> {
+        let cfg = TopicConfig {
+            queue_bound: queue_bound as usize,
+            backpressure: Duration::from_micros(backpressure_us),
+        };
+        self.create_topic(&path, cfg).map(drop).map_err(topic_error)
     }
 
-    fn dispatch(
-        &self,
-        _sctx: &ServerCtx,
-        op: u32,
-        args: &mut CommBuffer,
-        reply: &mut CommBuffer,
-    ) -> Result<()> {
-        match op {
-            x if x == OP_TOPIC_CREATE => {
-                let path = args.get_string()?;
-                let queue_bound = args.get_u32()?;
-                let backpressure_us = args.get_u64()?;
-                let cfg = TopicConfig {
-                    queue_bound: queue_bound as usize,
-                    backpressure: Duration::from_micros(backpressure_us),
-                };
-                match self.create_topic(&path, cfg) {
-                    Ok(_) => {
-                        encode_ok(reply);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        encode_user_exception(reply, EXN_TOPIC);
-                        reply.put_string(&e.to_string());
-                        Ok(())
-                    }
-                }
-            }
-            x if x == OP_TOPIC_REMOVE => {
-                let path = args.get_string()?;
-                match self.remove_topic(&path) {
-                    Ok(()) => {
-                        encode_ok(reply);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        encode_user_exception(reply, EXN_TOPIC);
-                        reply.put_string(&e.to_string());
-                        Ok(())
-                    }
-                }
-            }
-            x if x == OP_TOPIC_LIST => {
-                let paths = self.paths();
-                encode_ok(reply);
-                reply.put_u32(paths.len() as u32);
-                for p in paths {
-                    reply.put_string(&p);
-                }
-                Ok(())
-            }
-            other => Err(SpringError::UnknownOp(other)),
-        }
+    fn remove(&self, path: String) -> std::result::Result<(), topics::DirectoryError> {
+        self.remove_topic(&path).map_err(topic_error)
+    }
+
+    fn list(&self) -> std::result::Result<Vec<String>, topics::DirectoryError> {
+        Ok(self.paths())
     }
 
     fn unreferenced(&self) {
         // The registry object died: tear down every topic it created so no
         // orphaned hub keeps workers and doors alive.
-        let paths = self.paths();
-        for path in paths {
+        for path in self.paths() {
             let _ = self.remove_topic(&path);
-        }
-    }
-}
-
-/// Typed convenience wrapper playing the role of generated stubs.
-pub struct TopicRegistryClient(pub SpringObj);
-
-impl TopicRegistryClient {
-    /// Creates and binds a topic on the registry's machine.
-    pub fn create(&self, path: &str, cfg: TopicConfig) -> Result<()> {
-        let mut call = self.0.start_call(OP_TOPIC_CREATE)?;
-        call.put_string(path);
-        call.put_u32(cfg.queue_bound as u32);
-        call.put_u64(cfg.backpressure.as_micros() as u64);
-        let mut reply = self.0.invoke(call)?;
-        expect_ok(&mut reply)
-    }
-
-    /// Removes a topic, evicting its subscribers.
-    pub fn remove(&self, path: &str) -> Result<()> {
-        let mut call = self.0.start_call(OP_TOPIC_REMOVE)?;
-        call.put_string(path);
-        let mut reply = self.0.invoke(call)?;
-        expect_ok(&mut reply)
-    }
-
-    /// Lists the registry's topic paths, sorted.
-    pub fn list(&self) -> Result<Vec<String>> {
-        let call = self.0.start_call(OP_TOPIC_LIST)?;
-        let mut reply = self.0.invoke(call)?;
-        expect_ok(&mut reply)?;
-        let n = reply.get_seq_len(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(reply.get_string()?);
-        }
-        Ok(out)
-    }
-}
-
-fn expect_ok(reply: &mut CommBuffer) -> Result<()> {
-    match decode_reply_status(reply)? {
-        ReplyStatus::Ok => Ok(()),
-        ReplyStatus::UserException(name) if name == EXN_TOPIC => {
-            let why = reply.get_string()?;
-            Err(SpringError::Remote(why))
-        }
-        ReplyStatus::UserException(name) => {
-            Err(SpringError::Remote(format!("unexpected exception {name}")))
         }
     }
 }

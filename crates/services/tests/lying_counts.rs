@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use spring_buf::{BufError, CommBuffer};
 use spring_kernel::Kernel;
-use spring_services::{StatsClient, TopicRegistryClient, STATS_TYPE, TOPIC_REGISTRY_TYPE};
+use spring_services::{topics, StatsClient, STATS_TYPE, TOPIC_REGISTRY_TYPE};
 use spring_subcontracts::{register_standard, Singleton};
 use subcontract::{
     encode_ok, ship_object, Dispatch, DomainCtx, KernelTransport, Result, ServerCtx,
@@ -72,5 +72,9 @@ fn hist_list_bounds_its_row_count() {
 
 #[test]
 fn topic_list_bounds_its_row_count() {
-    assert_overrun(TopicRegistryClient(lying_object(&TOPIC_REGISTRY_TYPE)).list());
+    let registry = topics::Directory::from_obj(lying_object(&TOPIC_REGISTRY_TYPE)).unwrap();
+    assert_overrun(registry.list().map_err(|e| match e {
+        topics::DirectoryError::System(e) => e,
+        other => panic!("expected a system error, got {other:?}"),
+    }));
 }

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use spring_kernel::Kernel;
 use spring_net::{NetConfig, Network};
 use spring_services::{
-    AppendLogClient, AppendLogServant, AppendLogState, StatsClient, StatsServant, APPEND_LOG_TYPE,
-    STATS_TYPE,
+    log, AppendLogState, StatsClient, StatsServant, APPEND_LOG_TYPE, STATS_TYPE,
 };
 use spring_subcontracts::{register_standard, Singleton};
 use subcontract::{ship_object, DomainCtx, ServerSubcontract};
@@ -31,10 +30,11 @@ fn stats_door_reports_live_counters_across_the_net() {
     // The server does real work: an append-log servant takes door calls.
     let log = AppendLogState::new();
     let log_obj = Singleton
-        .export(&server, AppendLogServant::new(log))
+        .export(&server, log::AppendLogSkeleton::new(log))
         .unwrap();
     let log_client =
-        AppendLogClient(ship_object(&*net, log_obj, &client, &APPEND_LOG_TYPE).unwrap());
+        log::AppendLog::from_obj(ship_object(&*net, log_obj, &client, &APPEND_LOG_TYPE).unwrap())
+            .unwrap();
 
     // The stats door is just another exported object on the same machine.
     let stats_obj = Singleton

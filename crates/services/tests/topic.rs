@@ -1,5 +1,5 @@
 //! The topic registry end to end: topics created through the registry door
-//! are resolvable by name, publishable, and `topic.remove` evicts live
+//! are resolvable by name, publishable, and `remove` evicts live
 //! remote subscribers instead of orphaning the hub.
 
 use std::sync::Arc;
@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use spring_kernel::Kernel;
 use spring_naming::{NameClient, NameServer, NAMING_CONTEXT_TYPE};
 use spring_net::{NetConfig, Network};
-use spring_services::{TopicRegistry, TopicRegistryClient, TOPIC_REGISTRY_TYPE};
+use spring_services::{topics, TopicRegistry, TOPIC_REGISTRY_TYPE};
 use spring_subcontracts::pubsub::PUBSUB_TOPIC_TYPE;
 use spring_subcontracts::{
     register_standard, DeliveryMode, PubSub, Singleton, Subscriber, SubscriberHub, TopicConfig,
@@ -66,10 +66,13 @@ fn registry_creates_resolvable_topics_and_remove_evicts_subscribers() {
     let ns = NameServer::new(&server);
     let server_names = NameClient::from_obj(ns.root_object().unwrap()).unwrap();
     let registry = TopicRegistry::new(&server, server_names);
-    let registry_obj = Singleton.export(&server, registry.clone()).unwrap();
-    let remote = TopicRegistryClient(
+    let registry_obj = Singleton
+        .export(&server, topics::DirectorySkeleton::new(registry.clone()))
+        .unwrap();
+    let remote = topics::Directory::from_obj(
         ship_object(&*net, registry_obj, &client, &TOPIC_REGISTRY_TYPE).unwrap(),
-    );
+    )
+    .unwrap();
     let app_names = NameClient::from_obj(
         ship_object(
             &*net,
@@ -81,14 +84,15 @@ fn registry_creates_resolvable_topics_and_remove_evicts_subscribers() {
     )
     .unwrap();
 
-    // Create through the registry door, then resolve the topic by name.
-    remote.create("news", TopicConfig::default()).unwrap();
+    // Create through the registry door, then resolve the topic by name
+    // (queue bound and back-pressure window of `TopicConfig::default()`).
+    remote.create("news", 64, 10_000).unwrap();
     assert_eq!(remote.list().unwrap(), vec!["news".to_owned()]);
     let topic = app_names.resolve("news", &PUBSUB_TOPIC_TYPE).unwrap();
 
     // Creating the same path again is a typed application error, and the
     // failed attempt must not clobber the existing binding.
-    let err = remote.create("news", TopicConfig::default()).unwrap_err();
+    let err = remote.create("news", 64, 10_000).unwrap_err();
     assert!(err.to_string().contains("already bound"), "{err}");
     assert_eq!(remote.list().unwrap(), vec!["news".to_owned()]);
 
@@ -126,7 +130,7 @@ fn registry_creates_resolvable_topics_and_remove_evicts_subscribers() {
     assert!(err.to_string().contains("news"), "{err}");
 
     // The path is reusable: create again, and the new topic starts fresh.
-    remote.create("news", TopicConfig::default()).unwrap();
+    remote.create("news", 64, 10_000).unwrap();
     let fresh = app_names.resolve("news", &PUBSUB_TOPIC_TYPE).unwrap();
     let hub = registry.hub("news").unwrap();
     assert_eq!(hub.next_seq(), 1);
@@ -144,7 +148,9 @@ fn dropping_the_registry_tears_down_its_topics() {
     let ns = NameServer::new(&server);
     let names = NameClient::from_obj(ns.root_object().unwrap()).unwrap();
     let registry = TopicRegistry::new(&server, names);
-    let registry_obj = Singleton.export(&server, registry.clone()).unwrap();
+    let registry_obj = Singleton
+        .export(&server, topics::DirectorySkeleton::new(registry.clone()))
+        .unwrap();
 
     registry.create_topic("a", TopicConfig::default()).unwrap();
     registry.create_topic("b", TopicConfig::default()).unwrap();

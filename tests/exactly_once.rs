@@ -23,7 +23,8 @@ use spring::core::{
 };
 use spring::kernel::Kernel;
 use spring::net::{NetConfig, Network};
-use spring::services::{AppendLogClient, AppendLogServant, AppendLogState, APPEND_LOG_TYPE};
+use spring::services::log::{AppendLog, AppendLogError, AppendLogSkeleton};
+use spring::services::{AppendLogState, APPEND_LOG_TYPE};
 use spring::subcontracts::{
     register_standard, Reconnectable, ReplicaGroup, Replicon, RepliconServer, RetryPolicy,
 };
@@ -185,13 +186,13 @@ fn reconnectable_appends_exactly_once_under_loss() {
         client_ctx.register_subcontract(Reconnectable::with_policy(fast_policy()));
 
         let state = AppendLogState::new();
-        let obj = Reconnectable::export(&server_ctx, AppendLogServant::new(state.clone()), "log")
+        let obj = Reconnectable::export(&server_ctx, AppendLogSkeleton::new(state.clone()), "log")
             .unwrap();
         let names = NetNames::new(net.clone());
         client_ctx.set_resolver(names.resolver_for(&client_ctx));
         let client_obj = ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap();
         names.bind("log", obj);
-        let log = AppendLogClient(client_obj);
+        let log = AppendLog::from_obj(client_obj).unwrap();
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -228,11 +229,13 @@ fn adopted_singleton_door_appends_exactly_once_under_loss() {
 
         let state = AppendLogState::new();
         let obj =
-            Reconnectable::export(&gen1, AppendLogServant::new(state.clone()), "log").unwrap();
+            Reconnectable::export(&gen1, AppendLogSkeleton::new(state.clone()), "log").unwrap();
         let names = NetNames::new(net.clone());
         client_ctx.set_resolver(names.resolver_for(&client_ctx));
-        let log =
-            AppendLogClient(ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap());
+        let log = AppendLog::from_obj(
+            ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap(),
+        )
+        .unwrap();
 
         // Restart: generation one dies, generation two serves the same log
         // through a singleton door, and the first append adopts it.
@@ -240,7 +243,7 @@ fn adopted_singleton_door_appends_exactly_once_under_loss() {
         names.bind(
             "log",
             Singleton
-                .export(&gen2, AppendLogServant::new(state.clone()))
+                .export(&gen2, AppendLogSkeleton::new(state.clone()))
                 .unwrap(),
         );
         let mut succeeded = vec![1_000];
@@ -279,10 +282,10 @@ fn replicon_appends_exactly_once_under_loss() {
         for (i, node) in nodes.iter().enumerate() {
             let ctx = ctx_on(node.kernel(), &format!("replica-{i}"));
             group
-                .add(RepliconServer::new(&ctx, AppendLogServant::new(state.clone())).unwrap())
+                .add(RepliconServer::new(&ctx, AppendLogSkeleton::new(state.clone())).unwrap())
                 .unwrap();
         }
-        let log = AppendLogClient(group.object_for(&client_ctx).unwrap());
+        let log = AppendLog::from_obj(group.object_for(&client_ctx).unwrap()).unwrap();
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -321,13 +324,13 @@ fn partitions_preserve_exactly_once_and_respect_budget() {
         client_ctx.register_subcontract(Reconnectable::with_policy(policy));
 
         let state = AppendLogState::new();
-        let obj = Reconnectable::export(&server_ctx, AppendLogServant::new(state.clone()), "log")
+        let obj = Reconnectable::export(&server_ctx, AppendLogSkeleton::new(state.clone()), "log")
             .unwrap();
         let names = NetNames::new(net.clone());
         client_ctx.set_resolver(names.resolver_for(&client_ctx));
         let client_obj = ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap();
         names.bind("log", obj);
-        let log = AppendLogClient(client_obj);
+        let log = AppendLog::from_obj(client_obj).unwrap();
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -344,7 +347,7 @@ fn partitions_preserve_exactly_once_and_respect_budget() {
         let started = Instant::now();
         let err = log.append(1_000).expect_err("no route to the server");
         assert!(
-            matches!(err, SpringError::Exhausted(_)),
+            matches!(err, AppendLogError::System(SpringError::Exhausted(_))),
             "seed {seed}: expected budget exhaustion, got {err:?}",
         );
         assert!(
@@ -391,10 +394,10 @@ fn replicon_partitions_fail_over_then_exhaust_in_bounded_time() {
         for (i, node) in nodes.iter().enumerate() {
             let ctx = ctx_on(node.kernel(), &format!("replica-{i}"));
             group
-                .add(RepliconServer::new(&ctx, AppendLogServant::new(state.clone())).unwrap())
+                .add(RepliconServer::new(&ctx, AppendLogSkeleton::new(state.clone())).unwrap())
                 .unwrap();
         }
-        let log = AppendLogClient(group.object_for(&client_ctx).unwrap());
+        let log = AppendLog::from_obj(group.object_for(&client_ctx).unwrap()).unwrap();
 
         net.reseed(seed);
         net.set_config(lossy());
@@ -420,7 +423,7 @@ fn replicon_partitions_fail_over_then_exhaust_in_bounded_time() {
         let started = Instant::now();
         let err = log.append(1_000).expect_err("no route to any replica");
         assert!(
-            matches!(err, SpringError::Exhausted(_)),
+            matches!(err, AppendLogError::System(SpringError::Exhausted(_))),
             "seed {seed}: expected budget exhaustion, got {err:?}",
         );
         assert!(
@@ -448,8 +451,8 @@ fn identity_free_calls_are_untouched_by_dedup() {
     let kernel = Kernel::new("solo");
     let ctx = ctx_on(&kernel, "server");
     let state = AppendLogState::new();
-    let obj = Reconnectable::export(&ctx, AppendLogServant::new(state.clone()), "log").unwrap();
-    let log = AppendLogClient(obj);
+    let obj = Reconnectable::export(&ctx, AppendLogSkeleton::new(state.clone()), "log").unwrap();
+    let log = AppendLog::from_obj(obj).unwrap();
     // Same-domain calls still run through the reconnectable invoke path and
     // therefore carry a call identity per logical call; two *separate*
     // logical calls with equal payloads must both execute.
@@ -468,7 +471,8 @@ fn identity_free_calls_are_untouched_by_dedup() {
 /// the log exactly equal to the set of successful appends.
 #[test]
 fn pipelined_bursts_append_exactly_once_under_loss() {
-    use spring::core::{decode_reply_status, op_hash, ReplyStatus};
+    use spring::core::{decode_reply_status, ReplyStatus};
+    use spring::services::log::append_log_ops;
     use spring::subcontracts::Pipeline;
 
     const BURSTS: u64 = 5;
@@ -484,7 +488,7 @@ fn pipelined_bursts_append_exactly_once_under_loss() {
         client_ctx.register_subcontract(Pipeline::with_policy(fast_policy()));
 
         let state = AppendLogState::new();
-        let obj = Pipeline::export(&server_ctx, AppendLogServant::new(state.clone())).unwrap();
+        let obj = Pipeline::export(&server_ctx, AppendLogSkeleton::new(state.clone())).unwrap();
         let client_obj = ship_object_copy(&*net, &obj, &client_ctx, &APPEND_LOG_TYPE).unwrap();
 
         net.reseed(seed);
@@ -494,7 +498,8 @@ fn pipelined_bursts_append_exactly_once_under_loss() {
             let promises: Vec<_> = (0..BURST)
                 .map(|i| {
                     let value = burst * BURST + i;
-                    let mut call = client_obj.start_call(op_hash("append")).unwrap();
+                    let mut call = client_obj.start_call(append_log_ops::APPEND).unwrap();
+                    call.align8();
                     call.put_u64(value);
                     (value, Pipeline::invoke_async(&client_obj, call).unwrap())
                 })
