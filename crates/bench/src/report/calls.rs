@@ -144,7 +144,6 @@ pub fn e1_threaded(scale: Scale) -> Table {
             "calls/s (agg)",
             "ns/call",
             "table waits",
-            "shard waits",
             "pool hit %",
         ],
     );
@@ -195,7 +194,6 @@ pub fn e1_threaded(scale: Scale) -> Table {
             Ratio(1e9 / ns, 0),
             Ns(ns),
             after.table_lock_waits,
-            after.shard_lock_waits,
             Ratio(hit_rate, 1),
         ];
     }

@@ -4,27 +4,25 @@
 //!
 //! A door is an object, not a row: every identifier is a door-table entry
 //! holding an `Arc<Door>`, and a door's identifier count and revoked flag
-//! are atomics on the door. Kernel state is split so concurrent door calls
-//! from different domains do not serialize (see DESIGN.md, "Concurrency
-//! model"):
+//! are atomics on the door. The door tables are the kernel's only record of
+//! a door, so a door operation locks only the tables of the domains it
+//! names, and concurrent door calls from different domains do not
+//! serialize (see DESIGN.md, "Concurrency model"):
 //!
 //! * Per-domain door tables — each [`DomainState`] carries a `Mutex` over
 //!   its slot → door table. A [`Domain`] handle holds its `DomainState`, and
 //!   a door holds its server's, so no operation on a door looks a domain up.
-//! * `registry` — token → `Weak<Door>` for every door in existence, written
-//!   by `create_door` and by whoever drops a door's last identifier, read by
-//!   `live_doors` and `crash_domain`'s revoke sweep. Calls never touch it.
 //! * `domains` — an `RwLock` map from [`DomainId`] to its `DomainState`,
-//!   written by `create_domain` and read only by the kernel's `Drop`, which
-//!   empties every table so that doors and the domains they hold are freed.
-//!   Entries are never removed (a crashed domain stays with `alive ==
-//!   false`).
+//!   written by `create_domain` and read only by `live_doors`, `audit` and
+//!   the kernel's `Drop`, which empties every table so that doors and the
+//!   domains they hold are freed. Entries are never removed (a crashed
+//!   domain stays with `alive == false`).
 //!
 //! Lock-ordering rules (deadlock freedom):
 //!
-//! 1. The `domains` and `registry` locks are fetch-and-release: neither is
-//!    held while acquiring any other lock, nor acquired while holding one,
-//!    and no door is dropped under them (a handler's `Drop` may re-enter).
+//! 1. The `domains` lock is fetch-and-release: it is neither held while
+//!    acquiring any other lock nor acquired while holding one, and no door
+//!    is dropped under it (a handler's `Drop` may re-enter).
 //! 2. When two domain tables are needed (transfer, translate), they are
 //!    acquired in ascending [`DomainId`] order.
 //! 3. No kernel lock is held across handler `invoke` or `unreferenced`
@@ -39,7 +37,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
@@ -66,7 +64,6 @@ struct Inner {
     node: NodeId,
     name: String,
     domains: RwLock<IdMap<DomainId, Arc<DomainState>>>,
-    registry: Mutex<IdMap<u64, Weak<Door>>>,
     shm: Mutex<HashMap<ShmId, ShmRegion>>,
     next_domain: AtomicU64,
     next_door: AtomicU64,
@@ -117,17 +114,6 @@ impl Inner {
             None => {
                 self.stats.add(Count::table_lock_waits, 1);
                 ds.table.lock()
-            }
-        }
-    }
-
-    /// Locks the door registry, counting contention.
-    fn lock_registry(&self) -> MutexGuard<'_, IdMap<u64, Weak<Door>>> {
-        match self.registry.try_lock() {
-            Some(g) => g,
-            None => {
-                self.stats.add(Count::shard_lock_waits, 1);
-                self.registry.lock()
             }
         }
     }
@@ -211,7 +197,6 @@ impl Kernel {
                 node: NodeId(raw),
                 name: name.into(),
                 domains: RwLock::default(),
-                registry: Mutex::default(),
                 shm: Mutex::default(),
                 next_domain: AtomicU64::new(1),
                 next_door: AtomicU64::new(1),
@@ -237,23 +222,18 @@ impl Kernel {
         self.inner.stats.snapshot()
     }
 
-    /// Number of doors currently in existence.
+    /// Number of doors currently in existence: the distinct doors the
+    /// domains' tables hold.
     pub fn live_doors(&self) -> usize {
-        self.inner.lock_registry().len()
+        self.doors().len()
     }
 
     /// Checks the books of a quiescent kernel (no operation in flight), for
-    /// tests: every registered door is alive, its identifier count equals
-    /// the door-table entries holding it, and the counts sum to the
-    /// identifiers outstanding.
+    /// tests: every door's identifier count equals the door-table entries
+    /// holding it, and the counts sum to the identifiers outstanding.
     pub fn audit(&self) -> Result<(), String> {
-        let doors: Vec<(u64, Option<Arc<Door>>)> = {
-            let registry = self.inner.lock_registry();
-            registry.iter().map(|(t, w)| (*t, w.upgrade())).collect()
-        };
         let mut total = 0;
-        for (token, door) in doors {
-            let door = door.ok_or(format!("registry entry {token} outlived its door"))?;
+        for (token, door) in self.doors() {
             // Each table entry owns one `Arc`; this loop holds one more.
             let entries = Arc::strong_count(&door) as u64 - 1;
             let refs = door.refs.load(Ordering::Relaxed);
@@ -268,6 +248,19 @@ impl Kernel {
             return Err(format!("{live} identifiers live, doors count {total}"));
         }
         Ok(())
+    }
+
+    /// Every door some domain's table holds, by token, collected under
+    /// each table lock in turn.
+    fn doors(&self) -> IdMap<u64, Arc<Door>> {
+        let domains: Vec<Arc<DomainState>> = self.inner.domains.read().values().cloned().collect();
+        let mut doors = IdMap::default();
+        for ds in &domains {
+            for door in self.inner.lock_table(ds).values() {
+                doors.entry(door.token).or_insert_with(|| Arc::clone(door));
+            }
+        }
+        doors
     }
 
     /// Creates a new domain (a simulated address space).
@@ -354,22 +347,13 @@ impl Kernel {
             refs: AtomicU64::new(1),
             revoked: AtomicBool::new(false),
         });
-        // Registered before it is reachable: a concurrent crash_domain either
-        // drains the slot (and its last drop_ref finds the entry to remove)
-        // or fails this create, which takes the entry back out — never a
-        // leaked door or a leaked entry.
-        self.inner
-            .lock_registry()
-            .insert(token, Arc::downgrade(&door));
         {
+            // A refused door is dropped after the guard, outside the lock.
             let mut table = self.inner.lock_table(domain);
-            if domain.alive.load(Ordering::Relaxed) {
-                table.insert(slot, door);
-            } else {
-                drop(table);
-                self.inner.lock_registry().remove(&token);
+            if !domain.alive.load(Ordering::Relaxed) {
                 return Err(DoorError::DomainDead);
             }
+            table.insert(slot, door);
         }
         self.inner.stats.add(Count::doors_created, 1);
         self.inner.stats.add(Count::ids_issued, 1);
@@ -443,15 +427,14 @@ impl Kernel {
     }
 
     /// Gives up the identifier a removed table entry stood for. Whoever
-    /// takes the count to zero unregisters the door and notifies its
-    /// handler; callers hold no kernel lock.
+    /// takes the count to zero notifies its handler; callers hold no kernel
+    /// lock.
     fn drop_ref(&self, door: Arc<Door>) {
         // AcqRel: the zero-crossing thread sees everything earlier holders
         // did before their own (Release) decrement.
         if door.refs.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
-        self.inner.lock_registry().remove(&door.token);
         self.inner.stats.add(Count::unref_notifications, 1);
         // A handler panic during cleanup must not take down the caller.
         let _ = catch_unwind(AssertUnwindSafe(|| door.handler.unreferenced()));
@@ -482,10 +465,11 @@ impl Kernel {
         self.read_door(domain, id, |_| ()).is_ok()
     }
 
-    /// Marks a domain dead: doors it serves are revoked and every identifier
-    /// it owns is deleted.
+    /// Marks a domain dead and deletes every identifier it owns. A call on
+    /// a door it serves fails `Revoked` from then on: [`Kernel::call`]
+    /// checks the server's `alive` flag.
     pub(crate) fn crash_domain(&self, domain: &DomainState) {
-        let owned: Vec<Arc<Door>> = {
+        let owned = {
             let mut table = self.inner.lock_table(domain);
             // The alive flag flips under the table lock, so concurrent
             // create/copy/transfer into this domain either completed (their
@@ -493,23 +477,10 @@ impl Kernel {
             if !domain.alive.swap(false, Ordering::Relaxed) {
                 return;
             }
-            table.drain().map(|(_, door)| door).collect()
+            std::mem::take(&mut *table)
         };
-
-        // Revoke every door this domain serves. The doors are collected
-        // under the registry lock and looked at (and dropped) after it.
-        let revoked = {
-            let live: Vec<Arc<Door>> = {
-                let registry = self.inner.lock_registry();
-                registry.values().filter_map(Weak::upgrade).collect()
-            };
-            live.iter()
-                .filter(|d| d.server.id == domain.id && !d.revoked.swap(true, Ordering::Relaxed))
-                .count()
-        };
-        self.inner.stats.add(Count::revocations, revoked as u64);
         self.inner.stats.add(Count::ids_deleted, owned.len() as u64);
-        for door in owned {
+        for door in owned.into_values() {
             self.drop_ref(door);
         }
     }

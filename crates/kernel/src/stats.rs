@@ -113,17 +113,20 @@ kernel_counters! {
         ids_transferred,
         /// Unreferenced notifications delivered to door handlers.
         unref_notifications,
-        /// Doors revoked (explicitly or by domain crash).
+        /// Doors revoked by [`crate::Domain::revoke_door`]. A domain's
+        /// crash revokes nothing: calls on the doors it served fail because
+        /// it is dead.
         revocations,
         /// Times a domain door-table lock was contended (blocked on
         /// acquire).
         table_lock_waits,
-        /// Times the door registry lock was contended (blocked on acquire).
-        /// Named for the door shards it replaced: the benchmark and the
-        /// stats door read it by this name.
-        shard_lock_waits,
     }
     process(pool = pool::counters(), hot = hotpath::counters()) {
+        /// Always 0: the kernel keeps no door lock beside the domains'
+        /// tables, whose waits are `table_lock_waits`. Like
+        /// [`Self::writev_wakeups`], this field survives **only** because
+        /// `benchmark/src/bench.rs` names it, and goes with the same change.
+        shard_lock_waits = 0,
         /// Buffer-pool hits (process-wide; the pool is per-thread, not
         /// per-kernel, so every kernel reports the same numbers — see
         /// [`pool::counters`]).
@@ -138,8 +141,8 @@ kernel_counters! {
         /// and [`Self::writev_frames`] survive **only** because
         /// `benchmark/src/bench.rs` names them (by field and over the stats
         /// door) and a change may not touch `benchmark/` together with
-        /// other code; they go with the `benchmark`-only change of ROADMAP
-        /// item 1(a).
+        /// other code; they go once the `benchmark`-only change of ROADMAP
+        /// item 3 stops reading them.
         writev_wakeups = 0,
         /// Always 0, see [`Self::writev_wakeups`].
         writev_frames = 0,

@@ -423,10 +423,15 @@ impl NetworkInner {
         }
 
         let result = (|| {
-            let handed = route
-                .snap
-                .check_link(from.node.raw(), target.origin)
-                .and_then(|()| from.to_wire_tracked(msg));
+            let handed = match route.snap.check_link(from.node.raw(), target.origin) {
+                Ok(()) => from.to_wire_tracked(msg),
+                // The kernel has already moved the call's identifiers into
+                // the network server's domain, and nobody else will.
+                Err(e) => {
+                    from.delete_doors(msg.doors);
+                    Err(e)
+                }
+            };
             let (wire, fresh) = handed.inspect_err(|_| {
                 // Refused before any shipper saw it: the call counts here.
                 self.count(Count::CallsForwarded, 1);

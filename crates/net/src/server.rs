@@ -251,7 +251,7 @@ impl NetServer {
         Served { outcome, fresh }
     }
 
-    fn delete_doors(&self, doors: impl IntoIterator<Item = DoorId>) {
+    pub(crate) fn delete_doors(&self, doors: impl IntoIterator<Item = DoorId>) {
         for d in doors {
             let _ = self.domain.delete_door(d);
         }
@@ -374,10 +374,15 @@ impl DoorHandler for ProxyHandler {
         let route = match Route::held(self.server.as_ptr(), self.target.origin) {
             Some(route) => route,
             None => {
-                let server = self
-                    .server
-                    .upgrade()
-                    .ok_or_else(|| DoorError::Comm("network server shut down".into()))?;
+                let Some(server) = self.server.upgrade() else {
+                    // The kernel has moved the call's identifiers into the
+                    // serving domain, and nobody will forward them.
+                    let domain = ctx.server();
+                    for d in msg.doors {
+                        let _ = domain.delete_door(d);
+                    }
+                    return Err(DoorError::Comm("network server shut down".into()));
+                };
                 Route::resolve(server, self.target.origin)
             }
         };

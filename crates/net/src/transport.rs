@@ -1,6 +1,7 @@
-//! What reaches a node — the two frame shippers behind the
-//! [`crate::batch::LinkBatcher`] boundary — plus the byte-level frame codec
-//! the socket backend speaks.
+//! What reaches a node — the two frame shippers of the reach table, which
+//! carry plain calls alone and pipelined calls in the frames
+//! [`crate::batch::LinkBatcher`] forms — plus the byte-level frame codec the
+//! socket backend speaks.
 //!
 //! Everything a call meets on its way — proxy doors, wire mapping, per-link
 //! batching, how the destination serves it ([`NetServer::serve`]) and how
@@ -98,7 +99,7 @@ pub(crate) enum Reach {
 // it travels as the time left and the receiver re-anchors it on its own.
 //
 // The payload bytes are the marshalled `WireMessage.bytes` **unmodified**:
-// a flat IDL frame produced by the PR 6 codegen travels byte-identical and
+// a flat IDL frame produced by the IDL compiler travels byte-identical and
 // is validated in place on the receive side's one copy of it — the socket
 // layer never re-marshals, re-aligns, or re-tags application payloads.
 //

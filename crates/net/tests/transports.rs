@@ -59,6 +59,8 @@ struct Pair {
     wire: Wire,
     /// The network `b` is a node of (over the socket, not `a`'s).
     server_net: Arc<Network>,
+    /// The network `a` is a node of (over the simulator, `server_net`).
+    client_net: Arc<Network>,
     a: Node,
     b: Node,
     client: Domain,
@@ -67,7 +69,7 @@ struct Pair {
     menu: DoorId,
     /// The client's proxy for it.
     remote: DoorId,
-    /// What must outlive the scenario: the client's network, the listener.
+    /// What must outlive the scenario: the listener and the peer.
     _keep: Box<dyn Any>,
 }
 
@@ -85,6 +87,10 @@ fn pair(wire: Wire) -> Pair {
     let servants = b.kernel().create_domain("servants");
     let menu = servants.create_door(Arc::new(Menu)).unwrap();
     let shipped = servants.copy_door(menu).unwrap();
+    let client_net = match wire {
+        Wire::Sim => Arc::clone(&server_net),
+        Wire::Uds => Network::new(NetConfig::default()),
+    };
     let (a, client, remote, keep): (Node, Domain, DoorId, Box<dyn Any>) = match wire {
         Wire::Sim => {
             let a = server_net.add_node_with_id("a", a_id);
@@ -105,17 +111,17 @@ fn pair(wire: Wire) -> Pair {
                 .to_string_lossy()
                 .into_owned();
             let listener = server_net.listen_uds(b.id(), &path).unwrap();
-            let client_net = Network::new(NetConfig::default());
             let a = client_net.add_node_with_id("a", a_id);
             let client = a.kernel().create_domain("client");
             let peer = client_net.connect_uds(a.id(), &path).unwrap();
             let remote = peer.bootstrap_door(&client).unwrap();
-            (a, client, remote, Box::new((client_net, listener, peer)))
+            (a, client, remote, Box::new((listener, peer)))
         }
     };
     Pair {
         wire,
         server_net,
+        client_net,
         a,
         b,
         client,
@@ -187,6 +193,26 @@ fn a_stale_export_fails_comm_and_releases_the_argument_pin() {
         "{seen:?}"
     );
     assert_eq!((seen.1, seen.2), (0, 0));
+}
+
+#[test]
+fn a_call_refused_by_a_partition_deletes_its_argument_doors() {
+    let seen = same_over_both_wires(|p| {
+        p.client_net.partition(p.a.id(), p.b.id());
+        let before = (live_ids(p.a.kernel()), live_ids(p.b.kernel()));
+        let err = p.client.call(p.remote, p.with_a_door(ECHO)).unwrap_err();
+        let gained = (
+            live_ids(p.a.kernel()) - before.0,
+            live_ids(p.b.kernel()) - before.1,
+        );
+        p.client_net.heal(p.a.id(), p.b.id());
+        let partitioned = matches!(&err, DoorError::Comm(m) if m.contains("partition"));
+        (partitioned, gained, p.drain().map(|reply| reply.bytes))
+    });
+    // Refused at departure: the argument door the kernel had already moved
+    // into `a`'s network server is deleted there, and nothing reached `b`.
+    // The healed link carries the next call.
+    assert_eq!(seen, (true, (0, 0), Ok(vec![ECHO])));
 }
 
 #[test]
